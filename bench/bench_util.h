@@ -201,10 +201,12 @@ inline TailStats SummarizeLatencies(std::vector<double>& us,
 
 // --- Minimal JSON emitter (shared by every BENCH_*.json writer) -------
 
-/// Writes the line-stable, two-space-indented JSON the BENCH_* files use
-/// (one field per line, fixed key order = caller's call order), so
-/// per-PR diffs of the trajectory files stay readable and the fprintf
-/// format strings are not copy-pasted across benches. No escaping —
+/// Writes the two-space-indented JSON the BENCH_* files use (one field
+/// per line, fixed key order = caller's call order), so per-PR diffs of
+/// the trajectory files stay readable and the fprintf format strings are
+/// not copy-pasted across benches. The scripts that read these files
+/// (check_bench.py, bench_ratio.py) parse them as JSON, so the line
+/// layout is for people, not a format contract. No escaping —
 /// keys/values are identifier-ish by construction.
 class JsonWriter {
  public:

@@ -58,99 +58,16 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
   # matches nothing. Writes BENCH_ops.json into the build dir.
   (cd "$perf_dir" && E2NVM_OPS_SMOKE=1 \
     ./bench/micro_ops --benchmark_filter='NoSuchBenchmark')
-  for key in serial_sync_retrain pooled_background_retrain batched_put \
-             sharded_put incremental_put speedup_vs_pooled_put \
-             put_ops_per_s get_ops_per_s alloc_per_put \
-             alloc_per_put_steady warmup_allocs retrain_allocs \
-             refine_allocs refine_steps put_max_us_steady \
-             put_p999_us get_p50_us get_p99_us get_p999_us \
-             undersubscribed hardware_concurrency simd_level; do
-    if ! grep -q "\"$key\"" "$perf_dir/BENCH_ops.json"; then
-      echo "perf smoke: key '$key' missing from BENCH_ops.json" >&2
-      exit 1
-    fi
-  done
-  # Speedup gate: on a multi-core box where the sharded section actually
-  # had a core per client, the concurrent front-end must at least match
-  # the single-store pooled path. On an oversubscribed run (more clients
-  # than cores — e.g. a 1-core CI box) the figure measures the scheduler,
-  # not the store, so the gate is skipped instead of recorded as a bogus
-  # failure.
-  hw="$(sed -nE 's/.*"hardware_concurrency": ([0-9]+).*/\1/p' \
-          "$perf_dir/BENCH_ops.json" | head -1)"
-  under="$(sed -nE 's/.*"undersubscribed": (true|false).*/\1/p' \
-             "$perf_dir/BENCH_ops.json" | head -1)"
-  speedup="$(sed -nE 's/.*"speedup_vs_pooled_put": ([0-9.]+).*/\1/p' \
-               "$perf_dir/BENCH_ops.json" | head -1)"
-  if [[ "$hw" -ge 2 && "$under" == "false" ]]; then
-    if ! awk -v s="$speedup" 'BEGIN { exit !(s >= 1.0) }'; then
-      echo "perf smoke: sharded speedup_vs_pooled_put $speedup < 1.0" >&2
-      exit 1
-    fi
-    echo "perf smoke: speedup gate OK (speedup_vs_pooled_put=$speedup)"
-  else
-    echo "perf smoke: speedup gate skipped (hw=$hw, undersubscribed=$under)"
-  fi
-  # Incremental-learning tail gate (§16): with replay-ring refinement on,
-  # the worst PUT outside warmup and full-retrain epochs — refinement
-  # steps included — must stay under 1 ms. The threshold is generous
-  # (smoke runs sit well below half of it), and like the speedup gate it
-  # self-disarms on a box where the run was timesliced rather than
-  # measured, since a descheduled put inflates the max arbitrarily.
-  steady_max="$(awk '
-      /"incremental_put": \{/   { in_inc = 1 }
-      in_inc && /"put_max_us_steady":/ { v = $2 + 0; print v; exit }' \
-      "$perf_dir/BENCH_ops.json")"
-  refines="$(awk '
-      /"incremental_put": \{/   { in_inc = 1 }
-      in_inc && /"refine_steps":/ { print $2 + 0; exit }' \
-      "$perf_dir/BENCH_ops.json")"
-  if ! awk -v r="$refines" 'BEGIN { exit !(r >= 1) }'; then
-    echo "perf smoke: incremental_put recorded no refinement step" >&2
-    exit 1
-  fi
-  if [[ "$hw" -ge 2 && "$under" == "false" ]]; then
-    if ! awk -v s="$steady_max" 'BEGIN { exit !(s < 1000.0) }'; then
-      echo "perf smoke: incremental put_max_us_steady $steady_max >= 1000" >&2
-      exit 1
-    fi
-    echo "perf smoke: tail gate OK (put_max_us_steady=$steady_max us," \
-         "refine_steps=$refines)"
-  else
-    echo "perf smoke: tail gate skipped (hw=$hw, undersubscribed=$under;" \
-         "put_max_us_steady=$steady_max us, refine_steps=$refines)"
-  fi
+  # Each smoke stage's BENCH file goes through scripts/check_bench.py,
+  # which lists every key check and threshold and when it disarms.
+  python3 "$repo_root/scripts/check_bench.py" ops "$perf_dir/BENCH_ops.json"
   echo "perf smoke OK"
 
   echo "== scaling smoke (1/2/4/8-shard sweep -> BENCH_scaling.json) =="
   (cd "$perf_dir" && E2NVM_OPS_SMOKE=1 E2NVM_OPS_SCALING_ONLY=1 \
     ./bench/micro_ops --benchmark_filter='NoSuchBenchmark')
-  for key in points shards client_threads batch_size put_ops_per_s \
-             get_ops_per_s put_p50_us put_p99_us put_p999_us \
-             speedup_vs_1shard \
-             undersubscribed hardware_concurrency; do
-    if ! grep -q "\"$key\"" "$perf_dir/BENCH_scaling.json"; then
-      echo "scaling smoke: key '$key' missing from BENCH_scaling.json" >&2
-      exit 1
-    fi
-  done
-  # Regression gate: every multi-shard point that genuinely had a core
-  # per client must not scale BELOW the 1-shard baseline. Oversubscribed
-  # points are reported but not gated (same reasoning as above).
-  if ! awk -v hw="$hw" '
-      /"shards":/            { s = $2 + 0 }
-      /"speedup_vs_1shard":/ { sp = $2 + 0 }
-      /"undersubscribed":/   { under = ($2 ~ /true/) }
-      /^    \}/ {
-        if (hw >= 2 && s > 1 && !under && sp < 1.0) {
-          printf "scaling smoke: %d-shard speedup %.2f < 1.0\n", s, sp \
-            > "/dev/stderr"
-          bad = 1
-        }
-      }
-      END { exit bad }' "$perf_dir/BENCH_scaling.json"; then
-    exit 1
-  fi
+  python3 "$repo_root/scripts/check_bench.py" scaling \
+    "$perf_dir/BENCH_scaling.json"
   echo "scaling smoke OK"
 
   echo "== chaos smoke (crash/fault/scrub sweep) =="
@@ -158,13 +75,8 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
   # Exits nonzero on any recovered-prefix violation or undetected rot;
   # writes BENCH_chaos.json into the build dir.
   (cd "$perf_dir" && ./bench/chaos_sweep)
-  for key in prefix_violations recovered_records recovery_latency_us_mean \
-             scrub_mismatches scrub_repaired scrub_quarantined; do
-    if ! grep -q "\"$key\"" "$perf_dir/BENCH_chaos.json"; then
-      echo "chaos smoke: key '$key' missing from BENCH_chaos.json" >&2
-      exit 1
-    fi
-  done
+  python3 "$repo_root/scripts/check_bench.py" chaos \
+    "$perf_dir/BENCH_chaos.json"
   echo "chaos smoke OK"
 
   echo "== net smoke (loopback server + closed/open-loop sweep) =="
@@ -175,29 +87,9 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
   # nonzero if any request failed or went unanswered, so a lossy server
   # cannot pass this stage.
   (cd "$perf_dir" && E2NVM_NET_SMOKE=1 ./bench/net_sweep)
-  for key in workers shards value_bits pipeline_depth closed_loop \
-             put_depth1 put_depth32 get_depth1 get_depth32 multi_put \
-             ops_per_s p50_us p99_us p999_us \
-             pipelined_put_speedup_vs_depth1 open_loop \
-             offered_ops_per_s achieved_ops_per_s \
-             dropped_requests failed_requests undersubscribed; do
-    if ! grep -q "\"$key\"" "$perf_dir/BENCH_net.json"; then
-      echo "net smoke: key '$key' missing from BENCH_net.json" >&2
-      exit 1
-    fi
-  done
-  # The pipelining gate stays armed even on undersubscribed boxes: the
-  # depth-32/depth-1 ratio compares two equally timesliced runs, and the
-  # win comes from syscall/wakeup amortization + per-shard write
-  # batching, not from parallelism the machine may lack.
-  net_speedup="$(sed -nE \
-      's/.*"pipelined_put_speedup_vs_depth1": ([0-9.]+).*/\1/p' \
-      "$perf_dir/BENCH_net.json" | head -1)"
-  if ! awk -v s="$net_speedup" 'BEGIN { exit !(s >= 2.0) }'; then
-    echo "net smoke: pipelined PUT speedup $net_speedup < 2.0" >&2
-    exit 1
-  fi
-  echo "net smoke OK (pipelined_put_speedup_vs_depth1=$net_speedup)"
+  python3 "$repo_root/scripts/check_bench.py" net \
+    "$perf_dir/BENCH_net.json"
+  echo "net smoke OK"
 
   echo "== workload smoke (scenario matrix -> BENCH_workloads.json) =="
   cmake --build "$perf_dir" -j "$jobs" --target workload_sweep
@@ -206,66 +98,8 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
   # nonzero when any operation fails or the store's final key count
   # disagrees with the generator, so a lossy scenario cannot pass.
   (cd "$perf_dir" && E2NVM_WORKLOAD_SMOKE=1 ./bench/workload_sweep)
-  for key in scenarios zipf_theta churn_fraction drift_period pad \
-             reads updates inserts deletes scans scan_misses failed_ops \
-             live_keys store_keys ops_per_s flips_per_bit pj_per_write \
-             total_pj retrains background_retrains refine_steps \
-             incremental undersubscribed; do
-    if ! grep -q "\"$key\"" "$perf_dir/BENCH_workloads.json"; then
-      echo "workload smoke: key '$key' missing from BENCH_workloads.json" >&2
-      exit 1
-    fi
-  done
-  for name in zipf_0.50 zipf_0.80 zipf_0.99 ycsb_a ycsb_b ycsb_c ycsb_d \
-              ycsb_e ycsb_f churn drift drift_incremental width_zero \
-              width_one width_random width_input width_dataset \
-              width_memory net_ycsb_a; do
-    if ! grep -q "\"name\": \"$name\"" "$perf_dir/BENCH_workloads.json"; then
-      echo "workload smoke: scenario '$name' missing" >&2
-      exit 1
-    fi
-  done
-  # Drift gate: the phase-shifted scenario must actually have fired at
-  # least one background retrain (the §5.3 adaptability loop end-to-end).
-  if ! awk '
-      /"name":/ { in_drift = ($0 ~ /"drift"/) }
-      in_drift && /"background_retrains":/ { bg = $2 + 0; found = 1 }
-      END { exit !(found && bg >= 1) }' \
-      "$perf_dir/BENCH_workloads.json"; then
-    echo "workload smoke: drift scenario recorded no background retrain" >&2
-    exit 1
-  fi
-  # Incremental drift gate (§16): the same drifting stream with replay-
-  # ring refinement on must absorb the drift entirely inline — at least
-  # one refinement step, and not a single full retrain (foreground or
-  # background). This is deliberately a separate gate from the one above:
-  # `drift` proves the escalation path still works end-to-end, while
-  # `drift_incremental` proves refinement makes escalation unnecessary.
-  if ! awk '
-      /"name":/ { in_inc = ($0 ~ /"drift_incremental"/) }
-      in_inc && /"refine_steps":/         { rs = $2 + 0; found = 1 }
-      in_inc && /"retrains":/             { rt = $2 + 0 }
-      in_inc && /"background_retrains":/  { bg = $2 + 0 }
-      END { exit !(found && rs >= 1 && rt == 0 && bg == 0) }' \
-      "$perf_dir/BENCH_workloads.json"; then
-    echo "workload smoke: drift_incremental gate failed" \
-         "(want refine_steps >= 1 and zero full retrains)" >&2
-    exit 1
-  fi
-  # Determinism anchor: zipf_0.99 and ycsb_a are the same scenario run
-  # twice from scratch; their (seed-deterministic) flips_per_bit must
-  # match bit-for-bit.
-  if ! awk '
-      /"name":/ { cur = $2 }
-      /"flips_per_bit":/ {
-        if (cur == "\"zipf_0.99\",") a = $2 + 0
-        if (cur == "\"ycsb_a\",") b = $2 + 0
-      }
-      END { exit !(a == b && a > 0) }' \
-      "$perf_dir/BENCH_workloads.json"; then
-    echo "workload smoke: determinism anchor broken (zipf_0.99 vs ycsb_a)" >&2
-    exit 1
-  fi
+  python3 "$repo_root/scripts/check_bench.py" workloads \
+    "$perf_dir/BENCH_workloads.json"
   echo "workload smoke OK"
 fi
 

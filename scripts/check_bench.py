@@ -1,0 +1,202 @@
+#!/usr/bin/env python3
+"""Gate one BENCH_*.json file written by a smoke stage of check.sh.
+
+Usage:
+    scripts/check_bench.py {ops,scaling,chaos,net,workloads} FILE
+
+Loads FILE with json.load, checks that every key the stage needs is
+present (at any depth), then applies the stage's thresholds. Prints one
+line per gate; exits 1 if any gate fails, 2 if FILE cannot be read.
+
+The multi-core gates (the ops speedup and tail gates, the per-point
+scaling gate) are armed when the file's hardware_concurrency is at least
+2 and the measured section was not undersubscribed (more client threads
+than cores); otherwise the figure measures the scheduler, not the store,
+and the gate reports itself skipped. Every other gate is always armed.
+
+Stdlib only.
+"""
+
+import json
+import sys
+
+REQUIRED_KEYS = {
+    "ops": """serial_sync_retrain pooled_background_retrain batched_put
+        sharded_put incremental_put speedup_vs_pooled_put put_ops_per_s
+        get_ops_per_s alloc_per_put alloc_per_put_steady warmup_allocs
+        retrain_allocs refine_allocs refine_steps put_max_us_steady
+        put_p999_us get_p50_us get_p99_us get_p999_us undersubscribed
+        hardware_concurrency simd_level""",
+    "scaling": """points shards client_threads batch_size put_ops_per_s
+        get_ops_per_s put_p50_us put_p99_us put_p999_us speedup_vs_1shard
+        undersubscribed hardware_concurrency""",
+    "chaos": """prefix_violations recovered_records recovery_latency_us_mean
+        scrub_mismatches scrub_repaired scrub_quarantined""",
+    "net": """workers shards value_bits pipeline_depth closed_loop put_depth1
+        put_depth32 get_depth1 get_depth32 multi_put ops_per_s p50_us
+        p99_us p999_us pipelined_put_speedup_vs_depth1 open_loop
+        offered_ops_per_s achieved_ops_per_s dropped_requests
+        failed_requests undersubscribed""",
+    "workloads": """scenarios zipf_theta churn_fraction drift_period pad
+        reads updates inserts deletes scans scan_misses failed_ops
+        live_keys store_keys ops_per_s flips_per_bit pj_per_write total_pj
+        retrains background_retrains refine_steps incremental
+        undersubscribed""",
+}
+
+SCENARIOS = """zipf_0.50 zipf_0.80 zipf_0.99 ycsb_a ycsb_b ycsb_c ycsb_d ycsb_e
+    ycsb_f churn drift drift_incremental width_zero width_one width_random
+    width_input width_dataset width_memory net_ycsb_a""".split()
+
+
+def all_keys(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from all_keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from all_keys(value)
+
+
+# Stage name -> the check.sh stage whose log lines this script writes.
+LABELS = {"ops": "perf smoke", "scaling": "scaling smoke",
+          "chaos": "chaos smoke", "net": "net smoke",
+          "workloads": "workload smoke"}
+
+
+class Report:
+    def __init__(self, stage):
+        self.label = LABELS[stage]
+        self.failed = False
+
+    def gate(self, ok, passed, failed):
+        if ok:
+            print(f"{self.label}: {passed}")
+        else:
+            print(f"{self.label}: {failed}", file=sys.stderr)
+            self.failed = True
+
+    def skip(self, msg):
+        print(f"{self.label}: {msg}")
+
+
+def multicore_armed(hw, undersubscribed):
+    return hw >= 2 and not undersubscribed
+
+
+def gate_ops(doc, r):
+    hw = doc["hardware_concurrency"]
+    sharded = doc["sharded_put"]
+    inc = doc["incremental_put"]
+    under = sharded["undersubscribed"]
+    armed = multicore_armed(hw, under)
+    disarm = f"hw={hw}, undersubscribed={str(under).lower()}"
+    # On a box where every sharded client had a core, the concurrent
+    # front-end must at least match the single-store pooled path.
+    speedup = sharded["speedup_vs_pooled_put"]
+    if armed:
+        r.gate(speedup >= 1.0,
+               f"speedup gate OK (speedup_vs_pooled_put={speedup})",
+               f"sharded speedup_vs_pooled_put {speedup} < 1.0")
+    else:
+        r.skip(f"speedup gate skipped ({disarm})")
+    # §16: replay-ring refinement must have run, and the worst PUT
+    # outside warmup and full-retrain epochs, refine steps included, must
+    # stay under 1 ms (a descheduled PUT inflates the max arbitrarily, so
+    # that half disarms like the speedup gate).
+    refines = inc["refine_steps"]
+    r.gate(refines >= 1, f"refine gate OK (refine_steps={refines})",
+           "incremental_put recorded no refinement step")
+    steady_max = inc["put_max_us_steady"]
+    if armed:
+        r.gate(steady_max < 1000.0,
+               f"tail gate OK (put_max_us_steady={steady_max} us)",
+               f"incremental put_max_us_steady {steady_max} >= 1000")
+    else:
+        r.skip(f"tail gate skipped ({disarm}; "
+               f"put_max_us_steady={steady_max} us)")
+
+
+def gate_scaling(doc, r):
+    # No multi-shard point that had a core per client may scale below
+    # the 1-shard baseline.
+    hw = doc["hardware_concurrency"]
+    for p in doc["points"]:
+        if p["shards"] <= 1:
+            continue
+        sp = p["speedup_vs_1shard"]
+        under = p["undersubscribed"]
+        if multicore_armed(hw, under):
+            r.gate(sp >= 1.0,
+                   f"{p['shards']}-shard speedup {sp:.2f} OK",
+                   f"{p['shards']}-shard speedup {sp:.2f} < 1.0")
+        else:
+            r.skip(f"{p['shards']}-shard speedup gate skipped "
+                   f"(hw={hw}, undersubscribed={str(under).lower()})")
+
+
+def gate_net(doc, r):
+    # Armed even undersubscribed: depth 32 and depth 1 are equally
+    # timesliced, and the win is syscall/wakeup amortization plus
+    # per-shard write batching, not parallelism.
+    sp = doc["closed_loop"]["pipelined_put_speedup_vs_depth1"]
+    r.gate(sp >= 2.0,
+           f"pipelining gate OK (pipelined_put_speedup_vs_depth1={sp})",
+           f"pipelined PUT speedup {sp} < 2.0")
+
+
+def gate_workloads(doc, r):
+    by_name = {s["name"]: s for s in doc["scenarios"]}
+    missing = [n for n in SCENARIOS if n not in by_name]
+    r.gate(not missing, f"all {len(SCENARIOS)} scenarios present",
+           f"scenario(s) missing: {' '.join(missing)}")
+    # The phase-shifted scenario must have fired a background retrain
+    # (the §5.3 adaptability loop end to end).
+    drift = by_name.get("drift", {})
+    r.gate(drift.get("background_retrains", 0) >= 1,
+           "drift gate OK",
+           "drift scenario recorded no background retrain")
+    # §16: the same stream with refinement on absorbs the drift inline:
+    # at least one refine step and no full retrain of either kind.
+    inc = by_name.get("drift_incremental", {})
+    r.gate(inc.get("refine_steps", 0) >= 1 and inc.get("retrains", 0) == 0
+           and inc.get("background_retrains", 0) == 0,
+           "drift_incremental gate OK",
+           "drift_incremental gate failed "
+           "(want refine_steps >= 1 and zero full retrains)")
+    # Determinism anchor: zipf_0.99 and ycsb_a are the same scenario run
+    # twice from scratch, so their flips_per_bit match bit for bit.
+    a = by_name.get("zipf_0.99", {}).get("flips_per_bit", 0)
+    b = by_name.get("ycsb_a", {}).get("flips_per_bit", 0)
+    r.gate(a == b and a > 0, f"determinism anchor OK (flips_per_bit={a})",
+           f"determinism anchor broken (zipf_0.99 {a} vs ycsb_a {b})")
+
+
+GATES = {"ops": gate_ops, "scaling": gate_scaling, "net": gate_net,
+         "workloads": gate_workloads}
+
+
+def main(argv):
+    if len(argv) != 2 or argv[0] not in LABELS:
+        print(__doc__, file=sys.stderr)
+        return 2
+    stage, path = argv
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        print(f"check_bench: {e}", file=sys.stderr)
+        return 2
+    r = Report(stage)
+    present = set(all_keys(doc))
+    missing = [k for k in REQUIRED_KEYS[stage].split() if k not in present]
+    r.gate(not missing, "required keys present",
+           f"key(s) missing from {path}: {' '.join(missing)}")
+    if not missing and stage in GATES:
+        GATES[stage](doc, r)
+    return 1 if r.failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -9,10 +9,8 @@ namespace e2nvm::debug {
 /// Thread-local audit counter for *shared* (shard-external) lock
 /// acquisitions — the ones the contention-free steady-state contract
 /// (DESIGN.md §13) forbids on the PUT/GET/DELETE path. Instrumented at
-/// the lock sites that historically serialized shards:
+/// the shared lock sites a shard operation could reach:
 ///   - the ThreadPool queue mutex (Submit / parallel dispatch),
-///   - the DynamicAddressPool internal mutex (thread-safe mode only;
-///     engines run their pool in externally-serialized mode),
 ///   - the FaultInjector state mutex (skipped entirely by the unarmed
 ///     write fast path — an attached injector with no stuck cells and
 ///     no tear probability stays off the steady-state audit).

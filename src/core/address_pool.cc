@@ -6,7 +6,7 @@
 
 namespace e2nvm::core {
 
-size_t DynamicAddressPool::ClampClusterLocked(size_t cluster) const {
+size_t DynamicAddressPool::ClampCluster(size_t cluster) const {
   if (cluster < lists_.size()) return cluster;
   // A degraded or buggy clusterer handed us an id we have no list for.
   // Clamp instead of indexing out of bounds; the caller still gets a
@@ -16,22 +16,20 @@ size_t DynamicAddressPool::ClampClusterLocked(size_t cluster) const {
 }
 
 void DynamicAddressPool::Insert(size_t cluster, uint64_t addr) {
-  MaybeLock lock(*this);
   if (lists_.empty()) {
     E2_LOG(kWarning, "dropping address %llu: pool has no clusters",
            static_cast<unsigned long long>(addr));
     return;
   }
-  lists_[ClampClusterLocked(cluster)].push_back(addr);
+  lists_[ClampCluster(cluster)].push_back(addr);
   ++total_free_;
 }
 
 std::optional<uint64_t> DynamicAddressPool::Acquire(size_t cluster) {
-  MaybeLock lock(*this);
   if (lists_.empty()) return std::nullopt;
-  size_t c = ClampClusterLocked(cluster);
+  size_t c = ClampCluster(cluster);
   if (lists_[c].empty()) {
-    c = LargestClusterLocked();
+    c = LargestCluster();
     if (lists_[c].empty()) return std::nullopt;
   }
   uint64_t addr = lists_[c].front();
@@ -41,9 +39,8 @@ std::optional<uint64_t> DynamicAddressPool::Acquire(size_t cluster) {
 }
 
 std::optional<uint64_t> DynamicAddressPool::AcquireAny() {
-  MaybeLock lock(*this);
   if (lists_.empty()) return std::nullopt;
-  size_t c = LargestClusterLocked();
+  size_t c = LargestCluster();
   if (lists_[c].empty()) return std::nullopt;
   uint64_t addr = lists_[c].front();
   lists_[c].pop_front();
@@ -51,7 +48,7 @@ std::optional<uint64_t> DynamicAddressPool::AcquireAny() {
   return addr;
 }
 
-size_t DynamicAddressPool::LargestClusterLocked() const {
+size_t DynamicAddressPool::LargestCluster() const {
   size_t best = 0;
   size_t best_size = 0;
   for (size_t c = 0; c < lists_.size(); ++c) {
@@ -64,7 +61,6 @@ size_t DynamicAddressPool::LargestClusterLocked() const {
 }
 
 size_t DynamicAddressPool::FreeCount(size_t cluster) const {
-  MaybeLock lock(*this);
   if (cluster >= lists_.size()) {
     ++clamped_ids_;
     return 0;
@@ -73,24 +69,20 @@ size_t DynamicAddressPool::FreeCount(size_t cluster) const {
 }
 
 size_t DynamicAddressPool::TotalFree() const {
-  MaybeLock lock(*this);
   return total_free_;
 }
 
 uint64_t DynamicAddressPool::clamped_ids() const {
-  MaybeLock lock(*this);
   return clamped_ids_;
 }
 
 size_t DynamicAddressPool::MinClusterFree() const {
-  MaybeLock lock(*this);
   size_t mn = SIZE_MAX;
   for (const auto& l : lists_) mn = std::min(mn, l.size());
   return mn == SIZE_MAX ? 0 : mn;
 }
 
 size_t DynamicAddressPool::MemoryFootprintBytes() const {
-  MaybeLock lock(*this);
   // Ring capacity per cluster (>= stored addresses) plus list headers.
   size_t bytes = lists_.size() * sizeof(FreeList);
   for (const auto& l : lists_) bytes += l.capacity() * sizeof(uint64_t);
@@ -98,7 +90,6 @@ size_t DynamicAddressPool::MemoryFootprintBytes() const {
 }
 
 std::vector<uint64_t> DynamicAddressPool::AllFree() const {
-  MaybeLock lock(*this);
   std::vector<uint64_t> out;
   out.reserve(total_free_);
   for (const auto& l : lists_) {
@@ -108,7 +99,6 @@ std::vector<uint64_t> DynamicAddressPool::AllFree() const {
 }
 
 void DynamicAddressPool::Clear() {
-  MaybeLock lock(*this);
   for (auto& l : lists_) l.clear();
   total_free_ = 0;
 }

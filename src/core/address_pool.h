@@ -2,12 +2,10 @@
 #define E2NVM_CORE_ADDRESS_POOL_H_
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "common/bitvec.h"
-#include "common/lock_audit.h"
 
 namespace e2nvm::core {
 
@@ -87,22 +85,15 @@ class FreeList {
 ///  - when a cluster's free list drains below a threshold the store
 ///    triggers background retraining (§4.1.4).
 ///
-/// Thread safety is a construction-time choice. By default all mutators
-/// take an internal mutex (the paper: "we utilize thread-safe methods ...
-/// for the data structures that maintain address pools and mapping").
-/// A pool built with `internal_locking = false` skips the mutex entirely:
-/// the owner promises external serialization — exactly the
-/// PlacementEngine case, whose documented single-caller contract already
-/// serializes every pool touch under the shard lock, making the DAP
-/// free-list path segment-range-local with zero cross-shard contention.
-/// Internal lock acquisitions are reported to the lock audit
-/// (common/lock_audit.h) so the steady-state no-shared-lock test catches
-/// a hot path accidentally wired to a locking pool.
+/// Serialized by its owner, with no lock of its own. The owner is the
+/// PlacementEngine, whose single-caller contract covers every pool call;
+/// in a ShardedStore that caller holds the shard lock, so each shard's
+/// DAP is segment-range-local and no other shard ever contends on it.
+/// (The paper's "thread-safe methods ... for the data structures that
+/// maintain address pools" are that shard lock.)
 class DynamicAddressPool {
  public:
-  explicit DynamicAddressPool(size_t num_clusters,
-                              bool internal_locking = true)
-      : lists_(num_clusters), internal_locking_(internal_locking) {}
+  explicit DynamicAddressPool(size_t num_clusters) : lists_(num_clusters) {}
 
   size_t num_clusters() const { return lists_.size(); }
 
@@ -129,11 +120,10 @@ class DynamicAddressPool {
   template <typename PeekFn>
   std::optional<uint64_t> AcquireBest(size_t cluster, const BitVector& data,
                                       PeekFn&& peek) {
-    MaybeLock lock(*this);
     if (lists_.empty()) return std::nullopt;
-    size_t c = ClampClusterLocked(cluster);
+    size_t c = ClampCluster(cluster);
     if (lists_[c].empty()) {
-      c = LargestClusterLocked();
+      c = LargestCluster();
       if (lists_[c].empty()) return std::nullopt;
     }
     size_t best_i = 0;
@@ -170,40 +160,14 @@ class DynamicAddressPool {
   /// Drops all lists (before re-population after retraining).
   void Clear();
 
-  /// Whether this pool serializes internally (construction-time choice).
-  bool internal_locking() const { return internal_locking_; }
-
  private:
-  /// Takes the pool mutex only in internal-locking mode; a no-op (and
-  /// zero shared-lock acquisitions) when the owner serializes externally.
-  class MaybeLock {
-   public:
-    explicit MaybeLock(const DynamicAddressPool& pool) {
-      if (pool.internal_locking_) {
-        pool.mu_.lock();
-        locked_ = &pool.mu_;
-        debug::NoteSharedLockAcquired();
-      }
-    }
-    ~MaybeLock() {
-      if (locked_ != nullptr) locked_->unlock();
-    }
-    MaybeLock(const MaybeLock&) = delete;
-    MaybeLock& operator=(const MaybeLock&) = delete;
-
-   private:
-    std::mutex* locked_ = nullptr;
-  };
-
-  size_t LargestClusterLocked() const;
+  size_t LargestCluster() const;
   /// Maps an out-of-range cluster id into range, counting the incident.
-  size_t ClampClusterLocked(size_t cluster) const;
+  size_t ClampCluster(size_t cluster) const;
 
-  mutable std::mutex mu_;
   std::vector<FreeList> lists_;
   size_t total_free_ = 0;
   mutable uint64_t clamped_ids_ = 0;
-  bool internal_locking_ = true;
 };
 
 }  // namespace e2nvm::core

@@ -53,10 +53,7 @@ PlacementEngine::PlacementEngine(nvm::MemoryController* ctrl,
     : ctrl_(ctrl),
       clusterer_(clusterer),
       config_(config),
-      // The engine's single-caller contract already serializes every pool
-      // touch, so the DAP runs in externally-synchronized (lock-free)
-      // mode: Acquire/Release never take a mutex on the write path.
-      pool_(clusterer->num_clusters(), /*internal_locking=*/false),
+      pool_(clusterer->num_clusters()),
       policy_(EffectivePolicyConfig(config, clusterer)),
       // All of this engine's segments live in one accounting lane (the
       // shard's); cache the id so every charge routes without a divide.
@@ -87,12 +84,9 @@ ml::Matrix PlacementEngine::ContentsMatrix(
   return contents;
 }
 
-Status PlacementEngine::Bootstrap() {
-  const size_t n = config_.num_segments;
+Status PlacementEngine::TrainAndRepopulate(
+    const std::vector<uint64_t>& addrs) {
   const size_t dim = ctrl_->segment_bits();
-  if (n == 0) return Status::InvalidArgument("engine manages no segments");
-  std::vector<uint64_t> addrs(n);
-  for (size_t i = 0; i < n; ++i) addrs[i] = config_.first_segment + i;
   ml::Matrix contents = ContentsMatrix(addrs);
   E2_RETURN_IF_ERROR(clusterer_->Train(contents));
   stats_.train_flops += clusterer_->LastTrainFlops();
@@ -104,13 +98,22 @@ Status PlacementEngine::Bootstrap() {
       lane_, em.CpuNs(clusterer_->LastTrainFlops()));
 
   pool_.Clear();
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<float> feats(dim);
-    for (size_t d = 0; d < dim; ++d) feats[d] = contents(i, d);
+  std::vector<float> feats(dim);
+  for (size_t i = 0; i < addrs.size(); ++i) {
+    feats.assign(contents.Row(i), contents.Row(i) + dim);
     pool_.Insert(clusterer_->PredictCluster(feats), addrs[i]);
   }
   policy_.OnRetrain();
   InvalidateClusterCache();
+  return Status::Ok();
+}
+
+Status PlacementEngine::Bootstrap() {
+  const size_t n = config_.num_segments;
+  if (n == 0) return Status::InvalidArgument("engine manages no segments");
+  std::vector<uint64_t> addrs(n);
+  for (size_t i = 0; i < n; ++i) addrs[i] = config_.first_segment + i;
+  E2_RETURN_IF_ERROR(TrainAndRepopulate(addrs));
   bootstrapped_ = true;
   return Status::Ok();
 }
@@ -121,25 +124,8 @@ Status PlacementEngine::Retrain() {
     return Status::FailedPrecondition(
         "too few free segments to retrain on");
   }
-  const size_t dim = ctrl_->segment_bits();
-  ml::Matrix contents = ContentsMatrix(free_addrs);
-  E2_RETURN_IF_ERROR(clusterer_->Train(contents));
-  stats_.train_flops += clusterer_->LastTrainFlops();
-  const nvm::EnergyModel& em = ctrl_->device().energy_model();
-  ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
-                                     em.CpuPj(clusterer_->LastTrainFlops()));
-  ctrl_->device().meter().AdvanceTimeLane(
-      lane_, em.CpuNs(clusterer_->LastTrainFlops()));
-
-  pool_.Clear();
-  for (size_t i = 0; i < free_addrs.size(); ++i) {
-    std::vector<float> feats(dim);
-    for (size_t d = 0; d < dim; ++d) feats[d] = contents(i, d);
-    pool_.Insert(clusterer_->PredictCluster(feats), free_addrs[i]);
-  }
+  E2_RETURN_IF_ERROR(TrainAndRepopulate(free_addrs));
   ++stats_.retrains;
-  policy_.OnRetrain();
-  InvalidateClusterCache();
   return Status::Ok();
 }
 
@@ -166,22 +152,6 @@ Status PlacementEngine::ExtendRegion(size_t extra) {
   return Status::Ok();
 }
 
-StatusOr<std::vector<float>> PlacementEngine::Featurize(
-    const BitVector& value) {
-  const size_t dim = ctrl_->segment_bits();
-  seen_ones_ += value.Popcount();
-  seen_bits_ += value.size();
-  if (value.size() == dim) return value.ToFloats();
-  if (padder_ == nullptr) {
-    // Default: zero-extend at the end.
-    BitVector full(dim);
-    full.Overlay(0, value);
-    return full.ToFloats();
-  }
-  E2_ASSIGN_OR_RETURN(BitVector padded, PadForModel(value));
-  return padded.ToFloats();
-}
-
 Status PlacementEngine::FeaturizeInto(const BitVector& value, float* out) {
   const size_t dim = ctrl_->segment_bits();
   seen_ones_ += value.Popcount();
@@ -191,8 +161,7 @@ Status PlacementEngine::FeaturizeInto(const BitVector& value, float* out) {
     return Status::Ok();
   }
   if (padder_ == nullptr) {
-    // Zero-extend: the value's floats followed by zeros — the same
-    // features Featurize computes via Overlay + ToFloats.
+    // Default: zero-extend at the end.
     std::fill(out + value.size(), out + dim, 0.0f);
     value.AppendFloatsTo(out);
     return Status::Ok();
@@ -237,11 +206,6 @@ void PlacementEngine::ChargePrediction() {
 }
 
 StatusOr<size_t> PlacementEngine::PredictClusterFor(const BitVector& value) {
-  if (config_.reference_inference) {
-    E2_ASSIGN_OR_RETURN(std::vector<float> feats, Featurize(value));
-    ChargePrediction();
-    return clusterer_->PredictCluster(feats);
-  }
   scratch_.in.EnsureShape(1, ctrl_->segment_bits());
   E2_RETURN_IF_ERROR(FeaturizeInto(value, scratch_.in.Row(0)));
   ChargePrediction();
@@ -256,19 +220,6 @@ void PlacementEngine::PredictValue(const BitVector& value, bool* model_ok,
   // instead of surfacing the error to the client.
   *model_ok = true;
   *cluster = 0;
-  if (config_.reference_inference) {
-    StatusOr<std::vector<float>> feats = Featurize(value);
-    if (feats.ok()) {
-      ChargePrediction();
-      *cluster = clusterer_->PredictCluster(*feats);
-      return;
-    }
-    *model_ok = false;
-    ++stats_.model_fallbacks;
-    E2_LOG(kWarning, "placement model unhealthy, using first-free: %s",
-           feats.status().ToString().c_str());
-    return;
-  }
   scratch_.in.EnsureShape(1, ctrl_->segment_bits());
   Status s = FeaturizeInto(value, scratch_.in.Row(0));
   if (s.ok()) {
@@ -308,14 +259,18 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
     bool first_pick = model_ok && attempt == 0;
     if (!first_pick) {
       addr = pool_.AcquireAny();
-    } else if (config_.search_best_in_cluster) {
-      addr = pool_.AcquireBest(cluster, value, [&](uint64_t a) {
-        return ctrl_->Peek(a).Slice(0, value.size());
-      });
     } else {
-      size_t before = pool_.FreeCount(cluster);
-      addr = pool_.Acquire(cluster);
-      if (addr.has_value() && before == 0) {
+      // Both acquires fall back to the fullest cluster when the predicted
+      // one is empty; either way that is a fallback, not the model's pick.
+      const bool cluster_empty = pool_.FreeCount(cluster) == 0;
+      if (config_.search_best_in_cluster) {
+        addr = pool_.AcquireBest(cluster, value, [&](uint64_t a) {
+          return ctrl_->Peek(a).Slice(0, value.size());
+        });
+      } else {
+        addr = pool_.Acquire(cluster);
+      }
+      if (addr.has_value() && cluster_empty) {
         ++stats_.fallback_acquires;
         first_pick = false;
       }
@@ -356,8 +311,7 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
     if (*addr >= config_.first_segment &&
         *addr - config_.first_segment < placed_cluster_.size()) {
       placed_cluster_[*addr - config_.first_segment] =
-          (!config_.reference_inference && model_ok &&
-           value.size() == ctrl_->segment_bits())
+          (model_ok && value.size() == ctrl_->segment_bits())
               ? static_cast<int32_t>(cluster)
               : -1;
     }
@@ -383,7 +337,7 @@ Status PlacementEngine::PlaceMany(
       }
     }
   }
-  if (config_.reference_inference || padded_narrow) {
+  if (padded_narrow) {
     // Padding samples the live memory image, which every write in the
     // batch mutates, so those features cannot be staged up front; the
     // sequential loop produces the same placements, just unbatched.
@@ -647,11 +601,7 @@ Status PlacementEngine::Release(uint64_t addr) {
   // Algorithm 2: the freed address's *content* decides the cluster it is
   // recycled into.
   size_t cluster;
-  int32_t memo = -1;
-  if (!config_.reference_inference && addr >= config_.first_segment &&
-      addr - config_.first_segment < placed_cluster_.size()) {
-    memo = placed_cluster_[addr - config_.first_segment];
-  }
+  const int32_t memo = placed_cluster(addr);
   if (memo >= 0) {
     // The content is the full-width value placed here, its cluster was
     // predicted by the still-serving model, and nothing overwrote the
@@ -661,10 +611,6 @@ Status PlacementEngine::Release(uint64_t addr) {
     ChargePrediction();
     cluster = static_cast<size_t>(memo);
     ++stats_.release_cluster_hits;
-  } else if (config_.reference_inference) {
-    BitVector content = ctrl_->Peek(addr);
-    ChargePrediction();
-    cluster = clusterer_->PredictCluster(content.ToFloats());
   } else {
     scratch_.in.EnsureShape(1, ctrl_->segment_bits());
     // PeekInto + the reused peek buffer keep the memo-miss path (first

@@ -92,12 +92,11 @@ struct EngineStats {
 /// Retrain/ExtendRegion/PumpBackgroundRetrain and the stats()/pool()
 /// accessors must be serialized by the caller — they mutate and read
 /// unsynchronized state (`stats_` counters, the `placed_cluster_` memo,
-/// the inference scratch, the padding RNG and running 1-ratios) that a
-/// concurrent second caller would race on. The DynamicAddressPool's own
-/// mutex protects only the pool's internals, NOT these engine fields;
-/// it is not a substitute for caller serialization. The one sanctioned
-/// cross-thread actor is the BackgroundRetrainer worker, which touches
-/// nothing of the engine (the handoff is its own release/acquire pair).
+/// the inference scratch, the padding RNG and running 1-ratios, and the
+/// DynamicAddressPool, which has no lock of its own) that a concurrent
+/// second caller would race on. The one sanctioned cross-thread actor
+/// is the BackgroundRetrainer worker, which touches nothing of the
+/// engine (the handoff is its own release/acquire pair).
 ///
 /// Concurrency across *engines* is free: ShardedStore runs one engine
 /// per shard, each behind that shard's mutex, over disjoint segment
@@ -126,12 +125,6 @@ class PlacementEngine : public index::ValuePlacer {
     /// for this many placements, doubling on consecutive failures (up to
     /// 64x), so a broken retrain cannot re-run and re-log on every write.
     size_t retrain_backoff_writes = 64;
-    /// Serve predictions through the allocating reference path
-    /// (Featurize + PredictCluster per value, content re-encode on every
-    /// Release) instead of the scratch/batched fast path. The fast path
-    /// is bit-identical — this switch exists for the equivalence tests
-    /// and A/B debugging, not for production use.
-    bool reference_inference = false;
 
     /// --- Incremental online learning (DESIGN.md §16) ---
     /// When enabled (and the clusterer supports PartialFit), the engine
@@ -241,6 +234,17 @@ class PlacementEngine : public index::ValuePlacer {
   /// tests and diagnostics.
   const ReplayRing& replay_ring() const { return ring_; }
 
+  /// Cluster memoized for the value last placed at `addr` (the id a
+  /// later Release recycles it into without re-encoding), or -1 when
+  /// none is held — exposed for the equivalence tests, which check every
+  /// entry against a fresh prediction of the segment's content.
+  int32_t placed_cluster(uint64_t addr) const {
+    return addr >= config_.first_segment &&
+                   addr - config_.first_segment < placed_cluster_.size()
+               ? placed_cluster_[addr - config_.first_segment]
+               : -1;
+  }
+
   const DynamicAddressPool& pool() const { return pool_; }
   /// Mutable pool access for harnesses that drive the acquire/write steps
   /// themselves (e.g. the Fig 15 oracle control).
@@ -255,18 +259,16 @@ class PlacementEngine : public index::ValuePlacer {
   uint64_t retrain_cooldown() const { return retrain_cooldown_; }
 
  private:
-  /// Pads (if configured) and featurizes a value for the model.
-  StatusOr<std::vector<float>> Featurize(const BitVector& value);
-  /// Allocation-free Featurize into `out` (segment_bits floats): same
-  /// counter updates and padding decisions; the full-width and
-  /// zero-extend paths write the floats directly.
+  /// Pads (if configured) and featurizes a value for the model into
+  /// `out` (segment_bits floats), advancing the running 1-ratios; the
+  /// full-width and zero-extend paths write the floats directly.
   Status FeaturizeInto(const BitVector& value, float* out);
-  /// The padding slow path shared by Featurize/FeaturizeInto: builds the
-  /// PaddingContext (dataset/memory 1-ratios, LSTM, RNG) and pads.
+  /// The padding slow path of FeaturizeInto: builds the PaddingContext
+  /// (dataset/memory 1-ratios, LSTM, RNG) and pads.
   StatusOr<BitVector> PadForModel(const BitVector& value);
-  /// Predicts `value`'s cluster through the configured inference path
-  /// (scratch fast path or reference), with Place's degraded-mode
-  /// fallback on featurize failure (*model_ok = false).
+  /// Predicts `value`'s cluster through the inference scratch, with
+  /// Place's degraded-mode fallback on featurize failure
+  /// (*model_ok = false).
   void PredictValue(const BitVector& value, bool* model_ok,
                     size_t* cluster);
   /// The acquire/write loop of Place: pops addresses (of `cluster` when
@@ -283,6 +285,11 @@ class PlacementEngine : public index::ValuePlacer {
   /// The word-level Peek -> float-matrix featurization shared by
   /// Bootstrap, Retrain, and the background snapshot (one row per addr).
   ml::Matrix ContentsMatrix(const std::vector<uint64_t>& addrs) const;
+  /// The synchronous train shared by Bootstrap and Retrain: trains the
+  /// clusterer on the contents of `addrs`, charges the training flops,
+  /// rebuilds the DAP from exactly those addresses, and resets the
+  /// policy window and the placement memo.
+  Status TrainAndRepopulate(const std::vector<uint64_t>& addrs);
   /// Starts/extends the exponential retrain-failure backoff.
   void OnRetrainFailure(const Status& s);
   /// One inline incremental refinement step (§16): copies the most
@@ -345,8 +352,8 @@ class PlacementEngine : public index::ValuePlacer {
   // assigned to the full-width value most recently placed at addr, or -1
   // when unknown. Lets Release recycle the address without re-encoding
   // the content (the content IS that value, and the model is unchanged).
-  // Invalidated wholesale on any model change (Bootstrap/Retrain/shadow
-  // swap) and per-address on WriteAt and narrow placements.
+  // Invalidated wholesale on any model change (Bootstrap/Retrain/refine
+  // step/shadow swap) and per-address on WriteAt and narrow placements.
   std::vector<int32_t> placed_cluster_;
 };
 

@@ -67,8 +67,8 @@ struct ShardedStoreConfig {
 ///    operation installs it as a thread-local ml::ScopedComputePool, so
 ///    one shard's kernels or background retrain can never queue behind
 ///    (or stall) another shard's.
-///  - DAP: each engine's free list runs in externally-synchronized mode
-///    under the shard lock — no pool mutex on Acquire/Release.
+///  - DAP: each engine's pool has no lock of its own; the shard lock
+///    serializes it, so Acquire/Release take no further mutex.
 ///  - Background retraining: each shard's engine hands training to its
 ///    own lane (BackgroundRetrainer pool mode); the swap happens under
 ///    that shard's mutex on its next Place.

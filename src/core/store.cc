@@ -22,7 +22,6 @@ void BuildModelAndEngine(const StoreConfig& config, uint64_t first_segment,
   ec.auto_retrain = config.auto_retrain || config.background_retrain;
   ec.retrain = config.retrain;
   ec.retrain_backoff_writes = config.retrain_backoff_writes;
-  ec.reference_inference = config.reference_inference;
   ec.incremental.enabled = config.incremental_learning;
   ec.incremental.ring_capacity = config.replay_ring_capacity;
   ec.incremental.refine_batch = config.refine_batch;

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
+#include <algorithm>
 
 #include "common/rng.h"
 
@@ -126,36 +125,6 @@ TEST(AddressPoolTest, FootprintGrowsWithAddresses) {
   size_t base = pool.MemoryFootprintBytes();
   for (uint64_t i = 0; i < 1000; ++i) pool.Insert(i % 4, i);
   EXPECT_GE(pool.MemoryFootprintBytes(), base + 1000 * sizeof(uint64_t));
-}
-
-TEST(AddressPoolTest, ConcurrentInsertAcquireIsSafe) {
-  DynamicAddressPool pool(4);
-  constexpr int kPerThread = 2000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&pool, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        pool.Insert(t, static_cast<uint64_t>(t) * kPerThread + i);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(pool.TotalFree(), 4u * kPerThread);
-
-  std::atomic<int> acquired{0};
-  threads.clear();
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&pool, &acquired, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        if (pool.Acquire(t % 4).has_value()) {
-          acquired.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(acquired.load(), 4 * kPerThread);
-  EXPECT_EQ(pool.TotalFree(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the shared bench helpers (bench/bench_util.h): the
 // truncated-rank percentile convention every BENCH_*.json has always
-// used, the tail-grid summarizer, and the line-stable JSON writer.
+// used, the tail-grid summarizer, and the JSON writer.
 
 #include "bench/bench_util.h"
 

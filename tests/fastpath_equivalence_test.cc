@@ -1,16 +1,32 @@
 // Equivalence of the write-path inference fast path (scratch buffers,
 // fused k-means assignment, batched PlaceMany, Release cluster memo)
-// with the allocating reference path: identical placement addresses,
-// cluster ids, and device flip counts for the same PUT stream — the
-// fast path is an optimization, never a behavior change. Also pins the
+// with an allocating reference: identical placement addresses, cluster
+// ids, device flip counts and energy for the same PUT stream — the fast
+// path is an optimization, never a behavior change. Also pins the
 // zero-allocation contract of steady-state prediction.
+//
+// The reference is built here from two oracles:
+//  - Prediction: ReferenceClusterer forwards every call to a real
+//    E2Model but keeps the base class's AssignScratch, a per-row
+//    PredictCluster loop, so an engine built on it predicts through the
+//    allocating path. Each comparison runs one stream through an engine
+//    on the bare E2Model and one on the wrapper.
+//  - Memo: both engines recycle released addresses through the same
+//    placement memo, so the first oracle alone cannot see a stale memo.
+//    After every operation, MemoIsFresh checks each cluster the fast
+//    engine memoized against a fresh PredictCluster of the segment's
+//    current content.
 
 #include <cstdlib>
 #include <new>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
+#include "core/e2_model.h"
+#include "core/placement_engine.h"
 #include "core/store.h"
+#include "schemes/schemes.h"
 #include "workload/datasets.h"
 
 // Thread-local allocation counter for the zero-allocation assertions.
@@ -52,25 +68,178 @@ workload::BitDataset ClusteredData(uint64_t seed) {
   return workload::MakeProtoDataset(cfg);
 }
 
-std::unique_ptr<E2KvStore> MakeStore(const workload::BitDataset& ds,
-                                     bool reference,
-                                     bool background_retrain = false) {
-  StoreConfig sc;
-  sc.num_segments = kSegments;
-  sc.segment_bits = kBits;
-  sc.model.k = 4;
-  sc.model.pretrain_epochs = 2;
-  sc.model.finetune_rounds = 1;
-  sc.auto_retrain = true;
-  sc.background_retrain = background_retrain;
-  sc.retrain.min_free_per_cluster = 8;
-  sc.reference_inference = reference;
-  auto store_or = E2KvStore::Create(sc);
-  EXPECT_TRUE(store_or.ok());
-  auto store = std::move(*store_or);
-  store->Seed(ds);
-  EXPECT_TRUE(store->Bootstrap().ok());
-  return store;
+nvm::DeviceConfig Geometry() {
+  nvm::DeviceConfig dc;
+  dc.num_segments = kSegments;
+  dc.segment_bits = kBits;
+  return dc;
+}
+
+E2ModelConfig ModelConfig() {
+  E2ModelConfig mc;
+  mc.input_dim = kBits;
+  mc.k = 4;
+  mc.pretrain_epochs = 2;
+  mc.finetune_rounds = 1;
+  return mc;
+}
+
+/// The prediction oracle: a real model whose engine-facing inference
+/// runs through the base class's allocating per-row PredictCluster loop
+/// (AssignScratch is deliberately not overridden). Shadow models of a
+/// background retrain are wrapped too.
+class ReferenceClusterer : public placement::ContentClusterer {
+ public:
+  explicit ReferenceClusterer(
+      std::unique_ptr<placement::ContentClusterer> model)
+      : model_(std::move(model)) {}
+
+  std::string_view name() const override { return model_->name(); }
+  std::unique_ptr<placement::ContentClusterer> CloneUntrained()
+      const override {
+    return std::make_unique<ReferenceClusterer>(model_->CloneUntrained());
+  }
+  Status Train(const ml::Matrix& contents) override {
+    return model_->Train(contents);
+  }
+  size_t PredictCluster(const std::vector<float>& features) override {
+    return model_->PredictCluster(features);
+  }
+  size_t num_clusters() const override { return model_->num_clusters(); }
+  double PredictFlops() const override { return model_->PredictFlops(); }
+  double LastTrainFlops() const override {
+    return model_->LastTrainFlops();
+  }
+  bool SupportsPartialFit() const override {
+    return model_->SupportsPartialFit();
+  }
+  Status PartialFit(const ml::Matrix& batch) override {
+    return model_->PartialFit(batch);
+  }
+  double LastPartialFitFlops() const override {
+    return model_->LastPartialFitFlops();
+  }
+
+ private:
+  std::unique_ptr<placement::ContentClusterer> model_;
+};
+
+struct SideOptions {
+  bool background_retrain = false;
+  /// Replay-ring refinement (DESIGN.md §16), tuned so a value shift
+  /// fires dozens of refine steps within a few hundred operations: the
+  /// drift never escalates, so full retrains come only from the
+  /// capacity trigger, and enough steps run that some move a memoized
+  /// segment's cluster.
+  bool incremental = false;
+};
+
+/// One side of a comparison: the stack E2KvStore builds (device, DCW
+/// controller, E2Model, auto-retraining engine, key -> address index
+/// whose updates recycle the old address), with the model behind
+/// ReferenceClusterer on the reference side.
+class Side {
+ public:
+  Side(const workload::BitDataset& ds, bool reference, SideOptions opt = {})
+      : device_(Geometry()),
+        ctrl_(&device_, &dcw_, kSegments, /*psi=*/0) {
+    for (size_t i = 0; i < kSegments; ++i) {
+      ctrl_.Seed(i, ds.items[i % ds.items.size()]);
+    }
+    auto model = std::make_unique<E2Model>(ModelConfig());
+    if (reference) {
+      model_ = std::make_unique<ReferenceClusterer>(std::move(model));
+    } else {
+      model_ = std::move(model);
+    }
+    PlacementEngine::Config ec;
+    ec.num_segments = kSegments;
+    ec.auto_retrain = true;
+    ec.retrain.min_free_per_cluster = 8;
+    if (opt.incremental) {
+      ec.retrain.window = 20;
+      ec.retrain.refine_interval = 10;
+      ec.retrain.max_refine_rounds = 1000;
+      ec.incremental.enabled = true;
+      ec.incremental.ring_capacity = 64;
+      ec.incremental.refine_batch = 8;
+    }
+    engine_ = std::make_unique<PlacementEngine>(&ctrl_, model_.get(), ec);
+    if (opt.background_retrain) engine_->EnableBackgroundRetrain();
+    EXPECT_TRUE(engine_->Bootstrap().ok());
+  }
+
+  /// E2KvStore::Put: place, index, recycle the superseded address.
+  Status Put(uint64_t key, const BitVector& value) {
+    E2_ASSIGN_OR_RETURN(uint64_t addr, engine_->Place(value));
+    return Index(key, addr);
+  }
+
+  /// E2KvStore::MultiPut: one PlaceMany, then index in order.
+  Status MultiPut(const std::vector<std::pair<uint64_t, BitVector>>& kvs) {
+    std::vector<const BitVector*> values;
+    for (const auto& kv : kvs) values.push_back(&kv.second);
+    std::vector<uint64_t> addrs;
+    Status placed = engine_->PlaceMany(values, &addrs);
+    for (size_t i = 0; i < addrs.size(); ++i) {
+      E2_RETURN_IF_ERROR(Index(kvs[i].first, addrs[i]));
+    }
+    return placed;
+  }
+
+  std::optional<uint64_t> AddrOf(uint64_t key) const {
+    auto it = index_.find(key);
+    if (it == index_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  PlacementEngine& engine() { return *engine_; }
+  nvm::NvmDevice& device() { return device_; }
+
+ private:
+  Status Index(uint64_t key, uint64_t addr) {
+    auto [it, inserted] = index_.try_emplace(key, addr);
+    if (inserted) return Status::Ok();
+    const uint64_t old = it->second;
+    it->second = addr;
+    return engine_->Release(old);
+  }
+
+  schemes::Dcw dcw_;
+  nvm::NvmDevice device_;
+  nvm::MemoryController ctrl_;
+  std::unique_ptr<placement::ContentClusterer> model_;
+  std::unique_ptr<PlacementEngine> engine_;
+  std::unordered_map<uint64_t, uint64_t> index_;
+};
+
+/// The memo oracle: every cluster the engine holds for Release must be
+/// what its serving model predicts for the segment's current content.
+::testing::AssertionResult MemoIsFresh(PlacementEngine& engine) {
+  for (uint64_t addr = 0; addr < kSegments; ++addr) {
+    const int32_t memo = engine.placed_cluster(addr);
+    if (memo < 0) continue;
+    const size_t fresh = engine.clusterer().PredictCluster(
+        engine.ctrl().Peek(addr).ToFloats());
+    if (static_cast<size_t>(memo) != fresh) {
+      return ::testing::AssertionFailure()
+             << "stale memo at addr " << addr << ": " << memo
+             << " != fresh prediction " << fresh;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The same Put on both sides, then the memo oracle.
+::testing::AssertionResult PutBoth(Side& ref, Side& fast, uint64_t key,
+                                   const BitVector& value) {
+  if (!ref.Put(key, value).ok()) {
+    return ::testing::AssertionFailure() << "reference Put failed";
+  }
+  if (!fast.Put(key, value).ok()) {
+    return ::testing::AssertionFailure() << "fast Put failed";
+  }
+  return MemoIsFresh(fast.engine());
 }
 
 /// Every observable outcome that must match between the two paths.
@@ -80,17 +249,23 @@ struct Observed {
   uint64_t writes;
   uint64_t placements;
   uint64_t fallbacks;
+  uint64_t retrains;
+  uint64_t model_generation;
+  double total_pj;
 };
 
-Observed ObserveStore(E2KvStore& store) {
+Observed Observe(Side& side) {
   Observed o;
   for (uint64_t key = 0; key < kKeys; ++key) {
-    o.addrs.push_back(store.tree().Get(key));
+    o.addrs.push_back(side.AddrOf(key));
   }
-  o.data_flips = store.device().stats().data_bits_flipped;
-  o.writes = store.device().stats().writes;
-  o.placements = store.engine().stats().placements;
-  o.fallbacks = store.engine().stats().fallback_placements;
+  o.data_flips = side.device().stats().data_bits_flipped;
+  o.writes = side.device().stats().writes;
+  o.placements = side.engine().stats().placements;
+  o.fallbacks = side.engine().stats().fallback_placements;
+  o.retrains = side.engine().stats().retrains;
+  o.model_generation = side.engine().model_generation();
+  o.total_pj = side.device().meter().TotalPj();
   return o;
 }
 
@@ -100,43 +275,84 @@ void ExpectSame(const Observed& ref, const Observed& fast) {
   EXPECT_EQ(ref.writes, fast.writes);
   EXPECT_EQ(ref.placements, fast.placements);
   EXPECT_EQ(ref.fallbacks, fast.fallbacks);
+  EXPECT_EQ(ref.retrains, fast.retrains);
+  EXPECT_EQ(ref.model_generation, fast.model_generation);
+  EXPECT_EQ(ref.total_pj, fast.total_pj);
+}
+
+std::unique_ptr<E2KvStore> MakeStore(const workload::BitDataset& ds) {
+  StoreConfig sc;
+  sc.num_segments = kSegments;
+  sc.segment_bits = kBits;
+  sc.model = ModelConfig();
+  sc.auto_retrain = true;
+  sc.retrain.min_free_per_cluster = 8;
+  auto store_or = E2KvStore::Create(sc);
+  EXPECT_TRUE(store_or.ok());
+  auto store = std::move(*store_or);
+  store->Seed(ds);
+  EXPECT_TRUE(store->Bootstrap().ok());
+  return store;
 }
 
 TEST(FastPathEquivalence, SequentialPutsMatchReferenceAcrossSeeds) {
   for (uint64_t seed : {2u, 11u, 29u}) {
     auto ds = ClusteredData(seed);
-    auto ref = MakeStore(ds, /*reference=*/true);
-    auto fast = MakeStore(ds, /*reference=*/false);
+    Side ref(ds, /*reference=*/true);
+    Side fast(ds, /*reference=*/false);
     for (uint64_t i = 0; i < 300; ++i) {
-      const auto& v = ds.items[i % ds.items.size()];
-      ASSERT_TRUE(ref->Put(i % kKeys, v).ok()) << "seed " << seed;
-      ASSERT_TRUE(fast->Put(i % kKeys, v).ok()) << "seed " << seed;
+      ASSERT_TRUE(PutBoth(ref, fast, i % kKeys, ds.items[i % ds.items.size()]))
+          << "seed " << seed << " op " << i;
     }
-    ExpectSame(ObserveStore(*ref), ObserveStore(*fast));
-    // Same synchronous retrain schedule on both sides.
-    EXPECT_EQ(ref->engine().stats().retrains,
-              fast->engine().stats().retrains);
-    EXPECT_GT(fast->engine().stats().retrains, 0u) << "seed " << seed;
+    ExpectSame(Observe(ref), Observe(fast));
+    // The same synchronous retrain schedule ran on both sides.
+    EXPECT_GT(fast.engine().stats().retrains, 0u) << "seed " << seed;
+  }
+}
+
+TEST(FastPathEquivalence, IncrementalRefinementMatchesReference) {
+  // Refine steps change the model without a retrain or a swap, and
+  // invalidate the memo. The value shift halfway through makes them
+  // fire.
+  for (uint64_t seed : {2u, 11u, 29u}) {
+    auto ds = ClusteredData(seed);
+    auto shifted = ClusteredData(seed + 1000);
+    Side ref(ds, /*reference=*/true, {.incremental = true});
+    Side fast(ds, /*reference=*/false, {.incremental = true});
+    for (uint64_t i = 0; i < 400; ++i) {
+      const workload::BitDataset& src = i < 200 ? ds : shifted;
+      ASSERT_TRUE(
+          PutBoth(ref, fast, i % kKeys, src.items[i % src.items.size()]))
+          << "seed " << seed << " op " << i;
+    }
+    ExpectSame(Observe(ref), Observe(fast));
+    EXPECT_EQ(ref.engine().stats().refine_steps,
+              fast.engine().stats().refine_steps);
+    EXPECT_GT(fast.engine().stats().refine_steps, 0u) << "seed " << seed;
   }
 }
 
 TEST(FastPathEquivalence, PredictClusterMatchesReference) {
   auto ds = ClusteredData(5);
-  auto ref = MakeStore(ds, /*reference=*/true);
-  auto fast = MakeStore(ds, /*reference=*/false);
+  Side ref(ds, /*reference=*/true);
+  Side fast(ds, /*reference=*/false);
   for (size_t i = 0; i < ds.items.size(); ++i) {
-    auto a = ref->engine().PredictClusterFor(ds.items[i]);
-    auto b = fast->engine().PredictClusterFor(ds.items[i]);
+    auto a = ref.engine().PredictClusterFor(ds.items[i]);
+    auto b = fast.engine().PredictClusterFor(ds.items[i]);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(*a, *b) << "item " << i;
+    // And against the model fed the value's own float expansion.
+    EXPECT_EQ(*b, ref.engine().clusterer().PredictCluster(
+                      ds.items[i].ToFloats()))
+        << "item " << i;
   }
 }
 
 TEST(FastPathEquivalence, MultiPutMatchesSequentialPuts) {
   auto ds = ClusteredData(7);
-  auto seq = MakeStore(ds, /*reference=*/false);
-  auto batched = MakeStore(ds, /*reference=*/false);
+  auto seq = MakeStore(ds);
+  auto batched = MakeStore(ds);
   constexpr size_t kBatch = 16;
   std::vector<std::pair<uint64_t, BitVector>> kvs;
   for (uint64_t i = 0; i < 320; ++i) {
@@ -169,74 +385,74 @@ TEST(FastPathEquivalence, MultiPutMatchesSequentialPuts) {
 
 TEST(FastPathEquivalence, MultiPutMatchesReferenceWithoutUpdates) {
   // Unique keys: no mid-stream recycling, so the batched fast path must
-  // reproduce the reference path address-for-address and flip-for-flip.
+  // reproduce sequential reference Puts address-for-address and
+  // flip-for-flip.
   auto ds = ClusteredData(13);
-  auto ref = MakeStore(ds, /*reference=*/true);
-  auto batched = MakeStore(ds, /*reference=*/false);
+  Side ref(ds, /*reference=*/true);
+  Side batched(ds, /*reference=*/false);
   constexpr size_t kBatch = 12;
   std::vector<std::pair<uint64_t, BitVector>> kvs;
   for (uint64_t i = 0; i < kKeys; ++i) {
     const auto& v = ds.items[i % ds.items.size()];
-    ASSERT_TRUE(ref->Put(i, v).ok());
+    ASSERT_TRUE(ref.Put(i, v).ok());
     kvs.emplace_back(i, v);
     if (kvs.size() == kBatch) {
-      ASSERT_TRUE(batched->MultiPut(kvs).ok());
+      ASSERT_TRUE(batched.MultiPut(kvs).ok());
+      ASSERT_TRUE(MemoIsFresh(batched.engine())) << "op " << i;
       kvs.clear();
     }
   }
-  ASSERT_TRUE(batched->MultiPut(kvs).ok());
-  ExpectSame(ObserveStore(*ref), ObserveStore(*batched));
+  ASSERT_TRUE(batched.MultiPut(kvs).ok());
+  ExpectSame(Observe(ref), Observe(batched));
 }
 
 TEST(FastPathEquivalence, MatchesReferenceAcrossBackgroundSwap) {
-  // Drive both stores through a deterministic shadow-model swap: run the
+  // Drive both sides through a deterministic shadow-model swap: run the
   // same stream, and whenever a shadow training is in flight, drain it
   // and adopt it at the same operation index on both sides.
   auto ds = ClusteredData(17);
-  auto ref = MakeStore(ds, /*reference=*/true, /*background_retrain=*/true);
-  auto fast =
-      MakeStore(ds, /*reference=*/false, /*background_retrain=*/true);
-  auto drain = [](E2KvStore& s) {
+  Side ref(ds, /*reference=*/true, {.background_retrain = true});
+  Side fast(ds, /*reference=*/false, {.background_retrain = true});
+  auto drain = [](Side& s) {
     while (s.engine().RetrainInFlight()) {
     }
     s.engine().PumpBackgroundRetrain();
   };
   for (uint64_t i = 0; i < 300; ++i) {
-    const auto& v = ds.items[i % ds.items.size()];
-    ASSERT_TRUE(ref->Put(i % kKeys, v).ok());
-    ASSERT_TRUE(fast->Put(i % kKeys, v).ok());
-    drain(*ref);
-    drain(*fast);
-    ASSERT_EQ(ref->engine().model_generation(),
-              fast->engine().model_generation())
+    ASSERT_TRUE(PutBoth(ref, fast, i % kKeys, ds.items[i % ds.items.size()]))
+        << "op " << i;
+    drain(ref);
+    drain(fast);
+    ASSERT_TRUE(MemoIsFresh(fast.engine())) << "after drain, op " << i;
+    ASSERT_EQ(ref.engine().model_generation(),
+              fast.engine().model_generation())
         << "op " << i;
   }
-  EXPECT_GT(fast->engine().model_generation(), 0u)
+  EXPECT_GT(fast.engine().model_generation(), 0u)
       << "no shadow model was ever adopted; swap never exercised";
-  ExpectSame(ObserveStore(*ref), ObserveStore(*fast));
+  ExpectSame(Observe(ref), Observe(fast));
 }
 
 TEST(FastPathEquivalence, SteadyStatePredictionIsAllocationFree) {
   auto ds = ClusteredData(3);
-  auto store = MakeStore(ds, /*reference=*/false);
+  Side fast(ds, /*reference=*/false);
   // Warm up: first predictions size the scratch buffers (grow-only).
   for (size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(store->engine().PredictClusterFor(ds.items[i]).ok());
+    ASSERT_TRUE(fast.engine().PredictClusterFor(ds.items[i]).ok());
   }
   uint64_t before = t_alloc_count;
   for (size_t i = 0; i < 200; ++i) {
-    auto c = store->engine().PredictClusterFor(
-        ds.items[i % ds.items.size()]);
+    auto c = fast.engine().PredictClusterFor(ds.items[i % ds.items.size()]);
     ASSERT_TRUE(c.ok());
   }
   EXPECT_EQ(t_alloc_count, before)
       << "steady-state PredictClusterFor allocated on the heap";
   // The reference path allocates every call — the counter must move, or
   // the counting itself is broken and the assertion above is vacuous.
-  auto ref = MakeStore(ds, /*reference=*/true);
+  Side ref(ds, /*reference=*/true);
   before = t_alloc_count;
   for (size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ref->engine().PredictClusterFor(ds.items[i]).ok());
+    ASSERT_TRUE(ref.engine().PredictClusterFor(ds.items[i]).ok());
   }
   EXPECT_GT(t_alloc_count, before);
 }

@@ -163,6 +163,29 @@ TEST(PlacementEngineTest, SearchBestFindsCloserMatches) {
             first_rig.device->stats().total_bits_flipped());
 }
 
+TEST(PlacementEngineTest, EmptyClusterFallbackCountedInBothModes) {
+  // Draining the predicted cluster makes Acquire and AcquireBest alike
+  // fall back to the fullest cluster; both modes must count it.
+  auto ds = ClusteredData(64);
+  for (bool search_best : {false, true}) {
+    placement::RawKMeansClusterer clusterer(4);
+    PlacementEngine::Config ec;
+    ec.search_best_in_cluster = search_best;
+    Rig rig(&clusterer, ec);
+    rig.SeedWith(ds);
+    ASSERT_TRUE(rig.engine->Bootstrap().ok());
+    auto cluster = rig.engine->PredictClusterFor(ds.items[0]);
+    ASSERT_TRUE(cluster.ok());
+    DynamicAddressPool& pool = rig.engine->mutable_pool();
+    while (pool.FreeCount(*cluster) > 0) pool.Acquire(*cluster);
+    ASSERT_TRUE(rig.engine->Place(ds.items[0]).ok());
+    EXPECT_EQ(rig.engine->stats().fallback_acquires, 1u)
+        << "search_best=" << search_best;
+    EXPECT_EQ(rig.engine->stats().fallback_placements, 1u)
+        << "search_best=" << search_best;
+  }
+}
+
 TEST(PlacementEngineTest, RetrainRebuildsPool) {
   placement::RawKMeansClusterer clusterer(4);
   Rig rig(&clusterer);

@@ -225,11 +225,11 @@ TEST(ShardedStress, SteadyStatePutTakesNoSharedLocks) {
   // The mutex-acquisition assertion for the §13 contract: once warm, the
   // PUT/GET/DELETE/MultiPut path must acquire NO shard-external lock.
   // Every instrumented shared-lock site (ThreadPool::Submit's queue
-  // mutex, the DAP's internal-locking mode, the fault injector) bumps a
-  // thread-local counter (common/lock_audit.h); a steady-state window
-  // must leave it untouched. pool_threads > 0 on purpose: the lanes
-  // exist, and the test proves steady-state operations never enqueue on
-  // them (inference stays below the kernels' parallel threshold).
+  // mutex, the fault injector) bumps a thread-local counter
+  // (common/lock_audit.h); a steady-state window must leave it
+  // untouched. pool_threads > 0 on purpose: the lanes exist, and the
+  // test proves steady-state operations never enqueue on them
+  // (inference stays below the kernels' parallel threshold).
   auto ds = ClusteredData(41);
   ShardedStoreConfig cfg;
   cfg.num_shards = kShards;
