@@ -97,31 +97,53 @@ void BM_SchemeWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_SchemeWrite)->DenseRange(0, 3);
 
-void BM_VaeEncode(benchmark::State& state) {
-  size_t dim = static_cast<size_t>(state.range(0));
+/// Distinct write-path inputs for the encode benchmarks: featurized
+/// 0/1 values, each a class prototype with 5% of its bits flipped, like
+/// the values a PUT encodes. A rotation of many rows keeps the encoder's
+/// zero skip from being learned by the branch predictor (a single
+/// repeated row, or one without zeros, never pays for it) and makes each
+/// call read a fresh input, as a PUT does.
+std::vector<std::vector<float>> EncodeInputs(size_t dim) {
+  workload::ProtoConfig pc;
+  pc.dim = dim;
+  pc.num_classes = 8;
+  pc.samples = 256;
+  pc.noise = 0.05;
+  pc.seed = 5;
+  const auto ds = workload::MakeProtoDataset(pc);
+  std::vector<std::vector<float>> rows;
+  for (const auto& item : ds.items) rows.push_back(item.ToFloats());
+  return rows;
+}
+
+ml::VaeConfig EncodeBenchConfig(size_t dim) {
   ml::VaeConfig cfg;
   cfg.input_dim = dim;
   cfg.hidden_dim = 64;
   cfg.latent_dim = 10;
-  ml::Vae vae(cfg);
-  std::vector<float> x(dim, 0.5f);
+  return cfg;
+}
+
+void BM_VaeEncode(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  ml::Vae vae(EncodeBenchConfig(dim));
+  const auto rows = EncodeInputs(dim);
+  size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vae.EncodeOne(x));
+    benchmark::DoNotOptimize(vae.EncodeOne(rows[i++ % rows.size()]));
   }
 }
 BENCHMARK(BM_VaeEncode)->Arg(512)->Arg(2048)->Arg(8192);
 
 void BM_VaeEncodeScratch(benchmark::State& state) {
-  size_t dim = static_cast<size_t>(state.range(0));
-  ml::VaeConfig cfg;
-  cfg.input_dim = dim;
-  cfg.hidden_dim = 64;
-  cfg.latent_dim = 10;
-  ml::Vae vae(cfg);
-  ml::Matrix x(1, dim), hidden, mu;
-  for (auto& v : x.data()) v = 0.5f;
+  const size_t dim = static_cast<size_t>(state.range(0));
+  ml::Vae vae(EncodeBenchConfig(dim));
+  std::vector<ml::Matrix> rows;
+  for (const auto& r : EncodeInputs(dim)) rows.emplace_back(1, dim, r);
+  ml::Matrix hidden, mu;
+  size_t i = 0;
   for (auto _ : state) {
-    vae.EncodeMuInto(x, &hidden, &mu);
+    vae.EncodeMuInto(rows[i++ % rows.size()], &hidden, &mu);
     benchmark::DoNotOptimize(mu.data().data());
   }
 }
@@ -431,9 +453,9 @@ OpsResult RunOpsBench(size_t pool_threads, bool background_retrain,
 }
 
 /// Batched write path: the same PUT stream issued through MultiPut in
-/// groups of `p.batch` (one encoder GEMM + one fused assignment per
-/// group). Batches are materialized before the timed region so the
-/// numbers cover the store, not benchmark bookkeeping.
+/// groups of `p.batch` (one encoder GEMV per value + one fused
+/// assignment per group). Batches are materialized before the timed
+/// region so the numbers cover the store, not benchmark bookkeeping.
 OpsResult RunBatchedBench(size_t pool_threads, bool background_retrain) {
   using Clock = std::chrono::steady_clock;
   const OpsParams p = MakeParams();

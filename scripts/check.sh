@@ -30,6 +30,12 @@ echo "== plain build =="
 build_tree "$repo_root/build"
 echo "== unit tests (native SIMD dispatch) =="
 run_ctest "$repo_root/build" -L unit
+# On an AVX-512 machine the AVX2 tier would otherwise run only inside
+# kernels_test; this pass drives it end to end through the store and
+# fast-path equivalence tests. Without AVX2 the override clamps down to
+# scalar.
+echo "== unit tests (forced AVX2 kernels, E2NVM_SIMD=avx2) =="
+E2NVM_SIMD=avx2 run_ctest "$repo_root/build" -L unit
 echo "== unit tests (forced scalar kernels, E2NVM_SIMD=scalar) =="
 E2NVM_SIMD=scalar run_ctest "$repo_root/build" -L unit
 echo "== stress tests (oracle model check + concurrent shards + recovery fuzz) =="

@@ -67,16 +67,42 @@ BitVector BitVector::RotatedLeft(size_t k) const {
 BitVector BitVector::Slice(size_t start, size_t len) const {
   assert(start + len <= num_bits_);
   BitVector v(len);
-  for (size_t i = 0; i < len; ++i) {
-    if (Get(start + i)) v.Set(i, true);
+  // Output word i is source bits [start + 64i, start + 64i + 64): the
+  // high part of source word w0 + i merged with the low part of the next
+  // one (which may lie past the last word when the slice ends early).
+  const size_t w0 = start >> 6;
+  const size_t shift = start & 63;
+  for (size_t i = 0; i < v.words_.size(); ++i) {
+    uint64_t w = words_[w0 + i] >> shift;
+    if (shift != 0 && w0 + i + 1 < words_.size()) {
+      w |= words_[w0 + i + 1] << (64 - shift);
+    }
+    v.words_[i] = w;
   }
+  v.MaskTail();
   return v;
 }
 
 void BitVector::Overlay(size_t start, const BitVector& other) {
   assert(start + other.size() <= num_bits_);
-  for (size_t i = 0; i < other.size(); ++i) {
-    Set(start + i, other.Get(i));
+  // Each source word lands shifted by start % 64, straddling at most two
+  // destination words; `keep` masks the source word's valid bits so the
+  // destination bits past the overlay (and the tail) stay untouched.
+  const size_t w0 = start >> 6;
+  const size_t shift = start & 63;
+  for (size_t i = 0; i < other.words_.size(); ++i) {
+    const size_t valid = std::min<size_t>(64, other.num_bits_ - 64 * i);
+    const uint64_t keep =
+        valid == 64 ? ~uint64_t{0} : (uint64_t{1} << valid) - 1;
+    const uint64_t src = other.words_[i];  // Tail bits already zero.
+    uint64_t& lo = words_[w0 + i];
+    lo = (lo & ~(keep << shift)) | (src << shift);
+    if (shift == 0) continue;
+    const uint64_t spill = keep >> (64 - shift);
+    if (spill != 0) {
+      uint64_t& hi = words_[w0 + i + 1];
+      hi = (hi & ~spill) | (src >> (64 - shift));
+    }
   }
 }
 

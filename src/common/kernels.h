@@ -51,7 +51,7 @@ struct KernelOps {
   /// 0.0f/1.0f floats — the model featurization kernel.
   void (*bits_to_floats)(const uint64_t* words, size_t num_bits,
                          float* out);
-  /// dst[i] += src[i] — the GEMM av == 1.0 lane (featurized inputs).
+  /// dst[i] += src[i] — matrix sums and bias rows.
   void (*add_f32)(float* dst, const float* src, size_t n);
   /// dst[i] += a * src[i] (two roundings per element, never an FMA).
   void (*axpy_f32)(float* dst, const float* src, float a, size_t n);
@@ -62,12 +62,19 @@ struct KernelOps {
                    float* out);
   /// Row-vector times row-major matrix: c[j] = sum_p a[p] * b[p * n + j]
   /// for j in [0, n), overwriting c. Each c[j] accumulates in ascending
-  /// p with zero a[p] terms skipped — the same element order (and the
-  /// same skip) as MatMulInto's scalar loop, so the register-blocked
-  /// SIMD tiers are bit-identical to it. This is the single-row encode
-  /// GEMV of the write path: keeping the whole k-loop inside one kernel
-  /// call holds the accumulators in registers instead of re-loading the
-  /// output row once per nonzero a[p].
+  /// p with zero a[p] terms skipped; the register-blocked SIMD tiers keep
+  /// that element order (and that skip), so they are bit-identical to
+  /// the scalar loop. The skip predicate is the scalar `a[p] == 0.0f`:
+  /// -0.0f is skipped like 0.0f, and a NaN a[p] is visited (so it
+  /// propagates). The SIMD tiers find the nonzero inputs with one
+  /// unordered not-equal compare per 16 (AVX-512) or 8 (AVX2) floats
+  /// and walk the resulting bit mask in ascending p, so the skip costs
+  /// no data-dependent branch per input; the scalar tier keeps the
+  /// branchy reference loop. MatMulInto runs it once per output row, so
+  /// it carries the write path's encode and every training forward
+  /// pass: keeping the whole k-loop inside one kernel call holds the
+  /// accumulators in registers instead of re-loading the output row
+  /// once per nonzero a[p].
   void (*gemv_f32)(const float* a, const float* b, size_t k, size_t n,
                    float* c);
   /// CRC32C (Castagnoli, reflected 0x82F63B78) of `data[0..n)` continued

@@ -8,6 +8,8 @@
 
 #ifdef __AVX2__
 
+#include <bit>
+
 #include <immintrin.h>
 
 namespace e2nvm::internal {
@@ -153,6 +155,32 @@ void Avx2Dot8(const float* a, const float* b, size_t ldb, size_t k,
   _mm256_storeu_ps(out, acc);
 }
 
+/// Calls visit(p) for every p in [0, k) whose a[p] is not 0.0f, in
+/// ascending p: one unordered not-equal compare + movemask per 8-float
+/// chunk, then a tzcnt loop over the mask — no data-dependent branch per
+/// input. Same predicate as the scalar `!(a[p] == 0.0f)` (-0.0f skipped,
+/// NaN visited). The last partial chunk is built from scalar compares so
+/// nothing past a[k - 1] is read.
+template <typename Visit>
+inline void ForEachNonzero(const float* a, size_t k, Visit&& visit) {
+  const __m256 zero = _mm256_setzero_ps();
+  for (size_t p0 = 0; p0 < k; p0 += 8) {
+    uint32_t nz = 0;
+    if (k - p0 >= 8) {
+      nz = static_cast<uint32_t>(_mm256_movemask_ps(
+          _mm256_cmp_ps(_mm256_loadu_ps(a + p0), zero, _CMP_NEQ_UQ)));
+    } else {
+      for (size_t q = 0; p0 + q < k; ++q) {
+        nz |= static_cast<uint32_t>(a[p0 + q] != 0.0f) << q;
+      }
+    }
+    while (nz != 0) {
+      visit(p0 + static_cast<size_t>(std::countr_zero(nz)));
+      nz &= nz - 1;
+    }
+  }
+}
+
 void Avx2Gemv(const float* a, const float* b, size_t k, size_t n,
               float* c) {
   // Column tiles wide enough to keep the accumulators in registers for
@@ -165,10 +193,8 @@ void Avx2Gemv(const float* a, const float* b, size_t k, size_t n,
     __m256 acc1 = _mm256_setzero_ps();
     __m256 acc2 = _mm256_setzero_ps();
     __m256 acc3 = _mm256_setzero_ps();
-    for (size_t p = 0; p < k; ++p) {
-      const float av = a[p];
-      if (av == 0.0f) continue;
-      const __m256 vav = _mm256_set1_ps(av);
+    ForEachNonzero(a, k, [&](size_t p) {
+      const __m256 vav = _mm256_set1_ps(a[p]);
       const float* brow = b + p * n + j;
       acc0 = _mm256_add_ps(acc0,
                            _mm256_mul_ps(vav, _mm256_loadu_ps(brow)));
@@ -178,7 +204,7 @@ void Avx2Gemv(const float* a, const float* b, size_t k, size_t n,
           acc2, _mm256_mul_ps(vav, _mm256_loadu_ps(brow + 16)));
       acc3 = _mm256_add_ps(
           acc3, _mm256_mul_ps(vav, _mm256_loadu_ps(brow + 24)));
-    }
+    });
     _mm256_storeu_ps(c + j, acc0);
     _mm256_storeu_ps(c + j + 8, acc1);
     _mm256_storeu_ps(c + j + 16, acc2);
@@ -186,22 +212,19 @@ void Avx2Gemv(const float* a, const float* b, size_t k, size_t n,
   }
   for (; j + 8 <= n; j += 8) {
     __m256 acc = _mm256_setzero_ps();
-    for (size_t p = 0; p < k; ++p) {
-      const float av = a[p];
-      if (av == 0.0f) continue;
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av),
+    ForEachNonzero(a, k, [&](size_t p) {
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a[p]),
                                              _mm256_loadu_ps(b + p * n + j)));
-    }
+    });
     _mm256_storeu_ps(c + j, acc);
   }
   if (j < n) {
     for (size_t jj = j; jj < n; ++jj) c[jj] = 0.0f;
-    for (size_t p = 0; p < k; ++p) {
+    ForEachNonzero(a, k, [&](size_t p) {
       const float av = a[p];
-      if (av == 0.0f) continue;
       const float* brow = b + p * n;
       for (size_t jj = j; jj < n; ++jj) c[jj] += av * brow[jj];
-    }
+    });
   }
 }
 

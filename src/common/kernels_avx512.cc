@@ -7,6 +7,8 @@
 
 #if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__)
 
+#include <bit>
+
 #include <immintrin.h>
 
 namespace e2nvm::internal {
@@ -145,6 +147,29 @@ void Avx512Dot8(const float* a, const float* b, size_t ldb, size_t k,
   _mm256_storeu_ps(out, acc);
 }
 
+/// Calls visit(p) for every p in [0, k) whose a[p] is not 0.0f, in
+/// ascending p. One unordered not-equal compare marks the nonzero
+/// inputs of each 16-float chunk and a tzcnt loop walks the mask, so
+/// the zero skip costs no data-dependent branch per input (featurized
+/// values are near-random 0/1 patterns, which defeat branch prediction).
+/// The predicate is exactly the scalar `!(a[p] == 0.0f)`: -0.0f is
+/// skipped like 0.0f, and NaN (unordered) is visited. The masked load
+/// never touches a[k..].
+template <typename Visit>
+inline void ForEachNonzero(const float* a, size_t k, Visit&& visit) {
+  const __m512 zero = _mm512_setzero_ps();
+  for (size_t p0 = 0; p0 < k; p0 += 16) {
+    const __mmask16 live =
+        k - p0 >= 16 ? static_cast<__mmask16>(0xFFFF) : TailMask16(k - p0);
+    uint32_t nz = _mm512_cmp_ps_mask(_mm512_maskz_loadu_ps(live, a + p0),
+                                     zero, _CMP_NEQ_UQ);
+    while (nz != 0) {
+      visit(p0 + static_cast<size_t>(std::countr_zero(nz)));
+      nz &= nz - 1;
+    }
+  }
+}
+
 void Avx512Gemv(const float* a, const float* b, size_t k, size_t n,
                 float* c) {
   // Column tiles of 64 floats (4 zmm accumulators held across the whole
@@ -157,10 +182,8 @@ void Avx512Gemv(const float* a, const float* b, size_t k, size_t n,
     __m512 acc1 = _mm512_setzero_ps();
     __m512 acc2 = _mm512_setzero_ps();
     __m512 acc3 = _mm512_setzero_ps();
-    for (size_t p = 0; p < k; ++p) {
-      const float av = a[p];
-      if (av == 0.0f) continue;
-      const __m512 vav = _mm512_set1_ps(av);
+    ForEachNonzero(a, k, [&](size_t p) {
+      const __m512 vav = _mm512_set1_ps(a[p]);
       const float* brow = b + p * n + j;
       acc0 = _mm512_add_ps(acc0,
                            _mm512_mul_ps(vav, _mm512_loadu_ps(brow)));
@@ -170,7 +193,7 @@ void Avx512Gemv(const float* a, const float* b, size_t k, size_t n,
           acc2, _mm512_mul_ps(vav, _mm512_loadu_ps(brow + 32)));
       acc3 = _mm512_add_ps(
           acc3, _mm512_mul_ps(vav, _mm512_loadu_ps(brow + 48)));
-    }
+    });
     _mm512_storeu_ps(c + j, acc0);
     _mm512_storeu_ps(c + j + 16, acc1);
     _mm512_storeu_ps(c + j + 32, acc2);
@@ -180,12 +203,10 @@ void Avx512Gemv(const float* a, const float* b, size_t k, size_t n,
     const __mmask16 m =
         n - j >= 16 ? static_cast<__mmask16>(0xFFFF) : TailMask16(n - j);
     __m512 acc = _mm512_setzero_ps();
-    for (size_t p = 0; p < k; ++p) {
-      const float av = a[p];
-      if (av == 0.0f) continue;
+    ForEachNonzero(a, k, [&](size_t p) {
       __m512 bv = _mm512_maskz_loadu_ps(m, b + p * n + j);
-      acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(av), bv));
-    }
+      acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(a[p]), bv));
+    });
     _mm512_mask_storeu_ps(c + j, m, acc);
   }
 }

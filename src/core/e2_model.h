@@ -58,7 +58,7 @@ class E2Model : public placement::ContentClusterer {
 
   size_t PredictCluster(const std::vector<float>& features) override;
 
-  /// Write-path fast path: one encoder GEMM over all staged rows
+  /// Write-path fast path: one encoder GEMV per staged row
   /// (Vae::EncodeMuInto) + one fused K-means assignment — zero heap
   /// allocations once the scratch is warm, bit-identical cluster ids to
   /// PredictCluster per row.

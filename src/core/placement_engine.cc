@@ -350,7 +350,7 @@ Status PlacementEngine::PlaceMany(
       return Status::InvalidArgument("value wider than a segment");
     }
     // Stage the longest run of valid-width values as one batch: one
-    // featurize pass, one encoder GEMM, one fused assignment.
+    // featurize pass, one encoder GEMV per row, one fused assignment.
     size_t end = next;
     while (end < values.size() && values[end]->size() <= dim) ++end;
     size_t base = next;  // Value staged in scratch row 0.

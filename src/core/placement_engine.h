@@ -207,13 +207,14 @@ class PlacementEngine : public index::ValuePlacer {
   std::string_view name() const override;
   StatusOr<uint64_t> Place(const BitVector& value) override;
   /// Batched placement (§4.1.4's batching remedy): featurizes the whole
-  /// run of values into one scratch matrix, runs a single encoder GEMM
-  /// and a single fused assignment pass, then pops/writes per value in
-  /// order. Placements are identical to sequential Place calls: if the
-  /// model retrains or a shadow swaps in mid-batch, the not-yet-placed
-  /// rows are re-assigned with the new model, and configurations whose
-  /// features depend on the live memory image (a padder with narrow
-  /// values) fall back to the sequential loop.
+  /// run of values into one scratch matrix, runs the encoder GEMV over
+  /// each staged row and a single fused assignment pass, then
+  /// pops/writes per value in order. Placements are identical to
+  /// sequential Place calls: if the model retrains or a shadow swaps in
+  /// mid-batch, the not-yet-placed rows are re-assigned with the new
+  /// model, and configurations whose features depend on the live memory
+  /// image (a padder with narrow values) fall back to the sequential
+  /// loop.
   Status PlaceMany(const std::vector<const BitVector*>& values,
                    std::vector<uint64_t>* addrs) override;
   Status Release(uint64_t addr) override;

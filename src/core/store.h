@@ -134,11 +134,11 @@ class E2KvStore {
   Status Put(uint64_t key, const BitVector& value);
 
   /// Batched insert/update (§4.1.4): stages every value, runs the
-  /// placement model once over the whole batch (one encoder GEMM + one
-  /// fused assignment), then writes in order. Per-key results match
-  /// sequential Puts, with one scheduling difference: addresses freed by
-  /// updates are recycled after the whole batch has been placed, not
-  /// interleaved between placements.
+  /// placement model once over the whole batch (one encoder GEMV per
+  /// value + one fused assignment), then writes in order. Per-key
+  /// results match sequential Puts, with one scheduling difference:
+  /// addresses freed by updates are recycled after the whole batch has
+  /// been placed, not interleaved between placements.
   Status MultiPut(const std::vector<std::pair<uint64_t, BitVector>>& kvs);
 
   /// Span form of MultiPut — the entry point for callers that stage

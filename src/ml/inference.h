@@ -13,8 +13,10 @@ namespace e2nvm::ml {
 /// scratch belongs to one caller (the placement engine): buffers are
 /// EnsureShape'd per call, grow monotonically during warm-up, and after
 /// that every featurize -> encode -> assign pass is allocation-free. For
-/// batched placement the same buffers hold B feature rows and the whole
-/// batch runs through one encoder GEMM and one fused assignment pass.
+/// batched placement the same buffers hold B feature rows: the encoder
+/// runs each row through the register-blocked GEMV kernel (whose zero
+/// skip needs no branch per input), then one fused assignment pass
+/// covers the whole batch.
 ///
 /// The results written here are bit-identical to the reference path
 /// (Vae::EncodeOne + KMeans::Predict per value): the scratch kernels

@@ -20,19 +20,16 @@ std::atomic<ThreadPool*> g_compute_pool{nullptr};
 thread_local ThreadPool* t_pool_override = nullptr;
 thread_local bool t_pool_override_active = false;
 
-/// Minimum multiply-accumulates before a kernel bothers the pool; below
-/// this the fork-join overhead dwarfs the work (a single EncodeOne on a
-/// 2048-bit segment is ~260k MACs, so prediction right at the write path
-/// threshold stays parallel-eligible while tiny test matrices stay
-/// serial).
+/// Minimum multiply-accumulates per dispatched block; below this the
+/// fork-join overhead dwarfs the block's work. (A one-row product such
+/// as EncodeOne is a single block and always runs on the caller.)
 constexpr double kMinParallelMacs = 64.0 * 1024.0;
 
 /// Minimum multiply-accumulates in the WHOLE kernel before it dispatches
-/// at all. Below this (inference-sized GEMMs: a MultiPut batch is at
-/// most a few dozen rows) the kernel finishes in tens of microseconds —
-/// fork-join latency is comparable, and splitting the row range
-/// fragments the p-outer loop's B-row reuse. Training-sized GEMMs
-/// (hundreds of rows) clear it easily and still fan out.
+/// at all. Below this the kernel finishes in tens of microseconds and
+/// fork-join latency is comparable: a MultiPut encode of fewer than 16
+/// rows through a 2048 x 64 encoder layer stays on the caller, larger
+/// batches and training-sized GEMMs fan out.
 constexpr double kMinParallelTotalMacs = 2.0 * 1024.0 * 1024.0;
 
 /// Splits `rows` into at most 64 blocks (>=1 row each). Row-parallel
@@ -101,42 +98,21 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   assert(a.cols() == b.rows());
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   c->EnsureShape(m, n);
-  if (m == 1) {
-    // The write path's single-row encode: one register-blocked GEMV call
-    // instead of k dispatched row updates. Same per-element ascending-p
-    // accumulation (and the same a[p] == 0 skip), so still bit-identical
-    // to the block loop below — see kernels.h gemv_f32.
-    Ops().gemv_f32(a.Row(0), b.Row(0), k, n, c->Row(0));
-    return;
-  }
-  std::fill(c->data().begin(), c->data().end(), 0.0f);
-  // p-outer within each row block: every B row is loaded once per block
-  // and reused across all of the block's A rows, so a batched GEMM
-  // touches B ~block-height times less than row-at-a-time GEMVs would.
-  // Each c[i][j] still accumulates its k products in ascending-p order,
-  // so the result is bit-identical to the naive i-outer loop (this is
-  // what lets MultiPut's one-GEMM placement match sequential Puts).
-  // The av == 1.0f lane matters more than it looks: encoder inputs are
-  // featurized bit patterns (every element 0.0 or 1.0), so the write
-  // path's GEMMs reduce to summing the B rows selected by set bits —
-  // and 1.0f * x == x exactly, so the specialization stays bit-identical
-  // for every input. The j-inner lanes run through the dispatched SIMD
-  // kernels, which are element-wise over j (each c[i][j] still sees its
-  // products in ascending-p, mul-then-add order — see kernels.h).
+  // One register-blocked GEMV per output row (kernels.h gemv_f32): each
+  // c[i][j] accumulates its k products in ascending-p, mul-then-add
+  // order with zero a[i][p] skipped, and the accumulators stay in
+  // registers across the whole k-loop. The SIMD tiers find the nonzero
+  // inputs through a compare mask instead of a branch per input, which
+  // matters here: encoder inputs are featurized bit patterns (every
+  // element 0.0 or 1.0) and ReLU leaves hidden rows sparse, so such a
+  // branch is near-random. Rows are independent, so any row split and
+  // any pool size reproduce the serial result bit for bit — this is what
+  // lets a batched encode (Vae::EncodeMuInto, MultiPut's placement)
+  // match one-row EncodeOne calls and sequential Puts.
   const KernelOps& kern = Ops();
   auto rows = [&](size_t lo, size_t hi) {
-    for (size_t p = 0; p < k; ++p) {
-      const float* brow = b.Row(p);
-      for (size_t i = lo; i < hi; ++i) {
-        const float av = a.Row(i)[p];
-        if (av == 0.0f) continue;
-        float* crow = c->Row(i);
-        if (av == 1.0f) {
-          kern.add_f32(crow, brow, n);
-        } else {
-          kern.axpy_f32(crow, brow, av, n);
-        }
-      }
+    for (size_t i = lo; i < hi; ++i) {
+      kern.gemv_f32(a.Row(i), b.Row(0), k, n, c->Row(i));
     }
   };
   ThreadPool* pool = compute_pool();

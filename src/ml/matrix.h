@@ -117,9 +117,10 @@ class Matrix {
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// C = A * B into a caller-owned scratch matrix (EnsureShape'd to m x n).
-/// Same kernel and accumulation order as MatMul, so results are
-/// bit-identical — this is the allocation-free variant the write-path
-/// inference scratch uses.
+/// Each output row is one gemv_f32 call on that row of A, so MatMul
+/// (which wraps it), any batch of rows and any pool split give results
+/// bit-identical to row-at-a-time products. This is the allocation-free
+/// variant the write-path inference scratch uses.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// C = A * B^T. Shapes: (m x k) * (n x k) -> (m x n).

@@ -47,7 +47,8 @@ class ContentClusterer {
   /// row). Results must be identical to calling PredictCluster on each
   /// row; the base implementation does exactly that (allocating).
   /// Hot-path models override it with a zero-allocation batched kernel
-  /// (one encoder GEMM + one fused assignment for the whole batch).
+  /// (one encoder GEMV per staged row + one fused assignment for the
+  /// whole batch).
   virtual void AssignScratch(ml::InferenceScratch* scratch);
 
   virtual size_t num_clusters() const = 0;

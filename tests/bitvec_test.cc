@@ -110,6 +110,54 @@ TEST(BitVectorTest, SliceAndOverlay) {
   EXPECT_EQ(w.ToString(), "00111100");
 }
 
+/// Bits of `v`'s storage above size() — must stay zero, because
+/// Popcount and operator== read whole words.
+uint64_t TailGarbage(const BitVector& v) {
+  if (v.size() % 64 == 0 || v.words().empty()) return 0;
+  return v.words().back() & ~((uint64_t{1} << (v.size() % 64)) - 1);
+}
+
+TEST(BitVectorTest, SliceAndOverlayMatchBitByBitReference) {
+  // Every start position of every size 1..200 (word-aligned or not),
+  // with lengths that end inside, at and just past a word boundary,
+  // plus "to the end"; the word-level shifts must agree with a
+  // Get/Set loop bit for bit and leave no stray bit above size().
+  Rng rng(0x51ce);
+  for (size_t size = 1; size <= 200; ++size) {
+    BitVector src(size);
+    src.Randomize(rng);
+    for (size_t start = 0; start <= size; ++start) {
+      for (size_t len : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                         size_t{65}, size - start}) {
+        if (start + len > size) continue;
+        BitVector want_slice(len);
+        for (size_t i = 0; i < len; ++i) {
+          want_slice.Set(i, src.Get(start + i));
+        }
+        const BitVector got_slice = src.Slice(start, len);
+        ASSERT_EQ(got_slice, want_slice)
+            << "slice size=" << size << " start=" << start
+            << " len=" << len;
+        ASSERT_EQ(TailGarbage(got_slice), 0u)
+            << "slice size=" << size << " start=" << start
+            << " len=" << len;
+
+        BitVector patch(len);
+        patch.Randomize(rng);
+        BitVector want = src;
+        for (size_t i = 0; i < len; ++i) want.Set(start + i, patch.Get(i));
+        BitVector got = src;
+        got.Overlay(start, patch);
+        ASSERT_EQ(got, want) << "overlay size=" << size
+                             << " start=" << start << " len=" << len;
+        ASSERT_EQ(TailGarbage(got), 0u)
+            << "overlay size=" << size << " start=" << start
+            << " len=" << len;
+      }
+    }
+  }
+}
+
 TEST(BitVectorTest, ConcatOrdersBits) {
   BitVector a = BitVector::FromString("01");
   BitVector b = BitVector::FromString("10");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -187,30 +188,83 @@ TEST(KernelsTest, Dot8MatchesScalarBitwise) {
   }
 }
 
+/// Input patterns for the gemv sweep. Every ±0.0f input's B row is
+/// filled with ±inf, so a tier that multiplied a zero it should have
+/// skipped would turn its outputs into NaN (0 * inf) and fail the
+/// comparison: the skip itself, not just the sum, is under test.
+enum class GemvInput { kMixed, kAllZero, kNoZero, kWithNaN };
+
+void FillGemvInputs(GemvInput kind, size_t k, size_t n, Rng& rng,
+                    std::vector<float>* a, std::vector<float>* b) {
+  a->assign(k, 0.0f);
+  b->assign(k * n, 0.0f);
+  for (size_t p = 0; p < k; ++p) {
+    const float r = rng.NextFloat();
+    float& v = (*a)[p];
+    switch (kind) {
+      case GemvInput::kMixed:
+      case GemvInput::kWithNaN:
+        v = r < 0.2f   ? 0.0f
+            : r < 0.3f ? -0.0f
+            : r < 0.6f ? 1.0f
+                       : r * 2.0f - 1.0f;
+        break;
+      case GemvInput::kAllZero:
+        v = p % 2 == 0 ? 0.0f : -0.0f;
+        break;
+      case GemvInput::kNoZero:
+        v = r < 0.5f ? 1.0f : r + 0.25f;
+        break;
+    }
+    for (size_t j = 0; j < n; ++j) {
+      (*b)[p * n + j] = v == 0.0f ? (j % 2 == 0 ? INFINITY : -INFINITY)
+                                  : rng.NextFloat() * 2.0f - 1.0f;
+    }
+  }
+  if (kind == GemvInput::kWithNaN && k > 0) {
+    const size_t p = rng.NextU64() % k;
+    (*a)[p] = NAN;
+    for (size_t j = 0; j < n; ++j) (*b)[p * n + j] = rng.NextFloat();
+  }
+}
+
 TEST(KernelsTest, GemvMatchesScalarBitwise) {
   const KernelOps& ref = *OpsFor(SimdLevel::kScalar);
   Rng rng(41);
   for (SimdLevel level : AvailableLevels()) {
     const KernelOps& ops = *OpsFor(level);
     // n sweeps every tail shape of the 64/16 (avx512) and 32/8 (avx2)
-    // tiling; k == 0 must yield all zeros. A mix of 0.0/1.0/general
-    // values in `a` exercises the zero-skip against the reference.
+    // column tiling; k sweeps every tail of the 16-wide (avx512) and
+    // 8-wide (avx2) nonzero-mask chunks, up to a 2048-bit encode; k == 0
+    // must yield all zeros. `a` is exactly k floats, so a chunk that
+    // reads past a[k - 1] trips ASan.
     for (size_t n : {0u,  1u,  7u,  8u,  9u,  15u,  16u,  17u, 31u,
                      32u, 33u, 63u, 64u, 65u, 127u, 128u, 257u}) {
-      for (size_t k : {0u, 1u, 3u, 64u, 129u}) {
-        std::vector<float> a(k), b(k * n);
-        for (auto& v : a) {
-          const float r = rng.NextFloat();
-          v = r < 0.3f ? 0.0f : (r < 0.6f ? 1.0f : r * 2.0f - 1.0f);
+      for (size_t k : {0u, 1u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 33u,
+                       64u, 129u, 2048u}) {
+        for (GemvInput kind : {GemvInput::kMixed, GemvInput::kAllZero,
+                               GemvInput::kNoZero, GemvInput::kWithNaN}) {
+          std::vector<float> a, b;
+          FillGemvInputs(kind, k, n, rng, &a, &b);
+          std::vector<float> got(n + 4, -3.0f), want(n + 4, -3.0f);
+          ops.gemv_f32(a.data(), b.data(), k, n, got.data());
+          ref.gemv_f32(a.data(), b.data(), k, n, want.data());
+          // A NaN input must be visited, not dropped as "unordered": the
+          // outputs the scalar tier makes NaN must be NaN (payloads may
+          // differ); every other float, the slack included, bit for bit.
+          for (size_t j = 0; j < got.size(); ++j) {
+            if (std::isnan(want[j])) {
+              ASSERT_TRUE(std::isnan(got[j]))
+                  << SimdLevelName(level) << " gemv k=" << k << " n=" << n
+                  << " kind=" << static_cast<int>(kind) << " j=" << j;
+            } else {
+              ASSERT_TRUE(BytesEqual(&got[j], &want[j], sizeof(float)))
+                  << SimdLevelName(level) << " gemv k=" << k << " n=" << n
+                  << " kind=" << static_cast<int>(kind) << " j=" << j
+                  << " got=" << got[j] << " want=" << want[j];
+            }
+          }
         }
-        for (auto& v : b) v = rng.NextFloat() * 2.0f - 1.0f;
-        std::vector<float> got(n + 4, -3.0f), want(n + 4, -3.0f);
-        ops.gemv_f32(a.data(), b.data(), k, n, got.data());
-        ref.gemv_f32(a.data(), b.data(), k, n, want.data());
-        ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                              got.size() * sizeof(float)),
-                  0)
-            << SimdLevelName(level) << " gemv k=" << k << " n=" << n;
       }
     }
   }
@@ -342,8 +396,8 @@ ml::Matrix NaiveMatMulTransB(const ml::Matrix& a, const ml::Matrix& b) {
 
 TEST(KernelsTest, GemmBitIdenticalToNaiveSerialAndPooled) {
   Rng rng(2024);
-  // Odd sizes force dot8/axpy tails; 0/1-valued A rows exercise the
-  // av==0 skip and av==1 add_f32 lanes the featurized encode GEMM hits.
+  // Odd sizes force dot8 and GEMV chunk tails; a 0/1-valued A row
+  // exercises the zero skip the featurized encode hits.
   const std::vector<std::tuple<size_t, size_t, size_t>> shapes = {
       {1, 1, 1}, {3, 5, 7}, {8, 16, 24}, {13, 33, 65}, {17, 128, 9}};
   for (auto [m, k, n] : shapes) {

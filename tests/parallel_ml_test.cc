@@ -35,8 +35,10 @@ Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
 }
 
 TEST(ParallelMlTest, MatMulMatchesSerialBitForBit) {
-  Matrix a = RandomMatrix(97, 64, 1);
-  Matrix b = RandomMatrix(64, 53, 2);
+  // 97 x 512 x 53 is 2.6M multiply-accumulates, above MatMulInto's
+  // whole-kernel dispatch floor, so the pooled call really splits rows.
+  Matrix a = RandomMatrix(97, 512, 1);
+  Matrix b = RandomMatrix(512, 53, 2);
   Matrix serial = MatMul(a, b);
   ScopedPool pool(4);
   Matrix parallel = MatMul(a, b);

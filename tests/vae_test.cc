@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.h"
 
 namespace e2nvm::ml {
@@ -55,8 +57,40 @@ TEST(VaeTest, EncodeOneMatchesBatch) {
   std::vector<float> row(x.Row(1), x.Row(1) + 64);
   auto one = vae.EncodeOne(row);
   ASSERT_EQ(one.size(), 4u);
-  for (size_t d = 0; d < 4; ++d) {
-    EXPECT_NEAR(one[d], mu(1, d), 1e-5f);
+  // A one-row and a batched encode sum the same products in the same
+  // order (one GEMV per row either way): equal bit for bit, not just
+  // close.
+  EXPECT_EQ(std::memcmp(one.data(), mu.Row(1), 4 * sizeof(float)), 0);
+}
+
+TEST(VaeTest, EncodeMuIntoMatchesEncodeMuBitwise) {
+  // The write path's scratch encode must equal the layer-graph encode
+  // (EncodeMu) and EncodeOne row for row, bit for bit, on featurized
+  // 0/1 rows and on general floats: one row, a pipelined shard batch
+  // of 8, and 33 rows (past a 32-value MultiPut).
+  Vae vae(SmallConfig());
+  Matrix hidden, mu;  // Reused across shapes, like the engine's scratch.
+  Rng rng(9);
+  for (size_t rows : {1u, 8u, 33u}) {
+    for (bool binary : {true, false}) {
+      Matrix x = TwoProtoData(rows, 64, rows);
+      if (!binary) {
+        for (auto& v : x.data()) v = rng.NextFloat() * 4.0f - 2.0f;
+      }
+      vae.EncodeMuInto(x, &hidden, &mu);
+      const Matrix want = vae.EncodeMu(x);
+      ASSERT_EQ(mu.rows(), rows);
+      ASSERT_EQ(mu.cols(), 4u);
+      for (size_t i = 0; i < rows; ++i) {
+        ASSERT_EQ(std::memcmp(mu.Row(i), want.Row(i), 4 * sizeof(float)), 0)
+            << "rows=" << rows << " binary=" << binary << " row=" << i;
+        std::vector<float> row(x.Row(i), x.Row(i) + 64);
+        ASSERT_EQ(std::memcmp(mu.Row(i), vae.EncodeOne(row).data(),
+                              4 * sizeof(float)),
+                  0)
+            << "rows=" << rows << " binary=" << binary << " row=" << i;
+      }
+    }
   }
 }
 
