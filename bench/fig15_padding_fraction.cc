@@ -53,6 +53,8 @@ Result RunPct(int pct, const workload::BitDataset& train,
     ctx.lstm = lstm;
 
     Rng rng(7);
+    ml::InferenceScratch scratch;  // One staged row, reused per write.
+    scratch.in.EnsureShape(1, kBits);
     std::vector<uint64_t> live;
     uint64_t flips_before = rig.device->stats().total_bits_flipped();
     uint64_t written_bits = 0;
@@ -60,14 +62,15 @@ Result RunPct(int pct, const workload::BitDataset& train,
       const BitVector& frame = test.items[i % test.items.size()];
       BitVector crop = frame.Slice(0, keep);
       // Cluster choice: padded crop vs intact-frame oracle.
-      size_t cluster;
       if (oracle) {
-        cluster = model.PredictCluster(frame.ToFloats());
+        frame.AppendFloatsTo(scratch.in.Row(0));
       } else {
         auto padded = padder.Pad(crop, ctx);
         if (!padded.ok()) continue;
-        cluster = model.PredictCluster(padded->ToFloats());
+        padded->AppendFloatsTo(scratch.in.Row(0));
       }
+      model.AssignScratch(&scratch);
+      const size_t cluster = scratch.clusters[0];
       // Hand the write to the DAP exactly as PlacementEngine would.
       auto addr = engine->mutable_pool().Acquire(cluster);
       if (!addr) break;

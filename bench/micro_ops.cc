@@ -97,13 +97,13 @@ void BM_SchemeWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_SchemeWrite)->DenseRange(0, 3);
 
-/// Distinct write-path inputs for the encode benchmarks: featurized
-/// 0/1 values, each a class prototype with 5% of its bits flipped, like
-/// the values a PUT encodes. A rotation of many rows keeps the encoder's
-/// zero skip from being learned by the branch predictor (a single
-/// repeated row, or one without zeros, never pays for it) and makes each
-/// call read a fresh input, as a PUT does.
-std::vector<std::vector<float>> EncodeInputs(size_t dim) {
+/// Distinct write-path inputs for the encode benchmark, one staged row
+/// each: featurized 0/1 values, each a class prototype with 5% of its
+/// bits flipped, like the values a PUT encodes. A rotation of many rows
+/// keeps the encoder's zero skip from being learned by the branch
+/// predictor (a single repeated row, or one without zeros, never pays
+/// for it) and makes each call read a fresh input, as a PUT does.
+std::vector<ml::Matrix> EncodeInputs(size_t dim) {
   workload::ProtoConfig pc;
   pc.dim = dim;
   pc.num_classes = 8;
@@ -111,8 +111,8 @@ std::vector<std::vector<float>> EncodeInputs(size_t dim) {
   pc.noise = 0.05;
   pc.seed = 5;
   const auto ds = workload::MakeProtoDataset(pc);
-  std::vector<std::vector<float>> rows;
-  for (const auto& item : ds.items) rows.push_back(item.ToFloats());
+  std::vector<ml::Matrix> rows;
+  for (const auto& item : ds.items) rows.emplace_back(1, dim, item.ToFloats());
   return rows;
 }
 
@@ -124,22 +124,10 @@ ml::VaeConfig EncodeBenchConfig(size_t dim) {
   return cfg;
 }
 
-void BM_VaeEncode(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  ml::Vae vae(EncodeBenchConfig(dim));
-  const auto rows = EncodeInputs(dim);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vae.EncodeOne(rows[i++ % rows.size()]));
-  }
-}
-BENCHMARK(BM_VaeEncode)->Arg(512)->Arg(2048)->Arg(8192);
-
 void BM_VaeEncodeScratch(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   ml::Vae vae(EncodeBenchConfig(dim));
-  std::vector<ml::Matrix> rows;
-  for (const auto& r : EncodeInputs(dim)) rows.emplace_back(1, dim, r);
+  const std::vector<ml::Matrix> rows = EncodeInputs(dim);
   ml::Matrix hidden, mu;
   size_t i = 0;
   for (auto _ : state) {

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "ml/inference.h"
+
 namespace e2nvm::core {
 
 BackgroundRetrainer::~BackgroundRetrainer() {
@@ -20,13 +22,16 @@ void BackgroundRetrainer::TrainAndPublish(
   result_.status = shadow->Train(contents);
   if (result_.status.ok()) {
     result_.train_flops = shadow->LastTrainFlops();
+    // Classify the snapshot in one call; the local scratch takes the
+    // contents by move, so nothing region-sized outlives it.
     const size_t n = contents.rows();
-    result_.clusters.resize(n);
-    std::vector<float> row(contents.cols());
+    ml::InferenceScratch scratch;
+    scratch.in = std::move(contents);
+    shadow->AssignScratch(&scratch);
+    result_.clusters = std::move(scratch.clusters);
+    // A running sum, one prediction per row: the same double the engine
+    // would charge for n single predictions.
     for (size_t i = 0; i < n; ++i) {
-      const float* src = contents.Row(i);
-      row.assign(src, src + contents.cols());
-      result_.clusters[i] = shadow->PredictCluster(row);
       result_.predict_flops += shadow->PredictFlops();
     }
     result_.model = std::move(shadow);

@@ -125,14 +125,6 @@ Status E2Model::PartialFit(const ml::Matrix& batch) {
   return Status::Ok();
 }
 
-size_t E2Model::PredictCluster(const std::vector<float>& features) {
-  E2_CHECK(features.size() == config_.input_dim,
-           "feature width %zu != input_dim %zu", features.size(),
-           config_.input_dim);
-  std::vector<float> z = vae_->EncodeOne(features);
-  return kmeans_.Predict(z.data(), z.size());
-}
-
 void E2Model::AssignScratch(ml::InferenceScratch* scratch) {
   E2_CHECK(scratch->in.cols() == config_.input_dim,
            "feature width %zu != input_dim %zu", scratch->in.cols(),

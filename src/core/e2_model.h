@@ -56,12 +56,10 @@ class E2Model : public placement::ContentClusterer {
   /// are re-estimated.
   Status Train(const ml::Matrix& contents) override;
 
-  size_t PredictCluster(const std::vector<float>& features) override;
-
-  /// Write-path fast path: one encoder GEMV per staged row
-  /// (Vae::EncodeMuInto) + one fused K-means assignment — zero heap
-  /// allocations once the scratch is warm, bit-identical cluster ids to
-  /// PredictCluster per row.
+  /// One encoder GEMV per staged row (Vae::EncodeMuInto) + one fused
+  /// K-means assignment: zero heap allocations once the scratch is warm,
+  /// and per row the id of Vae::EncodeMu then KMeans::Predict, bit for
+  /// bit.
   void AssignScratch(ml::InferenceScratch* scratch) override;
 
   size_t num_clusters() const override { return config_.k; }

@@ -86,7 +86,6 @@ ml::Matrix PlacementEngine::ContentsMatrix(
 
 Status PlacementEngine::TrainAndRepopulate(
     const std::vector<uint64_t>& addrs) {
-  const size_t dim = ctrl_->segment_bits();
   ml::Matrix contents = ContentsMatrix(addrs);
   E2_RETURN_IF_ERROR(clusterer_->Train(contents));
   stats_.train_flops += clusterer_->LastTrainFlops();
@@ -97,11 +96,15 @@ Status PlacementEngine::TrainAndRepopulate(
   ctrl_->device().meter().AdvanceTimeLane(
       lane_, em.CpuNs(clusterer_->LastTrainFlops()));
 
+  // Classify the training matrix in one call. The local scratch takes
+  // the contents by move, so no region-sized buffer outlives the fill
+  // (scratch_ only grows).
+  ml::InferenceScratch fill;
+  fill.in = std::move(contents);
+  clusterer_->AssignScratch(&fill);
   pool_.Clear();
-  std::vector<float> feats(dim);
   for (size_t i = 0; i < addrs.size(); ++i) {
-    feats.assign(contents.Row(i), contents.Row(i) + dim);
-    pool_.Insert(clusterer_->PredictCluster(feats), addrs[i]);
+    pool_.Insert(fill.clusters[i], addrs[i]);
   }
   policy_.OnRetrain();
   InvalidateClusterCache();
@@ -137,15 +140,8 @@ Status PlacementEngine::ExtendRegion(size_t extra) {
   if (start + extra > ctrl_->num_logical()) {
     return Status::OutOfRange("extension exceeds the controller's space");
   }
-  const size_t dim = ctrl_->segment_bits();
   for (size_t i = 0; i < extra; ++i) {
-    BitVector bits = ctrl_->Peek(start + i);
-    std::vector<float> feats(dim);
-    for (size_t d = 0; d < dim; ++d) {
-      feats[d] = bits.Get(d) ? 1.0f : 0.0f;
-    }
-    ChargePrediction();
-    pool_.Insert(clusterer_->PredictCluster(feats), start + i);
+    pool_.Insert(ClassifySegment(start + i), start + i);
   }
   config_.num_segments += extra;
   placed_cluster_.resize(config_.num_segments, -1);
@@ -213,25 +209,15 @@ StatusOr<size_t> PlacementEngine::PredictClusterFor(const BitVector& value) {
   return scratch_.clusters[0];
 }
 
-void PlacementEngine::PredictValue(const BitVector& value, bool* model_ok,
-                                   size_t* cluster) {
-  // Degraded mode: if the model cannot featurize or score the value
-  // (padder failure, broken model), fall back to first-free placement
-  // instead of surfacing the error to the client.
-  *model_ok = true;
-  *cluster = 0;
-  scratch_.in.EnsureShape(1, ctrl_->segment_bits());
-  Status s = FeaturizeInto(value, scratch_.in.Row(0));
-  if (s.ok()) {
-    ChargePrediction();
-    clusterer_->AssignScratch(&scratch_);
-    *cluster = scratch_.clusters[0];
-    return;
-  }
-  *model_ok = false;
-  ++stats_.model_fallbacks;
-  E2_LOG(kWarning, "placement model unhealthy, using first-free: %s",
-         s.ToString().c_str());
+size_t PlacementEngine::ClassifySegment(uint64_t addr) {
+  // Its own one-row scratch: a shadow swap re-predicts through here from
+  // inside PlaceMany's loop, while scratch_ still holds the staged batch.
+  ctrl_->PeekInto(addr, &peek_scratch_);
+  segment_scratch_.in.EnsureShape(1, ctrl_->segment_bits());
+  peek_scratch_.AppendFloatsTo(segment_scratch_.in.Row(0));
+  ChargePrediction();
+  clusterer_->AssignScratch(&segment_scratch_);
+  return segment_scratch_.clusters[0];
 }
 
 StatusOr<uint64_t> PlacementEngine::Place(const BitVector& value) {
@@ -241,10 +227,17 @@ StatusOr<uint64_t> PlacementEngine::Place(const BitVector& value) {
   if (value.size() > ctrl_->segment_bits()) {
     return Status::InvalidArgument("value wider than a segment");
   }
-  bool model_ok;
-  size_t cluster;
-  PredictValue(value, &model_ok, &cluster);
-  return PlaceAt(value, cluster, model_ok);
+  StatusOr<size_t> cluster = PredictClusterFor(value);
+  if (!cluster.ok()) {
+    // Degraded mode: if the model cannot featurize the value (padder
+    // failure), fall back to first-free placement instead of surfacing
+    // the error to the client.
+    ++stats_.model_fallbacks;
+    E2_LOG(kWarning, "placement model unhealthy, using first-free: %s",
+           cluster.status().ToString().c_str());
+    return PlaceAt(value, 0, /*model_ok=*/false);
+  }
+  return PlaceAt(value, *cluster, /*model_ok=*/true);
 }
 
 StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
@@ -505,15 +498,12 @@ void PlacementEngine::SwapInShadow(BackgroundRetrainer::Result result) {
       continue;
     }
     auto it = snapshot_cluster.find(addr);
-    size_t cluster;
     if (it != snapshot_cluster.end()) {
-      cluster = it->second;
+      pool_.Insert(it->second, addr);
     } else {
       ++stats_.swap_repredictions;
-      ChargePrediction();
-      cluster = clusterer_->PredictCluster(ctrl_->Peek(addr).ToFloats());
+      pool_.Insert(ClassifySegment(addr), addr);
     }
-    pool_.Insert(cluster, addr);
   }
   ++stats_.retrains;
   policy_.OnRetrain();
@@ -539,55 +529,44 @@ bool PlacementEngine::PumpBackgroundRetrain() {
 
 void PlacementEngine::MaybeAutoRetrain() {
   if (!config_.auto_retrain) return;
-
-  if (bg_ != nullptr) {
-    // Background mode: adopt a finished shadow first (cheap: pointer
-    // swap + DAP rebuild from precomputed clusters), then decide whether
-    // to launch a new training. The foreground never blocks on training.
-    PumpBackgroundRetrain();
-    if (retrain_cooldown_ > 0) {
-      --retrain_cooldown_;
-      return;
-    }
-    if (bg_->running() || bg_->ready()) return;
-    RetrainAction action = policy_.Decide(pool_);
-    if (action == RetrainAction::kNone) return;
-    if (action == RetrainAction::kRefine) {
-      RefineStep();
-      return;
-    }
-    std::vector<uint64_t> free_addrs = pool_.AllFree();
-    if (free_addrs.size() < clusterer_->num_clusters()) {
-      OnRetrainFailure(Status::FailedPrecondition(
-          "too few free segments to retrain on"));
-      return;
-    }
-    ml::Matrix contents = ContentsMatrix(free_addrs);
-    bg_->Start(clusterer_->CloneUntrained(), std::move(contents),
-               std::move(free_addrs));
-    ++stats_.background_retrains;
-    return;
-  }
-
+  // Background mode adopts a finished shadow first (cheap: pointer swap
+  // + DAP rebuild from precomputed clusters) and never blocks on, or
+  // overlaps, a training.
+  if (bg_ != nullptr) PumpBackgroundRetrain();
   if (retrain_cooldown_ > 0) {
     --retrain_cooldown_;
     return;
   }
+  if (bg_ != nullptr && (bg_->running() || bg_->ready())) return;
   RetrainAction action = policy_.Decide(pool_);
   if (action == RetrainAction::kNone) return;
   if (action == RetrainAction::kRefine) {
-    // The synchronous engine gains the most here: a refinement step is
-    // orders of magnitude below the full Retrain() that used to stall
-    // this Place for tens of milliseconds.
+    // Inline in both modes: a refinement step is orders of magnitude
+    // below the full retrain that would otherwise stall this Place.
     RefineStep();
     return;
   }
-  Status s = Retrain();
-  if (s.ok()) {
-    retrain_failures_in_row_ = 0;
+  if (bg_ == nullptr) {
+    Status s = Retrain();
+    if (s.ok()) {
+      retrain_failures_in_row_ = 0;
+    } else {
+      OnRetrainFailure(s);
+    }
     return;
   }
-  OnRetrainFailure(s);
+  // Launch a shadow training on a snapshot of the free segments; the
+  // swap, not the launch, resets the failure streak.
+  std::vector<uint64_t> free_addrs = pool_.AllFree();
+  if (free_addrs.size() < clusterer_->num_clusters()) {
+    OnRetrainFailure(
+        Status::FailedPrecondition("too few free segments to retrain on"));
+    return;
+  }
+  ml::Matrix contents = ContentsMatrix(free_addrs);
+  bg_->Start(clusterer_->CloneUntrained(), std::move(contents),
+             std::move(free_addrs));
+  ++stats_.background_retrains;
 }
 
 Status PlacementEngine::Release(uint64_t addr) {
@@ -612,15 +591,9 @@ Status PlacementEngine::Release(uint64_t addr) {
     cluster = static_cast<size_t>(memo);
     ++stats_.release_cluster_hits;
   } else {
-    scratch_.in.EnsureShape(1, ctrl_->segment_bits());
-    // PeekInto + the reused peek buffer keep the memo-miss path (first
-    // release of a key, or any release right after a model swap
-    // invalidated the cache) off the heap, like the rest of the chain.
-    ctrl_->PeekInto(addr, &peek_scratch_);
-    peek_scratch_.AppendFloatsTo(scratch_.in.Row(0));
-    ChargePrediction();
-    clusterer_->AssignScratch(&scratch_);
-    cluster = scratch_.clusters[0];
+    // Memo miss (first release of a key, or any release right after a
+    // model change invalidated the memo): re-encode the content.
+    cluster = ClassifySegment(addr);
   }
   pool_.Insert(cluster, addr);
   ++stats_.releases;

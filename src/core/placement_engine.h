@@ -226,8 +226,10 @@ class PlacementEngine : public index::ValuePlacer {
   Status WriteAt(uint64_t addr, const BitVector& value) override;
   size_t FreeCount() const override { return pool_.TotalFree(); }
 
-  /// Cluster the engine would choose for `value` (no side effects beyond
-  /// CPU accounting) — used by tests and the padding experiments.
+  /// Cluster the engine would choose for `value`: featurizes it (which
+  /// advances the padding 1-ratios), charges one prediction and assigns
+  /// it. Place's first step, also used by tests. Fails when the value
+  /// cannot be featurized (padder failure).
   StatusOr<size_t> PredictClusterFor(const BitVector& value);
 
   /// Replay ring of recently written segment images (empty capacity
@@ -267,11 +269,12 @@ class PlacementEngine : public index::ValuePlacer {
   /// The padding slow path of FeaturizeInto: builds the PaddingContext
   /// (dataset/memory 1-ratios, LSTM, RNG) and pads.
   StatusOr<BitVector> PadForModel(const BitVector& value);
-  /// Predicts `value`'s cluster through the inference scratch, with
-  /// Place's degraded-mode fallback on featurize failure
-  /// (*model_ok = false).
-  void PredictValue(const BitVector& value, bool* model_ok,
-                    size_t* cluster);
+  /// Classifies the stored content of segment `addr` with the serving
+  /// model (Alg. 2's re-encode), charging one prediction: the memo-miss
+  /// Release, a shadow swap's re-predictions and ExtendRegion. Runs on
+  /// peek_scratch_ and segment_scratch_, so it is allocation-free once
+  /// warm and leaves a batch staged in scratch_ intact.
+  size_t ClassifySegment(uint64_t addr);
   /// The acquire/write loop of Place: pops addresses (of `cluster` when
   /// model_ok) until a healthy write lands, then updates stats, the
   /// placed-cluster memo, and the retrain policy.
@@ -334,16 +337,18 @@ class PlacementEngine : public index::ValuePlacer {
   std::unique_ptr<placement::ContentClusterer> retired_clusterer_;
   uint64_t model_generation_ = 0;
   // Write-path inference scratch (see ml/inference.h): owned by the
-  // engine, reused across every Place/PlaceMany/Release, allocation-free
-  // once warm.
+  // engine, reused across every Place/PlaceMany, allocation-free once
+  // warm. A DAP fill classifies through a short-lived local scratch
+  // instead, so no region-sized matrix stays alive here.
   ml::InferenceScratch scratch_;
+  // ClassifySegment's one-row scratch, and the reused buffer its content
+  // peeks decode into (same single-caller contract).
+  ml::InferenceScratch segment_scratch_;
+  BitVector peek_scratch_;
   // Scratch write outcome for PlaceAt/WriteAt: its stored image reuses
   // its heap capacity, so steady-state placements never allocate
   // (guarded by the engine's single-caller contract above).
   nvm::WriteResult write_scratch_;
-  // Reused buffer for Release's memo-miss content peeks (same
-  // single-caller contract as the scratches above).
-  BitVector peek_scratch_;
   // Incremental learning (§16): the replay ring of committed segment
   // images (capacity 0 unless configured) and the reused mini-batch
   // staging matrix RefineStep copies ring rows into.

@@ -8,19 +8,19 @@
 
 namespace e2nvm::ml {
 
-/// Preallocated, reusable buffers for the write-path inference kernels —
-/// the lean serving counterpart to the (allocating) training code. One
-/// scratch belongs to one caller (the placement engine): buffers are
-/// EnsureShape'd per call, grow monotonically during warm-up, and after
-/// that every featurize -> encode -> assign pass is allocation-free. For
-/// batched placement the same buffers hold B feature rows: the encoder
-/// runs each row through the register-blocked GEMV kernel (whose zero
-/// skip needs no branch per input), then one fused assignment pass
-/// covers the whole batch.
+/// Preallocated, reusable buffers for the inference kernels behind
+/// ContentClusterer::AssignScratch — the lean serving counterpart to the
+/// (allocating) training code. One scratch belongs to one caller:
+/// buffers are EnsureShape'd per call, grow monotonically during
+/// warm-up, and after that every featurize -> encode -> assign pass is
+/// allocation-free. For batched placement the same buffers hold B
+/// feature rows: the encoder runs each row through the register-blocked
+/// GEMV kernel (whose zero skip needs no branch per input), then one
+/// fused assignment pass covers the whole batch.
 ///
-/// The results written here are bit-identical to the reference path
-/// (Vae::EncodeOne + KMeans::Predict per value): the scratch kernels
-/// share the reference kernels' accumulation order, and the fused
+/// The results written here are bit-identical, row for row, to the
+/// allocating training-side path (Vae::EncodeMu + KMeans::Predict): the
+/// scratch kernels share its accumulation order, and the fused
 /// assignment re-checks near-minimal candidates with the exact distance
 /// (see KMeans::AssignFusedInto).
 struct InferenceScratch {

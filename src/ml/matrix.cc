@@ -22,7 +22,7 @@ thread_local bool t_pool_override_active = false;
 
 /// Minimum multiply-accumulates per dispatched block; below this the
 /// fork-join overhead dwarfs the block's work. (A one-row product such
-/// as EncodeOne is a single block and always runs on the caller.)
+/// as a PUT's encode is a single block and always runs on the caller.)
 constexpr double kMinParallelMacs = 64.0 * 1024.0;
 
 /// Minimum multiply-accumulates in the WHOLE kernel before it dispatches
@@ -107,8 +107,8 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   // element 0.0 or 1.0) and ReLU leaves hidden rows sparse, so such a
   // branch is near-random. Rows are independent, so any row split and
   // any pool size reproduce the serial result bit for bit — this is what
-  // lets a batched encode (Vae::EncodeMuInto, MultiPut's placement)
-  // match one-row EncodeOne calls and sequential Puts.
+  // lets a batched encode (Vae::EncodeMuInto, MultiPut's placement, a
+  // DAP fill) match one-row encodes and sequential Puts.
   const KernelOps& kern = Ops();
   auto rows = [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {

@@ -92,13 +92,6 @@ Matrix Vae::EncodeMu(const Matrix& x) {
   return mu;
 }
 
-std::vector<float> Vae::EncodeOne(const std::vector<float>& x) {
-  E2_CHECK(x.size() == config_.input_dim, "EncodeOne dim mismatch");
-  Matrix xm(1, config_.input_dim, x);
-  Matrix mu = EncodeMu(xm);
-  return mu.data();
-}
-
 void Vae::EncodeMuInto(const Matrix& x, Matrix* hidden, Matrix* mu) {
   E2_CHECK(x.cols() == config_.input_dim, "EncodeMuInto dim mismatch");
   // Mirrors EncodeForward's mu branch op for op (Dense::Forward is

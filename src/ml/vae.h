@@ -66,9 +66,6 @@ class Vae {
   /// used for placement prediction (§3.3.1).
   Matrix EncodeMu(const Matrix& x);
 
-  /// Encodes a single vector (length input_dim) to its latent mean.
-  std::vector<float> EncodeOne(const std::vector<float>& x);
-
   /// Inference-only encoder into caller-owned scratch: hidden = ReLU(x W1
   /// + b1), mu = hidden W2 + b2. Skips the logvar head, the training
   /// caches, and every temporary of EncodeMu, so a warmed-up call
@@ -106,7 +103,7 @@ class Vae {
   /// refinement preserves the engine's determinism contract.
   double PartialFit(const Matrix& x, size_t batch_size);
 
-  /// Multiply-accumulates of one EncodeOne call.
+  /// Multiply-accumulates of encoding one row to its latent mean.
   double PredictFlops() const;
   /// Approximate multiply-accumulates of one training step on `batch` rows
   /// (forward + backward ~ 3x forward).

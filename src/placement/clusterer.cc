@@ -2,29 +2,10 @@
 
 namespace e2nvm::placement {
 
-void ContentClusterer::AssignScratch(ml::InferenceScratch* scratch) {
-  // Reference fallback: row-by-row PredictCluster. Allocates per row;
-  // models on the write path override this with a batched scratch
-  // kernel. Kept as the behavioral definition the overrides must match.
-  const size_t n = scratch->in.rows();
-  const size_t dim = scratch->in.cols();
-  scratch->clusters.resize(n);
-  for (size_t r = 0; r < n; ++r) {
-    const float* row = scratch->in.Row(r);
-    std::vector<float> features(row, row + dim);
-    scratch->clusters[r] = PredictCluster(features);
-  }
-}
-
 Status RawKMeansClusterer::Train(const ml::Matrix& contents) {
   E2_RETURN_IF_ERROR(kmeans_.Fit(contents));
   train_flops_ = kmeans_.FitFlops(contents.rows());
   return Status::Ok();
-}
-
-size_t RawKMeansClusterer::PredictCluster(
-    const std::vector<float>& features) {
-  return kmeans_.Predict(features.data(), features.size());
 }
 
 Status PcaKMeansClusterer::Train(const ml::Matrix& contents) {
@@ -36,11 +17,9 @@ Status PcaKMeansClusterer::Train(const ml::Matrix& contents) {
   return Status::Ok();
 }
 
-size_t PcaKMeansClusterer::PredictCluster(
-    const std::vector<float>& features) {
-  std::vector<float> projected =
-      pca_.TransformOne(features.data(), features.size());
-  return kmeans_.Predict(projected.data(), projected.size());
+void PcaKMeansClusterer::AssignScratch(ml::InferenceScratch* scratch) {
+  const ml::Matrix projected = pca_.Transform(scratch->in);
+  kmeans_.AssignFusedInto(projected, &scratch->scores, &scratch->clusters);
 }
 
 }  // namespace e2nvm::placement

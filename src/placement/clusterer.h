@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "ml/inference.h"
@@ -39,22 +38,20 @@ class ContentClusterer {
   /// Trains (or re-trains) on segment contents, one row per segment.
   virtual Status Train(const ml::Matrix& contents) = 0;
 
-  /// Maps a content vector (0/1 floats, length = input dim) to a cluster.
-  virtual size_t PredictCluster(const std::vector<float>& features) = 0;
-
-  /// Write-path inference: assigns every feature row staged in
-  /// scratch->in to a cluster, filling scratch->clusters (one id per
-  /// row). Results must be identical to calling PredictCluster on each
-  /// row; the base implementation does exactly that (allocating).
-  /// Hot-path models override it with a zero-allocation batched kernel
-  /// (one encoder GEMV per staged row + one fused assignment for the
-  /// whole batch).
-  virtual void AssignScratch(ml::InferenceScratch* scratch);
+  /// The one inference operation: assigns every content vector staged
+  /// in scratch->in (one row per vector, 0/1 floats, width = input dim)
+  /// to a cluster, filling scratch->clusters (one id per row). Rows are
+  /// independent: each gets the id it would get staged alone, so one
+  /// call classifies a PUT, a MultiPut batch or a whole DAP fill alike.
+  /// The other scratch buffers are the model's to use; the hot-path
+  /// models allocate nothing once they are warm (one encoder GEMV per
+  /// staged row + one fused assignment for the whole batch).
+  virtual void AssignScratch(ml::InferenceScratch* scratch) = 0;
 
   virtual size_t num_clusters() const = 0;
 
-  /// Multiply-accumulates of one PredictCluster call (prediction-latency
-  /// and CPU-energy accounting, Figs 4 and 10).
+  /// Multiply-accumulates of classifying one row (prediction-latency and
+  /// CPU-energy accounting, Figs 4 and 10).
   virtual double PredictFlops() const = 0;
 
   /// Multiply-accumulates consumed by the most recent Train call.
@@ -88,9 +85,6 @@ class SingleClusterer : public ContentClusterer {
   Status Train(const ml::Matrix& contents) override {
     return Status::Ok();
   }
-  size_t PredictCluster(const std::vector<float>& features) override {
-    return 0;
-  }
   void AssignScratch(ml::InferenceScratch* scratch) override {
     scratch->clusters.assign(scratch->in.rows(), 0);
   }
@@ -116,7 +110,6 @@ class RawKMeansClusterer : public ContentClusterer {
                                                 c.tol);
   }
   Status Train(const ml::Matrix& contents) override;
-  size_t PredictCluster(const std::vector<float>& features) override;
   void AssignScratch(ml::InferenceScratch* scratch) override {
     kmeans_.AssignFusedInto(scratch->in, &scratch->scores,
                             &scratch->clusters);
@@ -158,15 +151,6 @@ class DensityClusterer : public ContentClusterer {
   Status Train(const ml::Matrix& contents) override {
     return Status::Ok();
   }
-  size_t PredictCluster(const std::vector<float>& features) override {
-    double ones = 0;
-    for (float f : features) ones += f >= 0.5f ? 1.0 : 0.0;
-    double frac = features.empty()
-                      ? 0.0
-                      : ones / static_cast<double>(features.size());
-    size_t bucket = static_cast<size_t>(frac * static_cast<double>(k_));
-    return bucket >= k_ ? k_ - 1 : bucket;
-  }
   void AssignScratch(ml::InferenceScratch* scratch) override {
     const size_t n = scratch->in.rows();
     const size_t dim = scratch->in.cols();
@@ -205,7 +189,9 @@ class PcaKMeansClusterer : public ContentClusterer {
         kmeans_.config().seed, kmeans_.config().max_iters);
   }
   Status Train(const ml::Matrix& contents) override;
-  size_t PredictCluster(const std::vector<float>& features) override;
+  /// Projects the staged rows (Pca::Transform), then one fused
+  /// assignment in the projected space. Allocates the projection.
+  void AssignScratch(ml::InferenceScratch* scratch) override;
   size_t num_clusters() const override { return kmeans_.k(); }
   double PredictFlops() const override {
     return pca_.TransformFlops() + kmeans_.PredictFlops();

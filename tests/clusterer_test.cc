@@ -8,14 +8,29 @@
 namespace e2nvm {
 namespace {
 
+/// Classifies every row of `contents` in one AssignScratch call.
+std::vector<size_t> AssignAll(placement::ContentClusterer& clusterer,
+                              ml::Matrix contents) {
+  ml::InferenceScratch scratch;
+  scratch.in = std::move(contents);
+  clusterer.AssignScratch(&scratch);
+  return scratch.clusters;
+}
+
+/// Classifies one content vector, staged alone.
+size_t AssignOne(placement::ContentClusterer& clusterer,
+                 std::vector<float> features) {
+  const size_t dim = features.size();
+  return AssignAll(clusterer, ml::Matrix(1, dim, std::move(features)))[0];
+}
+
 /// Purity of predicted clusters against true labels: for each predicted
 /// cluster take its majority true label; purity = fraction matching.
 double Purity(placement::ContentClusterer& clusterer,
               const workload::BitDataset& ds) {
   std::map<size_t, std::map<int, int>> votes;
-  std::vector<size_t> preds(ds.size());
+  const std::vector<size_t> preds = AssignAll(clusterer, ds.ToMatrix());
   for (size_t i = 0; i < ds.size(); ++i) {
-    preds[i] = clusterer.PredictCluster(ds.items[i].ToFloats());
     ++votes[preds[i]][ds.labels[i]];
   }
   size_t correct = 0;
@@ -50,18 +65,18 @@ workload::BitDataset EasyDataset(size_t samples = 300, size_t dim = 256,
 TEST(SingleClustererTest, AlwaysClusterZero) {
   placement::SingleClusterer s;
   EXPECT_EQ(s.num_clusters(), 1u);
-  EXPECT_EQ(s.PredictCluster(std::vector<float>(16, 0.f)), 0u);
+  EXPECT_EQ(AssignOne(s, std::vector<float>(16, 0.f)), 0u);
   EXPECT_TRUE(s.Train(ml::Matrix(4, 4)).ok());
 }
 
 TEST(DensityClustererTest, BucketsByPolarity) {
   placement::DensityClusterer d(4);
   EXPECT_EQ(d.num_clusters(), 4u);
-  EXPECT_EQ(d.PredictCluster(std::vector<float>(64, 0.0f)), 0u);
-  EXPECT_EQ(d.PredictCluster(std::vector<float>(64, 1.0f)), 3u);
+  EXPECT_EQ(AssignOne(d, std::vector<float>(64, 0.0f)), 0u);
+  EXPECT_EQ(AssignOne(d, std::vector<float>(64, 1.0f)), 3u);
   std::vector<float> half(64, 0.0f);
   for (size_t i = 0; i < 32; ++i) half[i] = 1.0f;
-  EXPECT_EQ(d.PredictCluster(half), 2u);
+  EXPECT_EQ(AssignOne(d, half), 2u);
   EXPECT_TRUE(d.Train(ml::Matrix(2, 2)).ok());
 }
 
@@ -73,7 +88,7 @@ TEST(DensityClustererTest, SeparatesSparseFromDense) {
   sparse[0] = sparse[1] = 1.0f;
   std::vector<float> dense(128, 1.0f);
   dense[0] = dense[1] = 0.0f;
-  EXPECT_NE(d.PredictCluster(sparse), d.PredictCluster(dense));
+  EXPECT_NE(AssignOne(d, sparse), AssignOne(d, dense));
 }
 
 TEST(RawKMeansClustererTest, HighPurityOnSeparatedData) {
@@ -106,7 +121,7 @@ TEST(E2ModelTest, TrainsAndPredictsInRange) {
   core::E2Model model(cfg);
   ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
   for (size_t i = 0; i < 20; ++i) {
-    EXPECT_LT(model.PredictCluster(ds.items[i].ToFloats()), 5u);
+    EXPECT_LT(AssignOne(model, ds.items[i].ToFloats()), 5u);
   }
   EXPECT_GT(model.LastTrainFlops(), 0.0);
   EXPECT_FALSE(model.history().train_loss.empty());
@@ -181,7 +196,42 @@ TEST(E2ModelTest, RetrainReplacesModel) {
   ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
   // Second Train (re-training) must succeed from scratch.
   ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
-  EXPECT_LT(model.PredictCluster(ds.items[0].ToFloats()), 3u);
+  EXPECT_LT(AssignOne(model, ds.items[0].ToFloats()), 3u);
+}
+
+TEST(ContentClustererTest, BatchedRowsMatchRowsStagedAlone) {
+  // Every DAP fill classifies a whole matrix in one AssignScratch call,
+  // and a PUT stages its value alone: each row of the batch must get the
+  // id it gets on its own, for every model behind the seam.
+  auto ds = EasyDataset(120);
+  const ml::Matrix contents = ds.ToMatrix();
+  core::E2ModelConfig cfg;
+  cfg.input_dim = ds.dim;
+  cfg.k = 5;
+  cfg.hidden_dim = 64;
+  cfg.latent_dim = 8;
+  cfg.pretrain_epochs = 3;
+  std::vector<std::unique_ptr<placement::ContentClusterer>> models;
+  models.push_back(std::make_unique<placement::SingleClusterer>());
+  models.push_back(std::make_unique<placement::DensityClusterer>(4));
+  models.push_back(std::make_unique<placement::RawKMeansClusterer>(5, 3));
+  models.push_back(std::make_unique<placement::PcaKMeansClusterer>(5, 8, 3));
+  models.push_back(std::make_unique<core::E2Model>(cfg));
+  for (auto& model : models) {
+    ASSERT_TRUE(model->Train(contents).ok()) << model->name();
+    const std::vector<size_t> batch = AssignAll(*model, contents);
+    ASSERT_EQ(batch.size(), contents.rows()) << model->name();
+    // One scratch reused across rows, as the engine reuses its own.
+    ml::InferenceScratch one;
+    for (size_t i = 0; i < contents.rows(); ++i) {
+      one.in.EnsureShape(1, contents.cols());
+      one.in.CopyRowFrom(contents, i, 0);
+      model->AssignScratch(&one);
+      ASSERT_EQ(one.clusters.size(), 1u) << model->name();
+      EXPECT_EQ(one.clusters[0], batch[i]) << model->name() << " row " << i;
+      EXPECT_LT(batch[i], model->num_clusters()) << model->name();
+    }
+  }
 }
 
 }  // namespace

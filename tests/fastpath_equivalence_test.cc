@@ -6,23 +6,26 @@
 // zero-allocation contract of steady-state prediction.
 //
 // The reference is built here from two oracles:
-//  - Prediction: ReferenceClusterer forwards every call to a real
-//    E2Model but keeps the base class's AssignScratch, a per-row
-//    PredictCluster loop, so an engine built on it predicts through the
-//    allocating path. Each comparison runs one stream through an engine
-//    on the bare E2Model and one on the wrapper.
+//  - Prediction: ReferenceClusterer forwards training to a real E2Model
+//    but classifies every row on its own through the allocating
+//    layer-graph path (ReferenceCluster: Vae::EncodeMu on a one-row
+//    matrix, then KMeans::Predict). Each comparison runs one stream
+//    through an engine on the bare E2Model and one on the wrapper.
 //  - Memo: both engines recycle released addresses through the same
 //    placement memo, so the first oracle alone cannot see a stale memo.
 //    After every operation, MemoIsFresh checks each cluster the fast
-//    engine memoized against a fresh PredictCluster of the segment's
-//    current content.
+//    engine memoized against ReferenceCluster of the segment's current
+//    content.
 
+#include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/e2_model.h"
 #include "core/placement_engine.h"
 #include "core/store.h"
@@ -84,26 +87,45 @@ E2ModelConfig ModelConfig() {
   return mc;
 }
 
+/// The allocating reference classification of one content row: the
+/// layer-graph encoder on a one-row matrix, then the exact K-means scan.
+/// It shares no scratch kernel and no fused assignment with the engine.
+size_t ReferenceCluster(E2Model& model, const float* row) {
+  const size_t dim = model.config().input_dim;
+  const ml::Matrix x(1, dim, std::vector<float>(row, row + dim));
+  const ml::Matrix z = model.vae().EncodeMu(x);
+  return model.kmeans().Predict(z.Row(0), z.cols());
+}
+
+/// ReferenceCluster of a value or segment image under the serving model
+/// of an engine built on a bare E2Model.
+size_t ReferenceClusterOf(PlacementEngine& engine, const BitVector& bits) {
+  return ReferenceCluster(dynamic_cast<E2Model&>(engine.clusterer()),
+                          bits.ToFloats().data());
+}
+
 /// The prediction oracle: a real model whose engine-facing inference
-/// runs through the base class's allocating per-row PredictCluster loop
-/// (AssignScratch is deliberately not overridden). Shadow models of a
-/// background retrain are wrapped too.
+/// runs ReferenceCluster row by row. Shadow models of a background
+/// retrain are wrapped too.
 class ReferenceClusterer : public placement::ContentClusterer {
  public:
-  explicit ReferenceClusterer(
-      std::unique_ptr<placement::ContentClusterer> model)
+  explicit ReferenceClusterer(std::unique_ptr<E2Model> model)
       : model_(std::move(model)) {}
 
   std::string_view name() const override { return model_->name(); }
   std::unique_ptr<placement::ContentClusterer> CloneUntrained()
       const override {
-    return std::make_unique<ReferenceClusterer>(model_->CloneUntrained());
+    return std::make_unique<ReferenceClusterer>(
+        std::make_unique<E2Model>(model_->config()));
   }
   Status Train(const ml::Matrix& contents) override {
     return model_->Train(contents);
   }
-  size_t PredictCluster(const std::vector<float>& features) override {
-    return model_->PredictCluster(features);
+  void AssignScratch(ml::InferenceScratch* scratch) override {
+    scratch->clusters.resize(scratch->in.rows());
+    for (size_t r = 0; r < scratch->in.rows(); ++r) {
+      scratch->clusters[r] = ReferenceCluster(*model_, scratch->in.Row(r));
+    }
   }
   size_t num_clusters() const override { return model_->num_clusters(); }
   double PredictFlops() const override { return model_->PredictFlops(); }
@@ -121,11 +143,14 @@ class ReferenceClusterer : public placement::ContentClusterer {
   }
 
  private:
-  std::unique_ptr<placement::ContentClusterer> model_;
+  std::unique_ptr<E2Model> model_;
 };
 
 struct SideOptions {
   bool background_retrain = false;
+  /// Runs the background trainings on this pool instead of a dedicated
+  /// thread per training.
+  ThreadPool* retrain_pool = nullptr;
   /// Replay-ring refinement (DESIGN.md §16), tuned so a value shift
   /// fires dozens of refine steps within a few hundred operations: the
   /// drift never escalates, so full retrains come only from the
@@ -165,7 +190,9 @@ class Side {
       ec.incremental.refine_batch = 8;
     }
     engine_ = std::make_unique<PlacementEngine>(&ctrl_, model_.get(), ec);
-    if (opt.background_retrain) engine_->EnableBackgroundRetrain();
+    if (opt.background_retrain) {
+      engine_->EnableBackgroundRetrain(opt.retrain_pool);
+    }
     EXPECT_TRUE(engine_->Bootstrap().ok());
   }
 
@@ -173,6 +200,15 @@ class Side {
   Status Put(uint64_t key, const BitVector& value) {
     E2_ASSIGN_OR_RETURN(uint64_t addr, engine_->Place(value));
     return Index(key, addr);
+  }
+
+  /// E2KvStore::Delete: unindex the key, recycle its address.
+  Status Delete(uint64_t key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return Status::NotFound("no such key");
+    const uint64_t addr = it->second;
+    index_.erase(it);
+    return engine_->Release(addr);
   }
 
   /// E2KvStore::MultiPut: one PlaceMany, then index in order.
@@ -219,8 +255,7 @@ class Side {
   for (uint64_t addr = 0; addr < kSegments; ++addr) {
     const int32_t memo = engine.placed_cluster(addr);
     if (memo < 0) continue;
-    const size_t fresh = engine.clusterer().PredictCluster(
-        engine.ctrl().Peek(addr).ToFloats());
+    const size_t fresh = ReferenceClusterOf(engine, engine.ctrl().Peek(addr));
     if (static_cast<size_t>(memo) != fresh) {
       return ::testing::AssertionFailure()
              << "stale memo at addr " << addr << ": " << memo
@@ -342,9 +377,8 @@ TEST(FastPathEquivalence, PredictClusterMatchesReference) {
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(*a, *b) << "item " << i;
-    // And against the model fed the value's own float expansion.
-    EXPECT_EQ(*b, ref.engine().clusterer().PredictCluster(
-                      ds.items[i].ToFloats()))
+    // And against the oracle fed the value's own float expansion.
+    EXPECT_EQ(*b, ReferenceClusterOf(fast.engine(), ds.items[i]))
         << "item " << i;
   }
 }
@@ -430,6 +464,83 @@ TEST(FastPathEquivalence, MatchesReferenceAcrossBackgroundSwap) {
   }
   EXPECT_GT(fast.engine().model_generation(), 0u)
       << "no shadow model was ever adopted; swap never exercised";
+  ExpectSame(Observe(ref), Observe(fast));
+}
+
+TEST(FastPathEquivalence, MultiPutAcrossBackgroundSwapMatchesReference) {
+  // A shadow swap that lands inside PlaceMany. Both sides Put until a
+  // shadow training starts on the same op, and the training finishes
+  // unadopted. The next values go in as sequential Puts on the
+  // reference side and as one MultiPut on the fast side, whose first
+  // PlaceAt adopts the shadow: it re-predicts the address released
+  // since the snapshot while the rest of the batch is still staged, then
+  // re-assigns those rows under the new model. Batch keys are fresh, so
+  // MultiPut's deferred recycling cannot move an address, and they are
+  // deleted again afterwards.
+  auto ds = ClusteredData(17);
+  // One worker runs both sides' trainings in launch order. During a
+  // batch a parked task holds it, so a training launched inside the
+  // batch (the capacity trigger can fire again right after the swap)
+  // cannot finish there; the next Put adopts it on both sides. `hold`
+  // outlives the worker, which may run the parked task as it drains.
+  std::atomic<bool> hold{false};
+  ThreadPool trainer(1);
+  Side ref(ds, /*reference=*/true,
+           {.background_retrain = true, .retrain_pool = &trainer});
+  Side fast(ds, /*reference=*/false,
+            {.background_retrain = true, .retrain_pool = &trainer});
+  auto finish = [](Side& s) {
+    while (s.engine().RetrainInFlight()) {
+    }
+  };
+  constexpr size_t kBatch = 12;
+  size_t swaps = 0;
+  for (uint64_t i = 0; i < 600 && swaps < 3; ++i) {
+    const uint64_t launched = fast.engine().stats().background_retrains;
+    ASSERT_TRUE(PutBoth(ref, fast, i % kKeys, ds.items[i % ds.items.size()]))
+        << "op " << i;
+    ASSERT_EQ(ref.engine().stats().background_retrains,
+              fast.engine().stats().background_retrains)
+        << "op " << i;
+    if (fast.engine().stats().background_retrains == launched) continue;
+    finish(ref);
+    finish(fast);
+
+    std::vector<std::pair<uint64_t, BitVector>> kvs;
+    for (uint64_t j = 0; j < kBatch; ++j) {
+      kvs.emplace_back(kKeys + j, ds.items[(i + 1 + j) % ds.items.size()]);
+    }
+    const uint64_t gen = fast.engine().model_generation();
+    hold = true;
+    trainer.Submit([&hold] {
+      while (hold) std::this_thread::yield();
+    });
+    // No early return while held: the engines' destructors would wait
+    // forever for a training queued behind the parked task.
+    Status puts = Status::Ok();
+    for (const auto& [key, value] : kvs) {
+      if (puts.ok()) puts = ref.Put(key, value);
+    }
+    const Status multi_put = fast.MultiPut(kvs);
+    hold = false;
+    ASSERT_TRUE(puts.ok()) << "op " << i;
+    ASSERT_TRUE(multi_put.ok()) << "op " << i;
+    ASSERT_EQ(ref.engine().model_generation(), gen + 1) << "op " << i;
+    ASSERT_EQ(fast.engine().model_generation(), gen + 1) << "op " << i;
+    ASSERT_TRUE(MemoIsFresh(fast.engine())) << "op " << i;
+    for (const auto& kv : kvs) {
+      EXPECT_EQ(ref.AddrOf(kv.first), fast.AddrOf(kv.first)) << "op " << i;
+      ASSERT_TRUE(ref.Delete(kv.first).ok());
+      ASSERT_TRUE(fast.Delete(kv.first).ok());
+    }
+    finish(ref);
+    finish(fast);
+    ++swaps;
+  }
+  EXPECT_EQ(swaps, 3u);
+  EXPECT_GT(fast.engine().stats().swap_repredictions, 0u);
+  EXPECT_EQ(ref.engine().stats().swap_repredictions,
+            fast.engine().stats().swap_repredictions);
   ExpectSame(Observe(ref), Observe(fast));
 }
 

@@ -227,11 +227,12 @@ TEST(E2ModelPartialFitTest, PreconditionAndDeterministicUpdates) {
   E2Model twin(mc);
   ASSERT_TRUE(twin.Train(train).ok());
   ASSERT_TRUE(twin.PartialFit(batch).ok());
-  for (size_t i = 0; i < 8; ++i) {
-    std::vector<float> f(64);
-    drift.items[i].AppendFloatsTo(f.data());
-    EXPECT_EQ(m.PredictCluster(f), twin.PredictCluster(f)) << i;
-  }
+  ml::InferenceScratch a, b;
+  a.in = ContentsOf(drift, 8, 64);
+  b.in = a.in;
+  m.AssignScratch(&a);
+  twin.AssignScratch(&b);
+  EXPECT_EQ(a.clusters, b.clusters);
 }
 
 // ---------------------------------------------------------------------

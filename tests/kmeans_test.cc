@@ -123,6 +123,84 @@ TEST(KMeansTest, FlopsAccountingPositive) {
   EXPECT_GT(km.iters_run(), 0);
 }
 
+/// AssignFusedInto's contract: per row, the id Predict returns.
+void ExpectFusedMatchesPredict(const KMeans& km, const Matrix& x) {
+  Matrix scores;
+  std::vector<size_t> fused;
+  km.AssignFusedInto(x, &scores, &fused);
+  ASSERT_EQ(fused.size(), x.rows());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    EXPECT_EQ(fused[i], km.Predict(x.Row(i), x.cols()))
+        << "dim " << x.cols() << " row " << i;
+  }
+}
+
+/// n rows of 0/1 floats around `protos` random prototypes, each bit
+/// flipped with probability `noise`: featurized values, as
+/// RawKMeansClusterer assigns them.
+Matrix BitRows(size_t n, size_t dim, size_t protos, double noise,
+               uint64_t seed) {
+  Rng rng(seed);
+  Matrix p(protos, dim);
+  for (auto& v : p.data()) v = rng.NextDouble() < 0.5 ? 1.0f : 0.0f;
+  Matrix x(n, dim);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < dim; ++d) {
+      const float bit = p(i % protos, d);
+      x(i, d) = rng.NextDouble() < noise ? 1.0f - bit : bit;
+    }
+  }
+  return x;
+}
+
+TEST(KMeansTest, FusedAssignmentMatchesPredictOnBitRows) {
+  for (size_t dim : {512u, 2048u}) {
+    const Matrix x = BitRows(160, dim, 6, 0.05, dim);
+    KMeans km({.k = 8, .max_iters = 10, .seed = 3});
+    ASSERT_TRUE(km.Fit(x).ok());
+    ExpectFusedMatchesPredict(km, x);
+    // Rows the model was not fitted on, as a PUT's value is.
+    ExpectFusedMatchesPredict(km, BitRows(64, dim, 6, 0.2, dim + 1));
+  }
+}
+
+TEST(KMeansTest, FusedAssignmentMatchesPredictOnFloatRows) {
+  // Latent-width rows, as the E2-NVM model assigns its codes.
+  Rng rng(11);
+  Matrix x(300, 10);
+  for (auto& v : x.data()) v = static_cast<float>(rng.NextGaussian());
+  KMeans km({.k = 10, .seed = 2});
+  ASSERT_TRUE(km.Fit(x).ok());
+  ExpectFusedMatchesPredict(km, x);
+}
+
+TEST(KMeansTest, FusedAssignmentBreaksTiesLikePredict) {
+  // Centroid c is 2 at coordinate 9 - c. The row with ones at
+  // coordinates a < b is the exact midpoint of centroids 9 - a and
+  // 9 - b (squared distance 2 to both, 6 to the rest); Predict's scan
+  // gives the tie to the lower index, 9 - b. The zero row ties all ten
+  // centroids and goes to 0.
+  constexpr size_t kDim = 10;
+  Matrix c(kDim, kDim);
+  for (size_t j = 0; j < kDim; ++j) c(j, kDim - 1 - j) = 2.0f;
+  KMeans km({.k = kDim});
+  km.SetCentroids(std::move(c));
+  Matrix x(1 + kDim * (kDim - 1) / 2, kDim);
+  std::vector<size_t> want = {0};
+  for (size_t a = 0; a < kDim; ++a) {
+    for (size_t b = a + 1; b < kDim; ++b) {
+      x(want.size(), a) = 1.0f;
+      x(want.size(), b) = 1.0f;
+      want.push_back(kDim - 1 - b);
+    }
+  }
+  ExpectFusedMatchesPredict(km, x);
+  Matrix scores;
+  std::vector<size_t> fused;
+  km.AssignFusedInto(x, &scores, &fused);
+  EXPECT_EQ(fused, want);
+}
+
 TEST(FindElbowTest, DetectsSharpKnee) {
   // SSE drops fast until K=4, then flattens: the knee is at K=4.
   std::vector<double> sse = {1000, 600, 300, 100, 90, 82, 76, 71, 67};

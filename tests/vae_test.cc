@@ -50,26 +50,15 @@ TEST(VaeTest, ShapesAreCorrect) {
   }
 }
 
-TEST(VaeTest, EncodeOneMatchesBatch) {
-  Vae vae(SmallConfig());
-  Matrix x = TwoProtoData(3, 64, 2);
-  Matrix mu = vae.EncodeMu(x);
-  std::vector<float> row(x.Row(1), x.Row(1) + 64);
-  auto one = vae.EncodeOne(row);
-  ASSERT_EQ(one.size(), 4u);
-  // A one-row and a batched encode sum the same products in the same
-  // order (one GEMV per row either way): equal bit for bit, not just
-  // close.
-  EXPECT_EQ(std::memcmp(one.data(), mu.Row(1), 4 * sizeof(float)), 0);
-}
-
 TEST(VaeTest, EncodeMuIntoMatchesEncodeMuBitwise) {
   // The write path's scratch encode must equal the layer-graph encode
-  // (EncodeMu) and EncodeOne row for row, bit for bit, on featurized
-  // 0/1 rows and on general floats: one row, a pipelined shard batch
-  // of 8, and 33 rows (past a 32-value MultiPut).
+  // (EncodeMu) and a one-row scratch encode of the same row, row for
+  // row, bit for bit, on featurized 0/1 rows and on general floats: one
+  // row, a pipelined shard batch of 8, and 33 rows (past a 32-value
+  // MultiPut).
   Vae vae(SmallConfig());
   Matrix hidden, mu;  // Reused across shapes, like the engine's scratch.
+  Matrix one_hidden, one_mu;
   Rng rng(9);
   for (size_t rows : {1u, 8u, 33u}) {
     for (bool binary : {true, false}) {
@@ -84,9 +73,9 @@ TEST(VaeTest, EncodeMuIntoMatchesEncodeMuBitwise) {
       for (size_t i = 0; i < rows; ++i) {
         ASSERT_EQ(std::memcmp(mu.Row(i), want.Row(i), 4 * sizeof(float)), 0)
             << "rows=" << rows << " binary=" << binary << " row=" << i;
-        std::vector<float> row(x.Row(i), x.Row(i) + 64);
-        ASSERT_EQ(std::memcmp(mu.Row(i), vae.EncodeOne(row).data(),
-                              4 * sizeof(float)),
+        const Matrix row(1, 64, std::vector<float>(x.Row(i), x.Row(i) + 64));
+        vae.EncodeMuInto(row, &one_hidden, &one_mu);
+        ASSERT_EQ(std::memcmp(mu.Row(i), one_mu.Row(0), 4 * sizeof(float)),
                   0)
             << "rows=" << rows << " binary=" << binary << " row=" << i;
       }
