@@ -1,0 +1,28 @@
+# Runs one sim_driver workload twice, on the kernel tier the environment
+# selects (the best one the CPU has, or the E2NVM_SIMD override a check.sh
+# pass sets) and on E2NVM_SIMD=scalar, and fails unless both runs place
+# every write and print byte-identical output (which includes the exact
+# count of bits flipped).
+#
+#   cmake -DSIM_DRIVER=build/examples/sim_driver -P compare_simd_tiers.cmake
+set(args --placement e2 --dataset mixed --segments 256 --segment-bytes 256
+         --writes 2000)
+execute_process(COMMAND ${SIM_DRIVER} ${args}
+                OUTPUT_VARIABLE tier_out ERROR_VARIABLE tier_err
+                RESULT_VARIABLE tier_rc)
+execute_process(COMMAND ${CMAKE_COMMAND} -E env E2NVM_SIMD=scalar
+                        ${SIM_DRIVER} ${args}
+                OUTPUT_VARIABLE scalar_out ERROR_VARIABLE scalar_err
+                RESULT_VARIABLE scalar_rc)
+foreach(run tier scalar)
+  if(NOT ${run}_rc EQUAL 0 OR "${${run}_err}" MATCHES "placement stopped")
+    message(FATAL_ERROR "sim_driver failed on the ${run} run "
+                        "(exit ${${run}_rc}):\n${${run}_err}")
+  endif()
+endforeach()
+if(NOT tier_out STREQUAL scalar_out)
+  message(FATAL_ERROR "kernel tiers disagree\n"
+                      "--- selected tier ---\n${tier_out}"
+                      "--- scalar ---\n${scalar_out}")
+endif()
+message(STATUS "selected tier matches scalar:\n${tier_out}")

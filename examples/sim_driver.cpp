@@ -214,6 +214,8 @@ int main(int argc, char** argv) {
   std::printf("device writes:        %llu\n",
               (unsigned long long)st.writes);
   std::printf("flips per write:      %.1f\n", st.FlipsPerWrite());
+  std::printf("bits flipped:         %llu\n",
+              (unsigned long long)st.total_bits_flipped());
   std::printf("flips per data bit:   %.4f\n", st.FlipsPerDataBit());
   std::printf("dirty lines:          %llu\n",
               (unsigned long long)st.dirty_lines);

@@ -66,15 +66,23 @@ struct KernelOps {
   /// that element order (and that skip), so they are bit-identical to
   /// the scalar loop. The skip predicate is the scalar `a[p] == 0.0f`:
   /// -0.0f is skipped like 0.0f, and a NaN a[p] is visited (so it
-  /// propagates). The SIMD tiers find the nonzero inputs with one
-  /// unordered not-equal compare per 16 (AVX-512) or 8 (AVX2) floats
-  /// and walk the resulting bit mask in ascending p, so the skip costs
-  /// no data-dependent branch per input; the scalar tier keeps the
-  /// branchy reference loop. MatMulInto runs it once per output row, so
-  /// it carries the write path's encode and every training forward
-  /// pass: keeping the whole k-loop inside one kernel call holds the
-  /// accumulators in registers instead of re-loading the output row
-  /// once per nonzero a[p].
+  /// propagates).
+  ///
+  /// The SIMD tiers take the inputs in blocks of 64: unordered not-equal
+  /// compares (4 on AVX-512, 8 on AVX2) build one 64-bit nonzero mask
+  /// per block, and a tzcnt loop walks it in ascending p, so the skip
+  /// costs no data-dependent branch per input. When every nonzero input
+  /// of a block is exactly 1.0f — every block of a featurized encode —
+  /// the walk adds the B rows without multiplying. That is exact: for
+  /// every float w, 1.0f * w rounds to w itself (±0, denormals and ±inf
+  /// included; a NaN stays a NaN), so each c[j] receives the same
+  /// operands in the same order as the scalar `c[j] += a[p] * b[p][j]`.
+  /// The scalar tier keeps the branchy reference loop.
+  ///
+  /// MatMulInto runs it once per output row, so it carries the write
+  /// path's encode and every training forward pass: keeping the whole
+  /// k-loop inside one kernel call holds the accumulators in registers
+  /// instead of re-loading the output row once per nonzero a[p].
   void (*gemv_f32)(const float* a, const float* b, size_t k, size_t n,
                    float* c);
   /// CRC32C (Castagnoli, reflected 0x82F63B78) of `data[0..n)` continued

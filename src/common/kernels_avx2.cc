@@ -9,6 +9,7 @@
 #ifdef __AVX2__
 
 #include <bit>
+#include <type_traits>
 
 #include <immintrin.h>
 
@@ -155,29 +156,58 @@ void Avx2Dot8(const float* a, const float* b, size_t ldb, size_t k,
   _mm256_storeu_ps(out, acc);
 }
 
-/// Calls visit(p) for every p in [0, k) whose a[p] is not 0.0f, in
-/// ascending p: one unordered not-equal compare + movemask per 8-float
-/// chunk, then a tzcnt loop over the mask — no data-dependent branch per
-/// input. Same predicate as the scalar `!(a[p] == 0.0f)` (-0.0f skipped,
-/// NaN visited). The last partial chunk is built from scalar compares so
-/// nothing past a[k - 1] is read.
+/// Calls visit(p, unit) for every p in [0, k) whose a[p] is not 0.0f,
+/// in ascending p, 64 inputs per block: eight unordered not-equal
+/// compares + movemasks build the block's 64-bit nonzero mask, then a
+/// tzcnt loop walks it — no data-dependent branch per input. Same
+/// predicate as the scalar `!(a[p] == 0.0f)` (-0.0f skipped, NaN
+/// visited). `unit` is std::true_type when every nonzero input of the
+/// block is exactly 1.0f (NaN is not), so the visitor can drop the
+/// multiply (see kernels.h). The floats of a block's last partial
+/// 8-chunk are compared one by one, so nothing past a[k - 1] is read.
 template <typename Visit>
 inline void ForEachNonzero(const float* a, size_t k, Visit&& visit) {
   const __m256 zero = _mm256_setzero_ps();
-  for (size_t p0 = 0; p0 < k; p0 += 8) {
-    uint32_t nz = 0;
-    if (k - p0 >= 8) {
-      nz = static_cast<uint32_t>(_mm256_movemask_ps(
-          _mm256_cmp_ps(_mm256_loadu_ps(a + p0), zero, _CMP_NEQ_UQ)));
-    } else {
-      for (size_t q = 0; p0 + q < k; ++q) {
-        nz |= static_cast<uint32_t>(a[p0 + q] != 0.0f) << q;
+  const __m256 one = _mm256_set1_ps(1.0f);
+  for (size_t p0 = 0; p0 < k; p0 += 64) {
+    const size_t len = k - p0 < 64 ? k - p0 : 64;
+    uint64_t nz = 0;
+    uint64_t not_one = 0;
+    size_t q = 0;
+    for (; q + 8 <= len; q += 8) {
+      const __m256 v = _mm256_loadu_ps(a + p0 + q);
+      const __m256 nzv = _mm256_cmp_ps(v, zero, _CMP_NEQ_UQ);
+      const __m256 not_onev =
+          _mm256_and_ps(nzv, _mm256_cmp_ps(v, one, _CMP_NEQ_UQ));
+      nz |= static_cast<uint64_t>(_mm256_movemask_ps(nzv)) << q;
+      not_one |= static_cast<uint64_t>(_mm256_movemask_ps(not_onev)) << q;
+    }
+    for (; q < len; ++q) {
+      const float v = a[p0 + q];
+      nz |= static_cast<uint64_t>(v != 0.0f) << q;
+      not_one |= static_cast<uint64_t>(v != 0.0f && v != 1.0f) << q;
+    }
+    auto walk = [&](auto unit) {
+      for (; nz != 0; nz &= nz - 1) {
+        visit(p0 + static_cast<size_t>(std::countr_zero(nz)), unit);
       }
+    };
+    if (not_one == 0) {
+      walk(std::true_type{});
+    } else {
+      walk(std::false_type{});
     }
-    while (nz != 0) {
-      visit(p0 + static_cast<size_t>(std::countr_zero(nz)));
-      nz &= nz - 1;
-    }
+  }
+}
+
+/// One gemv term: a[p] * w as the scalar tier rounds it, or w itself for
+/// a block of exactly-1.0f inputs (1.0f * w == w for every float w).
+template <bool kUnit>
+inline __m256 Term(std::bool_constant<kUnit>, float av, __m256 w) {
+  if constexpr (kUnit) {
+    return w;
+  } else {
+    return _mm256_mul_ps(_mm256_set1_ps(av), w);
   }
 }
 
@@ -186,24 +216,23 @@ void Avx2Gemv(const float* a, const float* b, size_t k, size_t n,
   // Column tiles wide enough to keep the accumulators in registers for
   // the whole k-loop: 32 floats (4 ymm), then 8, then a scalar tail.
   // Every c[j] still sums its nonzero a[p] terms in ascending p with
-  // one mul and one add per term — bit-identical to the scalar loop.
+  // one mul (dropped where it is by exactly 1.0f) and one add per term —
+  // bit-identical to the scalar loop.
   size_t j = 0;
   for (; j + 32 <= n; j += 32) {
     __m256 acc0 = _mm256_setzero_ps();
     __m256 acc1 = _mm256_setzero_ps();
     __m256 acc2 = _mm256_setzero_ps();
     __m256 acc3 = _mm256_setzero_ps();
-    ForEachNonzero(a, k, [&](size_t p) {
-      const __m256 vav = _mm256_set1_ps(a[p]);
+    ForEachNonzero(a, k, [&](size_t p, auto unit) {
       const float* brow = b + p * n + j;
-      acc0 = _mm256_add_ps(acc0,
-                           _mm256_mul_ps(vav, _mm256_loadu_ps(brow)));
+      acc0 = _mm256_add_ps(acc0, Term(unit, a[p], _mm256_loadu_ps(brow)));
       acc1 = _mm256_add_ps(acc1,
-                           _mm256_mul_ps(vav, _mm256_loadu_ps(brow + 8)));
-      acc2 = _mm256_add_ps(
-          acc2, _mm256_mul_ps(vav, _mm256_loadu_ps(brow + 16)));
-      acc3 = _mm256_add_ps(
-          acc3, _mm256_mul_ps(vav, _mm256_loadu_ps(brow + 24)));
+                           Term(unit, a[p], _mm256_loadu_ps(brow + 8)));
+      acc2 = _mm256_add_ps(acc2,
+                           Term(unit, a[p], _mm256_loadu_ps(brow + 16)));
+      acc3 = _mm256_add_ps(acc3,
+                           Term(unit, a[p], _mm256_loadu_ps(brow + 24)));
     });
     _mm256_storeu_ps(c + j, acc0);
     _mm256_storeu_ps(c + j + 8, acc1);
@@ -212,15 +241,15 @@ void Avx2Gemv(const float* a, const float* b, size_t k, size_t n,
   }
   for (; j + 8 <= n; j += 8) {
     __m256 acc = _mm256_setzero_ps();
-    ForEachNonzero(a, k, [&](size_t p) {
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a[p]),
-                                             _mm256_loadu_ps(b + p * n + j)));
+    ForEachNonzero(a, k, [&](size_t p, auto unit) {
+      acc = _mm256_add_ps(
+          acc, Term(unit, a[p], _mm256_loadu_ps(b + p * n + j)));
     });
     _mm256_storeu_ps(c + j, acc);
   }
   if (j < n) {
     for (size_t jj = j; jj < n; ++jj) c[jj] = 0.0f;
-    ForEachNonzero(a, k, [&](size_t p) {
+    ForEachNonzero(a, k, [&](size_t p, auto) {
       const float av = a[p];
       const float* brow = b + p * n;
       for (size_t jj = j; jj < n; ++jj) c[jj] += av * brow[jj];

@@ -8,6 +8,7 @@
 #if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__)
 
 #include <bit>
+#include <type_traits>
 
 #include <immintrin.h>
 
@@ -147,26 +148,55 @@ void Avx512Dot8(const float* a, const float* b, size_t ldb, size_t k,
   _mm256_storeu_ps(out, acc);
 }
 
-/// Calls visit(p) for every p in [0, k) whose a[p] is not 0.0f, in
-/// ascending p. One unordered not-equal compare marks the nonzero
-/// inputs of each 16-float chunk and a tzcnt loop walks the mask, so
-/// the zero skip costs no data-dependent branch per input (featurized
-/// values are near-random 0/1 patterns, which defeat branch prediction).
-/// The predicate is exactly the scalar `!(a[p] == 0.0f)`: -0.0f is
-/// skipped like 0.0f, and NaN (unordered) is visited. The masked load
-/// never touches a[k..].
+/// Calls visit(p, unit) for every p in [0, k) whose a[p] is not 0.0f,
+/// in ascending p, 64 inputs per block: four unordered not-equal
+/// compares against 0.0f build the block's 64-bit nonzero mask and a
+/// tzcnt loop walks it, so the zero skip costs no data-dependent branch
+/// per input (featurized values are near-random 0/1 patterns, which
+/// defeat branch prediction). The predicate is exactly the scalar
+/// `!(a[p] == 0.0f)`: -0.0f is skipped like 0.0f, and NaN (unordered) is
+/// visited. `unit` is std::true_type when every nonzero input of the
+/// block is exactly 1.0f — a NaN or any other value makes it
+/// std::false_type — so the visitor can drop the multiply (see
+/// kernels.h). Masked loads never touch a[k..].
 template <typename Visit>
 inline void ForEachNonzero(const float* a, size_t k, Visit&& visit) {
   const __m512 zero = _mm512_setzero_ps();
-  for (size_t p0 = 0; p0 < k; p0 += 16) {
-    const __mmask16 live =
-        k - p0 >= 16 ? static_cast<__mmask16>(0xFFFF) : TailMask16(k - p0);
-    uint32_t nz = _mm512_cmp_ps_mask(_mm512_maskz_loadu_ps(live, a + p0),
-                                     zero, _CMP_NEQ_UQ);
-    while (nz != 0) {
-      visit(p0 + static_cast<size_t>(std::countr_zero(nz)));
-      nz &= nz - 1;
+  const __m512 one = _mm512_set1_ps(1.0f);
+  for (size_t p0 = 0; p0 < k; p0 += 64) {
+    const size_t len = k - p0 < 64 ? k - p0 : 64;
+    uint64_t nz = 0;
+    uint64_t not_one = 0;
+    for (size_t q = 0; q < len; q += 16) {
+      const __mmask16 live = len - q >= 16 ? static_cast<__mmask16>(0xFFFF)
+                                           : TailMask16(len - q);
+      const __m512 v = _mm512_maskz_loadu_ps(live, a + p0 + q);
+      const __mmask16 nzq = _mm512_cmp_ps_mask(v, zero, _CMP_NEQ_UQ);
+      nz |= uint64_t{nzq} << q;
+      not_one |= uint64_t{_mm512_mask_cmp_ps_mask(nzq, v, one, _CMP_NEQ_UQ)}
+                 << q;
     }
+    auto walk = [&](auto unit) {
+      for (; nz != 0; nz &= nz - 1) {
+        visit(p0 + static_cast<size_t>(std::countr_zero(nz)), unit);
+      }
+    };
+    if (not_one == 0) {
+      walk(std::true_type{});
+    } else {
+      walk(std::false_type{});
+    }
+  }
+}
+
+/// One gemv term: a[p] * w as the scalar tier rounds it, or w itself for
+/// a block of exactly-1.0f inputs (1.0f * w == w for every float w).
+template <bool kUnit>
+inline __m512 Term(std::bool_constant<kUnit>, float av, __m512 w) {
+  if constexpr (kUnit) {
+    return w;
+  } else {
+    return _mm512_mul_ps(_mm512_set1_ps(av), w);
   }
 }
 
@@ -174,25 +204,24 @@ void Avx512Gemv(const float* a, const float* b, size_t k, size_t n,
                 float* c) {
   // Column tiles of 64 floats (4 zmm accumulators held across the whole
   // k-loop), then masked 16-wide steps for the tail. Per-element math is
-  // ascending-p mul-then-add with zero a[p] skipped — bit-identical to
-  // the scalar reference.
+  // ascending-p mul-then-add with zero a[p] skipped (the multiply
+  // dropped where it is by exactly 1.0f) — bit-identical to the scalar
+  // reference.
   size_t j = 0;
   for (; j + 64 <= n; j += 64) {
     __m512 acc0 = _mm512_setzero_ps();
     __m512 acc1 = _mm512_setzero_ps();
     __m512 acc2 = _mm512_setzero_ps();
     __m512 acc3 = _mm512_setzero_ps();
-    ForEachNonzero(a, k, [&](size_t p) {
-      const __m512 vav = _mm512_set1_ps(a[p]);
+    ForEachNonzero(a, k, [&](size_t p, auto unit) {
       const float* brow = b + p * n + j;
-      acc0 = _mm512_add_ps(acc0,
-                           _mm512_mul_ps(vav, _mm512_loadu_ps(brow)));
-      acc1 = _mm512_add_ps(
-          acc1, _mm512_mul_ps(vav, _mm512_loadu_ps(brow + 16)));
-      acc2 = _mm512_add_ps(
-          acc2, _mm512_mul_ps(vav, _mm512_loadu_ps(brow + 32)));
-      acc3 = _mm512_add_ps(
-          acc3, _mm512_mul_ps(vav, _mm512_loadu_ps(brow + 48)));
+      acc0 = _mm512_add_ps(acc0, Term(unit, a[p], _mm512_loadu_ps(brow)));
+      acc1 = _mm512_add_ps(acc1,
+                           Term(unit, a[p], _mm512_loadu_ps(brow + 16)));
+      acc2 = _mm512_add_ps(acc2,
+                           Term(unit, a[p], _mm512_loadu_ps(brow + 32)));
+      acc3 = _mm512_add_ps(acc3,
+                           Term(unit, a[p], _mm512_loadu_ps(brow + 48)));
     });
     _mm512_storeu_ps(c + j, acc0);
     _mm512_storeu_ps(c + j + 16, acc1);
@@ -203,9 +232,9 @@ void Avx512Gemv(const float* a, const float* b, size_t k, size_t n,
     const __mmask16 m =
         n - j >= 16 ? static_cast<__mmask16>(0xFFFF) : TailMask16(n - j);
     __m512 acc = _mm512_setzero_ps();
-    ForEachNonzero(a, k, [&](size_t p) {
-      __m512 bv = _mm512_maskz_loadu_ps(m, b + p * n + j);
-      acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(a[p]), bv));
+    ForEachNonzero(a, k, [&](size_t p, auto unit) {
+      acc = _mm512_add_ps(
+          acc, Term(unit, a[p], _mm512_maskz_loadu_ps(m, b + p * n + j)));
     });
     _mm512_mask_storeu_ps(c + j, m, acc);
   }

@@ -36,12 +36,16 @@ Matrix Dense::Forward(const Matrix& x) {
 }
 
 Matrix Dense::Backward(const Matrix& dy) {
-  // dW += X^T dY ; db += colsum(dY) ; dX = dY W^T.
+  AccumulateParamGrads(dy);
+  return MatMulTransB(dy, w_.value);
+}
+
+void Dense::AccumulateParamGrads(const Matrix& dy) {
+  // dW += X^T dY ; db += colsum(dY).
   Matrix dw = MatMulTransA(x_cache_, dy);
   AddInPlace(w_.grad, dw);
   std::vector<float> db = ColSums(dy);
   for (size_t j = 0; j < db.size(); ++j) b_.grad(0, j) += db[j];
-  return MatMulTransB(dy, w_.value);
 }
 
 void Dense::Step(const AdamConfig& cfg, int t) {

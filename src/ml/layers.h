@@ -68,7 +68,13 @@ class Dense : public Layer {
   Dense(size_t in, size_t out, Rng& rng);
 
   Matrix Forward(const Matrix& x) override;
+  /// AccumulateParamGrads, then returns dL/dX = dY W^T.
   Matrix Backward(const Matrix& dy) override;
+  /// The parameter half of Backward: dW += X^T dY, db += colsum(dY),
+  /// without the dY W^T product. For an input layer whose dL/dX nothing
+  /// reads (the VAE encoder's), that product is the costliest part of
+  /// the backward pass.
+  void AccumulateParamGrads(const Matrix& dy);
   void Step(const AdamConfig& cfg, int t) override;
   void ZeroGrad() override;
   size_t ParamCount() const override { return w_.size() + b_.size(); }

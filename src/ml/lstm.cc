@@ -90,7 +90,7 @@ Matrix Lstm::Predict(const Matrix& x) {
 std::vector<float> Lstm::PredictOne(const std::vector<float>& window) {
   Matrix x(1, window.size(), window);
   Matrix y = Predict(x);
-  return y.data();
+  return {y.data().begin(), y.data().end()};
 }
 
 double Lstm::TrainBatch(const Matrix& x, const Matrix& y) {

@@ -225,7 +225,7 @@ void Axpy(Matrix& a, const Matrix& b, float scale) {
   Ops().axpy_f32(a.data().data(), b.data().data(), scale, a.size());
 }
 
-void AddRowVector(Matrix& a, const std::vector<float>& bias) {
+void AddRowVector(Matrix& a, std::span<const float> bias) {
   assert(bias.size() == a.cols());
   const KernelOps& kern = Ops();
   for (size_t i = 0; i < a.rows(); ++i) {

@@ -63,11 +63,8 @@ Matrix SigmoidAll(const Matrix& logits) {
 }  // namespace
 
 Vae::Vae(const VaeConfig& config) : config_(config), rng_(config.seed) {
-  auto enc_in = std::make_unique<Dense>(config.input_dim,
-                                        config.hidden_dim, rng_);
-  enc_in_ = enc_in.get();
-  encoder_body_.Add(std::move(enc_in));
-  encoder_body_.Add(std::make_unique<Relu>());
+  enc_in_ =
+      std::make_unique<Dense>(config.input_dim, config.hidden_dim, rng_);
   mu_head_ =
       std::make_unique<Dense>(config.hidden_dim, config.latent_dim, rng_);
   logvar_head_ =
@@ -80,7 +77,7 @@ Vae::Vae(const VaeConfig& config) : config_(config), rng_(config.seed) {
 }
 
 void Vae::EncodeForward(const Matrix& x, Matrix* mu, Matrix* logvar) {
-  Matrix h = encoder_body_.Forward(x);
+  Matrix h = enc_relu_.Forward(enc_in_->Forward(x));
   *mu = mu_head_->Forward(h);
   *logvar = logvar_head_->Forward(h);
   for (auto& v : logvar->data()) v = std::clamp(v, kLogvarMin, kLogvarMax);
@@ -185,15 +182,17 @@ Vae::BatchLoss Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts) {
 
   Matrix dh = mu_head_->Backward(dmu);
   AddInPlace(dh, logvar_head_->Backward(dlogvar));
-  encoder_body_.Backward(dh);
+  // Nothing reads dL/dx, so the input layer accumulates its parameter
+  // gradients only.
+  enc_in_->AccumulateParamGrads(enc_relu_.Backward(dh));
 
   // ---- Update ----
   ++step_;
-  encoder_body_.Step(config_.adam, step_);
+  enc_in_->Step(config_.adam, step_);
   mu_head_->Step(config_.adam, step_);
   logvar_head_->Step(config_.adam, step_);
   decoder_.Step(config_.adam, step_);
-  encoder_body_.ZeroGrad();
+  enc_in_->ZeroGrad();
   mu_head_->ZeroGrad();
   logvar_head_->ZeroGrad();
   decoder_.ZeroGrad();
@@ -289,7 +288,8 @@ double Vae::PredictFlops() const {
 }
 
 double Vae::TrainStepFlops(size_t batch) const {
-  double fwd = encoder_body_.ForwardFlops(batch) +
+  double fwd = enc_in_->ForwardFlops(batch) +
+               enc_relu_.ForwardFlops(batch) +
                mu_head_->ForwardFlops(batch) +
                logvar_head_->ForwardFlops(batch) +
                decoder_.ForwardFlops(batch);
@@ -297,7 +297,7 @@ double Vae::TrainStepFlops(size_t batch) const {
 }
 
 size_t Vae::ParamCount() const {
-  return encoder_body_.ParamCount() + mu_head_->ParamCount() +
+  return enc_in_->ParamCount() + mu_head_->ParamCount() +
          logvar_head_->ParamCount() + decoder_.ParamCount();
 }
 

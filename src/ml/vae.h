@@ -111,6 +111,10 @@ class Vae {
 
   size_t ParamCount() const;
 
+  /// The encoder's input-layer weights (input_dim x hidden_dim): the
+  /// matrix every write-path encode streams, one row per nonzero input.
+  const Matrix& encoder_weights() const { return enc_in_->weights().value; }
+
  private:
   /// Forward pass through the encoder caching layer state; outputs mu and
   /// logvar (clamped to [-8, 8] for stability).
@@ -118,11 +122,11 @@ class Vae {
 
   VaeConfig config_;
   Rng rng_;
-  Sequential encoder_body_;
-  /// The encoder body's Dense layer (borrowed from encoder_body_) — the
-  /// direct handle EncodeMuInto uses to reach the weights without the
+  /// The encoder body, input layer then ReLU, feeding both heads.
+  /// EncodeMuInto reads enc_in_'s weights directly, without the
   /// Layer::Forward caching machinery.
-  Dense* enc_in_ = nullptr;
+  std::unique_ptr<Dense> enc_in_;
+  Relu enc_relu_;
   std::unique_ptr<Dense> mu_head_;
   std::unique_ptr<Dense> logvar_head_;
   Sequential decoder_;

@@ -6,12 +6,14 @@
 #include "core/background_retrainer.h"
 
 #include <chrono>
+#include <cstdint>
 #include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "core/e2_model.h"
 #include "core/placement_engine.h"
 #include "core/store.h"
 #include "placement/clusterer.h"
@@ -197,6 +199,52 @@ TEST(BackgroundRetrainTest, EngineSwapsModelWithoutClientErrors) {
   // still holds the exact value that was placed there.
   EXPECT_EQ(rig.engine->pool().TotalFree(),
             kSegments - live.size());
+}
+
+bool ServingEncoderAligned(PlacementEngine& engine) {
+  const ml::Matrix& w =
+      dynamic_cast<E2Model&>(engine.clusterer()).vae().encoder_weights();
+  return reinterpret_cast<uintptr_t>(w.Row(0)) % 64 == 0;
+}
+
+TEST(BackgroundRetrainTest, ServingEncoderWeightsStayCacheLineAligned) {
+  // Every PUT's encode streams the serving encoder's weight rows; they
+  // must start on a cache line after the bootstrap Train, after a
+  // shadow model swaps in, and after an incremental PartialFit.
+  E2ModelConfig mc;
+  mc.input_dim = kBits;
+  mc.k = 4;
+  mc.hidden_dim = 64;
+  mc.latent_dim = 4;
+  mc.pretrain_epochs = 2;
+  mc.finetune_rounds = 1;
+  mc.kmeans_iters = 10;
+  E2Model model(mc);
+  PlacementEngine::Config ec;
+  ec.auto_retrain = true;
+  ec.retrain.min_free_per_cluster = 24;
+  Rig rig(&model, ec);
+  auto ds = ClusteredData(kSegments + 64);
+  rig.SeedWith(ds);
+  rig.engine->EnableBackgroundRetrain();
+  ASSERT_TRUE(rig.engine->Bootstrap().ok());
+  EXPECT_TRUE(ServingEncoderAligned(*rig.engine)) << "after Train";
+
+  for (size_t i = 0; i < kSegments / 2 &&
+                     rig.engine->model_generation() == 0;
+       ++i) {
+    ASSERT_TRUE(rig.engine->Place(ds.items[i]).ok()) << "Place " << i;
+    for (int w = 0; w < 10000 && rig.engine->RetrainInFlight(); ++w) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    rig.engine->PumpBackgroundRetrain();
+  }
+  ASSERT_GE(rig.engine->model_generation(), 1u) << "no shadow swapped in";
+  EXPECT_TRUE(ServingEncoderAligned(*rig.engine)) << "after a shadow swap";
+
+  auto& serving = dynamic_cast<E2Model&>(rig.engine->clusterer());
+  ASSERT_TRUE(serving.PartialFit(ContentsOf(ds, 16)).ok());
+  EXPECT_TRUE(ServingEncoderAligned(*rig.engine)) << "after PartialFit";
 }
 
 TEST(BackgroundRetrainTest, FailedShadowTrainingBacksOff) {

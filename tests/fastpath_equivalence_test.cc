@@ -17,6 +17,7 @@
 //    engine memoized against ReferenceCluster of the segment's current
 //    content.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -92,7 +93,8 @@ E2ModelConfig ModelConfig() {
 /// It shares no scratch kernel and no fused assignment with the engine.
 size_t ReferenceCluster(E2Model& model, const float* row) {
   const size_t dim = model.config().input_dim;
-  const ml::Matrix x(1, dim, std::vector<float>(row, row + dim));
+  ml::Matrix x(1, dim);
+  std::copy(row, row + dim, x.Row(0));
   const ml::Matrix z = model.vae().EncodeMu(x);
   return model.kmeans().Predict(z.Row(0), z.cols());
 }

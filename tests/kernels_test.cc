@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -192,16 +197,48 @@ TEST(KernelsTest, Dot8MatchesScalarBitwise) {
 /// filled with ±inf, so a tier that multiplied a zero it should have
 /// skipped would turn its outputs into NaN (0 * inf) and fail the
 /// comparison: the skip itself, not just the sum, is under test.
-enum class GemvInput { kMixed, kAllZero, kNoZero, kWithNaN };
+///
+/// kBinary inputs are 0, -0 and 1.0 only, like a featurized encode, so
+/// every 64-input block takes the SIMD tiers' no-multiply path. The B
+/// rows under its 1.0 inputs hold -0.0f, denormal and ±inf columns,
+/// which must come through that path exactly as through a multiply by
+/// 1.0f. GemvCase::odd puts one other nonzero into a kBinary input; its
+/// block must then go back to the multiply path.
+enum class GemvInput { kMixed, kAllZero, kNoZero, kWithNaN, kBinary };
 
-void FillGemvInputs(GemvInput kind, size_t k, size_t n, Rng& rng,
+struct GemvCase {
+  GemvInput kind;
+  /// kBinary only: a[odd_at] = odd when odd != 0.0f.
+  float odd = 0.0f;
+  size_t odd_at = 0;
+};
+
+/// One B entry under a 1.0f input of a kBinary pattern: -0.0f, a signed
+/// denormal, an infinity of the column's fixed sign, or a plain value.
+float UnitRowEntry(size_t j, Rng& rng) {
+  switch (j % 5) {
+    case 0:
+      return -0.0f;
+    case 1: {
+      const float d = std::numeric_limits<float>::denorm_min() *
+                      static_cast<float>(1 + rng.NextBounded(1u << 20));
+      return rng.NextU64() % 2 == 0 ? d : -d;
+    }
+    case 2:
+      return (j / 5) % 2 == 0 ? INFINITY : -INFINITY;
+    default:
+      return rng.NextFloat() * 2.0f - 1.0f;
+  }
+}
+
+void FillGemvInputs(const GemvCase& gc, size_t k, size_t n, Rng& rng,
                     std::vector<float>* a, std::vector<float>* b) {
   a->assign(k, 0.0f);
   b->assign(k * n, 0.0f);
   for (size_t p = 0; p < k; ++p) {
     const float r = rng.NextFloat();
     float& v = (*a)[p];
-    switch (kind) {
+    switch (gc.kind) {
       case GemvInput::kMixed:
       case GemvInput::kWithNaN:
         v = r < 0.2f   ? 0.0f
@@ -215,52 +252,124 @@ void FillGemvInputs(GemvInput kind, size_t k, size_t n, Rng& rng,
       case GemvInput::kNoZero:
         v = r < 0.5f ? 1.0f : r + 0.25f;
         break;
+      case GemvInput::kBinary:
+        v = r < 0.35f ? 0.0f : r < 0.5f ? -0.0f : 1.0f;
+        break;
     }
     for (size_t j = 0; j < n; ++j) {
-      (*b)[p * n + j] = v == 0.0f ? (j % 2 == 0 ? INFINITY : -INFINITY)
-                                  : rng.NextFloat() * 2.0f - 1.0f;
+      float& w = (*b)[p * n + j];
+      if (v == 0.0f) {
+        w = j % 2 == 0 ? INFINITY : -INFINITY;
+      } else if (gc.kind == GemvInput::kBinary) {
+        w = UnitRowEntry(j, rng);
+      } else {
+        w = rng.NextFloat() * 2.0f - 1.0f;
+      }
     }
   }
-  if (kind == GemvInput::kWithNaN && k > 0) {
-    const size_t p = rng.NextU64() % k;
-    (*a)[p] = NAN;
-    for (size_t j = 0; j < n; ++j) (*b)[p * n + j] = rng.NextFloat();
+  size_t odd_at = gc.odd_at;
+  float odd = gc.odd;
+  if (gc.kind == GemvInput::kWithNaN && k > 0) {
+    odd_at = rng.NextU64() % k;
+    odd = NAN;
+  }
+  if (odd != 0.0f) {  // NaN included.
+    (*a)[odd_at] = odd;
+    for (size_t j = 0; j < n; ++j) (*b)[odd_at * n + j] = rng.NextFloat();
   }
 }
+
+/// Where a kBinary pattern's one other nonzero goes: the first 64-input
+/// block, a middle block, the last full block and the partial k-tail
+/// block (the ones that exist for this k).
+std::vector<size_t> OddPositions(size_t k) {
+  if (k == 0) return {};
+  const size_t blocks = (k + 63) / 64;
+  std::vector<size_t> at = {std::min<size_t>(5, k - 1),
+                            std::min(k - 1, blocks / 2 * 64 + 33)};
+  if (k >= 64) at.push_back(k / 64 * 64 - 1);
+  if (k % 64 != 0) at.push_back(k - 1);
+  return at;
+}
+
+std::vector<GemvCase> GemvCases(size_t k) {
+  std::vector<GemvCase> cases = {
+      {GemvInput::kMixed},   {GemvInput::kAllZero}, {GemvInput::kNoZero},
+      {GemvInput::kWithNaN}, {GemvInput::kBinary}};
+  for (float odd : {-1.0f, 0.5f, std::nextafter(1.0f, 2.0f),
+                    std::numeric_limits<float>::quiet_NaN()}) {
+    for (size_t at : OddPositions(k)) {
+      cases.push_back({GemvInput::kBinary, odd, at});
+    }
+  }
+  return cases;
+}
+
+/// A copy of `src` placed `offset` floats past a 64-byte boundary, in a
+/// block that ends right after its last float, so a read past it trips
+/// ASan.
+class OffsetFloats {
+ public:
+  OffsetFloats(const std::vector<float>& src, size_t offset) {
+    void* block = nullptr;
+    const size_t floats = std::max<size_t>(offset + src.size(), 1);
+    if (posix_memalign(&block, 64, floats * sizeof(float)) != 0) {
+      throw std::bad_alloc();
+    }
+    block_.reset(static_cast<float*>(block));
+    data_ = block_.get() + offset;
+    std::copy(src.begin(), src.end(), data_);
+  }
+  const float* data() const { return data_; }
+
+ private:
+  struct Free {
+    void operator()(float* p) const { std::free(p); }
+  };
+  std::unique_ptr<float, Free> block_;
+  float* data_;
+};
 
 TEST(KernelsTest, GemvMatchesScalarBitwise) {
   const KernelOps& ref = *OpsFor(SimdLevel::kScalar);
   Rng rng(41);
-  for (SimdLevel level : AvailableLevels()) {
-    const KernelOps& ops = *OpsFor(level);
-    // n sweeps every tail shape of the 64/16 (avx512) and 32/8 (avx2)
-    // column tiling; k sweeps every tail of the 16-wide (avx512) and
-    // 8-wide (avx2) nonzero-mask chunks, up to a 2048-bit encode; k == 0
-    // must yield all zeros. `a` is exactly k floats, so a chunk that
-    // reads past a[k - 1] trips ASan.
-    for (size_t n : {0u,  1u,  7u,  8u,  9u,  15u,  16u,  17u, 31u,
-                     32u, 33u, 63u, 64u, 65u, 127u, 128u, 257u}) {
-      for (size_t k : {0u, 1u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 33u,
-                       64u, 129u, 2048u}) {
-        for (GemvInput kind : {GemvInput::kMixed, GemvInput::kAllZero,
-                               GemvInput::kNoZero, GemvInput::kWithNaN}) {
-          std::vector<float> a, b;
-          FillGemvInputs(kind, k, n, rng, &a, &b);
-          std::vector<float> got(n + 4, -3.0f), want(n + 4, -3.0f);
-          ops.gemv_f32(a.data(), b.data(), k, n, got.data());
-          ref.gemv_f32(a.data(), b.data(), k, n, want.data());
-          // A NaN input must be visited, not dropped as "unordered": the
-          // outputs the scalar tier makes NaN must be NaN (payloads may
-          // differ); every other float, the slack included, bit for bit.
-          for (size_t j = 0; j < got.size(); ++j) {
-            if (std::isnan(want[j])) {
-              ASSERT_TRUE(std::isnan(got[j]))
+  // n sweeps every tail shape of the 64/16 (avx512) and 32/8 (avx2)
+  // column tiling; k sweeps every tail of the tiers' 64-input mask
+  // blocks and of the 16-wide (avx512) and 8-wide (avx2) compares inside
+  // them, up to a 2048-bit encode; k == 0 must yield all zeros. `a` and
+  // `b` start 0..15 floats past a cache line and `a` is exactly k floats
+  // long, so a block that reads past a[k - 1] trips ASan.
+  for (size_t n : {0u,  1u,  7u,  8u,  9u,  15u,  16u,  17u, 31u,
+                   32u, 33u, 63u, 64u, 65u, 127u, 128u, 257u}) {
+    for (size_t k : {0u,  1u,  3u,   7u,   8u,   9u,   15u,  16u,
+                     17u, 31u, 33u,  63u,  64u,  65u,  127u, 128u,
+                     129u, 130u, 2048u}) {
+      for (const GemvCase& gc : GemvCases(k)) {
+        std::vector<float> a, b;
+        FillGemvInputs(gc, k, n, rng, &a, &b);
+        std::vector<float> want(n + 4, -3.0f);
+        ref.gemv_f32(a.data(), b.data(), k, n, want.data());
+        for (size_t offset = 0; offset < 16; ++offset) {
+          const OffsetFloats a_at(a, offset), b_at(b, offset);
+          for (SimdLevel level : AvailableLevels()) {
+            if (level == SimdLevel::kScalar) continue;
+            std::vector<float> got(n + 4, -3.0f);
+            OpsFor(level)->gemv_f32(a_at.data(), b_at.data(), k, n,
+                                    got.data());
+            // A NaN input must be visited, not dropped as "unordered":
+            // the outputs the scalar tier makes NaN must be NaN (payloads
+            // may differ); every other float, the slack included, bit for
+            // bit.
+            for (size_t j = 0; j < got.size(); ++j) {
+              const bool same =
+                  std::isnan(want[j])
+                      ? std::isnan(got[j])
+                      : BytesEqual(&got[j], &want[j], sizeof(float));
+              ASSERT_TRUE(same)
                   << SimdLevelName(level) << " gemv k=" << k << " n=" << n
-                  << " kind=" << static_cast<int>(kind) << " j=" << j;
-            } else {
-              ASSERT_TRUE(BytesEqual(&got[j], &want[j], sizeof(float)))
-                  << SimdLevelName(level) << " gemv k=" << k << " n=" << n
-                  << " kind=" << static_cast<int>(kind) << " j=" << j
+                  << " kind=" << static_cast<int>(gc.kind)
+                  << " odd=" << gc.odd << "@" << gc.odd_at
+                  << " offset=" << offset << " j=" << j
                   << " got=" << got[j] << " want=" << want[j];
             }
           }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 namespace e2nvm::ml {
 namespace {
 
@@ -80,7 +84,8 @@ TEST(MatrixTest, AddAndAxpy) {
 
 TEST(MatrixTest, AddRowVector) {
   Matrix a = M({{1, 2}, {3, 4}});
-  AddRowVector(a, {10, 20});
+  const std::vector<float> bias = {10, 20};
+  AddRowVector(a, bias);
   ExpectMatrixNear(a, M({{11, 22}, {13, 24}}));
 }
 
@@ -110,6 +115,38 @@ TEST(MatrixTest, XavierInitBounded) {
     if (v != 0) nonzero = true;
   }
   EXPECT_TRUE(nonzero);
+}
+
+bool CacheLineAligned(const Matrix& m) {
+  return reinterpret_cast<uintptr_t>(m.Row(0)) % 64 == 0;
+}
+
+TEST(MatrixTest, StorageIsCacheLineAligned) {
+  // Payloads from 4 bytes to 8 KiB, several of them not a multiple of
+  // malloc's 16-byte alignment.
+  for (size_t cols : {1u, 3u, 4u, 10u, 17u, 64u, 2048u}) {
+    Matrix zeros(3, cols);
+    EXPECT_TRUE(CacheLineAligned(zeros)) << "(rows, cols) cols=" << cols;
+    Matrix from_data(1, cols, std::vector<float>(cols, 2.0f));
+    EXPECT_TRUE(CacheLineAligned(from_data)) << "(data) cols=" << cols;
+
+    Matrix grown(1, 1);
+    for (size_t rows = 2; rows <= 9; ++rows) {
+      grown.EnsureShape(rows, cols);
+      EXPECT_TRUE(CacheLineAligned(grown))
+          << "EnsureShape " << rows << "x" << cols;
+    }
+    Matrix copy = zeros;
+    EXPECT_TRUE(CacheLineAligned(copy)) << "copy cols=" << cols;
+    Matrix assigned(1, 1);
+    assigned = from_data;
+    EXPECT_TRUE(CacheLineAligned(assigned)) << "copy-assign cols=" << cols;
+    Matrix moved = std::move(copy);
+    EXPECT_TRUE(CacheLineAligned(moved)) << "move cols=" << cols;
+    assigned = std::move(moved);
+    EXPECT_TRUE(CacheLineAligned(assigned)) << "move-assign cols=" << cols;
+    EXPECT_EQ(assigned.size(), 3 * cols);
+  }
 }
 
 TEST(MatrixTest, CopyRowFrom) {
