@@ -528,7 +528,6 @@ struct ShardedOpsResult {
   double put_p99_us = 0;
   double put_p999_us = 0;
   uint64_t background_retrains = 0;
-  size_t batch = 0;
 };
 
 /// True when the configuration oversubscribes the machine: more client
@@ -590,25 +589,16 @@ ShardedOpsResult RunShardedBench(size_t num_shards, size_t client_threads,
   }
 
   // Pre-build each shard's MultiPut batches outside the timed region.
-  // A batch must fit in the shard's free headroom: MultiPut places the
-  // whole batch before recycling superseded addresses, so it needs
-  // batch-many free segments even when every key is an update. On top of
-  // that, keep the transient dip (headroom - batch free segments, spread
-  // over the model's clusters) above the retrain floor, or the mid-batch
-  // MinClusterFree check would fire a background retrain on a state the
-  // recycling at the end of the batch immediately repairs.
+  // MultiPut recycles each update's old address as its row lands, so a
+  // batch of updates never needs more free segments than one Put.
   ShardedOpsResult r;
-  const size_t headroom = cfg.shard.num_segments - keys_per_shard;
-  const size_t dip_reserve = 2 * cfg.shard.model.k *
-                             cfg.shard.retrain.min_free_per_cluster;
-  r.batch = std::min(p.batch, headroom - std::min(headroom / 2, dip_reserve));
   const uint64_t puts_per_shard = p.puts / num_shards;
   std::vector<std::vector<std::vector<std::pair<uint64_t, BitVector>>>>
       batches(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     for (uint64_t i = 0; i < puts_per_shard;) {
       std::vector<std::pair<uint64_t, BitVector>> kvs;
-      for (size_t j = 0; j < r.batch && i < puts_per_shard; ++j, ++i) {
+      for (size_t j = 0; j < p.batch && i < puts_per_shard; ++j, ++i) {
         kvs.emplace_back(shard_keys[s][i % keys_per_shard],
                          ds.items[i % ds.items.size()]);
       }
@@ -751,7 +741,7 @@ void WriteOpsJson(const char* path, unsigned threads, size_t batch,
   jw.BeginObject("sharded_put");
   jw.Field("shards", shards);
   jw.Field("client_threads", client_threads);
-  jw.Field("batch_size", sharded.batch);
+  jw.Field("batch_size", batch);
   jw.Field("put_ops_per_s", sharded.put_ops_s, 1);
   jw.Field("get_ops_per_s", sharded.get_ops_s, 1);
   jw.Field("put_p50_us", sharded.put_p50_us);
@@ -776,7 +766,10 @@ void WriteOpsJson(const char* path, unsigned threads, size_t batch,
 // that grows is the parallelism the front-end can actually extract.
 // Every point records whether it oversubscribed the machine; on a 1-core
 // box every multi-thread point is flagged and the speedup gate in
-// scripts/check.sh skips them.
+// scripts/check.sh skips them. Every point also records the background
+// retrains it launched: a training timeslices against that point's
+// PUTs, so a point that launched fewer than the 1-shard baseline reads
+// its speedup against a slowed baseline.
 
 void RunScalingSweep(const char* path, size_t pool_threads) {
   constexpr size_t kShardCounts[] = {1, 2, 4, 8};
@@ -806,12 +799,13 @@ void RunScalingSweep(const char* path, size_t pool_threads) {
     jw.BeginObject();
     jw.Field("shards", shards);
     jw.Field("client_threads", shards);
-    jw.Field("batch_size", r.batch);
+    jw.Field("batch_size", MakeParams().batch);
     jw.Field("put_ops_per_s", r.put_ops_s, 1);
     jw.Field("get_ops_per_s", r.get_ops_s, 1);
     jw.Field("put_p50_us", r.put_p50_us);
     jw.Field("put_p99_us", r.put_p99_us);
     jw.Field("put_p999_us", r.put_p999_us);
+    jw.Field("background_retrains", r.background_retrains);
     jw.Field("speedup_vs_1shard", base > 0 ? r.put_ops_s / base : 0.0);
     jw.Field("undersubscribed", Undersubscribed(shards));
     jw.EndObject();

@@ -211,7 +211,7 @@ StatusOr<size_t> PlacementEngine::PredictClusterFor(const BitVector& value) {
 
 size_t PlacementEngine::ClassifySegment(uint64_t addr) {
   // Its own one-row scratch: a shadow swap re-predicts through here from
-  // inside PlaceMany's loop, while scratch_ still holds the staged batch.
+  // inside PlaceRows' loop, while scratch_ still holds the staged batch.
   ctrl_->PeekInto(addr, &peek_scratch_);
   segment_scratch_.in.EnsureShape(1, ctrl_->segment_bits());
   peek_scratch_.AppendFloatsTo(segment_scratch_.in.Row(0));
@@ -221,23 +221,14 @@ size_t PlacementEngine::ClassifySegment(uint64_t addr) {
 }
 
 StatusOr<uint64_t> PlacementEngine::Place(const BitVector& value) {
-  if (!bootstrapped_) {
-    return Status::FailedPrecondition("engine not bootstrapped");
-  }
-  if (value.size() > ctrl_->segment_bits()) {
-    return Status::InvalidArgument("value wider than a segment");
-  }
-  StatusOr<size_t> cluster = PredictClusterFor(value);
-  if (!cluster.ok()) {
-    // Degraded mode: if the model cannot featurize the value (padder
-    // failure), fall back to first-free placement instead of surfacing
-    // the error to the client.
-    ++stats_.model_fallbacks;
-    E2_LOG(kWarning, "placement model unhealthy, using first-free: %s",
-           cluster.status().ToString().c_str());
-    return PlaceAt(value, 0, /*model_ok=*/false);
-  }
-  return PlaceAt(value, *cluster, /*model_ok=*/true);
+  const BitVector* row = &value;
+  uint64_t addr = 0;
+  auto keep = [](void* out, size_t, uint64_t a) {
+    *static_cast<uint64_t*>(out) = a;
+    return Status::Ok();
+  };
+  E2_RETURN_IF_ERROR(PlaceRows(&row, 1, keep, &addr));
+  return addr;
 }
 
 StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
@@ -317,42 +308,43 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
 Status PlacementEngine::PlaceMany(
     const std::vector<const BitVector*>& values,
     std::vector<uint64_t>* addrs) {
+  auto collect = [](void* out, size_t, uint64_t addr) {
+    static_cast<std::vector<uint64_t>*>(out)->push_back(addr);
+    return Status::Ok();
+  };
+  return PlaceRows(values.data(), values.size(), collect, addrs);
+}
+
+Status PlacementEngine::PlaceRows(const BitVector* const* values, size_t n,
+                                  RowPlaced on_row, void* ctx) {
   if (!bootstrapped_) {
     return Status::FailedPrecondition("engine not bootstrapped");
   }
   const size_t dim = ctrl_->segment_bits();
-  bool padded_narrow = false;
-  if (padder_ != nullptr) {
-    for (const BitVector* v : values) {
-      if (v->size() != dim) {
-        padded_narrow = true;
-        break;
-      }
-    }
-  }
-  if (padded_narrow) {
-    // Padding samples the live memory image, which every write in the
-    // batch mutates, so those features cannot be staged up front; the
-    // sequential loop produces the same placements, just unbatched.
-    return index::ValuePlacer::PlaceMany(values, addrs);
-  }
-
+  auto padded = [&](size_t i) {
+    return padder_ != nullptr && values[i]->size() != dim;
+  };
   size_t next = 0;  // Next value to place.
-  while (next < values.size()) {
+  while (next < n) {
     if (values[next]->size() > dim) {
       return Status::InvalidArgument("value wider than a segment");
     }
     // Stage the longest run of valid-width values as one batch: one
-    // featurize pass, one encoder GEMV per row, one fused assignment.
-    size_t end = next;
-    while (end < values.size() && values[end]->size() <= dim) ++end;
+    // featurize pass, one encoder GEMV per row, one fused assignment. A
+    // padded narrow value samples the memory image that earlier rows
+    // change, so it is a run of its own.
+    size_t end = next + 1;
+    while (end < n && !padded(next) && !padded(end) &&
+           values[end]->size() <= dim) {
+      ++end;
+    }
     size_t base = next;  // Value staged in scratch row 0.
     scratch_.in.EnsureShape(end - base, dim);
     scratch_.row_ok.assign(end - base, 1);
     for (size_t i = base; i < end; ++i) {
       Status s = FeaturizeInto(*values[i], scratch_.in.Row(i - base));
       if (!s.ok()) {
-        // Same degraded mode as Place: this value goes first-free.
+        // Degraded mode (padder failure): this value goes first-free.
         scratch_.row_ok[i - base] = 0;
         std::fill(scratch_.in.Row(i - base),
                   scratch_.in.Row(i - base) + dim, 0.0f);
@@ -371,22 +363,21 @@ Status PlacementEngine::PlaceMany(
       const bool model_ok = scratch_.row_ok[row] != 0;
       const size_t cluster = model_ok ? scratch_.clusters[row] : 0;
       // Charge at consumption time so a value placed after a mid-batch
-      // model change is billed exactly like its sequential counterpart
-      // (once, at the flops of the model that placed it).
+      // model change is billed exactly like a one-row run (once, at the
+      // flops of the model that placed it).
       if (model_ok) ChargePrediction();
       E2_ASSIGN_OR_RETURN(uint64_t addr,
                           PlaceAt(*values[next], cluster, model_ok));
-      addrs->push_back(addr);
+      E2_RETURN_IF_ERROR(on_row(ctx, next, addr));
       ++next;
       if (next < end &&
           (model_generation_ != gen || stats_.retrains != retrains ||
            stats_.refine_steps != refines)) {
         // The model changed mid-batch (sync retrain, shadow swap, or an
         // incremental refinement step): re-assign the remaining rows
-        // with the new model, exactly as sequential Places after the
-        // change would. Features are model-independent, so no
-        // re-featurize (and the running 1-ratio counters advance once
-        // per value, as in Place).
+        // with the new model, exactly as one-row runs after the change
+        // would. Features are model-independent, so no re-featurize (and
+        // the running 1-ratio counters advance once per value).
         const size_t remaining = end - next;
         for (size_t i = 0; i < remaining; ++i) {
           std::memmove(scratch_.in.Row(i),

@@ -88,8 +88,8 @@ struct EngineStats {
 ///
 /// ## Threading contract (external locking)
 ///
-/// The engine is **single-caller**: Place/PlaceMany/Release/WriteAt/
-/// Retrain/ExtendRegion/PumpBackgroundRetrain and the stats()/pool()
+/// The engine is **single-caller**: PlaceRows/Place/PlaceMany/Release/
+/// WriteAt/Retrain/ExtendRegion/PumpBackgroundRetrain and the stats()/pool()
 /// accessors must be serialized by the caller — they mutate and read
 /// unsynchronized state (`stats_` counters, the `placed_cluster_` memo,
 /// the inference scratch, the padding RNG and running 1-ratios, and the
@@ -169,9 +169,6 @@ class PlacementEngine : public index::ValuePlacer {
   /// retraining). Requires a prior Bootstrap.
   Status ExtendRegion(size_t extra);
 
-  /// True when the retrain policy wants a rebuild.
-  bool RetrainNeeded() const { return policy_.ShouldRetrain(pool_); }
-
   /// Switches auto-retraining to the background path: when the policy
   /// fires, Place snapshots the free segments, trains a shadow clusterer
   /// on a dedicated thread (kernels use ml::SetComputePool when
@@ -203,18 +200,27 @@ class PlacementEngine : public index::ValuePlacer {
   /// LSTM must outlive the engine.
   void SetPadder(const Padder* padder, ml::Lstm* lstm);
 
+  /// Called by PlaceRows right after row `row` lands at `addr`, before
+  /// the next row is placed. A non-OK status stops the batch.
+  using RowPlaced = Status (*)(void* ctx, size_t row, uint64_t addr);
+
+  /// The engine's one write path: places values[0..n) in order, handing
+  /// each row's address to `on_row(ctx, row, addr)`. Runs of rows share
+  /// one featurize + encode + fused assignment pass (§4.1.4's batching),
+  /// and the result equals n one-row calls with the same `on_row` work
+  /// between them: rows left after a mid-run retrain, refine step or
+  /// shadow swap are re-assigned, and a narrow value under a padder
+  /// (whose features sample the memory image) is staged alone when its
+  /// turn comes. Stops at the first failing row; the rows before it were
+  /// handed to `on_row`. Allocation-free once warm.
+  Status PlaceRows(const BitVector* const* values, size_t n,
+                   RowPlaced on_row, void* ctx);
+
   // --- index::ValuePlacer ---
   std::string_view name() const override;
+  /// A one-row PlaceRows.
   StatusOr<uint64_t> Place(const BitVector& value) override;
-  /// Batched placement (§4.1.4's batching remedy): featurizes the whole
-  /// run of values into one scratch matrix, runs the encoder GEMV over
-  /// each staged row and a single fused assignment pass, then
-  /// pops/writes per value in order. Placements are identical to
-  /// sequential Place calls: if the model retrains or a shadow swaps in
-  /// mid-batch, the not-yet-placed rows are re-assigned with the new
-  /// model, and configurations whose features depend on the live memory
-  /// image (a padder with narrow values) fall back to the sequential
-  /// loop.
+  /// PlaceRows collecting the addresses into `addrs`.
   Status PlaceMany(const std::vector<const BitVector*>& values,
                    std::vector<uint64_t>* addrs) override;
   Status Release(uint64_t addr) override;
@@ -228,8 +234,8 @@ class PlacementEngine : public index::ValuePlacer {
 
   /// Cluster the engine would choose for `value`: featurizes it (which
   /// advances the padding 1-ratios), charges one prediction and assigns
-  /// it. Place's first step, also used by tests. Fails when the value
-  /// cannot be featurized (padder failure).
+  /// it, as PlaceRows does for a one-row run. A probe for tests. Fails
+  /// when the value cannot be featurized (padder failure).
   StatusOr<size_t> PredictClusterFor(const BitVector& value);
 
   /// Replay ring of recently written segment images (empty capacity
@@ -275,9 +281,9 @@ class PlacementEngine : public index::ValuePlacer {
   /// peek_scratch_ and segment_scratch_, so it is allocation-free once
   /// warm and leaves a batch staged in scratch_ intact.
   size_t ClassifySegment(uint64_t addr);
-  /// The acquire/write loop of Place: pops addresses (of `cluster` when
-  /// model_ok) until a healthy write lands, then updates stats, the
-  /// placed-cluster memo, and the retrain policy.
+  /// The acquire/write step of one PlaceRows row: pops addresses (of
+  /// `cluster` when model_ok) until a healthy write lands, then updates
+  /// stats, the placed-cluster memo, and the retrain policy.
   StatusOr<uint64_t> PlaceAt(const BitVector& value, size_t cluster,
                              bool model_ok);
   /// Forgets every memoized placed cluster (model changed).
@@ -337,7 +343,7 @@ class PlacementEngine : public index::ValuePlacer {
   std::unique_ptr<placement::ContentClusterer> retired_clusterer_;
   uint64_t model_generation_ = 0;
   // Write-path inference scratch (see ml/inference.h): owned by the
-  // engine, reused across every Place/PlaceMany, allocation-free once
+  // engine, reused across every PlaceRows run, allocation-free once
   // warm. A DAP fill classifies through a short-lived local scratch
   // instead, so no region-sized matrix stays alive here.
   ml::InferenceScratch scratch_;

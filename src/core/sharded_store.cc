@@ -142,14 +142,19 @@ Status ShardedStore::MultiPutShardUnchecked(
     size_t s, const std::pair<uint64_t, BitVector>* kvs, size_t n) {
   std::lock_guard<std::mutex> lock(shard_mu_[s]);
   ml::ScopedComputePool kernels(shard_lane(s));
+  // Apply exactly the journaled prefix: a row the journal refuses, and
+  // every row after it, is neither logged nor applied.
+  size_t journaled = n;
+  Status logged = Status::Ok();
   if (journals_[s] != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      E2_RETURN_IF_ERROR(
-          JournalAppend(s, ShardJournal::Op::kPut, kvs[i].first,
-                        kvs[i].second));
+    for (journaled = 0; journaled < n; ++journaled) {
+      logged = JournalAppend(s, ShardJournal::Op::kPut, kvs[journaled].first,
+                             kvs[journaled].second);
+      if (!logged.ok()) break;
     }
   }
-  return shards_[s]->MultiPut(kvs, n);
+  E2_RETURN_IF_ERROR(shards_[s]->MultiPut(kvs, journaled));
+  return logged;
 }
 
 Status ShardedStore::MultiPutShard(size_t s,

@@ -30,7 +30,7 @@ struct ShardedStoreConfig {
   /// (ThreadPool) per shard — each lane gets max(1, pool_threads /
   /// num_shards) workers, so a shard's ML kernels and background
   /// retrains run only on its own lane and can never stall another
-  /// shard's PlaceMany. 0 = serial kernels and, when
+  /// shard's placements. 0 = serial kernels and, when
   /// `shard.background_retrain` is set, dedicated retrain threads.
   size_t pool_threads = 0;
 
@@ -116,9 +116,11 @@ class ShardedStore {
   /// shard `s`'s lock. This is the natural path for front-ends that
   /// group requests by destination themselves — net/server's
   /// per-connection ingest stages decoded PUTs into per-shard scratch
-  /// and submits each group here, so the zero-allocation PlaceMany batch
+  /// and submits each group here, so the zero-allocation MultiPut batch
   /// path *is* the network write path, with no per-batch vector
-  /// materialization in between.
+  /// materialization in between. With journaling on, a row the journal
+  /// refuses stops the batch: only the rows before it are journaled and
+  /// handed to the shard.
   Status MultiPutShard(size_t s, const std::pair<uint64_t, BitVector>* kvs,
                        size_t n);
 

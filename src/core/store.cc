@@ -128,15 +128,8 @@ void E2KvStore::Seed(const workload::BitDataset& contents) {
 Status E2KvStore::Bootstrap() { return engine_->Bootstrap(); }
 
 Status E2KvStore::Put(uint64_t key, const BitVector& value) {
-  E2_ASSIGN_OR_RETURN(uint64_t addr, engine_->Place(value));
-  auto old = tree_.Get(key);
-  tree_.Put(key, addr);
-  value_bits_[key] = value.size();
-  if (old.has_value()) {
-    // UPDATE: the previous location is recycled by content (Alg. 2).
-    E2_RETURN_IF_ERROR(engine_->Release(*old));
-  }
-  return Status::Ok();
+  const BitVector* row = &value;
+  return PutRows(&key, &row, 1);
 }
 
 Status E2KvStore::MultiPut(
@@ -147,28 +140,32 @@ Status E2KvStore::MultiPut(
 Status E2KvStore::MultiPut(const std::pair<uint64_t, BitVector>* kvs,
                            size_t n) {
   if (n == 0) return Status::Ok();
-  std::vector<const BitVector*>& values = mp_values_;
-  values.clear();
-  values.reserve(n);
-  for (size_t i = 0; i < n; ++i) values.push_back(&kvs[i].second);
-  std::vector<uint64_t>& addrs = mp_addrs_;
-  addrs.clear();
-  addrs.reserve(n);
-  Status placed = engine_->PlaceMany(values, &addrs);
-  // Index every value that made it, even when the batch failed part-way
-  // (addrs then covers a prefix of kvs).
-  for (size_t i = 0; i < addrs.size(); ++i) {
-    const auto& [key, value] = kvs[i];
-    auto old = tree_.Get(key);
-    tree_.Put(key, addrs[i]);
-    value_bits_[key] = value.size();
-    if (old.has_value()) {
-      // UPDATE: recycle the superseded location (Alg. 2). A key staged
-      // twice in one batch recycles its first placement here.
-      E2_RETURN_IF_ERROR(engine_->Release(*old));
-    }
+  mp_keys_.clear();
+  mp_values_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    mp_keys_.push_back(kvs[i].first);
+    mp_values_.push_back(&kvs[i].second);
   }
-  return placed;
+  return PutRows(mp_keys_.data(), mp_values_.data(), n);
+}
+
+Status E2KvStore::PutRows(const uint64_t* keys,
+                          const BitVector* const* values, size_t n) {
+  struct Rows {
+    E2KvStore* store;
+    const uint64_t* keys;
+    const BitVector* const* values;
+  } rows{this, keys, values};
+  // Index each row as it lands: an UPDATE recycles the superseded
+  // address by content (Alg. 2) before the next row is placed.
+  auto index_row = [](void* ctx, size_t i, uint64_t addr) {
+    const Rows& r = *static_cast<const Rows*>(ctx);
+    auto old = r.store->tree_.Get(r.keys[i]);
+    r.store->tree_.Put(r.keys[i], addr);
+    r.store->value_bits_[r.keys[i]] = r.values[i]->size();
+    return old ? r.store->engine_->Release(*old) : Status::Ok();
+  };
+  return engine_->PlaceRows(values, n, index_row, &rows);
 }
 
 StatusOr<BitVector> E2KvStore::Get(uint64_t key) {

@@ -130,15 +130,15 @@ class E2KvStore {
   /// Trains the model on the seeded contents and populates the DAP.
   Status Bootstrap();
 
-  /// Inserts or updates `key`. The value may be narrower than a segment.
+  /// Inserts or updates `key`: a one-row MultiPut. The value may be
+  /// narrower than a segment.
   Status Put(uint64_t key, const BitVector& value);
 
-  /// Batched insert/update (§4.1.4): stages every value, runs the
-  /// placement model once over the whole batch (one encoder GEMV per
-  /// value + one fused assignment), then writes in order. Per-key
-  /// results match sequential Puts, with one scheduling difference:
-  /// addresses freed by updates are recycled after the whole batch has
-  /// been placed, not interleaved between placements.
+  /// Batched insert/update (§4.1.4): runs the placement model once over
+  /// the batch (one encoder GEMV per value + one fused assignment), then
+  /// writes, indexes and recycles row by row (PlacementEngine::PlaceRows).
+  /// Addresses, flips, energy and retrains equal those of a loop of Puts.
+  /// Stops at the first failing row; the rows before it stay indexed.
   Status MultiPut(const std::vector<std::pair<uint64_t, BitVector>>& kvs);
 
   /// Span form of MultiPut — the entry point for callers that stage
@@ -181,6 +181,11 @@ class E2KvStore {
  private:
   explicit E2KvStore(const StoreConfig& config);
 
+  /// Put and MultiPut's one body: PlaceRows, indexing keys[i] (and
+  /// recycling the address it supersedes) as row i lands.
+  Status PutRows(const uint64_t* keys, const BitVector* const* values,
+                 size_t n);
+
   StoreConfig config_;
   nvm::EnergyMeter meter_;
   std::unique_ptr<ThreadPool> pool_;
@@ -197,8 +202,8 @@ class E2KvStore {
   // MultiPut staging scratch, reused across batches so steady-state
   // batched PUTs stay off the heap (safe under the store's single-caller
   // contract; MultiPut is not reentrant).
+  std::vector<uint64_t> mp_keys_;
   std::vector<const BitVector*> mp_values_;
-  std::vector<uint64_t> mp_addrs_;
 };
 
 }  // namespace e2nvm::core

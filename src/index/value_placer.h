@@ -31,9 +31,9 @@ class ValuePlacer {
   /// Places `values` as if Place were called on each in order, appending
   /// one address per value to `addrs`. On error, the addresses already
   /// appended belong to the values placed before the failure. The base
-  /// implementation is the sequential loop; placers with a batched
-  /// model (core::PlacementEngine) override it to run the inference for
-  /// the whole batch at once — with identical resulting placements.
+  /// implementation is the sequential loop; core::PlacementEngine runs
+  /// its one write path instead (PlaceRows: batched inference, the same
+  /// placements as the loop).
   virtual Status PlaceMany(const std::vector<const BitVector*>& values,
                            std::vector<uint64_t>* addrs);
 

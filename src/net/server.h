@@ -59,7 +59,7 @@ struct ServerConfig {
 /// batches first, so a pipeline observes its own writes in order; the
 /// end of the processing pass flushes whatever remains. Each flush
 /// submits one ShardedStore::MultiPutShard per touched shard — the
-/// zero-allocation PlaceMany batch path is the network write path — and
+/// zero-allocation MultiPut batch path is the network write path — and
 /// then emits the deferred PUT/MULTI_PUT responses in arrival order
 /// (responses are strictly in request order on the wire).
 ///

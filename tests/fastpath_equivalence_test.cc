@@ -1,9 +1,10 @@
 // Equivalence of the write-path inference fast path (scratch buffers,
-// fused k-means assignment, batched PlaceMany, Release cluster memo)
+// fused k-means assignment, batched PlaceRows, Release cluster memo)
 // with an allocating reference: identical placement addresses, cluster
 // ids, device flip counts and energy for the same PUT stream — the fast
-// path is an optimization, never a behavior change. Also pins the
-// zero-allocation contract of steady-state prediction.
+// path is an optimization, never a behavior change. Also pins that a
+// MultiPut is the loop of Puts, batched, and the zero-allocation
+// contract of steady-state prediction.
 //
 // The reference is built here from two oracles:
 //  - Prediction: ReferenceClusterer forwards training to a real E2Model
@@ -21,13 +22,17 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/e2_model.h"
+#include "core/padding.h"
 #include "core/placement_engine.h"
 #include "core/store.h"
 #include "schemes/schemes.h"
@@ -198,7 +203,8 @@ class Side {
     EXPECT_TRUE(engine_->Bootstrap().ok());
   }
 
-  /// E2KvStore::Put: place, index, recycle the superseded address.
+  /// E2KvStore::Put (a one-row MultiPut): place, index, recycle the
+  /// superseded address.
   Status Put(uint64_t key, const BitVector& value) {
     E2_ASSIGN_OR_RETURN(uint64_t addr, engine_->Place(value));
     return Index(key, addr);
@@ -213,16 +219,21 @@ class Side {
     return engine_->Release(addr);
   }
 
-  /// E2KvStore::MultiPut: one PlaceMany, then index in order.
+  /// E2KvStore::MultiPut: one PlaceRows whose per-row callback indexes
+  /// the key and recycles the superseded address as the row lands.
   Status MultiPut(const std::vector<std::pair<uint64_t, BitVector>>& kvs) {
     std::vector<const BitVector*> values;
     for (const auto& kv : kvs) values.push_back(&kv.second);
-    std::vector<uint64_t> addrs;
-    Status placed = engine_->PlaceMany(values, &addrs);
-    for (size_t i = 0; i < addrs.size(); ++i) {
-      E2_RETURN_IF_ERROR(Index(kvs[i].first, addrs[i]));
-    }
-    return placed;
+    struct Rows {
+      Side* side;
+      const std::vector<std::pair<uint64_t, BitVector>>* kvs;
+    } rows{this, &kvs};
+    auto index_row = [](void* ctx, size_t i, uint64_t addr) {
+      const Rows& r = *static_cast<const Rows*>(ctx);
+      return r.side->Index((*r.kvs)[i].first, addr);
+    };
+    return engine_->PlaceRows(values.data(), values.size(), index_row,
+                              &rows);
   }
 
   std::optional<uint64_t> AddrOf(uint64_t key) const {
@@ -291,18 +302,33 @@ struct Observed {
   double total_pj;
 };
 
-Observed Observe(Side& side) {
+/// Everything but the addresses, from the device and engine under them.
+Observed ObserveStack(nvm::NvmDevice& device, PlacementEngine& engine) {
   Observed o;
+  o.data_flips = device.stats().data_bits_flipped;
+  o.writes = device.stats().writes;
+  o.placements = engine.stats().placements;
+  o.fallbacks = engine.stats().fallback_placements;
+  o.retrains = engine.stats().retrains;
+  o.model_generation = engine.model_generation();
+  o.total_pj = device.meter().TotalPj();
+  return o;
+}
+
+Observed Observe(Side& side) {
+  Observed o = ObserveStack(side.device(), side.engine());
   for (uint64_t key = 0; key < kKeys; ++key) {
     o.addrs.push_back(side.AddrOf(key));
   }
-  o.data_flips = side.device().stats().data_bits_flipped;
-  o.writes = side.device().stats().writes;
-  o.placements = side.engine().stats().placements;
-  o.fallbacks = side.engine().stats().fallback_placements;
-  o.retrains = side.engine().stats().retrains;
-  o.model_generation = side.engine().model_generation();
-  o.total_pj = side.device().meter().TotalPj();
+  return o;
+}
+
+/// The same observation of a whole store over keys [0, keys).
+Observed Observe(E2KvStore& store, uint64_t keys) {
+  Observed o = ObserveStack(store.device(), store.engine());
+  for (uint64_t key = 0; key < keys; ++key) {
+    o.addrs.push_back(store.tree().Get(key));
+  }
   return o;
 }
 
@@ -317,13 +343,15 @@ void ExpectSame(const Observed& ref, const Observed& fast) {
   EXPECT_EQ(ref.total_pj, fast.total_pj);
 }
 
-std::unique_ptr<E2KvStore> MakeStore(const workload::BitDataset& ds) {
+std::unique_ptr<E2KvStore> MakeStore(const workload::BitDataset& ds,
+                                     size_t segments = kSegments,
+                                     size_t min_free_per_cluster = 8) {
   StoreConfig sc;
-  sc.num_segments = kSegments;
+  sc.num_segments = segments;
   sc.segment_bits = kBits;
   sc.model = ModelConfig();
   sc.auto_retrain = true;
-  sc.retrain.min_free_per_cluster = 8;
+  sc.retrain.min_free_per_cluster = min_free_per_cluster;
   auto store_or = E2KvStore::Create(sc);
   EXPECT_TRUE(store_or.ok());
   auto store = std::move(*store_or);
@@ -385,38 +413,106 @@ TEST(FastPathEquivalence, PredictClusterMatchesReference) {
   }
 }
 
-TEST(FastPathEquivalence, MultiPutMatchesSequentialPuts) {
-  auto ds = ClusteredData(7);
-  auto seq = MakeStore(ds);
-  auto batched = MakeStore(ds);
-  constexpr size_t kBatch = 16;
+/// A Put-loop vs MultiPut comparison: store geometry, key space, batch
+/// size and an optional padder on both stores.
+struct PutLoopCase {
+  size_t segments = kSegments;
+  size_t min_free_per_cluster = 8;
+  uint64_t keys = kKeys;
+  size_t batch = 16;
+  std::optional<PadType> pad;
+};
+
+/// Sends values[i] to key i % keys through a loop of Puts on one store
+/// and through MultiPut batches on a twin. MultiPut is that loop, only
+/// batched, so both must end with the same per-key address and content,
+/// flips, writes, placements, fallbacks, retrains and total energy.
+/// `batched_out`, when given, receives the MultiPut side's observation.
+void ExpectMultiPutIsThePutLoop(const workload::BitDataset& ds,
+                                const std::vector<BitVector>& values,
+                                const PutLoopCase& c,
+                                Observed* batched_out = nullptr) {
+  auto seq = MakeStore(ds, c.segments, c.min_free_per_cluster);
+  auto batched = MakeStore(ds, c.segments, c.min_free_per_cluster);
+  std::optional<Padder> padder;
+  if (c.pad.has_value()) {
+    padder.emplace(*c.pad, PadLocation::kEnd, kBits);
+    seq->engine().SetPadder(&*padder, nullptr);
+    batched->engine().SetPadder(&*padder, nullptr);
+  }
   std::vector<std::pair<uint64_t, BitVector>> kvs;
-  for (uint64_t i = 0; i < 320; ++i) {
-    const auto& v = ds.items[i % ds.items.size()];
-    ASSERT_TRUE(seq->Put(i % kKeys, v).ok());
-    kvs.emplace_back(i % kKeys, v);
-    if (kvs.size() == kBatch) {
-      ASSERT_TRUE(batched->MultiPut(kvs).ok());
+  for (uint64_t i = 0; i < values.size(); ++i) {
+    ASSERT_TRUE(seq->Put(i % c.keys, values[i]).ok()) << "op " << i;
+    kvs.emplace_back(i % c.keys, values[i]);
+    if (kvs.size() == c.batch) {
+      ASSERT_TRUE(batched->MultiPut(kvs).ok()) << "op " << i;
       kvs.clear();
     }
   }
   ASSERT_TRUE(batched->MultiPut(kvs).ok());
-  // MultiPut recycles superseded addresses after the whole batch instead
-  // of between placements, so the address *sequence* differs; what must
-  // match is the content every key reads back, the prediction schedule,
-  // and that neither path fell back.
-  for (uint64_t key = 0; key < kKeys; ++key) {
+  for (uint64_t key = 0; key < c.keys; ++key) {
     auto a = seq->Get(key);
     auto b = batched->Get(key);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(*a, *b) << "key " << key;
   }
-  EXPECT_EQ(seq->engine().stats().placements,
-            batched->engine().stats().placements);
-  EXPECT_EQ(seq->engine().stats().fallback_placements,
-            batched->engine().stats().fallback_placements);
-  EXPECT_EQ(batched->engine().stats().fallback_placements, 0u);
+  const Observed observed = Observe(*batched, c.keys);
+  ExpectSame(Observe(*seq, c.keys), observed);
+  if (batched_out != nullptr) *batched_out = observed;
+}
+
+TEST(FastPathEquivalence, MultiPutMatchesSequentialPuts) {
+  {
+    SCOPED_TRACE("128 segments, 16-row batches");
+    auto ds = ClusteredData(7);
+    std::vector<BitVector> values;
+    for (uint64_t i = 0; i < 320; ++i) {
+      values.push_back(ds.items[i % ds.items.size()]);
+    }
+    Observed batched{};
+    ExpectMultiPutIsThePutLoop(ds, values, {}, &batched);
+    // Neither path fell back.
+    EXPECT_EQ(batched.fallbacks, 0u);
+  }
+  for (uint64_t seed : {7u, 23u, 41u}) {
+    // A small shard: with 20 keys, every 24-row batch repeats keys, and
+    // the few spare segments per cluster put the capacity trigger one
+    // early recycle away.
+    SCOPED_TRACE("64 segments, 24-row batches, seed " +
+                 std::to_string(seed));
+    auto ds = ClusteredData(seed);
+    std::vector<BitVector> values;
+    for (uint64_t i = 0; i < 480; ++i) {
+      values.push_back(ds.items[i % ds.items.size()]);
+    }
+    ExpectMultiPutIsThePutLoop(
+        ds, values,
+        {.segments = 64, .min_free_per_cluster = 2, .keys = 20,
+         .batch = 24, .pad = std::nullopt});
+  }
+  for (uint64_t seed : {23u, 31u}) {
+    // Mixed widths under memory-based padding, the one padder whose
+    // features depend on the writes before them in the batch: every
+    // third value is full-width, the rest 64-253 bits. On the small
+    // shard a narrow row featurized before the earlier rows of its batch
+    // land pads differently (both seeds catch that; the dataset-based
+    // and random padders do not).
+    SCOPED_TRACE("memory-based padding, mixed widths, seed " +
+                 std::to_string(seed));
+    auto ds = ClusteredData(seed);
+    Rng rng(seed);
+    std::vector<BitVector> values;
+    for (uint64_t i = 0; i < 360; ++i) {
+      const BitVector& item = ds.items[i % ds.items.size()];
+      values.push_back(i % 3 == 0 ? item
+                                  : item.Slice(0, 64 + rng.NextBounded(190)));
+    }
+    ExpectMultiPutIsThePutLoop(
+        ds, values,
+        {.segments = 64, .min_free_per_cluster = 2, .keys = 20,
+         .batch = 12, .pad = PadType::kMemoryBased});
+  }
 }
 
 TEST(FastPathEquivalence, MultiPutMatchesReferenceWithoutUpdates) {
@@ -476,9 +572,8 @@ TEST(FastPathEquivalence, MultiPutAcrossBackgroundSwapMatchesReference) {
   // reference side and as one MultiPut on the fast side, whose first
   // PlaceAt adopts the shadow: it re-predicts the address released
   // since the snapshot while the rest of the batch is still staged, then
-  // re-assigns those rows under the new model. Batch keys are fresh, so
-  // MultiPut's deferred recycling cannot move an address, and they are
-  // deleted again afterwards.
+  // re-assigns those rows under the new model. Batch keys are fresh and
+  // are deleted again afterwards.
   auto ds = ClusteredData(17);
   // One worker runs both sides' trainings in launch order. During a
   // batch a parked task holds it, so a training launched inside the

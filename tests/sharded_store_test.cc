@@ -1,9 +1,12 @@
 // ShardedStore unit tests: the shards=1 determinism contract (bit-identical
 // placements, flips and retrain schedule vs a plain E2KvStore), merged
 // stats across shards, shard-range containment, construction validation,
-// and the ShardJournal append/replay protocol.
+// the ShardJournal append/replay protocol, and that a batch applies
+// exactly the rows its journal took.
 
+#include <map>
 #include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -516,6 +519,44 @@ TEST(ShardedStore, JournaledShardsRecordEveryOperation) {
       ASSERT_TRUE(got.ok()) << "key " << key;
       EXPECT_EQ(*got, value) << "key " << key;
     }
+  }
+}
+
+TEST(ShardedStore, JournalErrorAppliesExactlyTheJournaledPrefix) {
+  // The journal refuses k3 (one bit wider than its slot). k1 and k2 are
+  // journaled, so they must be applied too; k3 and k4 must be neither,
+  // or a replay after a crash would differ from what the store served.
+  auto ds = ClusteredData(5);
+  auto store = MakeSharded(ds, /*num_shards=*/1,
+                           /*background_retrain=*/false, /*journal=*/true);
+  std::vector<std::pair<uint64_t, BitVector>> kvs = {
+      {1, ds.items[1]}, {2, ds.items[2]}, {3, BitVector(kBits + 1)},
+      {4, ds.items[4]}};
+  const Status st = store->MultiPutShard(0, kvs.data(), kvs.size());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+
+  auto records_or =
+      ShardJournal::ReplayImage(store->journal(0)->SnapshotImage());
+  ASSERT_TRUE(records_or.ok());
+  std::map<uint64_t, BitVector> replayed;
+  for (const auto& r : *records_or) {
+    if (r.op == ShardJournal::Op::kPut) {
+      replayed[r.key] = r.value;
+    } else {
+      replayed.erase(r.key);
+    }
+  }
+  std::vector<uint64_t> live;
+  store->shard(0).tree().ForEach(
+      [&](uint64_t key, uint64_t) { live.push_back(key); });
+  std::vector<uint64_t> replayed_keys;
+  for (const auto& [key, value] : replayed) replayed_keys.push_back(key);
+  EXPECT_EQ(replayed_keys, live);
+  EXPECT_EQ(live, (std::vector<uint64_t>{1, 2}));
+  for (const auto& [key, value] : replayed) {
+    auto got = store->Get(key);
+    ASSERT_TRUE(got.ok()) << "key " << key;
+    EXPECT_EQ(*got, value) << "key " << key;
   }
 }
 
