@@ -2,7 +2,9 @@
 // critical path: Hamming distance, write-scheme encoding, VAE encoding,
 // K-means prediction, and a full Place() (predict + DAP + differential
 // write). These are the per-operation latencies behind the prediction
-// overhead discussed with Figs 4 and 10.
+// overhead discussed with Figs 4 and 10. Two more time the model's
+// maintenance: a 64-row VAE training step (the unit of a full retrain)
+// and an 8-row PartialFit (a §16 refine step).
 //
 // The binary also runs a store-level ops benchmark and writes the results
 // to BENCH_ops.json (machine-readable): PUT/GET/DELETE ops/s with the
@@ -136,6 +138,50 @@ void BM_VaeEncodeScratch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VaeEncodeScratch)->Arg(512)->Arg(2048)->Arg(8192);
+
+/// `rows` consecutive EncodeInputs rows from `first` (wrapping), as one
+/// training batch.
+ml::Matrix TrainBatchOf(const std::vector<ml::Matrix>& inputs, size_t first,
+                        size_t rows) {
+  ml::Matrix batch(rows, inputs[0].cols());
+  for (size_t r = 0; r < rows; ++r) {
+    batch.CopyRowFrom(inputs[(first + r) % inputs.size()], 0, r);
+  }
+  return batch;
+}
+
+/// One 64-row training step (forward, backward, Adam) at the encode
+/// benchmark's geometry: the unit of a full retrain (E2Model::Train runs
+/// one per 64 seeded segments, per epoch).
+void BM_VaeTrainBatch(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  ml::Vae vae(EncodeBenchConfig(dim));
+  const ml::Matrix batch = TrainBatchOf(EncodeInputs(dim), 0, 64);
+  const ml::VaeTrainOptions opts;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vae.TrainBatch(batch, opts).recon);
+  }
+}
+BENCHMARK(BM_VaeTrainBatch)->Arg(512)->Arg(2048);
+
+/// One refine step's VAE half (§16): PartialFit on an 8-row replay-ring
+/// window at 512 bits, the window sliding by one row per call.
+void BM_VaePartialFit(benchmark::State& state) {
+  constexpr size_t kDim = 512;
+  constexpr size_t kRows = 8;
+  ml::Vae vae(EncodeBenchConfig(kDim));
+  const std::vector<ml::Matrix> inputs = EncodeInputs(kDim);
+  std::vector<ml::Matrix> windows;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    windows.push_back(TrainBatchOf(inputs, i, kRows));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        vae.PartialFit(windows[i++ % windows.size()], kRows));
+  }
+}
+BENCHMARK(BM_VaePartialFit);
 
 void BM_KMeansPredict(benchmark::State& state) {
   size_t dim = static_cast<size_t>(state.range(0));
@@ -606,14 +652,34 @@ ShardedOpsResult RunShardedBench(size_t num_shards, size_t client_threads,
     }
   }
 
+  // Runs fn(s) for every shard, shard s on client thread s % threads,
+  // and returns the seconds from the clients' release to the last
+  // client's finish. The clients are started first and wait at a start
+  // gate, so neither spawning nor joining them is timed: in a 400-PUT
+  // smoke pass each client works for a few hundred microseconds, about
+  // what spawning four threads takes.
   auto run_clients = [&](auto&& fn) {
+    std::atomic<size_t> waiting{0};
+    std::atomic<bool> go{false};
+    std::vector<Clock::time_point> done(client_threads);
     std::vector<std::thread> clients;
     for (size_t t = 0; t < client_threads; ++t) {
       clients.emplace_back([&, t] {
+        waiting.fetch_add(1, std::memory_order_relaxed);
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
         for (size_t s = t; s < num_shards; s += client_threads) fn(s);
+        done[t] = Clock::now();
       });
     }
+    while (waiting.load(std::memory_order_relaxed) < client_threads) {
+      std::this_thread::yield();
+    }
+    const auto t0 = Clock::now();
+    go.store(true, std::memory_order_release);
     for (auto& c : clients) c.join();
+    return std::chrono::duration<double>(
+               *std::max_element(done.begin(), done.end()) - t0)
+        .count();
   };
 
   // Per-shard latency logs: each shard is driven by exactly one client
@@ -624,8 +690,7 @@ ShardedOpsResult RunShardedBench(size_t num_shards, size_t client_threads,
   for (size_t s = 0; s < num_shards; ++s) {
     op_us[s].reserve(puts_per_shard);
   }
-  auto t0 = Clock::now();
-  run_clients([&](size_t s) {
+  const double put_s = run_clients([&](size_t s) {
     for (const auto& kvs : batches[s]) {
       auto b0 = Clock::now();
       if (!store->MultiPut(kvs).ok()) std::abort();
@@ -636,7 +701,6 @@ ShardedOpsResult RunShardedBench(size_t num_shards, size_t client_threads,
       op_us[s].insert(op_us[s].end(), kvs.size(), per_op);
     }
   });
-  double put_s = std::chrono::duration<double>(Clock::now() - t0).count();
   {
     std::vector<double> all;
     all.reserve(puts_per_shard * num_shards);
@@ -656,14 +720,12 @@ ShardedOpsResult RunShardedBench(size_t num_shards, size_t client_threads,
   }
 
   const uint64_t gets_per_shard = p.gets / num_shards;
-  t0 = Clock::now();
-  run_clients([&](size_t s) {
+  const double get_s = run_clients([&](size_t s) {
     for (uint64_t i = 0; i < gets_per_shard; ++i) {
       if (!store->Get(shard_keys[s][i % keys_per_shard]).ok()) std::abort();
     }
   });
-  r.get_ops_s = gets_per_shard * num_shards /
-                std::chrono::duration<double>(Clock::now() - t0).count();
+  r.get_ops_s = gets_per_shard * num_shards / get_s;
   auto snap = store->TakeSnapshot();
   r.background_retrains = snap.engine.background_retrains;
   if (std::getenv("E2NVM_OPS_DEBUG") != nullptr) {

@@ -1,6 +1,7 @@
 #include "common/kernels.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -64,17 +65,17 @@ void ScalarAdd(float* dst, const float* src, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-void ScalarAxpy(float* dst, const float* src, float a, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] += a * src[i];
-}
-
-void ScalarDot8(const float* a, const float* b, size_t ldb, size_t k,
-                float* out) {
-  for (size_t j = 0; j < 8; ++j) {
-    const float* brow = b + j * ldb;
-    float s = 0.0f;
-    for (size_t p = 0; p < k; ++p) s += a[p] * brow[p];
-    out[j] = s;
+void ScalarAdam(float* w, float* m, float* v, const float* g, size_t n,
+                const AdamStep& s) {
+  const float b1 = s.beta1;
+  const float b2 = s.beta2;
+  for (size_t i = 0; i < n; ++i) {
+    const float gi = g[i];
+    m[i] = b1 * m[i] + (1.0f - b1) * gi;
+    v[i] = b2 * v[i] + (1.0f - b2) * gi * gi;
+    const float mhat = m[i] / s.correction1;
+    const float vhat = v[i] / s.correction2;
+    w[i] -= s.lr * mhat / (std::sqrt(vhat) + s.eps);
   }
 }
 
@@ -115,9 +116,8 @@ uint32_t ScalarCrc32c(uint32_t crc, const void* data, size_t n) {
 }
 
 constexpr KernelOps kScalarOps = {
-    ScalarPopcount, ScalarHamming, ScalarDiff, ScalarBitsToFloats,
-    ScalarAdd,      ScalarAxpy,    ScalarDot8, ScalarGemv,
-    ScalarCrc32c,
+    ScalarPopcount, ScalarHamming, ScalarDiff,   ScalarBitsToFloats,
+    ScalarAdd,      ScalarAdam,    ScalarGemv,   ScalarCrc32c,
 };
 
 // ----------------------------------------------------- dispatch --

@@ -22,20 +22,32 @@ enum class SimdLevel : int {
   kAvx512 = 2,  // Requires AVX-512F + VPOPCNTDQ.
 };
 
+/// Scalars of one Adam step (see KernelOps::adam_f32): the moment decay
+/// rates, learning rate, epsilon, and the bias corrections 1 - beta^t of
+/// the step being taken.
+struct AdamStep {
+  float beta1;
+  float beta2;
+  float lr;
+  float eps;
+  float correction1;
+  float correction2;
+};
+
 /// The dispatchable hot-loop kernels. Every E2-NVM operation bottoms out
 /// in one of these: the bit kernels carry Alg. 1's differential-write
 /// accounting and the DAP's Hamming scans, the float kernels carry the
-/// VAE encode GEMM and the fused k-means assignment.
+/// VAE encode GEMM, the fused k-means assignment and VAE training.
 ///
 /// ## Bit-identity contract
 ///
 /// Each tier must produce results bit-identical to the scalar reference:
 ///  - integer kernels are trivially exact (popcounts over any grouping);
 ///  - float kernels vectorize across independent *output elements* only.
-///    `add_f32`/`axpy_f32` are element-wise; `dot8_f32` keeps 8 output
-///    columns in 8 lanes, each accumulating its k products in the same
-///    ascending order as the scalar loop. No tier may reassociate an
-///    accumulation or fuse a multiply-add: every product is rounded,
+///    `add_f32` and `adam_f32` are element-wise; `gemv_f32` keeps each
+///    output column in its own lane, accumulating its k products in the
+///    same ascending order as the scalar loop. No tier may reassociate
+///    an accumulation or fuse a multiply-add: every product is rounded,
 ///    then added and rounded again, exactly like `c += a * b` compiled
 ///    without FP contraction. The SIMD translation units are therefore
 ///    built with `-ffp-contract=off` and WITHOUT `-mfma`.
@@ -53,13 +65,18 @@ struct KernelOps {
                          float* out);
   /// dst[i] += src[i] — matrix sums and bias rows.
   void (*add_f32)(float* dst, const float* src, size_t n);
-  /// dst[i] += a * src[i] (two roundings per element, never an FMA).
-  void (*axpy_f32)(float* dst, const float* src, float a, size_t n);
-  /// Eight independent dot products against consecutive rows of a
-  /// row-major matrix: out[j] = sum_p a[p] * b[j * ldb + p] for
-  /// j in [0, 8), each lane accumulating in ascending p.
-  void (*dot8_f32)(const float* a, const float* b, size_t ldb, size_t k,
-                   float* out);
+  /// One Adam update (Kingma & Ba) of n parameters in place, rounded
+  /// operation by operation exactly like the scalar loop
+  ///   m[i] = beta1 * m[i] + (1 - beta1) * g[i]
+  ///   v[i] = beta2 * v[i] + ((1 - beta2) * g[i]) * g[i]
+  ///   w[i] -= (lr * (m[i] / correction1)) /
+  ///           (sqrt(v[i] / correction2) + eps)
+  /// Division and square root are correctly rounded in every tier
+  /// (IEEE 754), and each element is independent, so the SIMD tiers
+  /// only run it across lanes. The training step of every Dense layer
+  /// (ParamBlock::Step) bottoms out here.
+  void (*adam_f32)(float* w, float* m, float* v, const float* g, size_t n,
+                   const AdamStep& step);
   /// Row-vector times row-major matrix: c[j] = sum_p a[p] * b[p * n + j]
   /// for j in [0, n), overwriting c. Each c[j] accumulates in ascending
   /// p with zero a[p] terms skipped; the register-blocked SIMD tiers keep
@@ -80,9 +97,26 @@ struct KernelOps {
   /// The scalar tier keeps the branchy reference loop.
   ///
   /// MatMulInto runs it once per output row, so it carries the write
-  /// path's encode and every training forward pass: keeping the whole
-  /// k-loop inside one kernel call holds the accumulators in registers
-  /// instead of re-loading the output row once per nonzero a[p].
+  /// path's encode and every training product: keeping the whole k-loop
+  /// inside one kernel call holds the accumulators in registers instead
+  /// of re-loading the output row once per nonzero a[p].
+  ///
+  /// The transposed products run on it too, on a transposed copy of one
+  /// operand (`MatMulTransA`: the weight gradients X^T dY;
+  /// `MatMulTransB`: the input gradients dY W^T), and equal their direct
+  /// loops bit for bit:
+  ///  - A^T B's direct loop adds a[p][i] * B's row p into C's row i for
+  ///    every nonzero a[p][i], in ascending p. gemv over the rows of A^T
+  ///    adds the same terms in the same order with the same zero skip.
+  ///  - A B^T's direct loop is a plain dot product, s = +0 then
+  ///    s += a[p] * b[j][p] for every p. gemv over B^T skips the terms
+  ///    whose a[p] is ±0. Such a term is ±0 when b[j][p] is finite, and
+  ///    adding ±0 leaves s unchanged unless s is itself a zero of the
+  ///    other sign; but an accumulator that starts at +0 never becomes
+  ///    -0 under round-to-nearest (x + y is -0 only when both are -0,
+  ///    and exact cancellation gives +0). So skipping equals adding
+  ///    whenever B is finite; a weight matrix that is not finite has
+  ///    already lost training.
   void (*gemv_f32)(const float* a, const float* b, size_t k, size_t n,
                    float* c);
   /// CRC32C (Castagnoli, reflected 0x82F63B78) of `data[0..n)` continued

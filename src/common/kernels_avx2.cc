@@ -9,6 +9,7 @@
 #ifdef __AVX2__
 
 #include <bit>
+#include <cmath>
 #include <type_traits>
 
 #include <immintrin.h>
@@ -127,33 +128,45 @@ void Avx2Add(float* dst, const float* src, size_t n) {
   for (; i < n; ++i) dst[i] += src[i];
 }
 
-void Avx2Axpy(float* dst, const float* src, float a, size_t n) {
-  const __m256 va = _mm256_set1_ps(a);
+void Avx2Adam(float* w, float* m, float* v, const float* g, size_t n,
+              const AdamStep& s) {
+  // Eight parameters per step in the scalar loop's operation order
+  // (kernels.h adam_f32); vdivps and vsqrtps round like their scalar
+  // counterparts. The tail runs the scalar loop itself.
+  const __m256 b1 = _mm256_set1_ps(s.beta1);
+  const __m256 b2 = _mm256_set1_ps(s.beta2);
+  const __m256 one_minus_b1 = _mm256_set1_ps(1.0f - s.beta1);
+  const __m256 one_minus_b2 = _mm256_set1_ps(1.0f - s.beta2);
+  const __m256 lr = _mm256_set1_ps(s.lr);
+  const __m256 eps = _mm256_set1_ps(s.eps);
+  const __m256 c1 = _mm256_set1_ps(s.correction1);
+  const __m256 c2 = _mm256_set1_ps(s.correction2);
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(src + i));
-    _mm256_storeu_ps(dst + i,
-                     _mm256_add_ps(_mm256_loadu_ps(dst + i), prod));
+    const __m256 gv = _mm256_loadu_ps(g + i);
+    const __m256 mv =
+        _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + i)),
+                      _mm256_mul_ps(one_minus_b1, gv));
+    const __m256 vv = _mm256_add_ps(
+        _mm256_mul_ps(b2, _mm256_loadu_ps(v + i)),
+        _mm256_mul_ps(_mm256_mul_ps(one_minus_b2, gv), gv));
+    const __m256 mhat = _mm256_div_ps(mv, c1);
+    const __m256 vhat = _mm256_div_ps(vv, c2);
+    const __m256 upd =
+        _mm256_div_ps(_mm256_mul_ps(lr, mhat),
+                      _mm256_add_ps(_mm256_sqrt_ps(vhat), eps));
+    _mm256_storeu_ps(m + i, mv);
+    _mm256_storeu_ps(v + i, vv);
+    _mm256_storeu_ps(w + i, _mm256_sub_ps(_mm256_loadu_ps(w + i), upd));
   }
-  for (; i < n; ++i) dst[i] += a * src[i];
-}
-
-void Avx2Dot8(const float* a, const float* b, size_t ldb, size_t k,
-              float* out) {
-  // Eight output columns live in eight lanes; a strided gather pulls
-  // b[j][p] for j = 0..7 each step, and every lane accumulates its
-  // products in ascending p — the scalar accumulation order.
-  const __m256i idx = _mm256_setr_epi32(
-      0, static_cast<int>(ldb), static_cast<int>(2 * ldb),
-      static_cast<int>(3 * ldb), static_cast<int>(4 * ldb),
-      static_cast<int>(5 * ldb), static_cast<int>(6 * ldb),
-      static_cast<int>(7 * ldb));
-  __m256 acc = _mm256_setzero_ps();
-  for (size_t p = 0; p < k; ++p) {
-    __m256 bv = _mm256_i32gather_ps(b + p, idx, 4);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a[p]), bv));
+  for (; i < n; ++i) {
+    const float gi = g[i];
+    m[i] = s.beta1 * m[i] + (1.0f - s.beta1) * gi;
+    v[i] = s.beta2 * v[i] + (1.0f - s.beta2) * gi * gi;
+    const float mhat = m[i] / s.correction1;
+    const float vhat = v[i] / s.correction2;
+    w[i] -= s.lr * mhat / (std::sqrt(vhat) + s.eps);
   }
-  _mm256_storeu_ps(out, acc);
 }
 
 /// Calls visit(p, unit) for every p in [0, k) whose a[p] is not 0.0f,
@@ -282,8 +295,7 @@ uint32_t Avx2Crc32c(uint32_t crc, const void* data, size_t n) {
 
 const KernelOps kAvx2Ops = {
     Avx2Popcount, Avx2Hamming, Avx2Diff, Avx2BitsToFloats,
-    Avx2Add,      Avx2Axpy,    Avx2Dot8, Avx2Gemv,
-    Avx2Crc32c,
+    Avx2Add,      Avx2Adam,    Avx2Gemv, Avx2Crc32c,
 };
 
 }  // namespace

@@ -115,37 +115,42 @@ void Avx512Add(float* dst, const float* src, size_t n) {
   }
 }
 
-void Avx512Axpy(float* dst, const float* src, float a, size_t n) {
-  const __m512 va = _mm512_set1_ps(a);
+void Avx512Adam(float* w, float* m, float* v, const float* g, size_t n,
+                const AdamStep& s) {
+  // Sixteen parameters per step in the scalar loop's operation order
+  // (kernels.h adam_f32); vdivps and vsqrtps round like their scalar
+  // counterparts. The masked tail computes its dead lanes on zeros and
+  // never stores them.
+  const __m512 b1 = _mm512_set1_ps(s.beta1);
+  const __m512 b2 = _mm512_set1_ps(s.beta2);
+  const __m512 one_minus_b1 = _mm512_set1_ps(1.0f - s.beta1);
+  const __m512 one_minus_b2 = _mm512_set1_ps(1.0f - s.beta2);
+  const __m512 lr = _mm512_set1_ps(s.lr);
+  const __m512 eps = _mm512_set1_ps(s.eps);
+  const __m512 c1 = _mm512_set1_ps(s.correction1);
+  const __m512 c2 = _mm512_set1_ps(s.correction2);
+  auto step = [&](size_t i, __mmask16 live) {
+    const __m512 gv = _mm512_maskz_loadu_ps(live, g + i);
+    const __m512 mv =
+        _mm512_add_ps(_mm512_mul_ps(b1, _mm512_maskz_loadu_ps(live, m + i)),
+                      _mm512_mul_ps(one_minus_b1, gv));
+    const __m512 vv = _mm512_add_ps(
+        _mm512_mul_ps(b2, _mm512_maskz_loadu_ps(live, v + i)),
+        _mm512_mul_ps(_mm512_mul_ps(one_minus_b2, gv), gv));
+    const __m512 mhat = _mm512_div_ps(mv, c1);
+    const __m512 vhat = _mm512_div_ps(vv, c2);
+    const __m512 upd =
+        _mm512_div_ps(_mm512_mul_ps(lr, mhat),
+                      _mm512_add_ps(_mm512_sqrt_ps(vhat), eps));
+    _mm512_mask_storeu_ps(m + i, live, mv);
+    _mm512_mask_storeu_ps(v + i, live, vv);
+    _mm512_mask_storeu_ps(
+        w + i, live,
+        _mm512_sub_ps(_mm512_maskz_loadu_ps(live, w + i), upd));
+  };
   size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m512 prod = _mm512_mul_ps(va, _mm512_loadu_ps(src + i));
-    _mm512_storeu_ps(dst + i,
-                     _mm512_add_ps(_mm512_loadu_ps(dst + i), prod));
-  }
-  if (i < n) {
-    __mmask16 m = TailMask16(n - i);
-    __m512 prod = _mm512_mul_ps(va, _mm512_maskz_loadu_ps(m, src + i));
-    __m512 sum = _mm512_add_ps(_mm512_maskz_loadu_ps(m, dst + i), prod);
-    _mm512_mask_storeu_ps(dst + i, m, sum);
-  }
-}
-
-void Avx512Dot8(const float* a, const float* b, size_t ldb, size_t k,
-                float* out) {
-  // Same column-lane layout as the AVX2 tier (8 outputs fit a __m256);
-  // each lane accumulates its products in ascending p.
-  const __m256i idx = _mm256_setr_epi32(
-      0, static_cast<int>(ldb), static_cast<int>(2 * ldb),
-      static_cast<int>(3 * ldb), static_cast<int>(4 * ldb),
-      static_cast<int>(5 * ldb), static_cast<int>(6 * ldb),
-      static_cast<int>(7 * ldb));
-  __m256 acc = _mm256_setzero_ps();
-  for (size_t p = 0; p < k; ++p) {
-    __m256 bv = _mm256_i32gather_ps(b + p, idx, 4);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a[p]), bv));
-  }
-  _mm256_storeu_ps(out, acc);
+  for (; i + 16 <= n; i += 16) step(i, static_cast<__mmask16>(0xFFFF));
+  if (i < n) step(i, TailMask16(n - i));
 }
 
 /// Calls visit(p, unit) for every p in [0, k) whose a[p] is not 0.0f,
@@ -263,8 +268,7 @@ uint32_t Avx512Crc32c(uint32_t crc, const void* data, size_t n) {
 
 const KernelOps kAvx512Ops = {
     Avx512Popcount, Avx512Hamming, Avx512Diff, Avx512BitsToFloats,
-    Avx512Add,      Avx512Axpy,    Avx512Dot8, Avx512Gemv,
-    Avx512Crc32c,
+    Avx512Add,      Avx512Adam,    Avx512Gemv, Avx512Crc32c,
 };
 
 }  // namespace

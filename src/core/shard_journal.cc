@@ -112,6 +112,23 @@ Status ShardJournal::Append(Op op, uint64_t key, const BitVector& value) {
   return Status::Ok();
 }
 
+Status ShardJournal::Rewind(size_t n) {
+  auto* h = pool_->As<Header>(header_off_);
+  if (n > h->count) {
+    return Status::InvalidArgument("rewind past the journal start");
+  }
+  if (n == 0) return Status::Ok();
+  pmem::Transaction tx(pool_.get());
+  E2_RETURN_IF_ERROR(tx.Begin());
+  const pmem::PoolOffset count_off =
+      header_off_ + offsetof(Header, count);
+  E2_RETURN_IF_ERROR(tx.AddRange(count_off, sizeof(uint64_t)));
+  h->count -= n;
+  pool_->Persist(count_off, sizeof(uint64_t));
+  tx.Commit();
+  return Status::Ok();
+}
+
 Status ShardJournal::Checkpoint(const std::vector<Record>& records) {
   auto* h = pool_->As<Header>(header_off_);
   if (records.size() > capacity_) {

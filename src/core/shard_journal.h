@@ -91,6 +91,14 @@ class ShardJournal {
   /// Checkpoint() live state and retry (ShardedStore does).
   Status Append(Op op, uint64_t key, const BitVector& value);
 
+  /// Retracts the last `n` committed records (n <= count()), for rows the
+  /// owner journaled but could not apply. The count drop is one undo-
+  /// logged transaction, Append's bump in reverse (AddRange, lower,
+  /// commit), so a crash at any persist ordinal replays either every
+  /// record or the prefix without the last `n`; the retracted slots are
+  /// dead bytes until appends reuse them.
+  Status Rewind(size_t n);
+
   /// Atomically replaces the journal contents with `records` as a fresh
   /// generation: the records are staged into the inactive half (dead
   /// bytes), then one undo-logged transaction flips {count, active_half,

@@ -103,10 +103,13 @@ Status ShardedStore::Put(uint64_t key, const BitVector& value) {
   // Pin this operation's ML kernels (and any retrain it launches) to the
   // owning shard's lane — never a pool another shard could be waiting on.
   ml::ScopedComputePool kernels(shard_lane(s));
-  if (journals_[s] != nullptr) {
-    E2_RETURN_IF_ERROR(JournalAppend(s, ShardJournal::Op::kPut, key, value));
-  }
-  return shards_[s]->Put(key, value);
+  if (journals_[s] == nullptr) return shards_[s]->Put(key, value);
+  E2_RETURN_IF_ERROR(JournalAppend(s, ShardJournal::Op::kPut, key, value));
+  size_t landed = 0;
+  const Status applied = shards_[s]->Put(key, value, &landed);
+  // A row the shard refused must not replay.
+  if (landed == 0) E2_RETURN_IF_ERROR(journals_[s]->Rewind(1));
+  return applied;
 }
 
 Status ShardedStore::JournalAppend(size_t s, ShardJournal::Op op,
@@ -142,19 +145,42 @@ Status ShardedStore::MultiPutShardUnchecked(
     size_t s, const std::pair<uint64_t, BitVector>* kvs, size_t n) {
   std::lock_guard<std::mutex> lock(shard_mu_[s]);
   ml::ScopedComputePool kernels(shard_lane(s));
-  // Apply exactly the journaled prefix: a row the journal refuses, and
-  // every row after it, is neither logged nor applied.
-  size_t journaled = n;
-  Status logged = Status::Ok();
-  if (journals_[s] != nullptr) {
-    for (journaled = 0; journaled < n; ++journaled) {
-      logged = JournalAppend(s, ShardJournal::Op::kPut, kvs[journaled].first,
-                             kvs[journaled].second);
-      if (!logged.ok()) break;
+  ShardJournal* journal = journals_[s].get();
+  if (journal == nullptr) return shards_[s]->MultiPut(kvs, n);
+  // A checkpoint snapshots the shard's tree, so it must never fire
+  // between journaling a row and applying it: make room before a chunk
+  // is journaled, and split a batch that does not fit even a freshly
+  // checkpointed journal.
+  for (size_t done = 0; done < n;) {
+    if (journal->capacity() - journal->count() < n - done) {
+      E2_RETURN_IF_ERROR(CheckpointShardJournal(s));
+      if (journal->count() == journal->capacity()) {
+        return Status::ResourceExhausted(
+            "journal full: the live state fills it");
+      }
     }
+    const std::pair<uint64_t, BitVector>* rows = kvs + done;
+    const size_t chunk =
+        std::min(n - done, journal->capacity() - journal->count());
+    // A row the journal refuses (a value wider than its slot) stops the
+    // batch: the rows before it are applied, it and the rest are not.
+    size_t journaled = 0;
+    Status logged = Status::Ok();
+    while (journaled < chunk) {
+      logged = journal->Append(ShardJournal::Op::kPut, rows[journaled].first,
+                               rows[journaled].second);
+      if (!logged.ok()) break;
+      ++journaled;
+    }
+    size_t landed = 0;
+    const Status applied = shards_[s]->MultiPut(rows, journaled, &landed);
+    // Rows the shard refused must not replay.
+    E2_RETURN_IF_ERROR(journal->Rewind(journaled - landed));
+    E2_RETURN_IF_ERROR(applied);
+    E2_RETURN_IF_ERROR(logged);
+    done += chunk;
   }
-  E2_RETURN_IF_ERROR(shards_[s]->MultiPut(kvs, journaled));
-  return logged;
+  return Status::Ok();
 }
 
 Status ShardedStore::MultiPutShard(size_t s,

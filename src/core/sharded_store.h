@@ -100,7 +100,9 @@ class ShardedStore {
   /// DAP. Serial per shard (deterministic).
   Status Bootstrap();
 
-  /// Inserts or updates `key` on its owning shard.
+  /// Inserts or updates `key` on its owning shard. With journaling on,
+  /// the row is journaled first and rewound out of the journal if the
+  /// shard refuses it.
   Status Put(uint64_t key, const BitVector& value);
 
   /// Batched insert/update: splits the batch by owning shard (preserving
@@ -118,9 +120,14 @@ class ShardedStore {
   /// per-connection ingest stages decoded PUTs into per-shard scratch
   /// and submits each group here, so the zero-allocation MultiPut batch
   /// path *is* the network write path, with no per-batch vector
-  /// materialization in between. With journaling on, a row the journal
+  /// materialization in between. With journaling on, the journal is
+  /// checkpointed before a batch that does not fit it, never in the
+  /// middle of one, and a batch larger than a fresh checkpoint leaves
+  /// room for is journaled and applied in chunks. A row the journal
   /// refuses stops the batch: only the rows before it are journaled and
-  /// handed to the shard.
+  /// handed to the shard. Rows the shard then refuses are rewound out of
+  /// the journal (ShardJournal::Rewind), so a replay holds exactly the
+  /// rows that landed.
   Status MultiPutShard(size_t s, const std::pair<uint64_t, BitVector>* kvs,
                        size_t n);
 

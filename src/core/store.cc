@@ -127,9 +127,10 @@ void E2KvStore::Seed(const workload::BitDataset& contents) {
 
 Status E2KvStore::Bootstrap() { return engine_->Bootstrap(); }
 
-Status E2KvStore::Put(uint64_t key, const BitVector& value) {
+Status E2KvStore::Put(uint64_t key, const BitVector& value,
+                      size_t* landed) {
   const BitVector* row = &value;
-  return PutRows(&key, &row, 1);
+  return PutRows(&key, &row, 1, landed);
 }
 
 Status E2KvStore::MultiPut(
@@ -138,34 +139,39 @@ Status E2KvStore::MultiPut(
 }
 
 Status E2KvStore::MultiPut(const std::pair<uint64_t, BitVector>* kvs,
-                           size_t n) {
-  if (n == 0) return Status::Ok();
+                           size_t n, size_t* landed) {
   mp_keys_.clear();
   mp_values_.clear();
   for (size_t i = 0; i < n; ++i) {
     mp_keys_.push_back(kvs[i].first);
     mp_values_.push_back(&kvs[i].second);
   }
-  return PutRows(mp_keys_.data(), mp_values_.data(), n);
+  return PutRows(mp_keys_.data(), mp_values_.data(), n, landed);
 }
 
 Status E2KvStore::PutRows(const uint64_t* keys,
-                          const BitVector* const* values, size_t n) {
+                          const BitVector* const* values, size_t n,
+                          size_t* landed) {
   struct Rows {
     E2KvStore* store;
     const uint64_t* keys;
     const BitVector* const* values;
-  } rows{this, keys, values};
+    size_t landed;
+  } rows{this, keys, values, 0};
   // Index each row as it lands: an UPDATE recycles the superseded
   // address by content (Alg. 2) before the next row is placed.
   auto index_row = [](void* ctx, size_t i, uint64_t addr) {
-    const Rows& r = *static_cast<const Rows*>(ctx);
+    Rows& r = *static_cast<Rows*>(ctx);
     auto old = r.store->tree_.Get(r.keys[i]);
     r.store->tree_.Put(r.keys[i], addr);
     r.store->value_bits_[r.keys[i]] = r.values[i]->size();
+    ++r.landed;
     return old ? r.store->engine_->Release(*old) : Status::Ok();
   };
-  return engine_->PlaceRows(values, n, index_row, &rows);
+  const Status st =
+      n == 0 ? Status::Ok() : engine_->PlaceRows(values, n, index_row, &rows);
+  if (landed != nullptr) *landed = rows.landed;
+  return st;
 }
 
 StatusOr<BitVector> E2KvStore::Get(uint64_t key) {

@@ -131,8 +131,8 @@ class E2KvStore {
   Status Bootstrap();
 
   /// Inserts or updates `key`: a one-row MultiPut. The value may be
-  /// narrower than a segment.
-  Status Put(uint64_t key, const BitVector& value);
+  /// narrower than a segment. `landed` as for MultiPut.
+  Status Put(uint64_t key, const BitVector& value, size_t* landed = nullptr);
 
   /// Batched insert/update (§4.1.4): runs the placement model once over
   /// the batch (one encoder GEMV per value + one fused assignment), then
@@ -145,8 +145,11 @@ class E2KvStore {
   /// batches in reusable scratch (the network front-end's per-connection
   /// shard batches) instead of materializing a vector per batch.
   /// Identical semantics; steady-state (every key already inserted,
-  /// scratch at working size) it allocates nothing.
-  Status MultiPut(const std::pair<uint64_t, BitVector>* kvs, size_t n);
+  /// scratch at working size) it allocates nothing. `landed` (optional)
+  /// receives how many leading rows landed (were written and indexed),
+  /// on success and failure alike: a journaling owner retracts the rest.
+  Status MultiPut(const std::pair<uint64_t, BitVector>* kvs, size_t n,
+                  size_t* landed = nullptr);
 
   StatusOr<BitVector> Get(uint64_t key);
 
@@ -182,9 +185,10 @@ class E2KvStore {
   explicit E2KvStore(const StoreConfig& config);
 
   /// Put and MultiPut's one body: PlaceRows, indexing keys[i] (and
-  /// recycling the address it supersedes) as row i lands.
+  /// recycling the address it supersedes) as row i lands, and counting
+  /// the rows that landed into `*landed` (optional).
   Status PutRows(const uint64_t* keys, const BitVector* const* values,
-                 size_t n);
+                 size_t n, size_t* landed);
 
   StoreConfig config_;
   nvm::EnergyMeter meter_;

@@ -241,6 +241,7 @@ const std::vector<double>& KMeans::CentroidNormsSq() const {
       cnorm2_[c] = s;
       cmax_norm_ = std::max(cmax_norm_, std::sqrt(s));
     }
+    TransposeInto(centroids_, &centroids_t_);
     norms_valid_ = true;
   }
   return cnorm2_;
@@ -252,8 +253,9 @@ void KMeans::AssignFusedInto(const Matrix& x, Matrix* scores,
   const size_t dim = x.cols();
   const size_t k = centroids_.rows();
   const std::vector<double>& cn = CentroidNormsSq();
-  // One GEMM scores every row against every centroid.
-  MatMulTransBInto(x, centroids_, scores);
+  // One GEMM scores every row against every centroid: x C^T, which
+  // MatMulTransB would compute, on the cached transpose.
+  MatMulInto(x, centroids_t_, scores);
   out->resize(n);
   for (size_t r = 0; r < n; ++r) {
     const float* srow = scores->Row(r);

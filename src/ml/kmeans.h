@@ -47,9 +47,10 @@ class KMeans {
   /// re-checked with the exact Predict() distance in Predict's scan
   /// order, so the chosen ids — including tie-breaks — are identical to
   /// calling Predict per row. Zero heap allocations once the scratch has
-  /// warmed up. The centroid-norm cache is rebuilt lazily after any
-  /// Fit/SetCentroids (a swapped-in shadow model starts with a cold
-  /// cache by construction).
+  /// warmed up. The GEMM reads a cached C^T, so a call transposes
+  /// nothing; that cache and the centroid norms are rebuilt lazily after
+  /// any Fit/PartialFit/SetCentroids (a swapped-in shadow model starts
+  /// with cold caches by construction).
   void AssignFusedInto(const Matrix& x, Matrix* scores,
                        std::vector<size_t>* out) const;
 
@@ -62,7 +63,7 @@ class KMeans {
   /// fresh sample). Requires a prior Fit; rows are consumed in order on
   /// the calling thread, so the post-update centroids are a pure
   /// function of (current centroids, counts, x) — pool-size invariant
-  /// by construction. Invalidates the fused-assignment norm cache.
+  /// by construction. Invalidates the fused-assignment centroid caches.
   Status PartialFit(const Matrix& x);
 
   /// Multiply-accumulates of one PartialFit call on `n` rows (a predict
@@ -95,7 +96,7 @@ class KMeans {
 
   /// Replaces the centroids (used by joint fine-tuning when centroids are
   /// re-estimated from fresh latent codes). Invalidates the fused
-  /// assignment's centroid-norm cache.
+  /// assignment's centroid caches.
   void SetCentroids(Matrix centroids) {
     centroids_ = std::move(centroids);
     norms_valid_ = false;
@@ -105,7 +106,8 @@ class KMeans {
   double DistSq(const float* a, const float* b, size_t dim) const;
   void InitPlusPlus(const Matrix& x, Rng& rng);
   /// Squared L2 norm per centroid, rebuilt lazily after centroid changes
-  /// (Fit, SetCentroids). Also refreshes cmax_norm_.
+  /// (Fit, PartialFit, SetCentroids). Also refreshes cmax_norm_ and
+  /// centroids_t_.
   const std::vector<double>& CentroidNormsSq() const;
 
   KMeansConfig config_;
@@ -114,12 +116,13 @@ class KMeans {
   // Cumulative per-centroid sample counts driving PartialFit's learning
   // rates; reset to the final assignment counts by Fit.
   std::vector<uint64_t> partial_counts_;
-  // Centroid-norm cache for AssignFusedInto. Mutable because the cache
-  // is a memo of const state; KMeans is not written to be shared across
-  // threads without synchronization (each model instance — serving or
-  // shadow — is driven by one thread).
+  // Centroid caches for AssignFusedInto: the norms and C^T (dim x k).
+  // Mutable because they are memos of const state; KMeans is not written
+  // to be shared across threads without synchronization (each model
+  // instance — serving or shadow — is driven by one thread).
   mutable std::vector<double> cnorm2_;
   mutable double cmax_norm_ = 0.0;
+  mutable Matrix centroids_t_;
   mutable bool norms_valid_ = false;
 };
 

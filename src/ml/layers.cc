@@ -2,25 +2,20 @@
 
 #include <cmath>
 
+#include "common/kernels.h"
+
 namespace e2nvm::ml {
 
 void ParamBlock::Step(const AdamConfig& cfg, int t) {
-  const float b1 = cfg.beta1;
-  const float b2 = cfg.beta2;
-  const float correction1 =
-      1.0f - std::pow(b1, static_cast<float>(t));
-  const float correction2 =
-      1.0f - std::pow(b2, static_cast<float>(t));
-  for (size_t i = 0; i < value.size(); ++i) {
-    float g = grad.data()[i];
-    float& mi = m.data()[i];
-    float& vi = v.data()[i];
-    mi = b1 * mi + (1.0f - b1) * g;
-    vi = b2 * vi + (1.0f - b2) * g * g;
-    float mhat = mi / correction1;
-    float vhat = vi / correction2;
-    value.data()[i] -= cfg.lr * mhat / (std::sqrt(vhat) + cfg.eps);
-  }
+  const AdamStep step{
+      .beta1 = cfg.beta1,
+      .beta2 = cfg.beta2,
+      .lr = cfg.lr,
+      .eps = cfg.eps,
+      .correction1 = 1.0f - std::pow(cfg.beta1, static_cast<float>(t)),
+      .correction2 = 1.0f - std::pow(cfg.beta2, static_cast<float>(t))};
+  Ops().adam_f32(value.data().data(), m.data().data(), v.data().data(),
+                 grad.data().data(), value.size(), step);
 }
 
 Dense::Dense(size_t in, size_t out, Rng& rng)
@@ -29,7 +24,7 @@ Dense::Dense(size_t in, size_t out, Rng& rng)
 }
 
 Matrix Dense::Forward(const Matrix& x) {
-  x_cache_ = x;
+  TransposeInto(x, &x_t_);
   Matrix y = MatMul(x, w_.value);
   AddRowVector(y, b_.value.data());
   return y;
@@ -37,13 +32,17 @@ Matrix Dense::Forward(const Matrix& x) {
 
 Matrix Dense::Backward(const Matrix& dy) {
   AccumulateParamGrads(dy);
-  return MatMulTransB(dy, w_.value);
+  // dX = dY W^T, as MatMulTransB computes it, on this step's weights.
+  TransposeInto(w_.value, &w_t_);
+  Matrix dx;
+  MatMulInto(dy, w_t_, &dx);
+  return dx;
 }
 
 void Dense::AccumulateParamGrads(const Matrix& dy) {
   // dW += X^T dY ; db += colsum(dY).
-  Matrix dw = MatMulTransA(x_cache_, dy);
-  AddInPlace(w_.grad, dw);
+  MatMulInto(x_t_, dy, &dw_);
+  AddInPlace(w_.grad, dw_);
   std::vector<float> db = ColSums(dy);
   for (size_t j = 0; j < db.size(); ++j) b_.grad(0, j) += db[j];
 }

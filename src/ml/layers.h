@@ -93,7 +93,11 @@ class Dense : public Layer {
   size_t out_;
   ParamBlock w_;
   ParamBlock b_;  // 1 x out
-  Matrix x_cache_;
+  // Reused training scratch: the last Forward's input transposed (dW =
+  // X^T dY runs as MatMulInto(X^T, dY)), W^T for dX = dY W^T, and dW.
+  Matrix x_t_;
+  Matrix w_t_;
+  Matrix dw_;
 };
 
 /// Elementwise sigmoid.

@@ -205,20 +205,23 @@ Matrix MatMul(const Matrix& a, const Matrix& b);
 /// variant the write-path inference scratch uses.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c);
 
-/// C = A * B^T. Shapes: (m x k) * (n x k) -> (m x n).
+/// A^T into a caller-owned scratch matrix (EnsureShape'd to cols x
+/// rows). Copies only, so exact. The transposed products below, and the
+/// training layers that keep a transposed operand in scratch, run on it.
+void TransposeInto(const Matrix& a, Matrix* at);
+
+/// C = A * B^T. Shapes: (m x k) * (n x k) -> (m x n). MatMulInto(A, B^T):
+/// bit-identical to the plain ascending-p dot products whenever B is
+/// finite (kernels.h gemv_f32 says why skipping A's zeros is exact).
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
-/// Allocation-free MatMulTransB (bit-identical; see MatMulInto).
-void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* c);
-
-/// C = A^T * B. Shapes: (k x m) * (k x n) -> (m x n).
+/// C = A^T * B. Shapes: (k x m) * (k x n) -> (m x n). MatMulInto(A^T, B):
+/// the same terms, order and zero skip as accumulating B's row p into
+/// C's row i for every nonzero a[p][i].
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 
 /// Elementwise a += b (same shape).
 void AddInPlace(Matrix& a, const Matrix& b);
-
-/// Elementwise a += scale * b (same shape).
-void Axpy(Matrix& a, const Matrix& b, float scale);
 
 /// Adds a row vector `bias` (1 x n) to every row of `a` (m x n).
 void AddRowVector(Matrix& a, std::span<const float> bias);

@@ -84,8 +84,8 @@ void Vae::EncodeForward(const Matrix& x, Matrix* mu, Matrix* logvar) {
 }
 
 Matrix Vae::EncodeMu(const Matrix& x) {
-  Matrix mu, logvar;
-  EncodeForward(x, &mu, &logvar);
+  Matrix hidden, mu;
+  EncodeMuInto(x, &hidden, &mu);
   return mu;
 }
 
@@ -93,7 +93,7 @@ void Vae::EncodeMuInto(const Matrix& x, Matrix* hidden, Matrix* mu) {
   E2_CHECK(x.cols() == config_.input_dim, "EncodeMuInto dim mismatch");
   // Mirrors EncodeForward's mu branch op for op (Dense::Forward is
   // MatMul + AddRowVector; Relu::Forward's outputs are max(v, 0)), so
-  // the latent codes match EncodeMu bit for bit.
+  // the latent codes match the training forward pass bit for bit.
   MatMulInto(x, enc_in_->weights().value, hidden);
   AddRowVector(*hidden, enc_in_->bias().value.data());
   ReluInPlace(*hidden);

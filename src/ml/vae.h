@@ -63,15 +63,16 @@ class Vae {
 
   /// Deterministic encoding: returns the posterior mean mu for each row.
   /// This is the "only the encoder part is needed after training" path
-  /// used for placement prediction (§3.3.1).
+  /// used for placement prediction (§3.3.1): EncodeMuInto into fresh
+  /// matrices.
   Matrix EncodeMu(const Matrix& x);
 
   /// Inference-only encoder into caller-owned scratch: hidden = ReLU(x W1
-  /// + b1), mu = hidden W2 + b2. Skips the logvar head, the training
-  /// caches, and every temporary of EncodeMu, so a warmed-up call
-  /// performs zero heap allocations; the mu values are bit-identical to
-  /// EncodeMu (same kernels, same accumulation order). This is the "only
-  /// the encoder part is needed after training" write path of §3.3.1.
+  /// + b1), mu = hidden W2 + b2. Skips the logvar head and the training
+  /// caches, so a warmed-up call performs zero heap allocations; the mu
+  /// values are bit-identical to the training forward pass's (same
+  /// kernels, same accumulation order). This is the "only the encoder
+  /// part is needed after training" write path of §3.3.1.
   void EncodeMuInto(const Matrix& x, Matrix* hidden, Matrix* mu);
 
   /// Decodes latent codes to Bernoulli means (sigmoid outputs).

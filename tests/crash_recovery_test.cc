@@ -269,5 +269,56 @@ TEST(ShardedCrashRecovery, MidPutCrashOnOneShardLeavesOthersIntact) {
   }
 }
 
+TEST(ShardedCrashRecovery, RefusedPutReplaysAPrefixAtEveryPersist) {
+  // A PUT the shard refuses (its address pool is empty) is journaled,
+  // then rewound out of the journal. A power loss at any persist ordinal
+  // in between replays the committed history, plus at most the refused
+  // record (a crash after the append commits but before the rewind
+  // does); after the call the live journal holds the history alone.
+  auto store = MakeJournaledStore();
+  std::vector<uint64_t> keys;
+  for (uint64_t key = 0; keys.size() < kCrashSegments + 1; ++key) {
+    if (store->ShardOf(key) == 0) keys.push_back(key);
+  }
+  for (size_t i = 0; i < kCrashSegments; ++i) {
+    ASSERT_TRUE(store->Put(keys[i], ValueFor(keys[i])).ok()) << i;
+  }
+  const uint64_t refused = keys[kCrashSegments];
+  const size_t before = store->journal(0)->count();
+
+  // Count the persist ordinals of one refused PUT: its append and its
+  // rewind, one transaction each.
+  pmem::CrashPoint cp;
+  store->journal(0)->pool().SetCrashPoint(&cp);
+  cp.ArmAt(1'000'000);
+  ASSERT_EQ(store->Put(refused, ValueFor(refused)).code(),
+            StatusCode::kResourceExhausted);
+  const uint64_t body = cp.persists_seen();
+  ASSERT_GE(body, 8u);  // Two transactions of Begin, undo, count, commit.
+  ASSERT_EQ(store->journal(0)->count(), before);
+
+  for (uint64_t k = 0; k < body; ++k) {
+    cp.ArmAt(k);
+    ASSERT_EQ(store->Put(refused, ValueFor(refused)).code(),
+              StatusCode::kResourceExhausted)
+        << "k=" << k;
+    ASSERT_TRUE(cp.fired()) << "k=" << k;
+    ASSERT_EQ(store->journal(0)->count(), before) << "k=" << k;
+
+    auto replay_or = ShardJournal::ReplayImage(cp.image());
+    ASSERT_TRUE(replay_or.ok())
+        << "k=" << k << ": " << replay_or.status().ToString();
+    const auto& replayed = *replay_or;
+    ASSERT_TRUE(replayed.size() == before || replayed.size() == before + 1)
+        << "k=" << k << " replayed " << replayed.size() << " records";
+    for (size_t i = 0; i < replayed.size(); ++i) {
+      const uint64_t want = i < before ? keys[i] : refused;
+      EXPECT_EQ(replayed[i].key, want) << "k=" << k;
+      EXPECT_EQ(replayed[i].value, ValueFor(want)) << "k=" << k;
+    }
+  }
+  store->journal(0)->pool().SetCrashPoint(nullptr);
+}
+
 }  // namespace
 }  // namespace e2nvm::core

@@ -8,10 +8,10 @@
 //
 // The reference is built here from two oracles:
 //  - Prediction: ReferenceClusterer forwards training to a real E2Model
-//    but classifies every row on its own through the allocating
-//    layer-graph path (ReferenceCluster: Vae::EncodeMu on a one-row
-//    matrix, then KMeans::Predict). Each comparison runs one stream
-//    through an engine on the bare E2Model and one on the wrapper.
+//    but classifies every row on its own through an allocating path
+//    (ReferenceCluster: Vae::EncodeMu on a one-row matrix, then
+//    KMeans::Predict). Each comparison runs one stream through an
+//    engine on the bare E2Model and one on the wrapper.
 //  - Memo: both engines recycle released addresses through the same
 //    placement memo, so the first oracle alone cannot see a stale memo.
 //    After every operation, MemoIsFresh checks each cluster the fast
@@ -94,8 +94,8 @@ E2ModelConfig ModelConfig() {
 }
 
 /// The allocating reference classification of one content row: the
-/// layer-graph encoder on a one-row matrix, then the exact K-means scan.
-/// It shares no scratch kernel and no fused assignment with the engine.
+/// encoder on a fresh one-row matrix, then the exact K-means scan. It
+/// shares no scratch, no batch and no fused assignment with the engine.
 size_t ReferenceCluster(E2Model& model, const float* row) {
   const size_t dim = model.config().input_dim;
   ml::Matrix x(1, dim);

@@ -140,7 +140,7 @@ TEST(KernelsTest, BitsToFloatsMatchScalarForAllSizes) {
 // --- Float kernels: bitwise equality against scalar, unaligned start
 // offsets included so the vector loops can't assume 32-byte alignment. ---
 
-TEST(KernelsTest, AddAndAxpyMatchScalarBitwise) {
+TEST(KernelsTest, AddMatchesScalarBitwise) {
   const KernelOps& ref = *OpsFor(SimdLevel::kScalar);
   Rng rng(9);
   for (SimdLevel level : AvailableLevels()) {
@@ -150,7 +150,6 @@ TEST(KernelsTest, AddAndAxpyMatchScalarBitwise) {
         std::vector<float> base(offset + n), src(offset + n);
         for (auto& v : base) v = rng.NextFloat() * 4.0f - 2.0f;
         for (auto& v : src) v = rng.NextFloat() * 4.0f - 2.0f;
-        const float a = rng.NextFloat() * 2.0f - 1.0f;
 
         std::vector<float> got = base, want = base;
         ops.add_f32(got.data() + offset, src.data() + offset, n);
@@ -158,36 +157,57 @@ TEST(KernelsTest, AddAndAxpyMatchScalarBitwise) {
         ASSERT_TRUE(BytesEqual(got.data(), want.data(),
                                got.size() * sizeof(float)))
             << SimdLevelName(level) << " add n=" << n << " off=" << offset;
-
-        got = base;
-        want = base;
-        ops.axpy_f32(got.data() + offset, src.data() + offset, a, n);
-        ref.axpy_f32(want.data() + offset, src.data() + offset, a, n);
-        ASSERT_TRUE(BytesEqual(got.data(), want.data(),
-                               got.size() * sizeof(float)))
-            << SimdLevelName(level) << " axpy n=" << n << " off=" << offset;
       }
     }
   }
 }
 
-TEST(KernelsTest, Dot8MatchesScalarBitwise) {
+TEST(KernelsTest, AdamMatchesScalarBitwise) {
+  // Every length 0..67 covers the 8- and 16-wide bodies and every tail.
+  // The gradients mix exact zeros (both signs), denormals, ordinary
+  // values and values near the float range, whose squares overflow to
+  // inf in v; the moments start from a prior step's state. t = 1 has
+  // the largest bias corrections, t = 10000 corrections of exactly 1.
   const KernelOps& ref = *OpsFor(SimdLevel::kScalar);
-  Rng rng(31);
-  for (SimdLevel level : AvailableLevels()) {
-    const KernelOps& ops = *OpsFor(level);
-    // k sweeps the accumulation depth; ldb > k exercises strided rows.
-    for (size_t k : {0u, 1u, 2u, 7u, 8u, 31u, 64u, 129u}) {
-      for (size_t ldb : {k, k + 1, k + 13}) {
-        if (ldb == 0) continue;
-        std::vector<float> a(k), b(8 * ldb);
-        for (auto& v : a) v = rng.NextFloat() * 2.0f - 1.0f;
-        for (auto& v : b) v = rng.NextFloat() * 2.0f - 1.0f;
-        float got[8], want[8];
-        ops.dot8_f32(a.data(), b.data(), ldb, k, got);
-        ref.dot8_f32(a.data(), b.data(), ldb, k, want);
-        ASSERT_EQ(std::memcmp(got, want, sizeof(got)), 0)
-            << SimdLevelName(level) << " k=" << k << " ldb=" << ldb;
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  Rng rng(77);
+  for (int t : {1, 10000}) {
+    const AdamStep step{
+        .beta1 = 0.9f,
+        .beta2 = 0.999f,
+        .lr = 1e-3f,
+        .eps = 1e-8f,
+        .correction1 = 1.0f - std::pow(0.9f, static_cast<float>(t)),
+        .correction2 = 1.0f - std::pow(0.999f, static_cast<float>(t))};
+    for (size_t n = 0; n <= 67; ++n) {
+      std::vector<float> w(n), m(n), v(n), g(n);
+      for (size_t i = 0; i < n; ++i) {
+        w[i] = rng.NextFloat() * 2.0f - 1.0f;
+        m[i] = (rng.NextFloat() - 0.5f) * 1e-2f;
+        v[i] = rng.NextFloat() * 1e-4f;
+        switch (i % 6) {
+          case 0: g[i] = 0.0f; break;
+          case 1: g[i] = -0.0f; break;
+          case 2: g[i] = denorm * static_cast<float>(1 + i); break;
+          case 3: g[i] = rng.NextFloat() * 2.0f - 1.0f; break;
+          case 4: g[i] = (rng.NextFloat() * 0.5f + 0.5f) * 3e38f; break;
+          default: g[i] = -(rng.NextFloat() + 0.5f) * 1e20f; break;
+        }
+      }
+      std::vector<float> want_w = w, want_m = m, want_v = v;
+      ref.adam_f32(want_w.data(), want_m.data(), want_v.data(), g.data(), n,
+                   step);
+      for (SimdLevel level : AvailableLevels()) {
+        std::vector<float> got_w = w, got_m = m, got_v = v;
+        OpsFor(level)->adam_f32(got_w.data(), got_m.data(), got_v.data(),
+                                g.data(), n, step);
+        const size_t bytes = n * sizeof(float);
+        ASSERT_TRUE(BytesEqual(got_w.data(), want_w.data(), bytes))
+            << SimdLevelName(level) << " w n=" << n << " t=" << t;
+        ASSERT_TRUE(BytesEqual(got_m.data(), want_m.data(), bytes))
+            << SimdLevelName(level) << " m n=" << n << " t=" << t;
+        ASSERT_TRUE(BytesEqual(got_v.data(), want_v.data(), bytes))
+            << SimdLevelName(level) << " v n=" << n << " t=" << t;
       }
     }
   }
@@ -468,8 +488,9 @@ TEST(KernelsTest, BitVectorDiffStatsMatchesPerBitWalk) {
   }
 }
 
-// --- GEMM: the dispatched j-vectorized paths must be bit-identical to
-// a naive triple loop, serial and pooled alike. ---
+// --- GEMM: the dispatched j-vectorized paths, and the transposed
+// products that run on them, must be bit-identical to a naive triple
+// loop, serial and pooled alike. ---
 
 ml::Matrix RandomMatrix(size_t r, size_t c, Rng& rng) {
   ml::Matrix m(r, c);
@@ -503,50 +524,102 @@ ml::Matrix NaiveMatMulTransB(const ml::Matrix& a, const ml::Matrix& b) {
   return c;
 }
 
+/// c[i][j] = sum_p a[p][i] * b[p][j], scalar ascending-p, no zero skip.
+ml::Matrix NaiveMatMulTransA(const ml::Matrix& a, const ml::Matrix& b) {
+  ml::Matrix c(a.cols(), b.cols());
+  for (size_t i = 0; i < a.cols(); ++i) {
+    for (size_t j = 0; j < b.cols(); ++j) {
+      float s = 0.0f;
+      for (size_t p = 0; p < a.rows(); ++p) s += a(p, i) * b(p, j);
+      c(i, j) = s;
+    }
+  }
+  return c;
+}
+
+bool SameBits(const ml::Matrix& got, const ml::Matrix& want) {
+  return got.rows() == want.rows() && got.cols() == want.cols() &&
+         BytesEqual(got.data().data(), want.data().data(),
+                    want.size() * sizeof(float));
+}
+
+/// Writes the zero patterns the skip must handle into the vectors that
+/// become gemv's A rows: `at(r, p)` names element p of vector r.
+/// Vector 0 alternates 0.0f, -0.0f and 1.0f (a featurized row with
+/// signed zeros), vector 1 is all 0.0f and, when there is one, vector 2
+/// is all -0.0f.
+template <typename At>
+void PlantZeros(size_t vectors, size_t len, At at) {
+  for (size_t p = 0; p < len; ++p) {
+    const float pattern[3] = {0.0f, -0.0f, 1.0f};
+    at(0, p) = pattern[p % 3];
+    if (vectors > 1) at(1, p) = 0.0f;
+    if (vectors > 2) at(2, p) = -0.0f;
+  }
+}
+
 TEST(KernelsTest, GemmBitIdenticalToNaiveSerialAndPooled) {
   Rng rng(2024);
-  // Odd sizes force dot8 and GEMV chunk tails; a 0/1-valued A row
-  // exercises the zero skip the featurized encode hits.
+  // Odd sizes force the GEMV column tiles' tails. The last shape is big
+  // enough (2.2M multiply-adds) that a pool actually splits its rows.
+  // B is finite, the condition under which A B^T's zero skip is exact.
   const std::vector<std::tuple<size_t, size_t, size_t>> shapes = {
-      {1, 1, 1}, {3, 5, 7}, {8, 16, 24}, {13, 33, 65}, {17, 128, 9}};
+      {1, 1, 1},    {3, 5, 7},    {8, 16, 24},
+      {13, 33, 65}, {17, 128, 9}, {67, 257, 129}};
   for (auto [m, k, n] : shapes) {
+    // MatMul and MatMulTransB: A is m x k, its rows are gemv's A rows.
     ml::Matrix a = RandomMatrix(m, k, rng);
-    for (size_t p = 0; p < k; p += 3) a(0, p) = (p % 2 == 0) ? 0.0f : 1.0f;
+    PlantZeros(m, k, [&](size_t r, size_t p) -> float& { return a(r, p); });
     ml::Matrix b = RandomMatrix(k, n, rng);
     ml::Matrix bt = RandomMatrix(n, k, rng);
+    // MatMulTransA: A is k x m and its columns are gemv's A rows; one
+    // all-zero row zeroes a whole step p as well.
+    ml::Matrix ta = RandomMatrix(k, m, rng);
+    PlantZeros(m, k,
+               [&](size_t r, size_t p) -> float& { return ta(p, r); });
+    for (size_t i = 0; i < m; ++i) ta(k / 2, i) = 0.0f;
 
-    ml::Matrix want = NaiveMatMul(a, b);
-    ml::Matrix want_tb = NaiveMatMulTransB(a, bt);
+    const ml::Matrix want = NaiveMatMul(a, b);
+    const ml::Matrix want_tb = NaiveMatMulTransB(a, bt);
+    const ml::Matrix want_ta = NaiveMatMulTransA(ta, b);
+    const std::string shape = std::to_string(m) + "x" + std::to_string(k) +
+                              "x" + std::to_string(n);
 
     ml::Matrix got;
     ml::MatMulInto(a, b, &got);
-    EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
-                          want.size() * sizeof(float)),
-              0)
-        << "MatMulInto " << m << "x" << k << "x" << n;
-
-    ml::Matrix got_tb;
-    ml::MatMulTransBInto(a, bt, &got_tb);
-    EXPECT_EQ(std::memcmp(got_tb.data().data(), want_tb.data().data(),
-                          want_tb.size() * sizeof(float)),
-              0)
-        << "MatMulTransBInto " << m << "x" << k << "x" << n;
+    EXPECT_TRUE(SameBits(got, want)) << "MatMulInto " << shape;
+    EXPECT_TRUE(SameBits(ml::MatMulTransB(a, bt), want_tb))
+        << "MatMulTransB " << shape;
+    EXPECT_TRUE(SameBits(ml::MatMulTransA(ta, b), want_ta))
+        << "MatMulTransA " << shape;
 
     {
       ThreadPool pool(3);
       ml::SetComputePool(&pool);
-      ml::Matrix pooled = ml::MatMul(a, b);
-      ml::Matrix pooled_tb = ml::MatMulTransB(a, bt);
+      const ml::Matrix pooled = ml::MatMul(a, b);
+      const ml::Matrix pooled_tb = ml::MatMulTransB(a, bt);
+      const ml::Matrix pooled_ta = ml::MatMulTransA(ta, b);
       ml::SetComputePool(nullptr);
-      EXPECT_EQ(std::memcmp(pooled.data().data(), want.data().data(),
-                            want.size() * sizeof(float)),
-                0)
-          << "pooled MatMul " << m << "x" << k << "x" << n;
-      EXPECT_EQ(std::memcmp(pooled_tb.data().data(),
-                            want_tb.data().data(),
-                            want_tb.size() * sizeof(float)),
-                0)
-          << "pooled MatMulTransB " << m << "x" << k << "x" << n;
+      EXPECT_TRUE(SameBits(pooled, want)) << "pooled MatMul " << shape;
+      EXPECT_TRUE(SameBits(pooled_tb, want_tb))
+          << "pooled MatMulTransB " << shape;
+      EXPECT_TRUE(SameBits(pooled_ta, want_ta))
+          << "pooled MatMulTransA " << shape;
+    }
+  }
+}
+
+TEST(KernelsTest, TransposeIntoMatchesElementwise) {
+  Rng rng(5);
+  ml::Matrix at;
+  for (auto [r, c] : {std::pair<size_t, size_t>{37, 19}, {1, 70}, {64, 2},
+                      {0, 3}}) {
+    const ml::Matrix a = RandomMatrix(r, c, rng);
+    ml::TransposeInto(a, &at);
+    ASSERT_EQ(at.rows(), c);
+    ASSERT_EQ(at.cols(), r);
+    for (size_t i = 0; i < r; ++i) {
+      for (size_t j = 0; j < c; ++j) ASSERT_EQ(at(j, i), a(i, j));
     }
   }
 }

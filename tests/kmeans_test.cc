@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <initializer_list>
+
 #include "common/rng.h"
 
 namespace e2nvm::ml {
@@ -199,6 +202,59 @@ TEST(KMeansTest, FusedAssignmentBreaksTiesLikePredict) {
   std::vector<size_t> fused;
   km.AssignFusedInto(x, &scores, &fused);
   EXPECT_EQ(fused, want);
+}
+
+/// `n` points on the circle of radius 10, at `degrees` each (cycling).
+Matrix OnCircle(std::initializer_list<float> degrees, size_t n) {
+  const std::vector<float> deg(degrees);
+  Matrix m(n, 2);
+  for (size_t i = 0; i < n; ++i) {
+    const float rad = deg[i % deg.size()] * 3.14159265f / 180.0f;
+    m(i, 0) = 10.0f * std::cos(rad);
+    m(i, 1) = 10.0f * std::sin(rad);
+  }
+  return m;
+}
+
+TEST(KMeansTest, FusedAssignmentFollowsEveryCentroidChange) {
+  // Each check warms the fused assignment's caches (centroid norms and
+  // C^T), and each change below must invalidate them. The centroids stay
+  // on one circle, so their norms stay (nearly) equal and the fused
+  // score ranks centroids by the dot products alone: scores against a
+  // stale C^T would pick each query's nearest *previous* centroid, and
+  // the exact re-check only looks near that minimum. Every change moves
+  // some query's nearest centroid, so stale caches cannot pass.
+  Matrix queries(72, 2);
+  for (size_t i = 0; i < queries.rows(); ++i) {
+    const float rad = (5.0f * i + 2.5f) * 3.14159265f / 180.0f;
+    queries(i, 0) = 10.0f * std::cos(rad);
+    queries(i, 1) = 10.0f * std::sin(rad);
+  }
+  KMeans km({.k = 3, .seed = 5});
+  km.SetCentroids(OnCircle({0, 100, 220}, 3));
+  ExpectFusedMatchesPredict(km, queries);
+  std::vector<size_t> before = km.PredictBatch(queries);
+
+  // PartialFit drags the centroid at 100 degrees to about 150.
+  ASSERT_TRUE(km.PartialFit(OnCircle({150}, 400)).ok());
+  ExpectFusedMatchesPredict(km, queries);
+  EXPECT_NE(km.PredictBatch(queries), before);
+  before = km.PredictBatch(queries);
+
+  // SetCentroids: the same centroids, rotated one index.
+  Matrix rotated(3, 2);
+  for (size_t c = 0; c < 3; ++c) {
+    rotated.CopyRowFrom(km.centroids(), (c + 1) % 3, c);
+  }
+  km.SetCentroids(std::move(rotated));
+  ExpectFusedMatchesPredict(km, queries);
+  EXPECT_NE(km.PredictBatch(queries), before);
+  before = km.PredictBatch(queries);
+
+  // Fit on three blobs elsewhere on the circle.
+  ASSERT_TRUE(km.Fit(OnCircle({40, 190, 290}, 90)).ok());
+  ExpectFusedMatchesPredict(km, queries);
+  EXPECT_NE(km.PredictBatch(queries), before);
 }
 
 TEST(FindElbowTest, DetectsSharpKnee) {

@@ -56,8 +56,8 @@ TEST(ParallelMlTest, MatMulTransBMatchesSerialBitForBit) {
 }
 
 TEST(ParallelMlTest, MatMulTransAMatchesSerialBitForBit) {
-  // The parallel TransA kernel exchanges the loop nest but keeps the
-  // per-element accumulation order, so equality is exact.
+  // MatMulTransA is MatMulInto on A^T: rows are independent, so any
+  // pool split is exact.
   Matrix a = RandomMatrix(64, 97, 5);
   Matrix b = RandomMatrix(64, 53, 6);
   Matrix serial = MatMulTransA(a, b);

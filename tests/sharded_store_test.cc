@@ -560,5 +560,115 @@ TEST(ShardedStore, JournalErrorAppliesExactlyTheJournaledPrefix) {
   }
 }
 
+/// Replays shard `s`'s journal and checks it against the live shard: the
+/// same key set, and every replayed value is the one the store serves.
+void ExpectReplayMatchesShard(ShardedStore& store, size_t s) {
+  auto records_or =
+      ShardJournal::ReplayImage(store.journal(s)->SnapshotImage());
+  ASSERT_TRUE(records_or.ok());
+  std::map<uint64_t, BitVector> replayed;
+  for (const auto& r : *records_or) {
+    if (r.op == ShardJournal::Op::kPut) {
+      replayed[r.key] = r.value;
+    } else {
+      replayed.erase(r.key);
+    }
+  }
+  std::vector<uint64_t> live, replayed_keys;
+  store.shard(s).tree().ForEach(
+      [&](uint64_t key, uint64_t) { live.push_back(key); });
+  for (const auto& [key, value] : replayed) replayed_keys.push_back(key);
+  EXPECT_EQ(replayed_keys, live) << "shard " << s;
+  for (const auto& [key, value] : replayed) {
+    auto got = store.Get(key);
+    ASSERT_TRUE(got.ok()) << "key " << key;
+    EXPECT_EQ(*got, value) << "key " << key;
+  }
+}
+
+std::unique_ptr<ShardedStore> MakeOneShardJournaled(
+    const workload::BitDataset& ds, size_t segments, size_t capacity) {
+  ShardedStoreConfig cfg;
+  cfg.num_shards = 1;
+  cfg.shard = ShardConfig();
+  cfg.shard.num_segments = segments;
+  cfg.shard.auto_retrain = false;
+  cfg.journal = true;
+  cfg.journal_capacity = capacity;
+  auto store_or = ShardedStore::Create(cfg);
+  EXPECT_TRUE(store_or.ok());
+  auto store = std::move(*store_or);
+  store->Seed(ds);
+  EXPECT_TRUE(store->Bootstrap().ok());
+  return store;
+}
+
+TEST(ShardedStore, CheckpointNeverDropsRowsOfTheBatchInFlight) {
+  // 12 batches of 4 updates over 10 keys through a 16-slot journal: the
+  // journal fills in the middle of batches. A checkpoint taken there
+  // would snapshot a tree without the batch's journaled but not yet
+  // applied rows, and the new generation would lose them, so a replay
+  // would serve their keys' older values.
+  auto ds = ClusteredData(17);
+  auto store = MakeOneShardJournaled(ds, kSegments, /*capacity=*/16);
+  for (uint64_t b = 0; b < 12; ++b) {
+    std::vector<std::pair<uint64_t, BitVector>> kvs;
+    for (uint64_t i = 0; i < 4; ++i) {
+      const uint64_t row = b * 4 + i;
+      kvs.emplace_back(row % 10, ds.items[row % ds.items.size()]);
+    }
+    ASSERT_TRUE(store->MultiPutShard(0, kvs.data(), kvs.size()).ok())
+        << "batch " << b;
+  }
+  EXPECT_GT(store->TakeSnapshot().journal_checkpoints, 0u);
+  EXPECT_LE(store->journal(0)->count(), 16u);
+  ExpectReplayMatchesShard(*store, 0);
+
+  // A batch larger than a fresh checkpoint leaves room for (10 live keys
+  // in 16 slots) is journaled and applied in chunks.
+  std::vector<std::pair<uint64_t, BitVector>> big;
+  for (uint64_t i = 0; i < 15; ++i) {
+    big.emplace_back(i % 12, ds.items[(100 + i) % ds.items.size()]);
+  }
+  ASSERT_TRUE(store->MultiPutShard(0, big.data(), big.size()).ok());
+  EXPECT_EQ(store->shard(0).size(), 12u);
+  ExpectReplayMatchesShard(*store, 0);
+}
+
+TEST(ShardedStore, RowsTheShardRefusesAreNotJournaled) {
+  // A 16-segment shard holds 16 keys; the 17th PUT finds the address
+  // pool empty. The journal must not keep its record, or a replay after
+  // a crash would resurrect a key the store never held.
+  auto ds = ClusteredData(19);
+  auto store = MakeOneShardJournaled(ds, /*segments=*/16, /*capacity=*/64);
+  for (uint64_t key = 0; key < 16; ++key) {
+    ASSERT_TRUE(store->Put(key, ds.items[key]).ok()) << "key " << key;
+  }
+  EXPECT_EQ(store->Put(16, ds.items[16]).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(store->journal(0)->count(), 16u);
+  ExpectReplayMatchesShard(*store, 0);
+
+  // The batch path, with one address free: the two updates land (each
+  // takes the free address and recycles its key's old one), new key 17
+  // takes the last free address, and the update of key 6 then finds the
+  // pool empty and stops the batch. Only the three rows that landed stay
+  // journaled.
+  ASSERT_TRUE(store->Delete(0).ok());
+  std::vector<std::pair<uint64_t, BitVector>> kvs = {
+      {3, ds.items[40]}, {5, ds.items[41]}, {17, ds.items[42]},
+      {6, ds.items[43]}, {7, ds.items[44]}};
+  EXPECT_EQ(store->MultiPutShard(0, kvs.data(), kvs.size()).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(store->journal(0)->count(), 20u);  // 16 PUTs, 1 DELETE, 3.
+  ExpectReplayMatchesShard(*store, 0);
+  auto got = store->Get(17);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, ds.items[42]);
+  got = store->Get(6);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, ds.items[6]);
+}
+
 }  // namespace
 }  // namespace e2nvm::core

@@ -50,12 +50,41 @@ TEST(VaeTest, ShapesAreCorrect) {
   }
 }
 
+TEST(VaeTest, EncodeMuMatchesTheTrainingLayerGraph) {
+  // EncodeMu runs EncodeMuInto, which mirrors the training forward pass
+  // (Dense, ReLU, Dense) op for op. Rebuild that forward pass from the
+  // public layers: an untrained Vae draws its input layer, then its mu
+  // head, from Rng(seed), so the same draws give the same weights.
+  const VaeConfig cfg = SmallConfig();
+  Vae vae(cfg);
+  Rng rng(cfg.seed);
+  Dense enc(cfg.input_dim, cfg.hidden_dim, rng);
+  Dense mu_head(cfg.hidden_dim, cfg.latent_dim, rng);
+  Relu relu;
+  ASSERT_EQ(enc.weights().value.data(), vae.encoder_weights().data());
+  Rng vals(3);
+  for (bool binary : {true, false}) {
+    Matrix x = TwoProtoData(9, cfg.input_dim, 5);
+    if (!binary) {
+      for (auto& v : x.data()) v = vals.NextFloat() * 4.0f - 2.0f;
+    }
+    const Matrix want = mu_head.Forward(relu.Forward(enc.Forward(x)));
+    const Matrix got = vae.EncodeMu(x);
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "binary=" << binary;
+  }
+}
+
 TEST(VaeTest, EncodeMuIntoMatchesEncodeMuBitwise) {
-  // The write path's scratch encode must equal the layer-graph encode
-  // (EncodeMu) and a one-row scratch encode of the same row, row for
-  // row, bit for bit, on featurized 0/1 rows and on general floats: one
-  // row, a pipelined shard batch of 8, and 33 rows (past a 32-value
-  // MultiPut).
+  // The write path's scratch encode must equal EncodeMu on fresh
+  // matrices and a one-row scratch encode of the same row, row for row,
+  // bit for bit, on featurized 0/1 rows and on general floats: one row,
+  // a pipelined shard batch of 8, and 33 rows (past a 32-value
+  // MultiPut), with the scratch reused across shapes.
   Vae vae(SmallConfig());
   Matrix hidden, mu;  // Reused across shapes, like the engine's scratch.
   Matrix one_hidden, one_mu;
