@@ -568,6 +568,7 @@ OpsResult RunBatchedBench(size_t pool_threads, bool background_retrain) {
 /// boxes shard parallelism stacks on top). The PUT figure is total
 /// operations across all threads over the wall time.
 struct ShardedOpsResult {
+  double bootstrap_ms = 0;  // ShardedStore::Bootstrap, wall clock.
   double put_ops_s = 0;
   double get_ops_s = 0;
   double put_p50_us = 0;  // Per-op, from per-MultiPut latencies / batch.
@@ -619,7 +620,11 @@ ShardedOpsResult RunShardedBench(size_t num_shards, size_t client_threads,
   pc.seed = 7;
   auto ds = workload::MakeProtoDataset(pc);
   store->Seed(ds);
+  ShardedOpsResult r;
+  const auto boot0 = Clock::now();
   if (!store->Bootstrap().ok()) std::abort();
+  r.bootstrap_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - boot0).count();
 
   // p.keys / num_shards keys per shard (the single-store keyspace split
   // over the partition), found by probing the hash.
@@ -637,7 +642,6 @@ ShardedOpsResult RunShardedBench(size_t num_shards, size_t client_threads,
   // Pre-build each shard's MultiPut batches outside the timed region.
   // MultiPut recycles each update's old address as its row lands, so a
   // batch of updates never needs more free segments than one Put.
-  ShardedOpsResult r;
   const uint64_t puts_per_shard = p.puts / num_shards;
   std::vector<std::vector<std::vector<std::pair<uint64_t, BitVector>>>>
       batches(num_shards);
@@ -831,7 +835,9 @@ void WriteOpsJson(const char* path, unsigned threads, size_t batch,
 // scripts/check.sh skips them. Every point also records the background
 // retrains it launched: a training timeslices against that point's
 // PUTs, so a point that launched fewer than the 1-shard baseline reads
-// its speedup against a slowed baseline.
+// its speedup against a slowed baseline. `bootstrap_ms` is the store's
+// set-up training: the shards are seeded alike, so every point trains
+// one model (DESIGN.md §10).
 
 void RunScalingSweep(const char* path, size_t pool_threads) {
   constexpr size_t kShardCounts[] = {1, 2, 4, 8};
@@ -862,6 +868,7 @@ void RunScalingSweep(const char* path, size_t pool_threads) {
     jw.Field("shards", shards);
     jw.Field("client_threads", shards);
     jw.Field("batch_size", MakeParams().batch);
+    jw.Field("bootstrap_ms", r.bootstrap_ms);
     jw.Field("put_ops_per_s", r.put_ops_s, 1);
     jw.Field("get_ops_per_s", r.get_ops_s, 1);
     jw.Field("put_p50_us", r.put_p50_us);

@@ -43,7 +43,8 @@ int main() {
     return 1;
   }
   std::printf("model trained: %zu clusters over %zu segments\n",
-              (*store)->model().config().k, cfg.num_segments);
+              (*store)->engine().clusterer().num_clusters(),
+              cfg.num_segments);
 
   // 3. PUT / GET / UPDATE / DELETE / SCAN. Written values are *updated
   //    versions* of the resident data (a few percent of bits changed), as

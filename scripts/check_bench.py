@@ -27,9 +27,9 @@ REQUIRED_KEYS = {
         retrain_allocs refine_allocs refine_steps put_max_us_steady
         put_p999_us get_p50_us get_p99_us get_p999_us undersubscribed
         hardware_concurrency simd_level""",
-    "scaling": """points shards client_threads batch_size put_ops_per_s
-        get_ops_per_s put_p50_us put_p99_us put_p999_us speedup_vs_1shard
-        undersubscribed hardware_concurrency""",
+    "scaling": """points shards client_threads batch_size bootstrap_ms
+        put_ops_per_s get_ops_per_s put_p50_us put_p99_us put_p999_us
+        speedup_vs_1shard undersubscribed hardware_concurrency""",
     "chaos": """prefix_violations recovered_records recovery_latency_us_mean
         scrub_mismatches scrub_repaired scrub_quarantined""",
     "net": """workers shards value_bits pipeline_depth closed_loop put_depth1
@@ -37,11 +37,11 @@ REQUIRED_KEYS = {
         p99_us p999_us pipelined_put_speedup_vs_depth1 open_loop
         offered_ops_per_s achieved_ops_per_s dropped_requests
         failed_requests undersubscribed""",
-    "workloads": """scenarios zipf_theta churn_fraction drift_period pad
-        reads updates inserts deletes scans scan_misses failed_ops
+    "workloads": """smoke scenarios zipf_theta churn_fraction drift_period
+        pad reads updates inserts deletes scans scan_misses failed_ops
         live_keys store_keys ops_per_s flips_per_bit pj_per_write total_pj
-        retrains background_retrains refine_steps incremental
-        undersubscribed""",
+        retrains background_retrains capacity_retrains refine_steps
+        incremental undersubscribed""",
 }
 
 SCENARIOS = """zipf_0.50 zipf_0.80 zipf_0.99 ycsb_a ycsb_b ycsb_c ycsb_d ycsb_e
@@ -158,13 +158,18 @@ def gate_workloads(doc, r):
            "drift gate OK",
            "drift scenario recorded no background retrain")
     # §16: the same stream with refinement on absorbs the drift inline:
-    # at least one refine step and no full retrain of either kind.
+    # at least one refine step, and no full retrain of either kind that
+    # the capacity trigger did not fire. That trigger always escalates
+    # (refinement never rebuilds the DAP); a smoke pass is too short to
+    # reach it, so there the gate allows no full retrain at all.
     inc = by_name.get("drift_incremental", {})
-    r.gate(inc.get("refine_steps", 0) >= 1 and inc.get("retrains", 0) == 0
-           and inc.get("background_retrains", 0) == 0,
-           "drift_incremental gate OK",
-           "drift_incremental gate failed "
-           "(want refine_steps >= 1 and zero full retrains)")
+    allowed = 0 if doc["smoke"] else inc.get("capacity_retrains", 0)
+    r.gate(inc.get("refine_steps", 0) >= 1
+           and inc.get("retrains", 0) <= allowed
+           and inc.get("background_retrains", 0) <= allowed,
+           f"drift_incremental gate OK (full retrains allowed: {allowed})",
+           "drift_incremental gate failed (want refine_steps >= 1 and at "
+           f"most {allowed} full retrains, the capacity-triggered ones)")
     # Determinism anchor: zipf_0.99 and ycsb_a are the same scenario run
     # twice from scratch, so their flips_per_bit match bit for bit.
     a = by_name.get("zipf_0.99", {}).get("flips_per_bit", 0)

@@ -20,6 +20,14 @@ E2Model::E2Model(const E2ModelConfig& config)
   vae_ = std::make_unique<ml::Vae>(vc);
 }
 
+E2Model::E2Model(const E2Model& other)
+    : config_(other.config_),
+      vae_(std::make_unique<ml::Vae>(*other.vae_)),
+      kmeans_(other.kmeans_),
+      history_(other.history_),
+      last_train_flops_(other.last_train_flops_),
+      last_partial_fit_flops_(other.last_partial_fit_flops_) {}
+
 Status E2Model::Train(const ml::Matrix& contents) {
   if (contents.rows() < config_.k) {
     return Status::InvalidArgument("fewer segments than clusters");
@@ -125,7 +133,7 @@ Status E2Model::PartialFit(const ml::Matrix& batch) {
   return Status::Ok();
 }
 
-void E2Model::AssignScratch(ml::InferenceScratch* scratch) {
+void E2Model::AssignScratch(ml::InferenceScratch* scratch) const {
   E2_CHECK(scratch->in.cols() == config_.input_dim,
            "feature width %zu != input_dim %zu", scratch->in.cols(),
            config_.input_dim);

@@ -41,6 +41,10 @@ class E2Model : public placement::ContentClusterer {
  public:
   explicit E2Model(const E2ModelConfig& config);
 
+  /// A deep copy (the VAE's layers included; see Vae's copy).
+  E2Model(const E2Model& other);
+  E2Model& operator=(const E2Model&) = delete;
+
   std::string_view name() const override { return "E2-NVM"; }
 
   /// Fresh untrained model with identical config — the shadow instance a
@@ -48,6 +52,9 @@ class E2Model : public placement::ContentClusterer {
   std::unique_ptr<placement::ContentClusterer> CloneUntrained()
       const override {
     return std::make_unique<E2Model>(config_);
+  }
+  std::unique_ptr<placement::ContentClusterer> Clone() const override {
+    return std::make_unique<E2Model>(*this);
   }
 
   /// Trains VAE (ELBO pretraining), fits K-means on the latent codes, then
@@ -60,7 +67,7 @@ class E2Model : public placement::ContentClusterer {
   /// K-means assignment: zero heap allocations once the scratch is warm,
   /// and per row the id of Vae::EncodeMu then KMeans::Predict, bit for
   /// bit.
-  void AssignScratch(ml::InferenceScratch* scratch) override;
+  void AssignScratch(ml::InferenceScratch* scratch) const override;
 
   size_t num_clusters() const override { return config_.k; }
 

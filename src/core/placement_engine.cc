@@ -22,6 +22,7 @@ void EngineStats::MergeFrom(const EngineStats& other) {
   model_fallbacks += other.model_fallbacks;
   failed_retrains += other.failed_retrains;
   background_retrains += other.background_retrains;
+  capacity_retrains += other.capacity_retrains;
   swap_repredictions += other.swap_repredictions;
   refine_steps += other.refine_steps;
   refine_flops += other.refine_flops;
@@ -65,6 +66,14 @@ PlacementEngine::PlacementEngine(nvm::MemoryController* ctrl,
   }
 }
 
+PlacementEngine::PlacementEngine(
+    nvm::MemoryController* ctrl,
+    std::shared_ptr<placement::ContentClusterer> clusterer,
+    const Config& config)
+    : PlacementEngine(ctrl, clusterer.get(), config) {
+  owned_clusterer_ = std::move(clusterer);
+}
+
 std::string_view PlacementEngine::name() const {
   return clusterer_->name();
 }
@@ -87,14 +96,29 @@ ml::Matrix PlacementEngine::ContentsMatrix(
 Status PlacementEngine::TrainAndRepopulate(
     const std::vector<uint64_t>& addrs) {
   ml::Matrix contents = ContentsMatrix(addrs);
-  E2_RETURN_IF_ERROR(clusterer_->Train(contents));
-  stats_.train_flops += clusterer_->LastTrainFlops();
+  if (model_shared_) {
+    // Other engines serve the current model: train a fresh instance and
+    // serve it privately instead of retraining theirs in place.
+    std::unique_ptr<placement::ContentClusterer> fresh =
+        clusterer_->CloneUntrained();
+    E2_RETURN_IF_ERROR(fresh->Train(contents));
+    ServePrivate(std::move(fresh));
+  } else {
+    E2_RETURN_IF_ERROR(clusterer_->Train(contents));
+  }
+  Repopulate(addrs, std::move(contents));
+  return Status::Ok();
+}
+
+void PlacementEngine::Repopulate(const std::vector<uint64_t>& addrs,
+                                 ml::Matrix contents) {
+  const double flops = clusterer_->LastTrainFlops();
+  stats_.train_flops += flops;
   // Charge model training to the CPU energy domain and the clock.
   const nvm::EnergyModel& em = ctrl_->device().energy_model();
   ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
-                                     em.CpuPj(clusterer_->LastTrainFlops()));
-  ctrl_->device().meter().AdvanceTimeLane(
-      lane_, em.CpuNs(clusterer_->LastTrainFlops()));
+                                     em.CpuPj(flops));
+  ctrl_->device().meter().AdvanceTimeLane(lane_, em.CpuNs(flops));
 
   // Classify the training matrix in one call. The local scratch takes
   // the contents by move, so no region-sized buffer outlives the fill
@@ -108,7 +132,16 @@ Status PlacementEngine::TrainAndRepopulate(
   }
   policy_.OnRetrain();
   InvalidateClusterCache();
-  return Status::Ok();
+}
+
+void PlacementEngine::ServePrivate(
+    std::unique_ptr<placement::ContentClusterer> model) {
+  // A shared model is not parked: the engines still serving it keep it
+  // alive, and the last one to leave it frees it.
+  if (!model_shared_) retired_clusterer_ = std::move(owned_clusterer_);
+  owned_clusterer_ = std::move(model);
+  clusterer_ = owned_clusterer_.get();
+  model_shared_ = false;
 }
 
 Status PlacementEngine::Bootstrap() {
@@ -117,6 +150,29 @@ Status PlacementEngine::Bootstrap() {
   std::vector<uint64_t> addrs(n);
   for (size_t i = 0; i < n; ++i) addrs[i] = config_.first_segment + i;
   E2_RETURN_IF_ERROR(TrainAndRepopulate(addrs));
+  bootstrapped_ = true;
+  return Status::Ok();
+}
+
+Status PlacementEngine::BootstrapFrom(PlacementEngine& source) {
+  const size_t n = config_.num_segments;
+  if (!source.bootstrapped_ || source.config_.num_segments != n ||
+      source.ctrl_->segment_bits() != ctrl_->segment_bits() ||
+      source.clusterer_->num_clusters() != clusterer_->num_clusters()) {
+    return Status::FailedPrecondition(
+        "source engine is not a bootstrapped twin of this one");
+  }
+  if (source.owned_clusterer_.get() != source.clusterer_) {
+    return Status::FailedPrecondition(
+        "source engine does not own the model it serves");
+  }
+  owned_clusterer_ = source.owned_clusterer_;
+  clusterer_ = owned_clusterer_.get();
+  source.model_shared_ = true;
+  model_shared_ = true;
+  std::vector<uint64_t> addrs(n);
+  for (size_t i = 0; i < n; ++i) addrs[i] = config_.first_segment + i;
+  Repopulate(addrs, ContentsMatrix(addrs));
   bootstrapped_ = true;
   return Status::Ok();
 }
@@ -424,6 +480,9 @@ void PlacementEngine::RefineStep() {
     std::memcpy(refine_in_.Row(i), ring_.RecentRow(batch - 1 - i),
                 dim * sizeof(float));
   }
+  // Never refine a model other engines serve: refine a private deep copy
+  // (bit for bit what refining the original would give).
+  if (model_shared_) ServePrivate(clusterer_->Clone());
   Status s = clusterer_->PartialFit(refine_in_);
   if (!s.ok()) {
     // A broken PartialFit backs off exactly like a failed retrain, so it
@@ -468,9 +527,7 @@ void PlacementEngine::SwapInShadow(BackgroundRetrainer::Result result) {
   // Generation-counted double buffer: retire the serving model, adopt
   // the shadow. Predictions only ever run on this (foreground) thread,
   // so a plain pointer swap is race-free.
-  retired_clusterer_ = std::move(owned_clusterer_);
-  owned_clusterer_ = std::move(result.model);
-  clusterer_ = owned_clusterer_.get();
+  ServePrivate(std::move(result.model));
   ++model_generation_;
 
   // Rebuild the DAP from the *current* free set. Addresses still free
@@ -537,10 +594,12 @@ void PlacementEngine::MaybeAutoRetrain() {
     RefineStep();
     return;
   }
+  const bool capacity = policy_.CapacityTriggered(pool_);
   if (bg_ == nullptr) {
     Status s = Retrain();
     if (s.ok()) {
       retrain_failures_in_row_ = 0;
+      if (capacity) ++stats_.capacity_retrains;
     } else {
       OnRetrainFailure(s);
     }
@@ -558,6 +617,7 @@ void PlacementEngine::MaybeAutoRetrain() {
   bg_->Start(clusterer_->CloneUntrained(), std::move(contents),
              std::move(free_addrs));
   ++stats_.background_retrains;
+  if (capacity) ++stats_.capacity_retrains;
 }
 
 Status PlacementEngine::Release(uint64_t addr) {

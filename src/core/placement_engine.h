@@ -51,6 +51,11 @@ struct EngineStats {
   // --- Background-retrain counters ---
   /// Shadow trainings launched off the write path.
   uint64_t background_retrains = 0;
+  /// Full retrains (synchronous ones that succeeded, and shadow launches)
+  /// the capacity trigger fired: some cluster's free list fell below
+  /// min_free_per_cluster. The rest of `retrains` came from the
+  /// efficiency trigger or a refinement escalation.
+  uint64_t capacity_retrains = 0;
   /// Free addresses that needed a fresh on-swap prediction because they
   /// were released after the training snapshot was taken.
   uint64_t swap_repredictions = 0;
@@ -70,6 +75,8 @@ struct EngineStats {
   /// Accumulates `other` into this instance (ShardedStore's merged
   /// snapshot: every field is a sum, so shard stats add freely).
   void MergeFrom(const EngineStats& other);
+
+  bool operator==(const EngineStats&) const = default;
 };
 
 /// The heart of E2-NVM (§3.3): content-aware placement of value writes.
@@ -151,10 +158,30 @@ class PlacementEngine : public index::ValuePlacer {
   PlacementEngine(nvm::MemoryController* ctrl,
                   placement::ContentClusterer* clusterer,
                   const Config& config);
+  /// The same with a clusterer the engine owns. Only an engine that owns
+  /// its model can lend it to another engine's BootstrapFrom.
+  PlacementEngine(nvm::MemoryController* ctrl,
+                  std::shared_ptr<placement::ContentClusterer> clusterer,
+                  const Config& config);
 
   /// Trains the clusterer on the current contents of every managed (free)
   /// segment and populates the DAP. Must be called once before Place.
   Status Bootstrap();
+
+  /// Bootstrap's adoption form, for an engine whose managed segments are
+  /// byte-identical to those `source` bootstrapped on, under a clusterer
+  /// of the same configuration: Train is a pure function of the two, so
+  /// this engine serves source's trained model instead of training an
+  /// identical one, and releases its own. It fills its DAP by
+  /// classifying its own segments with that model and charges its lane
+  /// the training flops, energy and clock its own Bootstrap would have,
+  /// so stats, energy and every later placement equal Bootstrap's. The
+  /// engines co-own the model, and from then on both treat it as shared
+  /// and never change it in place: the first retrain or refine step of
+  /// either takes a private model first (see RefineStep,
+  /// TrainAndRepopulate). Requires a bootstrapped source that owns the
+  /// model it serves.
+  Status BootstrapFrom(PlacementEngine& source);
 
   /// Re-trains on the contents of the currently free segments and rebuilds
   /// the DAP. Callable any time after Bootstrap.
@@ -261,7 +288,12 @@ class PlacementEngine : public index::ValuePlacer {
   const EngineStats& stats() const { return stats_; }
   const RetrainPolicy& policy() const { return policy_; }
   nvm::MemoryController& ctrl() { return *ctrl_; }
+  /// The serving model. While model_shared() it is also other engines'
+  /// serving model: read it, never change it.
   placement::ContentClusterer& clusterer() { return *clusterer_; }
+  /// True from a BootstrapFrom, on both engines, until this engine
+  /// installs a model of its own.
+  bool model_shared() const { return model_shared_; }
 
   /// Placements to go before the next auto-retrain attempt (0 when not
   /// backing off).
@@ -296,16 +328,27 @@ class PlacementEngine : public index::ValuePlacer {
   /// Bootstrap, Retrain, and the background snapshot (one row per addr).
   ml::Matrix ContentsMatrix(const std::vector<uint64_t>& addrs) const;
   /// The synchronous train shared by Bootstrap and Retrain: trains the
-  /// clusterer on the contents of `addrs`, charges the training flops,
-  /// rebuilds the DAP from exactly those addresses, and resets the
-  /// policy window and the placement memo.
+  /// clusterer on the contents of `addrs` (a CloneUntrained of it while
+  /// the model is shared: Train is a pure function of the config and the
+  /// contents, so the result equals training in place), then
+  /// Repopulate.
   Status TrainAndRepopulate(const std::vector<uint64_t>& addrs);
+  /// Charges the serving model's last training (flops, CPU energy and
+  /// clock) to this engine's lane, rebuilds the DAP from exactly `addrs`
+  /// (row i of `contents` is addrs[i]'s content) classified by that
+  /// model, and resets the policy window and the placement memo.
+  void Repopulate(const std::vector<uint64_t>& addrs, ml::Matrix contents);
+  /// Starts serving `model`, a model of this engine's own. A previous
+  /// model of its own is parked in retired_clusterer_; a shared one is
+  /// let go, and the last engine to leave it frees it. Bumps no counter.
+  void ServePrivate(std::unique_ptr<placement::ContentClusterer> model);
   /// Starts/extends the exponential retrain-failure backoff.
   void OnRetrainFailure(const Status& s);
   /// One inline incremental refinement step (§16): copies the most
   /// recent refine_batch ring rows (oldest first) into scratch, runs the
-  /// clusterer's PartialFit, charges flops/energy/time, and invalidates
-  /// the placement memo. Skipped while the ring is still filling.
+  /// clusterer's PartialFit — on a private Clone first while the model
+  /// is shared — charges flops/energy/time, and invalidates the
+  /// placement memo. Skipped while the ring is still filling.
   void RefineStep();
   /// Adopts a trained shadow: swaps the serving model pointer and
   /// rebuilds the DAP from the current free set using the snapshot's
@@ -335,13 +378,17 @@ class PlacementEngine : public index::ValuePlacer {
   uint32_t retrain_failures_in_row_ = 0;
   // Background retraining: the retrainer plus the double-buffered model.
   // clusterer_ always points at the serving model: the borrowed original
-  // at generation 0, then owned_clusterer_. The previous generation is
-  // parked in retired_clusterer_ until the next swap (callers holding
+  // or owned_clusterer_. The previous generation of the engine's own is
+  // parked in retired_clusterer_ until the next install (callers holding
   // references across one Place are safe).
   std::unique_ptr<BackgroundRetrainer> bg_;
-  std::unique_ptr<placement::ContentClusterer> owned_clusterer_;
-  std::unique_ptr<placement::ContentClusterer> retired_clusterer_;
+  std::shared_ptr<placement::ContentClusterer> owned_clusterer_;
+  std::shared_ptr<placement::ContentClusterer> retired_clusterer_;
   uint64_t model_generation_ = 0;
+  // Set by BootstrapFrom on both engines: owned_clusterer_ is also
+  // another engine's serving model, so nothing here may change it in
+  // place. Decided once, at bootstrap, and cleared only by ServePrivate.
+  bool model_shared_ = false;
   // Write-path inference scratch (see ml/inference.h): owned by the
   // engine, reused across every PlaceRows run, allocation-free once
   // warm. A DAP fill classifies through a short-lived local scratch

@@ -60,7 +60,7 @@ RetrainAction RetrainPolicy::Decide(const DynamicAddressPool& pool) {
   }
   // Capacity trigger: the pool's shape is at risk, and refinement never
   // rebuilds the DAP, so escalate straight to a full retrain.
-  if (pool.MinClusterFree() < config_.min_free_per_cluster) {
+  if (CapacityTriggered(pool)) {
     return RetrainAction::kFullRetrain;
   }
   if (baseline_ratio_ < 0 || WindowSize() < config_.window) {
@@ -86,7 +86,7 @@ RetrainAction RetrainPolicy::Decide(const DynamicAddressPool& pool) {
 }
 
 bool RetrainPolicy::ShouldRetrain(const DynamicAddressPool& pool) const {
-  if (pool.MinClusterFree() < config_.min_free_per_cluster) return true;
+  if (CapacityTriggered(pool)) return true;
   // A perfect (zero-flip) baseline would make any degradation infinite;
   // floor it so the trigger compares against a meaningful reference.
   constexpr double kBaselineFloor = 0.01;

@@ -86,6 +86,13 @@ class RetrainPolicy {
   /// Combined decision over both triggers.
   bool ShouldRetrain(const DynamicAddressPool& pool) const;
 
+  /// The capacity trigger alone: some cluster's free list is below
+  /// min_free_per_cluster. Whenever it holds, Decide() answers
+  /// kFullRetrain.
+  bool CapacityTriggered(const DynamicAddressPool& pool) const {
+    return pool.MinClusterFree() < config_.min_free_per_cluster;
+  }
+
   /// Three-way decision of the escalating drift detector (see class
   /// comment). Non-const: observing a recovered window resets the
   /// escalation counter.

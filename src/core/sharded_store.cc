@@ -90,11 +90,33 @@ void ShardedStore::Seed(const workload::BitDataset& contents) {
 }
 
 Status ShardedStore::Bootstrap() {
+  // Shards that trained a model of their own: one per distinct image.
+  std::vector<size_t> trained;
   for (size_t s = 0; s < num_shards_; ++s) {
     ml::ScopedComputePool kernels(shard_lane(s));
-    E2_RETURN_IF_ERROR(shards_[s]->Bootstrap());
+    // Every shard runs config_.shard, and training is a pure function of
+    // the config and the contents, so a shard seeded like an earlier one
+    // would train that shard's model bit for bit: serve that instead.
+    auto twin = std::find_if(trained.begin(), trained.end(),
+                             [&](size_t t) { return SameImage(s, t); });
+    if (twin != trained.end()) {
+      E2_RETURN_IF_ERROR(shards_[s]->BootstrapFrom(*shards_[*twin]));
+    } else {
+      E2_RETURN_IF_ERROR(shards_[s]->Bootstrap());
+      trained.push_back(s);
+    }
   }
   return Status::Ok();
+}
+
+bool ShardedStore::SameImage(size_t a, size_t b) {
+  BitVector x, y;
+  for (size_t i = 0; i < config_.shard.num_segments; ++i) {
+    shards_[a]->controller().PeekInto(shards_[a]->first_segment() + i, &x);
+    shards_[b]->controller().PeekInto(shards_[b]->first_segment() + i, &y);
+    if (!(x == y)) return false;
+  }
+  return true;
 }
 
 Status ShardedStore::Put(uint64_t key, const BitVector& value) {

@@ -51,8 +51,11 @@ struct ShardedStoreConfig {
 /// A sharded concurrent front-end over N independent E2KvStore shards
 /// (MCAS-style hash partitioning): every key is owned by exactly one
 /// shard, each shard runs the full E2-NVM pipeline — its own placement
-/// engine, model, DAP, index and segment range — behind its own mutex,
-/// and all shards share one NvmDevice and one EnergyMeter.
+/// engine, DAP, index and segment range — behind its own mutex, and all
+/// shards share one NvmDevice and one EnergyMeter. Shards whose seeded
+/// images are identical also share their bootstrap model (see
+/// Bootstrap) until a shard's first retrain or refine step gives it a
+/// private one.
 ///
 /// Concurrency model (DESIGN.md §13): the steady-state PUT/GET/DELETE
 /// path acquires NO lock outside the owning shard.
@@ -72,6 +75,9 @@ struct ShardedStoreConfig {
 ///  - Background retraining: each shard's engine hands training to its
 ///    own lane (BackgroundRetrainer pool mode); the swap happens under
 ///    that shard's mutex on its next Place.
+///  - Shared bootstrap model: read by several shards under their own
+///    locks and written by none; an engine copies it before changing
+///    it (PlacementEngine::BootstrapFrom).
 ///
 /// Determinism contract: with num_shards == 1 every placement decision,
 /// bit flip and retrain trigger is bit-identical to a plain E2KvStore
@@ -97,7 +103,13 @@ class ShardedStore {
   void Seed(const workload::BitDataset& contents);
 
   /// Trains every shard's model on its seeded contents and populates its
-  /// DAP. Serial per shard (deterministic).
+  /// DAP, one shard after another on its own lane. A shard whose seeded
+  /// segments are byte-identical to an earlier shard's would train that
+  /// shard's model bit for bit, so it serves that one instead
+  /// (E2KvStore::BootstrapFrom): each distinct image trains once, and
+  /// after Seed every shard serves one model instance. Placements, stats
+  /// and energy equal those of one training per shard; a shard takes a
+  /// private model before its first retrain or refine step.
   Status Bootstrap();
 
   /// Inserts or updates `key` on its owning shard. With journaling on,
@@ -261,6 +273,10 @@ class ShardedStore {
 
   /// ScrubShard body; caller holds the shard lock.
   void ScrubShardLocked(size_t s, size_t budget);
+
+  /// True when shards `a` and `b` hold the same content, segment for
+  /// segment (Bootstrap's test for adopting a model).
+  bool SameImage(size_t a, size_t b);
 
   /// Self-requeueing pool task driving ScrubTick until stopped.
   void ScrubLoop();

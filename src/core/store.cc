@@ -8,12 +8,10 @@ namespace {
 /// factories (the stack above the device/controller is identical).
 void BuildModelAndEngine(const StoreConfig& config, uint64_t first_segment,
                          nvm::MemoryController* ctrl,
-                         std::unique_ptr<E2Model>* model,
                          std::unique_ptr<PlacementEngine>* engine,
                          ThreadPool* retrain_pool) {
   E2ModelConfig mc = config.model;
   mc.input_dim = config.segment_bits;
-  *model = std::make_unique<E2Model>(mc);
 
   PlacementEngine::Config ec;
   ec.first_segment = first_segment;
@@ -25,7 +23,8 @@ void BuildModelAndEngine(const StoreConfig& config, uint64_t first_segment,
   ec.incremental.enabled = config.incremental_learning;
   ec.incremental.ring_capacity = config.replay_ring_capacity;
   ec.incremental.refine_batch = config.refine_batch;
-  *engine = std::make_unique<PlacementEngine>(ctrl, model->get(), ec);
+  *engine = std::make_unique<PlacementEngine>(
+      ctrl, std::make_shared<E2Model>(mc), ec);
   if (config.background_retrain) {
     (*engine)->EnableBackgroundRetrain(retrain_pool);
   }
@@ -75,8 +74,7 @@ StatusOr<std::unique_ptr<E2KvStore>> E2KvStore::Create(
   if (config.integrity_tracking) store->ctrl_->EnableIntegrityTracking();
 
   BuildModelAndEngine(config, /*first_segment=*/0, store->ctrl_.get(),
-                      &store->model_, &store->engine_,
-                      /*retrain_pool=*/nullptr);
+                      &store->engine_, /*retrain_pool=*/nullptr);
   return store;
 }
 
@@ -112,8 +110,7 @@ StatusOr<std::unique_ptr<E2KvStore>> E2KvStore::CreateShard(
   if (config.integrity_tracking) store->ctrl_->EnableIntegrityTracking();
 
   BuildModelAndEngine(config, attach.first_segment, store->ctrl_.get(),
-                      &store->model_, &store->engine_,
-                      attach.retrain_pool);
+                      &store->engine_, attach.retrain_pool);
   return store;
 }
 
@@ -126,6 +123,10 @@ void E2KvStore::Seed(const workload::BitDataset& contents) {
 }
 
 Status E2KvStore::Bootstrap() { return engine_->Bootstrap(); }
+
+Status E2KvStore::BootstrapFrom(E2KvStore& source) {
+  return engine_->BootstrapFrom(*source.engine_);
+}
 
 Status E2KvStore::Put(uint64_t key, const BitVector& value,
                       size_t* landed) {

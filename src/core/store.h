@@ -130,6 +130,14 @@ class E2KvStore {
   /// Trains the model on the seeded contents and populates the DAP.
   Status Bootstrap();
 
+  /// Bootstrap's adoption form (ShardedStore::Bootstrap): `source` is a
+  /// bootstrapped store with this store's config whose seeded segments
+  /// are byte-identical to this store's, so Bootstrap would train its
+  /// model bit for bit. Serves source's model instead and releases this
+  /// store's untrained one (PlacementEngine::BootstrapFrom); the engines
+  /// co-own the served model, so either store may be destroyed first.
+  Status BootstrapFrom(E2KvStore& source);
+
   /// Inserts or updates `key`: a one-row MultiPut. The value may be
   /// narrower than a segment. `landed` as for MultiPut.
   Status Put(uint64_t key, const BitVector& value, size_t* landed = nullptr);
@@ -176,7 +184,6 @@ class E2KvStore {
   uint64_t first_segment() const { return first_segment_; }
   nvm::MemoryController& controller() { return *ctrl_; }
   PlacementEngine& engine() { return *engine_; }
-  E2Model& model() { return *model_; }
   nvm::EnergyMeter& meter() { return meter_; }
   const index::RbTree& tree() const { return tree_; }
   const StoreConfig& config() const { return config_; }
@@ -199,7 +206,6 @@ class E2KvStore {
   uint64_t first_segment_ = 0;
   schemes::Dcw scheme_;
   std::unique_ptr<nvm::MemoryController> ctrl_;
-  std::unique_ptr<E2Model> model_;
   std::unique_ptr<PlacementEngine> engine_;
   index::RbTree tree_;
   std::unordered_map<uint64_t, size_t> value_bits_;

@@ -94,7 +94,6 @@ Status KMeans::Fit(const Matrix& x) {
   }
   const size_t n = x.rows();
   const size_t dim = x.cols();
-  norms_valid_ = false;  // Centroids change below; cache rebuilds lazily.
   Rng rng(config_.seed);
   InitPlusPlus(x, rng);
 
@@ -186,6 +185,7 @@ Status KMeans::Fit(const Matrix& x) {
   // centroid starts incremental updates weighted by the samples that
   // shaped it, so the first refinement nudges rather than teleports.
   partial_counts_.assign(counts.begin(), counts.end());
+  RebuildCentroidCaches();
   return Status::Ok();
 }
 
@@ -209,7 +209,7 @@ Status KMeans::PartialFit(const Matrix& x) {
     float* crow = centroids_.Row(c);
     for (size_t j = 0; j < d; ++j) crow[j] += lr * (row[j] - crow[j]);
   }
-  norms_valid_ = false;  // Centroids moved; fused cache rebuilds lazily.
+  RebuildCentroidCaches();
   return Status::Ok();
 }
 
@@ -226,25 +226,21 @@ size_t KMeans::Predict(const float* v, size_t dim) const {
   return best_c;
 }
 
-const std::vector<double>& KMeans::CentroidNormsSq() const {
-  if (!norms_valid_) {
-    const size_t k = centroids_.rows();
-    const size_t dim = centroids_.cols();
-    cnorm2_.assign(k, 0.0);
-    cmax_norm_ = 0.0;
-    for (size_t c = 0; c < k; ++c) {
-      const float* crow = centroids_.Row(c);
-      double s = 0.0;
-      for (size_t i = 0; i < dim; ++i) {
-        s += static_cast<double>(crow[i]) * crow[i];
-      }
-      cnorm2_[c] = s;
-      cmax_norm_ = std::max(cmax_norm_, std::sqrt(s));
+void KMeans::RebuildCentroidCaches() {
+  const size_t k = centroids_.rows();
+  const size_t dim = centroids_.cols();
+  cnorm2_.assign(k, 0.0);
+  cmax_norm_ = 0.0;
+  for (size_t c = 0; c < k; ++c) {
+    const float* crow = centroids_.Row(c);
+    double s = 0.0;
+    for (size_t i = 0; i < dim; ++i) {
+      s += static_cast<double>(crow[i]) * crow[i];
     }
-    TransposeInto(centroids_, &centroids_t_);
-    norms_valid_ = true;
+    cnorm2_[c] = s;
+    cmax_norm_ = std::max(cmax_norm_, std::sqrt(s));
   }
-  return cnorm2_;
+  TransposeInto(centroids_, &centroids_t_);
 }
 
 void KMeans::AssignFusedInto(const Matrix& x, Matrix* scores,
@@ -252,7 +248,7 @@ void KMeans::AssignFusedInto(const Matrix& x, Matrix* scores,
   const size_t n = x.rows();
   const size_t dim = x.cols();
   const size_t k = centroids_.rows();
-  const std::vector<double>& cn = CentroidNormsSq();
+  const std::vector<double>& cn = cnorm2_;
   // One GEMM scores every row against every centroid: x C^T, which
   // MatMulTransB would compute, on the cached transpose.
   MatMulInto(x, centroids_t_, scores);

@@ -48,9 +48,9 @@ class KMeans {
   /// order, so the chosen ids — including tie-breaks — are identical to
   /// calling Predict per row. Zero heap allocations once the scratch has
   /// warmed up. The GEMM reads a cached C^T, so a call transposes
-  /// nothing; that cache and the centroid norms are rebuilt lazily after
-  /// any Fit/PartialFit/SetCentroids (a swapped-in shadow model starts
-  /// with cold caches by construction).
+  /// nothing; that cache and the centroid norms are rebuilt wherever the
+  /// centroids change (Fit, PartialFit, SetCentroids), so the call
+  /// writes nothing of the model.
   void AssignFusedInto(const Matrix& x, Matrix* scores,
                        std::vector<size_t>* out) const;
 
@@ -63,7 +63,7 @@ class KMeans {
   /// fresh sample). Requires a prior Fit; rows are consumed in order on
   /// the calling thread, so the post-update centroids are a pure
   /// function of (current centroids, counts, x) — pool-size invariant
-  /// by construction. Invalidates the fused-assignment centroid caches.
+  /// by construction. Rebuilds the fused-assignment centroid caches.
   Status PartialFit(const Matrix& x);
 
   /// Multiply-accumulates of one PartialFit call on `n` rows (a predict
@@ -95,20 +95,20 @@ class KMeans {
   }
 
   /// Replaces the centroids (used by joint fine-tuning when centroids are
-  /// re-estimated from fresh latent codes). Invalidates the fused
+  /// re-estimated from fresh latent codes). Rebuilds the fused
   /// assignment's centroid caches.
   void SetCentroids(Matrix centroids) {
     centroids_ = std::move(centroids);
-    norms_valid_ = false;
+    RebuildCentroidCaches();
   }
 
  private:
   double DistSq(const float* a, const float* b, size_t dim) const;
   void InitPlusPlus(const Matrix& x, Rng& rng);
-  /// Squared L2 norm per centroid, rebuilt lazily after centroid changes
-  /// (Fit, PartialFit, SetCentroids). Also refreshes cmax_norm_ and
-  /// centroids_t_.
-  const std::vector<double>& CentroidNormsSq() const;
+  /// Recomputes the squared L2 norm per centroid, cmax_norm_ and
+  /// centroids_t_ from centroids_: the last step of every centroid
+  /// change (Fit, PartialFit, SetCentroids).
+  void RebuildCentroidCaches();
 
   KMeansConfig config_;
   Matrix centroids_;  // k x dim
@@ -116,14 +116,14 @@ class KMeans {
   // Cumulative per-centroid sample counts driving PartialFit's learning
   // rates; reset to the final assignment counts by Fit.
   std::vector<uint64_t> partial_counts_;
-  // Centroid caches for AssignFusedInto: the norms and C^T (dim x k).
-  // Mutable because they are memos of const state; KMeans is not written
-  // to be shared across threads without synchronization (each model
-  // instance — serving or shadow — is driven by one thread).
-  mutable std::vector<double> cnorm2_;
-  mutable double cmax_norm_ = 0.0;
-  mutable Matrix centroids_t_;
-  mutable bool norms_valid_ = false;
+  // Centroid caches for AssignFusedInto: the norms and C^T (dim x k),
+  // kept current by every centroid change. The const members write
+  // nothing, so one fitted instance may serve several threads at once
+  // (ShardedStore's shared model, DESIGN.md §10); a change needs the
+  // caller's exclusive access.
+  std::vector<double> cnorm2_;
+  double cmax_norm_ = 0.0;
+  Matrix centroids_t_;
 };
 
 /// Given SSE values for K = 1..n (index 0 -> K=1), returns the K at the

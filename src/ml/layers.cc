@@ -104,6 +104,11 @@ Matrix Tanh::Backward(const Matrix& dy) {
   return dx;
 }
 
+Sequential::Sequential(const Sequential& other) {
+  layers_.reserve(other.layers_.size());
+  for (const auto& l : other.layers_) layers_.push_back(l->Clone());
+}
+
 Matrix Sequential::Forward(const Matrix& x) {
   Matrix cur = x;
   for (auto& l : layers_) cur = l->Forward(cur);

@@ -60,6 +60,9 @@ class Layer {
   /// Multiply-accumulate count of one forward pass over `batch` rows —
   /// consumed by the CPU energy model (Figs 8, 16, 18).
   virtual double ForwardFlops(size_t batch) const = 0;
+
+  /// A deep copy: parameters, Adam moments and cached state.
+  virtual std::unique_ptr<Layer> Clone() const = 0;
 };
 
 /// Fully-connected layer: Y = X W + b, W is (in x out).
@@ -82,11 +85,16 @@ class Dense : public Layer {
     return 2.0 * static_cast<double>(batch) * static_cast<double>(in_) *
            static_cast<double>(out_);
   }
+  std::unique_ptr<Layer> Clone() const override {
+    return std::make_unique<Dense>(*this);
+  }
 
   size_t in() const { return in_; }
   size_t out() const { return out_; }
   ParamBlock& weights() { return w_; }
   ParamBlock& bias() { return b_; }
+  const ParamBlock& weights() const { return w_; }
+  const ParamBlock& bias() const { return b_; }
 
  private:
   size_t in_;
@@ -109,6 +117,9 @@ class Sigmoid : public Layer {
     return 4.0 * static_cast<double>(batch) *
            static_cast<double>(y_cache_.cols());
   }
+  std::unique_ptr<Layer> Clone() const override {
+    return std::make_unique<Sigmoid>(*this);
+  }
 
  private:
   Matrix y_cache_;
@@ -122,6 +133,9 @@ class Relu : public Layer {
   double ForwardFlops(size_t batch) const override {
     return static_cast<double>(batch) *
            static_cast<double>(mask_.cols());
+  }
+  std::unique_ptr<Layer> Clone() const override {
+    return std::make_unique<Relu>(*this);
   }
 
  private:
@@ -137,14 +151,23 @@ class Tanh : public Layer {
     return 5.0 * static_cast<double>(batch) *
            static_cast<double>(y_cache_.cols());
   }
+  std::unique_ptr<Layer> Clone() const override {
+    return std::make_unique<Tanh>(*this);
+  }
 
  private:
   Matrix y_cache_;
 };
 
-/// A sequential stack of layers.
+/// A sequential stack of layers. Copies are deep (Layer::Clone).
 class Sequential {
  public:
+  Sequential() = default;
+  Sequential(const Sequential& other);
+  Sequential& operator=(const Sequential&) = delete;
+  Sequential(Sequential&&) = default;
+  Sequential& operator=(Sequential&&) = default;
+
   void Add(std::unique_ptr<Layer> layer) {
     layers_.push_back(std::move(layer));
   }

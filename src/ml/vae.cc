@@ -76,6 +76,16 @@ Vae::Vae(const VaeConfig& config) : config_(config), rng_(config.seed) {
       std::make_unique<Dense>(config.hidden_dim, config.input_dim, rng_));
 }
 
+Vae::Vae(const Vae& other)
+    : config_(other.config_),
+      rng_(other.rng_),
+      enc_in_(std::make_unique<Dense>(*other.enc_in_)),
+      enc_relu_(other.enc_relu_),
+      mu_head_(std::make_unique<Dense>(*other.mu_head_)),
+      logvar_head_(std::make_unique<Dense>(*other.logvar_head_)),
+      decoder_(other.decoder_),
+      step_(other.step_) {}
+
 void Vae::EncodeForward(const Matrix& x, Matrix* mu, Matrix* logvar) {
   Matrix h = enc_relu_.Forward(enc_in_->Forward(x));
   *mu = mu_head_->Forward(h);
@@ -89,16 +99,19 @@ Matrix Vae::EncodeMu(const Matrix& x) {
   return mu;
 }
 
-void Vae::EncodeMuInto(const Matrix& x, Matrix* hidden, Matrix* mu) {
+void Vae::EncodeMuInto(const Matrix& x, Matrix* hidden,
+                       Matrix* mu) const {
   E2_CHECK(x.cols() == config_.input_dim, "EncodeMuInto dim mismatch");
   // Mirrors EncodeForward's mu branch op for op (Dense::Forward is
   // MatMul + AddRowVector; Relu::Forward's outputs are max(v, 0)), so
   // the latent codes match the training forward pass bit for bit.
-  MatMulInto(x, enc_in_->weights().value, hidden);
-  AddRowVector(*hidden, enc_in_->bias().value.data());
+  const Dense& in = *enc_in_;
+  const Dense& head = *mu_head_;
+  MatMulInto(x, in.weights().value, hidden);
+  AddRowVector(*hidden, in.bias().value.data());
   ReluInPlace(*hidden);
-  MatMulInto(*hidden, mu_head_->weights().value, mu);
-  AddRowVector(*mu, mu_head_->bias().value.data());
+  MatMulInto(*hidden, head.weights().value, mu);
+  AddRowVector(*mu, head.bias().value.data());
 }
 
 Matrix Vae::Decode(const Matrix& z) {

@@ -59,6 +59,12 @@ class Vae {
  public:
   explicit Vae(const VaeConfig& config);
 
+  /// A deep copy: every layer's weights and Adam moments, the step count
+  /// and the RNG state, so the copy trains on exactly as the original
+  /// would.
+  Vae(const Vae& other);
+  Vae& operator=(const Vae&) = delete;
+
   const VaeConfig& config() const { return config_; }
 
   /// Deterministic encoding: returns the posterior mean mu for each row.
@@ -72,8 +78,10 @@ class Vae {
   /// caches, so a warmed-up call performs zero heap allocations; the mu
   /// values are bit-identical to the training forward pass's (same
   /// kernels, same accumulation order). This is the "only the encoder
-  /// part is needed after training" write path of §3.3.1.
-  void EncodeMuInto(const Matrix& x, Matrix* hidden, Matrix* mu);
+  /// part is needed after training" write path of §3.3.1. Reads the
+  /// model only, so engines that serve one model may call it
+  /// concurrently.
+  void EncodeMuInto(const Matrix& x, Matrix* hidden, Matrix* mu) const;
 
   /// Decodes latent codes to Bernoulli means (sigmoid outputs).
   Matrix Decode(const Matrix& z);

@@ -17,7 +17,8 @@ Status PcaKMeansClusterer::Train(const ml::Matrix& contents) {
   return Status::Ok();
 }
 
-void PcaKMeansClusterer::AssignScratch(ml::InferenceScratch* scratch) {
+void PcaKMeansClusterer::AssignScratch(
+    ml::InferenceScratch* scratch) const {
   const ml::Matrix projected = pca_.Transform(scratch->in);
   kmeans_.AssignFusedInto(projected, &scratch->scores, &scratch->clusters);
 }

@@ -35,6 +35,13 @@ class ContentClusterer {
   /// "in the background").
   virtual std::unique_ptr<ContentClusterer> CloneUntrained() const = 0;
 
+  /// A deep copy of this model in its current state: trained parameters,
+  /// optimizer moments, step counts, RNG state and k-means counts. A
+  /// PartialFit on the copy equals one on the original, bit for bit, and
+  /// leaves the original untouched — the private copy an engine takes
+  /// before refining a model that other engines also serve.
+  virtual std::unique_ptr<ContentClusterer> Clone() const = 0;
+
   /// Trains (or re-trains) on segment contents, one row per segment.
   virtual Status Train(const ml::Matrix& contents) = 0;
 
@@ -45,8 +52,10 @@ class ContentClusterer {
   /// call classifies a PUT, a MultiPut batch or a whole DAP fill alike.
   /// The other scratch buffers are the model's to use; the hot-path
   /// models allocate nothing once they are warm (one encoder GEMV per
-  /// staged row + one fused assignment for the whole batch).
-  virtual void AssignScratch(ml::InferenceScratch* scratch) = 0;
+  /// staged row + one fused assignment for the whole batch). Reads the
+  /// model only: engines that serve one instance call it concurrently,
+  /// each with its own scratch.
+  virtual void AssignScratch(ml::InferenceScratch* scratch) const = 0;
 
   virtual size_t num_clusters() const = 0;
 
@@ -82,10 +91,13 @@ class SingleClusterer : public ContentClusterer {
   std::unique_ptr<ContentClusterer> CloneUntrained() const override {
     return std::make_unique<SingleClusterer>();
   }
+  std::unique_ptr<ContentClusterer> Clone() const override {
+    return std::make_unique<SingleClusterer>(*this);
+  }
   Status Train(const ml::Matrix& contents) override {
     return Status::Ok();
   }
-  void AssignScratch(ml::InferenceScratch* scratch) override {
+  void AssignScratch(ml::InferenceScratch* scratch) const override {
     scratch->clusters.assign(scratch->in.rows(), 0);
   }
   size_t num_clusters() const override { return 1; }
@@ -109,8 +121,11 @@ class RawKMeansClusterer : public ContentClusterer {
     return std::make_unique<RawKMeansClusterer>(c.k, c.seed, c.max_iters,
                                                 c.tol);
   }
+  std::unique_ptr<ContentClusterer> Clone() const override {
+    return std::make_unique<RawKMeansClusterer>(*this);
+  }
   Status Train(const ml::Matrix& contents) override;
-  void AssignScratch(ml::InferenceScratch* scratch) override {
+  void AssignScratch(ml::InferenceScratch* scratch) const override {
     kmeans_.AssignFusedInto(scratch->in, &scratch->scores,
                             &scratch->clusters);
   }
@@ -126,6 +141,8 @@ class RawKMeansClusterer : public ContentClusterer {
     return Status::Ok();
   }
   double LastPartialFitFlops() const override { return partial_fit_flops_; }
+
+  const ml::KMeans& kmeans() const { return kmeans_; }
 
  private:
   ml::KMeans kmeans_;
@@ -148,10 +165,13 @@ class DensityClusterer : public ContentClusterer {
   std::unique_ptr<ContentClusterer> CloneUntrained() const override {
     return std::make_unique<DensityClusterer>(k_);
   }
+  std::unique_ptr<ContentClusterer> Clone() const override {
+    return std::make_unique<DensityClusterer>(*this);
+  }
   Status Train(const ml::Matrix& contents) override {
     return Status::Ok();
   }
-  void AssignScratch(ml::InferenceScratch* scratch) override {
+  void AssignScratch(ml::InferenceScratch* scratch) const override {
     const size_t n = scratch->in.rows();
     const size_t dim = scratch->in.cols();
     scratch->clusters.resize(n);
@@ -188,10 +208,13 @@ class PcaKMeansClusterer : public ContentClusterer {
         kmeans_.config().k, pca_.config().num_components,
         kmeans_.config().seed, kmeans_.config().max_iters);
   }
+  std::unique_ptr<ContentClusterer> Clone() const override {
+    return std::make_unique<PcaKMeansClusterer>(*this);
+  }
   Status Train(const ml::Matrix& contents) override;
   /// Projects the staged rows (Pca::Transform), then one fused
   /// assignment in the projected space. Allocates the projection.
-  void AssignScratch(ml::InferenceScratch* scratch) override;
+  void AssignScratch(ml::InferenceScratch* scratch) const override;
   size_t num_clusters() const override { return kmeans_.k(); }
   double PredictFlops() const override {
     return pca_.TransformFlops() + kmeans_.PredictFlops();

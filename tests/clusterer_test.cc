@@ -1,5 +1,7 @@
 #include "placement/clusterer.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "core/e2_model.h"
@@ -230,6 +232,119 @@ TEST(ContentClustererTest, BatchedRowsMatchRowsStagedAlone) {
       ASSERT_EQ(one.clusters.size(), 1u) << model->name();
       EXPECT_EQ(one.clusters[0], batch[i]) << model->name() << " row " << i;
       EXPECT_LT(batch[i], model->num_clusters()) << model->name();
+    }
+  }
+}
+
+/// True when two matrices hold the same floats, bit for bit.
+bool SameBits(const ml::Matrix& a, const ml::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 || std::memcmp(a.data().data(), b.data().data(),
+                                       a.size() * sizeof(float)) == 0);
+}
+
+/// Everything one AssignScratch call writes for `rows`.
+ml::InferenceScratch Classify(const placement::ContentClusterer& model,
+                              const ml::Matrix& rows) {
+  ml::InferenceScratch scratch;
+  scratch.in = rows;
+  model.AssignScratch(&scratch);
+  return scratch;
+}
+
+/// Same ids and the same intermediate floats, bit for bit.
+::testing::AssertionResult SameAssignment(const ml::InferenceScratch& a,
+                                          const ml::InferenceScratch& b) {
+  if (a.clusters != b.clusters) {
+    return ::testing::AssertionFailure() << "cluster ids differ";
+  }
+  if (!SameBits(a.hidden, b.hidden) || !SameBits(a.latent, b.latent) ||
+      !SameBits(a.scores, b.scores)) {
+    return ::testing::AssertionFailure() << "encodings or scores differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+core::E2ModelConfig CloneTestModelConfig(size_t dim) {
+  core::E2ModelConfig cfg;
+  cfg.input_dim = dim;
+  cfg.k = 5;
+  cfg.hidden_dim = 64;
+  cfg.latent_dim = 8;
+  cfg.pretrain_epochs = 3;
+  return cfg;
+}
+
+/// Rows none of the models trained on.
+ml::Matrix HeldOut(size_t dim) {
+  workload::ProtoConfig cfg;
+  cfg.dim = dim;
+  cfg.num_classes = 5;
+  cfg.samples = 40;
+  cfg.noise = 0.1;
+  cfg.seed = 77;
+  return workload::MakeProtoDataset(cfg).ToMatrix();
+}
+
+TEST(ContentClustererTest, CloneAssignsExactlyLikeTheOriginal) {
+  auto ds = EasyDataset(120);
+  const ml::Matrix held_out = HeldOut(ds.dim);
+  std::vector<std::unique_ptr<placement::ContentClusterer>> models;
+  models.push_back(std::make_unique<placement::SingleClusterer>());
+  models.push_back(std::make_unique<placement::DensityClusterer>(4));
+  models.push_back(std::make_unique<placement::RawKMeansClusterer>(5, 3));
+  models.push_back(std::make_unique<placement::PcaKMeansClusterer>(5, 8, 3));
+  models.push_back(
+      std::make_unique<core::E2Model>(CloneTestModelConfig(ds.dim)));
+  for (auto& model : models) {
+    ASSERT_TRUE(model->Train(ds.ToMatrix()).ok()) << model->name();
+    const std::unique_ptr<placement::ContentClusterer> clone = model->Clone();
+    EXPECT_EQ(clone->name(), model->name());
+    EXPECT_EQ(clone->num_clusters(), model->num_clusters());
+    EXPECT_EQ(clone->PredictFlops(), model->PredictFlops());
+    EXPECT_EQ(clone->LastTrainFlops(), model->LastTrainFlops());
+    EXPECT_TRUE(SameAssignment(Classify(*clone, held_out),
+                               Classify(*model, held_out)))
+        << model->name();
+  }
+}
+
+TEST(ContentClustererTest, PartialFitOnACloneMatchesTheOriginal) {
+  // The clone carries everything a refine step reads: weights, Adam
+  // moments and step count, the VAE's RNG state and the k-means counts.
+  // Refining it must not touch the original (a copy sharing layers with
+  // it fails the first check), and refining both the same way must give
+  // the same model, bit for bit.
+  auto ds = EasyDataset(120);
+  const ml::Matrix held_out = HeldOut(ds.dim);
+  const ml::Matrix batch = HeldOut(ds.dim);
+  auto e2 = std::make_unique<core::E2Model>(CloneTestModelConfig(ds.dim));
+  auto raw = std::make_unique<placement::RawKMeansClusterer>(5, 3);
+  placement::ContentClusterer* models[] = {e2.get(), raw.get()};
+  for (placement::ContentClusterer* model : models) {
+    SCOPED_TRACE(model->name());
+    ASSERT_TRUE(model->Train(ds.ToMatrix()).ok());
+    const std::unique_ptr<placement::ContentClusterer> clone = model->Clone();
+    for (int round = 0; round < 3; ++round) {
+      const ml::InferenceScratch before = Classify(*model, held_out);
+      ASSERT_TRUE(clone->PartialFit(batch).ok());
+      EXPECT_TRUE(SameAssignment(Classify(*model, held_out), before))
+          << "round " << round << ": refining the clone moved the original";
+      ASSERT_TRUE(model->PartialFit(batch).ok());
+      EXPECT_EQ(clone->LastPartialFitFlops(), model->LastPartialFitFlops());
+      EXPECT_TRUE(SameAssignment(Classify(*clone, held_out),
+                                 Classify(*model, held_out)))
+          << "round " << round;
+    }
+    if (model == e2.get()) {
+      auto& a = dynamic_cast<core::E2Model&>(*clone);
+      EXPECT_TRUE(SameBits(a.vae().encoder_weights(),
+                           e2->vae().encoder_weights()));
+      EXPECT_TRUE(SameBits(a.kmeans().centroids(), e2->kmeans().centroids()));
+    } else {
+      auto& a = dynamic_cast<placement::RawKMeansClusterer&>(*clone);
+      EXPECT_TRUE(
+          SameBits(a.kmeans().centroids(), raw->kmeans().centroids()));
     }
   }
 }

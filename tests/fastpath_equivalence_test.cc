@@ -125,10 +125,14 @@ class ReferenceClusterer : public placement::ContentClusterer {
     return std::make_unique<ReferenceClusterer>(
         std::make_unique<E2Model>(model_->config()));
   }
+  std::unique_ptr<placement::ContentClusterer> Clone() const override {
+    return std::make_unique<ReferenceClusterer>(
+        std::make_unique<E2Model>(*model_));
+  }
   Status Train(const ml::Matrix& contents) override {
     return model_->Train(contents);
   }
-  void AssignScratch(ml::InferenceScratch* scratch) override {
+  void AssignScratch(ml::InferenceScratch* scratch) const override {
     scratch->clusters.resize(scratch->in.rows());
     for (size_t r = 0; r < scratch->in.rows(); ++r) {
       scratch->clusters[r] = ReferenceCluster(*model_, scratch->in.Row(r));

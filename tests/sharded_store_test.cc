@@ -1,8 +1,10 @@
 // ShardedStore unit tests: the shards=1 determinism contract (bit-identical
-// placements, flips and retrain schedule vs a plain E2KvStore), merged
-// stats across shards, shard-range containment, construction validation,
-// the ShardJournal append/replay protocol, and that a batch applies
-// exactly the rows its journal took.
+// placements, flips and retrain schedule vs a plain E2KvStore), one shared
+// bootstrap model for shards seeded alike (each shard still equal to a
+// standalone store, through retrains and refine steps), merged stats
+// across shards, shard-range containment, construction validation, the
+// ShardJournal append/replay protocol, and that a batch applies exactly
+// the rows its journal took.
 
 #include <map>
 #include <unordered_map>
@@ -134,6 +136,195 @@ TEST(ShardedStore, OneShardBackgroundRetrainScheduleMatchesPlainStore) {
   }
   EXPECT_EQ(plain->device().stats().data_bits_flipped,
             sharded->device().stats().data_bits_flipped);
+}
+
+TEST(ShardedStore, ShardsSeededAlikeServeOneModel) {
+  auto ds = ClusteredData(3);
+  for (size_t num_shards : {2u, 4u}) {
+    auto sharded = MakeSharded(ds, num_shards);
+    const placement::ContentClusterer* first =
+        &sharded->shard(0).engine().clusterer();
+    for (size_t s = 0; s < num_shards; ++s) {
+      EXPECT_EQ(&sharded->shard(s).engine().clusterer(), first)
+          << num_shards << " shards, shard " << s;
+      EXPECT_TRUE(sharded->shard(s).engine().model_shared());
+    }
+  }
+}
+
+TEST(ShardedStore, ShardWithADifferentImageTrainsItsOwnModel) {
+  auto ds = ClusteredData(3);
+  ShardedStoreConfig cfg;
+  cfg.num_shards = 3;
+  cfg.shard = ShardConfig();
+  auto store_or = ShardedStore::Create(cfg);
+  ASSERT_TRUE(store_or.ok());
+  auto sharded = std::move(*store_or);
+  sharded->Seed(ds);
+  sharded->InjectBitRot(/*s=*/1, /*seg_off=*/5, /*bit=*/17);
+  ASSERT_TRUE(sharded->Bootstrap().ok());
+  PlacementEngine& e0 = sharded->shard(0).engine();
+  PlacementEngine& e1 = sharded->shard(1).engine();
+  PlacementEngine& e2 = sharded->shard(2).engine();
+  EXPECT_NE(&e1.clusterer(), &e0.clusterer());
+  EXPECT_FALSE(e1.model_shared());
+  EXPECT_EQ(&e2.clusterer(), &e0.clusterer());
+  EXPECT_TRUE(e0.model_shared());
+  EXPECT_TRUE(e2.model_shared());
+  // The adopting shard charged the training it did not run.
+  EXPECT_EQ(e2.stats().train_flops, e0.stats().train_flops);
+}
+
+/// How the equivalence cases below retrain: off, synchronously, in the
+/// background (drained after every operation), or by §16 refine steps.
+struct LearningMode {
+  const char* name;
+  bool auto_retrain;
+  bool background;
+  bool incremental;
+};
+
+StoreConfig ModeConfig(const LearningMode& mode) {
+  StoreConfig sc = ShardConfig(mode.background);
+  sc.auto_retrain = mode.auto_retrain;
+  // A short efficiency window, so the value shift halfway through the
+  // stream fires the efficiency trigger within a few dozen writes per
+  // shard, and a low capacity floor, so it is mostly that trigger.
+  sc.retrain.min_free_per_cluster = 2;
+  sc.retrain.window = 20;
+  sc.retrain.baseline_writes = 20;
+  sc.retrain.degradation_factor = 1.4;
+  if (mode.incremental) {
+    // Refine steps answer the shift; they never escalate.
+    sc.incremental_learning = true;
+    sc.replay_ring_capacity = 64;
+    sc.refine_batch = 8;
+    sc.retrain.refine_interval = 10;
+    sc.retrain.max_refine_rounds = 1000;
+  }
+  return sc;
+}
+
+/// Waits out and adopts a background retrain, so swaps land at the same
+/// operation on both sides.
+void Drain(PlacementEngine& engine) {
+  while (engine.RetrainInFlight()) {
+  }
+  engine.PumpBackgroundRetrain();
+}
+
+TEST(ShardedStore, EachShardMatchesAStandaloneStore) {
+  // The shards share one bootstrap model; each must still behave exactly
+  // like a standalone store seeded with the same dataset and fed that
+  // shard's keys, including after its first retrain or refine step
+  // replaced the shared model with a private one.
+  constexpr size_t kShards = 4;
+  constexpr uint64_t kManyKeys = 160;
+  constexpr uint64_t kOps = 800;
+  const LearningMode modes[] = {{"off", false, false, false},
+                                {"sync", true, false, false},
+                                {"background", true, true, false},
+                                {"incremental", true, false, true}};
+  auto ds = ClusteredData(2);
+  auto shifted = ClusteredData(1002);
+  for (const LearningMode& mode : modes) {
+    SCOPED_TRACE(mode.name);
+    const StoreConfig sc = ModeConfig(mode);
+    ShardedStoreConfig cfg;
+    cfg.num_shards = kShards;
+    cfg.shard = sc;
+    auto sharded_or = ShardedStore::Create(cfg);
+    ASSERT_TRUE(sharded_or.ok());
+    auto sharded = std::move(*sharded_or);
+    sharded->Seed(ds);
+    ASSERT_TRUE(sharded->Bootstrap().ok());
+    std::vector<std::unique_ptr<E2KvStore>> alone;
+    for (size_t s = 0; s < kShards; ++s) {
+      auto store_or = E2KvStore::Create(sc);
+      ASSERT_TRUE(store_or.ok());
+      alone.push_back(std::move(*store_or));
+      alone[s]->Seed(ds);
+      ASSERT_TRUE(alone[s]->Bootstrap().ok());
+    }
+
+    // Updates, with a delete every seventh op; the value classes shift
+    // halfway, so the retraining modes retrain or refine mid-stream.
+    std::map<uint64_t, BitVector> oracle;
+    for (uint64_t i = 0; i < kOps; ++i) {
+      const uint64_t key = (i * 37) % kManyKeys;
+      const size_t s = sharded->ShardOf(key);
+      if (i % 7 == 6) {
+        const bool live = oracle.erase(key) > 0;
+        EXPECT_EQ(sharded->Delete(key).ok(), live) << "op " << i;
+        EXPECT_EQ(alone[s]->Delete(key).ok(), live) << "op " << i;
+      } else {
+        const workload::BitDataset& src = i < kOps / 2 ? ds : shifted;
+        const BitVector& v = src.items[i % src.items.size()];
+        ASSERT_TRUE(sharded->Put(key, v).ok()) << "op " << i;
+        ASSERT_TRUE(alone[s]->Put(key, v).ok()) << "op " << i;
+        oracle[key] = v;
+      }
+      if (mode.background) {
+        Drain(sharded->shard(s).engine());
+        Drain(alone[s]->engine());
+      }
+    }
+
+    double pj[nvm::kNumEnergyDomains] = {};
+    double now_ns = 0;
+    uint64_t writes = 0, flips = 0;
+    uint64_t private_models = 0;
+    uint64_t refined_only = 0;  // Private models that came from Clone.
+    for (size_t s = 0; s < kShards; ++s) {
+      E2KvStore& shard = sharded->shard(s);
+      EXPECT_EQ(shard.size(), alone[s]->size()) << "shard " << s;
+      shard.tree().ForEach([&](uint64_t key, uint64_t addr) {
+        EXPECT_EQ(addr - shard.first_segment(), alone[s]->tree().Get(key))
+            << "shard " << s << " key " << key;
+        auto got = sharded->Get(key);
+        auto want = alone[s]->Get(key);
+        ASSERT_TRUE(got.ok() && want.ok()) << "key " << key;
+        EXPECT_EQ(*got, *want) << "key " << key;
+        EXPECT_EQ(*got, oracle.at(key)) << "key " << key;
+      });
+      EXPECT_TRUE(shard.engine().stats() == alone[s]->engine().stats())
+          << "shard " << s;
+      EXPECT_EQ(shard.engine().model_generation(),
+                alone[s]->engine().model_generation())
+          << "shard " << s;
+      const nvm::EnergyTotals e = alone[s]->meter().Snapshot();
+      for (int d = 0; d < nvm::kNumEnergyDomains; ++d) pj[d] += e.pj[d];
+      now_ns += e.now_ns;
+      writes += alone[s]->device().stats().writes;
+      flips += alone[s]->device().stats().data_bits_flipped;
+      const EngineStats& st = shard.engine().stats();
+      if (!shard.engine().model_shared()) ++private_models;
+      if (st.refine_steps > 0 && st.retrains == 0) ++refined_only;
+    }
+    // Lane s is shard s's: the merged totals sum the standalone ones in
+    // shard order, bit for bit.
+    const nvm::EnergyTotals merged = sharded->meter().Snapshot();
+    for (int d = 0; d < nvm::kNumEnergyDomains; ++d) {
+      EXPECT_EQ(merged.pj[d], pj[d]) << "domain " << d;
+    }
+    EXPECT_EQ(merged.now_ns, now_ns);
+    EXPECT_EQ(sharded->device().stats().writes, writes);
+    EXPECT_EQ(sharded->device().stats().data_bits_flipped, flips);
+
+    // The retraining modes took private models mid-stream: a retrain
+    // trains a CloneUntrained, and a refine step on a still-shared model
+    // refines a Clone.
+    const EngineStats all = sharded->TakeSnapshot().engine;
+    if (!mode.auto_retrain) {
+      EXPECT_EQ(private_models, 0u);
+      EXPECT_EQ(all.retrains, 0u);
+    } else if (mode.incremental) {
+      EXPECT_GT(refined_only, 0u);
+    } else {
+      EXPECT_GT(all.retrains, 0u);
+      EXPECT_GT(private_models, 0u);
+    }
+  }
 }
 
 TEST(ShardedStore, SnapshotMergesEngineStatsAcrossShards) {

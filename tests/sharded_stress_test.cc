@@ -12,6 +12,12 @@
 //    placement engine's unsynchronized internals (Release's
 //    placed_cluster_ memo, EngineStats counters) — the regression test
 //    for the engine's documented external-locking contract.
+//
+//  - A shared-model case runs one client per shard of a store whose
+//    shards serve one bootstrap model, with refine steps and background
+//    retraining on: shards take private copies at different times while
+//    the others still place through the shared instance under their own
+//    locks.
 
 #include <atomic>
 #include <thread>
@@ -219,6 +225,100 @@ TEST(ShardedStress, SameShardHammerSerializesEngineInternals) {
   // The hammer must actually have exercised retraining on shard 0 for
   // the regression to mean anything.
   EXPECT_GT(store->shard(0).engine().stats().background_retrains, 0u);
+}
+
+TEST(ShardedStress, SharedModelDivergesWithoutRaces) {
+  // No lock covers the shared model: its readers hold different shard
+  // locks. Every write to it would race, so every engine must take a
+  // private copy before refining or retraining (and a copy reads the
+  // shared instance while other shards assign through it). Each shard's
+  // values shift at a different op, so shards diverge one by one.
+  auto ds = ClusteredData(43);
+  workload::ProtoConfig pc;
+  pc.dim = kBits;
+  pc.num_classes = 4;
+  pc.samples = kSegmentsPerShard;
+  pc.noise = 0.03;
+  pc.seed = 1043;
+  const auto shifted = workload::MakeProtoDataset(pc);
+
+  ShardedStoreConfig cfg;
+  cfg.num_shards = kShards;
+  cfg.shard.num_segments = kSegmentsPerShard;
+  cfg.shard.segment_bits = kBits;
+  cfg.shard.model.k = 4;
+  cfg.shard.model.pretrain_epochs = 2;
+  cfg.shard.model.finetune_rounds = 1;
+  cfg.shard.auto_retrain = true;
+  cfg.shard.background_retrain = true;
+  cfg.shard.retrain.min_free_per_cluster = 2;
+  cfg.shard.retrain.window = 20;
+  cfg.shard.retrain.baseline_writes = 20;
+  cfg.shard.retrain.degradation_factor = 1.4;
+  cfg.shard.incremental_learning = true;
+  cfg.shard.replay_ring_capacity = 64;
+  cfg.shard.refine_batch = 8;
+  cfg.shard.retrain.refine_interval = 10;
+  cfg.shard.retrain.max_refine_rounds = 4;
+  cfg.pool_threads = kShards;
+  auto store_or = ShardedStore::Create(cfg);
+  ASSERT_TRUE(store_or.ok());
+  auto store = std::move(*store_or);
+  store->Seed(ds);
+  ASSERT_TRUE(store->Bootstrap().ok());
+  for (size_t s = 0; s < kShards; ++s) {
+    ASSERT_TRUE(store->shard(s).engine().model_shared()) << "shard " << s;
+  }
+
+  // Thread t drives only shard t's keys.
+  constexpr uint64_t kKeysPerShard = 32;
+  std::vector<std::vector<uint64_t>> keys(kShards);
+  for (uint64_t key = 0;; ++key) {
+    auto& mine = keys[store->ShardOf(key)];
+    if (mine.size() < kKeysPerShard) mine.push_back(key);
+    bool full = true;
+    for (const auto& k : keys) full = full && k.size() == kKeysPerShard;
+    if (full) break;
+  }
+  std::atomic<bool> failed{false};
+  std::vector<std::unordered_map<uint64_t, BitVector>> oracles(kShards);
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kShards; ++t) {
+    clients.emplace_back([&, t] {
+      Rng rng(4000 + t);
+      auto& oracle = oracles[t];
+      const size_t shift_at = 60 * (t + 1);
+      for (size_t op = 0; op < 400 && !failed.load(); ++op) {
+        const uint64_t key = keys[t][rng.NextBounded(kKeysPerShard)];
+        const auto& src = op < shift_at ? ds : shifted;
+        BitVector v = src.items[rng.NextBounded(src.items.size())];
+        v.FlipRandomBits(rng.NextBounded(4), rng);
+        if (!store->Put(key, v).ok()) failed.store(true);
+        oracle[key] = std::move(v);
+        if (op % 5 == 4) {
+          auto got = store->Get(key);
+          if (!got.ok() || !(*got == oracle[key])) failed.store(true);
+        }
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  ASSERT_FALSE(failed.load()) << "an operation misbehaved";
+  for (size_t t = 0; t < kShards; ++t) {
+    for (const auto& [key, value] : oracles[t]) {
+      auto got = store->Get(key);
+      ASSERT_TRUE(got.ok()) << "key " << key;
+      ASSERT_EQ(*got, value) << "key " << key;
+    }
+  }
+  CheckConservation(*store);
+  // The case means something only if shards did change their models.
+  size_t private_models = 0;
+  for (size_t s = 0; s < kShards; ++s) {
+    if (!store->shard(s).engine().model_shared()) ++private_models;
+  }
+  EXPECT_GT(private_models, 0u);
+  EXPECT_GT(store->TakeSnapshot().engine.refine_steps, 0u);
 }
 
 TEST(ShardedStress, SteadyStatePutTakesNoSharedLocks) {
