@@ -12,7 +12,8 @@
 // background retraining, an incremental-learning section (serial kernels
 // + §16 replay-ring refinement under a drifting PUT stream, with the
 // steady-state tail and refine-step counters), a batched (MultiPut) PUT
-// section,
+// section, the median bootstrap training (E2Model::Train) at perfbench's
+// two set-up geometries,
 // p50/p99/p99.9/max PUT and p50/p99/p99.9 GET latency (the same tail
 // grid as the serving benchmark's BENCH_net.json, so store-level and
 // wire-level tails line up), and heap allocations per PUT on the
@@ -152,17 +153,22 @@ ml::Matrix TrainBatchOf(const std::vector<ml::Matrix>& inputs, size_t first,
 
 /// One 64-row training step (forward, backward, Adam) at the encode
 /// benchmark's geometry: the unit of a full retrain (E2Model::Train runs
-/// one per 64 seeded segments, per epoch).
+/// one per 64 seeded segments, per epoch). The second argument asks for
+/// the step's losses, as Vae::Train's history does; fine-tuning and
+/// refine steps skip them.
 void BM_VaeTrainBatch(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
+  const bool with_loss = state.range(1) != 0;
   ml::Vae vae(EncodeBenchConfig(dim));
   const ml::Matrix batch = TrainBatchOf(EncodeInputs(dim), 0, 64);
   const ml::VaeTrainOptions opts;
+  ml::Vae::BatchLoss loss;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vae.TrainBatch(batch, opts).recon);
+    vae.TrainBatch(batch, opts, with_loss ? &loss : nullptr);
+    benchmark::DoNotOptimize(loss.recon);
   }
 }
-BENCHMARK(BM_VaeTrainBatch)->Arg(512)->Arg(2048);
+BENCHMARK(BM_VaeTrainBatch)->ArgsProduct({{512, 2048}, {0, 1}});
 
 /// One refine step's VAE half (§16): PartialFit on an 8-row replay-ring
 /// window at 512 bits, the window sliding by one row per call.
@@ -749,11 +755,58 @@ ShardedOpsResult RunShardedBench(size_t num_shards, size_t client_threads,
   return r;
 }
 
+// --- Bootstrap training -> BENCH_ops.json "train" -------------------
+//
+// E2Model::Train at perfbench's two set-up geometries: kv_ycsb_a's
+// 1024-segment shard of 2048-bit values and kv_small's 512 x 512 bits,
+// hidden 64, latent 10, k 8, one epoch plus one fine-tune round, serial
+// kernels. A store's Bootstrap runs one such training per distinct
+// shard image (DESIGN.md §10), so this is most of its set-up time. The
+// smoke pass skips it (no gate reads it) and writes an empty array.
+
+struct TrainGeometry {
+  const char* name;
+  size_t rows;
+  size_t bits;
+};
+
+constexpr TrainGeometry kTrainGeometries[] = {{"1024x2048", 1024, 2048},
+                                              {"512x512", 512, 512}};
+constexpr int kTrainReps = 9;
+
+/// Median wall-clock ms of kTrainReps fresh E2Model::Train runs on `g`.
+double RunTrainBench(const TrainGeometry& g) {
+  workload::ProtoConfig pc;
+  pc.dim = g.bits;
+  pc.num_classes = 8;
+  pc.samples = g.rows;
+  pc.seed = 7;
+  const workload::BitDataset ds = workload::MakeProtoDataset(pc);
+  ml::Matrix contents(g.rows, g.bits);
+  for (size_t i = 0; i < g.rows; ++i) {
+    ds.items[i].AppendFloatsTo(contents.Row(i));
+  }
+  core::E2ModelConfig mc = bench::DefaultModel(g.bits, 8);
+  mc.pretrain_epochs = 1;
+  std::vector<double> ms;
+  for (int i = 0; i < kTrainReps; ++i) {
+    core::E2Model model(mc);
+    const auto t0 = std::chrono::steady_clock::now();
+    if (!model.Train(contents).ok()) std::abort();
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
 void WriteOpsJson(const char* path, unsigned threads, size_t batch,
                   const OpsResult& serial, const OpsResult& pooled,
                   const OpsResult& incremental, const OpsResult& batched,
                   size_t shards, size_t client_threads,
-                  const ShardedOpsResult& sharded) {
+                  const ShardedOpsResult& sharded,
+                  const std::vector<double>& train_ms_p50) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -819,6 +872,18 @@ void WriteOpsJson(const char* path, unsigned threads, size_t batch,
            pooled.put_ops_s > 0 ? sharded.put_ops_s / pooled.put_ops_s
                                 : 0.0);
   jw.EndObject();
+  jw.BeginArray("train");
+  for (size_t i = 0; i < train_ms_p50.size(); ++i) {
+    const TrainGeometry& g = kTrainGeometries[i];
+    jw.BeginObject();
+    jw.Field("name", g.name);
+    jw.Field("rows", g.rows);
+    jw.Field("bits", g.bits);
+    jw.Field("reps", kTrainReps);
+    jw.Field("train_ms_p50", train_ms_p50[i]);
+    jw.EndObject();
+  }
+  jw.EndArray();
   jw.Finish();
   std::fclose(f);
   std::printf("wrote %s\n", path);
@@ -918,9 +983,16 @@ int main(int argc, char** argv) {
     constexpr size_t kShards = 4;
     constexpr size_t kClients = 4;
     auto sharded = e2nvm::RunShardedBench(kShards, kClients, threads);
+    std::vector<double> train;
+    if (!e2nvm::SmokeMode()) {
+      for (const auto& g : e2nvm::kTrainGeometries) {
+        train.push_back(e2nvm::RunTrainBench(g));
+      }
+    }
     e2nvm::WriteOpsJson("BENCH_ops.json", threads,
                         e2nvm::MakeParams().batch, serial, pooled,
-                        incremental, batched, kShards, kClients, sharded);
+                        incremental, batched, kShards, kClients, sharded,
+                        train);
   }
   e2nvm::bench::PrintBanner(
       "BENCH_scaling", "shard-scaling curve: 1/2/4/8 shards x matching "

@@ -46,6 +46,9 @@ class Rng {
   /// Bernoulli draw with probability `p` of true.
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
+  /// Equal generators produce equal streams from here on.
+  bool operator==(const Rng&) const = default;
+
   /// Fisher-Yates shuffles `v` in place.
   template <typename T>
   void Shuffle(std::vector<T>& v) {

@@ -143,6 +143,8 @@ class DynamicAddressPool {
 
   /// Free addresses in `cluster`; 0 for an out-of-range id.
   size_t FreeCount(size_t cluster) const;
+  /// The free list of `cluster` (< num_clusters()), in acquire order.
+  const FreeList& free_list(size_t cluster) const { return lists_[cluster]; }
   size_t TotalFree() const;
   /// Times a caller passed an out-of-range cluster id (diagnostics).
   uint64_t clamped_ids() const;

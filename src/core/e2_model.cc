@@ -48,16 +48,18 @@ Status E2Model::Train(const ml::Matrix& contents) {
   last_train_flops_ = history_.flops;
 
   // Phase 2: K-means on latent codes.
-  ml::Matrix z = vae_->EncodeMu(contents);
-  E2_RETURN_IF_ERROR(kmeans_.Fit(z));
-  last_train_flops_ += kmeans_.FitFlops(z.rows());
+  ml::Matrix latent = vae_->EncodeMu(contents);
+  E2_RETURN_IF_ERROR(kmeans_.Fit(latent));
+  last_train_flops_ += kmeans_.FitFlops(latent.rows());
 
   // Phase 3: joint fine-tuning (DEC-style): the encoder is pulled toward
   // the centroids while still reconstructing; centroids are re-estimated
-  // between rounds.
+  // between rounds. Each round starts from the codes the step before it
+  // encoded (k-means' for the first, the previous round's re-estimate
+  // after that): the VAE has not moved since, so they are the codes a
+  // fresh EncodeMu would give.
   if (config_.joint_finetune) {
     for (int round = 0; round < config_.finetune_rounds; ++round) {
-      ml::Matrix latent = vae_->EncodeMu(contents);
       std::vector<size_t> assign = kmeans_.PredictBatch(latent);
 
       // One epoch of cluster-regularized batches.
@@ -105,6 +107,7 @@ Status E2Model::Train(const ml::Matrix& contents) {
       }
       kmeans_.SetCentroids(std::move(centroids));
       last_train_flops_ += kmeans_.PredictFlops() * z2.rows() * 2.0;
+      latent = std::move(z2);
     }
   }
   return Status::Ok();

@@ -106,23 +106,9 @@ Status PlacementEngine::TrainAndRepopulate(
   } else {
     E2_RETURN_IF_ERROR(clusterer_->Train(contents));
   }
-  Repopulate(addrs, std::move(contents));
-  return Status::Ok();
-}
-
-void PlacementEngine::Repopulate(const std::vector<uint64_t>& addrs,
-                                 ml::Matrix contents) {
-  const double flops = clusterer_->LastTrainFlops();
-  stats_.train_flops += flops;
-  // Charge model training to the CPU energy domain and the clock.
-  const nvm::EnergyModel& em = ctrl_->device().energy_model();
-  ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
-                                     em.CpuPj(flops));
-  ctrl_->device().meter().AdvanceTimeLane(lane_, em.CpuNs(flops));
-
-  // Classify the training matrix in one call. The local scratch takes
-  // the contents by move, so no region-sized buffer outlives the fill
-  // (scratch_ only grows).
+  // Rebuild the DAP from exactly `addrs`, classifying the training
+  // matrix in one call. The local scratch takes the contents by move, so
+  // no region-sized buffer outlives the fill (scratch_ only grows).
   ml::InferenceScratch fill;
   fill.in = std::move(contents);
   clusterer_->AssignScratch(&fill);
@@ -130,6 +116,18 @@ void PlacementEngine::Repopulate(const std::vector<uint64_t>& addrs,
   for (size_t i = 0; i < addrs.size(); ++i) {
     pool_.Insert(fill.clusters[i], addrs[i]);
   }
+  OnModelTrained();
+  return Status::Ok();
+}
+
+void PlacementEngine::OnModelTrained() {
+  const double flops = clusterer_->LastTrainFlops();
+  stats_.train_flops += flops;
+  // Charge model training to the CPU energy domain and the clock.
+  const nvm::EnergyModel& em = ctrl_->device().energy_model();
+  ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
+                                     em.CpuPj(flops));
+  ctrl_->device().meter().AdvanceTimeLane(lane_, em.CpuNs(flops));
   policy_.OnRetrain();
   InvalidateClusterCache();
 }
@@ -151,6 +149,7 @@ Status PlacementEngine::Bootstrap() {
   for (size_t i = 0; i < n; ++i) addrs[i] = config_.first_segment + i;
   E2_RETURN_IF_ERROR(TrainAndRepopulate(addrs));
   bootstrapped_ = true;
+  bootstrap_stats_ = stats_;
   return Status::Ok();
 }
 
@@ -166,14 +165,28 @@ Status PlacementEngine::BootstrapFrom(PlacementEngine& source) {
     return Status::FailedPrecondition(
         "source engine does not own the model it serves");
   }
+  if (!(source.stats_ == source.bootstrap_stats_)) {
+    return Status::FailedPrecondition(
+        "source engine has run operations since its bootstrap");
+  }
   owned_clusterer_ = source.owned_clusterer_;
   clusterer_ = owned_clusterer_.get();
   source.model_shared_ = true;
   model_shared_ = true;
-  std::vector<uint64_t> addrs(n);
-  for (size_t i = 0; i < n; ++i) addrs[i] = config_.first_segment + i;
-  Repopulate(addrs, ContentsMatrix(addrs));
+  // Classifying this engine's segments with the model would reproduce
+  // source's free lists cluster for cluster, offset to this range and in
+  // the same order, since the contents are byte-identical: copy them.
+  pool_.Clear();
+  for (size_t c = 0; c < pool_.num_clusters(); ++c) {
+    const FreeList& list = source.pool_.free_list(c);
+    for (size_t i = 0; i < list.size(); ++i) {
+      pool_.Insert(c, list[i] - source.config_.first_segment +
+                          config_.first_segment);
+    }
+  }
+  OnModelTrained();
   bootstrapped_ = true;
+  bootstrap_stats_ = stats_;
   return Status::Ok();
 }
 

@@ -172,15 +172,18 @@ class PlacementEngine : public index::ValuePlacer {
   /// byte-identical to those `source` bootstrapped on, under a clusterer
   /// of the same configuration: Train is a pure function of the two, so
   /// this engine serves source's trained model instead of training an
-  /// identical one, and releases its own. It fills its DAP by
-  /// classifying its own segments with that model and charges its lane
-  /// the training flops, energy and clock its own Bootstrap would have,
-  /// so stats, energy and every later placement equal Bootstrap's. The
-  /// engines co-own the model, and from then on both treat it as shared
-  /// and never change it in place: the first retrain or refine step of
-  /// either takes a private model first (see RefineStep,
-  /// TrainAndRepopulate). Requires a bootstrapped source that owns the
-  /// model it serves.
+  /// identical one, and releases its own. Classifying its segments with
+  /// that model would rebuild source's DAP, so it copies source's free
+  /// lists, offset to its own range, and charges its lane the training
+  /// flops, energy and clock its own Bootstrap would have: stats, energy
+  /// and every later placement equal Bootstrap's. The engines co-own the
+  /// model, and from then on both treat it as shared and never change it
+  /// in place: the first retrain or refine step of either takes a private
+  /// model first (see RefineStep, TrainAndRepopulate). Requires a
+  /// bootstrapped source that owns the model it serves and whose stats
+  /// have not moved since its bootstrap (no placement, release, retrain,
+  /// refine step or prediction), so that its DAP is still the one its
+  /// bootstrap built.
   Status BootstrapFrom(PlacementEngine& source);
 
   /// Re-trains on the contents of the currently free segments and rebuilds
@@ -330,14 +333,14 @@ class PlacementEngine : public index::ValuePlacer {
   /// The synchronous train shared by Bootstrap and Retrain: trains the
   /// clusterer on the contents of `addrs` (a CloneUntrained of it while
   /// the model is shared: Train is a pure function of the config and the
-  /// contents, so the result equals training in place), then
-  /// Repopulate.
+  /// contents, so the result equals training in place), rebuilds the
+  /// DAP from exactly `addrs` classified by the new model, then
+  /// OnModelTrained.
   Status TrainAndRepopulate(const std::vector<uint64_t>& addrs);
   /// Charges the serving model's last training (flops, CPU energy and
-  /// clock) to this engine's lane, rebuilds the DAP from exactly `addrs`
-  /// (row i of `contents` is addrs[i]'s content) classified by that
-  /// model, and resets the policy window and the placement memo.
-  void Repopulate(const std::vector<uint64_t>& addrs, ml::Matrix contents);
+  /// clock) to this engine's lane and resets the policy window and the
+  /// placement memo.
+  void OnModelTrained();
   /// Starts serving `model`, a model of this engine's own. A previous
   /// model of its own is parked in retired_clusterer_; a shared one is
   /// let go, and the last engine to leave it frees it. Bumps no counter.
@@ -414,6 +417,10 @@ class PlacementEngine : public index::ValuePlacer {
   // Invalidated wholesale on any model change (Bootstrap/Retrain/refine
   // step/shadow swap) and per-address on WriteAt and narrow placements.
   std::vector<int32_t> placed_cluster_;
+  // stats_ as Bootstrap or BootstrapFrom left them: while they still
+  // match, the DAP is the one the bootstrap built (BootstrapFrom's test).
+  // Last, so the write path's members keep their offsets.
+  EngineStats bootstrap_stats_;
 };
 
 }  // namespace e2nvm::core

@@ -105,11 +105,12 @@ class ShardedStore {
   /// Trains every shard's model on its seeded contents and populates its
   /// DAP, one shard after another on its own lane. A shard whose seeded
   /// segments are byte-identical to an earlier shard's would train that
-  /// shard's model bit for bit, so it serves that one instead
-  /// (E2KvStore::BootstrapFrom): each distinct image trains once, and
-  /// after Seed every shard serves one model instance. Placements, stats
-  /// and energy equal those of one training per shard; a shard takes a
-  /// private model before its first retrain or refine step.
+  /// shard's model bit for bit, so it serves that one instead and copies
+  /// that shard's DAP (E2KvStore::BootstrapFrom): each distinct image
+  /// trains and is classified once, and after Seed every shard serves one
+  /// model instance. Placements, stats and energy equal those of one
+  /// training per shard; a shard takes a private model before its first
+  /// retrain or refine step.
   Status Bootstrap();
 
   /// Inserts or updates `key` on its owning shard. With journaling on,

@@ -1,6 +1,8 @@
 #include "ml/layers.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/kernels.h"
 
@@ -57,11 +59,32 @@ void Dense::ZeroGrad() {
   b_.ZeroGrad();
 }
 
+namespace {
+
+/// The argument the stable sigmoid exponentiates, x >= 0 ? -x : x (+0
+/// and -0 flip, NaN stays). Negation flips the sign bit alone, so the
+/// compare picks the flip and no branch does: on random logits a branch
+/// here mispredicts half the time.
+float SigmoidExpArg(float x) {
+  const uint32_t flip = static_cast<uint32_t>(x >= 0) << 31;
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(x) ^ flip);
+}
+
+}  // namespace
+
+void SigmoidArray(const float* __restrict x, float* __restrict y,
+                  size_t n) {
+  // Two passes: libm exp, call for call, then the select and divide, a
+  // loop with no branch that the compiler vectorizes.
+  for (size_t i = 0; i < n; ++i) y[i] = std::exp(SigmoidExpArg(x[i]));
+  for (size_t i = 0; i < n; ++i) {
+    y[i] = (x[i] >= 0 ? 1.0f : y[i]) / (1.0f + y[i]);
+  }
+}
+
 Matrix Sigmoid::Forward(const Matrix& x) {
   y_cache_ = Matrix(x.rows(), x.cols());
-  for (size_t i = 0; i < x.size(); ++i) {
-    y_cache_.data()[i] = SigmoidScalar(x.data()[i]);
-  }
+  SigmoidArray(x.data().data(), y_cache_.data().data(), x.size());
   return y_cache_;
 }
 
@@ -135,6 +158,10 @@ size_t Sequential::ParamCount() const {
   size_t n = 0;
   for (const auto& l : layers_) n += l->ParamCount();
   return n;
+}
+
+void Sequential::AppendParams(std::vector<const ParamBlock*>* out) const {
+  for (const auto& l : layers_) l->AppendParams(out);
 }
 
 double Sequential::ForwardFlops(size_t batch) const {

@@ -56,6 +56,8 @@ class Layer {
   virtual void Step(const AdamConfig& cfg, int t) {}
   virtual void ZeroGrad() {}
   virtual size_t ParamCount() const { return 0; }
+  /// Appends the layer's parameter blocks to `out`.
+  virtual void AppendParams(std::vector<const ParamBlock*>* out) const {}
 
   /// Multiply-accumulate count of one forward pass over `batch` rows —
   /// consumed by the CPU energy model (Figs 8, 16, 18).
@@ -81,6 +83,10 @@ class Dense : public Layer {
   void Step(const AdamConfig& cfg, int t) override;
   void ZeroGrad() override;
   size_t ParamCount() const override { return w_.size() + b_.size(); }
+  void AppendParams(std::vector<const ParamBlock*>* out) const override {
+    out->push_back(&w_);
+    out->push_back(&b_);
+  }
   double ForwardFlops(size_t batch) const override {
     return 2.0 * static_cast<double>(batch) * static_cast<double>(in_) *
            static_cast<double>(out_);
@@ -177,6 +183,7 @@ class Sequential {
   void Step(const AdamConfig& cfg, int t);
   void ZeroGrad();
   size_t ParamCount() const;
+  void AppendParams(std::vector<const ParamBlock*>* out) const;
   double ForwardFlops(size_t batch) const;
 
   size_t num_layers() const { return layers_.size(); }
@@ -186,15 +193,10 @@ class Sequential {
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 
-/// Numerically-stable elementwise sigmoid.
-inline float SigmoidScalar(float x) {
-  if (x >= 0) {
-    float z = std::exp(-x);
-    return 1.0f / (1.0f + z);
-  }
-  float z = std::exp(x);
-  return z / (1.0f + z);
-}
+/// Numerically stable elementwise sigmoid: y[i] = 1 / (1 + exp(-x[i]))
+/// for x[i] >= 0 and exp(x[i]) / (1 + exp(x[i])) otherwise, with libm's
+/// exp, so the exp never overflows. `y` may not alias `x`.
+void SigmoidArray(const float* x, float* y, size_t n);
 
 }  // namespace e2nvm::ml
 

@@ -51,10 +51,10 @@ Matrix Lstm::RunForward(const Matrix& x, bool train) {
         gg(batch, h_dim);
     for (size_t r = 0; r < batch; ++r) {
       const float* grow = gates.Row(r);
+      SigmoidArray(grow, ig.Row(r), h_dim);
+      SigmoidArray(grow + h_dim, fg.Row(r), h_dim);
+      SigmoidArray(grow + 2 * h_dim, og.Row(r), h_dim);
       for (size_t j = 0; j < h_dim; ++j) {
-        ig(r, j) = SigmoidScalar(grow[j]);
-        fg(r, j) = SigmoidScalar(grow[h_dim + j]);
-        og(r, j) = SigmoidScalar(grow[2 * h_dim + j]);
         gg(r, j) = std::tanh(grow[3 * h_dim + j]);
       }
     }

@@ -54,11 +54,21 @@ double BceSum(const Matrix& probs, const Matrix& x) {
 Matrix SigmoidAll(const Matrix& logits) {
   Matrix probs(logits.rows(), logits.cols());
   ForElements(logits.size(), [&](size_t lo, size_t hi, size_t) {
-    for (size_t i = lo; i < hi; ++i) {
-      probs.data()[i] = SigmoidScalar(logits.data()[i]);
-    }
+    SigmoidArray(logits.data().data() + lo, probs.data().data() + lo,
+                 hi - lo);
   });
   return probs;
+}
+
+/// KL(q(z|x) || N(0, I)) summed over a batch, before the beta weight.
+double KlSum(const Matrix& mu, const Matrix& logvar) {
+  double kl = 0.0;
+  for (size_t i = 0; i < mu.size(); ++i) {
+    float m = mu.data()[i];
+    float lv = logvar.data()[i];
+    kl += -0.5 * (1.0 + lv - m * m - std::exp(lv));
+  }
+  return kl;
 }
 }  // namespace
 
@@ -119,7 +129,8 @@ Matrix Vae::Decode(const Matrix& z) {
   return SigmoidAll(logits);
 }
 
-Vae::BatchLoss Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts) {
+void Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
+                     BatchLoss* loss) {
   const size_t batch = x.rows();
   const float inv_batch = 1.0f / static_cast<float>(batch);
 
@@ -140,15 +151,13 @@ Vae::BatchLoss Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts) {
   Matrix logits = decoder_.Forward(z);
   Matrix probs = SigmoidAll(logits);
 
-  BatchLoss loss;
-  loss.recon = BceSum(probs, x) / static_cast<double>(batch);
-  double kl = 0.0;
-  for (size_t i = 0; i < mu.size(); ++i) {
-    float m = mu.data()[i];
-    float lv = logvar.data()[i];
-    kl += -0.5 * (1.0 + lv - m * m - std::exp(lv));
+  // The losses read the forward pass and feed no gradient, so a caller
+  // that drops them (fine-tuning, PartialFit) skips their logs and exps.
+  if (loss != nullptr) {
+    *loss = BatchLoss();
+    loss->recon = BceSum(probs, x) / static_cast<double>(batch);
+    loss->kl = config_.beta * KlSum(mu, logvar) / static_cast<double>(batch);
   }
-  loss.kl = config_.beta * kl / static_cast<double>(batch);
 
   // ---- Backward ----
   // d(BCE with logits)/dlogits = (p - x), averaged over the batch.
@@ -175,7 +184,10 @@ Vae::BatchLoss Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts) {
         dz(i, d) += opts.cluster_weight * 2.0f * diff * inv_batch;
       }
     }
-    loss.cluster = opts.cluster_weight * closs / static_cast<double>(batch);
+    if (loss != nullptr) {
+      loss->cluster =
+          opts.cluster_weight * closs / static_cast<double>(batch);
+    }
   }
 
   // Gradients wrt mu and logvar: z = mu + sigma * eps.
@@ -209,7 +221,6 @@ Vae::BatchLoss Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts) {
   mu_head_->ZeroGrad();
   logvar_head_->ZeroGrad();
   decoder_.ZeroGrad();
-  return loss;
 }
 
 double Vae::EvalLoss(const Matrix& x) {
@@ -217,13 +228,8 @@ double Vae::EvalLoss(const Matrix& x) {
   EncodeForward(x, &mu, &logvar);
   Matrix probs = Decode(mu);  // eps = 0: z = mu.
   double recon = BceSum(probs, x) / static_cast<double>(x.rows());
-  double kl = 0.0;
-  for (size_t i = 0; i < mu.size(); ++i) {
-    float m = mu.data()[i];
-    float lv = logvar.data()[i];
-    kl += -0.5 * (1.0 + lv - m * m - std::exp(lv));
-  }
-  return recon + config_.beta * kl / static_cast<double>(x.rows());
+  return recon +
+         config_.beta * KlSum(mu, logvar) / static_cast<double>(x.rows());
 }
 
 TrainHistory Vae::Train(const Matrix& x, const VaeTrainOptions& opts) {
@@ -260,7 +266,8 @@ TrainHistory Vae::Train(const Matrix& x, const VaeTrainOptions& opts) {
       VaeTrainOptions batch_opts = opts;
       batch_opts.centroids = nullptr;
       batch_opts.assignments = nullptr;
-      BatchLoss l = TrainBatch(batch, batch_opts);
+      BatchLoss l;
+      TrainBatch(batch, batch_opts, &l);
       epoch_loss += l.total();
       ++batches;
       history.flops += TrainStepFlops(bs);
@@ -307,6 +314,15 @@ double Vae::TrainStepFlops(size_t batch) const {
                logvar_head_->ForwardFlops(batch) +
                decoder_.ForwardFlops(batch);
   return 3.0 * fwd;  // Forward + backward ~= 3x forward MACs.
+}
+
+std::vector<const ParamBlock*> Vae::Params() const {
+  std::vector<const ParamBlock*> out;
+  enc_in_->AppendParams(&out);
+  mu_head_->AppendParams(&out);
+  logvar_head_->AppendParams(&out);
+  decoder_.AppendParams(&out);
+  return out;
 }
 
 size_t Vae::ParamCount() const {

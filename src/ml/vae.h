@@ -86,15 +86,20 @@ class Vae {
   /// Decodes latent codes to Bernoulli means (sigmoid outputs).
   Matrix Decode(const Matrix& z);
 
-  /// One SGD step on a mini-batch. Returns (reconstruction, KL, cluster)
-  /// losses averaged per sample.
+  /// (reconstruction, KL, cluster) losses of one step, averaged per
+  /// sample.
   struct BatchLoss {
     double recon = 0;
     double kl = 0;
     double cluster = 0;
     double total() const { return recon + kl + cluster; }
   };
-  BatchLoss TrainBatch(const Matrix& x, const VaeTrainOptions& opts);
+  /// One SGD step on a mini-batch. Fills `loss` when non-null; the losses
+  /// feed no gradient, so the step (weights, moments, step count, RNG) is
+  /// the same either way, and a caller that does not read them skips
+  /// their cost.
+  void TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
+                  BatchLoss* loss = nullptr);
 
   /// Loss of `x` without updating parameters (eps = 0, deterministic).
   double EvalLoss(const Matrix& x);
@@ -106,10 +111,11 @@ class Vae {
   /// DESIGN.md §16): runs one pure-ELBO TrainBatch step per
   /// `batch_size` chunk of `x`, in row order, on the *current*
   /// parameters — no re-initialization, no shuffling, no validation
-  /// split. Returns the multiply-accumulates spent. The update is a
-  /// deterministic function of (parameters, internal RNG state, x):
-  /// chunk order is fixed and the kernels are pool-size invariant, so
-  /// refinement preserves the engine's determinism contract.
+  /// split, and no loss computed. Returns the multiply-accumulates
+  /// spent. The update is a deterministic function of (parameters,
+  /// internal RNG state, x): chunk order is fixed and the kernels are
+  /// pool-size invariant, so refinement preserves the engine's
+  /// determinism contract.
   double PartialFit(const Matrix& x, size_t batch_size);
 
   /// Multiply-accumulates of encoding one row to its latent mean.
@@ -119,6 +125,13 @@ class Vae {
   double TrainStepFlops(size_t batch) const;
 
   size_t ParamCount() const;
+
+  /// Every parameter block (weights, gradients, Adam moments), encoder
+  /// first, the training step count and the RNG the reparameterization
+  /// draws from: the state a training step changes.
+  std::vector<const ParamBlock*> Params() const;
+  int step() const { return step_; }
+  const Rng& rng() const { return rng_; }
 
   /// The encoder's input-layer weights (input_dim x hidden_dim): the
   /// matrix every write-path encode streams, one row per nonzero input.

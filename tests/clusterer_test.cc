@@ -201,6 +201,102 @@ TEST(E2ModelTest, RetrainReplacesModel) {
   EXPECT_LT(AssignOne(model, ds.items[0].ToFloats()), 3u);
 }
 
+TEST(E2ModelTest, TrainEqualsItsPhasesEncodingAfreshEachRound) {
+  // Train starts each fine-tune round from codes it already holds (k-means'
+  // for the first, the previous round's re-estimate after that) instead of
+  // encoding the contents again: the VAE has not stepped since. The model
+  // must equal the same phases run on the public VAE and k-means API with
+  // a fresh encode at the start of every round.
+  auto ds = EasyDataset(200);
+  const ml::Matrix x = ds.ToMatrix();
+  core::E2ModelConfig cfg;
+  cfg.input_dim = ds.dim;
+  cfg.k = 5;
+  cfg.hidden_dim = 32;
+  cfg.latent_dim = 6;
+  cfg.pretrain_epochs = 2;
+  cfg.finetune_rounds = 2;
+  core::E2Model model(cfg);
+  ASSERT_TRUE(model.Train(x).ok());
+
+  ml::VaeConfig vc;
+  vc.input_dim = cfg.input_dim;
+  vc.hidden_dim = cfg.hidden_dim;
+  vc.latent_dim = cfg.latent_dim;
+  vc.beta = cfg.beta;
+  vc.seed = cfg.seed;
+  ml::Vae vae(vc);
+  ml::VaeTrainOptions opts;
+  opts.epochs = cfg.pretrain_epochs;
+  opts.batch_size = cfg.batch_size;
+  const ml::TrainHistory history = vae.Train(x, opts);
+  ml::KMeans km({.k = cfg.k, .max_iters = cfg.kmeans_iters,
+                 .seed = cfg.seed});
+  ASSERT_TRUE(km.Fit(vae.EncodeMu(x)).ok());
+  for (int round = 0; round < cfg.finetune_rounds; ++round) {
+    const std::vector<size_t> assign = km.PredictBatch(vae.EncodeMu(x));
+    for (size_t start = 0; start < x.rows(); start += cfg.batch_size) {
+      const size_t bs = std::min(cfg.batch_size, x.rows() - start);
+      ml::Matrix batch(bs, x.cols());
+      std::vector<size_t> batch_assign(bs);
+      for (size_t i = 0; i < bs; ++i) {
+        batch.CopyRowFrom(x, start + i, i);
+        batch_assign[i] = assign[start + i];
+      }
+      ml::VaeTrainOptions ft;
+      ft.centroids = &km.centroids();
+      ft.assignments = &batch_assign;
+      ft.cluster_weight = cfg.cluster_weight;
+      vae.TrainBatch(batch, ft);
+    }
+    const ml::Matrix z = vae.EncodeMu(x);
+    const std::vector<size_t> members = km.PredictBatch(z);
+    ml::Matrix centroids(cfg.k, cfg.latent_dim);
+    std::vector<size_t> counts(cfg.k, 0);
+    for (size_t i = 0; i < z.rows(); ++i) {
+      for (size_t d = 0; d < cfg.latent_dim; ++d) {
+        centroids(members[i], d) += z(i, d);
+      }
+      ++counts[members[i]];
+    }
+    for (size_t c = 0; c < cfg.k; ++c) {
+      for (size_t d = 0; d < cfg.latent_dim; ++d) {
+        centroids(c, d) = counts[c] == 0
+                              ? km.centroids()(c, d)
+                              : centroids(c, d) *
+                                    (1.0f / static_cast<float>(counts[c]));
+      }
+    }
+    km.SetCentroids(std::move(centroids));
+  }
+
+  EXPECT_EQ(model.history().train_loss, history.train_loss);
+  EXPECT_EQ(model.history().val_loss, history.val_loss);
+  EXPECT_EQ(model.vae().step(), vae.step());
+  EXPECT_TRUE(model.vae().rng() == vae.rng());
+  const auto got = model.vae().Params();
+  const auto want = vae.Params();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    for (auto part : {&ml::ParamBlock::value, &ml::ParamBlock::m,
+                      &ml::ParamBlock::v}) {
+      const ml::Matrix& g = got[i]->*part;
+      const ml::Matrix& w = want[i]->*part;
+      ASSERT_EQ(g.size(), w.size());
+      EXPECT_EQ(std::memcmp(g.data().data(), w.data().data(),
+                            g.size() * sizeof(float)),
+                0)
+          << "parameter block " << i;
+    }
+  }
+  const ml::Matrix& gc = model.kmeans().centroids();
+  const ml::Matrix& wc = km.centroids();
+  ASSERT_EQ(gc.size(), wc.size());
+  EXPECT_EQ(std::memcmp(gc.data().data(), wc.data().data(),
+                        gc.size() * sizeof(float)),
+            0);
+}
+
 TEST(ContentClustererTest, BatchedRowsMatchRowsStagedAlone) {
   // Every DAP fill classifies a whole matrix in one AssignScratch call,
   // and a PUT stages its value alone: each row of the batch must get the

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 namespace e2nvm::ml {
 namespace {
@@ -142,6 +146,91 @@ TEST(SigmoidTest, OutputsInUnitInterval) {
   EXPECT_NEAR(y(0, 0), 0.0f, 1e-6);
   EXPECT_FLOAT_EQ(y(0, 1), 0.5f);
   EXPECT_NEAR(y(0, 2), 1.0f, 1e-6);
+}
+
+/// The two-branch sigmoid SigmoidArray replaces: the bit-identity
+/// oracle.
+float TwoBranchSigmoid(float x) {
+  if (x >= 0) {
+    float z = std::exp(-x);
+    return 1.0f / (1.0f + z);
+  }
+  float z = std::exp(x);
+  return z / (1.0f + z);
+}
+
+uint32_t BitsOf(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+float FromBits(uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+/// Every input's SigmoidArray output has the oracle's bits, NaN payloads
+/// included; the array also runs on every length up to 40 at three
+/// offsets, so vector bodies and scalar tails both see each input.
+void ExpectSigmoidMatchesOracle(const std::vector<float>& xs) {
+  std::vector<float> ys(xs.size());
+  SigmoidArray(xs.data(), ys.data(), xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const uint32_t want = BitsOf(TwoBranchSigmoid(xs[i]));
+    ASSERT_EQ(BitsOf(ys[i]), want)
+        << "x bits 0x" << std::hex << BitsOf(xs[i]);
+  }
+  std::vector<float> part(40);
+  for (size_t off = 0; off < 3 && off < xs.size(); ++off) {
+    for (size_t n = 1; n <= 40 && off + n <= xs.size(); ++n) {
+      SigmoidArray(xs.data() + off, part.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(BitsOf(part[i]), BitsOf(ys[off + i]))
+            << "offset " << off << " length " << n << " element " << i;
+      }
+    }
+  }
+}
+
+TEST(SigmoidTest, ArrayMatchesTheTwoBranchSigmoidOnEdgeCases) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<float> xs = {
+      0.0f, -0.0f, denorm, -denorm, FromBits(0x007fffffu),
+      FromBits(0x807fffffu), std::numeric_limits<float>::min(),
+      -std::numeric_limits<float>::min(), inf, -inf,
+      std::numeric_limits<float>::max(), -std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      FromBits(0x7fc12345u), FromBits(0xffc54321u), FromBits(0x7fa00001u),
+      FromBits(0xff800001u)};
+  // expf's overflow edge (88.72), where its result turns denormal
+  // (-87.34) and where it underflows to zero (-103.97), on both signs,
+  // 64 ulps either way.
+  for (float edge : {88.72284f, 87.33655f, 103.97208f}) {
+    for (float sign : {1.0f, -1.0f}) {
+      float lo = sign * edge, hi = sign * edge;
+      for (int step = 0; step < 64; ++step) {
+        xs.push_back(lo);
+        xs.push_back(hi);
+        lo = std::nextafter(lo, -inf);
+        hi = std::nextafter(hi, inf);
+      }
+    }
+  }
+  ExpectSigmoidMatchesOracle(xs);
+}
+
+TEST(SigmoidTest, ArrayMatchesTheTwoBranchSigmoidOnRandomBits) {
+  Rng rng(20);
+  std::vector<float> xs(1u << 18);
+  for (auto& x : xs) x = FromBits(static_cast<uint32_t>(rng.NextU64()));
+  ExpectSigmoidMatchesOracle(xs);
+  // And on logits of a decoder's range, where both signs are common.
+  for (auto& x : xs) x = rng.NextFloat() * 40.0f - 20.0f;
+  ExpectSigmoidMatchesOracle(xs);
 }
 
 TEST(AdamTest, StepReducesSimpleQuadratic) {

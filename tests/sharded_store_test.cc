@@ -1,10 +1,10 @@
 // ShardedStore unit tests: the shards=1 determinism contract (bit-identical
 // placements, flips and retrain schedule vs a plain E2KvStore), one shared
-// bootstrap model for shards seeded alike (each shard still equal to a
-// standalone store, through retrains and refine steps), merged stats
-// across shards, shard-range containment, construction validation, the
-// ShardJournal append/replay protocol, and that a batch applies exactly
-// the rows its journal took.
+// bootstrap model and copied free lists for shards seeded alike (each
+// shard still equal to a standalone store, through retrains and refine
+// steps), merged stats across shards, shard-range containment,
+// construction validation, the ShardJournal append/replay protocol, and
+// that a batch applies exactly the rows its journal took.
 
 #include <map>
 #include <unordered_map>
@@ -173,6 +173,54 @@ TEST(ShardedStore, ShardWithADifferentImageTrainsItsOwnModel) {
   EXPECT_TRUE(e2.model_shared());
   // The adopting shard charged the training it did not run.
   EXPECT_EQ(e2.stats().train_flops, e0.stats().train_flops);
+}
+
+TEST(ShardedStore, TwinsCopyTheFreeListsAStandaloneStoreBuilds) {
+  // A shard that adopts an earlier shard's model copies its free lists
+  // instead of classifying its segments: each shard's lists must hold
+  // exactly the addresses, in exactly the order, of a standalone store
+  // that trained and classified the same image.
+  auto ds = ClusteredData(5);
+  auto alone = MakePlainStore(ds);
+  const DynamicAddressPool& want = alone->engine().pool();
+  for (size_t num_shards : {2u, 4u}) {
+    auto sharded = MakeSharded(ds, num_shards);
+    for (size_t s = 0; s < num_shards; ++s) {
+      SCOPED_TRACE(testing::Message()
+                   << num_shards << " shards, shard " << s);
+      const DynamicAddressPool& got =
+          sharded->shard(s).engine().pool();
+      const uint64_t first = sharded->shard(s).first_segment();
+      ASSERT_EQ(got.num_clusters(), want.num_clusters());
+      EXPECT_EQ(got.TotalFree(), want.TotalFree());
+      for (size_t c = 0; c < want.num_clusters(); ++c) {
+        const FreeList& g = got.free_list(c);
+        const FreeList& w = want.free_list(c);
+        ASSERT_EQ(g.size(), w.size()) << "cluster " << c;
+        for (size_t i = 0; i < w.size(); ++i) {
+          EXPECT_EQ(g[i] - first, w[i]) << "cluster " << c << " entry " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardedStore, BootstrapFromRefusesASourceThatHasServed) {
+  // A twin copies its source's free lists, so the source's DAP must still
+  // be the one its bootstrap built.
+  auto ds = ClusteredData(5);
+  auto fresh = MakePlainStore(ds);
+  auto served = MakePlainStore(ds);
+  ASSERT_TRUE(served->Put(1, ds.items[3]).ok());
+  auto twin_or = E2KvStore::Create(ShardConfig());
+  ASSERT_TRUE(twin_or.ok());
+  auto twin = std::move(*twin_or);
+  twin->Seed(ds);
+  EXPECT_EQ(twin->BootstrapFrom(*served).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(twin->Put(1, ds.items[3]).ok());  // Still not bootstrapped.
+  ASSERT_TRUE(twin->BootstrapFrom(*fresh).ok());
+  EXPECT_TRUE(twin->Put(1, ds.items[3]).ok());
 }
 
 /// How the equivalence cases below retrain: off, synchronously, in the

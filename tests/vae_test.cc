@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -226,6 +228,79 @@ TEST(VaeTest, ClusterRegularizerPullsTowardCentroid) {
   for (int i = 0; i < 30; ++i) vae.TrainBatch(x, opts);
   double norm_after = FrobeniusSq(vae.EncodeMu(x));
   EXPECT_LT(norm_after, norm_before);
+}
+
+/// Byte-equal training state: every parameter block's value, gradient
+/// and Adam moments, the step count and the RNG.
+void ExpectSameState(const Vae& a, const Vae& b) {
+  EXPECT_EQ(a.step(), b.step());
+  EXPECT_TRUE(a.rng() == b.rng());
+  const std::vector<const ParamBlock*> pa = a.Params();
+  const std::vector<const ParamBlock*> pb = b.Params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    const Matrix* ma[] = {&pa[i]->value, &pa[i]->grad, &pa[i]->m,
+                          &pa[i]->v};
+    const Matrix* mb[] = {&pb[i]->value, &pb[i]->grad, &pb[i]->m,
+                          &pb[i]->v};
+    for (size_t j = 0; j < 4; ++j) {
+      ASSERT_EQ(ma[j]->size(), mb[j]->size()) << "block " << i;
+      EXPECT_EQ(std::memcmp(ma[j]->data().data(), mb[j]->data().data(),
+                            ma[j]->size() * sizeof(float)),
+                0)
+          << "block " << i << " matrix " << j;
+    }
+  }
+}
+
+TEST(VaeTest, DroppingTheLossChangesNoState) {
+  // Two deep copies of one trained VAE take the same steps, one asking
+  // for the losses and one not: the losses feed no gradient, so the
+  // copies must stay byte-equal, plain and with the joint cluster term.
+  Vae base(SmallConfig());
+  Matrix x = TwoProtoData(32, 64, 8);
+  VaeTrainOptions pre;
+  pre.epochs = 1;
+  pre.batch_size = 16;
+  base.Train(x, pre);
+  Matrix centroids(2, 4);
+  centroids(0, 0) = 1.0f;
+  centroids(1, 1) = -1.0f;
+  std::vector<size_t> assign(32);
+  for (size_t i = 0; i < assign.size(); ++i) assign[i] = i % 2;
+  for (bool joint : {false, true}) {
+    SCOPED_TRACE(joint ? "joint" : "plain");
+    VaeTrainOptions opts;
+    if (joint) {
+      opts.centroids = &centroids;
+      opts.assignments = &assign;
+      opts.cluster_weight = 0.5f;
+    }
+    Vae with(base), without(base);
+    Vae::BatchLoss loss;
+    for (int i = 0; i < 3; ++i) {
+      with.TrainBatch(x, opts, &loss);
+      without.TrainBatch(x, opts);
+    }
+    ExpectSameState(with, without);
+    EXPECT_EQ(with.step(), base.step() + 3);
+    EXPECT_GT(loss.recon, 0.0);
+    EXPECT_GT(loss.kl, 0.0);
+    EXPECT_EQ(loss.cluster > 0.0, joint);
+  }
+  // PartialFit takes loss-free steps: they equal TrainBatch steps that
+  // compute the losses, chunk by chunk.
+  Vae refined(base), reference(base);
+  refined.PartialFit(x, /*batch_size=*/12);
+  for (size_t start = 0; start < x.rows(); start += 12) {
+    const size_t bs = std::min<size_t>(12, x.rows() - start);
+    Matrix chunk(bs, x.cols());
+    for (size_t i = 0; i < bs; ++i) chunk.CopyRowFrom(x, start + i, i);
+    Vae::BatchLoss loss;
+    reference.TrainBatch(chunk, VaeTrainOptions(), &loss);
+  }
+  ExpectSameState(refined, reference);
+  EXPECT_EQ(refined.step(), base.step() + 3);
 }
 
 TEST(VaeTest, FlopsEstimatesPositiveAndOrdered) {
