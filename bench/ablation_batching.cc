@@ -34,8 +34,8 @@ void Run() {
       schemes::Dcw dcw;
       bench::Rig rig(kSegments, kSegBits, 0, &dcw);
       rig.SeedFrom(seed_ds);
-      placement::RawKMeansClusterer clusterer(6, 42, 25);
-      auto engine = bench::MakeEngine(rig, &clusterer);
+      auto engine = bench::MakeEngine(
+          rig, std::make_unique<placement::RawKMeansClusterer>(6, 42, 25));
 
       Rng rng(9);
       uint64_t user_bits = 0;

@@ -28,15 +28,15 @@ void Run() {
     auto cfg = bench::DefaultModel(kBits, kClusters);
     cfg.joint_finetune = rounds > 0;
     cfg.finetune_rounds = rounds;
-    core::E2Model model(cfg);
-    auto engine = bench::MakeEngine(rig, &model);
+    auto engine = bench::MakeEngine(rig, std::make_unique<core::E2Model>(cfg));
     auto sized = workload::ResizeItems(ds, kBits);
     std::vector<BitVector> stream(sized.items.begin() + kSegments,
                                   sized.items.end());
     auto r = bench::RunStream(*engine, *rig.device, stream, 0.95, 7);
     std::printf("%12s %10d %14.1f %16.3f\n",
                 rounds > 0 ? "joint" : "sequential", rounds,
-                r.FlipsPerWrite(), model.LastTrainFlops() * 1e-9);
+                r.FlipsPerWrite(),
+                engine->clusterer().LastTrainFlops() * 1e-9);
   }
   std::printf("\nexpect: joint fine-tuning adds training cost roughly "
               "linearly in rounds; on data whose cluster structure the "

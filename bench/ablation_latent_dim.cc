@@ -26,14 +26,13 @@ void Run() {
     rig.SeedFrom(ds);
     auto cfg = bench::DefaultModel(kBits, kClusters);
     cfg.latent_dim = latent;
-    core::E2Model model(cfg);
-    auto engine = bench::MakeEngine(rig, &model);
+    auto engine = bench::MakeEngine(rig, std::make_unique<core::E2Model>(cfg));
     auto sized = workload::ResizeItems(ds, kBits);
     std::vector<BitVector> stream(sized.items.begin() + kSegments,
                                   sized.items.end());
     auto r = bench::RunStream(*engine, *rig.device, stream, 0.95, 7);
     std::printf("%8zu %14.1f %18.2f\n", latent, r.FlipsPerWrite(),
-                model.PredictFlops() * 1e-3);
+                engine->clusterer().PredictFlops() * 1e-3);
   }
   std::printf("\nexpect: too-small latents underfit (more flips); beyond "
               "~10 dims quality saturates while prediction cost grows\n");

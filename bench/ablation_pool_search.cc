@@ -22,8 +22,8 @@ void RunOne(size_t k) {
     bench::Rig rig(kSegments, kBits, 0, &dcw);
     rig.SeedFrom(ds);
     auto cfg = bench::DefaultModel(kBits, k);
-    core::E2Model model(cfg);
-    auto engine = bench::MakeEngine(rig, &model, best);
+    auto engine =
+        bench::MakeEngine(rig, std::make_unique<core::E2Model>(cfg), best);
     std::vector<BitVector> stream(ds.items.begin() + kSegments,
                                   ds.items.end());
     auto r = bench::RunStream(*engine, *rig.device, stream, 0.95, 7);

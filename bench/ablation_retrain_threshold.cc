@@ -27,7 +27,6 @@ void Run() {
     bench::Rig rig(kSegments, kBits, 0, &dcw);
     rig.SeedFrom(mnist);
     auto cfg = bench::DefaultModel(kBits, kClusters);
-    core::E2Model model(cfg);
     core::PlacementEngine::Config ec;
     ec.first_segment = 0;
     ec.num_segments = kSegments;
@@ -35,7 +34,8 @@ void Run() {
     ec.retrain.min_free_per_cluster = threshold;
     ec.retrain.window = 64;
     ec.retrain.baseline_writes = 64;
-    core::PlacementEngine engine(rig.ctrl.get(), &model, ec);
+    core::PlacementEngine engine(rig.ctrl.get(),
+                                 std::make_unique<core::E2Model>(cfg), ec);
     if (!engine.Bootstrap().ok()) continue;
     // Drift: first MNIST-like, then Fashion-like.
     std::vector<BitVector> stream(mnist.items.begin() + kSegments,

@@ -122,16 +122,17 @@ inline StreamResult RunStream(index::ValuePlacer& placer,
   return r;
 }
 
-/// Builds and bootstraps a placement engine over the whole rig.
+/// Builds and bootstraps a placement engine over the whole rig; the
+/// engine owns `clusterer`, and engine->clusterer() is the trained model.
 inline std::unique_ptr<core::PlacementEngine> MakeEngine(
-    Rig& rig, placement::ContentClusterer* clusterer,
+    Rig& rig, std::unique_ptr<placement::ContentClusterer> clusterer,
     bool search_best = false) {
   core::PlacementEngine::Config ec;
   ec.first_segment = 0;
   ec.num_segments = rig.num_segments;
   ec.search_best_in_cluster = search_best;
-  auto engine = std::make_unique<core::PlacementEngine>(rig.ctrl.get(),
-                                                        clusterer, ec);
+  auto engine = std::make_unique<core::PlacementEngine>(
+      rig.ctrl.get(), std::move(clusterer), ec);
   Status s = engine->Bootstrap();
   if (!s.ok()) {
     std::fprintf(stderr, "engine bootstrap failed: %s\n",

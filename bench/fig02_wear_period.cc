@@ -52,7 +52,7 @@ double RunAware(bool e2, uint64_t psi) {
     clusterer =
         std::make_unique<placement::RawKMeansClusterer>(kClusters, 42);
   }
-  auto engine = bench::MakeEngine(rig, clusterer.get());
+  auto engine = bench::MakeEngine(rig, std::move(clusterer));
   auto stream = Data(kWrites, 11);
   auto r = bench::RunStream(*engine, *rig.device, stream.items, 0.9, 3);
   return r.FlipsPerWrite();

@@ -31,7 +31,8 @@ struct Outcome {
   double flips_per_write;
 };
 
-Outcome RunOne(placement::ContentClusterer* clusterer, size_t dim) {
+Outcome RunOne(std::unique_ptr<placement::ContentClusterer> clusterer,
+               size_t dim) {
   workload::ProtoConfig pc;
   pc.dim = dim;
   pc.num_classes = 10;  // MNIST has 10 classes; the paper clusters k=20.
@@ -45,7 +46,7 @@ Outcome RunOne(placement::ContentClusterer* clusterer, size_t dim) {
   rig.SeedFrom(ds);
 
   auto t0 = std::chrono::steady_clock::now();
-  auto engine = bench::MakeEngine(rig, clusterer);
+  auto engine = bench::MakeEngine(rig, std::move(clusterer));
   auto t1 = std::chrono::steady_clock::now();
 
   std::vector<BitVector> stream(ds.items.begin() + kSegments,
@@ -71,24 +72,24 @@ void Run() {
       // PNW mode 1 runs plain K-means on the raw bits to convergence —
       // the configuration whose cost the paper finds infeasible at
       // kilobyte item sizes.
-      placement::RawKMeansClusterer raw(kClusters, 42, /*max_iters=*/300,
-                                        /*tol=*/1e-7);
-      Outcome o = RunOne(&raw, dim);
+      Outcome o = RunOne(std::make_unique<placement::RawKMeansClusterer>(
+                             kClusters, 42, /*max_iters=*/300,
+                             /*tol=*/1e-7),
+                         dim);
       std::printf("%8zu %12s %14.1f %14.1f %14.1f\n", dim, "kmeans",
                   o.train_ms, o.predict_ms, o.flips_per_write);
     }
     {
-      placement::PcaKMeansClusterer pca(kClusters, /*components=*/10, 42,
-                                        50);
-      Outcome o = RunOne(&pca, dim);
+      Outcome o = RunOne(std::make_unique<placement::PcaKMeansClusterer>(
+                             kClusters, /*components=*/10, 42, 50),
+                         dim);
       std::printf("%8zu %12s %14.1f %14.1f %14.1f\n", dim, "pca+kmeans",
                   o.train_ms, o.predict_ms, o.flips_per_write);
     }
     {
       auto cfg = bench::DefaultModel(dim, kClusters);
       cfg.pretrain_epochs = 8;
-      core::E2Model e2(cfg);
-      Outcome o = RunOne(&e2, dim);
+      Outcome o = RunOne(std::make_unique<core::E2Model>(cfg), dim);
       std::printf("%8zu %12s %14.1f %14.1f %14.1f\n", dim, "E2-NVM",
                   o.train_ms, o.predict_ms, o.flips_per_write);
     }

@@ -37,8 +37,9 @@ void Run() {
     schemes::Dcw dcw;
     bench::Rig rig(segments, kBits, 0, &dcw);
     rig.SeedFrom(ds);
-    placement::RawKMeansClusterer clusterer(kClusters, 42, 25);
-    auto engine = bench::MakeEngine(rig, &clusterer);
+    auto engine = bench::MakeEngine(
+        rig, std::make_unique<placement::RawKMeansClusterer>(kClusters, 42,
+                                                             25));
 
     // DRAM index over the live keys (RB-tree, as in Fig 3).
     index::RbTree tree;

@@ -58,8 +58,7 @@ void Run() {
     bench::Rig rig(kSegments, kBits, 0, &dcw);
     rig.SeedFrom(ds);
     auto cfg = bench::DefaultModel(kBits, k);
-    core::E2Model model(cfg);
-    auto engine = bench::MakeEngine(rig, &model);
+    auto engine = bench::MakeEngine(rig, std::make_unique<core::E2Model>(cfg));
     auto sized = workload::ResizeItems(ds, kBits);
     std::vector<BitVector> stream(sized.items.begin() + kSegments,
                                   sized.items.end());

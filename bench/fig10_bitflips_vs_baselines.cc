@@ -70,7 +70,7 @@ Row RunAware(const char* dataset, bool e2, size_t k) {
   } else {
     clusterer = std::make_unique<placement::RawKMeansClusterer>(k, 42, 25);
   }
-  auto engine = bench::MakeEngine(rig, clusterer.get());
+  auto engine = bench::MakeEngine(rig, std::move(clusterer));
   auto stream = Data(dataset, kSegments + kWrites);
   std::vector<BitVector> items(stream.items.begin() + kSegments,
                                stream.items.end());

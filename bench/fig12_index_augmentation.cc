@@ -86,8 +86,8 @@ double RunAugmented(uint64_t data_seed) {
   auto vals = Values(data_seed);
   rig.SeedFrom(vals);
   auto model_cfg = bench::DefaultModel(kBits, 8);
-  core::E2Model model(model_cfg);
-  auto engine = bench::MakeEngine(rig, &model);
+  auto engine =
+      bench::MakeEngine(rig, std::make_unique<core::E2Model>(model_cfg));
   index::PlacedKvIndex idx("augmented", engine.get());
   return Churn(idx, *rig.device, vals);
 }

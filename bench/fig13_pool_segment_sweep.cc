@@ -48,8 +48,8 @@ void Run() {
         auto cfg = bench::DefaultModel(segment_bits, kClusters);
         cfg.pretrain_epochs = 4;
         cfg.seed = seed;
-        core::E2Model model(cfg);
-        auto engine = bench::MakeEngine(rig, &model);
+        auto engine =
+            bench::MakeEngine(rig, std::make_unique<core::E2Model>(cfg));
         auto r = bench::RunStream(*engine, *rig.device, stream, 0.95, 5);
 
         schemes::Dcw dcw2;

@@ -58,8 +58,8 @@ void RunDataset(const char* name, const workload::BitDataset& full) {
       rig.SeedFrom(train);
       auto cfg = bench::DefaultModel(kBits, kClusters);
       cfg.pretrain_epochs = 4;
-      core::E2Model model(cfg);
-      auto engine = bench::MakeEngine(rig, &model);
+      auto engine =
+          bench::MakeEngine(rig, std::make_unique<core::E2Model>(cfg));
       core::Padder padder(type, loc, kBits);
       engine->SetPadder(&padder, lstm->get());
 

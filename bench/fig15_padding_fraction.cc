@@ -45,8 +45,7 @@ Result RunPct(int pct, const workload::BitDataset& train,
     rig.SeedFrom(train);
     auto cfg = bench::DefaultModel(kBits, kClusters);
     cfg.pretrain_epochs = 4;
-    core::E2Model model(cfg);
-    auto engine = bench::MakeEngine(rig, &model);
+    auto engine = bench::MakeEngine(rig, std::make_unique<core::E2Model>(cfg));
     core::Padder padder(core::PadType::kLearned, core::PadLocation::kEnd,
                         kBits);
     core::PaddingContext ctx;
@@ -69,7 +68,7 @@ Result RunPct(int pct, const workload::BitDataset& train,
         if (!padded.ok()) continue;
         padded->AppendFloatsTo(scratch.in.Row(0));
       }
-      model.AssignScratch(&scratch);
+      engine->clusterer().AssignScratch(&scratch);
       const size_t cluster = scratch.clusters[0];
       // Hand the write to the DAP exactly as PlacementEngine would.
       auto addr = engine->mutable_pool().Acquire(cluster);

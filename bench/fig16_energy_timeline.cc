@@ -70,10 +70,10 @@ void Run() {
     // the regime the paper's GPU-served model operates in.
     cfg.hidden_dim = 32;
     cfg.pretrain_epochs = 5;
-    core::E2Model model(cfg);
     auto& meter = rig.device->meter();
     Emit("E2-NVM", meter, "start");
-    auto engine = bench::MakeEngine(rig, &model);  // Phase 1: train.
+    // Phase 1: train.
+    auto engine = bench::MakeEngine(rig, std::make_unique<core::E2Model>(cfg));
     Emit("E2-NVM", meter, "trained");
     double train_uj = meter.TotalPj() * 1e-6;
 

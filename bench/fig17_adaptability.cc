@@ -76,8 +76,7 @@ void Run() {
     }
   }
   auto cfg = bench::DefaultModel(kBits, kClusters);
-  core::E2Model model(cfg);
-  auto engine = bench::MakeEngine(rig, &model);
+  auto engine = bench::MakeEngine(rig, std::make_unique<core::E2Model>(cfg));
   Tracker tracker{engine.get(), rig.device.get()};
   tracker.last_flips = rig.device->stats().total_bits_flipped();
 

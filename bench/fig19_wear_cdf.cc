@@ -39,8 +39,7 @@ void Run() {
   bench::Rig rig(kSegments, kBits, 0, &dcw, /*track_bit_wear=*/true);
   rig.SeedFrom(mix);
   auto cfg = bench::DefaultModel(kBits, kClusters);
-  core::E2Model model(cfg);
-  auto engine = bench::MakeEngine(rig, &model);
+  auto engine = bench::MakeEngine(rig, std::make_unique<core::E2Model>(cfg));
 
   // Stream ~4 updates per segment with deletes making room (the paper:
   // warm 28K, stream 112K = 4x).

@@ -215,8 +215,8 @@ void BM_EnginePlace(benchmark::State& state) {
   pc.seed = 4;
   auto ds = workload::MakeProtoDataset(pc);
   rig.SeedFrom(ds);
-  placement::RawKMeansClusterer clusterer(4, 42, 20);
-  auto engine = bench::MakeEngine(rig, &clusterer);
+  auto engine = bench::MakeEngine(
+      rig, std::make_unique<placement::RawKMeansClusterer>(4, 42, 20));
   size_t i = 0;
   std::vector<uint64_t> live;
   for (auto _ : state) {

@@ -34,6 +34,12 @@
 // cross-run determinism anchor: check.sh asserts their flips_per_bit
 // match bit-for-bit.
 //
+// Every scenario that runs with retraining on is run a second time on the
+// same stream with retraining off; its flips_per_bit is reported as
+// flips_per_bit_no_retrain, what the scenario's retrains and refine steps
+// cost or saved (ungated). The net scenario runs with retraining off, so
+// there the two fields are one measurement.
+//
 // The driver exits nonzero when any operation fails or the store's final
 // key count disagrees with the generator's live set, so CI cannot
 // greenlight a lossy run. E2NVM_WORKLOAD_SMOKE=1 shrinks the op budget.
@@ -119,6 +125,8 @@ struct ScenarioResult {
   double seconds = 0;
   bench::TailStats put, get;
   double flips_per_bit = 0, pj_per_write = 0, total_pj = 0;
+  /// flips_per_bit of the same stream with retraining off.
+  double flips_per_bit_no_retrain = 0;
   uint64_t retrains = 0, background_retrains = 0, refine_steps = 0;
   uint64_t capacity_retrains = 0;
   size_t threads = 1;  // Client + server threads the scenario needs.
@@ -173,9 +181,9 @@ std::unique_ptr<core::ShardedStore> MakeStore(const Params& p,
   cfg.shard.segment_bits = p.bits;
   cfg.shard.model = bench::DefaultModel(p.bits, p.classes);
   cfg.shard.model.pretrain_epochs = 2;
-  // Retraining on (drain-on-trigger keeps it deterministic); the net
-  // scenario turns it off — its worker threads would make swap points
-  // scheduling-dependent.
+  // Retraining on (drain-on-trigger keeps it deterministic), except in
+  // each scenario's no-retrain twin and the net scenario, whose worker
+  // threads would make swap points scheduling-dependent.
   cfg.shard.auto_retrain = retrain;
   cfg.shard.background_retrain = retrain;
   cfg.shard.retrain.window = 40;
@@ -217,8 +225,8 @@ void DrainRetrains(core::ShardedStore& store) {
 }
 
 ScenarioResult RunStoreScenario(const Params& p, const Scenario& sc,
-                                const ml::Lstm* lstm) {
-  auto store = MakeStore(p, sc, /*retrain=*/true);
+                                const ml::Lstm* lstm, bool retrain) {
+  auto store = MakeStore(p, sc, retrain);
   core::Padder padder(sc.pad, core::PadLocation::kEnd, p.bits);
   if (sc.mixed_width) {
     for (size_t s = 0; s < store->num_shards(); ++s) {
@@ -561,11 +569,20 @@ int main() {
   for (const Scenario& sc : matrix) {
     std::printf("  %-14s ...", sc.name.c_str());
     std::fflush(stdout);
-    ScenarioResult r = sc.net ? RunNetScenario(p, sc)
-                              : RunStoreScenario(p, sc, lstm.get());
-    std::printf(" %8.0f ops/s  flips/bit %.4f  retrains %llu+%llubg"
-                "  refines %llu  failed %llu\n",
+    ScenarioResult r =
+        sc.net ? RunNetScenario(p, sc)
+               : RunStoreScenario(p, sc, lstm.get(), /*retrain=*/true);
+    r.flips_per_bit_no_retrain = r.flips_per_bit;
+    if (!sc.net) {
+      const ScenarioResult twin =
+          RunStoreScenario(p, sc, lstm.get(), /*retrain=*/false);
+      r.flips_per_bit_no_retrain = twin.flips_per_bit;
+      total_failed += twin.failed;
+    }
+    std::printf(" %8.0f ops/s  flips/bit %.4f (%.4f without retraining)"
+                "  retrains %llu+%llubg  refines %llu  failed %llu\n",
                 static_cast<double>(p.ops) / r.seconds, r.flips_per_bit,
+                r.flips_per_bit_no_retrain,
                 static_cast<unsigned long long>(r.retrains),
                 static_cast<unsigned long long>(r.background_retrains),
                 static_cast<unsigned long long>(r.refine_steps),
@@ -621,6 +638,7 @@ int main() {
       jw.TailSection("put", r.put);
       jw.TailSection("get", r.get);
       jw.Field("flips_per_bit", r.flips_per_bit, 4);
+      jw.Field("flips_per_bit_no_retrain", r.flips_per_bit_no_retrain, 4);
       jw.Field("pj_per_write", r.pj_per_write, 1);
       jw.Field("total_pj", r.total_pj, 1);
       jw.Field("retrains", r.retrains);

@@ -1,22 +1,23 @@
-# Runs one sim_driver workload twice, on the kernel tier the environment
-# selects (the best one the CPU has, or the E2NVM_SIMD override a check.sh
-# pass sets) and on E2NVM_SIMD=scalar, and fails unless both runs place
-# every write and print byte-identical output (which includes the exact
-# count of bits flipped).
+# Runs a program twice, on the kernel tier the environment selects (the
+# best one the CPU has, or the E2NVM_SIMD override a check.sh pass sets)
+# and on E2NVM_SIMD=scalar, and fails unless both runs exit 0, neither
+# reports "placement stopped" (sim_driver's early end) and both print
+# byte-identical output (for sim_driver that includes the exact count of
+# bits flipped). ARGS is the program's arguments, separated by spaces.
 #
-#   cmake -DSIM_DRIVER=build/examples/sim_driver -P compare_simd_tiers.cmake
-set(args --placement e2 --dataset mixed --segments 256 --segment-bytes 256
-         --writes 2000)
-execute_process(COMMAND ${SIM_DRIVER} ${args}
+#   cmake -DPROGRAM=build/examples/sim_driver \
+#         "-DARGS=--placement e2 --writes 2000" -P compare_simd_tiers.cmake
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${PROGRAM} ${args}
                 OUTPUT_VARIABLE tier_out ERROR_VARIABLE tier_err
                 RESULT_VARIABLE tier_rc)
 execute_process(COMMAND ${CMAKE_COMMAND} -E env E2NVM_SIMD=scalar
-                        ${SIM_DRIVER} ${args}
+                        ${PROGRAM} ${args}
                 OUTPUT_VARIABLE scalar_out ERROR_VARIABLE scalar_err
                 RESULT_VARIABLE scalar_rc)
 foreach(run tier scalar)
   if(NOT ${run}_rc EQUAL 0 OR "${${run}_err}" MATCHES "placement stopped")
-    message(FATAL_ERROR "sim_driver failed on the ${run} run "
+    message(FATAL_ERROR "${PROGRAM} failed on the ${run} run "
                         "(exit ${${run}_rc}):\n${${run}_err}")
   endif()
 endforeach()

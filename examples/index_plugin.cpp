@@ -86,11 +86,11 @@ int main() {
     mc.input_dim = kBits;
     mc.k = 8;
     mc.pretrain_epochs = 6;
-    e2nvm::core::E2Model model(mc);
     e2nvm::core::PlacementEngine::Config ec;
     ec.first_segment = 0;
     ec.num_segments = 256;
-    e2nvm::core::PlacementEngine engine(&ctrl, &model, ec);
+    e2nvm::core::PlacementEngine engine(
+        &ctrl, std::make_unique<e2nvm::core::E2Model>(mc), ec);
     if (!engine.Bootstrap().ok()) return 1;
     e2nvm::index::PlacedKvIndex plugged("B+Tree+E2-NVM", &engine);
     plugged_ratio = Churn(plugged, device, values);

@@ -48,11 +48,11 @@ int main() {
     mc.input_dim = kSegBits;
     mc.k = 6;
     mc.pretrain_epochs = 5;
-    e2nvm::core::E2Model model(mc);
     e2nvm::core::PlacementEngine::Config ec;
     ec.first_segment = 0;
     ec.num_segments = kSegments;
-    e2nvm::core::PlacementEngine engine(&ctrl, &model, ec);
+    e2nvm::core::PlacementEngine engine(
+        &ctrl, std::make_unique<e2nvm::core::E2Model>(mc), ec);
     if (!engine.Bootstrap().ok()) return 1;
 
     double pj_before = device.meter().TotalPj();

@@ -138,13 +138,12 @@ int main(int argc, char** argv) {
 
   // Placement policy.
   std::unique_ptr<e2nvm::placement::ContentClusterer> clusterer;
-  std::unique_ptr<e2nvm::core::E2Model> e2_model;
   if (opt.placement == "e2") {
     e2nvm::core::E2ModelConfig mc;
     mc.input_dim = dim;
     mc.k = opt.clusters;
     mc.seed = opt.seed;
-    e2_model = std::make_unique<e2nvm::core::E2Model>(mc);
+    clusterer = std::make_unique<e2nvm::core::E2Model>(mc);
   } else if (opt.placement == "pnw") {
     clusterer = std::make_unique<e2nvm::placement::RawKMeansClusterer>(
         opt.clusters, opt.seed);
@@ -170,10 +169,7 @@ int main(int argc, char** argv) {
     ec.first_segment = 0;
     ec.num_segments = opt.segments;
     engine = std::make_unique<e2nvm::core::PlacementEngine>(
-        &ctrl, e2_model ? static_cast<e2nvm::placement::ContentClusterer*>(
-                              e2_model.get())
-                        : clusterer.get(),
-        ec);
+        &ctrl, std::move(clusterer), ec);
     if (e2nvm::Status s = engine->Bootstrap(); !s.ok()) {
       std::fprintf(stderr, "bootstrap failed: %s\n",
                    s.ToString().c_str());

@@ -71,12 +71,12 @@ int main() {
   mc.hidden_dim = 64;
   mc.latent_dim = 10;
   mc.pretrain_epochs = 6;
-  e2nvm::core::E2Model model(mc);
   e2nvm::core::PlacementEngine::Config ec;
   ec.first_segment = 0;
   ec.num_segments = kSegments;
-  e2nvm::core::PlacementEngine engine(smart_archive.ctrl.get(), &model,
-                                      ec);
+  e2nvm::core::PlacementEngine engine(
+      smart_archive.ctrl.get(), std::make_unique<e2nvm::core::E2Model>(mc),
+      ec);
   if (e2nvm::Status s = engine.Bootstrap(); !s.ok()) {
     std::fprintf(stderr, "bootstrap: %s\n", s.ToString().c_str());
     return 1;

@@ -6,27 +6,26 @@
 
 namespace e2nvm::core {
 
-E2Model::E2Model(const E2ModelConfig& config)
-    : config_(config),
-      kmeans_({.k = config.k,
-               .max_iters = config.kmeans_iters,
-               .seed = config.seed}) {
+namespace {
+
+ml::VaeConfig VaeConfigOf(const E2ModelConfig& config) {
   ml::VaeConfig vc;
   vc.input_dim = config.input_dim;
   vc.hidden_dim = config.hidden_dim;
   vc.latent_dim = config.latent_dim;
   vc.beta = config.beta;
   vc.seed = config.seed;
-  vae_ = std::make_unique<ml::Vae>(vc);
+  return vc;
 }
 
-E2Model::E2Model(const E2Model& other)
-    : config_(other.config_),
-      vae_(std::make_unique<ml::Vae>(*other.vae_)),
-      kmeans_(other.kmeans_),
-      history_(other.history_),
-      last_train_flops_(other.last_train_flops_),
-      last_partial_fit_flops_(other.last_partial_fit_flops_) {}
+}  // namespace
+
+E2Model::E2Model(const E2ModelConfig& config)
+    : config_(config),
+      vae_(VaeConfigOf(config)),
+      kmeans_({.k = config.k,
+               .max_iters = config.kmeans_iters,
+               .seed = config.seed}) {}
 
 Status E2Model::Train(const ml::Matrix& contents) {
   if (contents.rows() < config_.k) {
@@ -37,18 +36,17 @@ Status E2Model::Train(const ml::Matrix& contents) {
   }
   // Recreate the VAE so re-training starts from a fresh model (the paper
   // trains the replacement model from scratch in the background).
-  ml::VaeConfig vc = vae_->config();
-  vae_ = std::make_unique<ml::Vae>(vc);
+  vae_ = ml::Vae(vae_.config());
 
   // Phase 1: ELBO pretraining.
   ml::VaeTrainOptions opts;
   opts.epochs = config_.pretrain_epochs;
   opts.batch_size = config_.batch_size;
-  history_ = vae_->Train(contents, opts);
+  history_ = vae_.Train(contents, opts);
   last_train_flops_ = history_.flops;
 
   // Phase 2: K-means on latent codes.
-  ml::Matrix latent = vae_->EncodeMu(contents);
+  ml::Matrix latent = vae_.EncodeMu(contents);
   E2_RETURN_IF_ERROR(kmeans_.Fit(latent));
   last_train_flops_ += kmeans_.FitFlops(latent.rows());
 
@@ -76,12 +74,12 @@ Status E2Model::Train(const ml::Matrix& contents) {
         ft.centroids = &kmeans_.centroids();
         ft.assignments = &batch_assign;
         ft.cluster_weight = config_.cluster_weight;
-        vae_->TrainBatch(batch, ft);
-        last_train_flops_ += vae_->TrainStepFlops(bs);
+        vae_.TrainBatch(batch, ft);
+        last_train_flops_ += vae_.TrainStepFlops(bs);
       }
 
       // Re-estimate centroids from the updated encoder.
-      ml::Matrix z2 = vae_->EncodeMu(contents);
+      ml::Matrix z2 = vae_.EncodeMu(contents);
       std::vector<size_t> assign2 = kmeans_.PredictBatch(z2);
       ml::Matrix centroids(config_.k, config_.latent_dim);
       std::vector<size_t> counts(config_.k, 0);
@@ -126,12 +124,12 @@ Status E2Model::PartialFit(const ml::Matrix& batch) {
   }
   // Warm ELBO steps on the current encoder/decoder; the existing
   // parameters are the starting point, which is the whole point.
-  last_partial_fit_flops_ = vae_->PartialFit(batch, config_.batch_size);
+  last_partial_fit_flops_ = vae_.PartialFit(batch, config_.batch_size);
   // Pull the latent centroids toward the refreshed codes.
-  ml::Matrix z = vae_->EncodeMu(batch);
+  ml::Matrix z = vae_.EncodeMu(batch);
   E2_RETURN_IF_ERROR(kmeans_.PartialFit(z));
   last_partial_fit_flops_ +=
-      vae_->PredictFlops() * static_cast<double>(batch.rows()) +
+      vae_.PredictFlops() * static_cast<double>(batch.rows()) +
       kmeans_.PartialFitFlops(z.rows());
   return Status::Ok();
 }
@@ -140,13 +138,13 @@ void E2Model::AssignScratch(ml::InferenceScratch* scratch) const {
   E2_CHECK(scratch->in.cols() == config_.input_dim,
            "feature width %zu != input_dim %zu", scratch->in.cols(),
            config_.input_dim);
-  vae_->EncodeMuInto(scratch->in, &scratch->hidden, &scratch->latent);
+  vae_.EncodeMuInto(scratch->in, &scratch->hidden, &scratch->latent);
   kmeans_.AssignFusedInto(scratch->latent, &scratch->scores,
                           &scratch->clusters);
 }
 
-double E2Model::LatentSse(const ml::Matrix& contents) {
-  ml::Matrix z = vae_->EncodeMu(contents);
+double E2Model::LatentSse(const ml::Matrix& contents) const {
+  ml::Matrix z = vae_.EncodeMu(contents);
   return kmeans_.Sse(z);
 }
 

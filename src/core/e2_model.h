@@ -39,11 +39,8 @@ struct E2ModelConfig {
 /// baselines in every experiment harness.
 class E2Model : public placement::ContentClusterer {
  public:
+  /// A copy is deep: the VAE, its optimizer state and the k-means fit.
   explicit E2Model(const E2ModelConfig& config);
-
-  /// A deep copy (the VAE's layers included; see Vae's copy).
-  E2Model(const E2Model& other);
-  E2Model& operator=(const E2Model&) = delete;
 
   std::string_view name() const override { return "E2-NVM"; }
 
@@ -72,7 +69,7 @@ class E2Model : public placement::ContentClusterer {
   size_t num_clusters() const override { return config_.k; }
 
   double PredictFlops() const override {
-    return vae_->PredictFlops() + kmeans_.PredictFlops();
+    return vae_.PredictFlops() + kmeans_.PredictFlops();
   }
 
   double LastTrainFlops() const override { return last_train_flops_; }
@@ -94,15 +91,15 @@ class E2Model : public placement::ContentClusterer {
 
   /// SSE of the K-means fit on the latent codes of `contents` — the elbow
   /// objective of Fig 8.
-  double LatentSse(const ml::Matrix& contents);
+  double LatentSse(const ml::Matrix& contents) const;
 
-  ml::Vae& vae() { return *vae_; }
+  const ml::Vae& vae() const { return vae_; }
   const ml::KMeans& kmeans() const { return kmeans_; }
   const E2ModelConfig& config() const { return config_; }
 
  private:
   E2ModelConfig config_;
-  std::unique_ptr<ml::Vae> vae_;
+  ml::Vae vae_;
   ml::KMeans kmeans_;
   ml::TrainHistory history_;
   double last_train_flops_ = 0;

@@ -39,23 +39,24 @@ namespace {
 /// retrains.
 RetrainPolicy::Config EffectivePolicyConfig(
     const PlacementEngine::Config& config,
-    const placement::ContentClusterer* clusterer) {
+    const placement::ContentClusterer& clusterer) {
   RetrainPolicy::Config pc = config.retrain;
   pc.refine_enabled =
-      config.incremental.enabled && clusterer->SupportsPartialFit();
+      config.incremental.enabled && clusterer.SupportsPartialFit();
   return pc;
 }
 
 }  // namespace
 
-PlacementEngine::PlacementEngine(nvm::MemoryController* ctrl,
-                                 placement::ContentClusterer* clusterer,
-                                 const Config& config)
+PlacementEngine::PlacementEngine(
+    nvm::MemoryController* ctrl,
+    std::unique_ptr<placement::ContentClusterer> clusterer,
+    const Config& config)
     : ctrl_(ctrl),
-      clusterer_(clusterer),
+      clusterer_(std::move(clusterer)),
       config_(config),
-      pool_(clusterer->num_clusters()),
-      policy_(EffectivePolicyConfig(config, clusterer)),
+      pool_(clusterer_->num_clusters()),
+      policy_(EffectivePolicyConfig(config, *clusterer_)),
       // All of this engine's segments live in one accounting lane (the
       // shard's); cache the id so every charge routes without a divide.
       lane_(ctrl->device().LaneOfSegment(config.first_segment)),
@@ -64,14 +65,6 @@ PlacementEngine::PlacementEngine(nvm::MemoryController* ctrl,
     // The ring's one allocation happens here; every append reuses it.
     ring_.Reset(config_.incremental.ring_capacity, ctrl_->segment_bits());
   }
-}
-
-PlacementEngine::PlacementEngine(
-    nvm::MemoryController* ctrl,
-    std::shared_ptr<placement::ContentClusterer> clusterer,
-    const Config& config)
-    : PlacementEngine(ctrl, clusterer.get(), config) {
-  owned_clusterer_ = std::move(clusterer);
 }
 
 std::string_view PlacementEngine::name() const {
@@ -96,14 +89,17 @@ ml::Matrix PlacementEngine::ContentsMatrix(
 Status PlacementEngine::TrainAndRepopulate(
     const std::vector<uint64_t>& addrs) {
   ml::Matrix contents = ContentsMatrix(addrs);
-  if (model_shared_) {
-    // Other engines serve the current model: train a fresh instance and
-    // serve it privately instead of retraining theirs in place.
+  if (bootstrapped_) {
+    // A retrain trains a fresh model and serves it only once it trained:
+    // the serving one may be other engines' too, and keeps serving here
+    // if training fails. Train is a pure function of the config and the
+    // contents, so this equals training the serving model again.
     std::unique_ptr<placement::ContentClusterer> fresh =
         clusterer_->CloneUntrained();
     E2_RETURN_IF_ERROR(fresh->Train(contents));
-    ServePrivate(std::move(fresh));
+    clusterer_ = std::move(fresh);
   } else {
+    // Bootstrap: no other engine holds the model yet.
     E2_RETURN_IF_ERROR(clusterer_->Train(contents));
   }
   // Rebuild the DAP from exactly `addrs`, classifying the training
@@ -132,16 +128,6 @@ void PlacementEngine::OnModelTrained() {
   InvalidateClusterCache();
 }
 
-void PlacementEngine::ServePrivate(
-    std::unique_ptr<placement::ContentClusterer> model) {
-  // A shared model is not parked: the engines still serving it keep it
-  // alive, and the last one to leave it frees it.
-  if (!model_shared_) retired_clusterer_ = std::move(owned_clusterer_);
-  owned_clusterer_ = std::move(model);
-  clusterer_ = owned_clusterer_.get();
-  model_shared_ = false;
-}
-
 Status PlacementEngine::Bootstrap() {
   const size_t n = config_.num_segments;
   if (n == 0) return Status::InvalidArgument("engine manages no segments");
@@ -153,7 +139,11 @@ Status PlacementEngine::Bootstrap() {
   return Status::Ok();
 }
 
-Status PlacementEngine::BootstrapFrom(PlacementEngine& source) {
+bool PlacementEngine::CanRefine() const {
+  return config_.auto_retrain && policy_.config().refine_enabled;
+}
+
+Status PlacementEngine::BootstrapFrom(const PlacementEngine& source) {
   const size_t n = config_.num_segments;
   if (!source.bootstrapped_ || source.config_.num_segments != n ||
       source.ctrl_->segment_bits() != ctrl_->segment_bits() ||
@@ -161,18 +151,18 @@ Status PlacementEngine::BootstrapFrom(PlacementEngine& source) {
     return Status::FailedPrecondition(
         "source engine is not a bootstrapped twin of this one");
   }
-  if (source.owned_clusterer_.get() != source.clusterer_) {
-    return Status::FailedPrecondition(
-        "source engine does not own the model it serves");
-  }
   if (!(source.stats_ == source.bootstrap_stats_)) {
     return Status::FailedPrecondition(
         "source engine has run operations since its bootstrap");
   }
-  owned_clusterer_ = source.owned_clusterer_;
-  clusterer_ = owned_clusterer_.get();
-  source.model_shared_ = true;
-  model_shared_ = true;
+  // Only a refine step changes a model in place (a retrain installs a
+  // fresh one), so engines that cannot refine serve one instance, and
+  // otherwise this one takes its own copy now.
+  if (CanRefine() || source.CanRefine()) {
+    clusterer_ = source.clusterer_->Clone();
+  } else {
+    clusterer_ = source.clusterer_;
+  }
   // Classifying this engine's segments with the model would reproduce
   // source's free lists cluster for cluster, offset to this range and in
   // the same order, since the contents are byte-identical: copy them.
@@ -208,6 +198,10 @@ Status PlacementEngine::ExtendRegion(size_t extra) {
   uint64_t start = config_.first_segment + config_.num_segments;
   if (start + extra > ctrl_->num_logical()) {
     return Status::OutOfRange("extension exceeds the controller's space");
+  }
+  // On a shared device the next segments may be another shard's.
+  if (ctrl_->device().LaneOfSegment(start + extra - 1) != lane_) {
+    return Status::OutOfRange("extension leaves the engine's lane");
   }
   for (size_t i = 0; i < extra; ++i) {
     pool_.Insert(ClassifySegment(start + i), start + i);
@@ -493,9 +487,8 @@ void PlacementEngine::RefineStep() {
     std::memcpy(refine_in_.Row(i), ring_.RecentRow(batch - 1 - i),
                 dim * sizeof(float));
   }
-  // Never refine a model other engines serve: refine a private deep copy
-  // (bit for bit what refining the original would give).
-  if (model_shared_) ServePrivate(clusterer_->Clone());
+  // In place: an engine that can refine holds its model alone
+  // (BootstrapFrom).
   Status s = clusterer_->PartialFit(refine_in_);
   if (!s.ok()) {
     // A broken PartialFit backs off exactly like a failed retrain, so it
@@ -537,10 +530,11 @@ void PlacementEngine::SwapInShadow(BackgroundRetrainer::Result result) {
   ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
                                      em.CpuPj(flops));
 
-  // Generation-counted double buffer: retire the serving model, adopt
-  // the shadow. Predictions only ever run on this (foreground) thread,
-  // so a plain pointer swap is race-free.
-  ServePrivate(std::move(result.model));
+  // Generation-counted double buffer: adopt the shadow and let the old
+  // model go (engines that share it keep it alive). Predictions only
+  // ever run on this (foreground) thread, so a plain pointer swap is
+  // race-free.
+  clusterer_ = std::move(result.model);
   ++model_generation_;
 
   // Rebuild the DAP from the *current* free set. Addresses still free

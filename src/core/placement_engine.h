@@ -87,11 +87,11 @@ struct EngineStats {
 ///                  into the matching cluster's free list (Alg. 2)
 ///
 /// The engine implements index::ValuePlacer so any data structure can be
-/// "plugged into" it (Fig 12). It owns the DAP and the retraining policy;
-/// the clusterer (E2Model or a PNW baseline) and the controller are
-/// borrowed. CPU costs of prediction and training are charged to the
-/// device's energy meter so software overhead shows up in the energy
-/// experiments (Figs 8, 16, 18).
+/// "plugged into" it (Fig 12). It owns the DAP, the retraining policy and
+/// its model (E2Model or a PNW baseline); the controller is borrowed.
+/// CPU costs of prediction and training are charged to the device's
+/// energy meter so software overhead shows up in the energy experiments
+/// (Figs 8, 16, 18).
 ///
 /// ## Threading contract (external locking)
 ///
@@ -155,13 +155,10 @@ class PlacementEngine : public index::ValuePlacer {
     Incremental incremental;
   };
 
+  /// The engine owns `clusterer` from here on: Bootstrap trains it in
+  /// place, and retrains replace it with fresh instances.
   PlacementEngine(nvm::MemoryController* ctrl,
-                  placement::ContentClusterer* clusterer,
-                  const Config& config);
-  /// The same with a clusterer the engine owns. Only an engine that owns
-  /// its model can lend it to another engine's BootstrapFrom.
-  PlacementEngine(nvm::MemoryController* ctrl,
-                  std::shared_ptr<placement::ContentClusterer> clusterer,
+                  std::unique_ptr<placement::ContentClusterer> clusterer,
                   const Config& config);
 
   /// Trains the clusterer on the current contents of every managed (free)
@@ -171,20 +168,20 @@ class PlacementEngine : public index::ValuePlacer {
   /// Bootstrap's adoption form, for an engine whose managed segments are
   /// byte-identical to those `source` bootstrapped on, under a clusterer
   /// of the same configuration: Train is a pure function of the two, so
-  /// this engine serves source's trained model instead of training an
+  /// this engine adopts source's trained model instead of training an
   /// identical one, and releases its own. Classifying its segments with
   /// that model would rebuild source's DAP, so it copies source's free
   /// lists, offset to its own range, and charges its lane the training
   /// flops, energy and clock its own Bootstrap would have: stats, energy
-  /// and every later placement equal Bootstrap's. The engines co-own the
-  /// model, and from then on both treat it as shared and never change it
-  /// in place: the first retrain or refine step of either takes a private
-  /// model first (see RefineStep, TrainAndRepopulate). Requires a
-  /// bootstrapped source that owns the model it serves and whose stats
-  /// have not moved since its bootstrap (no placement, release, retrain,
-  /// refine step or prediction), so that its DAP is still the one its
-  /// bootstrap built.
-  Status BootstrapFrom(PlacementEngine& source);
+  /// and every later placement equal Bootstrap's. Only a refine step
+  /// changes a model in place (a retrain serves a fresh one), so when
+  /// neither engine can refine (auto_retrain with refinement enabled)
+  /// the two serve one instance; otherwise this engine serves a Clone,
+  /// which refines bit for bit as the original would. Requires a
+  /// bootstrapped source whose stats have not moved since its bootstrap
+  /// (no placement, release, retrain, refine step or prediction), so
+  /// that its DAP is still the one its bootstrap built.
+  Status BootstrapFrom(const PlacementEngine& source);
 
   /// Re-trains on the contents of the currently free segments and rebuilds
   /// the DAP. Callable any time after Bootstrap.
@@ -196,7 +193,9 @@ class PlacementEngine : public index::ValuePlacer {
   /// time progresses, more addresses ... are added incrementally to
   /// DAP"). Extends the managed region by `extra` free segments directly
   /// above the current one, classifying each with the existing model (no
-  /// retraining). Requires a prior Bootstrap.
+  /// retraining). Requires a prior Bootstrap; the extension must stay in
+  /// the controller's space and in this engine's accounting lane (on a
+  /// sharded device, the segments above a shard are the next shard's).
   Status ExtendRegion(size_t extra);
 
   /// Switches auto-retraining to the background path: when the policy
@@ -291,12 +290,13 @@ class PlacementEngine : public index::ValuePlacer {
   const EngineStats& stats() const { return stats_; }
   const RetrainPolicy& policy() const { return policy_; }
   nvm::MemoryController& ctrl() { return *ctrl_; }
-  /// The serving model. While model_shared() it is also other engines'
-  /// serving model: read it, never change it.
-  placement::ContentClusterer& clusterer() { return *clusterer_; }
-  /// True from a BootstrapFrom, on both engines, until this engine
-  /// installs a model of its own.
-  bool model_shared() const { return model_shared_; }
+  /// The serving model, which may also be other engines' (see
+  /// BootstrapFrom). A retrain or shadow swap replaces it: do not hold
+  /// the reference across an operation that can retrain (a placement,
+  /// Retrain, PumpBackgroundRetrain).
+  const placement::ContentClusterer& clusterer() const {
+    return *clusterer_;
+  }
 
   /// Placements to go before the next auto-retrain attempt (0 when not
   /// backing off).
@@ -331,27 +331,24 @@ class PlacementEngine : public index::ValuePlacer {
   /// Bootstrap, Retrain, and the background snapshot (one row per addr).
   ml::Matrix ContentsMatrix(const std::vector<uint64_t>& addrs) const;
   /// The synchronous train shared by Bootstrap and Retrain: trains the
-  /// clusterer on the contents of `addrs` (a CloneUntrained of it while
-  /// the model is shared: Train is a pure function of the config and the
-  /// contents, so the result equals training in place), rebuilds the
-  /// DAP from exactly `addrs` classified by the new model, then
+  /// clusterer on the contents of `addrs` (in place at bootstrap, later
+  /// a CloneUntrained that serves once it trained), rebuilds the DAP
+  /// from exactly `addrs` classified by the new model, then
   /// OnModelTrained.
   Status TrainAndRepopulate(const std::vector<uint64_t>& addrs);
   /// Charges the serving model's last training (flops, CPU energy and
   /// clock) to this engine's lane and resets the policy window and the
   /// placement memo.
   void OnModelTrained();
-  /// Starts serving `model`, a model of this engine's own. A previous
-  /// model of its own is parked in retired_clusterer_; a shared one is
-  /// let go, and the last engine to leave it frees it. Bumps no counter.
-  void ServePrivate(std::unique_ptr<placement::ContentClusterer> model);
+  /// True when the policy can answer drift with a refine step, the one
+  /// operation that changes the serving model in place.
+  bool CanRefine() const;
   /// Starts/extends the exponential retrain-failure backoff.
   void OnRetrainFailure(const Status& s);
   /// One inline incremental refinement step (§16): copies the most
   /// recent refine_batch ring rows (oldest first) into scratch, runs the
-  /// clusterer's PartialFit — on a private Clone first while the model
-  /// is shared — charges flops/energy/time, and invalidates the
-  /// placement memo. Skipped while the ring is still filling.
+  /// clusterer's PartialFit, charges flops/energy/time, and invalidates
+  /// the placement memo. Skipped while the ring is still filling.
   void RefineStep();
   /// Adopts a trained shadow: swaps the serving model pointer and
   /// rebuilds the DAP from the current free set using the snapshot's
@@ -359,7 +356,10 @@ class PlacementEngine : public index::ValuePlacer {
   void SwapInShadow(BackgroundRetrainer::Result result);
 
   nvm::MemoryController* ctrl_;
-  placement::ContentClusterer* clusterer_;
+  /// The serving model. Shared with other engines only when none of
+  /// them can refine (BootstrapFrom); each retrain or shadow swap
+  /// replaces it.
+  std::shared_ptr<placement::ContentClusterer> clusterer_;
   Config config_;
   DynamicAddressPool pool_;
   RetrainPolicy policy_;
@@ -379,19 +379,10 @@ class PlacementEngine : public index::ValuePlacer {
   // Retrain-failure backoff state.
   uint64_t retrain_cooldown_ = 0;
   uint32_t retrain_failures_in_row_ = 0;
-  // Background retraining: the retrainer plus the double-buffered model.
-  // clusterer_ always points at the serving model: the borrowed original
-  // or owned_clusterer_. The previous generation of the engine's own is
-  // parked in retired_clusterer_ until the next install (callers holding
-  // references across one Place are safe).
+  // Background retraining: the retrainer trains a shadow model that
+  // SwapInShadow installs as clusterer_.
   std::unique_ptr<BackgroundRetrainer> bg_;
-  std::shared_ptr<placement::ContentClusterer> owned_clusterer_;
-  std::shared_ptr<placement::ContentClusterer> retired_clusterer_;
   uint64_t model_generation_ = 0;
-  // Set by BootstrapFrom on both engines: owned_clusterer_ is also
-  // another engine's serving model, so nothing here may change it in
-  // place. Decided once, at bootstrap, and cleared only by ServePrivate.
-  bool model_shared_ = false;
   // Write-path inference scratch (see ml/inference.h): owned by the
   // engine, reused across every PlaceRows run, allocation-free once
   // warm. A DAP fill classifies through a short-lived local scratch

@@ -53,9 +53,8 @@ struct ShardedStoreConfig {
 /// shard, each shard runs the full E2-NVM pipeline — its own placement
 /// engine, DAP, index and segment range — behind its own mutex, and all
 /// shards share one NvmDevice and one EnergyMeter. Shards whose seeded
-/// images are identical also share their bootstrap model (see
-/// Bootstrap) until a shard's first retrain or refine step gives it a
-/// private one.
+/// images are identical train once (see Bootstrap) and, unless they can
+/// refine, serve that one model until a retrain replaces a shard's.
 ///
 /// Concurrency model (DESIGN.md §13): the steady-state PUT/GET/DELETE
 /// path acquires NO lock outside the owning shard.
@@ -76,8 +75,9 @@ struct ShardedStoreConfig {
 ///    own lane (BackgroundRetrainer pool mode); the swap happens under
 ///    that shard's mutex on its next Place.
 ///  - Shared bootstrap model: read by several shards under their own
-///    locks and written by none; an engine copies it before changing
-///    it (PlacementEngine::BootstrapFrom).
+///    locks and written by none; only shards that cannot refine share
+///    it, and a retrain installs a fresh model instead of changing it
+///    (PlacementEngine::BootstrapFrom).
 ///
 /// Determinism contract: with num_shards == 1 every placement decision,
 /// bit flip and retrain trigger is bit-identical to a plain E2KvStore
@@ -105,12 +105,11 @@ class ShardedStore {
   /// Trains every shard's model on its seeded contents and populates its
   /// DAP, one shard after another on its own lane. A shard whose seeded
   /// segments are byte-identical to an earlier shard's would train that
-  /// shard's model bit for bit, so it serves that one instead and copies
+  /// shard's model bit for bit, so it adopts that one instead and copies
   /// that shard's DAP (E2KvStore::BootstrapFrom): each distinct image
-  /// trains and is classified once, and after Seed every shard serves one
-  /// model instance. Placements, stats and energy equal those of one
-  /// training per shard; a shard takes a private model before its first
-  /// retrain or refine step.
+  /// trains and is classified once. After Seed every shard serves one
+  /// model instance, or, when shards can refine, a copy of it each.
+  /// Placements, stats and energy equal those of one training per shard.
   Status Bootstrap();
 
   /// Inserts or updates `key` on its owning shard. With journaling on,

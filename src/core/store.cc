@@ -24,7 +24,7 @@ void BuildModelAndEngine(const StoreConfig& config, uint64_t first_segment,
   ec.incremental.ring_capacity = config.replay_ring_capacity;
   ec.incremental.refine_batch = config.refine_batch;
   *engine = std::make_unique<PlacementEngine>(
-      ctrl, std::make_shared<E2Model>(mc), ec);
+      ctrl, std::make_unique<E2Model>(mc), ec);
   if (config.background_retrain) {
     (*engine)->EnableBackgroundRetrain(retrain_pool);
   }
@@ -124,7 +124,7 @@ void E2KvStore::Seed(const workload::BitDataset& contents) {
 
 Status E2KvStore::Bootstrap() { return engine_->Bootstrap(); }
 
-Status E2KvStore::BootstrapFrom(E2KvStore& source) {
+Status E2KvStore::BootstrapFrom(const E2KvStore& source) {
   return engine_->BootstrapFrom(*source.engine_);
 }
 

@@ -133,12 +133,13 @@ class E2KvStore {
   /// Bootstrap's adoption form (ShardedStore::Bootstrap): `source` is a
   /// bootstrapped store with this store's config whose seeded segments
   /// are byte-identical to this store's, so Bootstrap would train its
-  /// model bit for bit. Serves source's model instead, releases this
+  /// model bit for bit. Adopts source's trained model instead (one shared
+  /// instance, or a copy when either store can refine), releases this
   /// store's untrained one and copies source's DAP
   /// (PlacementEngine::BootstrapFrom), so `source` must not have served
-  /// an operation since its own bootstrap; the engines co-own the served
-  /// model, so either store may be destroyed first.
-  Status BootstrapFrom(E2KvStore& source);
+  /// an operation since its own bootstrap. Either store may be destroyed
+  /// first.
+  Status BootstrapFrom(const E2KvStore& source);
 
   /// Inserts or updates `key`: a one-row MultiPut. The value may be
   /// narrower than a segment. `landed` as for MultiPut.

@@ -82,21 +82,6 @@ void SigmoidArray(const float* __restrict x, float* __restrict y,
   }
 }
 
-Matrix Sigmoid::Forward(const Matrix& x) {
-  y_cache_ = Matrix(x.rows(), x.cols());
-  SigmoidArray(x.data().data(), y_cache_.data().data(), x.size());
-  return y_cache_;
-}
-
-Matrix Sigmoid::Backward(const Matrix& dy) {
-  Matrix dx(dy.rows(), dy.cols());
-  for (size_t i = 0; i < dy.size(); ++i) {
-    float y = y_cache_.data()[i];
-    dx.data()[i] = dy.data()[i] * y * (1.0f - y);
-  }
-  return dx;
-}
-
 Matrix Relu::Forward(const Matrix& x) {
   mask_ = Matrix(x.rows(), x.cols());
   Matrix y(x.rows(), x.cols());
@@ -109,65 +94,5 @@ Matrix Relu::Forward(const Matrix& x) {
 }
 
 Matrix Relu::Backward(const Matrix& dy) { return Hadamard(dy, mask_); }
-
-Matrix Tanh::Forward(const Matrix& x) {
-  y_cache_ = Matrix(x.rows(), x.cols());
-  for (size_t i = 0; i < x.size(); ++i) {
-    y_cache_.data()[i] = std::tanh(x.data()[i]);
-  }
-  return y_cache_;
-}
-
-Matrix Tanh::Backward(const Matrix& dy) {
-  Matrix dx(dy.rows(), dy.cols());
-  for (size_t i = 0; i < dy.size(); ++i) {
-    float y = y_cache_.data()[i];
-    dx.data()[i] = dy.data()[i] * (1.0f - y * y);
-  }
-  return dx;
-}
-
-Sequential::Sequential(const Sequential& other) {
-  layers_.reserve(other.layers_.size());
-  for (const auto& l : other.layers_) layers_.push_back(l->Clone());
-}
-
-Matrix Sequential::Forward(const Matrix& x) {
-  Matrix cur = x;
-  for (auto& l : layers_) cur = l->Forward(cur);
-  return cur;
-}
-
-Matrix Sequential::Backward(const Matrix& dy) {
-  Matrix cur = dy;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    cur = (*it)->Backward(cur);
-  }
-  return cur;
-}
-
-void Sequential::Step(const AdamConfig& cfg, int t) {
-  for (auto& l : layers_) l->Step(cfg, t);
-}
-
-void Sequential::ZeroGrad() {
-  for (auto& l : layers_) l->ZeroGrad();
-}
-
-size_t Sequential::ParamCount() const {
-  size_t n = 0;
-  for (const auto& l : layers_) n += l->ParamCount();
-  return n;
-}
-
-void Sequential::AppendParams(std::vector<const ParamBlock*>* out) const {
-  for (const auto& l : layers_) l->AppendParams(out);
-}
-
-double Sequential::ForwardFlops(size_t batch) const {
-  double f = 0;
-  for (const auto& l : layers_) f += l->ForwardFlops(batch);
-  return f;
-}
 
 }  // namespace e2nvm::ml

@@ -1,8 +1,6 @@
 #ifndef E2NVM_ML_LAYERS_H_
 #define E2NVM_ML_LAYERS_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -41,58 +39,35 @@ class ParamBlock {
   Matrix v;
 };
 
-/// Abstract differentiable layer operating on (batch x features) matrices.
-class Layer {
- public:
-  virtual ~Layer() = default;
-
-  /// Forward pass; caches whatever Backward needs.
-  virtual Matrix Forward(const Matrix& x) = 0;
-
-  /// Backward pass: receives dL/dY, accumulates parameter gradients,
-  /// returns dL/dX. Must follow the matching Forward.
-  virtual Matrix Backward(const Matrix& dy) = 0;
-
-  virtual void Step(const AdamConfig& cfg, int t) {}
-  virtual void ZeroGrad() {}
-  virtual size_t ParamCount() const { return 0; }
-  /// Appends the layer's parameter blocks to `out`.
-  virtual void AppendParams(std::vector<const ParamBlock*>* out) const {}
-
-  /// Multiply-accumulate count of one forward pass over `batch` rows —
-  /// consumed by the CPU energy model (Figs 8, 16, 18).
-  virtual double ForwardFlops(size_t batch) const = 0;
-
-  /// A deep copy: parameters, Adam moments and cached state.
-  virtual std::unique_ptr<Layer> Clone() const = 0;
-};
-
-/// Fully-connected layer: Y = X W + b, W is (in x out).
-class Dense : public Layer {
+/// Fully-connected layer: Y = X W + b, W is (in x out). A value: copies
+/// carry the parameters, Adam moments and training scratch.
+class Dense {
  public:
   Dense(size_t in, size_t out, Rng& rng);
 
-  Matrix Forward(const Matrix& x) override;
-  /// AccumulateParamGrads, then returns dL/dX = dY W^T.
-  Matrix Backward(const Matrix& dy) override;
+  /// Forward pass; caches the input for Backward.
+  Matrix Forward(const Matrix& x);
+  /// AccumulateParamGrads, then returns dL/dX = dY W^T. Must follow the
+  /// matching Forward.
+  Matrix Backward(const Matrix& dy);
   /// The parameter half of Backward: dW += X^T dY, db += colsum(dY),
   /// without the dY W^T product. For an input layer whose dL/dX nothing
   /// reads (the VAE encoder's), that product is the costliest part of
   /// the backward pass.
   void AccumulateParamGrads(const Matrix& dy);
-  void Step(const AdamConfig& cfg, int t) override;
-  void ZeroGrad() override;
-  size_t ParamCount() const override { return w_.size() + b_.size(); }
-  void AppendParams(std::vector<const ParamBlock*>* out) const override {
+  void Step(const AdamConfig& cfg, int t);
+  void ZeroGrad();
+  size_t ParamCount() const { return w_.size() + b_.size(); }
+  /// Appends the layer's parameter blocks to `out`.
+  void AppendParams(std::vector<const ParamBlock*>* out) const {
     out->push_back(&w_);
     out->push_back(&b_);
   }
-  double ForwardFlops(size_t batch) const override {
+  /// Multiply-accumulate count of one forward pass over `batch` rows —
+  /// consumed by the CPU energy model (Figs 8, 16, 18).
+  double ForwardFlops(size_t batch) const {
     return 2.0 * static_cast<double>(batch) * static_cast<double>(in_) *
            static_cast<double>(out_);
-  }
-  std::unique_ptr<Layer> Clone() const override {
-    return std::make_unique<Dense>(*this);
   }
 
   size_t in() const { return in_; }
@@ -114,83 +89,19 @@ class Dense : public Layer {
   Matrix dw_;
 };
 
-/// Elementwise sigmoid.
-class Sigmoid : public Layer {
+/// Elementwise ReLU; caches the mask of its last Forward.
+class Relu {
  public:
-  Matrix Forward(const Matrix& x) override;
-  Matrix Backward(const Matrix& dy) override;
-  double ForwardFlops(size_t batch) const override {
-    return 4.0 * static_cast<double>(batch) *
-           static_cast<double>(y_cache_.cols());
-  }
-  std::unique_ptr<Layer> Clone() const override {
-    return std::make_unique<Sigmoid>(*this);
-  }
-
- private:
-  Matrix y_cache_;
-};
-
-/// Elementwise ReLU.
-class Relu : public Layer {
- public:
-  Matrix Forward(const Matrix& x) override;
-  Matrix Backward(const Matrix& dy) override;
-  double ForwardFlops(size_t batch) const override {
+  Matrix Forward(const Matrix& x);
+  Matrix Backward(const Matrix& dy);
+  /// One op per element of the last Forward's width (0 before any).
+  double ForwardFlops(size_t batch) const {
     return static_cast<double>(batch) *
            static_cast<double>(mask_.cols());
-  }
-  std::unique_ptr<Layer> Clone() const override {
-    return std::make_unique<Relu>(*this);
   }
 
  private:
   Matrix mask_;
-};
-
-/// Elementwise tanh.
-class Tanh : public Layer {
- public:
-  Matrix Forward(const Matrix& x) override;
-  Matrix Backward(const Matrix& dy) override;
-  double ForwardFlops(size_t batch) const override {
-    return 5.0 * static_cast<double>(batch) *
-           static_cast<double>(y_cache_.cols());
-  }
-  std::unique_ptr<Layer> Clone() const override {
-    return std::make_unique<Tanh>(*this);
-  }
-
- private:
-  Matrix y_cache_;
-};
-
-/// A sequential stack of layers. Copies are deep (Layer::Clone).
-class Sequential {
- public:
-  Sequential() = default;
-  Sequential(const Sequential& other);
-  Sequential& operator=(const Sequential&) = delete;
-  Sequential(Sequential&&) = default;
-  Sequential& operator=(Sequential&&) = default;
-
-  void Add(std::unique_ptr<Layer> layer) {
-    layers_.push_back(std::move(layer));
-  }
-
-  Matrix Forward(const Matrix& x);
-  Matrix Backward(const Matrix& dy);
-  void Step(const AdamConfig& cfg, int t);
-  void ZeroGrad();
-  size_t ParamCount() const;
-  void AppendParams(std::vector<const ParamBlock*>* out) const;
-  double ForwardFlops(size_t batch) const;
-
-  size_t num_layers() const { return layers_.size(); }
-  Layer& layer(size_t i) { return *layers_[i]; }
-
- private:
-  std::vector<std::unique_ptr<Layer>> layers_;
 };
 
 /// Numerically stable elementwise sigmoid: y[i] = 1 / (1 + exp(-x[i]))

@@ -72,38 +72,27 @@ double KlSum(const Matrix& mu, const Matrix& logvar) {
 }
 }  // namespace
 
-Vae::Vae(const VaeConfig& config) : config_(config), rng_(config.seed) {
-  enc_in_ =
-      std::make_unique<Dense>(config.input_dim, config.hidden_dim, rng_);
-  mu_head_ =
-      std::make_unique<Dense>(config.hidden_dim, config.latent_dim, rng_);
-  logvar_head_ =
-      std::make_unique<Dense>(config.hidden_dim, config.latent_dim, rng_);
-  decoder_.Add(
-      std::make_unique<Dense>(config.latent_dim, config.hidden_dim, rng_));
-  decoder_.Add(std::make_unique<Relu>());
-  decoder_.Add(
-      std::make_unique<Dense>(config.hidden_dim, config.input_dim, rng_));
-}
-
-Vae::Vae(const Vae& other)
-    : config_(other.config_),
-      rng_(other.rng_),
-      enc_in_(std::make_unique<Dense>(*other.enc_in_)),
-      enc_relu_(other.enc_relu_),
-      mu_head_(std::make_unique<Dense>(*other.mu_head_)),
-      logvar_head_(std::make_unique<Dense>(*other.logvar_head_)),
-      decoder_(other.decoder_),
-      step_(other.step_) {}
+Vae::Vae(const VaeConfig& config)
+    : config_(config),
+      rng_(config.seed),
+      enc_in_(config.input_dim, config.hidden_dim, rng_),
+      mu_head_(config.hidden_dim, config.latent_dim, rng_),
+      logvar_head_(config.hidden_dim, config.latent_dim, rng_),
+      dec_in_(config.latent_dim, config.hidden_dim, rng_),
+      dec_out_(config.hidden_dim, config.input_dim, rng_) {}
 
 void Vae::EncodeForward(const Matrix& x, Matrix* mu, Matrix* logvar) {
-  Matrix h = enc_relu_.Forward(enc_in_->Forward(x));
-  *mu = mu_head_->Forward(h);
-  *logvar = logvar_head_->Forward(h);
+  Matrix h = enc_relu_.Forward(enc_in_.Forward(x));
+  *mu = mu_head_.Forward(h);
+  *logvar = logvar_head_.Forward(h);
   for (auto& v : logvar->data()) v = std::clamp(v, kLogvarMin, kLogvarMax);
 }
 
-Matrix Vae::EncodeMu(const Matrix& x) {
+Matrix Vae::DecodeForward(const Matrix& z) {
+  return dec_out_.Forward(dec_relu_.Forward(dec_in_.Forward(z)));
+}
+
+Matrix Vae::EncodeMu(const Matrix& x) const {
   Matrix hidden, mu;
   EncodeMuInto(x, &hidden, &mu);
   return mu;
@@ -115,18 +104,15 @@ void Vae::EncodeMuInto(const Matrix& x, Matrix* hidden,
   // Mirrors EncodeForward's mu branch op for op (Dense::Forward is
   // MatMul + AddRowVector; Relu::Forward's outputs are max(v, 0)), so
   // the latent codes match the training forward pass bit for bit.
-  const Dense& in = *enc_in_;
-  const Dense& head = *mu_head_;
-  MatMulInto(x, in.weights().value, hidden);
-  AddRowVector(*hidden, in.bias().value.data());
+  MatMulInto(x, enc_in_.weights().value, hidden);
+  AddRowVector(*hidden, enc_in_.bias().value.data());
   ReluInPlace(*hidden);
-  MatMulInto(*hidden, head.weights().value, mu);
-  AddRowVector(*mu, head.bias().value.data());
+  MatMulInto(*hidden, mu_head_.weights().value, mu);
+  AddRowVector(*mu, mu_head_.bias().value.data());
 }
 
 Matrix Vae::Decode(const Matrix& z) {
-  Matrix logits = decoder_.Forward(z);
-  return SigmoidAll(logits);
+  return SigmoidAll(DecodeForward(z));
 }
 
 void Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
@@ -148,8 +134,7 @@ void Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
     z.data()[i] = mu.data()[i] + sigma.data()[i] * eps.data()[i];
   }
 
-  Matrix logits = decoder_.Forward(z);
-  Matrix probs = SigmoidAll(logits);
+  Matrix probs = SigmoidAll(DecodeForward(z));
 
   // The losses read the forward pass and feed no gradient, so a caller
   // that drops them (fine-tuning, PartialFit) skips their logs and exps.
@@ -167,7 +152,8 @@ void Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
       dlogits.data()[i] = (probs.data()[i] - x.data()[i]) * inv_batch;
     }
   });
-  Matrix dz = decoder_.Backward(dlogits);
+  Matrix dz =
+      dec_in_.Backward(dec_relu_.Backward(dec_out_.Backward(dlogits)));
 
   // Optional joint K-means term: cluster_weight * ||z - c||^2.
   if (opts.centroids != nullptr && opts.assignments != nullptr &&
@@ -205,22 +191,19 @@ void Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
         beta_scale * 0.5f * (std::exp(logvar.data()[i]) - 1.0f);
   }
 
-  Matrix dh = mu_head_->Backward(dmu);
-  AddInPlace(dh, logvar_head_->Backward(dlogvar));
+  Matrix dh = mu_head_.Backward(dmu);
+  AddInPlace(dh, logvar_head_.Backward(dlogvar));
   // Nothing reads dL/dx, so the input layer accumulates its parameter
   // gradients only.
-  enc_in_->AccumulateParamGrads(enc_relu_.Backward(dh));
+  enc_in_.AccumulateParamGrads(enc_relu_.Backward(dh));
 
   // ---- Update ----
   ++step_;
-  enc_in_->Step(config_.adam, step_);
-  mu_head_->Step(config_.adam, step_);
-  logvar_head_->Step(config_.adam, step_);
-  decoder_.Step(config_.adam, step_);
-  enc_in_->ZeroGrad();
-  mu_head_->ZeroGrad();
-  logvar_head_->ZeroGrad();
-  decoder_.ZeroGrad();
+  for (Dense* layer :
+       {&enc_in_, &mu_head_, &logvar_head_, &dec_in_, &dec_out_}) {
+    layer->Step(config_.adam, step_);
+    layer->ZeroGrad();
+  }
 }
 
 double Vae::EvalLoss(const Matrix& x) {
@@ -308,26 +291,29 @@ double Vae::PredictFlops() const {
 }
 
 double Vae::TrainStepFlops(size_t batch) const {
-  double fwd = enc_in_->ForwardFlops(batch) +
+  double fwd = enc_in_.ForwardFlops(batch) +
                enc_relu_.ForwardFlops(batch) +
-               mu_head_->ForwardFlops(batch) +
-               logvar_head_->ForwardFlops(batch) +
-               decoder_.ForwardFlops(batch);
+               mu_head_.ForwardFlops(batch) +
+               logvar_head_.ForwardFlops(batch) +
+               dec_in_.ForwardFlops(batch) +
+               dec_relu_.ForwardFlops(batch) +
+               dec_out_.ForwardFlops(batch);
   return 3.0 * fwd;  // Forward + backward ~= 3x forward MACs.
 }
 
 std::vector<const ParamBlock*> Vae::Params() const {
   std::vector<const ParamBlock*> out;
-  enc_in_->AppendParams(&out);
-  mu_head_->AppendParams(&out);
-  logvar_head_->AppendParams(&out);
-  decoder_.AppendParams(&out);
+  for (const Dense* layer :
+       {&enc_in_, &mu_head_, &logvar_head_, &dec_in_, &dec_out_}) {
+    layer->AppendParams(&out);
+  }
   return out;
 }
 
 size_t Vae::ParamCount() const {
-  return enc_in_->ParamCount() + mu_head_->ParamCount() +
-         logvar_head_->ParamCount() + decoder_.ParamCount();
+  return enc_in_.ParamCount() + mu_head_.ParamCount() +
+         logvar_head_.ParamCount() + dec_in_.ParamCount() +
+         dec_out_.ParamCount();
 }
 
 }  // namespace e2nvm::ml

@@ -2,7 +2,6 @@
 #define E2NVM_ML_VAE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -57,13 +56,11 @@ struct VaeTrainOptions {
 /// — the negative ELBO given in §3.1 of the paper.
 class Vae {
  public:
+  /// Draws the layers' initial weights from an RNG seeded with
+  /// config.seed, in declaration order. A copy carries every layer's
+  /// weights and Adam moments, the step count and the RNG state, so it
+  /// trains on exactly as the original would.
   explicit Vae(const VaeConfig& config);
-
-  /// A deep copy: every layer's weights and Adam moments, the step count
-  /// and the RNG state, so the copy trains on exactly as the original
-  /// would.
-  Vae(const Vae& other);
-  Vae& operator=(const Vae&) = delete;
 
   const VaeConfig& config() const { return config_; }
 
@@ -71,7 +68,7 @@ class Vae {
   /// This is the "only the encoder part is needed after training" path
   /// used for placement prediction (§3.3.1): EncodeMuInto into fresh
   /// matrices.
-  Matrix EncodeMu(const Matrix& x);
+  Matrix EncodeMu(const Matrix& x) const;
 
   /// Inference-only encoder into caller-owned scratch: hidden = ReLU(x W1
   /// + b1), mu = hidden W2 + b2. Skips the logvar head and the training
@@ -135,23 +132,29 @@ class Vae {
 
   /// The encoder's input-layer weights (input_dim x hidden_dim): the
   /// matrix every write-path encode streams, one row per nonzero input.
-  const Matrix& encoder_weights() const { return enc_in_->weights().value; }
+  const Matrix& encoder_weights() const { return enc_in_.weights().value; }
 
  private:
   /// Forward pass through the encoder caching layer state; outputs mu and
   /// logvar (clamped to [-8, 8] for stability).
   void EncodeForward(const Matrix& x, Matrix* mu, Matrix* logvar);
+  /// Decoder forward pass (dec_in, ReLU, dec_out) caching layer state;
+  /// returns the input logits.
+  Matrix DecodeForward(const Matrix& z);
 
   VaeConfig config_;
   Rng rng_;
   /// The encoder body, input layer then ReLU, feeding both heads.
   /// EncodeMuInto reads enc_in_'s weights directly, without the
-  /// Layer::Forward caching machinery.
-  std::unique_ptr<Dense> enc_in_;
+  /// Dense::Forward training caches. The Dense layers are declared in
+  /// the order the constructor draws their weights from rng_.
+  Dense enc_in_;
   Relu enc_relu_;
-  std::unique_ptr<Dense> mu_head_;
-  std::unique_ptr<Dense> logvar_head_;
-  Sequential decoder_;
+  Dense mu_head_;
+  Dense logvar_head_;
+  Dense dec_in_;
+  Relu dec_relu_;
+  Dense dec_out_;
   int step_ = 0;
 };
 

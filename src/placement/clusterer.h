@@ -38,8 +38,8 @@ class ContentClusterer {
   /// A deep copy of this model in its current state: trained parameters,
   /// optimizer moments, step counts, RNG state and k-means counts. A
   /// PartialFit on the copy equals one on the original, bit for bit, and
-  /// leaves the original untouched — the private copy an engine takes
-  /// before refining a model that other engines also serve.
+  /// leaves the original untouched — what an engine that can refine
+  /// serves in place of a twin's trained model.
   virtual std::unique_ptr<ContentClusterer> Clone() const = 0;
 
   /// Trains (or re-trains) on segment contents, one row per segment.

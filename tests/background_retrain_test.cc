@@ -27,7 +27,7 @@ constexpr size_t kSegments = 128;
 constexpr size_t kBits = 256;
 
 struct Rig {
-  explicit Rig(placement::ContentClusterer* clusterer,
+  explicit Rig(std::unique_ptr<placement::ContentClusterer> clusterer,
                PlacementEngine::Config ec = {}) {
     nvm::DeviceConfig dc;
     dc.num_segments = kSegments;
@@ -37,7 +37,8 @@ struct Rig {
                                                    kSegments, 0);
     ec.first_segment = 0;
     ec.num_segments = kSegments;
-    engine = std::make_unique<PlacementEngine>(ctrl.get(), clusterer, ec);
+    engine = std::make_unique<PlacementEngine>(ctrl.get(),
+                                               std::move(clusterer), ec);
   }
 
   void SeedWith(const workload::BitDataset& ds) {
@@ -142,13 +143,12 @@ TEST(BackgroundRetrainerTest, ReportsTrainingFailure) {
 }
 
 TEST(BackgroundRetrainTest, EngineSwapsModelWithoutClientErrors) {
-  placement::RawKMeansClusterer clusterer(4, 42, 20);
   PlacementEngine::Config ec;
   ec.auto_retrain = true;
   // Aggressive capacity trigger so the policy fires early in the run.
   ec.retrain.min_free_per_cluster = 24;
   ec.retrain_backoff_writes = 8;
-  Rig rig(&clusterer, ec);
+  Rig rig(std::make_unique<placement::RawKMeansClusterer>(4, 42, 20), ec);
   auto ds = ClusteredData(kSegments + 64);
   rig.SeedWith(ds);
   rig.engine->EnableBackgroundRetrain();
@@ -201,16 +201,17 @@ TEST(BackgroundRetrainTest, EngineSwapsModelWithoutClientErrors) {
             kSegments - live.size());
 }
 
-bool ServingEncoderAligned(PlacementEngine& engine) {
-  const ml::Matrix& w =
-      dynamic_cast<E2Model&>(engine.clusterer()).vae().encoder_weights();
+bool ServingEncoderAligned(const PlacementEngine& engine) {
+  const ml::Matrix& w = dynamic_cast<const E2Model&>(engine.clusterer())
+                            .vae()
+                            .encoder_weights();
   return reinterpret_cast<uintptr_t>(w.Row(0)) % 64 == 0;
 }
 
 TEST(BackgroundRetrainTest, ServingEncoderWeightsStayCacheLineAligned) {
   // Every PUT's encode streams the serving encoder's weight rows; they
   // must start on a cache line after the bootstrap Train, after a
-  // shadow model swaps in, and after an incremental PartialFit.
+  // shadow model swaps in, and after an engine refine step.
   E2ModelConfig mc;
   mc.input_dim = kBits;
   mc.k = 4;
@@ -219,11 +220,10 @@ TEST(BackgroundRetrainTest, ServingEncoderWeightsStayCacheLineAligned) {
   mc.pretrain_epochs = 2;
   mc.finetune_rounds = 1;
   mc.kmeans_iters = 10;
-  E2Model model(mc);
   PlacementEngine::Config ec;
   ec.auto_retrain = true;
   ec.retrain.min_free_per_cluster = 24;
-  Rig rig(&model, ec);
+  Rig rig(std::make_unique<E2Model>(mc), ec);
   auto ds = ClusteredData(kSegments + 64);
   rig.SeedWith(ds);
   rig.engine->EnableBackgroundRetrain();
@@ -242,18 +242,49 @@ TEST(BackgroundRetrainTest, ServingEncoderWeightsStayCacheLineAligned) {
   ASSERT_GE(rig.engine->model_generation(), 1u) << "no shadow swapped in";
   EXPECT_TRUE(ServingEncoderAligned(*rig.engine)) << "after a shadow swap";
 
-  auto& serving = dynamic_cast<E2Model&>(rig.engine->clusterer());
-  ASSERT_TRUE(serving.PartialFit(ContentsOf(ds, 16)).ok());
-  EXPECT_TRUE(ServingEncoderAligned(*rig.engine)) << "after PartialFit";
+  // A refine step updates the serving model in place: drift the values
+  // under incremental learning until one runs.
+  StoreConfig sc;
+  sc.num_segments = 64;
+  sc.segment_bits = kBits;
+  sc.model = mc;
+  sc.auto_retrain = true;
+  sc.retrain.window = 32;
+  sc.retrain.baseline_writes = 16;
+  sc.retrain.degradation_factor = 1.3;
+  sc.retrain.min_free_per_cluster = 0;
+  sc.retrain.refine_interval = 8;
+  sc.retrain.max_refine_rounds = 1000;
+  sc.incremental_learning = true;
+  sc.replay_ring_capacity = 32;
+  sc.refine_batch = 8;
+  auto store_or = E2KvStore::Create(sc);
+  ASSERT_TRUE(store_or.ok());
+  auto store = std::move(*store_or);
+  store->Seed(ClusteredData(64));
+  ASSERT_TRUE(store->Bootstrap().ok());
+  auto phase_a = ClusteredData(32);
+  for (size_t i = 0; i < 32; ++i) {
+    ASSERT_TRUE(store->Put(i, phase_a.items[i]).ok());
+  }
+  auto phase_b = ClusteredData(96, /*seed=*/99);
+  for (size_t i = 0;
+       i < 96 && store->engine().stats().refine_steps == 0; ++i) {
+    ASSERT_TRUE(store->Put(i % 32, phase_b.items[i]).ok());
+  }
+  ASSERT_GT(store->engine().stats().refine_steps, 0u) << "no refine step";
+  EXPECT_EQ(store->engine().stats().retrains, 0u);
+  EXPECT_TRUE(ServingEncoderAligned(store->engine()))
+      << "after a refine step";
 }
 
 TEST(BackgroundRetrainTest, FailedShadowTrainingBacksOff) {
-  placement::RawKMeansClusterer clusterer(64, 42, 10);  // k > free segs.
   PlacementEngine::Config ec;
   ec.auto_retrain = true;
   ec.retrain.min_free_per_cluster = 2;
   ec.retrain_backoff_writes = 4;
-  Rig rig(&clusterer, ec);
+  // k > free segments.
+  Rig rig(std::make_unique<placement::RawKMeansClusterer>(64, 42, 10), ec);
   auto ds = ClusteredData(kSegments);
   rig.SeedWith(ds);
   rig.engine->EnableBackgroundRetrain();

@@ -96,7 +96,7 @@ E2ModelConfig ModelConfig() {
 /// The allocating reference classification of one content row: the
 /// encoder on a fresh one-row matrix, then the exact K-means scan. It
 /// shares no scratch, no batch and no fused assignment with the engine.
-size_t ReferenceCluster(E2Model& model, const float* row) {
+size_t ReferenceCluster(const E2Model& model, const float* row) {
   const size_t dim = model.config().input_dim;
   ml::Matrix x(1, dim);
   std::copy(row, row + dim, x.Row(0));
@@ -106,8 +106,9 @@ size_t ReferenceCluster(E2Model& model, const float* row) {
 
 /// ReferenceCluster of a value or segment image under the serving model
 /// of an engine built on a bare E2Model.
-size_t ReferenceClusterOf(PlacementEngine& engine, const BitVector& bits) {
-  return ReferenceCluster(dynamic_cast<E2Model&>(engine.clusterer()),
+size_t ReferenceClusterOf(const PlacementEngine& engine,
+                          const BitVector& bits) {
+  return ReferenceCluster(dynamic_cast<const E2Model&>(engine.clusterer()),
                           bits.ToFloats().data());
 }
 
@@ -183,10 +184,11 @@ class Side {
       ctrl_.Seed(i, ds.items[i % ds.items.size()]);
     }
     auto model = std::make_unique<E2Model>(ModelConfig());
+    std::unique_ptr<placement::ContentClusterer> served;
     if (reference) {
-      model_ = std::make_unique<ReferenceClusterer>(std::move(model));
+      served = std::make_unique<ReferenceClusterer>(std::move(model));
     } else {
-      model_ = std::move(model);
+      served = std::move(model);
     }
     PlacementEngine::Config ec;
     ec.num_segments = kSegments;
@@ -200,7 +202,8 @@ class Side {
       ec.incremental.ring_capacity = 64;
       ec.incremental.refine_batch = 8;
     }
-    engine_ = std::make_unique<PlacementEngine>(&ctrl_, model_.get(), ec);
+    engine_ =
+        std::make_unique<PlacementEngine>(&ctrl_, std::move(served), ec);
     if (opt.background_retrain) {
       engine_->EnableBackgroundRetrain(opt.retrain_pool);
     }
@@ -261,7 +264,6 @@ class Side {
   schemes::Dcw dcw_;
   nvm::NvmDevice device_;
   nvm::MemoryController ctrl_;
-  std::unique_ptr<placement::ContentClusterer> model_;
   std::unique_ptr<PlacementEngine> engine_;
   std::unordered_map<uint64_t, uint64_t> index_;
 };

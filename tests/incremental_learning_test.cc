@@ -349,7 +349,7 @@ TEST(RetrainPolicyDecideTest, OffModeMatchesShouldRetrainExactly) {
 // across repeated runs and across compute-pool sizes.
 
 struct Rig {
-  explicit Rig(placement::ContentClusterer* clusterer,
+  explicit Rig(std::unique_ptr<placement::ContentClusterer> clusterer,
                PlacementEngine::Config ec = {}) {
     nvm::DeviceConfig dc;
     dc.num_segments = kSegments;
@@ -359,7 +359,8 @@ struct Rig {
                                                    kSegments, 0);
     ec.first_segment = 0;
     ec.num_segments = kSegments;
-    engine = std::make_unique<PlacementEngine>(ctrl.get(), clusterer, ec);
+    engine = std::make_unique<PlacementEngine>(ctrl.get(),
+                                               std::move(clusterer), ec);
   }
 
   void SeedWith(const workload::BitDataset& ds) {
@@ -407,8 +408,9 @@ PlacementEngine::Config DriftEngineConfig(size_t max_refine_rounds) {
 /// any launched shadow training at its (deterministic) launch point so
 /// swap points are reproducible.
 DriftRun RunDriftWorkload(size_t max_refine_rounds, bool background) {
-  placement::RawKMeansClusterer km(4, /*seed=*/42, /*max_iters=*/20);
-  Rig rig(&km, DriftEngineConfig(max_refine_rounds));
+  Rig rig(std::make_unique<placement::RawKMeansClusterer>(
+              4, /*seed=*/42, /*max_iters=*/20),
+          DriftEngineConfig(max_refine_rounds));
   rig.SeedWith(ClusteredData(kSegments, 2));
   if (background) rig.engine->EnableBackgroundRetrain();
   EXPECT_TRUE(rig.engine->Bootstrap().ok());
@@ -520,14 +522,13 @@ TEST(IncrementalEngineTest, OffModeKnobsAreInert) {
   // nothing: placements and the retrain schedule stay bit-identical to
   // the default-config engine (the fastpath/determinism anchor for §16).
   auto run = [](PlacementEngine::Config::Incremental inc) {
-    placement::RawKMeansClusterer km(4, 42, 20);
     PlacementEngine::Config ec;
     ec.auto_retrain = true;
     ec.retrain.window = 32;
     ec.retrain.baseline_writes = 16;
     ec.retrain.degradation_factor = 1.3;
     ec.incremental = inc;
-    Rig rig(&km, ec);
+    Rig rig(std::make_unique<placement::RawKMeansClusterer>(4, 42, 20), ec);
     rig.SeedWith(ClusteredData(kSegments, 2));
     EXPECT_TRUE(rig.engine->Bootstrap().ok());
     DriftRun out;
@@ -571,8 +572,8 @@ TEST(IncrementalEngineTest, FallsBackToFullRetrainsWithoutPartialFit) {
   // incremental.enabled with a clusterer that has no PartialFit
   // (DensityClusterer): refinement is derived off and the engine keeps
   // the full-retrain schedule instead of failing on kRefine.
-  placement::DensityClusterer density(4);
-  Rig rig(&density, DriftEngineConfig(/*max_refine_rounds=*/2));
+  Rig rig(std::make_unique<placement::DensityClusterer>(4),
+          DriftEngineConfig(/*max_refine_rounds=*/2));
   rig.SeedWith(ClusteredData(kSegments, 2));
   ASSERT_TRUE(rig.engine->Bootstrap().ok());
   std::deque<uint64_t> live;

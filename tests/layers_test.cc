@@ -14,7 +14,7 @@ namespace {
 /// Numerical gradient check: perturbs each parameter/input and compares
 /// the finite-difference slope of a scalar loss L = sum(Y) against the
 /// analytic gradient from Backward(ones).
-double SumForward(Layer& layer, const Matrix& x) {
+double SumForward(Dense& layer, const Matrix& x) {
   Matrix y = layer.Forward(x);
   double s = 0;
   for (float v : y.data()) s += v;
@@ -89,34 +89,6 @@ TEST(DenseTest, BiasGradientIsBatchCount) {
   EXPECT_FLOAT_EQ(d.bias().grad(0, 1), 5.0f);
 }
 
-template <typename ActT>
-void ActivationGradientCheck(uint64_t seed) {
-  Rng rng(seed);
-  ActT act;
-  Matrix x(3, 4);
-  for (auto& v : x.data()) v = 2.0f * rng.NextFloat() - 1.0f;
-  act.Forward(x);
-  Matrix dy(3, 4);
-  dy.Fill(1.0f);
-  Matrix dx = act.Backward(dy);
-  const float eps = 1e-3f;
-  for (size_t i = 0; i < x.size(); ++i) {
-    Matrix xp = x, xm = x;
-    xp.data()[i] += eps;
-    xm.data()[i] -= eps;
-    ActT fresh;
-    double up = SumForward(fresh, xp);
-    double down = SumForward(fresh, xm);
-    double numeric = (up - down) / (2 * eps);
-    EXPECT_NEAR(dx.data()[i], numeric, 5e-3) << "elem " << i;
-  }
-}
-
-TEST(ActivationTest, SigmoidGradient) {
-  ActivationGradientCheck<Sigmoid>(4);
-}
-TEST(ActivationTest, TanhGradient) { ActivationGradientCheck<Tanh>(5); }
-
 TEST(ActivationTest, ReluForwardAndGradient) {
   Relu relu;
   Matrix x(1, 4);
@@ -137,15 +109,12 @@ TEST(ActivationTest, ReluForwardAndGradient) {
 }
 
 TEST(SigmoidTest, OutputsInUnitInterval) {
-  Sigmoid s;
-  Matrix x(1, 3);
-  x(0, 0) = -100;
-  x(0, 1) = 0;
-  x(0, 2) = 100;
-  Matrix y = s.Forward(x);
-  EXPECT_NEAR(y(0, 0), 0.0f, 1e-6);
-  EXPECT_FLOAT_EQ(y(0, 1), 0.5f);
-  EXPECT_NEAR(y(0, 2), 1.0f, 1e-6);
+  const float x[3] = {-100, 0, 100};
+  float y[3];
+  SigmoidArray(x, y, 3);
+  EXPECT_NEAR(y[0], 0.0f, 1e-6);
+  EXPECT_FLOAT_EQ(y[1], 0.5f);
+  EXPECT_NEAR(y[2], 1.0f, 1e-6);
 }
 
 /// The two-branch sigmoid SigmoidArray replaces: the bit-identity
@@ -247,32 +216,16 @@ TEST(AdamTest, StepReducesSimpleQuadratic) {
   EXPECT_NEAR(w.value(0, 0), 3.0f, 0.05f);
 }
 
-TEST(SequentialTest, ComposesLayers) {
-  Rng rng(6);
-  Sequential seq;
-  seq.Add(std::make_unique<Dense>(4, 8, rng));
-  seq.Add(std::make_unique<Relu>());
-  seq.Add(std::make_unique<Dense>(8, 2, rng));
-  Matrix x(3, 4);
-  for (auto& v : x.data()) v = rng.NextFloat();
-  Matrix y = seq.Forward(x);
-  EXPECT_EQ(y.rows(), 3u);
-  EXPECT_EQ(y.cols(), 2u);
-  EXPECT_EQ(seq.ParamCount(), (4 * 8 + 8) + (8 * 2 + 2));
-  EXPECT_GT(seq.ForwardFlops(3), 0.0);
-}
-
-TEST(SequentialTest, LearnsLinearMap) {
+TEST(DenseTest, LearnsLinearMap) {
   // y = 2x: a single Dense should fit it quickly.
   Rng rng(7);
-  Sequential seq;
-  seq.Add(std::make_unique<Dense>(1, 1, rng));
+  Dense d(1, 1, rng);
   AdamConfig cfg;
   cfg.lr = 0.05f;
   for (int t = 1; t <= 500; ++t) {
     Matrix x(8, 1);
     for (auto& v : x.data()) v = rng.NextFloat() * 2 - 1;
-    Matrix y = seq.Forward(x);
+    Matrix y = d.Forward(x);
     Matrix dy(8, 1);
     double loss = 0;
     for (size_t i = 0; i < 8; ++i) {
@@ -280,13 +233,13 @@ TEST(SequentialTest, LearnsLinearMap) {
       loss += diff * diff;
       dy(i, 0) = 2.0f * diff / 8.0f;
     }
-    seq.ZeroGrad();
-    seq.Backward(dy);
-    seq.Step(cfg, t);
+    d.ZeroGrad();
+    d.Backward(dy);
+    d.Step(cfg, t);
   }
   Matrix probe(1, 1);
   probe(0, 0) = 0.5f;
-  EXPECT_NEAR(seq.Forward(probe)(0, 0), 1.0f, 0.05f);
+  EXPECT_NEAR(d.Forward(probe)(0, 0), 1.0f, 0.05f);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ constexpr size_t kSegments = 128;
 constexpr size_t kBits = 256;
 
 struct Rig {
-  explicit Rig(placement::ContentClusterer* clusterer,
+  explicit Rig(std::unique_ptr<placement::ContentClusterer> clusterer,
                PlacementEngine::Config ec = {}) {
     nvm::DeviceConfig dc;
     dc.num_segments = kSegments;
@@ -24,7 +24,8 @@ struct Rig {
                                                    kSegments, 0);
     ec.first_segment = 0;
     ec.num_segments = kSegments;
-    engine = std::make_unique<PlacementEngine>(ctrl.get(), clusterer, ec);
+    engine = std::make_unique<PlacementEngine>(ctrl.get(),
+                                               std::move(clusterer), ec);
   }
 
   void SeedWith(const workload::BitDataset& ds) {
@@ -40,6 +41,10 @@ struct Rig {
   std::unique_ptr<PlacementEngine> engine;
 };
 
+std::unique_ptr<placement::ContentClusterer> KMeans(size_t k) {
+  return std::make_unique<placement::RawKMeansClusterer>(k);
+}
+
 workload::BitDataset ClusteredData(size_t samples, uint64_t seed = 2) {
   workload::ProtoConfig cfg;
   cfg.dim = kBits;
@@ -51,15 +56,13 @@ workload::BitDataset ClusteredData(size_t samples, uint64_t seed = 2) {
 }
 
 TEST(PlacementEngineTest, PlaceBeforeBootstrapFails) {
-  placement::RawKMeansClusterer clusterer(4);
-  Rig rig(&clusterer);
+  Rig rig(KMeans(4));
   EXPECT_EQ(rig.engine->Place(BitVector(kBits)).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(PlacementEngineTest, BootstrapPopulatesWholePool) {
-  placement::RawKMeansClusterer clusterer(4);
-  Rig rig(&clusterer);
+  Rig rig(KMeans(4));
   rig.SeedWith(ClusteredData(64));
   ASSERT_TRUE(rig.engine->Bootstrap().ok());
   EXPECT_EQ(rig.engine->pool().TotalFree(), kSegments);
@@ -67,8 +70,7 @@ TEST(PlacementEngineTest, BootstrapPopulatesWholePool) {
 }
 
 TEST(PlacementEngineTest, PlaceConsumesAndWrites) {
-  placement::RawKMeansClusterer clusterer(4);
-  Rig rig(&clusterer);
+  Rig rig(KMeans(4));
   auto ds = ClusteredData(64);
   rig.SeedWith(ds);
   ASSERT_TRUE(rig.engine->Bootstrap().ok());
@@ -84,12 +86,11 @@ TEST(PlacementEngineTest, MemoryAwarePlacementBeatsArbitrary) {
   // content flips far fewer bits than first-free placement.
   auto ds = ClusteredData(kSegments + 200);
 
-  placement::RawKMeansClusterer clusterer(4);
-  Rig aware_rig(&clusterer);
+  Rig aware_rig(KMeans(4));
   aware_rig.SeedWith(ds);
   ASSERT_TRUE(aware_rig.engine->Bootstrap().ok());
 
-  Rig arb_rig_holder(&clusterer);  // Device only; placer below.
+  Rig arb_rig_holder(KMeans(4));  // Device only; placer below.
   arb_rig_holder.SeedWith(ds);
   index::ArbitraryPlacer arbitrary(arb_rig_holder.ctrl.get(), 0,
                                    kSegments);
@@ -112,8 +113,7 @@ TEST(PlacementEngineTest, MemoryAwarePlacementBeatsArbitrary) {
 }
 
 TEST(PlacementEngineTest, ReleaseRecyclesByContent) {
-  placement::RawKMeansClusterer clusterer(4);
-  Rig rig(&clusterer);
+  Rig rig(KMeans(4));
   auto ds = ClusteredData(64);
   rig.SeedWith(ds);
   ASSERT_TRUE(rig.engine->Bootstrap().ok());
@@ -130,8 +130,7 @@ TEST(PlacementEngineTest, ReleaseRecyclesByContent) {
 }
 
 TEST(PlacementEngineTest, ExhaustionReported) {
-  placement::RawKMeansClusterer clusterer(2);
-  Rig rig(&clusterer);
+  Rig rig(KMeans(2));
   rig.SeedWith(ClusteredData(32));
   ASSERT_TRUE(rig.engine->Bootstrap().ok());
   BitVector v(kBits);
@@ -144,11 +143,10 @@ TEST(PlacementEngineTest, ExhaustionReported) {
 
 TEST(PlacementEngineTest, SearchBestFindsCloserMatches) {
   auto ds = ClusteredData(kSegments + 100, 9);
-  placement::RawKMeansClusterer c1(4), c2(4);
   PlacementEngine::Config best_cfg;
   best_cfg.search_best_in_cluster = true;
-  Rig first_rig(&c1);
-  Rig best_rig(&c2, best_cfg);
+  Rig first_rig(KMeans(4));
+  Rig best_rig(KMeans(4), best_cfg);
   first_rig.SeedWith(ds);
   best_rig.SeedWith(ds);
   ASSERT_TRUE(first_rig.engine->Bootstrap().ok());
@@ -168,10 +166,9 @@ TEST(PlacementEngineTest, EmptyClusterFallbackCountedInBothModes) {
   // fall back to the fullest cluster; both modes must count it.
   auto ds = ClusteredData(64);
   for (bool search_best : {false, true}) {
-    placement::RawKMeansClusterer clusterer(4);
     PlacementEngine::Config ec;
     ec.search_best_in_cluster = search_best;
-    Rig rig(&clusterer, ec);
+    Rig rig(KMeans(4), ec);
     rig.SeedWith(ds);
     ASSERT_TRUE(rig.engine->Bootstrap().ok());
     auto cluster = rig.engine->PredictClusterFor(ds.items[0]);
@@ -187,8 +184,7 @@ TEST(PlacementEngineTest, EmptyClusterFallbackCountedInBothModes) {
 }
 
 TEST(PlacementEngineTest, RetrainRebuildsPool) {
-  placement::RawKMeansClusterer clusterer(4);
-  Rig rig(&clusterer);
+  Rig rig(KMeans(4));
   auto ds = ClusteredData(64);
   rig.SeedWith(ds);
   ASSERT_TRUE(rig.engine->Bootstrap().ok());
@@ -202,8 +198,7 @@ TEST(PlacementEngineTest, RetrainRebuildsPool) {
 }
 
 TEST(PlacementEngineTest, CpuEnergyCharged) {
-  placement::RawKMeansClusterer clusterer(4);
-  Rig rig(&clusterer);
+  Rig rig(KMeans(4));
   auto ds = ClusteredData(64);
   rig.SeedWith(ds);
   ASSERT_TRUE(rig.engine->Bootstrap().ok());
@@ -216,8 +211,7 @@ TEST(PlacementEngineTest, CpuEnergyCharged) {
 }
 
 TEST(PlacementEngineTest, NarrowValueZeroExtendedByDefault) {
-  placement::RawKMeansClusterer clusterer(4);
-  Rig rig(&clusterer);
+  Rig rig(KMeans(4));
   auto ds = ClusteredData(64);
   rig.SeedWith(ds);
   ASSERT_TRUE(rig.engine->Bootstrap().ok());
@@ -232,7 +226,6 @@ TEST(PlacementEngineTest, NarrowValueZeroExtendedByDefault) {
 TEST(PlacementEngineTest, ExtendRegionIndexesIncrementally) {
   // Incremental DAP indexing (§4.1.4): bootstrap over half the device,
   // extend over the rest without retraining.
-  placement::RawKMeansClusterer clusterer(4);
   nvm::DeviceConfig dc;
   dc.num_segments = kSegments;
   dc.segment_bits = kBits;
@@ -247,7 +240,7 @@ TEST(PlacementEngineTest, ExtendRegionIndexesIncrementally) {
   PlacementEngine::Config ec;
   ec.first_segment = 0;
   ec.num_segments = kSegments / 2;
-  PlacementEngine engine(&ctrl, &clusterer, ec);
+  PlacementEngine engine(&ctrl, KMeans(4), ec);
 
   EXPECT_EQ(engine.ExtendRegion(4).code(),
             StatusCode::kFailedPrecondition);  // Before bootstrap.
@@ -264,8 +257,7 @@ TEST(PlacementEngineTest, ExtendRegionIndexesIncrementally) {
 }
 
 TEST(PlacementEngineTest, WiderThanSegmentRejected) {
-  placement::RawKMeansClusterer clusterer(4);
-  Rig rig(&clusterer);
+  Rig rig(KMeans(4));
   rig.SeedWith(ClusteredData(64));
   ASSERT_TRUE(rig.engine->Bootstrap().ok());
   EXPECT_EQ(rig.engine->Place(BitVector(kBits + 1)).status().code(),

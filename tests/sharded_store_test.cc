@@ -7,6 +7,7 @@
 // that a batch applies exactly the rows its journal took.
 
 #include <map>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -138,7 +139,22 @@ TEST(ShardedStore, OneShardBackgroundRetrainScheduleMatchesPlainStore) {
             sharded->device().stats().data_bits_flipped);
 }
 
+/// Cluster ids `model` assigns to the rows of `ds` that no shard was
+/// seeded with.
+std::vector<size_t> HeldOutIds(const placement::ContentClusterer& model,
+                               const workload::BitDataset& ds) {
+  ml::InferenceScratch scratch;
+  scratch.in.EnsureShape(ds.items.size() - kSegments, kBits);
+  for (size_t i = kSegments; i < ds.items.size(); ++i) {
+    ds.items[i].AppendFloatsTo(scratch.in.Row(i - kSegments));
+  }
+  model.AssignScratch(&scratch);
+  return scratch.clusters;
+}
+
 TEST(ShardedStore, ShardsSeededAlikeServeOneModel) {
+  // Shards that cannot refine never change a model in place, so every
+  // shard seeded alike serves the instance shard 0 trained.
   auto ds = ClusteredData(3);
   for (size_t num_shards : {2u, 4u}) {
     auto sharded = MakeSharded(ds, num_shards);
@@ -147,9 +163,68 @@ TEST(ShardedStore, ShardsSeededAlikeServeOneModel) {
     for (size_t s = 0; s < num_shards; ++s) {
       EXPECT_EQ(&sharded->shard(s).engine().clusterer(), first)
           << num_shards << " shards, shard " << s;
-      EXPECT_TRUE(sharded->shard(s).engine().model_shared());
     }
   }
+}
+
+TEST(ShardedStore, ShardsThatCanRefineEachHoldACopy) {
+  // A refine step changes its model in place, so with incremental
+  // learning and auto-retrain on each shard holds its own copy of the
+  // model shard 0 trained, from bootstrap on.
+  auto ds = ClusteredData(3);
+  StoreConfig sc = ShardConfig();
+  sc.incremental_learning = true;
+  ShardedStoreConfig cfg;
+  cfg.num_shards = 4;
+  cfg.shard = sc;
+  auto store_or = ShardedStore::Create(cfg);
+  ASSERT_TRUE(store_or.ok());
+  auto sharded = std::move(*store_or);
+  sharded->Seed(ds);
+  ASSERT_TRUE(sharded->Bootstrap().ok());
+  const placement::ContentClusterer& first =
+      sharded->shard(0).engine().clusterer();
+  const std::vector<size_t> want = HeldOutIds(first, ds);
+  for (size_t s = 1; s < cfg.num_shards; ++s) {
+    const placement::ContentClusterer& model =
+        sharded->shard(s).engine().clusterer();
+    EXPECT_NE(&model, &first) << "shard " << s;
+    EXPECT_EQ(HeldOutIds(model, ds), want) << "shard " << s;
+  }
+}
+
+TEST(ShardedStore, RetrainOnOneTwinLeavesTheOtherUntouched) {
+  // Twins that cannot refine serve one model; a synchronous retrain on
+  // one of them serves a fresh model there and leaves the shared one,
+  // still serving the other twin, as it was.
+  auto ds = ClusteredData(3);
+  auto shifted = ClusteredData(1003);
+  auto sharded = MakeSharded(ds, /*num_shards=*/2);
+  PlacementEngine& e0 = sharded->shard(0).engine();
+  PlacementEngine& e1 = sharded->shard(1).engine();
+  const placement::ContentClusterer* shared = &e0.clusterer();
+  ASSERT_EQ(&e1.clusterer(), shared);
+  auto encoder = [](const PlacementEngine& e) {
+    return dynamic_cast<const E2Model&>(e.clusterer())
+        .vae()
+        .encoder_weights()
+        .data();
+  };
+  const auto weights = encoder(e0);
+  const std::vector<size_t> ids = HeldOutIds(*shared, ds);
+  // Shard 1 trains on a smaller, shifted free set than its bootstrap's.
+  for (uint64_t key = 0; key < 12; ++key) {
+    if (sharded->ShardOf(key) == 1) {
+      ASSERT_TRUE(sharded->Put(key, shifted.items[key]).ok());
+    }
+  }
+  ASSERT_EQ(&e1.clusterer(), shared);
+  ASSERT_TRUE(e1.Retrain().ok());
+  EXPECT_NE(&e1.clusterer(), shared);
+  EXPECT_NE(encoder(e1), weights);
+  EXPECT_EQ(&e0.clusterer(), shared);
+  EXPECT_EQ(encoder(e0), weights);
+  EXPECT_EQ(HeldOutIds(e0.clusterer(), ds), ids);
 }
 
 TEST(ShardedStore, ShardWithADifferentImageTrainsItsOwnModel) {
@@ -167,10 +242,7 @@ TEST(ShardedStore, ShardWithADifferentImageTrainsItsOwnModel) {
   PlacementEngine& e1 = sharded->shard(1).engine();
   PlacementEngine& e2 = sharded->shard(2).engine();
   EXPECT_NE(&e1.clusterer(), &e0.clusterer());
-  EXPECT_FALSE(e1.model_shared());
   EXPECT_EQ(&e2.clusterer(), &e0.clusterer());
-  EXPECT_TRUE(e0.model_shared());
-  EXPECT_TRUE(e2.model_shared());
   // The adopting shard charged the training it did not run.
   EXPECT_EQ(e2.stats().train_flops, e0.stats().train_flops);
 }
@@ -262,10 +334,10 @@ void Drain(PlacementEngine& engine) {
 }
 
 TEST(ShardedStore, EachShardMatchesAStandaloneStore) {
-  // The shards share one bootstrap model; each must still behave exactly
-  // like a standalone store seeded with the same dataset and fed that
-  // shard's keys, including after its first retrain or refine step
-  // replaced the shared model with a private one.
+  // The shards adopt one bootstrap model (shared, or a copy each when
+  // they can refine); each must still behave exactly like a standalone
+  // store seeded with the same dataset and fed that shard's keys,
+  // through retrains and refine steps.
   constexpr size_t kShards = 4;
   constexpr uint64_t kManyKeys = 160;
   constexpr uint64_t kOps = 800;
@@ -321,8 +393,8 @@ TEST(ShardedStore, EachShardMatchesAStandaloneStore) {
     double pj[nvm::kNumEnergyDomains] = {};
     double now_ns = 0;
     uint64_t writes = 0, flips = 0;
-    uint64_t private_models = 0;
-    uint64_t refined_only = 0;  // Private models that came from Clone.
+    std::set<const placement::ContentClusterer*> models;
+    uint64_t refined_only = 0;  // Shards that refined but never retrained.
     for (size_t s = 0; s < kShards; ++s) {
       E2KvStore& shard = sharded->shard(s);
       EXPECT_EQ(shard.size(), alone[s]->size()) << "shard " << s;
@@ -346,7 +418,7 @@ TEST(ShardedStore, EachShardMatchesAStandaloneStore) {
       writes += alone[s]->device().stats().writes;
       flips += alone[s]->device().stats().data_bits_flipped;
       const EngineStats& st = shard.engine().stats();
-      if (!shard.engine().model_shared()) ++private_models;
+      models.insert(&shard.engine().clusterer());
       if (st.refine_steps > 0 && st.retrains == 0) ++refined_only;
     }
     // Lane s is shard s's: the merged totals sum the standalone ones in
@@ -359,18 +431,19 @@ TEST(ShardedStore, EachShardMatchesAStandaloneStore) {
     EXPECT_EQ(sharded->device().stats().writes, writes);
     EXPECT_EQ(sharded->device().stats().data_bits_flipped, flips);
 
-    // The retraining modes took private models mid-stream: a retrain
-    // trains a CloneUntrained, and a refine step on a still-shared model
-    // refines a Clone.
+    // Without retraining the shards still serve one model; a retrain
+    // serves a fresh one, and shards that can refine held copies from
+    // bootstrap on.
     const EngineStats all = sharded->TakeSnapshot().engine;
     if (!mode.auto_retrain) {
-      EXPECT_EQ(private_models, 0u);
+      EXPECT_EQ(models.size(), 1u);
       EXPECT_EQ(all.retrains, 0u);
     } else if (mode.incremental) {
+      EXPECT_EQ(models.size(), kShards);
       EXPECT_GT(refined_only, 0u);
     } else {
       EXPECT_GT(all.retrains, 0u);
-      EXPECT_GT(private_models, 0u);
+      EXPECT_GT(models.size(), 1u);
     }
   }
 }
@@ -413,6 +486,34 @@ TEST(ShardedStore, ShardsPlaceOnlyInsideTheirSegmentRange) {
       EXPECT_LT(addr, first + kSegments) << "key " << key;
     });
   }
+}
+
+TEST(ShardedStore, ExtendRegionStaysInsideItsShard) {
+  // The segments above shard 0 are shard 1's: free in its DAP or
+  // holding its live values. Extending shard 0 over them must fail and
+  // leave both shards as they were.
+  auto ds = ClusteredData(9);
+  auto sharded = MakeSharded(ds, /*num_shards=*/2);
+  std::map<uint64_t, BitVector> shard1;
+  for (uint64_t key = 0; shard1.size() < 16; ++key) {
+    const BitVector& v = ds.items[key % ds.items.size()];
+    ASSERT_TRUE(sharded->Put(key, v).ok()) << "key " << key;
+    if (sharded->ShardOf(key) == 1) shard1[key] = v;
+  }
+  PlacementEngine& e0 = sharded->shard(0).engine();
+  const PlacementEngine& e1 = sharded->shard(1).engine();
+  const size_t free0 = e0.FreeCount();
+  const std::vector<uint64_t> free1 = e1.pool().AllFree();
+  EXPECT_EQ(e0.ExtendRegion(1).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(e0.FreeCount(), free0);
+  EXPECT_EQ(e1.pool().AllFree(), free1);
+  EXPECT_EQ(sharded->shard(1).size(), shard1.size());
+  for (const auto& [key, value] : shard1) {
+    auto got = sharded->Get(key);
+    ASSERT_TRUE(got.ok()) << "key " << key;
+    EXPECT_EQ(*got, value) << "key " << key;
+  }
+  EXPECT_TRUE(e0.ExtendRegion(0).ok());
 }
 
 TEST(ShardedStore, RejectsInvalidConfigs) {
