@@ -45,6 +45,12 @@
 // allocations made by the thread issuing the PUTs.
 namespace {
 thread_local uint64_t t_alloc_count = 0;
+
+/// Heap blocks plus Matrix storage's mapped blocks (ml/matrix.h), which
+/// bypass operator new, allocated by this thread so far.
+uint64_t Allocations() {
+  return t_alloc_count + e2nvm::ml::MappedBlocksOnThisThread();
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -398,10 +404,10 @@ OpsResult RunOpsBench(size_t pool_threads, bool background_retrain,
     return st.retrains + st.background_retrains + st.failed_retrains +
            store->engine().model_generation();
   };
-  uint64_t alloc0 = t_alloc_count;
+  uint64_t alloc0 = Allocations();
   auto t0 = Clock::now();
   for (uint64_t i = 0; i < p.puts; ++i) {
-    const uint64_t a0 = t_alloc_count;
+    const uint64_t a0 = Allocations();
     const uint64_t e0 = retrain_epoch();
     const uint64_t f0 = store->engine().stats().refine_steps;
     auto op0 = Clock::now();
@@ -412,7 +418,7 @@ OpsResult RunOpsBench(size_t pool_threads, bool background_retrain,
         std::chrono::duration<double, std::micro>(Clock::now() - op0)
             .count();
     put_us.push_back(us);
-    const uint64_t d = t_alloc_count - a0;
+    const uint64_t d = Allocations() - a0;
     if (i < p.keys) {
       warmup_allocs += d;
     } else if (retrain_epoch() != e0) {
@@ -420,8 +426,9 @@ OpsResult RunOpsBench(size_t pool_threads, bool background_retrain,
     } else if (store->engine().stats().refine_steps != f0) {
       // A PUT that carried an inline refinement step: part of the §16
       // steady state for the latency headline (it IS the drift answer),
-      // but its allocations (PartialFit scratch) are its own bucket so
-      // alloc_per_put_steady keeps pinning the pure write path at 0.
+      // but its allocations are their own bucket (0 once PartialFit's
+      // workspace is warm) so alloc_per_put_steady keeps pinning the
+      // pure write path at 0.
       refine_allocs += d;
       steady_max_us = std::max(steady_max_us, us);
     } else {
@@ -432,7 +439,7 @@ OpsResult RunOpsBench(size_t pool_threads, bool background_retrain,
   }
   double put_s = std::chrono::duration<double>(Clock::now() - t0).count();
   r.alloc_per_put =
-      static_cast<double>(t_alloc_count - alloc0) / p.puts;
+      static_cast<double>(Allocations() - alloc0) / p.puts;
   r.warmup_allocs = warmup_allocs;
   r.retrain_allocs = retrain_allocs;
   r.refine_allocs = refine_allocs;
@@ -529,16 +536,16 @@ OpsResult RunBatchedBench(size_t pool_threads, bool background_retrain) {
   };
   auto t0 = Clock::now();
   for (size_t bi = 0; bi < batches.size(); ++bi) {
-    const uint64_t a0 = t_alloc_count;
+    const uint64_t a0 = Allocations();
     const uint64_t e0 = retrain_epoch();
     if (!store->MultiPut(batches[bi]).ok()) std::abort();
     if (bi >= warmup_batches && retrain_epoch() == e0) {
-      steady_allocs += t_alloc_count - a0;
+      steady_allocs += Allocations() - a0;
       steady_puts += batches[bi].size();
-      if (t_alloc_count != a0 &&
+      if (Allocations() != a0 &&
           std::getenv("E2NVM_OPS_DEBUG") != nullptr) {
         std::fprintf(stderr, "[batched] batch %zu allocated %llu\n", bi,
-                     (unsigned long long)(t_alloc_count - a0));
+                     (unsigned long long)(Allocations() - a0));
       }
     }
   }

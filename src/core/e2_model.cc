@@ -22,10 +22,19 @@ ml::VaeConfig VaeConfigOf(const E2ModelConfig& config) {
 
 E2Model::E2Model(const E2ModelConfig& config)
     : config_(config),
-      vae_(VaeConfigOf(config)),
       kmeans_({.k = config.k,
                .max_iters = config.kmeans_iters,
                .seed = config.seed}) {}
+
+const ml::Vae& E2Model::vae() const {
+  E2_CHECK(vae_.has_value(), "E2Model::vae() before Train");
+  return *vae_;
+}
+
+double E2Model::PredictFlops() const {
+  return ml::Vae::PredictFlops(VaeConfigOf(config_)) +
+         kmeans_.PredictFlops();
+}
 
 Status E2Model::Train(const ml::Matrix& contents) {
   if (contents.rows() < config_.k) {
@@ -34,19 +43,21 @@ Status E2Model::Train(const ml::Matrix& contents) {
   if (contents.cols() != config_.input_dim) {
     return Status::InvalidArgument("content width != model input_dim");
   }
-  // Recreate the VAE so re-training starts from a fresh model (the paper
-  // trains the replacement model from scratch in the background).
-  vae_ = ml::Vae(vae_.config());
+  // A fresh VAE, so re-training starts from scratch (the paper trains the
+  // replacement model from scratch in the background). The old one goes
+  // first, and one workspace serves all three phases.
+  ml::Vae& vae = vae_.emplace(VaeConfigOf(config_));
+  ml::Vae::TrainingSession session(&vae);
 
   // Phase 1: ELBO pretraining.
   ml::VaeTrainOptions opts;
   opts.epochs = config_.pretrain_epochs;
   opts.batch_size = config_.batch_size;
-  history_ = vae_.Train(contents, opts);
+  history_ = vae.Train(contents, opts);
   last_train_flops_ = history_.flops;
 
   // Phase 2: K-means on latent codes.
-  ml::Matrix latent = vae_.EncodeMu(contents);
+  ml::Matrix latent = vae.EncodeMu(contents);
   E2_RETURN_IF_ERROR(kmeans_.Fit(latent));
   last_train_flops_ += kmeans_.FitFlops(latent.rows());
 
@@ -57,6 +68,8 @@ Status E2Model::Train(const ml::Matrix& contents) {
   // after that): the VAE has not moved since, so they are the codes a
   // fresh EncodeMu would give.
   if (config_.joint_finetune) {
+    std::vector<size_t> batch_assign;
+    batch_assign.reserve(config_.batch_size);
     for (int round = 0; round < config_.finetune_rounds; ++round) {
       std::vector<size_t> assign = kmeans_.PredictBatch(latent);
 
@@ -64,22 +77,18 @@ Status E2Model::Train(const ml::Matrix& contents) {
       const size_t n = contents.rows();
       for (size_t start = 0; start < n; start += config_.batch_size) {
         size_t bs = std::min(config_.batch_size, n - start);
-        ml::Matrix batch(bs, contents.cols());
-        std::vector<size_t> batch_assign(bs);
-        for (size_t i = 0; i < bs; ++i) {
-          batch.CopyRowFrom(contents, start + i, i);
-          batch_assign[i] = assign[start + i];
-        }
+        batch_assign.assign(assign.begin() + start,
+                            assign.begin() + start + bs);
         ml::VaeTrainOptions ft;
         ft.centroids = &kmeans_.centroids();
         ft.assignments = &batch_assign;
         ft.cluster_weight = config_.cluster_weight;
-        vae_.TrainBatch(batch, ft);
-        last_train_flops_ += vae_.TrainStepFlops(bs);
+        vae.TrainRows(contents, start, bs, ft);
+        last_train_flops_ += vae.TrainStepFlops(bs);
       }
 
       // Re-estimate centroids from the updated encoder.
-      ml::Matrix z2 = vae_.EncodeMu(contents);
+      ml::Matrix z2 = vae.EncodeMu(contents);
       std::vector<size_t> assign2 = kmeans_.PredictBatch(z2);
       ml::Matrix centroids(config_.k, config_.latent_dim);
       std::vector<size_t> counts(config_.k, 0);
@@ -112,7 +121,7 @@ Status E2Model::Train(const ml::Matrix& contents) {
 }
 
 Status E2Model::PartialFit(const ml::Matrix& batch) {
-  if (!kmeans_.fitted()) {
+  if (!trained()) {
     return Status::FailedPrecondition("PartialFit before Train");
   }
   if (batch.cols() != config_.input_dim) {
@@ -123,28 +132,32 @@ Status E2Model::PartialFit(const ml::Matrix& batch) {
     return Status::Ok();
   }
   // Warm ELBO steps on the current encoder/decoder; the existing
-  // parameters are the starting point, which is the whole point.
-  last_partial_fit_flops_ = vae_.PartialFit(batch, config_.batch_size);
+  // parameters are the starting point, which is the whole point. The
+  // VAE keeps this refine-sized workspace for the next step, and the
+  // fresh codes land in it too, so a warm step allocates nothing.
+  last_partial_fit_flops_ = vae_->PartialFit(batch, config_.batch_size);
   // Pull the latent centroids toward the refreshed codes.
-  ml::Matrix z = vae_.EncodeMu(batch);
+  const ml::Matrix& z = vae_->EncodeMuInWorkspace(batch);
   E2_RETURN_IF_ERROR(kmeans_.PartialFit(z));
   last_partial_fit_flops_ +=
-      vae_.PredictFlops() * static_cast<double>(batch.rows()) +
+      vae_->PredictFlops() * static_cast<double>(batch.rows()) +
       kmeans_.PartialFitFlops(z.rows());
   return Status::Ok();
 }
 
 void E2Model::AssignScratch(ml::InferenceScratch* scratch) const {
+  E2_CHECK(trained(), "E2Model::AssignScratch before Train");
   E2_CHECK(scratch->in.cols() == config_.input_dim,
            "feature width %zu != input_dim %zu", scratch->in.cols(),
            config_.input_dim);
-  vae_.EncodeMuInto(scratch->in, &scratch->hidden, &scratch->latent);
+  vae_->EncodeMuInto(scratch->in, &scratch->hidden, &scratch->latent);
   kmeans_.AssignFusedInto(scratch->latent, &scratch->scores,
                           &scratch->clusters);
 }
 
 double E2Model::LatentSse(const ml::Matrix& contents) const {
-  ml::Matrix z = vae_.EncodeMu(contents);
+  E2_CHECK(trained(), "E2Model::LatentSse before Train");
+  ml::Matrix z = vae_->EncodeMu(contents);
   return kmeans_.Sse(z);
 }
 

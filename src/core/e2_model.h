@@ -2,6 +2,7 @@
 #define E2NVM_CORE_E2_MODEL_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -37,9 +38,14 @@ struct E2ModelConfig {
 /// The paper's placement model: VAE encoder + K-means in latent space.
 /// Implements ContentClusterer so it is interchangeable with the PNW
 /// baselines in every experiment harness.
+///
+/// Train builds the VAE: an untrained model (a shard before Bootstrap, a
+/// twin about to adopt another shard's model, a CloneUntrained shadow)
+/// holds only its config and an unfitted k-means.
 class E2Model : public placement::ContentClusterer {
  public:
-  /// A copy is deep: the VAE, its optimizer state and the k-means fit.
+  /// A copy is deep: the VAE and its optimizer state (when trained) and
+  /// the k-means fit; no training workspace.
   explicit E2Model(const E2ModelConfig& config);
 
   std::string_view name() const override { return "E2-NVM"; }
@@ -54,23 +60,25 @@ class E2Model : public placement::ContentClusterer {
     return std::make_unique<E2Model>(*this);
   }
 
-  /// Trains VAE (ELBO pretraining), fits K-means on the latent codes, then
-  /// optionally runs DEC-style joint fine-tuning rounds in which the VAE
-  /// also minimizes distance to the assigned centroid and the centroids
-  /// are re-estimated.
+  /// Builds a fresh VAE from the config and trains it (ELBO
+  /// pretraining), fits K-means on the latent codes, then optionally runs
+  /// DEC-style joint fine-tuning rounds in which the VAE also minimizes
+  /// distance to the assigned centroid and the centroids are
+  /// re-estimated. All three phases share one training workspace, freed
+  /// on return.
   Status Train(const ml::Matrix& contents) override;
 
   /// One encoder GEMV per staged row (Vae::EncodeMuInto) + one fused
   /// K-means assignment: zero heap allocations once the scratch is warm,
   /// and per row the id of Vae::EncodeMu then KMeans::Predict, bit for
-  /// bit.
+  /// bit. Requires a trained model.
   void AssignScratch(ml::InferenceScratch* scratch) const override;
 
   size_t num_clusters() const override { return config_.k; }
 
-  double PredictFlops() const override {
-    return vae_.PredictFlops() + kmeans_.PredictFlops();
-  }
+  /// The encoder's cost from the config, plus the k-means assignment's
+  /// once fitted.
+  double PredictFlops() const override;
 
   double LastTrainFlops() const override { return last_train_flops_; }
 
@@ -90,16 +98,22 @@ class E2Model : public placement::ContentClusterer {
   const ml::TrainHistory& history() const { return history_; }
 
   /// SSE of the K-means fit on the latent codes of `contents` — the elbow
-  /// objective of Fig 8.
+  /// objective of Fig 8. Requires a trained model.
   double LatentSse(const ml::Matrix& contents) const;
 
-  const ml::Vae& vae() const { return vae_; }
+  /// False until Train builds the VAE.
+  bool has_vae() const { return vae_.has_value(); }
+  /// The VAE; requires a prior Train.
+  const ml::Vae& vae() const;
   const ml::KMeans& kmeans() const { return kmeans_; }
   const E2ModelConfig& config() const { return config_; }
 
  private:
+  /// True once Train fitted the k-means (and so built the VAE).
+  bool trained() const { return vae_.has_value() && kmeans_.fitted(); }
+
   E2ModelConfig config_;
-  ml::Vae vae_;
+  std::optional<ml::Vae> vae_;
   ml::KMeans kmeans_;
   ml::TrainHistory history_;
   double last_train_flops_ = 0;

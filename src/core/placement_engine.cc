@@ -265,6 +265,9 @@ void PlacementEngine::ChargePrediction() {
 }
 
 StatusOr<size_t> PlacementEngine::PredictClusterFor(const BitVector& value) {
+  if (!bootstrapped_) {
+    return Status::FailedPrecondition("engine not bootstrapped");
+  }
   scratch_.in.EnsureShape(1, ctrl_->segment_bits());
   E2_RETURN_IF_ERROR(FeaturizeInto(value, scratch_.in.Row(0)));
   ChargePrediction();

@@ -264,7 +264,8 @@ class PlacementEngine : public index::ValuePlacer {
   /// Cluster the engine would choose for `value`: featurizes it (which
   /// advances the padding 1-ratios), charges one prediction and assigns
   /// it, as PlaceRows does for a one-row run. A probe for tests. Fails
-  /// when the value cannot be featurized (padder failure).
+  /// before Bootstrap (there is no trained model to ask) and when the
+  /// value cannot be featurized (padder failure).
   StatusOr<size_t> PredictClusterFor(const BitVector& value);
 
   /// Replay ring of recently written segment images (empty capacity

@@ -25,27 +25,31 @@ Dense::Dense(size_t in, size_t out, Rng& rng)
   w_.value.XavierInit(rng, in, out);
 }
 
-Matrix Dense::Forward(const Matrix& x) {
-  TransposeInto(x, &x_t_);
-  Matrix y = MatMul(x, w_.value);
-  AddRowVector(y, b_.value.data());
-  return y;
+void Dense::Forward(const Matrix& x, Matrix* y) const {
+  MatMulInto(x, w_.value, y);
+  AddRowVector(*y, b_.value.data());
 }
 
-Matrix Dense::Backward(const Matrix& dy) {
-  AccumulateParamGrads(dy);
+void Dense::Backward(const Matrix& x, const Matrix& dy, Matrix* dx,
+                     Scratch* scratch) {
+  AccumulateParamGrads(x, dy, scratch);
   // dX = dY W^T, as MatMulTransB computes it, on this step's weights.
-  TransposeInto(w_.value, &w_t_);
-  Matrix dx;
-  MatMulInto(dy, w_t_, &dx);
-  return dx;
+  TransposeInto(w_.value, &scratch->w_t);
+  MatMulInto(dy, scratch->w_t, dx);
 }
 
-void Dense::AccumulateParamGrads(const Matrix& dy) {
-  // dW += X^T dY ; db += colsum(dY).
-  MatMulInto(x_t_, dy, &dw_);
-  AddInPlace(w_.grad, dw_);
-  std::vector<float> db = ColSums(dy);
+void Dense::AccumulateParamGrads(const Matrix& x, const Matrix& dy,
+                                 Scratch* scratch) {
+  // dW += X^T dY ; db += colsum(dY), summed as ColSums does.
+  TransposeInto(x, &scratch->x_t);
+  MatMulInto(scratch->x_t, dy, &scratch->dw);
+  AddInPlace(w_.grad, scratch->dw);
+  std::vector<float>& db = scratch->db;
+  db.assign(dy.cols(), 0.0f);
+  for (size_t i = 0; i < dy.rows(); ++i) {
+    const float* row = dy.Row(i);
+    for (size_t j = 0; j < db.size(); ++j) db[j] += row[j];
+  }
   for (size_t j = 0; j < db.size(); ++j) b_.grad(0, j) += db[j];
 }
 
@@ -82,17 +86,12 @@ void SigmoidArray(const float* __restrict x, float* __restrict y,
   }
 }
 
-Matrix Relu::Forward(const Matrix& x) {
-  mask_ = Matrix(x.rows(), x.cols());
-  Matrix y(x.rows(), x.cols());
-  for (size_t i = 0; i < x.size(); ++i) {
-    bool pos = x.data()[i] > 0.0f;
-    mask_.data()[i] = pos ? 1.0f : 0.0f;
-    y.data()[i] = pos ? x.data()[i] : 0.0f;
+void ReluBackwardInPlace(const Matrix& y, Matrix* dy) {
+  float* d = dy->data().data();
+  const float* out = y.data().data();
+  for (size_t i = 0; i < dy->size(); ++i) {
+    d[i] *= out[i] > 0.0f ? 1.0f : 0.0f;
   }
-  return y;
 }
-
-Matrix Relu::Backward(const Matrix& dy) { return Hadamard(dy, mask_); }
 
 }  // namespace e2nvm::ml

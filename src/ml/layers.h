@@ -40,21 +40,36 @@ class ParamBlock {
 };
 
 /// Fully-connected layer: Y = X W + b, W is (in x out). A value: copies
-/// carry the parameters, Adam moments and training scratch.
+/// carry the parameters and Adam moments. The layer keeps no
+/// activations: a training step passes the matching Forward's input back
+/// into Backward, and the caller's Scratch holds the layer's backward
+/// buffers.
 class Dense {
  public:
+  /// One layer's backward buffers, reshaped per call (allocation-free
+  /// once sized): X^T (dW = X^T dY runs as MatMulInto(X^T, dY)), W^T
+  /// (dX = dY W^T), dW and db.
+  struct Scratch {
+    Matrix x_t;
+    Matrix w_t;
+    Matrix dw;
+    std::vector<float> db;
+  };
+
   Dense(size_t in, size_t out, Rng& rng);
 
-  /// Forward pass; caches the input for Backward.
-  Matrix Forward(const Matrix& x);
-  /// AccumulateParamGrads, then returns dL/dX = dY W^T. Must follow the
-  /// matching Forward.
-  Matrix Backward(const Matrix& dy);
+  /// y = x W + b into `y` (reshaped to x.rows() x out).
+  void Forward(const Matrix& x, Matrix* y) const;
+  /// AccumulateParamGrads, then dx = dY W^T into `dx`. `x` is the input
+  /// of the Forward this gradient belongs to.
+  void Backward(const Matrix& x, const Matrix& dy, Matrix* dx,
+                Scratch* scratch);
   /// The parameter half of Backward: dW += X^T dY, db += colsum(dY),
   /// without the dY W^T product. For an input layer whose dL/dX nothing
   /// reads (the VAE encoder's), that product is the costliest part of
   /// the backward pass.
-  void AccumulateParamGrads(const Matrix& dy);
+  void AccumulateParamGrads(const Matrix& x, const Matrix& dy,
+                            Scratch* scratch);
   void Step(const AdamConfig& cfg, int t);
   void ZeroGrad();
   size_t ParamCount() const { return w_.size() + b_.size(); }
@@ -82,27 +97,13 @@ class Dense {
   size_t out_;
   ParamBlock w_;
   ParamBlock b_;  // 1 x out
-  // Reused training scratch: the last Forward's input transposed (dW =
-  // X^T dY runs as MatMulInto(X^T, dY)), W^T for dX = dY W^T, and dW.
-  Matrix x_t_;
-  Matrix w_t_;
-  Matrix dw_;
 };
 
-/// Elementwise ReLU; caches the mask of its last Forward.
-class Relu {
- public:
-  Matrix Forward(const Matrix& x);
-  Matrix Backward(const Matrix& dy);
-  /// One op per element of the last Forward's width (0 before any).
-  double ForwardFlops(size_t batch) const {
-    return static_cast<double>(batch) *
-           static_cast<double>(mask_.cols());
-  }
-
- private:
-  Matrix mask_;
-};
+/// The ReLU's backward pass in place, read off its output y = max(x, 0):
+/// dy[i] *= (y[i] > 0 ? 1 : 0). y[i] > 0 exactly where x[i] > 0, so this
+/// is the product with the forward pass's 0/1 mask, without keeping one.
+/// The forward pass is ReluInPlace (matrix.h).
+void ReluBackwardInPlace(const Matrix& y, Matrix* dy);
 
 /// Numerically stable elementwise sigmoid: y[i] = 1 / (1 + exp(-x[i]))
 /// for x[i] >= 0 and exp(x[i]) / (1 + exp(x[i])) otherwise, with libm's

@@ -84,7 +84,9 @@ Matrix Lstm::RunForward(const Matrix& x, bool train) {
 
 Matrix Lstm::Predict(const Matrix& x) {
   Matrix h = RunForward(x, /*train=*/false);
-  return head_->Forward(h);
+  Matrix y;
+  head_->Forward(h, &y);
+  return y;
 }
 
 std::vector<float> Lstm::PredictOne(const std::vector<float>& window) {
@@ -99,7 +101,8 @@ double Lstm::TrainBatch(const Matrix& x, const Matrix& y) {
   const float inv_batch = 1.0f / static_cast<float>(batch);
 
   Matrix h = RunForward(x, /*train=*/true);
-  Matrix yhat = head_->Forward(h);
+  Matrix yhat;
+  head_->Forward(h, &yhat);
 
   double mse = 0.0;
   Matrix dyhat(yhat.rows(), yhat.cols());
@@ -110,7 +113,9 @@ double Lstm::TrainBatch(const Matrix& x, const Matrix& y) {
   }
   mse /= static_cast<double>(batch);
 
-  Matrix dh = head_->Backward(dyhat);
+  Matrix dh;
+  Dense::Scratch head_scratch;
+  head_->Backward(h, dyhat, &dh, &head_scratch);
   Matrix dc(batch, h_dim);
 
   for (size_t t = config_.timesteps; t-- > 0;) {

@@ -1,6 +1,9 @@
 #include "ml/matrix.h"
 
 #include <algorithm>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -60,7 +63,43 @@ bool UsePool(ThreadPool* pool, size_t rows, size_t grain,
          ThreadPool::NumBlocks(rows, grain) > 1;
 }
 
+thread_local uint64_t t_mapped_blocks = 0;
+
+/// Bytes MapBlock maps for a `bytes` payload: the payload plus a cache
+/// line of headroom, rounded up to whole pages.
+size_t MappedLength(size_t bytes) {
+  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return (bytes + CacheLineAllocator<float>::kAlign + page - 1) / page *
+         page;
+}
+
 }  // namespace
+
+uint64_t MappedBlocksOnThisThread() { return t_mapped_blocks; }
+
+namespace detail {
+
+void* MapBlock(size_t bytes) {
+  const size_t len = MappedLength(bytes);
+  // Populated up front: a Matrix writes every element of its block at
+  // once (zero-fill or copy), and faulting the pages in one at a time
+  // took three times as long on a 4-vCPU VM (a 512 KiB map, fill and
+  // unmap: 300-450 us against 100-120 us).
+  void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  ++t_mapped_blocks;
+  ASAN_POISON_MEMORY_REGION(static_cast<char*>(p) + bytes, len - bytes);
+  return p;
+}
+
+void UnmapBlock(void* p, size_t bytes) noexcept {
+  const size_t len = MappedLength(bytes);
+  ASAN_UNPOISON_MEMORY_REGION(static_cast<char*>(p) + bytes, len - bytes);
+  munmap(p, len);
+}
+
+}  // namespace detail
 
 void SetComputePool(ThreadPool* pool) {
   g_compute_pool.store(pool, std::memory_order_release);

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <span>
 #include <vector>
@@ -62,20 +61,49 @@ class ScopedComputePool {
   bool prev_active_;
 };
 
-/// Standard allocator whose every block starts on a 64-byte cache line:
-/// one malloc of the payload plus a line of headroom, the data at the
-/// first 64-byte boundary past the block's first word, and that block
-/// pointer stored in the word just before the data for deallocate.
-/// malloc returns at least 8-aligned blocks, so the offset is 8..64
-/// bytes and never runs past the headroom. Under ASan the headroom left
-/// past the payload is poisoned, so a read past the last element trips
-/// it as it would on a plain vector (the macros are no-ops otherwise).
+/// Blocks of this many bytes or more get a mapping of their own (see
+/// CacheLineAllocator).
+inline constexpr size_t kMappedBlockBytes = size_t{256} << 10;
+
+/// Blocks the calling thread has mapped through CacheLineAllocator since
+/// it started. The zero-allocation checks count `operator new` calls,
+/// which a mapped block bypasses, so they add this count to theirs.
+uint64_t MappedBlocksOnThisThread();
+
+namespace detail {
+/// A fresh anonymous mapping holding `bytes` (page-aligned, zero-filled),
+/// with at least kAlign bytes of headroom past them that ASan poisons;
+/// throws std::bad_alloc when the kernel refuses it.
+void* MapBlock(size_t bytes);
+/// Unmaps a MapBlock(bytes) block.
+void UnmapBlock(void* p, size_t bytes) noexcept;
+}  // namespace detail
+
+/// Standard allocator whose every block starts on a 64-byte cache line.
 ///
-/// Not `operator new(std::align_val_t)`: glibc serves that through
-/// memalign, which raised perfbench kv_ycsb_a's peak RSS to 128 MiB.
-/// This allocator stays at the unaligned build's level (91.4 MiB over
-/// ten 30-s runs); both land between about 91 and 96 MiB depending on
-/// run length, as the heap layout shifts.
+/// A block under kMappedBlockBytes is one plain `::operator new` of the
+/// payload plus a line of headroom: the data sits at the first 64-byte
+/// boundary past the block's first word, and that block pointer is
+/// stored in the word just before the data for deallocate. The heap
+/// returns at least 8-aligned blocks, so the offset is 8..64 bytes and
+/// never runs past the headroom. Going through `operator new` keeps the
+/// blocks visible to the allocation counters that replace it.
+///
+/// A larger block (a training workspace's activations, a layer's
+/// weights, a retrain's contents matrix) is an anonymous mapping of its
+/// own, populated when mapped, page-aligned and so cache-line aligned,
+/// and unmapped when freed. On the heap, glibc keeps freed large blocks
+/// in its brk heap once an earlier free has raised its mmap threshold,
+/// and they stay resident under whatever the program allocates next:
+/// bootstrap's training buffers sat beneath the journal pages
+/// perfbench's kv_ycsb_a touches after it.
+///
+/// Under ASan the headroom left past the payload is poisoned on both
+/// paths, so a read past the last element trips it as it would on a
+/// plain vector (the macros are no-ops otherwise). Not
+/// `operator new(std::align_val_t)`: glibc serves that through memalign,
+/// which raised perfbench kv_ycsb_a's peak RSS from 91 to 128 MiB when
+/// matrix storage first became aligned.
 template <typename T>
 struct CacheLineAllocator {
   using value_type = T;
@@ -89,8 +117,11 @@ struct CacheLineAllocator {
     if (n > (SIZE_MAX - kAlign) / sizeof(T)) {
       throw std::bad_array_new_length();
     }
-    void* block = std::malloc(n * sizeof(T) + kAlign);
-    if (block == nullptr) throw std::bad_alloc();
+    const size_t bytes = n * sizeof(T);
+    if (bytes >= kMappedBlockBytes) {
+      return static_cast<T*>(detail::MapBlock(bytes));
+    }
+    void* block = ::operator new(bytes + kAlign);
     const uintptr_t data =
         (reinterpret_cast<uintptr_t>(block) + sizeof(void*) + kAlign - 1) &
         ~uintptr_t{kAlign - 1};
@@ -101,9 +132,13 @@ struct CacheLineAllocator {
   }
 
   void deallocate(T* p, size_t n) noexcept {
+    if (n * sizeof(T) >= kMappedBlockBytes) {
+      detail::UnmapBlock(p, n * sizeof(T));
+      return;
+    }
     void* block = reinterpret_cast<void**>(p)[-1];
     ASAN_UNPOISON_MEMORY_REGION(p + n, Slack(block, p));
-    std::free(block);
+    ::operator delete(block);
   }
 
   template <typename U>
@@ -112,7 +147,7 @@ struct CacheLineAllocator {
   }
 
  private:
-  /// Headroom bytes between the end of the payload and the end of the
+  /// Headroom bytes between the end of the payload and the end of a heap
   /// block.
   static size_t Slack(const void* block, const T* p) {
     return kAlign - static_cast<size_t>(reinterpret_cast<const char*>(p) -
@@ -226,8 +261,9 @@ void AddInPlace(Matrix& a, const Matrix& b);
 /// Adds a row vector `bias` (1 x n) to every row of `a` (m x n).
 void AddRowVector(Matrix& a, std::span<const float> bias);
 
-/// Elementwise in-place ReLU: a[i] = max(a[i], 0). Same arithmetic as
-/// layers.h's Relu::Forward, without the mask/output allocations.
+/// Elementwise in-place ReLU: a[i] = max(a[i], 0), the forward pass of
+/// both the VAE's training step and the write-path encode (layers.h's
+/// ReluBackwardInPlace is its backward pass).
 void ReluInPlace(Matrix& a);
 
 /// Elementwise Hadamard product c = a .* b.

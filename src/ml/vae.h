@@ -2,6 +2,7 @@
 #define E2NVM_ML_VAE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,12 +55,19 @@ struct VaeTrainOptions {
 ///   decoder: latent -> hidden (ReLU) -> input logits (Bernoulli)
 /// Loss: binary cross-entropy reconstruction + beta * KL(q(z|x) || N(0,I))
 /// — the negative ELBO given in §3.1 of the paper.
+///
+/// Training steps run on one workspace (activations, gradients and the
+/// layers' backward buffers), sized by the first step that needs it and
+/// reshaped in place after that, so a warm step allocates nothing. A
+/// training (Train, or a TrainingSession around several calls) frees it
+/// when it ends; steps outside one (PartialFit's refinement) keep their
+/// small workspace for the next call.
 class Vae {
  public:
   /// Draws the layers' initial weights from an RNG seeded with
   /// config.seed, in declaration order. A copy carries every layer's
   /// weights and Adam moments, the step count and the RNG state, so it
-  /// trains on exactly as the original would.
+  /// trains on exactly as the original would; it copies no workspace.
   explicit Vae(const VaeConfig& config);
 
   const VaeConfig& config() const { return config_; }
@@ -71,17 +79,22 @@ class Vae {
   Matrix EncodeMu(const Matrix& x) const;
 
   /// Inference-only encoder into caller-owned scratch: hidden = ReLU(x W1
-  /// + b1), mu = hidden W2 + b2. Skips the logvar head and the training
-  /// caches, so a warmed-up call performs zero heap allocations; the mu
-  /// values are bit-identical to the training forward pass's (same
-  /// kernels, same accumulation order). This is the "only the encoder
-  /// part is needed after training" write path of §3.3.1. Reads the
-  /// model only, so engines that serve one model may call it
-  /// concurrently.
+  /// + b1), mu = hidden W2 + b2. Skips the logvar head, so a warmed-up
+  /// call performs zero heap allocations; the mu values are
+  /// bit-identical to the training forward pass's (same kernels, same
+  /// accumulation order). This is the "only the encoder part is needed
+  /// after training" write path of §3.3.1. Reads the model only, so
+  /// engines that serve one model may call it concurrently.
   void EncodeMuInto(const Matrix& x, Matrix* hidden, Matrix* mu) const;
 
+  /// EncodeMuInto on the workspace's buffers: the latent means of `x`
+  /// under the current parameters, valid until the next call that uses
+  /// the workspace. A refine step's k-means nudge reads them, so a warm
+  /// E2Model::PartialFit allocates nothing.
+  const Matrix& EncodeMuInWorkspace(const Matrix& x);
+
   /// Decodes latent codes to Bernoulli means (sigmoid outputs).
-  Matrix Decode(const Matrix& z);
+  Matrix Decode(const Matrix& z) const;
 
   /// (reconstruction, KL, cluster) losses of one step, averaged per
   /// sample.
@@ -98,10 +111,16 @@ class Vae {
   void TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
                   BatchLoss* loss = nullptr);
 
+  /// TrainBatch on rows [first, first + count) of `x`, copied into the
+  /// workspace's batch (or `x` itself when that is all of it).
+  void TrainRows(const Matrix& x, size_t first, size_t count,
+                 const VaeTrainOptions& opts, BatchLoss* loss = nullptr);
+
   /// Loss of `x` without updating parameters (eps = 0, deterministic).
-  double EvalLoss(const Matrix& x);
+  double EvalLoss(const Matrix& x) const;
 
   /// Full training loop: shuffles, splits train/validation, runs epochs.
+  /// A training of its own (see TrainingSession).
   TrainHistory Train(const Matrix& x, const VaeTrainOptions& opts);
 
   /// Incremental mini-batch update (the replay-ring refinement path,
@@ -112,11 +131,18 @@ class Vae {
   /// spent. The update is a deterministic function of (parameters,
   /// internal RNG state, x): chunk order is fixed and the kernels are
   /// pool-size invariant, so refinement preserves the engine's
-  /// determinism contract.
+  /// determinism contract. Keeps its workspace for the next call.
   double PartialFit(const Matrix& x, size_t batch_size);
 
-  /// Multiply-accumulates of encoding one row to its latent mean.
-  double PredictFlops() const;
+  /// Multiply-accumulates of encoding one row to its latent mean, a
+  /// function of the config alone.
+  static double PredictFlops(const VaeConfig& config) {
+    return 2.0 * static_cast<double>(config.input_dim) *
+               static_cast<double>(config.hidden_dim) +
+           2.0 * static_cast<double>(config.hidden_dim) *
+               static_cast<double>(config.latent_dim);
+  }
+  double PredictFlops() const { return PredictFlops(config_); }
   /// Approximate multiply-accumulates of one training step on `batch` rows
   /// (forward + backward ~ 3x forward).
   double TrainStepFlops(size_t batch) const;
@@ -134,28 +160,83 @@ class Vae {
   /// matrix every write-path encode streams, one row per nonzero input.
   const Matrix& encoder_weights() const { return enc_in_.weights().value; }
 
+  /// True while a workspace is held: inside a training, and after
+  /// PartialFit or a step outside one.
+  bool has_workspace() const { return slot_.ws != nullptr; }
+
+  /// One training: while the outermost session on a Vae lives, every
+  /// step shares one workspace, and its end frees it. Train opens one
+  /// of its own; E2Model::Train opens one around pretraining, k-means
+  /// and fine-tuning, so all three run on a single workspace.
+  class TrainingSession {
+   public:
+    explicit TrainingSession(Vae* vae);
+    ~TrainingSession();
+    TrainingSession(const TrainingSession&) = delete;
+    TrainingSession& operator=(const TrainingSession&) = delete;
+
+   private:
+    Vae* vae_;  // Null for a nested session, which frees nothing.
+  };
+
  private:
-  /// Forward pass through the encoder caching layer state; outputs mu and
-  /// logvar (clamped to [-8, 8] for stability).
-  void EncodeForward(const Matrix& x, Matrix* mu, Matrix* logvar);
-  /// Decoder forward pass (dec_in, ReLU, dec_out) caching layer state;
-  /// returns the input logits.
-  Matrix DecodeForward(const Matrix& z);
+  /// Buffers of one training step, shaped by the step's batch.
+  struct Workspace {
+    Matrix batch;       // Rows TrainRows and Train copy for a step.
+    Matrix hidden;      // Encoder hidden activations, after the ReLU.
+    Matrix mu;
+    Matrix logvar;
+    Matrix eps;
+    Matrix sigma;
+    Matrix z;
+    Matrix dec_hidden;  // Decoder hidden activations, after the ReLU.
+    Matrix logits;      // Decoder logits, then dL/dlogits.
+    Matrix probs;
+    Matrix d_dec_hidden;
+    Matrix dz;          // dL/dz, then dL/dmu.
+    Matrix dlogvar;
+    Matrix d_hidden;     // dL/d(encoder hidden) through the mu head,
+    Matrix d_hidden_lv;  // and through the logvar head.
+    std::vector<double> bce_partial;
+    Dense::Scratch enc_in, mu_head, logvar_head, dec_in, dec_out;
+  };
+  /// Holds the workspace. A copy of the Vae starts with none and outside
+  /// any session: scratch is never copied.
+  struct WorkspaceSlot {
+    std::unique_ptr<Workspace> ws;
+    bool in_session = false;
+    WorkspaceSlot() = default;
+    WorkspaceSlot(const WorkspaceSlot&) {}
+    WorkspaceSlot& operator=(const WorkspaceSlot&) {
+      ws.reset();
+      return *this;
+    }
+    WorkspaceSlot(WorkspaceSlot&&) = default;
+    WorkspaceSlot& operator=(WorkspaceSlot&&) = default;
+  };
+
+  /// The workspace, built empty on first use.
+  Workspace& workspace();
+  /// Forward pass through the encoder (input layer, ReLU, both heads)
+  /// into the given buffers; logvar is clamped to [-8, 8] for stability.
+  void EncodeForward(const Matrix& x, Matrix* hidden, Matrix* mu,
+                     Matrix* logvar) const;
+  /// Decoder forward pass (dec_in, ReLU, dec_out) from latent codes to
+  /// input logits.
+  void DecodeForward(const Matrix& z, Matrix* hidden, Matrix* logits) const;
 
   VaeConfig config_;
   Rng rng_;
-  /// The encoder body, input layer then ReLU, feeding both heads.
-  /// EncodeMuInto reads enc_in_'s weights directly, without the
-  /// Dense::Forward training caches. The Dense layers are declared in
+  /// The encoder's input layer feeds both heads through a ReLU;
+  /// EncodeMuInto reads its weights directly. The layers are declared in
   /// the order the constructor draws their weights from rng_.
   Dense enc_in_;
-  Relu enc_relu_;
   Dense mu_head_;
   Dense logvar_head_;
   Dense dec_in_;
-  Relu dec_relu_;
   Dense dec_out_;
   int step_ = 0;
+  WorkspaceSlot slot_;
 };
 
 }  // namespace e2nvm::ml

@@ -201,6 +201,49 @@ TEST(E2ModelTest, RetrainReplacesModel) {
   EXPECT_LT(AssignOne(model, ds.items[0].ToFloats()), 3u);
 }
 
+TEST(E2ModelTest, OnlyTrainBuildsTheVae) {
+  // An untrained model and every untrained clone hold only the config;
+  // the encoder's cost still comes from it.
+  auto ds = EasyDataset(150);
+  core::E2ModelConfig cfg;
+  cfg.input_dim = ds.dim;
+  cfg.k = 3;
+  cfg.hidden_dim = 64;
+  cfg.pretrain_epochs = 2;
+  core::E2Model model(cfg);
+  EXPECT_FALSE(model.has_vae());
+  auto untrained_shadow = model.CloneUntrained();
+  EXPECT_FALSE(
+      dynamic_cast<const core::E2Model&>(*untrained_shadow).has_vae());
+  ml::VaeConfig vc;
+  vc.input_dim = cfg.input_dim;
+  vc.hidden_dim = cfg.hidden_dim;
+  vc.latent_dim = cfg.latent_dim;
+  EXPECT_EQ(model.PredictFlops(), ml::Vae::PredictFlops(vc));
+
+  ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
+  EXPECT_TRUE(model.has_vae());
+  EXPECT_GT(model.PredictFlops(), ml::Vae::PredictFlops(vc));
+  const auto shadow = model.CloneUntrained();
+  EXPECT_FALSE(dynamic_cast<const core::E2Model&>(*shadow).has_vae());
+  EXPECT_EQ(shadow->PredictFlops(), ml::Vae::PredictFlops(vc));
+}
+
+TEST(E2ModelTest, InferenceBeforeTrainIsAFatalError) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  core::E2ModelConfig cfg;
+  cfg.input_dim = 64;
+  cfg.k = 2;
+  core::E2Model model(cfg);
+  ml::InferenceScratch scratch;
+  scratch.in = ml::Matrix(1, 64);
+  EXPECT_DEATH(model.AssignScratch(&scratch), "AssignScratch before Train");
+  EXPECT_DEATH(model.LatentSse(ml::Matrix(4, 64)), "LatentSse before Train");
+  EXPECT_DEATH(model.vae(), "vae\\(\\) before Train");
+  EXPECT_EQ(model.PartialFit(ml::Matrix(4, 64)).code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(E2ModelTest, TrainEqualsItsPhasesEncodingAfreshEachRound) {
   // Train starts each fine-tune round from codes it already holds (k-means'
   // for the first, the previous round's re-estimate after that) instead of
@@ -380,6 +423,29 @@ ml::Matrix HeldOut(size_t dim) {
   cfg.noise = 0.1;
   cfg.seed = 77;
   return workload::MakeProtoDataset(cfg).ToMatrix();
+}
+
+TEST(E2ModelTest, TrainingFreesItsWorkspaceAndRefinementKeepsOne) {
+  // Train's workspace lives for the call; a refine step keeps its small
+  // one for the next step; a clone copies none.
+  auto ds = EasyDataset(150);
+  core::E2ModelConfig cfg = CloneTestModelConfig(ds.dim);
+  core::E2Model model(cfg);
+  ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
+  EXPECT_FALSE(model.vae().has_workspace());
+  const auto trained = model.Clone();
+  ml::Matrix batch(8, ds.dim);
+  for (size_t i = 0; i < 8; ++i) ds.items[i].AppendFloatsTo(batch.Row(i));
+  ASSERT_TRUE(model.PartialFit(batch).ok());
+  EXPECT_TRUE(model.vae().has_workspace());
+  const auto refined = model.Clone();
+  EXPECT_FALSE(
+      dynamic_cast<const core::E2Model&>(*refined).vae().has_workspace());
+  ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
+  EXPECT_FALSE(model.vae().has_workspace());
+  // Training again from scratch equals the first training.
+  EXPECT_TRUE(SameAssignment(Classify(model, HeldOut(ds.dim)),
+                             Classify(*trained, HeldOut(ds.dim))));
 }
 
 TEST(ContentClustererTest, CloneAssignsExactlyLikeTheOriginal) {

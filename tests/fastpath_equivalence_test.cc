@@ -4,7 +4,8 @@
 // ids, device flip counts and energy for the same PUT stream — the fast
 // path is an optimization, never a behavior change. Also pins that a
 // MultiPut is the loop of Puts, batched, and the zero-allocation
-// contract of steady-state prediction.
+// contracts of steady-state prediction, Puts and MultiPuts, and of warm
+// training and refinement steps.
 //
 // The reference is built here from two oracles:
 //  - Prediction: ReferenceClusterer forwards training to a real E2Model
@@ -40,9 +41,15 @@
 
 // Thread-local allocation counter for the zero-allocation assertions.
 // One test binary per source file, so replacing global new here does not
-// affect any other test.
+// affect any other test. Matrix storage reaches it too: small blocks
+// through operator new, large ones as mapped blocks (Allocations()).
 namespace {
 thread_local uint64_t t_alloc_count = 0;
+
+/// Heap and mapped blocks this thread has allocated so far.
+uint64_t Allocations() {
+  return t_alloc_count + e2nvm::ml::MappedBlocksOnThisThread();
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -654,21 +661,21 @@ TEST(FastPathEquivalence, SteadyStatePredictionIsAllocationFree) {
   for (size_t i = 0; i < 8; ++i) {
     ASSERT_TRUE(fast.engine().PredictClusterFor(ds.items[i]).ok());
   }
-  uint64_t before = t_alloc_count;
+  uint64_t before = Allocations();
   for (size_t i = 0; i < 200; ++i) {
     auto c = fast.engine().PredictClusterFor(ds.items[i % ds.items.size()]);
     ASSERT_TRUE(c.ok());
   }
-  EXPECT_EQ(t_alloc_count, before)
+  EXPECT_EQ(Allocations(), before)
       << "steady-state PredictClusterFor allocated on the heap";
   // The reference path allocates every call — the counter must move, or
   // the counting itself is broken and the assertion above is vacuous.
   Side ref(ds, /*reference=*/true);
-  before = t_alloc_count;
+  before = Allocations();
   for (size_t i = 0; i < 8; ++i) {
     ASSERT_TRUE(ref.engine().PredictClusterFor(ds.items[i]).ok());
   }
-  EXPECT_GT(t_alloc_count, before);
+  EXPECT_GT(Allocations(), before);
 }
 
 TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
@@ -698,12 +705,12 @@ TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
         store->Put(i % kKeys, ds.items[i % ds.items.size()]).ok());
   }
 
-  uint64_t before = t_alloc_count;
+  uint64_t before = Allocations();
   for (uint64_t i = 0; i < 200; ++i) {
     ASSERT_TRUE(
         store->Put(i % kKeys, ds.items[i % ds.items.size()]).ok());
   }
-  EXPECT_EQ(t_alloc_count - before, 0u)
+  EXPECT_EQ(Allocations() - before, 0u)
       << "steady-state Put allocated on the heap";
 
   // Same contract for the batched path: reuse one staged batch so only
@@ -715,12 +722,72 @@ TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
   for (int warm = 0; warm < 8; ++warm) {
     ASSERT_TRUE(store->MultiPut(kvs).ok());
   }
-  before = t_alloc_count;
+  before = Allocations();
   for (int round = 0; round < 16; ++round) {
     ASSERT_TRUE(store->MultiPut(kvs).ok());
   }
-  EXPECT_EQ(t_alloc_count - before, 0u)
+  EXPECT_EQ(Allocations() - before, 0u)
       << "steady-state MultiPut allocated on the heap";
+}
+
+TEST(FastPathEquivalence, WarmTrainAndRefineStepsAreAllocationFree) {
+  // At 2048 bits a 64-row step's activations, the input layer's buffers
+  // and the batch copy are mapped blocks, the rest heap blocks, so the
+  // count covers both. Every kind of step E2Model runs: pretraining
+  // (loss computed, rows copied), fine-tuning (cluster term, rows
+  // copied) and refinement (no loss, the batch itself). The count sees
+  // both kinds of Matrix block, or the zero checks would be vacuous.
+  uint64_t before = Allocations();
+  { ml::Matrix heap_block(4, 4); }
+  EXPECT_EQ(Allocations(), before + 1) << "a heap Matrix went uncounted";
+  { ml::Matrix mapped_block(256, 256); }
+  EXPECT_EQ(Allocations(), before + 2) << "a mapped Matrix went uncounted";
+
+  ml::VaeConfig vc;
+  vc.input_dim = 2048;
+  vc.hidden_dim = 128;
+  vc.latent_dim = 10;
+  ml::Vae vae(vc);
+  Rng rng(5);
+  ml::Matrix rows(96, vc.input_dim);
+  for (auto& v : rows.data()) v = rng.NextBernoulli(0.3) ? 1.0f : 0.0f;
+  ml::Matrix centroids(4, vc.latent_dim);
+  std::vector<size_t> assign(64);
+  for (size_t i = 0; i < assign.size(); ++i) assign[i] = i % 4;
+  ml::VaeTrainOptions plain;
+  ml::VaeTrainOptions joint;
+  joint.centroids = &centroids;
+  joint.assignments = &assign;
+  joint.cluster_weight = 0.05f;
+  ml::Vae::BatchLoss loss;
+  ml::Vae::TrainingSession session(&vae);
+  auto steps = [&] {
+    vae.TrainRows(rows, 0, 64, plain, &loss);
+    vae.TrainRows(rows, 32, 64, joint);
+    vae.TrainRows(rows, 0, rows.rows(), plain);
+  };
+  steps();  // Sizes the workspace.
+  before = Allocations();
+  for (int round = 0; round < 3; ++round) steps();
+  EXPECT_EQ(Allocations() - before, 0u) << "a warm training step allocated";
+  EXPECT_EQ(vae.step(), 12);
+
+  // A refine step on a trained model: the VAE step, the fresh codes and
+  // the k-means nudge.
+  E2ModelConfig mc = ModelConfig();
+  E2Model model(mc);
+  auto ds = ClusteredData(7);
+  ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
+  ml::Matrix batch(16, kBits);
+  for (size_t i = 0; i < batch.rows(); ++i) {
+    ds.items[i].AppendFloatsTo(batch.Row(i));
+  }
+  ASSERT_TRUE(model.PartialFit(batch).ok());
+  before = Allocations();
+  for (int step = 0; step < 4; ++step) {
+    ASSERT_TRUE(model.PartialFit(batch).ok());
+  }
+  EXPECT_EQ(Allocations() - before, 0u) << "a warm refine step allocated";
 }
 
 }  // namespace

@@ -14,8 +14,9 @@ namespace {
 /// Numerical gradient check: perturbs each parameter/input and compares
 /// the finite-difference slope of a scalar loss L = sum(Y) against the
 /// analytic gradient from Backward(ones).
-double SumForward(Dense& layer, const Matrix& x) {
-  Matrix y = layer.Forward(x);
+double SumForward(const Dense& layer, const Matrix& x) {
+  Matrix y;
+  layer.Forward(x, &y);
   double s = 0;
   for (float v : y.data()) s += v;
   return s;
@@ -33,7 +34,8 @@ TEST(DenseTest, ForwardMatchesManual) {
   Matrix x(1, 2);
   x(0, 0) = 1;
   x(0, 1) = 1;
-  Matrix y = d.Forward(x);
+  Matrix y;
+  d.Forward(x, &y);
   EXPECT_FLOAT_EQ(y(0, 0), 1 + 3 + 10);
   EXPECT_FLOAT_EQ(y(0, 1), 2 + 4 + 20);
 }
@@ -45,11 +47,12 @@ TEST(DenseTest, GradientCheckWeights) {
   for (auto& v : x.data()) v = rng.NextFloat() - 0.5f;
 
   // Analytic gradient of L = sum(Y).
-  d.Forward(x);
   Matrix dy(4, 2);
   dy.Fill(1.0f);
   d.ZeroGrad();
-  Matrix dx = d.Backward(dy);
+  Matrix dx;
+  Dense::Scratch scratch;
+  d.Backward(x, dy, &dx, &scratch);
 
   const float eps = 1e-3f;
   for (size_t i = 0; i < 3; ++i) {
@@ -80,31 +83,32 @@ TEST(DenseTest, BiasGradientIsBatchCount) {
   Dense d(2, 2, rng);
   Matrix x(5, 2);
   for (auto& v : x.data()) v = rng.NextFloat();
-  d.Forward(x);
   Matrix dy(5, 2);
   dy.Fill(1.0f);
   d.ZeroGrad();
-  d.Backward(dy);
+  Matrix dx;
+  Dense::Scratch scratch;
+  d.Backward(x, dy, &dx, &scratch);
   EXPECT_FLOAT_EQ(d.bias().grad(0, 0), 5.0f);
   EXPECT_FLOAT_EQ(d.bias().grad(0, 1), 5.0f);
 }
 
 TEST(ActivationTest, ReluForwardAndGradient) {
-  Relu relu;
-  Matrix x(1, 4);
-  x(0, 0) = -1;
-  x(0, 1) = 2;
-  x(0, 2) = 0;
-  x(0, 3) = 3;
-  Matrix y = relu.Forward(x);
+  Matrix y(1, 4);
+  y(0, 0) = -1;
+  y(0, 1) = 2;
+  y(0, 2) = 0;
+  y(0, 3) = 3;
+  ReluInPlace(y);
   EXPECT_FLOAT_EQ(y(0, 0), 0);
   EXPECT_FLOAT_EQ(y(0, 1), 2);
   EXPECT_FLOAT_EQ(y(0, 3), 3);
-  Matrix dy(1, 4);
-  dy.Fill(1.0f);
-  Matrix dx = relu.Backward(dy);
+  Matrix dx(1, 4);
+  dx.Fill(1.0f);
+  ReluBackwardInPlace(y, &dx);
   EXPECT_FLOAT_EQ(dx(0, 0), 0);
   EXPECT_FLOAT_EQ(dx(0, 1), 1);
+  EXPECT_FLOAT_EQ(dx(0, 2), 0);
   EXPECT_FLOAT_EQ(dx(0, 3), 1);
 }
 
@@ -222,10 +226,12 @@ TEST(DenseTest, LearnsLinearMap) {
   Dense d(1, 1, rng);
   AdamConfig cfg;
   cfg.lr = 0.05f;
+  Dense::Scratch scratch;
   for (int t = 1; t <= 500; ++t) {
     Matrix x(8, 1);
     for (auto& v : x.data()) v = rng.NextFloat() * 2 - 1;
-    Matrix y = d.Forward(x);
+    Matrix y;
+    d.Forward(x, &y);
     Matrix dy(8, 1);
     double loss = 0;
     for (size_t i = 0; i < 8; ++i) {
@@ -234,12 +240,15 @@ TEST(DenseTest, LearnsLinearMap) {
       dy(i, 0) = 2.0f * diff / 8.0f;
     }
     d.ZeroGrad();
-    d.Backward(dy);
+    Matrix dx;
+    d.Backward(x, dy, &dx, &scratch);
     d.Step(cfg, t);
   }
   Matrix probe(1, 1);
   probe(0, 0) = 0.5f;
-  EXPECT_NEAR(d.Forward(probe)(0, 0), 1.0f, 0.05f);
+  Matrix out;
+  d.Forward(probe, &out);
+  EXPECT_NEAR(out(0, 0), 1.0f, 0.05f);
 }
 
 }  // namespace

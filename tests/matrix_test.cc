@@ -1,10 +1,21 @@
 #include "ml/matrix.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define E2NVM_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define E2NVM_TEST_ASAN 1
+#endif
+#endif
 
 namespace e2nvm::ml {
 namespace {
@@ -145,6 +156,75 @@ TEST(MatrixTest, StorageIsCacheLineAligned) {
     EXPECT_TRUE(CacheLineAligned(assigned)) << "move-assign cols=" << cols;
     EXPECT_EQ(assigned.size(), 3 * cols);
   }
+}
+
+size_t PageSize() { return static_cast<size_t>(sysconf(_SC_PAGESIZE)); }
+
+/// Resident bytes of this process (/proc/self/statm's second field).
+size_t ResidentBytes() {
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0, resident = 0;
+  const int got = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return got == 2 ? resident * PageSize() : 0;
+}
+
+TEST(MatrixTest, LargeBlocksGetTheirOwnPageAlignedMapping) {
+  // 256 KiB: the first size that is mapped; one float less stays on the
+  // heap, cache-line aligned.
+  const uint64_t mapped = MappedBlocksOnThisThread();
+  Matrix heap(1, kMappedBlockBytes / sizeof(float) - 1);
+  EXPECT_EQ(MappedBlocksOnThisThread(), mapped);
+  EXPECT_TRUE(CacheLineAligned(heap));
+  Matrix big(256, 256);
+  EXPECT_EQ(MappedBlocksOnThisThread(), mapped + 1);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(big.Row(0)) % PageSize(), 0u);
+  for (float v : big.data()) ASSERT_EQ(v, 0.0f);
+  // Growing past the threshold maps; a copy maps a block of its own.
+  heap.EnsureShape(2, kMappedBlockBytes / sizeof(float));
+  EXPECT_EQ(MappedBlocksOnThisThread(), mapped + 2);
+  Matrix copy = big;
+  EXPECT_EQ(MappedBlocksOnThisThread(), mapped + 3);
+  EXPECT_NE(copy.Row(0), big.Row(0));
+}
+
+TEST(MatrixTest, FreedLargeBlocksLeaveResidentMemory) {
+  // A zero-filled 8 MiB matrix is resident while it lives and returns
+  // its pages when freed. From the heap it would not: once freeing a
+  // larger heap block has raised glibc's mmap threshold (as a training's
+  // contents matrix did), an 8 MiB block comes from the brk heap and its
+  // pages stay resident after the free.
+  void* volatile raise_threshold = std::malloc(size_t{16} << 20);
+  std::free(raise_threshold);
+  constexpr size_t kBytes = size_t{8} << 20;
+  const size_t rss0 = ResidentBytes();
+  ASSERT_GT(rss0, 0u) << "no /proc/self/statm";
+  size_t rss_live = 0;
+  {
+    Matrix big(kBytes / sizeof(float) / 1024, 1024);
+    rss_live = ResidentBytes();
+  }
+  const size_t rss_freed = ResidentBytes();
+  EXPECT_GE(rss_live, rss0 + kBytes - (size_t{1} << 20));
+  EXPECT_LE(rss_freed + kBytes - (size_t{1} << 20), rss_live);
+}
+
+TEST(MatrixTest, ReadingPastAMappedBlockTripsAsan) {
+#ifdef E2NVM_TEST_ASAN
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // 256 KiB is a whole number of pages: the poisoned headroom, not the
+  // next page, sits one float past the payload.
+  EXPECT_DEATH(
+      {
+        Matrix big(256, 256);
+        const volatile float* past = big.data().data() + big.size();
+        std::printf("%f\n", static_cast<double>(*past));
+      },
+      "AddressSanitizer");
+#else
+  GTEST_SKIP() << "needs an ASan build (check.sh's sanitize stage)";
+#endif
 }
 
 TEST(MatrixTest, CopyRowFrom) {

@@ -273,7 +273,10 @@ TEST(NetServerTest, SteadyStateLoopIsAllocAndSharedLockFree) {
   ServerConfig sc;
   sc.num_workers = 1;  // All requests on one worker: exact threshold.
   sc.audit_after_requests = kWarmupRequests;
-  sc.alloc_probe = +[] { return t_alloc_count; };
+  // Heap blocks plus Matrix storage's mapped ones.
+  sc.alloc_probe = +[] {
+    return t_alloc_count + ml::MappedBlocksOnThisThread();
+  };
   auto server_or = Server::Start(store.get(), sc);
   ASSERT_TRUE(server_or.ok());
   auto& server = *server_or;

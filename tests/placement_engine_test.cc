@@ -61,6 +61,27 @@ TEST(PlacementEngineTest, PlaceBeforeBootstrapFails) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(PlacementEngineTest, PredictBeforeBootstrapIsRefused) {
+  // No model has trained yet: an E2Model holds no VAE to encode with,
+  // and an unfitted k-means would answer cluster 0 for everything. The
+  // refusal charges no prediction.
+  core::E2ModelConfig mc;
+  mc.input_dim = kBits;
+  mc.k = 4;
+  for (bool e2 : {true, false}) {
+    Rig rig(e2 ? std::unique_ptr<placement::ContentClusterer>(
+                     std::make_unique<E2Model>(mc))
+               : KMeans(4));
+    rig.SeedWith(ClusteredData(64));
+    EXPECT_EQ(rig.engine->PredictClusterFor(BitVector(kBits)).status().code(),
+              StatusCode::kFailedPrecondition)
+        << rig.engine->name();
+    EXPECT_EQ(rig.engine->stats().predict_flops, 0.0);
+    ASSERT_TRUE(rig.engine->Bootstrap().ok());
+    EXPECT_TRUE(rig.engine->PredictClusterFor(BitVector(kBits)).ok());
+  }
+}
+
 TEST(PlacementEngineTest, BootstrapPopulatesWholePool) {
   Rig rig(KMeans(4));
   rig.SeedWith(ClusteredData(64));

@@ -167,6 +167,33 @@ TEST(ShardedStore, ShardsSeededAlikeServeOneModel) {
   }
 }
 
+TEST(ShardedStore, FourTwinsBootstrapOnOneVae) {
+  // Only a training builds a VAE: the four shards hold none before
+  // Bootstrap, which trains shard 0 alone, and the three twins serve that
+  // one model. The training's workspace is gone once Bootstrap returns.
+  auto ds = ClusteredData(3);
+  ShardedStoreConfig cfg;
+  cfg.num_shards = 4;
+  cfg.shard = ShardConfig();
+  auto store_or = ShardedStore::Create(cfg);
+  ASSERT_TRUE(store_or.ok());
+  auto sharded = std::move(*store_or);
+  auto model = [&](size_t s) -> const E2Model& {
+    return dynamic_cast<const E2Model&>(
+        sharded->shard(s).engine().clusterer());
+  };
+  for (size_t s = 0; s < cfg.num_shards; ++s) {
+    EXPECT_FALSE(model(s).has_vae()) << "shard " << s;
+  }
+  sharded->Seed(ds);
+  ASSERT_TRUE(sharded->Bootstrap().ok());
+  ASSERT_TRUE(model(0).has_vae());
+  EXPECT_FALSE(model(0).vae().has_workspace());
+  for (size_t s = 1; s < cfg.num_shards; ++s) {
+    EXPECT_EQ(&model(s), &model(0)) << "shard " << s;
+  }
+}
+
 TEST(ShardedStore, ShardsThatCanRefineEachHoldACopy) {
   // A refine step changes its model in place, so with incremental
   // learning and auto-retrain on each shard holds its own copy of the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -62,7 +63,6 @@ TEST(VaeTest, EncodeMuMatchesTheTrainingLayerGraph) {
   Rng rng(cfg.seed);
   Dense enc(cfg.input_dim, cfg.hidden_dim, rng);
   Dense mu_head(cfg.hidden_dim, cfg.latent_dim, rng);
-  Relu relu;
   ASSERT_EQ(enc.weights().value.data(), vae.encoder_weights().data());
   Rng vals(3);
   for (bool binary : {true, false}) {
@@ -70,7 +70,10 @@ TEST(VaeTest, EncodeMuMatchesTheTrainingLayerGraph) {
     if (!binary) {
       for (auto& v : x.data()) v = vals.NextFloat() * 4.0f - 2.0f;
     }
-    const Matrix want = mu_head.Forward(relu.Forward(enc.Forward(x)));
+    Matrix hidden, want;
+    enc.Forward(x, &hidden);
+    ReluInPlace(hidden);
+    mu_head.Forward(hidden, &want);
     const Matrix got = vae.EncodeMu(x);
     ASSERT_EQ(got.rows(), want.rows());
     ASSERT_EQ(got.cols(), want.cols());
@@ -301,6 +304,35 @@ TEST(VaeTest, DroppingTheLossChangesNoState) {
   }
   ExpectSameState(refined, reference);
   EXPECT_EQ(refined.step(), base.step() + 3);
+}
+
+TEST(VaeTest, EvalLossIsTheTwoTermCrossEntropy) {
+  // With beta = 0 the loss is the reconstruction alone. Summed in the
+  // same order, the one-log form the loss takes for 0/1 targets must
+  // give the two-term form's bits, and any other target keeps both
+  // terms.
+  VaeConfig cfg = SmallConfig();
+  cfg.beta = 0.0f;
+  Vae vae(cfg);
+  Matrix x = TwoProtoData(10, cfg.input_dim, 4);
+  vae.PartialFit(x, 5);  // Two steps, so the outputs are not the init's.
+  for (bool binary : {true, false}) {
+    if (!binary) {
+      for (size_t i = 0; i < x.size(); i += 3) x.data()[i] = 0.25f;
+    }
+    const Matrix probs = vae.Decode(vae.EncodeMu(x));
+    double l = 0.0;
+    for (size_t i = 0; i < probs.size(); ++i) {
+      float p = std::clamp(probs.data()[i], 1e-7f, 1.0f - 1e-7f);
+      float t = x.data()[i];
+      l -= static_cast<double>(t) * std::log(p) +
+           (1.0 - static_cast<double>(t)) * std::log(1.0f - p);
+    }
+    const double want = l / static_cast<double>(x.rows());
+    const double got = vae.EvalLoss(x);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
+        << "binary=" << binary << " got " << got << " want " << want;
+  }
 }
 
 TEST(VaeTest, FlopsEstimatesPositiveAndOrdered) {
