@@ -110,8 +110,11 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
 fi
 
 echo "== slowest tests =="
+# awk keeps the first ten lines but reads all of its input: `head` would
+# close the pipe early and, under pipefail, fail the script with sort's
+# SIGPIPE.
 sed -nE 's@^ *[0-9]+/[0-9]+ Test +#[0-9]+: +([A-Za-z0-9_]+) .* (Passed|\*\*\*[A-Za-z]+) +([0-9.]+) sec.*@\3 \1@p' \
     "$timing_log" \
-  | sort -rn | head -10 | awk '{printf "%8.2f s  %s\n", $1, $2}'
+  | sort -rn | awk 'NR <= 10 {printf "%8.2f s  %s\n", $1, $2}'
 
 echo "All checks passed."

@@ -5,9 +5,40 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/exp_log_port.h"
 #include "common/logging.h"
 
 namespace e2nvm {
+
+namespace internal {
+
+/// sigmoid_f32 and log_f32 through libm's expf and logf, for a CPU on
+/// which the expf/logf port's fused steps would be calls to a software
+/// fma (about a hundred times slower than libm's own expf): there no
+/// tier runs the port (the SIMD tiers need FMA), and training keeps the
+/// bits libm gives it, as before the port.
+void LibmSigmoid(const float* x, float* y, size_t n) {
+  // Two passes per stack chunk: libm's expf call for call, then the
+  // select and divide, a loop with no branch that the compiler
+  // vectorizes (twice as fast as one pass); the chunk lets y be x.
+  constexpr size_t kChunk = 256;
+  float e[kChunk];
+  for (size_t i0 = 0; i0 < n; i0 += kChunk) {
+    const size_t len = n - i0 < kChunk ? n - i0 : kChunk;
+    for (size_t i = 0; i < len; ++i) {
+      e[i] = std::exp(SigmoidExpArg(x[i0 + i]));
+    }
+    for (size_t i = 0; i < len; ++i) {
+      y[i0 + i] = (x[i0 + i] >= 0 ? 1.0f : e[i]) / (1.0f + e[i]);
+    }
+  }
+}
+
+void LibmLog(const float* x, float* y, size_t n) {
+  for (size_t i = 0; i < n; ++i) y[i] = std::log(x[i]);
+}
+
+}  // namespace internal
 
 namespace {
 
@@ -79,14 +110,16 @@ void ScalarAdam(float* w, float* m, float* v, const float* g, size_t n,
   }
 }
 
-void ScalarGemv(const float* a, const float* b, size_t k, size_t n,
-                float* c) {
-  for (size_t j = 0; j < n; ++j) c[j] = 0.0f;
-  for (size_t p = 0; p < k; ++p) {
-    const float av = a[p];
-    if (av == 0.0f) continue;
-    const float* brow = b + p * n;
-    for (size_t j = 0; j < n; ++j) c[j] += av * brow[j];
+void ScalarGemm(const float* a, const float* b, size_t m, size_t k,
+                size_t n, float* c) {
+  for (size_t i = 0; i < m; ++i, a += k, c += n) {
+    for (size_t j = 0; j < n; ++j) c[j] = 0.0f;
+    for (size_t p = 0; p < k; ++p) {
+      const float av = a[p];
+      if (av == 0.0f) continue;
+      const float* brow = b + p * n;
+      for (size_t j = 0; j < n; ++j) c[j] += av * brow[j];
+    }
   }
 }
 
@@ -116,8 +149,10 @@ uint32_t ScalarCrc32c(uint32_t crc, const void* data, size_t n) {
 }
 
 constexpr KernelOps kScalarOps = {
-    ScalarPopcount, ScalarHamming, ScalarDiff,   ScalarBitsToFloats,
-    ScalarAdd,      ScalarAdam,    ScalarGemv,   ScalarCrc32c,
+    ScalarPopcount,     ScalarHamming,         ScalarDiff,
+    ScalarBitsToFloats, ScalarAdd,             ScalarAdam,
+    ScalarGemm,         internal::LibmSigmoid, internal::LibmLog,
+    ScalarCrc32c,
 };
 
 // ----------------------------------------------------- dispatch --
@@ -126,20 +161,50 @@ constexpr KernelOps kScalarOps = {
 #define E2NVM_X86_CPUID 1
 #endif
 
-bool CpuHasAvx2() {
-#ifdef E2NVM_X86_CPUID
+bool CpuHasFma() {
+#if defined(E2NVM_X86_CPUID) && defined(E2NVM_HAVE_FMA)
   __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
+  return __builtin_cpu_supports("fma");
 #else
   return false;
 #endif
+}
+
+// The SIMD tiers run the expf/logf port, the AVX2 tier from
+// kernels_fma.cc, so both need FMA too (every AVX2 and AVX-512 CPU has
+// it): then every tier runs the port wherever the scalar tier does.
+bool CpuHasAvx2() {
+#ifdef E2NVM_X86_CPUID
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") && CpuHasFma();
+#else
+  return false;
+#endif
+}
+
+/// kScalarOps, with the expf/logf port compiled with -mfma
+/// (kernels_fma.cc) as sigmoid_f32 and log_f32 on a CPU that reports
+/// FMA: glibc's own expf and logf bits there (kernels.h), each fused
+/// step one instruction.
+const KernelOps& ScalarOps() {
+  static const KernelOps ops = [] {
+    KernelOps o = kScalarOps;
+#ifdef E2NVM_HAVE_FMA
+    if (CpuHasFma()) {
+      o.sigmoid_f32 = internal::FmaSigmoid;
+      o.log_f32 = internal::FmaLog;
+    }
+#endif
+    return o;
+  }();
+  return ops;
 }
 
 bool CpuHasAvx512() {
 #ifdef E2NVM_X86_CPUID
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512vpopcntdq");
+         __builtin_cpu_supports("avx512vpopcntdq") && CpuHasFma();
 #else
   return false;
 #endif
@@ -188,7 +253,7 @@ const Dispatch& GetDispatch() {
     SimdLevel level =
         ApplyOverride(std::getenv("E2NVM_SIMD"), DetectBest());
     const KernelOps* ops = OpsFor(level);
-    return Dispatch{level, ops != nullptr ? ops : &kScalarOps};
+    return Dispatch{level, ops != nullptr ? ops : &ScalarOps()};
   }();
   return d;
 }
@@ -214,7 +279,7 @@ const char* SimdLevelName(SimdLevel level) {
 const KernelOps* OpsFor(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
-      return &kScalarOps;
+      return &ScalarOps();
     case SimdLevel::kAvx2:
 #ifdef E2NVM_HAVE_AVX2
       if (CpuHasAvx2()) return internal::Avx2Ops();

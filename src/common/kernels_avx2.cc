@@ -1,9 +1,10 @@
-// AVX2 kernel tier. This translation unit is the only place in the
-// library compiled with -mavx2, and it is also compiled with
+// AVX2 kernel tier. This translation unit is compiled with -mavx2,
 // -ffp-contract=off and WITHOUT -mfma: the bit-identity contract in
 // kernels.h requires every multiply-add to round twice, exactly like the
-// scalar reference. x86 is little-endian, which the byte/word reinterpret
-// casts below rely on.
+// scalar reference. Its sigmoid_f32 and log_f32 are the scalar expf/logf
+// port compiled with -mfma (kernels_fma.cc); the tier is dispatched only
+// on a CPU that reports FMA. x86 is little-endian, which the byte/word
+// reinterpret casts below rely on.
 #include "common/kernels.h"
 
 #ifdef __AVX2__
@@ -213,7 +214,7 @@ inline void ForEachNonzero(const float* a, size_t k, Visit&& visit) {
   }
 }
 
-/// One gemv term: a[p] * w as the scalar tier rounds it, or w itself for
+/// One gemm term: a[p] * w as the scalar tier rounds it, or w itself for
 /// a block of exactly-1.0f inputs (1.0f * w == w for every float w).
 template <bool kUnit>
 inline __m256 Term(std::bool_constant<kUnit>, float av, __m256 w) {
@@ -224,13 +225,13 @@ inline __m256 Term(std::bool_constant<kUnit>, float av, __m256 w) {
   }
 }
 
-void Avx2Gemv(const float* a, const float* b, size_t k, size_t n,
-              float* c) {
-  // Column tiles wide enough to keep the accumulators in registers for
-  // the whole k-loop: 32 floats (4 ymm), then 8, then a scalar tail.
-  // Every c[j] still sums its nonzero a[p] terms in ascending p with
-  // one mul (dropped where it is by exactly 1.0f) and one add per term —
-  // bit-identical to the scalar loop.
+/// One row's product c = a B (kernels.h gemm_f32, m = 1). Column tiles
+/// wide enough to keep the accumulators in registers for the whole
+/// k-loop: 32 floats (4 ymm), then 8, then a scalar tail. Every c[j]
+/// still sums its nonzero a[p] terms in ascending p with one mul
+/// (dropped where it is by exactly 1.0f) and one add per term —
+/// bit-identical to the scalar loop.
+void GemvRow(const float* a, const float* b, size_t k, size_t n, float* c) {
   size_t j = 0;
   for (; j + 32 <= n; j += 32) {
     __m256 acc0 = _mm256_setzero_ps();
@@ -270,6 +271,12 @@ void Avx2Gemv(const float* a, const float* b, size_t k, size_t n,
   }
 }
 
+/// gemm_f32: each row of A is one GemvRow walk (kernels.h).
+void Avx2Gemm(const float* a, const float* b, size_t m, size_t k, size_t n,
+              float* c) {
+  for (size_t i = 0; i < m; ++i) GemvRow(a + i * k, b, k, n, c + i * n);
+}
+
 // CRC32C via the SSE4.2 crc32 instruction (the crc32 unit is baseline
 // on every AVX2 CPU and -mavx2 implies -msse4.2). The instruction works
 // on the bit-inverted running state, so invert on entry/exit to keep the
@@ -294,8 +301,8 @@ uint32_t Avx2Crc32c(uint32_t crc, const void* data, size_t n) {
 }
 
 const KernelOps kAvx2Ops = {
-    Avx2Popcount, Avx2Hamming, Avx2Diff, Avx2BitsToFloats,
-    Avx2Add,      Avx2Adam,    Avx2Gemv, Avx2Crc32c,
+    Avx2Popcount, Avx2Hamming, Avx2Diff,   Avx2BitsToFloats, Avx2Add,
+    Avx2Adam,     Avx2Gemm,    FmaSigmoid, FmaLog,           Avx2Crc32c,
 };
 
 }  // namespace

@@ -1,8 +1,9 @@
 // AVX-512 kernel tier (AVX-512F + VPOPCNTDQ). Compiled with exactly
 // those ISA flags plus -ffp-contract=off and WITHOUT -mfma — see the
-// bit-identity contract in kernels.h. The masked loads/stores make every
-// tail exact without scalar epilogues: masked-out lanes are
-// architecturally guaranteed not to fault.
+// bit-identity contract in kernels.h; the expf/logf port's fused steps
+// are explicit FMA intrinsics, which AVX-512F has. The masked
+// loads/stores make every tail exact without scalar epilogues:
+// masked-out lanes are architecturally guaranteed not to fault.
 #include "common/kernels.h"
 
 #if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__)
@@ -11,6 +12,8 @@
 #include <type_traits>
 
 #include <immintrin.h>
+
+#include "common/exp_log_port.h"
 
 namespace e2nvm::internal {
 namespace {
@@ -194,7 +197,7 @@ inline void ForEachNonzero(const float* a, size_t k, Visit&& visit) {
   }
 }
 
-/// One gemv term: a[p] * w as the scalar tier rounds it, or w itself for
+/// One gemm term: a[p] * w as the scalar tier rounds it, or w itself for
 /// a block of exactly-1.0f inputs (1.0f * w == w for every float w).
 template <bool kUnit>
 inline __m512 Term(std::bool_constant<kUnit>, float av, __m512 w) {
@@ -205,13 +208,12 @@ inline __m512 Term(std::bool_constant<kUnit>, float av, __m512 w) {
   }
 }
 
-void Avx512Gemv(const float* a, const float* b, size_t k, size_t n,
-                float* c) {
-  // Column tiles of 64 floats (4 zmm accumulators held across the whole
-  // k-loop), then masked 16-wide steps for the tail. Per-element math is
-  // ascending-p mul-then-add with zero a[p] skipped (the multiply
-  // dropped where it is by exactly 1.0f) — bit-identical to the scalar
-  // reference.
+/// One row's product c = a B (kernels.h gemm_f32, m = 1). Column tiles
+/// of 64 floats (4 zmm accumulators held across the whole k-loop), then
+/// masked 16-wide steps for the tail. Per-element math is ascending-p
+/// mul-then-add with zero a[p] skipped (the multiply dropped where it is
+/// by exactly 1.0f) — bit-identical to the scalar reference.
+void GemvRow(const float* a, const float* b, size_t k, size_t n, float* c) {
   size_t j = 0;
   for (; j + 64 <= n; j += 64) {
     __m512 acc0 = _mm512_setzero_ps();
@@ -245,6 +247,163 @@ void Avx512Gemv(const float* a, const float* b, size_t k, size_t n,
   }
 }
 
+void Avx512Gemm(const float* a, const float* b, size_t m, size_t k,
+                size_t n, float* c) {
+  for (size_t i = 0; i < m; ++i) GemvRow(a + i * k, b, k, n, c + i * n);
+}
+
+// ------------------------------------------------ expf/logf port --
+//
+// Eight lanes of doubles run exp_log_port.h's steps: the same
+// conversions, integer tricks and polynomials, each fused step one
+// vfmadd/vfmsub (fmsub(a, b, c) rounds a * b - c once, as
+// std::fma(a, b, -c) does). Table lookups are two-source permutes over
+// the table held in registers. Lanes the scalar port sends down a
+// special-case branch are recomputed by it.
+
+/// The 16 floats of `v` as two halves of 8.
+inline __m256 LowHalf(__m512 v) { return _mm512_castps512_ps256(v); }
+inline __m256 HighHalf(__m512 v) {
+  return _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1));
+}
+inline __m512 Join(__m256 lo, __m256 hi) {
+  return _mm512_castpd_ps(_mm512_insertf64x4(
+      _mm512_castps_pd(_mm512_castps256_ps512(lo)), _mm256_castps_pd(hi),
+      1));
+}
+
+/// Lanes of `v` in `lanes` replaced by f(v[lane]).
+template <typename F>
+inline __m512 PatchLanes(__m512 out, __m512 v, __mmask16 lanes, F f) {
+  alignas(64) float in_f[16], out_f[16];
+  _mm512_store_ps(in_f, v);
+  _mm512_store_ps(out_f, out);
+  for (uint32_t bits = lanes; bits != 0; bits &= bits - 1) {
+    const int q = std::countr_zero(bits);
+    out_f[q] = f(in_f[q]);
+  }
+  return _mm512_load_ps(out_f);
+}
+
+/// ExpfPort's main path on 8 floats.
+inline __m256 ExpPort8(__m256 x) {
+  const __m512i* tab = reinterpret_cast<const __m512i*>(internal::kExp2fTable);
+  const __m512d inv_ln2n = _mm512_set1_pd(internal::kExpInvLn2N);
+  const __m512d shift = _mm512_set1_pd(internal::kExpShift);
+  const __m512d xd = _mm512_cvtps_pd(x);
+  __m512d kd = _mm512_fmadd_pd(inv_ln2n, xd, shift);
+  const __m512i ki = _mm512_castpd_si512(kd);
+  kd = _mm512_sub_pd(kd, shift);
+  const __m512d r = _mm512_fmsub_pd(inv_ln2n, xd, kd);
+  // tab[ki % 32]: bits 0-3 pick an entry of a 16-entry half, bit 4 the
+  // half.
+  const __m512i lo = _mm512_permutex2var_epi64(_mm512_loadu_si512(tab), ki,
+                                               _mm512_loadu_si512(tab + 1));
+  const __m512i hi = _mm512_permutex2var_epi64(
+      _mm512_loadu_si512(tab + 2), ki, _mm512_loadu_si512(tab + 3));
+  const __mmask8 upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
+  const __m512i t = _mm512_add_epi64(_mm512_mask_blend_epi64(upper, lo, hi),
+                                     _mm512_slli_epi64(ki, 47));
+  const __m512d z = _mm512_fmadd_pd(_mm512_set1_pd(internal::kExpPoly[0]), r,
+                                    _mm512_set1_pd(internal::kExpPoly[1]));
+  const __m512d r2 = _mm512_mul_pd(r, r);
+  __m512d y = _mm512_fmadd_pd(_mm512_set1_pd(internal::kExpPoly[2]), r,
+                              _mm512_set1_pd(1.0));
+  y = _mm512_fmadd_pd(z, r2, y);
+  return _mm512_cvtpd_ps(_mm512_mul_pd(y, _mm512_castsi512_pd(t)));
+}
+
+/// sigmoid_f32 on the lanes of `live`, 16 at a time.
+inline void Sigmoid16(const float* x, float* y, __mmask16 live) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 xv = _mm512_maskz_loadu_ps(live, x);
+  // The exp argument x >= 0 ? -x : x, by flipping the sign bit.
+  const __mmask16 nonneg =
+      _mm512_cmp_ps_mask(xv, _mm512_setzero_ps(), _CMP_GE_OQ);
+  const __m512i xi = _mm512_castps_si512(xv);
+  const __m512 arg = _mm512_castsi512_ps(_mm512_mask_xor_epi32(
+      xi, nonneg, xi, _mm512_set1_epi32(static_cast<int>(0x80000000u))));
+  __m512 e = Join(ExpPort8(LowHalf(arg)), ExpPort8(HighHalf(arg)));
+  // |arg| >= 88 or NaN: ExpfPort's special-case branches.
+  const __mmask16 special = _mm512_mask_cmpge_epu32_mask(
+      live,
+      _mm512_and_si512(_mm512_castps_si512(arg),
+                       _mm512_set1_epi32(0x7fffffff)),
+      _mm512_set1_epi32(static_cast<int>(internal::kExpfSpecialTop12 << 20)));
+  if (special != 0) [[unlikely]] {
+    e = PatchLanes(e, arg, special, internal::ExpfPort);
+  }
+  const __m512 num = _mm512_mask_blend_ps(nonneg, e, one);
+  _mm512_mask_storeu_ps(y, live,
+                        _mm512_div_ps(num, _mm512_add_ps(one, e)));
+}
+
+void Avx512Sigmoid(const float* x, float* y, size_t n) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    Sigmoid16(x + i, y + i, static_cast<__mmask16>(0xFFFF));
+  }
+  if (i < n) Sigmoid16(x + i, y + i, TailMask16(n - i));
+}
+
+/// LogfPort's main path on 8 lanes: z and k as LogfPort derives them
+/// (as floats and int32s), `idx` the table index of each lane.
+inline __m256 LogPort8(__m256 z, __m256i k, __m256i idx) {
+  const __m512i i64 = _mm512_cvtepu32_epi64(idx);
+  const __m512d invc =
+      _mm512_permutex2var_pd(_mm512_loadu_pd(internal::kLogfInvC), i64,
+                             _mm512_loadu_pd(internal::kLogfInvC + 8));
+  const __m512d logc =
+      _mm512_permutex2var_pd(_mm512_loadu_pd(internal::kLogfLogC), i64,
+                             _mm512_loadu_pd(internal::kLogfLogC + 8));
+  const __m512d r =
+      _mm512_fmsub_pd(_mm512_cvtps_pd(z), invc, _mm512_set1_pd(1.0));
+  const __m512d y0 = _mm512_fmadd_pd(
+      _mm512_cvtepi32_pd(k), _mm512_set1_pd(internal::kLogfLn2), logc);
+  const __m512d r2 = _mm512_mul_pd(r, r);
+  __m512d y = _mm512_fmadd_pd(_mm512_set1_pd(internal::kLogfPoly[1]), r,
+                              _mm512_set1_pd(internal::kLogfPoly[2]));
+  y = _mm512_fmadd_pd(_mm512_set1_pd(internal::kLogfPoly[0]), r2, y);
+  y = _mm512_fmadd_pd(y, r2, _mm512_add_pd(y0, r));
+  return _mm512_cvtpd_ps(y);
+}
+
+/// log_f32 on the lanes of `live`, 16 at a time.
+inline void Log16(const float* x, float* y, __mmask16 live) {
+  const __m512 xv = _mm512_maskz_loadu_ps(live, x);
+  const __m512i ix = _mm512_castps_si512(xv);
+  // x < 0x1p-126 (zero, subnormal, negative), inf or NaN.
+  const __mmask16 special = _mm512_mask_cmpge_epu32_mask(
+      live, _mm512_sub_epi32(ix, _mm512_set1_epi32(0x00800000)),
+      _mm512_set1_epi32(0x7f800000 - 0x00800000));
+  const __m512i tmp =
+      _mm512_sub_epi32(ix, _mm512_set1_epi32(internal::kLogfOff));
+  const __m512i idx = _mm512_and_si512(
+      _mm512_srli_epi32(tmp, 23 - internal::kLogTableBits),
+      _mm512_set1_epi32((1 << internal::kLogTableBits) - 1));
+  const __m512i k = _mm512_srai_epi32(tmp, 23);
+  const __m512 z = _mm512_castsi512_ps(_mm512_sub_epi32(
+      ix, _mm512_and_si512(tmp, _mm512_set1_epi32(
+                                    static_cast<int>(0xff800000u)))));
+  auto half = [](__m512i v, int h) {
+    return _mm512_extracti64x4_epi64(v, h);
+  };
+  __m512 out = Join(LogPort8(LowHalf(z), half(k, 0), half(idx, 0)),
+                    LogPort8(HighHalf(z), half(k, 1), half(idx, 1)));
+  if (special != 0) [[unlikely]] {
+    out = PatchLanes(out, xv, special, internal::LogfPort);
+  }
+  _mm512_mask_storeu_ps(y, live, out);
+}
+
+void Avx512Log(const float* x, float* y, size_t n) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    Log16(x + i, y + i, static_cast<__mmask16>(0xFFFF));
+  }
+  if (i < n) Log16(x + i, y + i, TailMask16(n - i));
+}
+
 // CRC32C through the same SSE4.2 crc32 unit as the AVX2 tier (baseline
 // on every AVX-512 CPU); duplicated here so the tier's table stands
 // alone. See kernels_avx2.cc for the inversion convention.
@@ -267,8 +426,9 @@ uint32_t Avx512Crc32c(uint32_t crc, const void* data, size_t n) {
 }
 
 const KernelOps kAvx512Ops = {
-    Avx512Popcount, Avx512Hamming, Avx512Diff, Avx512BitsToFloats,
-    Avx512Add,      Avx512Adam,    Avx512Gemv, Avx512Crc32c,
+    Avx512Popcount, Avx512Hamming,      Avx512Diff, Avx512BitsToFloats,
+    Avx512Add,      Avx512Adam,         Avx512Gemm, Avx512Sigmoid,
+    Avx512Log,      Avx512Crc32c,
 };
 
 }  // namespace

@@ -1,8 +1,6 @@
 #include "ml/layers.h"
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 
 #include "common/kernels.h"
 
@@ -63,27 +61,8 @@ void Dense::ZeroGrad() {
   b_.ZeroGrad();
 }
 
-namespace {
-
-/// The argument the stable sigmoid exponentiates, x >= 0 ? -x : x (+0
-/// and -0 flip, NaN stays). Negation flips the sign bit alone, so the
-/// compare picks the flip and no branch does: on random logits a branch
-/// here mispredicts half the time.
-float SigmoidExpArg(float x) {
-  const uint32_t flip = static_cast<uint32_t>(x >= 0) << 31;
-  return std::bit_cast<float>(std::bit_cast<uint32_t>(x) ^ flip);
-}
-
-}  // namespace
-
-void SigmoidArray(const float* __restrict x, float* __restrict y,
-                  size_t n) {
-  // Two passes: libm exp, call for call, then the select and divide, a
-  // loop with no branch that the compiler vectorizes.
-  for (size_t i = 0; i < n; ++i) y[i] = std::exp(SigmoidExpArg(x[i]));
-  for (size_t i = 0; i < n; ++i) {
-    y[i] = (x[i] >= 0 ? 1.0f : y[i]) / (1.0f + y[i]);
-  }
+void SigmoidArray(const float* x, float* y, size_t n) {
+  Ops().sigmoid_f32(x, y, n);
 }
 
 void ReluBackwardInPlace(const Matrix& y, Matrix* dy) {

@@ -106,8 +106,10 @@ class Dense {
 void ReluBackwardInPlace(const Matrix& y, Matrix* dy);
 
 /// Numerically stable elementwise sigmoid: y[i] = 1 / (1 + exp(-x[i]))
-/// for x[i] >= 0 and exp(x[i]) / (1 + exp(x[i])) otherwise, with libm's
-/// exp, so the exp never overflows. `y` may not alias `x`.
+/// for x[i] >= 0 and exp(x[i]) / (1 + exp(x[i])) otherwise, so the exp
+/// never overflows — kernels.h's sigmoid_f32, whose exp is a port of
+/// glibc's expf on a CPU with FMA (libm's elsewhere), bit-identical on
+/// every tier. `y` may not alias `x`.
 void SigmoidArray(const float* x, float* y, size_t n);
 
 }  // namespace e2nvm::ml

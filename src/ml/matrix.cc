@@ -137,22 +137,21 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   assert(a.cols() == b.rows());
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   c->EnsureShape(m, n);
-  // One register-blocked GEMV per output row (kernels.h gemv_f32): each
-  // c[i][j] accumulates its k products in ascending-p, mul-then-add
-  // order with zero a[i][p] skipped, and the accumulators stay in
-  // registers across the whole k-loop. The SIMD tiers find the nonzero
-  // inputs through a compare mask instead of a branch per input, which
-  // matters here: encoder inputs are featurized bit patterns (every
-  // element 0.0 or 1.0) and ReLU leaves hidden rows sparse, so such a
-  // branch is near-random. Rows are independent, so any row split and
-  // any pool size reproduce the serial result bit for bit — this is what
-  // lets a batched encode (Vae::EncodeMuInto, MultiPut's placement, a
-  // DAP fill) match one-row encodes and sequential Puts.
+  // One register-blocked GEMM call per block of output rows (kernels.h
+  // gemm_f32): each c[i][j] accumulates its k products in ascending-p,
+  // mul-then-add order with zero a[i][p] skipped, and the accumulators
+  // stay in registers across the whole k-loop. The SIMD tiers find the
+  // nonzero inputs through a compare mask instead of a branch per input,
+  // which matters here: encoder inputs are featurized bit patterns
+  // (every element 0.0 or 1.0) and ReLU leaves hidden rows sparse, so
+  // such a branch is near-random. Every row's arithmetic is its own, so
+  // any row split and any pool size reproduce the serial result bit for
+  // bit — this is what lets a batched encode (Vae::EncodeMuInto,
+  // MultiPut's placement, a DAP fill) match one-row encodes and
+  // sequential Puts.
   const KernelOps& kern = Ops();
   auto rows = [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      kern.gemv_f32(a.Row(i), b.Row(0), k, n, c->Row(i));
-    }
+    kern.gemm_f32(a.Row(lo), b.Row(0), hi - lo, k, n, c->Row(lo));
   };
   ThreadPool* pool = compute_pool();
   const double macs_per_row = static_cast<double>(k) * n;

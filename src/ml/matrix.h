@@ -234,10 +234,10 @@ class Matrix {
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// C = A * B into a caller-owned scratch matrix (EnsureShape'd to m x n).
-/// Each output row is one gemv_f32 call on that row of A, so MatMul
-/// (which wraps it), any batch of rows and any pool split give results
-/// bit-identical to row-at-a-time products. This is the allocation-free
-/// variant the write-path inference scratch uses.
+/// Each block of output rows is one gemm_f32 call, whose rows keep their
+/// own arithmetic, so MatMul (which wraps it), any batch of rows and any
+/// pool split give results bit-identical to row-at-a-time products. This
+/// is the allocation-free variant the write-path inference scratch uses.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// A^T into a caller-owned scratch matrix (EnsureShape'd to cols x
@@ -247,7 +247,7 @@ void TransposeInto(const Matrix& a, Matrix* at);
 
 /// C = A * B^T. Shapes: (m x k) * (n x k) -> (m x n). MatMulInto(A, B^T):
 /// bit-identical to the plain ascending-p dot products whenever B is
-/// finite (kernels.h gemv_f32 says why skipping A's zeros is exact).
+/// finite (kernels.h gemm_f32 says why skipping A's zeros is exact).
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
 /// C = A^T * B. Shapes: (k x m) * (k x n) -> (m x n). MatMulInto(A^T, B):

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
@@ -33,37 +34,110 @@ void ForElements(size_t n, const Body& body) {
   }
 }
 
-/// Binary cross-entropy of `probs` against the targets `x`, summed, with
-/// the per-block partials in `partial`. For a 0/1 target one of the two
-/// terms is 0 * log(..) = -0.0, which adds nothing to a finite nonzero
-/// log (the clamp keeps both logs so), so those elements take the one
-/// log their target selects; any other target keeps both terms. The
-/// select is arithmetic: t * p + (1 - t) * (1 - p) is exactly p or 1 - p
-/// for t = 1 or 0, where a compare-and-branch per element would
-/// mispredict on featurized bits and cost more than the log it saves.
-double BceSum(const Matrix& probs, const Matrix& x,
-              std::vector<double>* partial) {
-  partial->assign(
-      std::max<size_t>(ThreadPool::NumBlocks(probs.size(), kElemGrain), 1),
-      0.0);
-  ForElements(probs.size(), [&](size_t lo, size_t hi, size_t blk) {
-    double l = 0.0;
-    for (size_t i = lo; i < hi; ++i) {
-      const float p = std::clamp(probs.data()[i], 1e-7f, 1.0f - 1e-7f);
-      const float t = x.data()[i];
-      const float u = 1.0f - t;
-      if (t * u == 0.0f) {  // t is 0 or 1 (one branch, always taken).
-        l -= static_cast<double>(std::log(t * p + u * (1.0f - p)));
+/// Elements per log_f32 call in the cross-entropy: a fixed stack buffer,
+/// so the loss allocates nothing.
+constexpr size_t kLogChunk = 256;
+
+/// `l` minus the binary cross-entropy of probs[i] against the targets
+/// x[i] for i in [0, n), subtracted in ascending i. For a 0/1 target one
+/// of the two terms is 0 * log(..) = -0.0, which adds nothing to a
+/// finite nonzero log (the clamp keeps both logs so), so those elements
+/// take the one log their target selects; any other target keeps both
+/// terms. The select is arithmetic: t * p + (1 - t) * (1 - p) is exactly
+/// p or 1 - p for t = 1 or 0, where a compare-and-branch per element
+/// would mispredict on featurized bits. log_f32 takes the selected logs
+/// kLogChunk at a time; a target other than 0 and 1, which no training
+/// batch holds, takes its two logs one at a time.
+double BceRun(const float* probs, const float* x, size_t n, double l) {
+  const KernelOps& kern = Ops();
+  float arg[kLogChunk];
+  float lg[kLogChunk];
+  for (size_t c0 = 0; c0 < n; c0 += kLogChunk) {
+    const size_t len = std::min(kLogChunk, n - c0);
+    const float* pc = probs + c0;
+    const float* tc = x + c0;
+    for (size_t i = 0; i < len; ++i) {
+      const float p = std::clamp(pc[i], 1e-7f, 1.0f - 1e-7f);
+      const float t = tc[i];
+      arg[i] = t * p + (1.0f - t) * (1.0f - p);
+    }
+    kern.log_f32(arg, lg, len);
+    for (size_t i = 0; i < len; ++i) {
+      const float t = tc[i];
+      if (t * (1.0f - t) == 0.0f) {  // t is 0 or 1 (one branch, always taken).
+        l -= static_cast<double>(lg[i]);
       } else {
-        l -= static_cast<double>(t) * std::log(p) +
-             (1.0 - static_cast<double>(t)) * std::log(1.0f - p);
+        const float p = std::clamp(pc[i], 1e-7f, 1.0f - 1e-7f);
+        const float q = 1.0f - p;
+        float log_p, log_q;
+        kern.log_f32(&p, &log_p, 1);
+        kern.log_f32(&q, &log_q, 1);
+        l -= static_cast<double>(t) * log_p +
+             (1.0 - static_cast<double>(t)) * log_q;
       }
     }
-    (*partial)[blk] += l;
-  });
-  double loss = 0.0;
-  for (double l : *partial) loss += l;
-  return loss;
+  }
+  return l;
+}
+
+/// The cross-entropy of a stream of elements that arrives in pieces (a
+/// training batch in one, the validation rows a chunk at a time), split
+/// as ForElements splits the whole stream: with a pool installed and at
+/// least two kElemGrain blocks of elements, each block is one running
+/// sum, continued from piece to piece, and the partials combine in block
+/// order; otherwise the whole stream is one running sum. So the total
+/// has the same bits whatever pieces the stream came in.
+class BceStream {
+ public:
+  /// A stream of `total` elements, its running sums kept in `partial`.
+  BceStream(size_t total, std::vector<double>* partial)
+      : partial_(partial), pool_(compute_pool()) {
+    if (total < 2 * kElemGrain) pool_ = nullptr;
+    partial->assign(
+        std::max<size_t>(ThreadPool::NumBlocks(total, kElemGrain), 1), 0.0);
+  }
+
+  /// Adds `probs` against the targets `x`: elements [first, first +
+  /// probs.size()) of the stream.
+  void Add(const Matrix& probs, const Matrix& x, size_t first) {
+    const float* p = probs.data().data();
+    const float* t = x.data().data();
+    std::vector<double>& partial = *partial_;
+    if (pool_ == nullptr) {
+      partial[0] = BceRun(p, t, probs.size(), partial[0]);
+      return;
+    }
+    const size_t end = first + probs.size();
+    pool_->ParallelForBlocks(
+        first / kElemGrain, (end + kElemGrain - 1) / kElemGrain, 1,
+        [&](size_t lo, size_t hi, size_t) {
+          for (size_t b = lo; b < hi; ++b) {
+            const size_t from = std::max(first, b * kElemGrain);
+            const size_t to = std::min(end, (b + 1) * kElemGrain);
+            partial[b] = BceRun(p + (from - first), t + (from - first),
+                                to - from, partial[b]);
+          }
+        });
+  }
+
+  double Sum() const {
+    double loss = 0.0;
+    for (double l : *partial_) loss += l;
+    return loss;
+  }
+
+ private:
+  std::vector<double>* partial_;
+  ThreadPool* pool_;
+};
+
+/// Binary cross-entropy of `probs` against the targets `x`, summed, with
+/// the per-block partials in `partial`.
+double BceSum(const Matrix& probs, const Matrix& x,
+              std::vector<double>* partial) {
+  BceStream bce(probs.size(), partial);
+  bce.Add(probs, x, 0);
+  return bce.Sum();
 }
 
 /// probs = sigmoid(logits), elementwise (probs reshaped to match).
@@ -75,9 +149,9 @@ void SigmoidAll(const Matrix& logits, Matrix* probs) {
   });
 }
 
-/// KL(q(z|x) || N(0, I)) summed over a batch, before the beta weight.
-double KlSum(const Matrix& mu, const Matrix& logvar) {
-  double kl = 0.0;
+/// `kl` plus KL(q(z|x) || N(0, I)) summed over a batch, before the beta
+/// weight, added in element order.
+double KlSum(const Matrix& mu, const Matrix& logvar, double kl = 0.0) {
   for (size_t i = 0; i < mu.size(); ++i) {
     float m = mu.data()[i];
     float lv = logvar.data()[i];
@@ -272,13 +346,33 @@ void Vae::TrainRows(const Matrix& x, size_t first, size_t count,
 }
 
 double Vae::EvalLoss(const Matrix& x) const {
-  Matrix hidden, mu, logvar;
-  EncodeForward(x, &hidden, &mu, &logvar);
-  const Matrix probs = Decode(mu);  // eps = 0: z = mu.
-  std::vector<double> partial;
-  double recon = BceSum(probs, x, &partial) / static_cast<double>(x.rows());
-  return recon +
-         config_.beta * KlSum(mu, logvar) / static_cast<double>(x.rows());
+  Workspace ws;
+  return EvalLossOn(x, {}, x.rows(), &ws);
+}
+
+double Vae::EvalLossOn(const Matrix& x, std::span<const size_t> rows,
+                       size_t chunk, Workspace* ws) const {
+  const size_t n = rows.empty() ? x.rows() : rows.size();
+  BceStream bce(n * x.cols(), &ws->bce_partial);
+  double kl = 0.0;
+  for (size_t start = 0; start < n; start += chunk) {
+    const Matrix* in = &x;
+    if (!rows.empty()) {
+      const size_t bs = std::min(chunk, n - start);
+      ws->batch.EnsureShape(bs, x.cols());
+      for (size_t i = 0; i < bs; ++i) {
+        ws->batch.CopyRowFrom(x, rows[start + i], i);
+      }
+      in = &ws->batch;
+    }
+    EncodeForward(*in, &ws->hidden, &ws->mu, &ws->logvar);
+    DecodeForward(ws->mu, &ws->dec_hidden, &ws->logits);  // eps = 0: z = mu.
+    SigmoidAll(ws->logits, &ws->probs);
+    bce.Add(ws->probs, *in, start * x.cols());
+    kl = KlSum(ws->mu, ws->logvar, kl);
+  }
+  const double rows_d = static_cast<double>(n);
+  return bce.Sum() / rows_d + config_.beta * kl / rows_d;
 }
 
 TrainHistory Vae::Train(const Matrix& x, const VaeTrainOptions& opts) {
@@ -294,11 +388,9 @@ TrainHistory Vae::Train(const Matrix& x, const VaeTrainOptions& opts) {
       static_cast<double>(n) * opts.validation_fraction);
   val_n = std::min(val_n, n > 1 ? n - 1 : size_t{0});
   size_t train_n = n - val_n;
-
-  Matrix val(val_n, x.cols());
-  for (size_t i = 0; i < val_n; ++i) {
-    val.CopyRowFrom(x, order[train_n + i], i);
-  }
+  // The held-out rows, as the first shuffle leaves them: each epoch
+  // reshuffles all of `order`.
+  const std::vector<size_t> val_rows(order.begin() + train_n, order.end());
 
   // The joint-clustering option needs per-batch assignments, which the
   // caller supplies only for full-batch fine-tuning (see E2Model); inside
@@ -324,8 +416,11 @@ TrainHistory Vae::Train(const Matrix& x, const VaeTrainOptions& opts) {
       history.flops += TrainStepFlops(bs);
     }
     history.train_loss.push_back(batches ? epoch_loss / batches : 0.0);
-    history.val_loss.push_back(val_n > 0 ? EvalLoss(val)
-                                         : history.train_loss.back());
+    // The validation rows go through the step's buffers a batch at a
+    // time, so the pass maps no memory of its own.
+    history.val_loss.push_back(
+        val_n > 0 ? EvalLossOn(x, val_rows, opts.batch_size, &workspace())
+                  : history.train_loss.back());
   }
   return history;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -224,6 +225,13 @@ class Vae {
   /// Decoder forward pass (dec_in, ReLU, dec_out) from latent codes to
   /// input logits.
   void DecodeForward(const Matrix& z, Matrix* hidden, Matrix* logits) const;
+  /// EvalLoss of rows `rows` of `x`, gathered `chunk` rows at a time into
+  /// `ws`'s batch and evaluated on `ws`'s buffers; an empty `rows` means
+  /// all of `x` in place, in one piece (`chunk` >= x.rows()). The sums
+  /// run on across chunks in the one-piece order, so any chunking gives
+  /// the same bits.
+  double EvalLossOn(const Matrix& x, std::span<const size_t> rows,
+                    size_t chunk, Workspace* ws) const;
 
   VaeConfig config_;
   Rng rng_;

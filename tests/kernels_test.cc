@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/bitvec.h"
+#include "common/exp_log_port.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "ml/matrix.h"
@@ -213,28 +215,11 @@ TEST(KernelsTest, AdamMatchesScalarBitwise) {
   }
 }
 
-/// Input patterns for the gemv sweep. Every ±0.0f input's B row is
-/// filled with ±inf, so a tier that multiplied a zero it should have
-/// skipped would turn its outputs into NaN (0 * inf) and fail the
-/// comparison: the skip itself, not just the sum, is under test.
-///
-/// kBinary inputs are 0, -0 and 1.0 only, like a featurized encode, so
-/// every 64-input block takes the SIMD tiers' no-multiply path. The B
-/// rows under its 1.0 inputs hold -0.0f, denormal and ±inf columns,
-/// which must come through that path exactly as through a multiply by
-/// 1.0f. GemvCase::odd puts one other nonzero into a kBinary input; its
-/// block must then go back to the multiply path.
-enum class GemvInput { kMixed, kAllZero, kNoZero, kWithNaN, kBinary };
-
-struct GemvCase {
-  GemvInput kind;
-  /// kBinary only: a[odd_at] = odd when odd != 0.0f.
-  float odd = 0.0f;
-  size_t odd_at = 0;
-};
-
-/// One B entry under a 1.0f input of a kBinary pattern: -0.0f, a signed
-/// denormal, an infinity of the column's fixed sign, or a plain value.
+/// One B entry under a 1.0f input: -0.0f, a signed denormal, an infinity
+/// of the column's fixed sign, or a plain value, which must come through
+/// the no-multiply path exactly as through a multiply by 1.0f. The m = 1
+/// sweep puts it under a kBinary pattern's 1.0 inputs, the m >= 2 sweep
+/// in the B rows p with p % 5 == 4.
 float UnitRowEntry(size_t j, Rng& rng) {
   switch (j % 5) {
     case 0:
@@ -250,6 +235,40 @@ float UnitRowEntry(size_t j, Rng& rng) {
       return rng.NextFloat() * 2.0f - 1.0f;
   }
 }
+
+/// Where a kBinaryOdd row's or a GemvCase's other nonzero goes: the
+/// first 64-input block, a middle block, the last full block and the
+/// partial k-tail block (the ones that exist for this k).
+std::vector<size_t> OddPositions(size_t k) {
+  if (k == 0) return {};
+  const size_t blocks = (k + 63) / 64;
+  std::vector<size_t> at = {std::min<size_t>(5, k - 1),
+                            std::min(k - 1, blocks / 2 * 64 + 33)};
+  if (k >= 64) at.push_back(k / 64 * 64 - 1);
+  if (k % 64 != 0) at.push_back(k - 1);
+  return at;
+}
+
+/// Input patterns for the m = 1 gemm sweep (the write path's encode).
+/// Every ±0.0f input's B row is filled with ±inf, so a tier that
+/// multiplied a zero it should have skipped would turn its outputs into
+/// NaN (0 * inf) and fail the comparison: the skip itself, not just the
+/// sum, is under test.
+///
+/// kBinary inputs are 0, -0 and 1.0 only, like a featurized encode, so
+/// every 64-input block takes the SIMD tiers' no-multiply path. The B
+/// rows under its 1.0 inputs hold -0.0f, denormal and ±inf columns,
+/// which must come through that path exactly as through a multiply by
+/// 1.0f. GemvCase::odd puts one other nonzero into a kBinary input; its
+/// block must then go back to the multiply path.
+enum class GemvInput { kMixed, kAllZero, kNoZero, kWithNaN, kBinary };
+
+struct GemvCase {
+  GemvInput kind;
+  /// kBinary only: a[odd_at] = odd when odd != 0.0f.
+  float odd = 0.0f;
+  size_t odd_at = 0;
+};
 
 void FillGemvInputs(const GemvCase& gc, size_t k, size_t n, Rng& rng,
                     std::vector<float>* a, std::vector<float>* b) {
@@ -299,19 +318,6 @@ void FillGemvInputs(const GemvCase& gc, size_t k, size_t n, Rng& rng,
   }
 }
 
-/// Where a kBinary pattern's one other nonzero goes: the first 64-input
-/// block, a middle block, the last full block and the partial k-tail
-/// block (the ones that exist for this k).
-std::vector<size_t> OddPositions(size_t k) {
-  if (k == 0) return {};
-  const size_t blocks = (k + 63) / 64;
-  std::vector<size_t> at = {std::min<size_t>(5, k - 1),
-                            std::min(k - 1, blocks / 2 * 64 + 33)};
-  if (k >= 64) at.push_back(k / 64 * 64 - 1);
-  if (k % 64 != 0) at.push_back(k - 1);
-  return at;
-}
-
 std::vector<GemvCase> GemvCases(size_t k) {
   std::vector<GemvCase> cases = {
       {GemvInput::kMixed},   {GemvInput::kAllZero}, {GemvInput::kNoZero},
@@ -323,6 +329,103 @@ std::vector<GemvCase> GemvCases(size_t k) {
     }
   }
   return cases;
+}
+
+/// Rows of A for the m >= 2 gemm sweep. kBinary rows are 0, -0 and 1.0 only,
+/// like a featurized encode, so each 64-input block takes the SIMD
+/// tiers' no-multiply path; kBinaryOdd adds one other nonzero (-1, 0.5,
+/// the float after 1, or NaN) in the first, a middle, the last full or
+/// the partial tail block, which must send that block back to the
+/// multiply path. kRelu rows are half zeros (a ReLU output), kDense rows
+/// have no zero at all (a gradient), kSpecial rows mix ±0, NaN, ±inf,
+/// 1.0 and plain values, and kZero rows are ±0 throughout.
+enum class RowKind { kBinary, kBinaryOdd, kRelu, kDense, kSpecial, kZero };
+constexpr size_t kRowKinds = 6;
+
+/// B rows p with p % 5 == 2 hold ±inf in every third column: a row that
+/// multiplied a zero there it should have skipped (in particular beside
+/// a partner row whose input there is nonzero) turns those outputs into
+/// NaN (0 * inf) and fails the comparison, so the skip itself is under
+/// test, not just the sum. Even rows other than kDense and kSpecial
+/// hold ±0 at those p.
+bool PoisonStep(size_t p) { return p % 5 == 2; }
+
+/// Row `row` of A (k floats at `a`) of kind `kind`; `variant` picks a
+/// kBinaryOdd row's value and position.
+void FillGemmRow(RowKind kind, size_t row, size_t variant, size_t k,
+                 Rng& rng, float* a) {
+  for (size_t p = 0; p < k; ++p) {
+    const float r = rng.NextFloat();
+    float v = 0.0f;
+    switch (kind) {
+      case RowKind::kBinary:
+      case RowKind::kBinaryOdd:
+        v = r < 0.35f ? 0.0f : r < 0.5f ? -0.0f : 1.0f;
+        break;
+      case RowKind::kRelu:
+        v = r < 0.5f ? 0.0f : r;
+        break;
+      case RowKind::kDense:
+        v = r < 0.3f ? 1.0f : r * 2.0f - 1.0f;
+        if (v == 0.0f) v = 0.5f;
+        break;
+      case RowKind::kSpecial:
+        v = r < 0.15f   ? -0.0f
+            : r < 0.3f  ? 0.0f
+            : r < 0.35f ? std::numeric_limits<float>::quiet_NaN()
+            : r < 0.4f  ? INFINITY
+            : r < 0.45f ? -INFINITY
+            : r < 0.6f  ? 1.0f
+                        : r * 2.0f - 1.0f;
+        break;
+      case RowKind::kZero:
+        v = p % 2 == 0 ? 0.0f : -0.0f;
+        break;
+    }
+    if (row % 2 == 0 && PoisonStep(p) && kind != RowKind::kDense &&
+        kind != RowKind::kSpecial) {
+      v = p % 2 == 0 ? 0.0f : -0.0f;
+    }
+    a[p] = v;
+  }
+  if (kind == RowKind::kBinaryOdd && k > 0) {
+    const float odds[] = {-1.0f, 0.5f, std::nextafter(1.0f, 2.0f),
+                          std::numeric_limits<float>::quiet_NaN()};
+    const std::vector<size_t> at = OddPositions(k);
+    a[at[(row / 2 + variant) % at.size()]] = odds[(row + variant) % 4];
+  }
+}
+
+/// A (m x k) for the sweep: row pair q (rows 2q and 2q + 1) of variant v
+/// has kinds (q + v) % 6 and (q + v) / 6 % 6, so the 36 variants of a
+/// 2- or 3-row A, and the 32 pairs of a 64-row one, cover every pair of
+/// kinds.
+std::vector<float> GemmA(size_t m, size_t k, size_t variant, Rng& rng) {
+  std::vector<float> a(m * k);
+  for (size_t i = 0; i < m; ++i) {
+    const size_t q = i / 2 + variant;
+    const size_t kind = i % 2 == 0 ? q % kRowKinds : q / kRowKinds % kRowKinds;
+    FillGemmRow(static_cast<RowKind>(kind), i, variant, k, rng,
+                a.data() + i * k);
+  }
+  return a;
+}
+
+std::vector<float> GemmB(size_t k, size_t n, Rng& rng) {
+  std::vector<float> b(k * n);
+  for (size_t p = 0; p < k; ++p) {
+    for (size_t j = 0; j < n; ++j) {
+      float& w = b[p * n + j];
+      if (PoisonStep(p) && j % 3 == 0) {
+        w = (j / 3) % 2 == 0 ? INFINITY : -INFINITY;
+      } else if (p % 5 == 4) {
+        w = UnitRowEntry(j, rng);
+      } else {
+        w = rng.NextFloat() * 2.0f - 1.0f;
+      }
+    }
+  }
+  return b;
 }
 
 /// A copy of `src` placed `offset` floats past a 64-byte boundary, in a
@@ -341,6 +444,7 @@ class OffsetFloats {
     std::copy(src.begin(), src.end(), data_);
   }
   const float* data() const { return data_; }
+  float* data() { return data_; }
 
  private:
   struct Free {
@@ -350,15 +454,52 @@ class OffsetFloats {
   float* data_;
 };
 
-TEST(KernelsTest, GemvMatchesScalarBitwise) {
-  const KernelOps& ref = *OpsFor(SimdLevel::kScalar);
+/// Every SIMD tier's gemm_f32 on A (m x k) and B (k x n), each copied
+/// to every one of `offsets` floats past a cache line, against the
+/// scalar tier's on the originals. A NaN input must be visited, not
+/// dropped as "unordered": the outputs the scalar tier makes NaN must be
+/// NaN (payloads may differ); every other float bit for bit, and the
+/// four floats after C must stay untouched.
+void ExpectGemmMatchesScalar(const std::vector<float>& a,
+                             const std::vector<float>& b, size_t m, size_t k,
+                             size_t n, const std::vector<size_t>& offsets,
+                             const std::string& what) {
+  std::vector<float> want(m * n + 4, -3.0f);
+  OpsFor(SimdLevel::kScalar)
+      ->gemm_f32(a.data(), b.data(), m, k, n, want.data());
+  for (size_t offset : offsets) {
+    const OffsetFloats a_at(a, offset), b_at(b, offset);
+    for (SimdLevel level : AvailableLevels()) {
+      if (level == SimdLevel::kScalar) continue;
+      std::vector<float> got(m * n + 4, -3.0f);
+      OpsFor(level)->gemm_f32(a_at.data(), b_at.data(), m, k, n,
+                              got.data());
+      for (size_t j = 0; j < got.size(); ++j) {
+        const bool same = std::isnan(want[j])
+                              ? std::isnan(got[j])
+                              : BytesEqual(&got[j], &want[j], sizeof(float));
+        ASSERT_TRUE(same) << SimdLevelName(level) << " gemm m=" << m
+                          << " k=" << k << " n=" << n << " " << what
+                          << " offset=" << offset
+                          << " row=" << j / std::max<size_t>(n, 1)
+                          << " col=" << j % std::max<size_t>(n, 1)
+                          << " got=" << got[j] << " want=" << want[j];
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, GemmMatchesScalarBitwise) {
   Rng rng(41);
-  // n sweeps every tail shape of the 64/16 (avx512) and 32/8 (avx2)
-  // column tiling; k sweeps every tail of the tiers' 64-input mask
-  // blocks and of the 16-wide (avx512) and 8-wide (avx2) compares inside
-  // them, up to a 2048-bit encode; k == 0 must yield all zeros. `a` and
-  // `b` start 0..15 floats past a cache line and `a` is exactly k floats
-  // long, so a block that reads past a[k - 1] trips ASan.
+  // m = 1, the write path's encode. n sweeps every tail shape of the
+  // 64/16 (avx512) and 32/16/8 (avx2) column tiling; k sweeps every tail
+  // of the tiers' 64-input mask blocks and of the 16-wide (avx512) and
+  // 8-wide (avx2) compares inside them, up to a 2048-bit encode; k == 0
+  // must yield all zeros. Every ±0 input's B row is ±inf (GemvInput).
+  // `a` and `b` start 0..15 floats past a cache line and `a` is exactly
+  // k floats long, so a block that reads past a[k - 1] trips ASan.
+  std::vector<size_t> every_offset(16);
+  for (size_t i = 0; i < every_offset.size(); ++i) every_offset[i] = i;
   for (size_t n : {0u,  1u,  7u,  8u,  9u,  15u,  16u,  17u, 31u,
                    32u, 33u, 63u, 64u, 65u, 127u, 128u, 257u}) {
     for (size_t k : {0u,  1u,  3u,   7u,   8u,   9u,   15u,  16u,
@@ -367,36 +508,206 @@ TEST(KernelsTest, GemvMatchesScalarBitwise) {
       for (const GemvCase& gc : GemvCases(k)) {
         std::vector<float> a, b;
         FillGemvInputs(gc, k, n, rng, &a, &b);
-        std::vector<float> want(n + 4, -3.0f);
-        ref.gemv_f32(a.data(), b.data(), k, n, want.data());
-        for (size_t offset = 0; offset < 16; ++offset) {
-          const OffsetFloats a_at(a, offset), b_at(b, offset);
-          for (SimdLevel level : AvailableLevels()) {
-            if (level == SimdLevel::kScalar) continue;
-            std::vector<float> got(n + 4, -3.0f);
-            OpsFor(level)->gemv_f32(a_at.data(), b_at.data(), k, n,
-                                    got.data());
-            // A NaN input must be visited, not dropped as "unordered":
-            // the outputs the scalar tier makes NaN must be NaN (payloads
-            // may differ); every other float, the slack included, bit for
-            // bit.
-            for (size_t j = 0; j < got.size(); ++j) {
-              const bool same =
-                  std::isnan(want[j])
-                      ? std::isnan(got[j])
-                      : BytesEqual(&got[j], &want[j], sizeof(float));
-              ASSERT_TRUE(same)
-                  << SimdLevelName(level) << " gemv k=" << k << " n=" << n
-                  << " kind=" << static_cast<int>(gc.kind)
-                  << " odd=" << gc.odd << "@" << gc.odd_at
-                  << " offset=" << offset << " j=" << j
-                  << " got=" << got[j] << " want=" << want[j];
-            }
-          }
-        }
+        ASSERT_NO_FATAL_FAILURE(ExpectGemmMatchesScalar(
+            a, b, 1, k, n, every_offset,
+            "kind=" + std::to_string(static_cast<int>(gc.kind)) +
+                " odd=" + std::to_string(gc.odd) + "@" +
+                std::to_string(gc.odd_at)));
       }
     }
   }
+  // m >= 2: 2 is one row pair, 3 a pair and a lone row, 64 a training
+  // batch; the rows pair up every two row kinds (GemmA). `a` is exactly
+  // m * k floats long and starts 0, 1 or 15 floats past a cache line.
+  std::vector<std::pair<size_t, size_t>> shapes;
+  for (size_t k : {0u, 1u, 7u, 8u, 9u, 16u, 17u, 63u, 64u, 65u, 127u,
+                   128u, 129u, 200u}) {
+    for (size_t n : {0u,  1u,  7u,  8u,  9u,  15u, 16u,  17u, 31u,
+                     32u, 33u, 63u, 64u, 65u, 127u, 128u, 129u}) {
+      shapes.emplace_back(k, n);
+    }
+  }
+  for (size_t n : {16u, 64u, 65u}) shapes.emplace_back(2048, n);
+  for (size_t m : {2u, 3u, 64u}) {
+    const size_t variants = m == 64 ? 1 : kRowKinds * kRowKinds;
+    for (auto [k, n] : shapes) {
+      for (size_t variant = 0; variant < variants; ++variant) {
+        const std::vector<float> a = GemmA(m, k, variant, rng);
+        const std::vector<float> b = GemmB(k, n, rng);
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectGemmMatchesScalar(a, b, m, k, n, {0, 1, 15},
+                                    "variant=" + std::to_string(variant)));
+      }
+    }
+  }
+}
+
+// --- sigmoid_f32 and log_f32: every tier runs the expf/logf port and
+// must return the scalar port's bits, NaN payloads included. ---
+
+uint32_t FloatBits(float f) { return std::bit_cast<uint32_t>(f); }
+float BitsFloat(uint32_t u) { return std::bit_cast<float>(u); }
+
+/// The inputs the elementwise kernels are swept over: a strided pass
+/// over all 2^32 bit patterns; every float within 2^16 ulps of ±0 (the
+/// smallest subnormals); a strided pass over the subnormals of both
+/// signs; 4096 ulps either side of the port's branch points (expf's
+/// -88 and ±88.72 bounds, its -103.97 underflow and -103.28 subnormal
+/// bounds, logf's 1.0 and its table offset); ±inf, ±FLT_MAX; and NaN
+/// payloads, quiet and signalling, of both signs.
+std::vector<float> ElementwiseInputs() {
+  std::vector<float> xs;
+  for (uint64_t u = 0; u < (uint64_t{1} << 32); u += 4099) {
+    xs.push_back(BitsFloat(static_cast<uint32_t>(u)));
+  }
+  for (uint32_t u = 0; u < (1u << 16); ++u) {
+    xs.push_back(BitsFloat(u));
+    xs.push_back(BitsFloat(0x80000000u | u));
+  }
+  for (uint32_t u = 1; u < 0x00800000u; u += 97) {
+    xs.push_back(BitsFloat(u));
+    xs.push_back(BitsFloat(0x80000000u | u));
+  }
+  for (float edge : {-88.0f, 88.0f, 0x1.62e42ep6f, -0x1.62e42ep6f,
+                     -0x1.9fe368p6f, -0x1.9d1d9ep6f, 1.0f,
+                     BitsFloat(0x3f330000u)}) {
+    const uint32_t e = FloatBits(edge);
+    for (uint32_t d = 0; d <= 4096; ++d) {
+      xs.push_back(BitsFloat(e - d));
+      xs.push_back(BitsFloat(e + d));
+    }
+  }
+  for (uint32_t u : {0x7f800000u, 0xff800000u, 0x7f7fffffu, 0xff7fffffu,
+                     0x7fc00000u, 0xffc00000u, 0x7f800001u, 0xff800001u,
+                     0x7fa12345u, 0xffd54321u, 0x7fffffffu, 0xffffffffu,
+                     0x7fbfffffu, 0xffbfffffu}) {
+    xs.push_back(BitsFloat(u));
+  }
+  return xs;
+}
+
+/// Runs `kernel` of every tier whose kernel is not the scalar one (the
+/// AVX2 tier runs the scalar port itself) against the scalar tier's on
+/// `xs`: whole, from 1 to 3 floats past a cache line (the sweep's length
+/// is not a multiple of 16, so the masked tail runs too), in place, and
+/// on every length up to 40 at three offsets.
+template <typename Kernel>
+void ExpectElementwiseMatchesScalar(const char* name, Kernel kernel) {
+  const std::vector<float> xs = ElementwiseInputs();
+  ASSERT_NE(xs.size() % 16, 0u);
+  const auto scalar = kernel(*OpsFor(SimdLevel::kScalar));
+  std::vector<float> want(xs.size());
+  scalar(xs.data(), want.data(), xs.size());
+  for (SimdLevel level : AvailableLevels()) {
+    const auto fn = kernel(*OpsFor(level));
+    if (fn == scalar) continue;
+    const char* what = SimdLevelName(level);
+    for (size_t offset : {0u, 1u, 3u}) {
+      const OffsetFloats in(xs, offset);
+      OffsetFloats out(std::vector<float>(xs.size(), -3.0f), offset);
+      fn(in.data(), out.data(), xs.size());
+      OffsetFloats in_place(xs, offset);
+      fn(in_place.data(), in_place.data(), xs.size());
+      for (size_t i = 0; i < xs.size(); ++i) {
+        ASSERT_EQ(FloatBits(out.data()[i]), FloatBits(want[i]))
+            << what << " " << name << " x bits 0x" << std::hex
+            << FloatBits(xs[i]) << std::dec << " offset=" << offset;
+        ASSERT_EQ(FloatBits(in_place.data()[i]), FloatBits(want[i]))
+            << what << " in-place " << name;
+      }
+    }
+    std::vector<float> part(41);
+    for (size_t off = 0; off < 3; ++off) {
+      for (size_t n = 1; n <= 40; ++n) {
+        std::fill(part.begin(), part.end(), -3.0f);
+        fn(xs.data() + off, part.data(), n);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(FloatBits(part[i]), FloatBits(want[off + i]))
+              << what << " " << name << " offset " << off << " length "
+              << n << " element " << i;
+        }
+        ASSERT_EQ(part[n], -3.0f) << "wrote past length " << n;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, SigmoidMatchesScalarBitwise) {
+  ExpectElementwiseMatchesScalar(
+      "sigmoid", [](const KernelOps& ops) { return ops.sigmoid_f32; });
+}
+
+TEST(KernelsTest, LogMatchesScalarBitwise) {
+  ExpectElementwiseMatchesScalar(
+      "log", [](const KernelOps& ops) { return ops.log_f32; });
+}
+
+TEST(KernelsTest, PortMatchesLibmOnFmaCpus) {
+  // On a CPU with FMA the scalar tier runs the port; without FMA it runs
+  // libm's expf and logf (LibmSigmoid, LibmLog). Training keeps the bits
+  // of builds that called libm only where the two agree: glibc's FMA
+  // build, which the port follows and glibc runs on an x86-64 CPU with
+  // FMA. Elsewhere libm may differ in a last bit while every tier still
+  // agrees, so the check skips.
+#if defined(__GLIBC__) && defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("fma")) {
+    GTEST_SKIP() << "glibc runs its expf/logf without FMA on this CPU";
+  }
+#else
+  GTEST_SKIP() << "the port follows glibc's x86-64 FMA expf/logf";
+#endif
+  const KernelOps& ref = *OpsFor(SimdLevel::kScalar);
+  const std::vector<float> xs = ElementwiseInputs();
+  std::vector<float> port(xs.size()), libm(xs.size());
+  ref.sigmoid_f32(xs.data(), port.data(), xs.size());
+  internal::LibmSigmoid(xs.data(), libm.data(), xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_EQ(FloatBits(port[i]), FloatBits(libm[i]))
+        << "sigmoid x bits 0x" << std::hex << FloatBits(xs[i]);
+  }
+  ref.log_f32(xs.data(), port.data(), xs.size());
+  internal::LibmLog(xs.data(), libm.data(), xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_EQ(FloatBits(port[i]), FloatBits(libm[i]))
+        << "log x bits 0x" << std::hex << FloatBits(xs[i]);
+  }
+}
+
+TEST(KernelsTest, ExpLogPortSpecialCases) {
+  // glibc's special-case results: expf underflows to +0 below -103.97,
+  // returns the least subnormal down to -103.97 from -103.28, overflows
+  // to +inf above 88.72 and maps -inf to +0; logf(±0) is -inf,
+  // logf(inf) inf and logf(1) +0; negative and NaN inputs give NaN.
+  // The port is compiled into this test, so it runs on every CPU.
+  const float inf = std::numeric_limits<float>::infinity();
+  auto sigmoid = [](float x) {
+    float y;
+    internal::SigmoidLoop(&x, &y, 1);
+    return y;
+  };
+  auto log = [](float x) {
+    float y;
+    internal::LogLoop(&x, &y, 1);
+    return y;
+  };
+  EXPECT_EQ(FloatBits(sigmoid(-104.0f)), 0u);
+  EXPECT_EQ(FloatBits(sigmoid(-103.5f)), 1u);
+  EXPECT_EQ(FloatBits(sigmoid(-inf)), 0u);
+  EXPECT_EQ(sigmoid(inf), 1.0f);
+  EXPECT_EQ(sigmoid(0.0f), 0.5f);
+  EXPECT_EQ(sigmoid(-0.0f), 0.5f);
+  EXPECT_TRUE(std::isnan(sigmoid(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_EQ(log(0.0f), -inf);
+  EXPECT_EQ(log(-0.0f), -inf);
+  EXPECT_EQ(log(inf), inf);
+  EXPECT_EQ(FloatBits(log(1.0f)), 0u);
+  EXPECT_TRUE(std::isnan(log(-1.0f)));
+  EXPECT_TRUE(std::isnan(log(-inf)));
+  // The least subnormal goes through the rescaling branch:
+  // log(2^-149) rounds to -0x1.9d1dap+6.
+  EXPECT_EQ(FloatBits(log(std::numeric_limits<float>::denorm_min())),
+            0xc2ce8ed0u);
 }
 
 // --- CRC32C: known-answer vectors, chaining, and cross-tier equality

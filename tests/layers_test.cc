@@ -8,6 +8,8 @@
 #include <limits>
 #include <vector>
 
+#include "common/kernels.h"
+
 namespace e2nvm::ml {
 namespace {
 
@@ -121,15 +123,15 @@ TEST(SigmoidTest, OutputsInUnitInterval) {
   EXPECT_NEAR(y[2], 1.0f, 1e-6);
 }
 
-/// The two-branch sigmoid SigmoidArray replaces: the bit-identity
-/// oracle.
+/// The bit-identity oracle: the scalar tier's two-branch sigmoid
+/// (kernels.h sigmoid_f32), one element at a time. Its expf is the
+/// kernels' port or libm's, whichever this CPU's scalar tier runs;
+/// KernelsTest.PortMatchesLibmOnFmaCpus checks the port against the
+/// two-branch form with libm's expf.
 float TwoBranchSigmoid(float x) {
-  if (x >= 0) {
-    float z = std::exp(-x);
-    return 1.0f / (1.0f + z);
-  }
-  float z = std::exp(x);
-  return z / (1.0f + z);
+  float y;
+  OpsFor(SimdLevel::kScalar)->sigmoid_f32(&x, &y, 1);
+  return y;
 }
 
 uint32_t BitsOf(float f) {

@@ -5,9 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <numeric>
 #include <vector>
 
+#include "common/kernels.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace e2nvm::ml {
 namespace {
@@ -316,6 +320,14 @@ TEST(VaeTest, EvalLossIsTheTwoTermCrossEntropy) {
   Vae vae(cfg);
   Matrix x = TwoProtoData(10, cfg.input_dim, 4);
   vae.PartialFit(x, 5);  // Two steps, so the outputs are not the init's.
+  // The loss takes its logs from the log_f32 kernel, whose reference is
+  // the logf port (KernelsTest.PortMatchesLibmOnFmaCpus compares it with
+  // libm).
+  auto log = [](float v) {
+    float y;
+    OpsFor(SimdLevel::kScalar)->log_f32(&v, &y, 1);
+    return y;
+  };
   for (bool binary : {true, false}) {
     if (!binary) {
       for (size_t i = 0; i < x.size(); i += 3) x.data()[i] = 0.25f;
@@ -325,13 +337,69 @@ TEST(VaeTest, EvalLossIsTheTwoTermCrossEntropy) {
     for (size_t i = 0; i < probs.size(); ++i) {
       float p = std::clamp(probs.data()[i], 1e-7f, 1.0f - 1e-7f);
       float t = x.data()[i];
-      l -= static_cast<double>(t) * std::log(p) +
-           (1.0 - static_cast<double>(t)) * std::log(1.0f - p);
+      l -= static_cast<double>(t) * log(p) +
+           (1.0 - static_cast<double>(t)) * log(1.0f - p);
     }
     const double want = l / static_cast<double>(x.rows());
     const double got = vae.EvalLoss(x);
     EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
         << "binary=" << binary << " got " << got << " want " << want;
+  }
+}
+
+TEST(VaeTest, ValidationPassMapsNoBlock) {
+  // The held-out rows go through the training step's buffers a batch at
+  // a time, so a training with a validation split maps exactly the
+  // blocks one without it maps: the 64 x 2048 step buffers. 40
+  // held-out rows of 2048 floats would be blocks of their own.
+  const VaeConfig cfg = SmallConfig(2048);
+  const Matrix x = TwoProtoData(400, 2048, 11);
+  VaeTrainOptions opts;
+  opts.epochs = 2;
+  auto blocks_mapped = [&](double validation_fraction) {
+    Vae vae(cfg);
+    opts.validation_fraction = validation_fraction;
+    const uint64_t before = MappedBlocksOnThisThread();
+    vae.Train(x, opts);
+    return MappedBlocksOnThisThread() - before;
+  };
+  const uint64_t without = blocks_mapped(0.0);
+  EXPECT_GT(without, 0u);
+  EXPECT_EQ(blocks_mapped(0.1), without);
+}
+
+TEST(VaeTest, ValidationLossIsTheHeldOutRowsEvalLoss) {
+  // The validation pass evaluates the held-out rows a batch at a time;
+  // its loss must have the bits of EvalLoss over a copy of those rows in
+  // one piece, serial and on a pool. 16-row chunks of 2000-float rows
+  // end inside the pool's 16K-element cross-entropy blocks.
+  const VaeConfig cfg = SmallConfig(2000);
+  const Matrix x = TwoProtoData(200, 2000, 12);
+  VaeTrainOptions opts;
+  opts.epochs = 1;
+  opts.batch_size = 16;
+  opts.validation_fraction = 0.2;
+  // Train's held-out rows: the tail of its first shuffle of the rows.
+  std::vector<size_t> order(x.rows());
+  std::iota(order.begin(), order.end(), size_t{0});
+  Rng(opts.shuffle_seed).Shuffle(order);
+  const size_t val_n = static_cast<size_t>(
+      static_cast<double>(x.rows()) * opts.validation_fraction);
+  Matrix held_out(val_n, x.cols());
+  for (size_t i = 0; i < val_n; ++i) {
+    held_out.CopyRowFrom(x, order[x.rows() - val_n + i], i);
+  }
+  for (size_t threads : {0u, 3u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    ScopedComputePool kernels(pool.get());
+    Vae vae(cfg);
+    const TrainHistory h = vae.Train(x, opts);
+    const double want = vae.EvalLoss(held_out);
+    ASSERT_EQ(h.val_loss.size(), 1u);
+    EXPECT_EQ(std::memcmp(&h.val_loss[0], &want, sizeof(want)), 0)
+        << "threads=" << threads << " got " << h.val_loss[0] << " want "
+        << want;
   }
 }
 
