@@ -253,11 +253,12 @@ struct OpsResult {
   double get_p999_us = 0;
   double alloc_per_put = 0;  // Whole PUT loop (back-compat headline).
   // Attribution of alloc_per_put (see RunOpsBench): one-off warm-up
-  // inserts, retrain/adoption epochs, refinement steps, and the residual
-  // steady state — the steady figure is the one that must be 0.
+  // inserts, retrain epochs, shadow adoptions, refinement steps, and the
+  // residual steady state — the steady figure is the one that must be 0.
   double alloc_per_put_steady = 0;
   uint64_t warmup_allocs = 0;
   uint64_t retrain_allocs = 0;
+  uint64_t adoption_allocs = 0;
   uint64_t refine_allocs = 0;
   // Worst PUT outside the warm-up inserts and full-retrain epochs —
   // refinement steps included, since with incremental learning on they
@@ -265,10 +266,20 @@ struct OpsResult {
   // "retrain tail" work drives under 1 ms; put_max_us keeps covering
   // every put including the retrain epochs).
   double put_max_us_steady = 0;
-  uint64_t retrains = 0;
+  // EngineStats::retrains counts synchronous retrains and adopted shadows
+  // (models trained in the background) alike; these split it.
+  uint64_t sync_retrains = 0;
+  uint64_t adopted_shadows = 0;
   uint64_t background_retrains = 0;
   uint64_t refine_steps = 0;
 };
+
+/// Fills `r`'s retrain counters from the engine's.
+void CountRetrains(const core::PlacementEngine& engine, OpsResult* r) {
+  r->adopted_shadows = engine.model_generation();
+  r->sync_retrains = engine.stats().retrains - r->adopted_shadows;
+  r->background_retrains = engine.stats().background_retrains;
+}
 
 struct OpsParams {
   size_t segments = 256;
@@ -385,30 +396,34 @@ OpsResult RunOpsBench(size_t pool_threads, bool background_retrain,
   // run on this thread and show up in alloc_per_put; with background
   // retraining only the write path itself is counted.
   //
-  // Each PUT's allocation delta is attributed to one of three buckets:
+  // Each PUT's allocation delta is attributed to one bucket:
   //  - warm-up: the first insertion of every key grows the index and the
   //    scratch buffers/rings to working size (first p.keys puts);
-  //  - retrain: a put during which a retrain ran/launched or a shadow
-  //    model was adopted (epoch below moves) gathers training snapshots
-  //    and rebuilds the DAP — allocating, by design, one-off work;
+  //  - adoption: a put that adopted a shadow model (model_generation
+  //    moves) rebuilds the DAP around it;
+  //  - retrain: a put during which a synchronous retrain ran or a
+  //    background one launched or failed (epoch below moves) gathers a
+  //    training snapshot — allocating, by design, one-off work;
+  //  - refine: a put that carried an inline refinement step;
   //  - steady: everything else. THE steady-state write path — must be 0,
   //    and alloc_per_put_steady in BENCH_ops.json pins it.
   std::vector<double> put_us;
   put_us.reserve(p.puts);
-  uint64_t warmup_allocs = 0, retrain_allocs = 0, refine_allocs = 0;
+  uint64_t warmup_allocs = 0, retrain_allocs = 0, adoption_allocs = 0;
+  uint64_t refine_allocs = 0;
   uint64_t steady_allocs = 0;
   uint64_t steady_puts = 0;
   double steady_max_us = 0;
   auto retrain_epoch = [&] {
     const auto& st = store->engine().stats();
-    return st.retrains + st.background_retrains + st.failed_retrains +
-           store->engine().model_generation();
+    return st.retrains + st.background_retrains + st.failed_retrains;
   };
   uint64_t alloc0 = Allocations();
   auto t0 = Clock::now();
   for (uint64_t i = 0; i < p.puts; ++i) {
     const uint64_t a0 = Allocations();
     const uint64_t e0 = retrain_epoch();
+    const uint64_t g0 = store->engine().model_generation();
     const uint64_t f0 = store->engine().stats().refine_steps;
     auto op0 = Clock::now();
     if (!store->Put(i % p.keys, value_at(i)).ok()) {
@@ -421,6 +436,8 @@ OpsResult RunOpsBench(size_t pool_threads, bool background_retrain,
     const uint64_t d = Allocations() - a0;
     if (i < p.keys) {
       warmup_allocs += d;
+    } else if (store->engine().model_generation() != g0) {
+      adoption_allocs += d;
     } else if (retrain_epoch() != e0) {
       retrain_allocs += d;
     } else if (store->engine().stats().refine_steps != f0) {
@@ -442,6 +459,7 @@ OpsResult RunOpsBench(size_t pool_threads, bool background_retrain,
       static_cast<double>(Allocations() - alloc0) / p.puts;
   r.warmup_allocs = warmup_allocs;
   r.retrain_allocs = retrain_allocs;
+  r.adoption_allocs = adoption_allocs;
   r.refine_allocs = refine_allocs;
   r.put_max_us_steady = steady_max_us;
   r.alloc_per_put_steady =
@@ -493,8 +511,7 @@ OpsResult RunOpsBench(size_t pool_threads, bool background_retrain,
   r.delete_ops_s =
       p.keys / std::chrono::duration<double>(Clock::now() - t0).count();
 
-  r.retrains = store->engine().stats().retrains;
-  r.background_retrains = store->engine().stats().background_retrains;
+  CountRetrains(store->engine(), &r);
   r.refine_steps = store->engine().stats().refine_steps;
   return r;
 }
@@ -554,8 +571,7 @@ OpsResult RunBatchedBench(size_t pool_threads, bool background_retrain) {
   r.alloc_per_put = steady_puts > 0
                         ? static_cast<double>(steady_allocs) / steady_puts
                         : 0.0;
-  r.retrains = store->engine().stats().retrains;
-  r.background_retrains = store->engine().stats().background_retrains;
+  CountRetrains(store->engine(), &r);
   if (std::getenv("E2NVM_OPS_DEBUG") != nullptr) {
     const auto& st = store->engine().stats();
     std::fprintf(stderr,
@@ -838,8 +854,10 @@ void WriteOpsJson(const char* path, unsigned threads, size_t batch,
     jw.Field("alloc_per_put_steady", r.alloc_per_put_steady);
     jw.Field("warmup_allocs", r.warmup_allocs);
     jw.Field("retrain_allocs", r.retrain_allocs);
+    jw.Field("adoption_allocs", r.adoption_allocs);
     jw.Field("refine_allocs", r.refine_allocs);
-    jw.Field("retrains", r.retrains);
+    jw.Field("sync_retrains", r.sync_retrains);
+    jw.Field("adopted_shadows", r.adopted_shadows);
     jw.Field("background_retrains", r.background_retrains);
     jw.Field("refine_steps", r.refine_steps);
     jw.EndObject();
@@ -861,7 +879,8 @@ void WriteOpsJson(const char* path, unsigned threads, size_t batch,
   jw.BeginObject("batched_put");
   jw.Field("put_ops_per_s", batched.put_ops_s, 1);
   jw.Field("alloc_per_put", batched.alloc_per_put);
-  jw.Field("retrains", batched.retrains);
+  jw.Field("sync_retrains", batched.sync_retrains);
+  jw.Field("adopted_shadows", batched.adopted_shadows);
   jw.Field("background_retrains", batched.background_retrains);
   jw.EndObject();
   jw.BeginObject("sharded_put");

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <exception>
 #include <memory>
 
@@ -58,29 +59,14 @@ bool ThreadPool::InWorkerThread() const {
   return false;
 }
 
-size_t ThreadPool::NumBlocks(size_t n, size_t grain) {
-  if (n == 0) return 0;
-  grain = std::max<size_t>(grain, 1);
-  return (n + grain - 1) / grain;
-}
-
-uint64_t ThreadPool::TaskSeed(uint64_t base, uint64_t index) {
-  // SplitMix64 finalizer over base + golden-ratio stride — statistically
-  // independent streams per block, reproducible on every platform.
-  uint64_t z = base + (index + 1) * 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 namespace {
 
-/// Shared fork-join state for one ParallelFor call. Runners and the
+/// Shared fork-join state for one ParallelForBlocks call. Runners and the
 /// caller claim block indices from `next`; the caller waits until every
 /// claimed block has been finished (or abandoned after an exception).
 struct ForState {
   size_t begin, end, grain, blocks;
-  const std::function<void(size_t, size_t, size_t)>* body;
+  const std::function<void(size_t, size_t)>* body;
   std::atomic<size_t> next{0};
   std::atomic<size_t> done{0};
   std::mutex mu;
@@ -95,7 +81,7 @@ struct ForState {
       size_t lo = begin + b * grain;
       size_t hi = std::min(lo + grain, end);
       try {
-        (*body)(lo, hi, b);
+        (*body)(lo, hi);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mu);
         if (b < first_ex_block) {
@@ -115,10 +101,10 @@ struct ForState {
 
 void ThreadPool::ParallelForBlocks(
     size_t begin, size_t end, size_t grain,
-    const std::function<void(size_t, size_t, size_t)>& body) {
+    const std::function<void(size_t, size_t)>& body) {
   if (end <= begin) return;
   grain = std::max<size_t>(grain, 1);
-  const size_t blocks = NumBlocks(end - begin, grain);
+  const size_t blocks = (end - begin + grain - 1) / grain;
 
   // Serial fast path: tiny range, single-thread pool, or a nested call
   // from inside a worker (running inline avoids queue deadlock and keeps
@@ -127,7 +113,7 @@ void ThreadPool::ParallelForBlocks(
     for (size_t b = 0; b < blocks; ++b) {
       size_t lo = begin + b * grain;
       size_t hi = std::min(lo + grain, end);
-      body(lo, hi, b);
+      body(lo, hi);
     }
     return;
   }
@@ -152,14 +138,6 @@ void ThreadPool::ParallelForBlocks(
     return state->done.load(std::memory_order_acquire) == state->blocks;
   });
   if (state->first_ex) std::rethrow_exception(state->first_ex);
-}
-
-void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
-                             const std::function<void(size_t)>& body) {
-  ParallelForBlocks(begin, end, grain,
-                    [&body](size_t lo, size_t hi, size_t) {
-                      for (size_t i = lo; i < hi; ++i) body(i);
-                    });
 }
 
 }  // namespace e2nvm

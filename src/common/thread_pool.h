@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -12,28 +11,28 @@
 
 namespace e2nvm {
 
-/// A fixed-size worker pool with a ParallelFor helper — the concurrency
-/// substrate behind the parallel ML kernels and the background retrainer.
+/// A fixed-size worker pool with a fork-join block loop — the
+/// concurrency substrate behind the parallel ML kernels and the
+/// background retrainer.
 ///
 /// Design constraints (DESIGN.md §8):
 ///  - no work stealing, one shared FIFO queue: the kernels submit coarse
 ///    index blocks, so queue contention is negligible and scheduling stays
 ///    easy to reason about;
-///  - ParallelFor partitions an index range into blocks whose count
-///    depends only on the range size (never on the thread count), so a
-///    reduction that combines per-block partials in block order is
-///    deterministic for any pool size;
+///  - ParallelForBlocks splits an index range into blocks whose bounds
+///    depend only on the range and the grain, never on the thread count;
+///    the kernels give each block only per-index results to compute and
+///    sum them on the calling thread afterwards, so which pool runs them
+///    (or none) never changes a bit;
 ///  - exceptions thrown by loop bodies are captured and the *first* one
-///    (lowest block index) is rethrown on the calling thread;
-///  - a ParallelFor issued from inside a worker (nested parallelism) runs
-///    the loop inline on that worker instead of deadlocking on the queue;
-///  - per-task randomness derives from TaskSeed(base, block), not from
-///    any shared RNG, so parallel runs replay bit-for-bit.
+///    (lowest block) is rethrown on the calling thread;
+///  - a loop issued from inside a worker (nested parallelism) runs inline
+///    on that worker instead of deadlocking on the queue.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers. 0 is clamped to 1; a 1-thread pool is
-  /// still useful (the background retrainer runs on it), but ParallelFor
-  /// degenerates to the serial loop.
+  /// still useful (the background retrainer runs on it), but its
+  /// ParallelForBlocks runs every block on the caller.
   explicit ThreadPool(size_t num_threads);
 
   /// Drains and joins. Pending tasks are completed before destruction.
@@ -45,33 +44,18 @@ class ThreadPool {
   size_t num_threads() const { return threads_.size(); }
 
   /// Enqueues one task. The task must not block on other pool tasks
-  /// unless more workers exist than blockers (use ParallelFor for
+  /// unless more workers exist than blockers (use ParallelForBlocks for
   /// fork-join work instead).
   void Submit(std::function<void()> task);
 
-  /// Runs body(i) for every i in [begin, end), spread across the pool.
-  /// Blocks until all iterations finish (the caller participates in the
-  /// work). Rethrows the first exception thrown by any iteration.
-  /// `grain` is the minimum iterations per block; the number of blocks is
-  /// a pure function of (end - begin, grain), never of num_threads().
-  void ParallelFor(size_t begin, size_t end, size_t grain,
-                   const std::function<void(size_t)>& body);
-
-  /// Block-granular variant: body(block_begin, block_end, block_index).
-  /// Preferred for kernels that keep per-block accumulators; combining
-  /// the accumulators in block-index order gives results independent of
-  /// the pool size.
-  void ParallelForBlocks(
-      size_t begin, size_t end, size_t grain,
-      const std::function<void(size_t, size_t, size_t)>& body);
-
-  /// Number of blocks ParallelFor* will use for a range of `n` items at
-  /// `grain` — exposed so callers can pre-size per-block accumulators.
-  static size_t NumBlocks(size_t n, size_t grain);
-
-  /// Derives a deterministic seed for task/block `index` from `base`
-  /// (SplitMix64 finalizer). Identical across pool sizes and platforms.
-  static uint64_t TaskSeed(uint64_t base, uint64_t index);
+  /// Runs body(lo, hi) for every `grain`-sized block [lo, hi) of [begin,
+  /// end) (the last one may be shorter; a grain of 0 is 1), spread
+  /// across the pool. Blocks until all blocks finish (the caller runs
+  /// blocks too) and rethrows the first exception thrown by any block.
+  /// The blocks are a pure function of (begin, end, grain), never of
+  /// num_threads().
+  void ParallelForBlocks(size_t begin, size_t end, size_t grain,
+                         const std::function<void(size_t, size_t)>& body);
 
   /// True when the calling thread is one of this pool's workers.
   bool InWorkerThread() const;

@@ -66,8 +66,9 @@ class BackgroundRetrainer {
   /// shard's retrainer the one shared common/thread_pool, so N shards
   /// queue trainings onto a bounded worker set rather than spawning N
   /// threads. A training running *on* a pool worker executes its ML
-  /// kernels inline (nested ParallelFor), which is still bit-identical —
-  /// kernel results are pool-size invariant by design.
+  /// kernels inline (a nested ParallelForBlocks), and a pool changes only
+  /// where a kernel runs, so the shadow has the bits of the same training
+  /// run serially or under any compute pool.
   explicit BackgroundRetrainer(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   /// Joins (or, in pool mode, waits out) any in-flight training.

@@ -29,25 +29,6 @@ void EngineStats::MergeFrom(const EngineStats& other) {
   release_cluster_hits += other.release_cluster_hits;
 }
 
-namespace {
-
-/// The policy config the engine actually runs: refinement is a
-/// three-party agreement between the engine config (incremental on),
-/// the clusterer (supports PartialFit), and the policy (escalation
-/// thresholds) — derive the enable bit here so there is one source of
-/// truth and an unsupported clusterer silently falls back to full
-/// retrains.
-RetrainPolicy::Config EffectivePolicyConfig(
-    const PlacementEngine::Config& config,
-    const placement::ContentClusterer& clusterer) {
-  RetrainPolicy::Config pc = config.retrain;
-  pc.refine_enabled =
-      config.incremental.enabled && clusterer.SupportsPartialFit();
-  return pc;
-}
-
-}  // namespace
-
 PlacementEngine::PlacementEngine(
     nvm::MemoryController* ctrl,
     std::unique_ptr<placement::ContentClusterer> clusterer,
@@ -56,7 +37,8 @@ PlacementEngine::PlacementEngine(
       clusterer_(std::move(clusterer)),
       config_(config),
       pool_(clusterer_->num_clusters()),
-      policy_(EffectivePolicyConfig(config, *clusterer_)),
+      policy_(config.retrain,
+              config.incremental.enabled && clusterer_->SupportsPartialFit()),
       // All of this engine's segments live in one accounting lane (the
       // shard's); cache the id so every charge routes without a divide.
       lane_(ctrl->device().LaneOfSegment(config.first_segment)),
@@ -140,7 +122,7 @@ Status PlacementEngine::Bootstrap() {
 }
 
 bool PlacementEngine::CanRefine() const {
-  return config_.auto_retrain && policy_.config().refine_enabled;
+  return config_.auto_retrain && policy_.refine_enabled();
 }
 
 Status PlacementEngine::BootstrapFrom(const PlacementEngine& source) {

@@ -53,7 +53,7 @@ double RetrainPolicy::CurrentRatio() const {
 }
 
 RetrainAction RetrainPolicy::Decide(const DynamicAddressPool& pool) {
-  if (!config_.refine_enabled) {
+  if (!refine_enabled_) {
     // Incremental learning off: exactly the pre-incremental schedule.
     return ShouldRetrain(pool) ? RetrainAction::kFullRetrain
                                : RetrainAction::kNone;

@@ -31,17 +31,17 @@ enum class RetrainAction {
 ///     (re)training, meaning the model no longer reflects memory content
 ///     (the Fig 17 scenario-3/4 situation).
 ///
-/// With incremental learning on (`refine_enabled`), Decide() runs the
-/// two triggers through an escalation state machine: the efficiency
-/// trigger first answers with kRefine (one cheap mini-batch refinement
-/// every `refine_interval` writes), and only escalates to kFullRetrain
-/// after `max_refine_rounds` consecutive refinements fail to pull the
-/// window ratio back under `recovery_factor` x baseline. The capacity
-/// trigger always escalates straight to a full retrain — refinement
-/// never rebuilds the DAP, so it cannot fix a starving cluster. With
-/// refine_enabled off (the default), Decide() is exactly
-/// ShouldRetrain() mapped to kNone/kFullRetrain — bit-identical to the
-/// pre-incremental schedule.
+/// With refinement enabled (the constructor's `refine_enabled`),
+/// Decide() runs the two triggers through an escalation state machine:
+/// the efficiency trigger first answers with kRefine (one cheap
+/// mini-batch refinement every `refine_interval` writes), and only
+/// escalates to kFullRetrain after `max_refine_rounds` consecutive
+/// refinements fail to pull the window ratio back under
+/// `recovery_factor` x baseline. The capacity trigger always escalates
+/// straight to a full retrain — refinement never rebuilds the DAP, so it
+/// cannot fix a starving cluster. With refinement off (the default),
+/// Decide() is exactly ShouldRetrain() mapped to kNone/kFullRetrain —
+/// bit-identical to the pre-incremental schedule.
 class RetrainPolicy {
  public:
   struct Config {
@@ -53,11 +53,8 @@ class RetrainPolicy {
     /// Writes to collect after a retrain before freezing the baseline.
     size_t baseline_writes = 128;
 
-    /// --- Incremental refinement (DESIGN.md §16). Defaults reproduce
-    /// today's full-retrain-only behavior: refine_enabled is off, and
-    /// PlacementEngine derives it from its own incremental config (it is
-    /// forced off unless the clusterer supports PartialFit). ---
-    bool refine_enabled = false;
+    /// --- Incremental refinement (DESIGN.md §16), read only by a policy
+    /// built with refinement enabled. ---
     /// Minimum writes between two refinement steps while degraded (lets
     /// each step's effect reach the moving window before the next).
     size_t refine_interval = 64;
@@ -70,7 +67,12 @@ class RetrainPolicy {
     double recovery_factor = 1.2;
   };
 
-  explicit RetrainPolicy(const Config& config) : config_(config) {}
+  /// `refine_enabled` turns the escalation state machine on; a
+  /// PlacementEngine passes `incremental.enabled` and its clusterer's
+  /// SupportsPartialFit(), so a clusterer that cannot refine falls back
+  /// to full retrains.
+  explicit RetrainPolicy(const Config& config, bool refine_enabled = false)
+      : config_(config), refine_enabled_(refine_enabled) {}
 
   /// Records the outcome of one placed write.
   void RecordWrite(size_t bits_flipped, size_t bits_written);
@@ -104,11 +106,13 @@ class RetrainPolicy {
   /// Consecutive refinement steps in the current degradation episode.
   size_t refine_rounds() const { return refine_rounds_; }
   const Config& config() const { return config_; }
+  bool refine_enabled() const { return refine_enabled_; }
 
  private:
   size_t WindowSize() const { return window_count_; }
 
   Config config_;
+  bool refine_enabled_;
   // Fixed-capacity ring over the last `config_.window` writes of
   // (flips, bits): RecordWrite runs on every placement, so the window
   // must not churn heap blocks the way a deque does.
@@ -119,7 +123,7 @@ class RetrainPolicy {
   size_t window_bits_ = 0;
   size_t writes_since_retrain_ = 0;
   double baseline_ratio_ = -1.0;  // <0 means not yet frozen.
-  // Escalation state of the drift detector (refine_enabled mode).
+  // Escalation state of the drift detector (refinement enabled).
   size_t refine_rounds_ = 0;
   size_t writes_since_refine_ = 0;
 };

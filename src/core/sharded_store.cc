@@ -268,6 +268,11 @@ Status ShardedStore::Delete(uint64_t key) {
   std::lock_guard<std::mutex> lock(shard_mu_[s]);
   ml::ScopedComputePool kernels(shard_lane(s));
   if (journals_[s] != nullptr) {
+    // A delete the shard would refuse must not replay (nor, on a full
+    // journal, force a checkpoint), so it is never journaled.
+    if (!shards_[s]->tree().Contains(key)) {
+      return Status::NotFound("key not found");
+    }
     E2_RETURN_IF_ERROR(
         JournalAppend(s, ShardJournal::Op::kDelete, key, BitVector()));
   }

@@ -30,8 +30,10 @@ struct ShardedStoreConfig {
   /// (ThreadPool) per shard — each lane gets max(1, pool_threads /
   /// num_shards) workers, so a shard's ML kernels and background
   /// retrains run only on its own lane and can never stall another
-  /// shard's placements. 0 = serial kernels and, when
-  /// `shard.background_retrain` is set, dedicated retrain threads.
+  /// shard's placements. 0 = every kernel on the calling thread and,
+  /// when `shard.background_retrain` is set, dedicated retrain threads.
+  /// Any value gives the same models, placements and energy bit for bit;
+  /// it changes only speed.
   size_t pool_threads = 0;
 
   /// Attach a persistent redo journal (ShardJournal) to every shard:
@@ -149,6 +151,9 @@ class ShardedStore {
   /// across calls); `out` is untouched when the key is missing.
   Status GetInto(uint64_t key, BitVector* out);
 
+  /// Deletes `key` from its owning shard; NotFound when the shard does
+  /// not hold it. With journaling on, only a delete of a held key is
+  /// journaled.
   Status Delete(uint64_t key);
 
   /// Total keys across all shards.

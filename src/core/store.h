@@ -37,16 +37,15 @@ struct StoreConfig {
   /// atomically instead of stalling a PUT for the whole rebuild (implies
   /// auto_retrain; see PlacementEngine::EnableBackgroundRetrain).
   bool background_retrain = false;
-  /// Worker threads for the parallel ML kernels (0 = serial kernels,
-  /// bit-identical to the single-threaded implementation). The store
-  /// owns the pool and installs it as the process compute pool
-  /// (ml::SetComputePool) if none is installed yet.
+  /// Worker threads for the parallel ML kernels (0 = every kernel on
+  /// the calling thread). Any value trains the same models bit for bit;
+  /// it changes only speed. The store owns the pool and installs it as
+  /// the process compute pool (ml::SetComputePool) if none is installed
+  /// yet.
   size_t pool_threads = 0;
   /// Retrain triggers (capacity + flip-efficiency) and, when
   /// `incremental_learning` is on, the drift-escalation thresholds
-  /// (refine_interval, max_refine_rounds, recovery_factor). The
-  /// refine_enabled bit itself is derived from `incremental_learning`
-  /// by the engine — leave it alone here.
+  /// (refine_interval, max_refine_rounds, recovery_factor).
   RetrainPolicy::Config retrain;
   /// Placements skipped after a failed auto-retrain (doubles per
   /// consecutive failure); see PlacementEngine::Config.

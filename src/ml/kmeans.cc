@@ -4,20 +4,19 @@
 #include <cmath>
 #include <limits>
 
-#include "common/thread_pool.h"
-
 namespace e2nvm::ml {
 
 namespace {
 
-/// Rows per parallel block in the sample-indexed loops. A fixed grain
-/// keeps the block count a function of n alone, so per-block partial
-/// sums combined in block order give the same answer for every pool
-/// size (determinism guarantee of DESIGN.md §8).
+/// Rows per block when the compute pool runs a per-row loop; smaller
+/// blocks would not pay for the fork-join. The pool computes only
+/// per-row results (distances, assignments, predictions); every sum over
+/// rows runs on the calling thread in row order, so a fit has the same
+/// bits with or without a pool and at any pool size.
 constexpr size_t kRowGrain = 64;
 
-/// Samples below which the fit loops stay serial (fork-join overhead).
-constexpr size_t kMinParallelRows = 128;
+/// Row elements below which the centroid sums stay on the caller.
+constexpr size_t kMinPooledSumElems = size_t{1} << 18;
 
 }  // namespace
 
@@ -30,6 +29,20 @@ double KMeans::DistSq(const float* a, const float* b, size_t dim) const {
   return s;
 }
 
+size_t KMeans::Nearest(const float* v, size_t dim, double* d2) const {
+  double best = std::numeric_limits<double>::max();
+  size_t best_c = 0;
+  for (size_t c = 0; c < centroids_.rows(); ++c) {
+    double d = DistSq(v, centroids_.Row(c), dim);
+    if (d < best) {
+      best = d;
+      best_c = c;
+    }
+  }
+  *d2 = best;
+  return best_c;
+}
+
 void KMeans::InitPlusPlus(const Matrix& x, Rng& rng) {
   const size_t n = x.rows();
   const size_t dim = x.cols();
@@ -39,33 +52,17 @@ void KMeans::InitPlusPlus(const Matrix& x, Rng& rng) {
   size_t first = rng.NextBounded(n);
   centroids_.CopyRowFrom(x, first, 0);
 
-  ThreadPool* pool = compute_pool();
-  const bool parallel = pool != nullptr && n >= kMinParallelRows;
-
   std::vector<double> d2(n, std::numeric_limits<double>::max());
   for (size_t c = 1; c < config_.k; ++c) {
     // Update distances to the nearest chosen centroid.
-    double total = 0.0;
-    if (parallel) {
-      std::vector<double> partial(ThreadPool::NumBlocks(n, kRowGrain), 0.0);
-      pool->ParallelForBlocks(
-          0, n, kRowGrain, [&](size_t lo, size_t hi, size_t blk) {
-            double t = 0.0;
-            for (size_t i = lo; i < hi; ++i) {
-              double d = DistSq(x.Row(i), centroids_.Row(c - 1), dim);
-              d2[i] = std::min(d2[i], d);
-              t += d2[i];
-            }
-            partial[blk] = t;
-          });
-      for (double t : partial) total += t;
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        double d = DistSq(x.Row(i), centroids_.Row(c - 1), dim);
-        d2[i] = std::min(d2[i], d);
-        total += d2[i];
+    const float* last = centroids_.Row(c - 1);
+    ForRanges(n, kRowGrain, [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) {
+        d2[i] = std::min(d2[i], DistSq(x.Row(i), last, dim));
       }
-    }
+    });
+    double total = 0.0;
+    for (double d : d2) total += d;
     // Sample proportional to squared distance.
     size_t chosen = n - 1;
     if (total > 0.0) {
@@ -97,11 +94,9 @@ Status KMeans::Fit(const Matrix& x) {
   Rng rng(config_.seed);
   InitPlusPlus(x, rng);
 
-  ThreadPool* pool = compute_pool();
-  const bool parallel = pool != nullptr && n >= kMinParallelRows;
-  const size_t blocks = ThreadPool::NumBlocks(n, kRowGrain);
-
   std::vector<size_t> assign(n, 0);
+  std::vector<double> d2(n, 0.0);  // Each row's distance to its centroid.
+  Matrix sums(config_.k, dim);
   // Final-iteration cluster sizes, kept after the loop to seed
   // PartialFit's warm-start counts.
   std::vector<size_t> counts(config_.k, 0);
@@ -109,64 +104,30 @@ Status KMeans::Fit(const Matrix& x) {
   iters_run_ = 0;
   for (int iter = 0; iter < config_.max_iters; ++iter) {
     ++iters_run_;
-    // Assignment step: each sample independent; the SSE is reduced via
-    // per-block partials combined in block order (pool-size invariant).
-    double sse = 0.0;
-    auto assign_range = [&](size_t lo, size_t hi) {
-      double s = 0.0;
+    // Assignment step: each row independent.
+    ForRanges(n, kRowGrain, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
-        double best = std::numeric_limits<double>::max();
-        size_t best_c = 0;
-        for (size_t c = 0; c < config_.k; ++c) {
-          double d = DistSq(x.Row(i), centroids_.Row(c), dim);
-          if (d < best) {
-            best = d;
-            best_c = c;
-          }
-        }
-        assign[i] = best_c;
-        s += best;
+        assign[i] = Nearest(x.Row(i), dim, &d2[i]);
       }
-      return s;
-    };
-    if (parallel) {
-      std::vector<double> partial(blocks, 0.0);
-      pool->ParallelForBlocks(0, n, kRowGrain,
-                              [&](size_t lo, size_t hi, size_t blk) {
-                                partial[blk] = assign_range(lo, hi);
-                              });
-      for (double s : partial) sse += s;
-    } else {
-      sse = assign_range(0, n);
-    }
-    // Update step: per-block centroid sums merged in block order.
-    Matrix sums(config_.k, dim);
-    counts.assign(config_.k, 0);
-    auto accumulate = [&](Matrix& s, std::vector<size_t>& cnt, size_t lo,
-                          size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        float* srow = s.Row(assign[i]);
+    });
+    double sse = 0.0;
+    for (double d : d2) sse += d;
+    // Update step: each centroid sums its rows in row order. A pool
+    // splits the centroids; every task scans the assignments and skips
+    // the rows of the others, so each row is read whole, once.
+    sums.Fill(0.0f);
+    const size_t grain = n * dim < kMinPooledSumElems ? config_.k : 1;
+    ForRanges(config_.k, grain, [&](size_t lo, size_t hi) {
+      for (size_t i = 0; i < n; ++i) {
+        const size_t c = assign[i];
+        if (c < lo || c >= hi) continue;
+        float* srow = sums.Row(c);
         const float* xrow = x.Row(i);
         for (size_t d = 0; d < dim; ++d) srow[d] += xrow[d];
-        ++cnt[assign[i]];
       }
-    };
-    if (parallel) {
-      std::vector<Matrix> psums(blocks);
-      std::vector<std::vector<size_t>> pcounts(blocks);
-      pool->ParallelForBlocks(
-          0, n, kRowGrain, [&](size_t lo, size_t hi, size_t blk) {
-            psums[blk] = Matrix(config_.k, dim);
-            pcounts[blk].assign(config_.k, 0);
-            accumulate(psums[blk], pcounts[blk], lo, hi);
-          });
-      for (size_t blk = 0; blk < blocks; ++blk) {
-        AddInPlace(sums, psums[blk]);
-        for (size_t c = 0; c < config_.k; ++c) counts[c] += pcounts[blk][c];
-      }
-    } else {
-      accumulate(sums, counts, 0, n);
-    }
+    });
+    counts.assign(config_.k, 0);
+    for (size_t i = 0; i < n; ++i) ++counts[assign[i]];
     for (size_t c = 0; c < config_.k; ++c) {
       if (counts[c] == 0) {
         // Re-seed an empty cluster at a random sample.
@@ -214,16 +175,8 @@ Status KMeans::PartialFit(const Matrix& x) {
 }
 
 size_t KMeans::Predict(const float* v, size_t dim) const {
-  double best = std::numeric_limits<double>::max();
-  size_t best_c = 0;
-  for (size_t c = 0; c < centroids_.rows(); ++c) {
-    double d = DistSq(v, centroids_.Row(c), dim);
-    if (d < best) {
-      best = d;
-      best_c = c;
-    }
-  }
-  return best_c;
+  double d2;
+  return Nearest(v, dim, &d2);
 }
 
 void KMeans::RebuildCentroidCaches() {
@@ -299,45 +252,20 @@ void KMeans::AssignFusedInto(const Matrix& x, Matrix* scores,
 
 std::vector<size_t> KMeans::PredictBatch(const Matrix& x) const {
   std::vector<size_t> out(x.rows());
-  ThreadPool* pool = compute_pool();
-  if (pool != nullptr && x.rows() >= kMinParallelRows) {
-    pool->ParallelFor(0, x.rows(), kRowGrain, [&](size_t i) {
-      out[i] = Predict(x.Row(i), x.cols());
-    });
-  } else {
-    for (size_t i = 0; i < x.rows(); ++i) {
-      out[i] = Predict(x.Row(i), x.cols());
-    }
-  }
+  ForRanges(x.rows(), kRowGrain, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) out[i] = Predict(x.Row(i), x.cols());
+  });
   return out;
 }
 
 double KMeans::Sse(const Matrix& x) const {
-  const size_t n = x.rows();
-  auto range_sse = [&](size_t lo, size_t hi) {
-    double s = 0.0;
-    for (size_t i = lo; i < hi; ++i) {
-      double best = std::numeric_limits<double>::max();
-      for (size_t c = 0; c < centroids_.rows(); ++c) {
-        best =
-            std::min(best, DistSq(x.Row(i), centroids_.Row(c), x.cols()));
-      }
-      s += best;
-    }
-    return s;
-  };
-  ThreadPool* pool = compute_pool();
-  if (pool != nullptr && n >= kMinParallelRows) {
-    std::vector<double> partial(ThreadPool::NumBlocks(n, kRowGrain), 0.0);
-    pool->ParallelForBlocks(0, n, kRowGrain,
-                            [&](size_t lo, size_t hi, size_t blk) {
-                              partial[blk] = range_sse(lo, hi);
-                            });
-    double sse = 0.0;
-    for (double s : partial) sse += s;
-    return sse;
-  }
-  return range_sse(0, n);
+  std::vector<double> d2(x.rows());
+  ForRanges(x.rows(), kRowGrain, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) Nearest(x.Row(i), x.cols(), &d2[i]);
+  });
+  double sse = 0.0;
+  for (double d : d2) sse += d;
+  return sse;
 }
 
 size_t FindElbow(const std::vector<double>& sse) {

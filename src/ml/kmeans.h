@@ -104,6 +104,9 @@ class KMeans {
 
  private:
   double DistSq(const float* a, const float* b, size_t dim) const;
+  /// Index of the centroid nearest `v` (the first of equals), its
+  /// squared distance in `*d2`.
+  size_t Nearest(const float* v, size_t dim, double* d2) const;
   void InitPlusPlus(const Matrix& x, Rng& rng);
   /// Recomputes the squared L2 norm per centroid, cmax_norm_ and
   /// centroids_t_ from centroids_: the last step of every centroid

@@ -43,24 +43,20 @@ size_t RowGrain(size_t rows) { return std::max<size_t>(1, rows / 64); }
 
 /// Work-based grain for the row-parallel GEMMs: every block carries at
 /// least kMinParallelMacs of arithmetic, so a dispatched block is never
-/// dominated by fork-join overhead. Combined with the NumBlocks pre-check
-/// below, single-row inference GEMMs (and anything else below the grain)
-/// run inline on the caller without ever constructing a closure or
-/// touching the pool's queue.
+/// dominated by fork-join overhead, and single-row inference GEMMs (and
+/// anything else below the grain) run inline on the caller without ever
+/// constructing a closure or touching the pool's queue. A product below
+/// kMinParallelTotalMacs is one block: dispatch only pays when the
+/// kernel as a whole carries enough arithmetic to amortize the
+/// fork-join.
 size_t WorkGrain(size_t rows, double macs_per_row) {
+  if (macs_per_row * static_cast<double>(rows) < kMinParallelTotalMacs) {
+    return std::max<size_t>(rows, 1);
+  }
   size_t by_work = static_cast<size_t>(kMinParallelMacs /
                                        std::max(macs_per_row, 1.0)) +
                    1;
   return std::max(RowGrain(rows), by_work);
-}
-
-/// Inline-below-grain check: parallel dispatch only pays when the range
-/// splits into at least two blocks and the kernel as a whole carries
-/// enough arithmetic to amortize the fork-join.
-bool UsePool(ThreadPool* pool, size_t rows, size_t grain,
-             double total_macs) {
-  return pool != nullptr && total_macs >= kMinParallelTotalMacs &&
-         ThreadPool::NumBlocks(rows, grain) > 1;
 }
 
 thread_local uint64_t t_mapped_blocks = 0;
@@ -121,6 +117,15 @@ ScopedComputePool::~ScopedComputePool() {
   t_pool_override_active = prev_active_;
 }
 
+namespace detail {
+
+void RunBlocks(ThreadPool* pool, size_t n, size_t grain,
+               const std::function<void(size_t, size_t)>& body) {
+  pool->ParallelForBlocks(0, n, grain, body);
+}
+
+}  // namespace detail
+
 void Matrix::XavierInit(Rng& rng, size_t fan_in, size_t fan_out) {
   float limit = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
   for (auto& v : data_) {
@@ -150,20 +155,10 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   // MultiPut's placement, a DAP fill) match one-row encodes and
   // sequential Puts.
   const KernelOps& kern = Ops();
-  auto rows = [&](size_t lo, size_t hi) {
-    kern.gemm_f32(a.Row(lo), b.Row(0), hi - lo, k, n, c->Row(lo));
-  };
-  ThreadPool* pool = compute_pool();
-  const double macs_per_row = static_cast<double>(k) * n;
-  const size_t grain = WorkGrain(m, macs_per_row);
-  if (UsePool(pool, m, grain, macs_per_row * m)) {
-    pool->ParallelForBlocks(0, m, grain,
-                            [&](size_t lo, size_t hi, size_t) {
-                              rows(lo, hi);
-                            });
-  } else {
-    rows(0, m);
-  }
+  ForRanges(m, WorkGrain(m, static_cast<double>(k) * n),
+            [&](size_t lo, size_t hi) {
+              kern.gemm_f32(a.Row(lo), b.Row(0), hi - lo, k, n, c->Row(lo));
+            });
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <new>
 #include <span>
 #include <vector>
@@ -26,29 +27,29 @@ class ThreadPool;
 namespace e2nvm::ml {
 
 /// Installs the process-global pool used by every parallel ML kernel
-/// (MatMul*, K-means fit/predict-batch, the VAE's elementwise batch
-/// loops) — the library's set-pool hook. nullptr (the default) selects
-/// the serial code paths, which are bit-identical to the pre-parallel
-/// implementation. The pool must outlive all kernel calls; install
-/// before spawning any thread that runs kernels (the pointer itself is
-/// read atomically). A thread-local ScopedComputePool override (below)
-/// takes precedence on the installing thread.
+/// (MatMul*, the K-means loops, the VAE's elementwise batch loops and
+/// cross-entropy) — the library's set-pool hook. nullptr (the default)
+/// runs every kernel on the calling thread. A pool changes only where
+/// the kernels run, never a bit of their results (ForRanges below). The
+/// pool must outlive all kernel calls; install before spawning any
+/// thread that runs kernels (the pointer itself is read atomically). A
+/// thread-local ScopedComputePool override (below) takes precedence on
+/// the installing thread.
 void SetComputePool(ThreadPool* pool);
 
 /// Currently effective pool for the calling thread: the innermost active
 /// ScopedComputePool override if any, else the global hook, else nullptr
-/// (serial mode). Kernel results are pool-size invariant by contract, so
-/// which pool answers here never changes numerics — only where the work
-/// runs.
+/// (every kernel inline). Which pool answers here, if any, changes only
+/// where the work runs.
 ThreadPool* compute_pool();
 
 /// RAII thread-local pool override: while alive, kernels issued from the
-/// *constructing thread* dispatch to `pool` (nullptr forces the serial
-/// path) regardless of the global hook. This is how a sharded store
-/// pins each shard's inference/retrain work to that shard's own compute
-/// lane — shard A's kernels can never queue behind shard B's retrain,
-/// and the steady-state path never touches a pool another shard waits
-/// on. Overrides nest; each restores its predecessor on destruction.
+/// *constructing thread* dispatch to `pool` (nullptr runs them inline)
+/// regardless of the global hook. This is how a sharded store pins each
+/// shard's inference/retrain work to that shard's own compute lane —
+/// shard A's kernels can never queue behind shard B's retrain, and the
+/// steady-state path never touches a pool another shard waits on.
+/// Overrides nest; each restores its predecessor on destruction.
 class ScopedComputePool {
  public:
   explicit ScopedComputePool(ThreadPool* pool);
@@ -60,6 +61,34 @@ class ScopedComputePool {
   ThreadPool* prev_;
   bool prev_active_;
 };
+
+namespace detail {
+/// ThreadPool::ParallelForBlocks(0, n, grain, body) on `pool`.
+void RunBlocks(ThreadPool* pool, size_t n, size_t grain,
+               const std::function<void(size_t, size_t)>& body);
+}  // namespace detail
+
+/// The one pool-or-inline loop of the ML kernels: runs body(lo, hi) over
+/// [0, n), split into `grain`-sized blocks on the compute pool when one
+/// is installed and n spans two blocks or more, else as the single call
+/// body(0, n) on the calling thread. So the body must compute the same
+/// bits for any split of its range: per-row or per-element results,
+/// never a sum running across rows. A reduction keeps its per-row terms
+/// and sums them on the calling thread in row order afterwards, which
+/// is the one order it has with or without a pool, at any pool size and
+/// when a training runs on a pool worker (whose loops run inline).
+template <typename Body>
+void ForRanges(size_t n, size_t grain, const Body& body) {
+  ThreadPool* pool = compute_pool();
+  if (pool != nullptr && n >= 2 * grain) {
+    // Captured by reference, so the std::function holds one pointer and
+    // allocates nothing.
+    detail::RunBlocks(pool, n, grain,
+                      [&body](size_t lo, size_t hi) { body(lo, hi); });
+  } else {
+    body(size_t{0}, n);
+  }
+}
 
 /// Blocks of this many bytes or more get a mapping of their own (see
 /// CacheLineAllocator).

@@ -6,7 +6,6 @@
 
 #include "common/kernels.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace e2nvm::ml {
 
@@ -14,25 +13,9 @@ namespace {
 constexpr float kLogvarMin = -8.0f;
 constexpr float kLogvarMax = 8.0f;
 
-/// Elements per parallel block of the flat elementwise loops. Fixed so
-/// the block count depends only on the tensor size; reductions combine
-/// per-block partials in block order (pool-size invariant).
+/// Elements per block of the flat elementwise loops and of the
+/// cross-entropy's partial sums (ForRanges; BceStream).
 constexpr size_t kElemGrain = 16 * 1024;
-
-/// Runs body(lo, hi, block) over [0, n): on the compute pool when one is
-/// installed and the loop is large enough, else as a single serial block
-/// (identical arithmetic to the pre-parallel code). A template, so the
-/// serial path wraps the body in no std::function (whose captures past
-/// two pointers go to the heap).
-template <typename Body>
-void ForElements(size_t n, const Body& body) {
-  ThreadPool* pool = compute_pool();
-  if (pool != nullptr && n >= 2 * kElemGrain) {
-    pool->ParallelForBlocks(0, n, kElemGrain, body);
-  } else {
-    body(0, n, 0);
-  }
-}
 
 /// Elements per log_f32 call in the cross-entropy: a fixed stack buffer,
 /// so the loss allocates nothing.
@@ -81,20 +64,22 @@ double BceRun(const float* probs, const float* x, size_t n, double l) {
 }
 
 /// The cross-entropy of a stream of elements that arrives in pieces (a
-/// training batch in one, the validation rows a chunk at a time), split
-/// as ForElements splits the whole stream: with a pool installed and at
-/// least two kElemGrain blocks of elements, each block is one running
-/// sum, continued from piece to piece, and the partials combine in block
-/// order; otherwise the whole stream is one running sum. So the total
-/// has the same bits whatever pieces the stream came in.
+/// training batch in one, the validation rows a chunk at a time), summed
+/// in blocks that depend on the stream's length alone: below two
+/// kElemGrain blocks of elements the whole stream is one running sum,
+/// else each kElemGrain block is one, and the blocks' sums combine in
+/// block order. A block's sum runs on from piece to piece, so the total
+/// has the same bits whatever pieces the stream came in, and a piece's
+/// blocks run on the compute pool when one is installed, which changes
+/// only where they run.
 class BceStream {
  public:
   /// A stream of `total` elements, its running sums kept in `partial`.
   BceStream(size_t total, std::vector<double>* partial)
-      : partial_(partial), pool_(compute_pool()) {
-    if (total < 2 * kElemGrain) pool_ = nullptr;
-    partial->assign(
-        std::max<size_t>(ThreadPool::NumBlocks(total, kElemGrain), 1), 0.0);
+      : partial_(partial),
+        block_(total < 2 * kElemGrain ? std::max<size_t>(total, 1)
+                                      : kElemGrain) {
+    partial->assign(std::max<size_t>((total + block_ - 1) / block_, 1), 0.0);
   }
 
   /// Adds `probs` against the targets `x`: elements [first, first +
@@ -103,21 +88,17 @@ class BceStream {
     const float* p = probs.data().data();
     const float* t = x.data().data();
     std::vector<double>& partial = *partial_;
-    if (pool_ == nullptr) {
-      partial[0] = BceRun(p, t, probs.size(), partial[0]);
-      return;
-    }
     const size_t end = first + probs.size();
-    pool_->ParallelForBlocks(
-        first / kElemGrain, (end + kElemGrain - 1) / kElemGrain, 1,
-        [&](size_t lo, size_t hi, size_t) {
-          for (size_t b = lo; b < hi; ++b) {
-            const size_t from = std::max(first, b * kElemGrain);
-            const size_t to = std::min(end, (b + 1) * kElemGrain);
-            partial[b] = BceRun(p + (from - first), t + (from - first),
-                                to - from, partial[b]);
-          }
-        });
+    const size_t b0 = first / block_;
+    ForRanges((end + block_ - 1) / block_ - b0, 1,
+              [&](size_t lo, size_t hi) {
+                for (size_t b = b0 + lo; b < b0 + hi; ++b) {
+                  const size_t from = std::max(first, b * block_);
+                  const size_t to = std::min(end, (b + 1) * block_);
+                  partial[b] = BceRun(p + (from - first), t + (from - first),
+                                      to - from, partial[b]);
+                }
+              });
   }
 
   double Sum() const {
@@ -128,7 +109,7 @@ class BceStream {
 
  private:
   std::vector<double>* partial_;
-  ThreadPool* pool_;
+  size_t block_;  // Elements per running sum.
 };
 
 /// Binary cross-entropy of `probs` against the targets `x`, summed, with
@@ -143,7 +124,7 @@ double BceSum(const Matrix& probs, const Matrix& x,
 /// probs = sigmoid(logits), elementwise (probs reshaped to match).
 void SigmoidAll(const Matrix& logits, Matrix* probs) {
   probs->EnsureShape(logits.rows(), logits.cols());
-  ForElements(logits.size(), [&](size_t lo, size_t hi, size_t) {
+  ForRanges(logits.size(), kElemGrain, [&](size_t lo, size_t hi) {
     SigmoidArray(logits.data().data() + lo, probs->data().data() + lo,
                  hi - lo);
   });
@@ -268,7 +249,7 @@ void Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
   // d(BCE with logits)/dlogits = (p - x), averaged over the batch, over
   // the logits, which nothing reads again.
   Matrix& dlogits = ws.logits;
-  ForElements(ws.probs.size(), [&](size_t lo, size_t hi, size_t) {
+  ForRanges(ws.probs.size(), kElemGrain, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       dlogits.data()[i] = (ws.probs.data()[i] - x.data()[i]) * inv_batch;
     }

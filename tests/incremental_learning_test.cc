@@ -244,7 +244,6 @@ RetrainPolicy::Config RefineConfig() {
   c.window = 4;
   c.baseline_writes = 2;
   c.degradation_factor = 1.5;
-  c.refine_enabled = true;
   c.refine_interval = 2;
   c.max_refine_rounds = 2;
   c.recovery_factor = 1.2;
@@ -266,7 +265,7 @@ void FillHealthy(DynamicAddressPool& pool) {
 }
 
 TEST(RetrainPolicyDecideTest, EscalatesAfterMaxRefineRounds) {
-  RetrainPolicy p(RefineConfig());
+  RetrainPolicy p(RefineConfig(), /*refine_enabled=*/true);
   DynamicAddressPool pool(2);
   FillHealthy(pool);
 
@@ -291,7 +290,7 @@ TEST(RetrainPolicyDecideTest, EscalatesAfterMaxRefineRounds) {
 }
 
 TEST(RetrainPolicyDecideTest, RecoveryResetsTheEscalationCounter) {
-  RetrainPolicy p(RefineConfig());
+  RetrainPolicy p(RefineConfig(), /*refine_enabled=*/true);
   DynamicAddressPool pool(2);
   FillHealthy(pool);
 
@@ -313,7 +312,7 @@ TEST(RetrainPolicyDecideTest, RecoveryResetsTheEscalationCounter) {
 TEST(RetrainPolicyDecideTest, CapacityTriggerAlwaysEscalates) {
   RetrainPolicy::Config c = RefineConfig();
   c.min_free_per_cluster = 2;
-  RetrainPolicy p(c);
+  RetrainPolicy p(c, /*refine_enabled=*/true);
   DynamicAddressPool pool(2);
   pool.Insert(0, 1);  // Cluster 0 free list below the threshold.
   pool.Insert(1, 2);
@@ -324,9 +323,7 @@ TEST(RetrainPolicyDecideTest, CapacityTriggerAlwaysEscalates) {
 }
 
 TEST(RetrainPolicyDecideTest, OffModeMatchesShouldRetrainExactly) {
-  RetrainPolicy::Config c = RefineConfig();
-  c.refine_enabled = false;
-  RetrainPolicy p(c);
+  RetrainPolicy p(RefineConfig(), /*refine_enabled=*/false);
   DynamicAddressPool pool(2);
   FillHealthy(pool);
   // Across baseline-freeze, degradation, and recovery, Decide() is the

@@ -2,10 +2,12 @@
 // placements, flips and retrain schedule vs a plain E2KvStore), one shared
 // bootstrap model and copied free lists for shards seeded alike (each
 // shard still equal to a standalone store, through retrains and refine
-// steps), merged stats across shards, shard-range containment,
-// construction validation, the ShardJournal append/replay protocol, and
-// that a batch applies exactly the rows its journal took.
+// steps), the same models and placements at any pool_threads, merged
+// stats across shards, shard-range containment, construction validation,
+// the ShardJournal append/replay protocol, and that a batch applies
+// exactly the rows its journal took and a refused delete leaves none.
 
+#include <cstring>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/e2_model.h"
 #include "core/shard_journal.h"
 #include "core/sharded_store.h"
 #include "core/store.h"
@@ -472,6 +475,127 @@ TEST(ShardedStore, EachShardMatchesAStandaloneStore) {
       EXPECT_GT(all.retrains, 0u);
       EXPECT_GT(models.size(), 1u);
     }
+  }
+}
+
+/// Bitwise equality of two E2Models' trained state: every VAE parameter
+/// block (values, gradients, Adam moments), the centroids and the
+/// learning curves.
+void ExpectSameModel(const placement::ContentClusterer& a,
+                     const placement::ContentClusterer& b) {
+  const auto* ma = dynamic_cast<const E2Model*>(&a);
+  const auto* mb = dynamic_cast<const E2Model*>(&b);
+  ASSERT_TRUE(ma != nullptr && mb != nullptr);
+  auto same = [](const ml::Matrix& x, const ml::Matrix& y) {
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           std::memcmp(x.data().data(), y.data().data(),
+                       x.size() * sizeof(float)) == 0;
+  };
+  const auto pa = ma->vae().Params();
+  const auto pb = mb->vae().Params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_TRUE(same(pa[i]->value, pb[i]->value) &&
+                same(pa[i]->grad, pb[i]->grad) && same(pa[i]->m, pb[i]->m) &&
+                same(pa[i]->v, pb[i]->v))
+        << "param block " << i;
+  }
+  EXPECT_TRUE(same(ma->kmeans().centroids(), mb->kmeans().centroids()));
+  const ml::TrainHistory& ha = ma->history();
+  const ml::TrainHistory& hb = mb->history();
+  ASSERT_EQ(ha.train_loss.size(), hb.train_loss.size());
+  ASSERT_EQ(ha.val_loss.size(), hb.val_loss.size());
+  EXPECT_EQ(std::memcmp(ha.train_loss.data(), hb.train_loss.data(),
+                        ha.train_loss.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(ha.val_loss.data(), hb.val_loss.data(),
+                        ha.val_loss.size() * sizeof(double)),
+            0);
+}
+
+TEST(ShardedStore, PoolThreadsChangeNoBit) {
+  // With pool_threads 4 each shard bootstraps on its two-worker lane and
+  // trains its shadows on a lane worker; with 0 it bootstraps on the
+  // calling thread and trains shadows on a dedicated thread. A pool
+  // changes only where training runs, so both stores must hold the same
+  // models and make the same placements.
+  constexpr size_t kShards = 2;
+  constexpr uint64_t kManyKeys = 96;
+  constexpr uint64_t kOps = 600;
+  auto ds = ClusteredData(2);
+  auto shifted = ClusteredData(1002);
+  std::unique_ptr<ShardedStore> stores[2];
+  for (size_t i = 0; i < 2; ++i) {
+    ShardedStoreConfig cfg;
+    cfg.num_shards = kShards;
+    cfg.shard = ModeConfig({"background", true, true, false});
+    cfg.pool_threads = i == 0 ? 0 : 4;
+    auto store_or = ShardedStore::Create(cfg);
+    ASSERT_TRUE(store_or.ok());
+    stores[i] = std::move(*store_or);
+    stores[i]->Seed(ds);
+    ASSERT_TRUE(stores[i]->Bootstrap().ok());
+  }
+  ASSERT_NE(stores[1]->shard_lane(0), nullptr);
+  auto expect_same = [&] {
+    for (size_t s = 0; s < kShards; ++s) {
+      SCOPED_TRACE(s);
+      const PlacementEngine& a = stores[0]->shard(s).engine();
+      const PlacementEngine& b = stores[1]->shard(s).engine();
+      ExpectSameModel(a.clusterer(), b.clusterer());
+      for (size_t c = 0; c < a.pool().num_clusters(); ++c) {
+        const FreeList& la = a.pool().free_list(c);
+        const FreeList& lb = b.pool().free_list(c);
+        ASSERT_EQ(la.size(), lb.size()) << "cluster " << c;
+        for (size_t j = 0; j < la.size(); ++j) {
+          EXPECT_EQ(la[j], lb[j]) << "cluster " << c << " slot " << j;
+        }
+      }
+      EXPECT_TRUE(a.stats() == b.stats());
+      EXPECT_EQ(a.model_generation(), b.model_generation());
+    }
+    const nvm::EnergyTotals ea = stores[0]->meter().Snapshot();
+    const nvm::EnergyTotals eb = stores[1]->meter().Snapshot();
+    EXPECT_EQ(std::memcmp(ea.pj, eb.pj, sizeof(ea.pj)), 0);
+    EXPECT_EQ(ea.now_ns, eb.now_ns);
+    const nvm::DeviceStats da = stores[0]->device().stats();
+    const nvm::DeviceStats db = stores[1]->device().stats();
+    EXPECT_EQ(da.writes, db.writes);
+    EXPECT_EQ(da.data_bits_flipped, db.data_bits_flipped);
+    EXPECT_EQ(da.aux_bits_flipped, db.aux_bits_flipped);
+    EXPECT_EQ(da.set_transitions, db.set_transitions);
+    EXPECT_EQ(da.reset_transitions, db.reset_transitions);
+    EXPECT_EQ(da.dirty_lines, db.dirty_lines);
+  };
+  {
+    SCOPED_TRACE("after bootstrap");
+    expect_same();
+  }
+
+  // Updates with a delete every seventh op; the value classes shift
+  // halfway, so every shard launches background retrains, which both
+  // stores wait out and adopt at the same op.
+  for (uint64_t i = 0; i < kOps; ++i) {
+    const uint64_t key = (i * 37) % kManyKeys;
+    const size_t s = stores[0]->ShardOf(key);
+    for (auto& store : stores) {
+      if (i % 7 == 6) {
+        (void)store->Delete(key);
+      } else {
+        const workload::BitDataset& src = i < kOps / 2 ? ds : shifted;
+        ASSERT_TRUE(store->Put(key, src.items[i % src.items.size()]).ok())
+            << "op " << i;
+      }
+      Drain(store->shard(s).engine());
+    }
+  }
+  {
+    SCOPED_TRACE("after the stream");
+    expect_same();
+  }
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_GT(stores[1]->shard(s).engine().model_generation(), 0u)
+        << "shard " << s;
   }
 }
 
@@ -1035,6 +1159,28 @@ TEST(ShardedStore, RowsTheShardRefusesAreNotJournaled) {
   got = store->Get(6);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, ds.items[6]);
+}
+
+TEST(ShardedStore, DeletesTheShardRefusesAreNotJournaled) {
+  // A delete of a key the shard does not hold returns NotFound and must
+  // leave no record: it would replay nothing, and on a small journal a
+  // run of them forced checkpoints, each of which peeks every live key.
+  auto ds = ClusteredData(23);
+  auto store = MakeOneShardJournaled(ds, kSegments, /*capacity=*/8);
+  for (uint64_t key = 0; key < 3; ++key) {
+    ASSERT_TRUE(store->Put(key, ds.items[key]).ok()) << "key " << key;
+  }
+  ASSERT_TRUE(store->Delete(1).ok());
+  const size_t count = store->journal(0)->count();
+  EXPECT_EQ(count, 4u);
+  for (uint64_t key = 1; key < 22; ++key) {
+    if (key == 2) continue;  // Live.
+    EXPECT_EQ(store->Delete(key).code(), StatusCode::kNotFound)
+        << "key " << key;
+    EXPECT_EQ(store->journal(0)->count(), count) << "key " << key;
+  }
+  EXPECT_EQ(store->TakeSnapshot().journal_checkpoints, 0u);
+  ExpectReplayMatchesShard(*store, 0);
 }
 
 }  // namespace

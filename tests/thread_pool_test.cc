@@ -1,8 +1,13 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,83 +15,66 @@
 namespace e2nvm {
 namespace {
 
-TEST(ThreadPoolTest, ParallelForVisitsEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(0, 1000, 7, [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
 TEST(ThreadPoolTest, ParallelForBlocksCoverRangeExactly) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(997);  // Prime: uneven tail block.
-  pool.ParallelForBlocks(0, 997, 64,
-                         [&](size_t lo, size_t hi, size_t blk) {
-                           EXPECT_EQ(lo, blk * 64);
-                           for (size_t i = lo; i < hi; ++i) {
-                             hits[i].fetch_add(1);
-                           }
-                         });
+  pool.ParallelForBlocks(0, 997, 64, [&](size_t lo, size_t hi) {
+    EXPECT_EQ(lo % 64, 0u);
+    EXPECT_EQ(hi, std::min<size_t>(lo + 64, 997));
+    for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+  });
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(ThreadPoolTest, NumBlocksIsThreadCountIndependent) {
-  EXPECT_EQ(ThreadPool::NumBlocks(0, 8), 0u);
-  EXPECT_EQ(ThreadPool::NumBlocks(1, 8), 1u);
-  EXPECT_EQ(ThreadPool::NumBlocks(8, 8), 1u);
-  EXPECT_EQ(ThreadPool::NumBlocks(9, 8), 2u);
-  EXPECT_EQ(ThreadPool::NumBlocks(100, 0), 100u);  // grain clamped to 1.
+TEST(ThreadPoolTest, ZeroGrainIsOneAndEmptyRangesRunNothing) {
+  ThreadPool pool(2);
+  std::atomic<int> blocks{0};
+  pool.ParallelForBlocks(0, 100, 0, [&](size_t lo, size_t hi) {
+    EXPECT_EQ(hi - lo, 1u);
+    blocks.fetch_add(1);
+  });
+  EXPECT_EQ(blocks.load(), 100);
+  pool.ParallelForBlocks(5, 5, 8, [&](size_t, size_t) { blocks.fetch_add(1); });
+  EXPECT_EQ(blocks.load(), 100);
 }
 
-TEST(ThreadPoolTest, BlockReductionIsIdenticalForAnyPoolSize) {
-  // Per-block partials combined in block order must not depend on how
-  // many workers ran the blocks.
+TEST(ThreadPoolTest, BlocksAreIdenticalForAnyPoolSize) {
+  // The block bounds are a function of the range and the grain alone.
   auto run = [](size_t threads) {
     ThreadPool pool(threads);
-    const size_t n = 10000, grain = 128;
-    std::vector<double> partial(ThreadPool::NumBlocks(n, grain), 0.0);
-    pool.ParallelForBlocks(0, n, grain,
-                           [&](size_t lo, size_t hi, size_t blk) {
-                             double s = 0.0;
-                             for (size_t i = lo; i < hi; ++i) {
-                               s += 1.0 / static_cast<double>(i + 1);
-                             }
-                             partial[blk] = s;
-                           });
-    double total = 0.0;
-    for (double s : partial) total += s;
-    return total;
+    std::mutex mu;
+    std::vector<std::pair<size_t, size_t>> blocks;
+    pool.ParallelForBlocks(5, 10000, 128, [&](size_t lo, size_t hi) {
+      std::lock_guard<std::mutex> lock(mu);
+      blocks.emplace_back(lo, hi);
+    });
+    std::sort(blocks.begin(), blocks.end());
+    return blocks;
   };
-  double t1 = run(1), t2 = run(2), t4 = run(4);
-  EXPECT_EQ(t1, t2);
-  EXPECT_EQ(t2, t4);
-}
-
-TEST(ThreadPoolTest, TaskSeedIsDeterministicAndSpreads) {
-  EXPECT_EQ(ThreadPool::TaskSeed(42, 0), ThreadPool::TaskSeed(42, 0));
-  EXPECT_NE(ThreadPool::TaskSeed(42, 0), ThreadPool::TaskSeed(42, 1));
-  EXPECT_NE(ThreadPool::TaskSeed(42, 0), ThreadPool::TaskSeed(43, 0));
+  const auto b1 = run(1);
+  EXPECT_EQ(b1.size(), 79u);  // ceil(9995 / 128).
+  EXPECT_EQ(b1, run(2));
+  EXPECT_EQ(b1, run(4));
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.ParallelFor(0, 100, 1,
-                       [](size_t i) {
-                         if (i == 37) throw std::runtime_error("boom 37");
-                       }),
-      std::runtime_error);
+  EXPECT_THROW(pool.ParallelForBlocks(0, 100, 1,
+                                      [](size_t lo, size_t) {
+                                        if (lo == 37) {
+                                          throw std::runtime_error("boom 37");
+                                        }
+                                      }),
+               std::runtime_error);
 }
 
 TEST(ThreadPoolTest, FirstExceptionByBlockIndexWins) {
   ThreadPool pool(4);
   try {
-    pool.ParallelFor(0, 100, 10, [](size_t i) {
-      if (i % 10 == 0) throw std::runtime_error(std::to_string(i));
+    pool.ParallelForBlocks(0, 100, 10, [](size_t lo, size_t) {
+      throw std::runtime_error(std::to_string(lo));
     });
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
@@ -94,12 +82,13 @@ TEST(ThreadPoolTest, FirstExceptionByBlockIndexWins) {
   }
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInline) {
+TEST(ThreadPoolTest, NestedParallelForBlocksRunsInline) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
-  pool.ParallelFor(0, 8, 1, [&](size_t) {
+  pool.ParallelForBlocks(0, 8, 1, [&](size_t, size_t) {
     // A nested loop from a worker must complete without deadlocking.
-    pool.ParallelFor(0, 16, 1, [&](size_t) { total.fetch_add(1); });
+    pool.ParallelForBlocks(0, 16, 1,
+                           [&](size_t, size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 8 * 16);
 }
@@ -116,7 +105,7 @@ TEST(ThreadPoolTest, SubmittedTasksRunBeforeShutdown) {
   EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(ThreadPoolTest, ConcurrentParallelForsFromManyThreads) {
+TEST(ThreadPoolTest, ConcurrentLoopsFromManyThreads) {
   ThreadPool pool(4);
   std::vector<std::thread> callers;
   std::atomic<size_t> grand{0};
@@ -124,8 +113,9 @@ TEST(ThreadPoolTest, ConcurrentParallelForsFromManyThreads) {
     callers.emplace_back([&] {
       for (int rep = 0; rep < 10; ++rep) {
         std::atomic<size_t> local{0};
-        pool.ParallelFor(0, 500, 16,
-                         [&](size_t) { local.fetch_add(1); });
+        pool.ParallelForBlocks(0, 500, 16, [&](size_t lo, size_t hi) {
+          local.fetch_add(hi - lo);
+        });
         grand.fetch_add(local.load());
       }
     });
@@ -137,7 +127,9 @@ TEST(ThreadPoolTest, ConcurrentParallelForsFromManyThreads) {
 TEST(ThreadPoolTest, SingleThreadPoolRunsSeriallyInCallerOrder) {
   ThreadPool pool(1);
   std::vector<size_t> order;
-  pool.ParallelFor(0, 50, 8, [&](size_t i) { order.push_back(i); });
+  pool.ParallelForBlocks(0, 50, 8, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) order.push_back(i);
+  });
   std::vector<size_t> expect(50);
   std::iota(expect.begin(), expect.end(), 0);
   EXPECT_EQ(order, expect);

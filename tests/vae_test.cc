@@ -372,7 +372,7 @@ TEST(VaeTest, ValidationLossIsTheHeldOutRowsEvalLoss) {
   // The validation pass evaluates the held-out rows a batch at a time;
   // its loss must have the bits of EvalLoss over a copy of those rows in
   // one piece, serial and on a pool. 16-row chunks of 2000-float rows
-  // end inside the pool's 16K-element cross-entropy blocks.
+  // end inside the cross-entropy's 16K-element blocks.
   const VaeConfig cfg = SmallConfig(2000);
   const Matrix x = TwoProtoData(200, 2000, 12);
   VaeTrainOptions opts;
