@@ -15,16 +15,23 @@
 //  - 2- and 4-shard stores with retraining off, synchronous and
 //    incremental: each shard's free lists and EngineStats, the merged
 //    energy (as bits) and the device's flips, after Bootstrap and after
-//    a stream of puts and deletes whose values shift halfway.
+//    a stream of puts and deletes whose values shift halfway;
+//  - the same for 2-shard stores with background retraining (a higher
+//    capacity threshold, so shadows come often), each shadow drained and
+//    adopted right after the op that launched it, at pool_threads 0 and
+//    2: the program exits 1 unless both runs hash alike.
 //
 // Hashes are FNV-1a over raw bytes, so a float that moves by one ulp
 // changes its line. Every kernel tier must print the same output.
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/e2_model.h"
@@ -64,10 +71,12 @@ class Hash {
   uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
-void Print(const std::string& item, const Hash& h) {
+void Print(const std::string& item, uint64_t hash) {
   std::printf("%s %016llx\n", item.c_str(),
-              static_cast<unsigned long long>(h.value()));
+              static_cast<unsigned long long>(hash));
 }
+
+void Print(const std::string& item, const Hash& h) { Print(item, h.value()); }
 
 e2nvm::workload::BitDataset Data(size_t bits, size_t samples,
                                  uint64_t seed) {
@@ -174,7 +183,18 @@ void FingerprintClusterers() {
   }
 }
 
-void PrintStore(const std::string& tag, e2nvm::core::ShardedStore& store) {
+/// (item, hash) lines of store state, printed by main.
+using Items = std::vector<std::pair<std::string, uint64_t>>;
+
+void PrintItems(const Items& items) {
+  for (const auto& [item, hash] : items) Print(item, hash);
+}
+
+void AddStore(const std::string& tag, e2nvm::core::ShardedStore& store,
+              Items* items) {
+  auto add = [items](const std::string& item, const Hash& h) {
+    items->emplace_back(item, h.value());
+  };
   for (size_t s = 0; s < store.num_shards(); ++s) {
     const e2nvm::core::PlacementEngine& engine = store.shard(s).engine();
     Hash lists;
@@ -184,53 +204,68 @@ void PrintStore(const std::string& tag, e2nvm::core::ShardedStore& store) {
       for (size_t i = 0; i < list.size(); ++i) lists.Value(list[i]);
     }
     const std::string shard = tag + " shard" + std::to_string(s);
-    Print(shard + " free_lists", lists);
+    add(shard + " free_lists", lists);
     const e2nvm::core::EngineStats& st = engine.stats();
-    Print(shard + " stats",
-          Hash()
-              .Value(st.placements)
-              .Value(st.releases)
-              .Value(st.retrains)
-              .Value(st.fallback_acquires)
-              .Value(st.predict_flops)
-              .Value(st.train_flops)
-              .Value(st.fallback_placements)
-              .Value(st.quarantine_skips)
-              .Value(st.quarantined_segments)
-              .Value(st.write_retries)
-              .Value(st.model_fallbacks)
-              .Value(st.failed_retrains)
-              .Value(st.background_retrains)
-              .Value(st.capacity_retrains)
-              .Value(st.swap_repredictions)
-              .Value(st.refine_steps)
-              .Value(st.refine_flops)
-              .Value(st.release_cluster_hits)
-              .Value(engine.model_generation()));
+    add(shard + " stats",
+        Hash()
+            .Value(st.placements)
+            .Value(st.releases)
+            .Value(st.retrains)
+            .Value(st.fallback_acquires)
+            .Value(st.predict_flops)
+            .Value(st.train_flops)
+            .Value(st.fallback_placements)
+            .Value(st.quarantine_skips)
+            .Value(st.quarantined_segments)
+            .Value(st.write_retries)
+            .Value(st.model_fallbacks)
+            .Value(st.failed_retrains)
+            .Value(st.background_retrains)
+            .Value(st.capacity_retrains)
+            .Value(st.swap_repredictions)
+            .Value(st.refine_steps)
+            .Value(st.refine_flops)
+            .Value(st.release_cluster_hits)
+            .Value(engine.model_generation()));
   }
   const e2nvm::nvm::EnergyTotals energy = store.meter().Snapshot();
   Hash pj;
   for (double v : energy.pj) pj.Value(v);
-  Print(tag + " energy", pj.Value(energy.now_ns));
+  add(tag + " energy", pj.Value(energy.now_ns));
   const e2nvm::nvm::DeviceStats dev = store.device().stats();
-  Print(tag + " flips", Hash()
-                            .Value(dev.writes)
-                            .Value(dev.data_bits_flipped)
-                            .Value(dev.aux_bits_flipped)
-                            .Value(dev.set_transitions)
-                            .Value(dev.reset_transitions)
-                            .Value(dev.dirty_lines));
+  add(tag + " flips", Hash()
+                          .Value(dev.writes)
+                          .Value(dev.data_bits_flipped)
+                          .Value(dev.aux_bits_flipped)
+                          .Value(dev.set_transitions)
+                          .Value(dev.reset_transitions)
+                          .Value(dev.dirty_lines));
+}
+
+/// Waits out every shard's in-flight shadow training and adopts it.
+void DrainRetrains(e2nvm::core::ShardedStore& store) {
+  for (size_t s = 0; s < store.num_shards(); ++s) {
+    while (store.shard(s).engine().RetrainInFlight()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+  store.PumpRetrains();
 }
 
 /// A store of `shards` shards seeded alike, bootstrapped, then driven.
-void FingerprintStore(size_t shards, const char* mode) {
+Items FingerprintStore(size_t shards, const char* mode,
+                       size_t pool_threads = 0) {
   constexpr size_t kSegments = 128;  // Per shard.
   constexpr size_t kBits = 256;
   constexpr uint64_t kKeys = 40;  // Per shard, on average.
   constexpr uint64_t kOps = 200;  // Per shard.
   const std::string m = mode;
+  const std::string tag =
+      "store " + std::to_string(shards) + "x" + std::string(mode);
+  Items items;
   e2nvm::core::ShardedStoreConfig cfg;
   cfg.num_shards = shards;
+  cfg.pool_threads = pool_threads;
   e2nvm::core::StoreConfig& sc = cfg.shard;
   sc.num_segments = kSegments;
   sc.segment_bits = kBits;
@@ -239,10 +274,16 @@ void FingerprintStore(size_t shards, const char* mode) {
   sc.model.pretrain_epochs = 2;
   sc.model.finetune_rounds = 1;
   sc.auto_retrain = m != "off";
+  sc.background_retrain = m == "background";
   sc.retrain.min_free_per_cluster = 2;
   sc.retrain.window = 20;
   sc.retrain.baseline_writes = 20;
   sc.retrain.degradation_factor = 1.4;
+  if (m == "background") {
+    // Free lists run short often enough that each shard adopts a dozen
+    // or more shadows, some with segments released since the snapshot.
+    sc.retrain.min_free_per_cluster = 14;
+  }
   if (m == "incremental") {
     sc.incremental_learning = true;
     sc.replay_ring_capacity = 64;
@@ -252,36 +293,36 @@ void FingerprintStore(size_t shards, const char* mode) {
   }
   auto store_or = e2nvm::core::ShardedStore::Create(cfg);
   if (!store_or.ok()) {
-    std::printf("store %s create failed\n", mode);
-    return;
+    items.emplace_back(tag + " create failed", 0);
+    return items;
   }
   auto store = std::move(*store_or);
   const auto ds = Data(kBits, kSegments + 64, /*seed=*/2);
   const auto shifted = Data(kBits, kSegments + 64, /*seed=*/1002);
   store->Seed(ds);
-  const std::string tag =
-      "store " + std::to_string(shards) + "x" + std::string(mode);
   if (!store->Bootstrap().ok()) {
-    std::printf("%s bootstrap failed\n", tag.c_str());
-    return;
+    items.emplace_back(tag + " bootstrap failed", 0);
+    return items;
   }
-  PrintStore(tag + " bootstrap", *store);
+  AddStore(tag + " bootstrap", *store, &items);
   const uint64_t ops = kOps * shards;
   const uint64_t keys = kKeys * shards;
   for (uint64_t i = 0; i < ops; ++i) {
     const uint64_t key = (i * 37) % keys;
     if (i % 7 == 6) {
       (void)store->Delete(key);
-      continue;
+    } else {
+      const auto& src = i < ops / 2 ? ds : shifted;
+      if (!store->Put(key, src.items[i % src.items.size()]).ok()) {
+        items.emplace_back(tag + " put " + std::to_string(i) + " failed", 0);
+        return items;
+      }
     }
-    const auto& src = i < ops / 2 ? ds : shifted;
-    if (!store->Put(key, src.items[i % src.items.size()]).ok()) {
-      std::printf("%s put %llu failed\n", tag.c_str(),
-                  static_cast<unsigned long long>(i));
-      return;
-    }
+    // A shadow launched by this op serves from the next one on.
+    if (sc.background_retrain) DrainRetrains(*store);
   }
-  PrintStore(tag + " driven", *store);
+  AddStore(tag + " driven", *store, &items);
+  return items;
 }
 
 }  // namespace
@@ -292,8 +333,15 @@ int main() {
   FingerprintClusterers();
   for (size_t shards : {2u, 4u}) {
     for (const char* mode : {"off", "sync", "incremental"}) {
-      FingerprintStore(shards, mode);
+      PrintItems(FingerprintStore(shards, mode));
     }
+  }
+  // A compute pool changes only where a shadow trains, never its bits.
+  const Items background = FingerprintStore(2, "background");
+  PrintItems(background);
+  if (FingerprintStore(2, "background", /*pool_threads=*/2) != background) {
+    std::printf("store 2xbackground differs at pool_threads 2\n");
+    return 1;
   }
   return 0;
 }

@@ -16,29 +16,27 @@ BackgroundRetrainer::~BackgroundRetrainer() {
   }
 }
 
-void BackgroundRetrainer::TrainAndPublish(
-    std::unique_ptr<placement::ContentClusterer> shadow,
-    ml::Matrix contents) {
-  result_.status = shadow->Train(contents);
-  if (result_.status.ok()) {
-    result_.train_flops = shadow->LastTrainFlops();
-    // Classify the snapshot in one call; the local scratch takes the
-    // contents by move, so nothing region-sized outlives it.
-    const size_t n = contents.rows();
-    ml::InferenceScratch scratch;
-    scratch.in = std::move(contents);
-    shadow->AssignScratch(&scratch);
-    result_.clusters = std::move(scratch.clusters);
-    // A running sum, one prediction per row: the same double the engine
-    // would charge for n single predictions.
-    for (size_t i = 0; i < n; ++i) {
-      result_.predict_flops += shadow->PredictFlops();
-    }
-    result_.model = std::move(shadow);
+BackgroundRetrainer::Result BackgroundRetrainer::Train(
+    std::unique_ptr<placement::ContentClusterer> untrained,
+    ml::Matrix contents, std::vector<uint64_t> addrs) {
+  Result update;
+  update.addrs = std::move(addrs);
+  update.status = untrained->Train(contents);
+  if (!update.status.ok()) return update;
+  update.train_flops = untrained->LastTrainFlops();
+  // Classify the snapshot in one call; the local scratch takes the
+  // contents by move, so nothing region-sized outlives it.
+  ml::InferenceScratch scratch;
+  scratch.in = std::move(contents);
+  untrained->AssignScratch(&scratch);
+  update.clusters = std::move(scratch.clusters);
+  // A running sum, one prediction per row: the same double the engine
+  // would charge for n single predictions.
+  for (size_t i = 0; i < update.clusters.size(); ++i) {
+    update.predict_flops += untrained->PredictFlops();
   }
-  generations_.fetch_add(1, std::memory_order_acq_rel);
-  ready_.store(true, std::memory_order_release);
-  running_.store(false, std::memory_order_release);
+  update.model = std::move(untrained);
+  return update;
 }
 
 bool BackgroundRetrainer::Start(
@@ -46,29 +44,31 @@ bool BackgroundRetrainer::Start(
     ml::Matrix contents, std::vector<uint64_t> addrs) {
   if (running() || ready()) return false;
   if (worker_.joinable()) worker_.join();  // Reap the previous worker.
-
-  result_ = Result{};
-  result_.addrs = std::move(addrs);
   running_.store(true, std::memory_order_release);
 
-  // The worker owns the shadow and the snapshot until the ready_ release;
-  // the foreground only reads result_ after the matching acquire.
+  // The worker owns the snapshot until the ready_ release; the foreground
+  // only reads result_ after the matching acquire. Pool tasks are
+  // copyable std::functions, so the move-only snapshot is parked in a
+  // shared_ptr that the (single) execution steals from.
+  struct Snapshot {
+    std::unique_ptr<placement::ContentClusterer> shadow;
+    ml::Matrix contents;
+    std::vector<uint64_t> addrs;
+  };
+  auto snapshot = std::make_shared<Snapshot>(
+      Snapshot{std::move(shadow), std::move(contents), std::move(addrs)});
+  auto job = [this, snapshot] {
+    result_ = Train(std::move(snapshot->shadow),
+                    std::move(snapshot->contents),
+                    std::move(snapshot->addrs));
+    ready_.store(true, std::memory_order_release);
+    running_.store(false, std::memory_order_release);
+  };
   if (pool_ != nullptr) {
-    // Submit takes a copyable std::function; park the move-only payload
-    // in a shared_ptr the (single) execution steals from.
-    auto job = std::make_shared<
-        std::pair<std::unique_ptr<placement::ContentClusterer>, ml::Matrix>>(
-        std::move(shadow), std::move(contents));
-    pool_->Submit([this, job] {
-      TrainAndPublish(std::move(job->first), std::move(job->second));
-    });
-    return true;
+    pool_->Submit(job);
+  } else {
+    worker_ = std::thread(job);
   }
-  worker_ = std::thread(
-      [this, shadow = std::move(shadow),
-       contents = std::move(contents)]() mutable {
-        TrainAndPublish(std::move(shadow), std::move(contents));
-      });
   return true;
 }
 

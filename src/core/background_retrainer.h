@@ -31,10 +31,11 @@ namespace e2nvm::core {
 ///   1. foreground snapshots the free segments' contents into a Matrix
 ///      (cheap word-level expansion) and calls Start() with a fresh
 ///      shadow clusterer (ContentClusterer::CloneUntrained);
-///   2. a dedicated worker thread trains the shadow and classifies every
-///      snapshot row with it, then publishes the Result;
+///   2. a dedicated worker thread runs Train on the snapshot, the same
+///      model update the engine's Bootstrap and synchronous Retrain run
+///      inline, then publishes the Result;
 ///   3. the foreground polls ready() on its normal write path and claims
-///      the Result with TryCollect(), swapping the shadow model in.
+///      the Result with TryCollect(), and the engine adopts it.
 ///
 /// The handoff is a single release/acquire pair on `ready_`; the worker
 /// never touches the engine, the controller, or the live model, so
@@ -44,21 +45,33 @@ namespace e2nvm::core {
 /// pool thread, so its kernels parallelize.
 class BackgroundRetrainer {
  public:
-  /// Everything the foreground needs to adopt a trained shadow.
+  /// One model update: a freshly trained model and the cluster it gives
+  /// each segment of the snapshot it trained on. Bootstrap, the
+  /// synchronous Retrain and the shadow all build one with Train, and
+  /// PlacementEngine installs every one the same way.
   struct Result {
     Status status = Status::Ok();
-    /// The trained shadow (valid when status.ok()).
+    /// The trained model (valid when status.ok()).
     std::unique_ptr<placement::ContentClusterer> model;
-    /// Snapshot addresses and the shadow's cluster for each — the swap
-    /// reuses these so the DAP rebuild costs O(free) map lookups instead
-    /// of O(free) model predictions on the write path.
+    /// Snapshot addresses and the model's cluster for each: adoption
+    /// looks these up by address instead of predicting every free
+    /// segment again.
     std::vector<uint64_t> addrs;
     std::vector<size_t> clusters;
-    /// Model flops spent training / classifying the snapshot, to be
-    /// charged to the CPU energy domain by the collector.
+    /// Model flops spent training / classifying the snapshot, charged
+    /// by the engine that adopts the update.
     double train_flops = 0;
     double predict_flops = 0;
   };
+
+  /// The one model update: trains `untrained` (a CloneUntrained) on
+  /// `contents`, whose row i is the content of addrs[i], and classifies
+  /// every row with it in one AssignScratch call. The contents are
+  /// freed before it returns. Every ML reduction sums in one order
+  /// (DESIGN.md §8), so the update's bits do not depend on the thread
+  /// that runs it or on the compute pool.
+  static Result Train(std::unique_ptr<placement::ContentClusterer> untrained,
+                      ml::Matrix contents, std::vector<uint64_t> addrs);
 
   /// With no pool, every training runs on a dedicated std::thread (one
   /// store, one occasional trainer — the PR 2 behavior). With a pool, the
@@ -85,14 +98,9 @@ class BackgroundRetrainer {
   /// True when a Result is waiting to be claimed.
   bool ready() const { return ready_.load(std::memory_order_acquire); }
 
-  /// Trainings completed over this retrainer's lifetime (claimed or not).
-  uint64_t generations() const {
-    return generations_.load(std::memory_order_acquire);
-  }
-
-  /// Launches a training of `shadow` on `contents` (row i is the content
-  /// of addrs[i]). Returns false — and takes no ownership — when a
-  /// training is in flight or an unclaimed Result is pending.
+  /// Launches Train(shadow, contents, addrs) off the write path. Returns
+  /// false — and takes no ownership — when a training is in flight or
+  /// an unclaimed Result is pending.
   bool Start(std::unique_ptr<placement::ContentClusterer> shadow,
              ml::Matrix contents, std::vector<uint64_t> addrs);
 
@@ -101,16 +109,10 @@ class BackgroundRetrainer {
   std::optional<Result> TryCollect();
 
  private:
-  /// The training body shared by both execution modes: trains `shadow`,
-  /// classifies the snapshot, publishes result_ and flips ready_/running_.
-  void TrainAndPublish(std::unique_ptr<placement::ContentClusterer> shadow,
-                       ml::Matrix contents);
-
   ThreadPool* pool_ = nullptr;  // Borrowed; must outlive the retrainer.
   std::thread worker_;
   std::atomic<bool> running_{false};
   std::atomic<bool> ready_{false};
-  std::atomic<uint64_t> generations_{0};
   Result result_;  // Written by the worker before the ready_ release.
 };
 

@@ -15,10 +15,7 @@ Status BatchWriter::Put(uint64_t key, const BitVector& value) {
   DropPlaced(key);
   DropStaged(key);
   if (current_.used + value.size() > batch_bits_) {
-    SealCurrent();
-    if (sealed_.size() >= flush_batches_) {
-      E2_RETURN_IF_ERROR(FlushSealed());
-    }
+    E2_RETURN_IF_ERROR(Flush());
   }
   return PutStaged(key, value);
 }
@@ -35,59 +32,26 @@ Status BatchWriter::PutStaged(uint64_t key, const BitVector& value) {
   return Status::Ok();
 }
 
-void BatchWriter::SealCurrent() {
-  if (current_.order.empty()) {
-    // Nothing live staged; recycle the buffer in place.
-    current_.used = 0;
-    current_.bits = BitVector();
-    return;
-  }
-  sealed_.push_back(std::move(current_));
-  current_ = Staged{};
-}
-
-Status BatchWriter::FlushSealed() {
-  if (sealed_.empty()) return Status::Ok();
-  // One grouped placement for every sealed batch: the placer featurizes
-  // them into one matrix and runs the model once (PlaceMany).
-  std::vector<const BitVector*> values;
-  values.reserve(sealed_.size());
-  for (const Staged& s : sealed_) values.push_back(&s.bits);
-  std::vector<uint64_t> addrs;
-  addrs.reserve(values.size());
-  Status placed = placer_->PlaceMany(values, &addrs);
-  // Record what landed (a prefix of the queue when the batch failed
-  // part-way), then drop those buffers.
-  for (size_t i = 0; i < addrs.size(); ++i) {
-    const Staged& s = sealed_[i];
+Status BatchWriter::Flush() {
+  if (!current_.order.empty()) {
+    // A failed placement keeps the pairs staged (and readable).
+    E2_ASSIGN_OR_RETURN(uint64_t addr, placer_->Place(current_.bits));
     ++batches_placed_;
-    BatchInfo& info = batches_[addrs[i]];
-    for (const auto& [key, span] : s.order) {
-      locations_[key] = Location{addrs[i], span.first, span.second};
+    BatchInfo& info = batches_[addr];
+    for (const auto& [key, span] : current_.order) {
+      locations_[key] = Location{addr, span.first, span.second};
       ++info.live;
     }
   }
-  sealed_.erase(sealed_.begin(),
-                sealed_.begin() + static_cast<ptrdiff_t>(addrs.size()));
-  return placed;
-}
-
-Status BatchWriter::Flush() {
-  SealCurrent();
-  return FlushSealed();
+  // A buffer of dead space only is dropped unwritten.
+  current_ = Staged{};
+  return Status::Ok();
 }
 
 StatusOr<BitVector> BatchWriter::Get(uint64_t key) {
   for (auto& [k, span] : current_.order) {
     if (k == key) {
       return current_.bits.Slice(span.first, span.second);
-    }
-  }
-  for (Staged& s : sealed_) {
-    for (auto& [k, span] : s.order) {
-      if (k == key) {
-        return s.bits.Slice(span.first, span.second);
-      }
     }
   }
   auto it = locations_.find(key);
@@ -119,14 +83,6 @@ void BatchWriter::DropStaged(uint64_t key) {
       return;
     }
   }
-  for (Staged& s : sealed_) {
-    for (auto it = s.order.begin(); it != s.order.end(); ++it) {
-      if (it->first == key) {
-        s.order.erase(it);
-        return;
-      }
-    }
-  }
 }
 
 Status BatchWriter::Delete(uint64_t key) {
@@ -134,14 +90,6 @@ Status BatchWriter::Delete(uint64_t key) {
     if (it->first == key) {
       current_.order.erase(it);
       return Status::Ok();
-    }
-  }
-  for (Staged& s : sealed_) {
-    for (auto it = s.order.begin(); it != s.order.end(); ++it) {
-      if (it->first == key) {
-        s.order.erase(it);
-        return Status::Ok();
-      }
     }
   }
   if (locations_.find(key) == locations_.end()) {

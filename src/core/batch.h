@@ -2,7 +2,6 @@
 #define E2NVM_CORE_BATCH_H_
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -25,22 +24,13 @@ namespace e2nvm::core {
 /// keeps a key -> (segment address, offset, width) map, serves reads by
 /// slicing the stored batch, and reclaims a segment once every pair in
 /// it has been deleted or superseded.
-///
-/// With `flush_batches` > 1 the writer seals full buffers into a queue
-/// and places `flush_batches` of them in one ValuePlacer::PlaceMany call,
-/// so the placement model runs once per group instead of once per
-/// segment (the write-path batching of §4.1.4).
 class BatchWriter {
  public:
   /// `batch_bits` is the grouped-write width — at most the placer's
-  /// segment width. `Flush()` triggers placement; a full buffer is
-  /// sealed and placed once `flush_batches` sealed buffers have piled
-  /// up (1 = place every full buffer immediately, the classic behavior).
-  BatchWriter(index::ValuePlacer* placer, size_t batch_bits,
-              size_t flush_batches = 1)
-      : placer_(placer),
-        batch_bits_(batch_bits),
-        flush_batches_(flush_batches == 0 ? 1 : flush_batches) {}
+  /// segment width. A full buffer is placed at once with one
+  /// ValuePlacer::Place; `Flush()` places a partial one.
+  BatchWriter(index::ValuePlacer* placer, size_t batch_bits)
+      : placer_(placer), batch_bits_(batch_bits) {}
 
   ~BatchWriter() = default;
   BatchWriter(const BatchWriter&) = delete;
@@ -58,16 +48,12 @@ class BatchWriter {
   /// a placed batch dies, the segment address is released to the placer.
   Status Delete(uint64_t key);
 
-  /// Forces everything staged out: seals the current buffer and places
-  /// every sealed batch in one PlaceMany call.
+  /// Forces everything staged out: places the staging buffer, if any
+  /// pair in it is still live.
   Status Flush();
 
   size_t size() const { return locations_.size() + staged_pairs(); }
-  size_t staged_pairs() const {
-    size_t n = current_.order.size();
-    for (const Staged& s : sealed_) n += s.order.size();
-    return n;
-  }
+  size_t staged_pairs() const { return current_.order.size(); }
   uint64_t batches_placed() const { return batches_placed_; }
   uint64_t segments_reclaimed() const { return segments_reclaimed_; }
 
@@ -80,7 +66,7 @@ class BatchWriter {
   struct BatchInfo {
     size_t live = 0;  // Live pairs still referencing the segment.
   };
-  /// One staging buffer: the packed bits plus the key -> (offset, bits)
+  /// The staging buffer: the packed bits plus the key -> (offset, bits)
   /// spans staged into it, in staging order.
   struct Staged {
     BitVector bits;
@@ -90,22 +76,15 @@ class BatchWriter {
 
   Status PutStaged(uint64_t key, const BitVector& value);
   void DropPlaced(uint64_t key);
-  /// Moves the current buffer (if it holds pairs) onto the sealed queue.
-  void SealCurrent();
-  /// Places every sealed batch through one PlaceMany call.
-  Status FlushSealed();
-  /// Removes a staged occurrence of `key` (current or sealed); sealed
-  /// bytes become dead space that flushes as padding.
+  /// Removes a staged occurrence of `key`; its bytes become dead space
+  /// that flushes as padding.
   void DropStaged(uint64_t key);
 
   index::ValuePlacer* placer_;
   size_t batch_bits_;
-  size_t flush_batches_;
 
-  // Staging buffers (DRAM): the one being filled plus sealed-full ones
-  // awaiting a grouped placement.
+  // The staging buffer (DRAM) being filled.
   Staged current_;
-  std::deque<Staged> sealed_;
 
   std::unordered_map<uint64_t, Location> locations_;
   std::unordered_map<uint64_t, BatchInfo> batches_;

@@ -1,7 +1,6 @@
 #include "core/placement_engine.h"
 
 #include <cstring>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "nvm/energy.h"
@@ -68,46 +67,81 @@ ml::Matrix PlacementEngine::ContentsMatrix(
   return contents;
 }
 
-Status PlacementEngine::TrainAndRepopulate(
-    const std::vector<uint64_t>& addrs) {
-  ml::Matrix contents = ContentsMatrix(addrs);
-  if (bootstrapped_) {
-    // A retrain trains a fresh model and serves it only once it trained:
-    // the serving one may be other engines' too, and keeps serving here
-    // if training fails. Train is a pure function of the config and the
-    // contents, so this equals training the serving model again.
-    std::unique_ptr<placement::ContentClusterer> fresh =
-        clusterer_->CloneUntrained();
-    E2_RETURN_IF_ERROR(fresh->Train(contents));
-    clusterer_ = std::move(fresh);
-  } else {
-    // Bootstrap: no other engine holds the model yet.
-    E2_RETURN_IF_ERROR(clusterer_->Train(contents));
+Status PlacementEngine::TrainOn(std::vector<uint64_t> snapshot,
+                                bool background) {
+  if (snapshot.size() < clusterer_->num_clusters()) {
+    return Status::FailedPrecondition("too few free segments to train on");
   }
-  // Rebuild the DAP from exactly `addrs`, classifying the training
-  // matrix in one call. The local scratch takes the contents by move, so
-  // no region-sized buffer outlives the fill (scratch_ only grows).
-  ml::InferenceScratch fill;
-  fill.in = std::move(contents);
-  clusterer_->AssignScratch(&fill);
-  pool_.Clear();
-  for (size_t i = 0; i < addrs.size(); ++i) {
-    pool_.Insert(fill.clusters[i], addrs[i]);
+  ml::Matrix contents = ContentsMatrix(snapshot);
+  // A fresh model serves only once it trained: the serving one may be
+  // other engines' too, and keeps serving here if training fails. Train
+  // is a pure function of the config and the contents, so at bootstrap
+  // this equals training the engine's untrained model in place.
+  std::unique_ptr<placement::ContentClusterer> fresh =
+      clusterer_->CloneUntrained();
+  if (background) {
+    bg_->Start(std::move(fresh), std::move(contents), std::move(snapshot));
+    ++stats_.background_retrains;
+    return Status::Ok();
   }
-  OnModelTrained();
+  BackgroundRetrainer::Result update = BackgroundRetrainer::Train(
+      std::move(fresh), std::move(contents), std::move(snapshot));
+  E2_RETURN_IF_ERROR(update.status);
+  // Nothing ran since the snapshot, so it is still the free set.
+  Adopt(update, update.addrs, /*on_write_path=*/true);
   return Status::Ok();
 }
 
-void PlacementEngine::OnModelTrained() {
-  const double flops = clusterer_->LastTrainFlops();
+void PlacementEngine::Adopt(BackgroundRetrainer::Result& update,
+                            const std::vector<uint64_t>& free_set,
+                            bool on_write_path) {
+  // Predictions only ever run on this (foreground) thread, so a plain
+  // pointer swap is race-free; engines that share the old model keep it
+  // alive.
+  clusterer_ = std::move(update.model);
+  // A shadow trained concurrently with foreground traffic: its training
+  // and snapshot classification cost energy but no write-path time (the
+  // whole point of §4.1.4). On the write path the training stalled this
+  // operation. Charged before the DAP rebuild's re-predictions.
+  OnModelChanged(on_write_path
+                     ? update.train_flops
+                     : update.train_flops + update.predict_flops,
+                 on_write_path);
+  policy_.OnRetrain();
+  // snapshot_cluster[addr - first_segment]: the update's cluster for a
+  // snapshot address, -1 for the rest.
+  std::vector<int32_t> snapshot_cluster(config_.num_segments, -1);
+  for (size_t i = 0; i < update.addrs.size(); ++i) {
+    snapshot_cluster[update.addrs[i] - config_.first_segment] =
+        static_cast<int32_t>(update.clusters[i]);
+  }
+  pool_.Clear();
+  for (uint64_t addr : free_set) {
+    if (ctrl_->IsQuarantined(addr)) {
+      ++stats_.quarantine_skips;
+      continue;
+    }
+    const int32_t cluster = snapshot_cluster[addr - config_.first_segment];
+    if (cluster >= 0) {
+      pool_.Insert(static_cast<size_t>(cluster), addr);
+    } else {
+      ++stats_.swap_repredictions;
+      pool_.Insert(ClassifySegment(addr), addr);
+    }
+  }
+}
+
+void PlacementEngine::OnModelChanged(double flops, bool on_write_path) {
   stats_.train_flops += flops;
-  // Charge model training to the CPU energy domain and the clock.
   const nvm::EnergyModel& em = ctrl_->device().energy_model();
   ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
                                      em.CpuPj(flops));
-  ctrl_->device().meter().AdvanceTimeLane(lane_, em.CpuNs(flops));
-  policy_.OnRetrain();
+  if (on_write_path) {
+    ctrl_->device().meter().AdvanceTimeLane(lane_, em.CpuNs(flops));
+  }
   InvalidateClusterCache();
+  retrain_failures_in_row_ = 0;
+  ++model_changes_;
 }
 
 Status PlacementEngine::Bootstrap() {
@@ -115,7 +149,7 @@ Status PlacementEngine::Bootstrap() {
   if (n == 0) return Status::InvalidArgument("engine manages no segments");
   std::vector<uint64_t> addrs(n);
   for (size_t i = 0; i < n; ++i) addrs[i] = config_.first_segment + i;
-  E2_RETURN_IF_ERROR(TrainAndRepopulate(addrs));
+  E2_RETURN_IF_ERROR(TrainOn(std::move(addrs), /*background=*/false));
   bootstrapped_ = true;
   bootstrap_stats_ = stats_;
   return Status::Ok();
@@ -156,19 +190,15 @@ Status PlacementEngine::BootstrapFrom(const PlacementEngine& source) {
                           config_.first_segment);
     }
   }
-  OnModelTrained();
+  OnModelChanged(clusterer_->LastTrainFlops(), /*on_write_path=*/true);
+  policy_.OnRetrain();
   bootstrapped_ = true;
   bootstrap_stats_ = stats_;
   return Status::Ok();
 }
 
 Status PlacementEngine::Retrain() {
-  std::vector<uint64_t> free_addrs = pool_.AllFree();
-  if (free_addrs.size() < clusterer_->num_clusters()) {
-    return Status::FailedPrecondition(
-        "too few free segments to retrain on");
-  }
-  E2_RETURN_IF_ERROR(TrainAndRepopulate(free_addrs));
+  E2_RETURN_IF_ERROR(TrainOn(pool_.AllFree(), /*background=*/false));
   ++stats_.retrains;
   return Status::Ok();
 }
@@ -353,16 +383,6 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
   }
 }
 
-Status PlacementEngine::PlaceMany(
-    const std::vector<const BitVector*>& values,
-    std::vector<uint64_t>* addrs) {
-  auto collect = [](void* out, size_t, uint64_t addr) {
-    static_cast<std::vector<uint64_t>*>(out)->push_back(addr);
-    return Status::Ok();
-  };
-  return PlaceRows(values.data(), values.size(), collect, addrs);
-}
-
 Status PlacementEngine::PlaceRows(const BitVector* const* values, size_t n,
                                   RowPlaced on_row, void* ctx) {
   if (!bootstrapped_) {
@@ -402,9 +422,7 @@ Status PlacementEngine::PlaceRows(const BitVector* const* values, size_t n,
                s.ToString().c_str());
       }
     }
-    uint64_t gen = model_generation_;
-    uint64_t retrains = stats_.retrains;
-    uint64_t refines = stats_.refine_steps;
+    uint64_t model = model_changes_;
     clusterer_->AssignScratch(&scratch_);
     while (next < end) {
       const size_t row = next - base;
@@ -418,9 +436,7 @@ Status PlacementEngine::PlaceRows(const BitVector* const* values, size_t n,
                           PlaceAt(*values[next], cluster, model_ok));
       E2_RETURN_IF_ERROR(on_row(ctx, next, addr));
       ++next;
-      if (next < end &&
-          (model_generation_ != gen || stats_.retrains != retrains ||
-           stats_.refine_steps != refines)) {
+      if (next < end && model_changes_ != model) {
         // The model changed mid-batch (sync retrain, shadow swap, or an
         // incremental refinement step): re-assign the remaining rows
         // with the new model, exactly as one-row runs after the change
@@ -436,9 +452,7 @@ Status PlacementEngine::PlaceRows(const BitVector* const* values, size_t n,
         scratch_.in.EnsureShape(remaining, dim);
         scratch_.row_ok.resize(remaining);
         base = next;
-        gen = model_generation_;
-        retrains = stats_.retrains;
-        refines = stats_.refine_steps;
+        model = model_changes_;
         clusterer_->AssignScratch(&scratch_);
       }
     }
@@ -452,7 +466,7 @@ void PlacementEngine::OnRetrainFailure(const Status& s) {
   ++stats_.failed_retrains;
   uint32_t shift = std::min<uint32_t>(retrain_failures_in_row_, 6);
   retrain_cooldown_ =
-      std::max<uint64_t>(config_.retrain_backoff_writes, 1) << shift;
+      kRetrainBackoffWrites << shift;
   ++retrain_failures_in_row_;
   E2_LOG(kWarning, "auto-retrain failed (backing off %llu writes): %s",
          static_cast<unsigned long long>(retrain_cooldown_),
@@ -484,71 +498,18 @@ void PlacementEngine::RefineStep() {
   const double flops = clusterer_->LastPartialFitFlops();
   ++stats_.refine_steps;
   stats_.refine_flops += flops;
-  stats_.train_flops += flops;
   // Refinement runs inline on the write path: unlike a background
   // retrain it costs both CPU energy and write-path time — which is
   // fine, because one step is orders of magnitude below a full retrain.
-  const nvm::EnergyModel& em = ctrl_->device().energy_model();
-  ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
-                                     em.CpuPj(flops));
-  ctrl_->device().meter().AdvanceTimeLane(lane_, em.CpuNs(flops));
+  // The DAP is deliberately NOT rebuilt (that is what keeps a step
+  // cheap); free addresses re-bucket under the refined model as they
+  // recycle.
+  OnModelChanged(flops, /*on_write_path=*/true);
   policy_.OnRefine();
-  retrain_failures_in_row_ = 0;
-  // The model moved: placement-time cluster memos are stale. The DAP is
-  // deliberately NOT rebuilt (that is what keeps a step cheap); free
-  // addresses re-bucket under the refined model as they recycle.
-  InvalidateClusterCache();
 }
 
 void PlacementEngine::EnableBackgroundRetrain(ThreadPool* pool) {
   if (bg_ == nullptr) bg_ = std::make_unique<BackgroundRetrainer>(pool);
-}
-
-void PlacementEngine::SwapInShadow(BackgroundRetrainer::Result result) {
-  // Charge the shadow's training + snapshot-classification flops to the
-  // CPU energy domain. Unlike the synchronous path the device clock is
-  // NOT advanced: the work ran concurrently with foreground traffic, so
-  // it costs energy but no write-path time (the whole point of §4.1.4).
-  const double flops = result.train_flops + result.predict_flops;
-  stats_.train_flops += flops;
-  const nvm::EnergyModel& em = ctrl_->device().energy_model();
-  ctrl_->device().meter().ChargeLane(lane_, nvm::EnergyDomain::kCpuModel,
-                                     em.CpuPj(flops));
-
-  // Generation-counted double buffer: adopt the shadow and let the old
-  // model go (engines that share it keep it alive). Predictions only
-  // ever run on this (foreground) thread, so a plain pointer swap is
-  // race-free.
-  clusterer_ = std::move(result.model);
-  ++model_generation_;
-
-  // Rebuild the DAP from the *current* free set. Addresses still free
-  // from the snapshot reuse the clusters computed in the background;
-  // only addresses recycled since the snapshot need a fresh prediction.
-  std::unordered_map<uint64_t, size_t> snapshot_cluster;
-  snapshot_cluster.reserve(result.addrs.size());
-  for (size_t i = 0; i < result.addrs.size(); ++i) {
-    snapshot_cluster.emplace(result.addrs[i], result.clusters[i]);
-  }
-  std::vector<uint64_t> free_addrs = pool_.AllFree();
-  pool_.Clear();
-  for (uint64_t addr : free_addrs) {
-    if (ctrl_->IsQuarantined(addr)) {
-      ++stats_.quarantine_skips;
-      continue;
-    }
-    auto it = snapshot_cluster.find(addr);
-    if (it != snapshot_cluster.end()) {
-      pool_.Insert(it->second, addr);
-    } else {
-      ++stats_.swap_repredictions;
-      pool_.Insert(ClassifySegment(addr), addr);
-    }
-  }
-  ++stats_.retrains;
-  policy_.OnRetrain();
-  retrain_failures_in_row_ = 0;
-  InvalidateClusterCache();
 }
 
 void PlacementEngine::InvalidateClusterCache() {
@@ -563,14 +524,18 @@ bool PlacementEngine::PumpBackgroundRetrain() {
     OnRetrainFailure(result->status);
     return false;
   }
-  SwapInShadow(std::move(*result));
+  // Traffic kept serving the old model while the shadow trained: the
+  // DAP is rebuilt from the free set as it is now.
+  Adopt(*result, pool_.AllFree(), /*on_write_path=*/false);
+  ++stats_.retrains;
+  ++model_generation_;
   return true;
 }
 
 void PlacementEngine::MaybeAutoRetrain() {
   if (!config_.auto_retrain) return;
   // Background mode adopts a finished shadow first (cheap: pointer swap
-  // + DAP rebuild from precomputed clusters) and never blocks on, or
+  // + DAP rebuild from the shadow's clusters) and never blocks on, or
   // overlaps, a training.
   if (bg_ != nullptr) PumpBackgroundRetrain();
   if (retrain_cooldown_ > 0) {
@@ -587,28 +552,14 @@ void PlacementEngine::MaybeAutoRetrain() {
     return;
   }
   const bool capacity = policy_.CapacityTriggered(pool_);
-  if (bg_ == nullptr) {
-    Status s = Retrain();
-    if (s.ok()) {
-      retrain_failures_in_row_ = 0;
-      if (capacity) ++stats_.capacity_retrains;
-    } else {
-      OnRetrainFailure(s);
-    }
+  // A shadow launch trains on a snapshot of the free segments; its
+  // adoption, not the launch, ends the failure streak.
+  Status s = bg_ != nullptr ? TrainOn(pool_.AllFree(), /*background=*/true)
+                            : Retrain();
+  if (!s.ok()) {
+    OnRetrainFailure(s);
     return;
   }
-  // Launch a shadow training on a snapshot of the free segments; the
-  // swap, not the launch, resets the failure streak.
-  std::vector<uint64_t> free_addrs = pool_.AllFree();
-  if (free_addrs.size() < clusterer_->num_clusters()) {
-    OnRetrainFailure(
-        Status::FailedPrecondition("too few free segments to retrain on"));
-    return;
-  }
-  ml::Matrix contents = ContentsMatrix(free_addrs);
-  bg_->Start(clusterer_->CloneUntrained(), std::move(contents),
-             std::move(free_addrs));
-  ++stats_.background_retrains;
   if (capacity) ++stats_.capacity_retrains;
 }
 

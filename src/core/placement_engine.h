@@ -95,8 +95,8 @@ struct EngineStats {
 ///
 /// ## Threading contract (external locking)
 ///
-/// The engine is **single-caller**: PlaceRows/Place/PlaceMany/Release/
-/// WriteAt/Retrain/ExtendRegion/PumpBackgroundRetrain and the stats()/pool()
+/// The engine is **single-caller**: PlaceRows/Place/Release/WriteAt/
+/// Retrain/ExtendRegion/PumpBackgroundRetrain and the stats()/pool()
 /// accessors must be serialized by the caller — they mutate and read
 /// unsynchronized state (`stats_` counters, the `placed_cluster_` memo,
 /// the inference scratch, the padding RNG and running 1-ratios, and the
@@ -128,10 +128,6 @@ class PlacementEngine : public index::ValuePlacer {
     /// on a background thread as the paper specifies (§4.1.4).
     bool auto_retrain = false;
     RetrainPolicy::Config retrain;
-    /// Backoff after a failed auto-retrain: retrain checks are skipped
-    /// for this many placements, doubling on consecutive failures (up to
-    /// 64x), so a broken retrain cannot re-run and re-log on every write.
-    size_t retrain_backoff_writes = 64;
 
     /// --- Incremental online learning (DESIGN.md §16) ---
     /// When enabled (and the clusterer supports PartialFit), the engine
@@ -155,13 +151,20 @@ class PlacementEngine : public index::ValuePlacer {
     Incremental incremental;
   };
 
-  /// The engine owns `clusterer` from here on: Bootstrap trains it in
-  /// place, and retrains replace it with fresh instances.
+  /// Backoff after a failed auto-retrain or refine step: retrain checks
+  /// are skipped for this many placements, doubling on consecutive
+  /// failures (up to 64x), so a broken retrain cannot re-run and re-log
+  /// on every write.
+  static constexpr uint64_t kRetrainBackoffWrites = 64;
+
+  /// The engine owns `clusterer` from here on. Bootstrap and every
+  /// retrain train a CloneUntrained of it and serve that (Train is a
+  /// pure function of the config and the contents).
   PlacementEngine(nvm::MemoryController* ctrl,
                   std::unique_ptr<placement::ContentClusterer> clusterer,
                   const Config& config);
 
-  /// Trains the clusterer on the current contents of every managed (free)
+  /// Trains a model on the current contents of every managed (free)
   /// segment and populates the DAP. Must be called once before Place.
   Status Bootstrap();
 
@@ -201,11 +204,12 @@ class PlacementEngine : public index::ValuePlacer {
   /// Switches auto-retraining to the background path: when the policy
   /// fires, Place snapshots the free segments, trains a shadow clusterer
   /// on a dedicated thread (kernels use ml::SetComputePool when
-  /// installed), and a later Place atomically adopts the trained model —
-  /// a generation-counted double buffer in which foreground traffic
-  /// keeps serving from the old model during training. The failure
-  /// backoff and quarantine handling of the synchronous path are
-  /// preserved. Requires config.auto_retrain for the policy to fire.
+  /// installed), and a later Place adopts the trained model — a
+  /// generation-counted double buffer in which foreground traffic keeps
+  /// serving from the old model during training. The shadow is the same
+  /// model update a synchronous retrain trains, installed the same way;
+  /// only its charges differ (energy, no clock). Requires
+  /// config.auto_retrain for the policy to fire.
   /// With `pool`, trainings are submitted to that shared ThreadPool
   /// instead of a dedicated thread per training (the ShardedStore mode);
   /// the pool must outlive the engine.
@@ -249,9 +253,6 @@ class PlacementEngine : public index::ValuePlacer {
   std::string_view name() const override;
   /// A one-row PlaceRows.
   StatusOr<uint64_t> Place(const BitVector& value) override;
-  /// PlaceRows collecting the addresses into `addrs`.
-  Status PlaceMany(const std::vector<const BitVector*>& values,
-                   std::vector<uint64_t>* addrs) override;
   Status Release(uint64_t addr) override;
   BitVector Read(uint64_t addr, size_t bits) override;
   /// Allocation-free Read: decodes the segment into `out` (capacity
@@ -313,7 +314,7 @@ class PlacementEngine : public index::ValuePlacer {
   StatusOr<BitVector> PadForModel(const BitVector& value);
   /// Classifies the stored content of segment `addr` with the serving
   /// model (Alg. 2's re-encode), charging one prediction: the memo-miss
-  /// Release, a shadow swap's re-predictions and ExtendRegion. Runs on
+  /// Release, Adopt's re-predictions and ExtendRegion. Runs on
   /// peek_scratch_ and segment_scratch_, so it is allocation-free once
   /// warm and leaves a batch staged in scratch_ intact.
   size_t ClassifySegment(uint64_t addr);
@@ -328,19 +329,30 @@ class PlacementEngine : public index::ValuePlacer {
   /// Runs the auto-retrain policy after a placement, honoring the
   /// failure backoff.
   void MaybeAutoRetrain();
-  /// The word-level Peek -> float-matrix featurization shared by
-  /// Bootstrap, Retrain, and the background snapshot (one row per addr).
+  /// The word-level Peek -> float-matrix featurization of a training
+  /// snapshot (one row per addr).
   ml::Matrix ContentsMatrix(const std::vector<uint64_t>& addrs) const;
-  /// The synchronous train shared by Bootstrap and Retrain: trains the
-  /// clusterer on the contents of `addrs` (in place at bootstrap, later
-  /// a CloneUntrained that serves once it trained), rebuilds the DAP
-  /// from exactly `addrs` classified by the new model, then
-  /// OnModelTrained.
-  Status TrainAndRepopulate(const std::vector<uint64_t>& addrs);
-  /// Charges the serving model's last training (flops, CPU energy and
-  /// clock) to this engine's lane and resets the policy window and the
-  /// placement memo.
-  void OnModelTrained();
+  /// Every full training: Bootstrap, Retrain and a shadow launch.
+  /// Refuses a snapshot with fewer segments than clusters, then builds
+  /// the model update (BackgroundRetrainer::Train on a CloneUntrained)
+  /// from the contents of `snapshot`: inline, adopting it on the write
+  /// path, or (`background`) launched on the retrainer, counted in
+  /// background_retrains, for PumpBackgroundRetrain to adopt.
+  Status TrainOn(std::vector<uint64_t> snapshot, bool background);
+  /// Installs a model update, the one place a trained model starts
+  /// serving: swaps it in, charges it through OnModelChanged (on the
+  /// write path its training flops, clock included; a shadow's training
+  /// and classification flops, energy only), resets the policy, and
+  /// rebuilds the DAP from `free_set`: snapshot segments keep the
+  /// update's cluster, segments released since are classified again,
+  /// and quarantined ones are dropped. Takes the model out of `update`.
+  void Adopt(BackgroundRetrainer::Result& update,
+             const std::vector<uint64_t>& free_set, bool on_write_path);
+  /// The tail of every model change (Adopt, BootstrapFrom, RefineStep):
+  /// charges `flops` to train_flops, CPU energy and, on the write path,
+  /// the clock; forgets the placement memo; ends the failure streak; and
+  /// bumps model_changes_. The caller tells the policy.
+  void OnModelChanged(double flops, bool on_write_path);
   /// True when the policy can answer drift with a refine step, the one
   /// operation that changes the serving model in place.
   bool CanRefine() const;
@@ -348,18 +360,13 @@ class PlacementEngine : public index::ValuePlacer {
   void OnRetrainFailure(const Status& s);
   /// One inline incremental refinement step (§16): copies the most
   /// recent refine_batch ring rows (oldest first) into scratch, runs the
-  /// clusterer's PartialFit, charges flops/energy/time, and invalidates
-  /// the placement memo. Skipped while the ring is still filling.
+  /// clusterer's PartialFit in place and finishes through
+  /// OnModelChanged. Skipped while the ring is still filling.
   void RefineStep();
-  /// Adopts a trained shadow: swaps the serving model pointer and
-  /// rebuilds the DAP from the current free set using the snapshot's
-  /// precomputed clusters.
-  void SwapInShadow(BackgroundRetrainer::Result result);
 
   nvm::MemoryController* ctrl_;
   /// The serving model. Shared with other engines only when none of
-  /// them can refine (BootstrapFrom); each retrain or shadow swap
-  /// replaces it.
+  /// them can refine (BootstrapFrom); each Adopt replaces it.
   std::shared_ptr<placement::ContentClusterer> clusterer_;
   Config config_;
   DynamicAddressPool pool_;
@@ -381,7 +388,7 @@ class PlacementEngine : public index::ValuePlacer {
   uint64_t retrain_cooldown_ = 0;
   uint32_t retrain_failures_in_row_ = 0;
   // Background retraining: the retrainer trains a shadow model that
-  // SwapInShadow installs as clusterer_.
+  // PumpBackgroundRetrain adopts as clusterer_.
   std::unique_ptr<BackgroundRetrainer> bg_;
   uint64_t model_generation_ = 0;
   // Write-path inference scratch (see ml/inference.h): owned by the
@@ -406,13 +413,17 @@ class PlacementEngine : public index::ValuePlacer {
   // assigned to the full-width value most recently placed at addr, or -1
   // when unknown. Lets Release recycle the address without re-encoding
   // the content (the content IS that value, and the model is unchanged).
-  // Invalidated wholesale on any model change (Bootstrap/Retrain/refine
-  // step/shadow swap) and per-address on WriteAt and narrow placements.
+  // Invalidated wholesale on any model change (OnModelChanged) and
+  // per-address on WriteAt and narrow placements.
   std::vector<int32_t> placed_cluster_;
+  // The members below come after the write path's, so those keep their
+  // offsets.
   // stats_ as Bootstrap or BootstrapFrom left them: while they still
   // match, the DAP is the one the bootstrap built (BootstrapFrom's test).
-  // Last, so the write path's members keep their offsets.
   EngineStats bootstrap_stats_;
+  // Model changes (adoptions, refine steps, BootstrapFrom) so far:
+  // PlaceRows re-assigns the rest of a run when this moves under it.
+  uint64_t model_changes_ = 0;
 };
 
 }  // namespace e2nvm::core

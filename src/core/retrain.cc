@@ -79,7 +79,7 @@ RetrainAction RetrainPolicy::Decide(const DynamicAddressPool& pool) {
     }
     return RetrainAction::kNone;  // Let the last step reach the window.
   }
-  if (refine_rounds_ > 0 && current <= config_.recovery_factor * ref) {
+  if (refine_rounds_ > 0 && current <= kRecoveryFactor * ref) {
     refine_rounds_ = 0;  // Recovered: the drift was handled by refining.
   }
   return RetrainAction::kNone;

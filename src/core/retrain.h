@@ -37,13 +37,18 @@ enum class RetrainAction {
 /// mini-batch refinement every `refine_interval` writes), and only
 /// escalates to kFullRetrain after `max_refine_rounds` consecutive
 /// refinements fail to pull the window ratio back under
-/// `recovery_factor` x baseline. The capacity trigger always escalates
+/// kRecoveryFactor x baseline. The capacity trigger always escalates
 /// straight to a full retrain — refinement never rebuilds the DAP, so it
 /// cannot fix a starving cluster. With refinement off (the default),
 /// Decide() is exactly ShouldRetrain() mapped to kNone/kFullRetrain —
 /// bit-identical to the pre-incremental schedule.
 class RetrainPolicy {
  public:
+  /// Degradation counts as recovered — resetting the escalation counter
+  /// — once the window ratio falls back under kRecoveryFactor *
+  /// baseline. Keep degradation_factor >= it so recovery is reachable.
+  static constexpr double kRecoveryFactor = 1.2;
+
   struct Config {
     size_t min_free_per_cluster = 2;
     /// Writes in the moving window used to estimate current efficiency.
@@ -61,10 +66,6 @@ class RetrainPolicy {
     /// Consecutive refinement steps without recovery before the
     /// degradation escalates to a full retrain.
     size_t max_refine_rounds = 8;
-    /// Degradation counts as recovered — resetting the escalation
-    /// counter — once the window ratio falls back under recovery_factor
-    /// * baseline. Keep <= degradation_factor so recovery is reachable.
-    double recovery_factor = 1.2;
   };
 
   /// `refine_enabled` turns the escalation state machine on; a

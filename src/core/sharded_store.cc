@@ -371,7 +371,7 @@ void ShardedStore::ScrubShardLocked(size_t s, size_t budget) {
 
 void ShardedStore::ScrubTick() {
   for (size_t s = 0; s < num_shards_; ++s) {
-    ScrubShard(s, config_.scrub_segments_per_tick);
+    ScrubShard(s, kScrubSegmentsPerTick);
   }
 }
 

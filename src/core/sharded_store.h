@@ -45,9 +45,6 @@ struct ShardedStoreConfig {
   /// capacity bounds journal size, not operation count — but it must be
   /// >= the shard's live key count for the checkpoint to fit.
   size_t journal_capacity = 4096;
-
-  /// Segments each shard verifies per ScrubTick (see StartBackgroundScrub).
-  size_t scrub_segments_per_tick = 32;
 };
 
 /// A sharded concurrent front-end over N independent E2KvStore shards
@@ -221,7 +218,10 @@ class ShardedStore {
   /// committed journal slot. No-op without shard.integrity_tracking.
   void ScrubShard(size_t s, size_t budget);
 
-  /// One scrub round: `scrub_segments_per_tick` segments of every shard.
+  /// Segments each shard verifies per ScrubTick.
+  static constexpr size_t kScrubSegmentsPerTick = 32;
+
+  /// One scrub round: kScrubSegmentsPerTick segments of every shard.
   void ScrubTick();
 
   /// Starts the background scrubber: a low-priority self-requeueing task

@@ -19,7 +19,6 @@ void BuildModelAndEngine(const StoreConfig& config, uint64_t first_segment,
   ec.search_best_in_cluster = config.search_best_in_cluster;
   ec.auto_retrain = config.auto_retrain || config.background_retrain;
   ec.retrain = config.retrain;
-  ec.retrain_backoff_writes = config.retrain_backoff_writes;
   ec.incremental.enabled = config.incremental_learning;
   ec.incremental.ring_capacity = config.replay_ring_capacity;
   ec.incremental.refine_batch = config.refine_batch;

@@ -45,11 +45,10 @@ struct StoreConfig {
   size_t pool_threads = 0;
   /// Retrain triggers (capacity + flip-efficiency) and, when
   /// `incremental_learning` is on, the drift-escalation thresholds
-  /// (refine_interval, max_refine_rounds, recovery_factor).
+  /// (refine_interval, max_refine_rounds). A failed auto-retrain backs
+  /// off PlacementEngine::kRetrainBackoffWrites placements, doubling per
+  /// consecutive failure.
   RetrainPolicy::Config retrain;
-  /// Placements skipped after a failed auto-retrain (doubles per
-  /// consecutive failure); see PlacementEngine::Config.
-  size_t retrain_backoff_writes = 64;
 
   /// --- Incremental online learning (DESIGN.md §16) ---
   /// Feed a per-shard replay ring with every committed segment image and

@@ -4,15 +4,6 @@
 
 namespace e2nvm::index {
 
-Status ValuePlacer::PlaceMany(const std::vector<const BitVector*>& values,
-                              std::vector<uint64_t>* addrs) {
-  for (const BitVector* value : values) {
-    E2_ASSIGN_OR_RETURN(uint64_t addr, Place(*value));
-    addrs->push_back(addr);
-  }
-  return Status::Ok();
-}
-
 nvm::WriteResult MergeWrite(nvm::MemoryController& ctrl, uint64_t addr,
                             const BitVector& value) {
   nvm::WriteResult r;

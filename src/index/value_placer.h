@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <string_view>
-#include <vector>
 
 #include "common/bitvec.h"
 #include "common/status.h"
@@ -27,15 +26,6 @@ class ValuePlacer {
   /// Writes `value` to a free segment of the placer's choosing and
   /// returns its logical address.
   virtual StatusOr<uint64_t> Place(const BitVector& value) = 0;
-
-  /// Places `values` as if Place were called on each in order, appending
-  /// one address per value to `addrs`. On error, the addresses already
-  /// appended belong to the values placed before the failure. The base
-  /// implementation is the sequential loop; core::PlacementEngine runs
-  /// its one write path instead (PlaceRows: batched inference, the same
-  /// placements as the loop).
-  virtual Status PlaceMany(const std::vector<const BitVector*>& values,
-                           std::vector<uint64_t>* addrs);
 
   /// Returns an address to the free pool (its stale content remains in
   /// the cells, as on a real device).

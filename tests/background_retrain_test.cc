@@ -7,6 +7,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <deque>
 #include <set>
 #include <thread>
 
@@ -102,7 +104,6 @@ TEST(BackgroundRetrainerTest, TrainsAndClassifiesSnapshot) {
   for (size_t c : result->clusters) EXPECT_LT(c, 4u);
   EXPECT_GT(result->train_flops, 0.0);
   EXPECT_GT(result->predict_flops, 0.0);
-  EXPECT_EQ(bg.generations(), 1u);
   EXPECT_FALSE(bg.ready());
 }
 
@@ -147,7 +148,6 @@ TEST(BackgroundRetrainTest, EngineSwapsModelWithoutClientErrors) {
   ec.auto_retrain = true;
   // Aggressive capacity trigger so the policy fires early in the run.
   ec.retrain.min_free_per_cluster = 24;
-  ec.retrain_backoff_writes = 8;
   Rig rig(std::make_unique<placement::RawKMeansClusterer>(4, 42, 20), ec);
   auto ds = ClusteredData(kSegments + 64);
   rig.SeedWith(ds);
@@ -278,11 +278,126 @@ TEST(BackgroundRetrainTest, ServingEncoderWeightsStayCacheLineAligned) {
       << "after a refine step";
 }
 
+bool SameFloats(const ml::Matrix& a, const ml::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+TEST(BackgroundRetrainTest, SynchronousRetrainEqualsDrainedShadow) {
+  // One model update, two ways to run it. Both engines get the same
+  // stream; the shadow is drained and adopted right after the Place that
+  // launched it, before the next Release, so it trains on the snapshot
+  // a synchronous retrain trains on and is adopted over that same free
+  // set. Placements, free lists, model bits and counters must be equal.
+  // Only the charges name the path: the shadow adds its snapshot
+  // classification to train_flops and CPU energy, and only the
+  // synchronous retrain advances the clock (by its training).
+  E2ModelConfig mc;
+  mc.input_dim = kBits;
+  mc.k = 4;
+  mc.hidden_dim = 64;
+  mc.latent_dim = 4;
+  mc.pretrain_epochs = 2;
+  mc.finetune_rounds = 1;
+  mc.kmeans_iters = 10;
+  PlacementEngine::Config ec;
+  ec.auto_retrain = true;
+  ec.retrain.min_free_per_cluster = 12;
+  Rig sync(std::make_unique<E2Model>(mc), ec);
+  Rig shadow(std::make_unique<E2Model>(mc), ec);
+  auto ds = ClusteredData(kSegments + 64);
+  sync.SeedWith(ds);
+  shadow.SeedWith(ds);
+  shadow.engine->EnableBackgroundRetrain();
+  ASSERT_TRUE(sync.engine->Bootstrap().ok());
+  ASSERT_TRUE(shadow.engine->Bootstrap().ok());
+  const double bootstrap_flops = sync.engine->stats().train_flops;
+
+  // The shadows' snapshot classifications: one prediction per segment
+  // free when the retrain fired, summed as the retrainer sums them.
+  double classify_flops = 0;
+  constexpr size_t kLive = 16;  // Keys held; the rest are released.
+  std::deque<uint64_t> live;
+  for (size_t i = 0; i < 400; ++i) {
+    const BitVector& value = ds.items[(i * 7) % ds.items.size()];
+    const uint64_t retrains = sync.engine->stats().retrains;
+    auto a = sync.engine->Place(value);
+    auto b = shadow.engine->Place(value);
+    ASSERT_TRUE(a.ok()) << "op " << i << ": " << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << "op " << i << ": " << b.status().ToString();
+    ASSERT_EQ(*a, *b) << "op " << i;
+    for (int w = 0; w < 10000 && shadow.engine->RetrainInFlight(); ++w) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    shadow.engine->PumpBackgroundRetrain();
+    ASSERT_EQ(shadow.engine->stats().retrains,
+              sync.engine->stats().retrains)
+        << "op " << i;
+    if (sync.engine->stats().retrains != retrains) {
+      double update = 0;
+      for (size_t r = 0; r < sync.engine->pool().TotalFree(); ++r) {
+        update += shadow.engine->clusterer().PredictFlops();
+      }
+      classify_flops += update;
+    }
+    live.push_back(*a);
+    if (live.size() > kLive) {
+      ASSERT_TRUE(sync.engine->Release(live.front()).ok());
+      ASSERT_TRUE(shadow.engine->Release(live.front()).ok());
+      live.pop_front();
+    }
+  }
+  ASSERT_GE(sync.engine->stats().retrains, 2u) << "too few retrains";
+
+  for (size_t c = 0; c < mc.k; ++c) {
+    const FreeList& x = sync.engine->pool().free_list(c);
+    const FreeList& y = shadow.engine->pool().free_list(c);
+    ASSERT_EQ(x.size(), y.size()) << "cluster " << c;
+    for (size_t j = 0; j < x.size(); ++j) {
+      EXPECT_EQ(x[j], y[j]) << "cluster " << c << " entry " << j;
+    }
+  }
+  const auto& ms = dynamic_cast<const E2Model&>(sync.engine->clusterer());
+  const auto& mb = dynamic_cast<const E2Model&>(shadow.engine->clusterer());
+  const auto ps = ms.vae().Params();
+  const auto pb = mb.vae().Params();
+  ASSERT_EQ(ps.size(), pb.size());
+  for (size_t j = 0; j < ps.size(); ++j) {
+    EXPECT_TRUE(SameFloats(ps[j]->value, pb[j]->value)) << "param " << j;
+  }
+  EXPECT_TRUE(SameFloats(ms.kmeans().centroids(), mb.kmeans().centroids()));
+
+  EngineStats expected = sync.engine->stats();
+  const EngineStats& got = shadow.engine->stats();
+  EXPECT_EQ(expected.background_retrains, 0u);
+  EXPECT_EQ(got.background_retrains, got.retrains);
+  EXPECT_EQ(got.swap_repredictions, 0u);
+  const double retrain_flops = expected.train_flops - bootstrap_flops;
+  EXPECT_NEAR(got.train_flops - expected.train_flops, classify_flops,
+              1e-9 * got.train_flops);
+  expected.background_retrains = got.background_retrains;
+  expected.train_flops = got.train_flops;
+  EXPECT_EQ(expected, got);
+
+  const nvm::EnergyModel& em = sync.device->energy_model();
+  const nvm::EnergyTotals es = sync.device->meter().Snapshot();
+  const nvm::EnergyTotals eb = shadow.device->meter().Snapshot();
+  for (int d = 0; d < nvm::kNumEnergyDomains; ++d) {
+    if (d == static_cast<int>(nvm::EnergyDomain::kCpuModel)) continue;
+    EXPECT_EQ(es.pj[d], eb.pj[d]) << "domain " << d;
+  }
+  const double cpu_s = es.DomainPj(nvm::EnergyDomain::kCpuModel);
+  const double cpu_b = eb.DomainPj(nvm::EnergyDomain::kCpuModel);
+  EXPECT_NEAR(cpu_b - cpu_s, em.CpuPj(classify_flops), 1e-9 * cpu_b);
+  EXPECT_NEAR(es.now_ns - eb.now_ns, em.CpuNs(retrain_flops),
+              1e-9 * es.now_ns);
+}
+
 TEST(BackgroundRetrainTest, FailedShadowTrainingBacksOff) {
   PlacementEngine::Config ec;
   ec.auto_retrain = true;
   ec.retrain.min_free_per_cluster = 2;
-  ec.retrain_backoff_writes = 4;
   // k > free segments.
   Rig rig(std::make_unique<placement::RawKMeansClusterer>(64, 42, 10), ec);
   auto ds = ClusteredData(kSegments);

@@ -162,49 +162,5 @@ TEST(BatchWriterTest, VariableWidthsPackTightly) {
   }
 }
 
-TEST(BatchWriterTest, FlushBatchesGroupsSealedBuffersIntoOnePlaceMany) {
-  Rig rig;
-  // Sealed full buffers pile up and are placed 4-at-a-time through one
-  // PlaceMany call instead of one Place per buffer.
-  BatchWriter bw(&rig.placer, kSegBits, /*flush_batches=*/4);
-  // 8 x 64-bit pairs fill one buffer; 3 full buffers stay sealed.
-  for (uint64_t k = 0; k < 3 * 8 + 1; ++k) {
-    ASSERT_TRUE(bw.Put(k, SmallValue(k)).ok());
-  }
-  EXPECT_EQ(bw.batches_placed(), 0u);
-  EXPECT_EQ(rig.device.stats().writes, 0u);
-  EXPECT_EQ(bw.staged_pairs(), 25u);
-  // Sealed values are still served from DRAM.
-  EXPECT_EQ(bw.Get(0).value(), SmallValue(0));
-  EXPECT_EQ(bw.Get(20).value(), SmallValue(20));
-  // The 4th buffer fills and the whole group goes out at once.
-  for (uint64_t k = 25; k < 4 * 8 + 1; ++k) {
-    ASSERT_TRUE(bw.Put(k, SmallValue(k)).ok());
-  }
-  EXPECT_EQ(bw.batches_placed(), 4u);
-  EXPECT_EQ(rig.device.stats().writes, 4u);
-  for (uint64_t k = 0; k < 33; ++k) {
-    EXPECT_EQ(bw.Get(k).value(), SmallValue(k)) << k;
-  }
-}
-
-TEST(BatchWriterTest, DeleteAndUpdateInSealedBuffers) {
-  Rig rig;
-  BatchWriter bw(&rig.placer, kSegBits, /*flush_batches=*/8);
-  for (uint64_t k = 0; k < 10; ++k) {
-    ASSERT_TRUE(bw.Put(k, SmallValue(k)).ok());  // Buffer 0 sealed at k=8.
-  }
-  ASSERT_TRUE(bw.Delete(3).ok());               // Dies in a sealed buffer.
-  ASSERT_TRUE(bw.Put(5, SmallValue(5, 32)).ok());  // Restaged into current.
-  EXPECT_FALSE(bw.Get(3).ok());
-  EXPECT_EQ(bw.Get(5).value(), SmallValue(5, 32));
-  ASSERT_TRUE(bw.Flush().ok());
-  EXPECT_FALSE(bw.Get(3).ok());
-  EXPECT_EQ(bw.Get(5).value(), SmallValue(5, 32));
-  for (uint64_t k : {0u, 1u, 2u, 4u, 6u, 7u, 8u, 9u}) {
-    EXPECT_EQ(bw.Get(k).value(), SmallValue(k)) << k;
-  }
-}
-
 }  // namespace
 }  // namespace e2nvm::core

@@ -579,7 +579,7 @@ TEST(FastPathEquivalence, MatchesReferenceAcrossBackgroundSwap) {
 }
 
 TEST(FastPathEquivalence, MultiPutAcrossBackgroundSwapMatchesReference) {
-  // A shadow swap that lands inside PlaceMany. Both sides Put until a
+  // A shadow swap that lands inside a MultiPut. Both sides Put until a
   // shadow training starts on the same op, and the training finishes
   // unadopted. The next values go in as sequential Puts on the
   // reference side and as one MultiPut on the fast side, whose first

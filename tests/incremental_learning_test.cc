@@ -246,7 +246,6 @@ RetrainPolicy::Config RefineConfig() {
   c.degradation_factor = 1.5;
   c.refine_interval = 2;
   c.max_refine_rounds = 2;
-  c.recovery_factor = 1.2;
   return c;
 }
 
@@ -300,7 +299,7 @@ TEST(RetrainPolicyDecideTest, RecoveryResetsTheEscalationCounter) {
   p.OnRefine();
   EXPECT_EQ(p.refine_rounds(), 1u);
   // Refinement worked: the window ratio falls back under
-  // recovery_factor * baseline and the episode counter resets.
+  // kRecoveryFactor * baseline and the episode counter resets.
   GoodWrites(p, 4);
   EXPECT_EQ(p.Decide(pool), RetrainAction::kNone);
   EXPECT_EQ(p.refine_rounds(), 0u);

@@ -152,7 +152,6 @@ TEST(StoreFaultTest, FailedRetrainBacksOff) {
   cfg.verify_writes = false;
   cfg.auto_retrain = true;
   cfg.retrain.min_free_per_cluster = 100000;  // Always wants a retrain.
-  cfg.retrain_backoff_writes = 8;
   auto store = E2KvStore::Create(cfg).value();
   store->Seed(SeedData(5));
   ASSERT_TRUE(store->Bootstrap().ok());
@@ -174,7 +173,8 @@ TEST(StoreFaultTest, FailedRetrainBacksOff) {
   uint64_t failures =
       store->engine().stats().failed_retrains - failures_at_start;
   // Without the backoff this would fail on every one of the 100 updates;
-  // with doubling starting at 8 it fails only a handful of times.
+  // with doubling starting at PlacementEngine::kRetrainBackoffWrites (64)
+  // it fails only a handful of times.
   EXPECT_GE(failures, 1u);
   EXPECT_LE(failures, 6u);
   EXPECT_GT(store->engine().retrain_cooldown(), 0u);
