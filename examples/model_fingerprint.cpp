@@ -10,7 +10,10 @@
 //  - E2Model::Train at 512 x 512 and 256 x 2048 bits, then again after
 //    four PartialFit steps: every Vae::Params() block (value, gradient,
 //    Adam moments), the step count, the next draws of the VAE's RNG, the
-//    k-means centroids, the TrainHistory and the flop counts;
+//    k-means centroids, the TrainHistory and the flop counts. Each
+//    training runs twice, on float rows and on the same rows packed as a
+//    training snapshot holds them, and the program exits 1 unless both
+//    hash alike;
 //  - the AssignScratch ids of all five clusterers on held-out rows;
 //  - 2- and 4-shard stores with retraining off, synchronous and
 //    incremental: each shard's free lists and EngineStats, the merged
@@ -36,6 +39,7 @@
 
 #include "core/e2_model.h"
 #include "core/sharded_store.h"
+#include "ml/bit_matrix.h"
 #include "placement/clusterer.h"
 #include "workload/datasets.h"
 
@@ -43,6 +47,7 @@ namespace {
 
 using e2nvm::BitVector;
 using e2nvm::core::E2Model;
+using e2nvm::ml::BitMatrix;
 using e2nvm::ml::Matrix;
 
 class Hash {
@@ -78,6 +83,13 @@ void Print(const std::string& item, uint64_t hash) {
 
 void Print(const std::string& item, const Hash& h) { Print(item, h.value()); }
 
+/// (item, hash) lines, printed by main.
+using Items = std::vector<std::pair<std::string, uint64_t>>;
+
+void PrintItems(const Items& items) {
+  for (const auto& [item, hash] : items) Print(item, hash);
+}
+
 e2nvm::workload::BitDataset Data(size_t bits, size_t samples,
                                  uint64_t seed) {
   e2nvm::workload::ProtoConfig pc;
@@ -98,33 +110,46 @@ Matrix Rows(const e2nvm::workload::BitDataset& ds, size_t first,
   return m;
 }
 
-void PrintModel(const std::string& tag, E2Model& model) {
+/// The first `count` items, packed as a training snapshot holds segment
+/// contents.
+BitMatrix PackedRows(const e2nvm::workload::BitDataset& ds, size_t count,
+                     size_t bits) {
+  BitMatrix m(count, bits);
+  for (size_t i = 0; i < count; ++i) m.SetRow(i, ds.items[i].words().data());
+  return m;
+}
+
+void AddModel(const std::string& tag, const E2Model& model, Items* items) {
+  auto add = [&](const std::string& item, const Hash& h) {
+    items->emplace_back(tag + " " + item, h.value());
+  };
   const auto blocks = model.vae().Params();
   for (size_t b = 0; b < blocks.size(); ++b) {
     const e2nvm::ml::ParamBlock& p = *blocks[b];
     Hash h;
     h.Floats(p.value).Floats(p.grad).Floats(p.m).Floats(p.v);
-    Print(tag + " param" + std::to_string(b), h);
+    add("param" + std::to_string(b), h);
   }
-  Print(tag + " step", Hash().Value(model.vae().step()));
+  add("step", Hash().Value(model.vae().step()));
   e2nvm::Rng rng = model.vae().rng();
   Hash draws;
   for (int i = 0; i < 4; ++i) draws.Value(rng.NextU64());
-  Print(tag + " rng", draws);
-  Print(tag + " centroids", Hash().Floats(model.kmeans().centroids()));
+  add("rng", draws);
+  add("centroids", Hash().Floats(model.kmeans().centroids()));
   const e2nvm::ml::TrainHistory& history = model.history();
-  Print(tag + " history", Hash()
-                              .Vector(history.train_loss)
-                              .Vector(history.val_loss)
-                              .Value(history.flops));
-  Print(tag + " flops", Hash()
-                            .Value(model.LastTrainFlops())
-                            .Value(model.LastPartialFitFlops())
-                            .Value(model.PredictFlops()));
+  add("history", Hash()
+                     .Vector(history.train_loss)
+                     .Vector(history.val_loss)
+                     .Value(history.flops));
+  add("flops", Hash()
+                   .Value(model.LastTrainFlops())
+                   .Value(model.LastPartialFitFlops())
+                   .Value(model.PredictFlops()));
 }
 
-/// Train, then four PartialFit steps, at `rows` x `bits`.
-void FingerprintTraining(size_t rows, size_t bits) {
+/// Train, then four PartialFit steps, at `rows` x `bits`, on float rows
+/// or (`packed`) on the same rows packed.
+Items FingerprintTraining(size_t rows, size_t bits, bool packed) {
   const std::string geom = std::to_string(rows) + "x" + std::to_string(bits);
   const auto ds = Data(bits, rows + 4 * 16, /*seed=*/7);
   e2nvm::core::E2ModelConfig mc;
@@ -135,18 +160,23 @@ void FingerprintTraining(size_t rows, size_t bits) {
   mc.pretrain_epochs = 2;
   mc.finetune_rounds = 1;
   E2Model model(mc);
-  if (!model.Train(Rows(ds, 0, rows, bits)).ok()) {
-    std::printf("train %s failed\n", geom.c_str());
-    return;
+  Items items;
+  const bool trained = packed
+                           ? model.Train(PackedRows(ds, rows, bits)).ok()
+                           : model.Train(Rows(ds, 0, rows, bits)).ok();
+  if (!trained) {
+    items.emplace_back("train " + geom + " failed", 0);
+    return items;
   }
-  PrintModel("train " + geom, model);
+  AddModel("train " + geom, model, &items);
   for (size_t step = 0; step < 4; ++step) {
     if (!model.PartialFit(Rows(ds, rows + step * 16, 16, bits)).ok()) {
-      std::printf("partial_fit %s failed\n", geom.c_str());
-      return;
+      items.emplace_back("partial_fit " + geom + " failed", 0);
+      return items;
     }
   }
-  PrintModel("partial_fit " + geom, model);
+  AddModel("partial_fit " + geom, model, &items);
+  return items;
 }
 
 /// Every clusterer trained on the same rows, assigning held-out ones.
@@ -181,13 +211,6 @@ void FingerprintClusterers() {
     model->AssignScratch(&scratch);
     Print(tag, Hash().Vector(scratch.clusters));
   }
-}
-
-/// (item, hash) lines of store state, printed by main.
-using Items = std::vector<std::pair<std::string, uint64_t>>;
-
-void PrintItems(const Items& items) {
-  for (const auto& [item, hash] : items) Print(item, hash);
 }
 
 void AddStore(const std::string& tag, e2nvm::core::ShardedStore& store,
@@ -328,8 +351,16 @@ Items FingerprintStore(size_t shards, const char* mode,
 }  // namespace
 
 int main() {
-  FingerprintTraining(512, 512);
-  FingerprintTraining(256, 2048);
+  int status = 0;
+  for (auto [rows, bits] : {std::pair<size_t, size_t>{512, 512}, {256, 2048}}) {
+    const Items floats = FingerprintTraining(rows, bits, /*packed=*/false);
+    PrintItems(floats);
+    // Packed rows train the float rows' model, bit for bit.
+    if (FingerprintTraining(rows, bits, /*packed=*/true) != floats) {
+      std::printf("training %zux%zu from packed rows differs\n", rows, bits);
+      status = 1;
+    }
+  }
   FingerprintClusterers();
   for (size_t shards : {2u, 4u}) {
     for (const char* mode : {"off", "sync", "incremental"}) {
@@ -341,7 +372,7 @@ int main() {
   PrintItems(background);
   if (FingerprintStore(2, "background", /*pool_threads=*/2) != background) {
     std::printf("store 2xbackground differs at pool_threads 2\n");
-    return 1;
+    status = 1;
   }
-  return 0;
+  return status;
 }

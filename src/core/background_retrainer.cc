@@ -1,10 +1,37 @@
 #include "core/background_retrainer.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "ml/inference.h"
 
 namespace e2nvm::core {
+
+namespace {
+
+/// Rows per AssignScratch call when a model classifies a snapshot
+/// itself: a training batch's worth of floats at a time. Rows are
+/// independent, so the chunking changes no id.
+constexpr size_t kClassifyChunkRows = 64;
+
+/// The cluster `model` assigns each row of `rows`, appended to `out`.
+void ClassifyRows(const placement::ContentClusterer& model,
+                  const ml::BitMatrix& rows, std::vector<size_t>* out) {
+  ml::InferenceScratch scratch;
+  out->clear();
+  out->reserve(rows.rows());
+  for (size_t start = 0; start < rows.rows(); start += kClassifyChunkRows) {
+    const size_t len = std::min(kClassifyChunkRows, rows.rows() - start);
+    scratch.in.EnsureShape(len, rows.cols());
+    for (size_t i = 0; i < len; ++i) {
+      rows.RowToFloats(start + i, scratch.in.Row(i));
+    }
+    model.AssignScratch(&scratch);
+    out->insert(out->end(), scratch.clusters.begin(), scratch.clusters.end());
+  }
+}
+
+}  // namespace
 
 BackgroundRetrainer::~BackgroundRetrainer() {
   if (worker_.joinable()) worker_.join();
@@ -18,20 +45,19 @@ BackgroundRetrainer::~BackgroundRetrainer() {
 
 BackgroundRetrainer::Result BackgroundRetrainer::Train(
     std::unique_ptr<placement::ContentClusterer> untrained,
-    ml::Matrix contents, std::vector<uint64_t> addrs) {
+    ml::BitMatrix contents, std::vector<uint64_t> addrs) {
   Result update;
   update.addrs = std::move(addrs);
   update.status = untrained->Train(contents);
   if (!update.status.ok()) return update;
   update.train_flops = untrained->LastTrainFlops();
-  // Classify the snapshot in one call; the local scratch takes the
-  // contents by move, so nothing region-sized outlives it.
-  ml::InferenceScratch scratch;
-  scratch.in = std::move(contents);
-  untrained->AssignScratch(&scratch);
-  update.clusters = std::move(scratch.clusters);
-  // A running sum, one prediction per row: the same double the engine
-  // would charge for n single predictions.
+  if (!untrained->TakeTrainClusters(&update.clusters)) {
+    ClassifyRows(*untrained, contents, &update.clusters);
+  }
+  contents = ml::BitMatrix();
+  // Charged as a classification either way. A running sum, one
+  // prediction per row: the same double the engine would charge for n
+  // single predictions.
   for (size_t i = 0; i < update.clusters.size(); ++i) {
     update.predict_flops += untrained->PredictFlops();
   }
@@ -41,7 +67,7 @@ BackgroundRetrainer::Result BackgroundRetrainer::Train(
 
 bool BackgroundRetrainer::Start(
     std::unique_ptr<placement::ContentClusterer> shadow,
-    ml::Matrix contents, std::vector<uint64_t> addrs) {
+    ml::BitMatrix contents, std::vector<uint64_t> addrs) {
   if (running() || ready()) return false;
   if (worker_.joinable()) worker_.join();  // Reap the previous worker.
   running_.store(true, std::memory_order_release);
@@ -52,7 +78,7 @@ bool BackgroundRetrainer::Start(
   // shared_ptr that the (single) execution steals from.
   struct Snapshot {
     std::unique_ptr<placement::ContentClusterer> shadow;
-    ml::Matrix contents;
+    ml::BitMatrix contents;
     std::vector<uint64_t> addrs;
   };
   auto snapshot = std::make_shared<Snapshot>(

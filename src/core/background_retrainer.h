@@ -10,7 +10,7 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "ml/matrix.h"
+#include "ml/bit_matrix.h"
 #include "placement/clusterer.h"
 
 namespace e2nvm::core {
@@ -28,9 +28,10 @@ namespace e2nvm::core {
 ///
 /// Protocol (all foreground calls come from the thread that owns the
 /// PlacementEngine — typically the one serving Place/Release):
-///   1. foreground snapshots the free segments' contents into a Matrix
-///      (cheap word-level expansion) and calls Start() with a fresh
-///      shadow clusterer (ContentClusterer::CloneUntrained);
+///   1. foreground snapshots the free segments' contents as packed rows
+///      (PlacementEngine::SnapshotContents, a word copy per segment) and
+///      calls Start() with a fresh shadow clusterer
+///      (ContentClusterer::CloneUntrained);
 ///   2. a dedicated worker thread runs Train on the snapshot, the same
 ///      model update the engine's Bootstrap and synchronous Retrain run
 ///      inline, then publishes the Result;
@@ -65,13 +66,15 @@ class BackgroundRetrainer {
   };
 
   /// The one model update: trains `untrained` (a CloneUntrained) on
-  /// `contents`, whose row i is the content of addrs[i], and classifies
-  /// every row with it in one AssignScratch call. The contents are
-  /// freed before it returns. Every ML reduction sums in one order
-  /// (DESIGN.md §8), so the update's bits do not depend on the thread
-  /// that runs it or on the compute pool.
+  /// `contents`, whose row i is the content of addrs[i], and takes each
+  /// row's cluster from the training (ContentClusterer::
+  /// TakeTrainClusters) or, for a model that keeps none, from
+  /// AssignScratch a chunk of rows at a time. The contents are freed
+  /// before it returns. Every ML reduction sums in one order (DESIGN.md
+  /// §8), so the update's bits do not depend on the thread that runs it
+  /// or on the compute pool.
   static Result Train(std::unique_ptr<placement::ContentClusterer> untrained,
-                      ml::Matrix contents, std::vector<uint64_t> addrs);
+                      ml::BitMatrix contents, std::vector<uint64_t> addrs);
 
   /// With no pool, every training runs on a dedicated std::thread (one
   /// store, one occasional trainer — the PR 2 behavior). With a pool, the
@@ -102,7 +105,7 @@ class BackgroundRetrainer {
   /// false — and takes no ownership — when a training is in flight or
   /// an unclaimed Result is pending.
   bool Start(std::unique_ptr<placement::ContentClusterer> shadow,
-             ml::Matrix contents, std::vector<uint64_t> addrs);
+             ml::BitMatrix contents, std::vector<uint64_t> addrs);
 
   /// Claims the finished Result (joining the worker); nullopt when none
   /// is ready. Must be called from the foreground thread.

@@ -36,7 +36,8 @@ double E2Model::PredictFlops() const {
          kmeans_.PredictFlops();
 }
 
-Status E2Model::Train(const ml::Matrix& contents) {
+Status E2Model::Train(const ml::RowsView& contents) {
+  train_clusters_.clear();
   if (contents.rows() < config_.k) {
     return Status::InvalidArgument("fewer segments than clusters");
   }
@@ -57,7 +58,8 @@ Status E2Model::Train(const ml::Matrix& contents) {
   last_train_flops_ = history_.flops;
 
   // Phase 2: K-means on latent codes.
-  ml::Matrix latent = vae.EncodeMu(contents);
+  ml::Matrix latent;
+  vae.EncodeMuRows(contents, config_.batch_size, &latent);
   E2_RETURN_IF_ERROR(kmeans_.Fit(latent));
   last_train_flops_ += kmeans_.FitFlops(latent.rows());
 
@@ -88,7 +90,8 @@ Status E2Model::Train(const ml::Matrix& contents) {
       }
 
       // Re-estimate centroids from the updated encoder.
-      ml::Matrix z2 = vae.EncodeMu(contents);
+      ml::Matrix z2;
+      vae.EncodeMuRows(contents, config_.batch_size, &z2);
       std::vector<size_t> assign2 = kmeans_.PredictBatch(z2);
       ml::Matrix centroids(config_.k, config_.latent_dim);
       std::vector<size_t> counts(config_.k, 0);
@@ -117,7 +120,18 @@ Status E2Model::Train(const ml::Matrix& contents) {
       latent = std::move(z2);
     }
   }
+  // `latent` holds the final VAE's codes and the centroids are final, so
+  // this is the fused assignment AssignScratch would run on them.
+  ml::Matrix scores;
+  kmeans_.AssignFusedInto(latent, &scores, &train_clusters_);
   return Status::Ok();
+}
+
+bool E2Model::TakeTrainClusters(std::vector<size_t>* out) {
+  if (train_clusters_.empty()) return false;
+  out->swap(train_clusters_);
+  train_clusters_.clear();
+  return true;
 }
 
 Status E2Model::PartialFit(const ml::Matrix& batch) {

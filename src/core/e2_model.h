@@ -65,8 +65,15 @@ class E2Model : public placement::ContentClusterer {
   /// DEC-style joint fine-tuning rounds in which the VAE also minimizes
   /// distance to the assigned centroid and the centroids are
   /// re-estimated. All three phases share one training workspace, freed
-  /// on return.
-  Status Train(const ml::Matrix& contents) override;
+  /// on return, and read `contents` a batch of rows at a time, so packed
+  /// rows train without a float copy. Ends by assigning the final latent
+  /// codes to the final centroids (TakeTrainClusters).
+  Status Train(const ml::RowsView& contents) override;
+
+  /// The ids of the last Train's rows, from the codes the training ended
+  /// with: they are the codes AssignScratch would encode, so these are
+  /// its ids, without encoding the rows again.
+  bool TakeTrainClusters(std::vector<size_t>* out) override;
 
   /// One encoder GEMV per staged row (Vae::EncodeMuInto) + one fused
   /// K-means assignment: zero heap allocations once the scratch is warm,
@@ -116,6 +123,8 @@ class E2Model : public placement::ContentClusterer {
   std::optional<ml::Vae> vae_;
   ml::KMeans kmeans_;
   ml::TrainHistory history_;
+  /// The last Train's row ids until TakeTrainClusters moves them out.
+  std::vector<size_t> train_clusters_;
   double last_train_flops_ = 0;
   double last_partial_fit_flops_ = 0;
 };

@@ -57,12 +57,13 @@ void PlacementEngine::SetPadder(const Padder* padder, ml::Lstm* lstm) {
   pad_lstm_ = lstm;
 }
 
-ml::Matrix PlacementEngine::ContentsMatrix(
+ml::BitMatrix PlacementEngine::SnapshotContents(
     const std::vector<uint64_t>& addrs) const {
-  const size_t dim = ctrl_->segment_bits();
-  ml::Matrix contents(addrs.size(), dim);
+  ml::BitMatrix contents(addrs.size(), ctrl_->segment_bits());
+  BitVector decoded;  // One decode buffer for every row.
   for (size_t i = 0; i < addrs.size(); ++i) {
-    ctrl_->Peek(addrs[i]).AppendFloatsTo(contents.Row(i));
+    ctrl_->PeekInto(addrs[i], &decoded);
+    contents.SetRow(i, decoded.words().data());
   }
   return contents;
 }
@@ -72,7 +73,7 @@ Status PlacementEngine::TrainOn(std::vector<uint64_t> snapshot,
   if (snapshot.size() < clusterer_->num_clusters()) {
     return Status::FailedPrecondition("too few free segments to train on");
   }
-  ml::Matrix contents = ContentsMatrix(snapshot);
+  ml::BitMatrix contents = SnapshotContents(snapshot);
   // A fresh model serves only once it trained: the serving one may be
   // other engines' too, and keeps serving here if training fails. Train
   // is a pure function of the config and the contents, so at bootstrap
@@ -363,9 +364,9 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
     if (ring_.capacity() > 0) {
       // Replay-ring feed: the committed segment image is exactly the
       // training row a full retrain would gather for this address, and
-      // the word-level float expansion costs a fraction of the write
-      // itself (no allocation — the ring is pre-sized).
-      r.stored.AppendFloatsTo(ring_.AppendRow());
+      // copying its words costs a fraction of the write itself (no
+      // allocation — the ring is pre-sized).
+      ring_.Append(r.stored);
     }
     // Memoize the value's cluster for Release: valid only when the model
     // actually predicted it and the value fills the whole segment (so
@@ -481,10 +482,12 @@ void PlacementEngine::RefineStep() {
   // Oldest-to-newest across the last `batch` writes: successive steps
   // see a sliding window in write order, so the mini-batch sequence —
   // and therefore the refined model — is a deterministic function of
-  // the write stream (the §16 determinism contract).
+  // the write stream (the §16 determinism contract). Only these rows
+  // are expanded to floats.
+  const KernelOps& kern = Ops();
   for (size_t i = 0; i < batch; ++i) {
-    std::memcpy(refine_in_.Row(i), ring_.RecentRow(batch - 1 - i),
-                dim * sizeof(float));
+    kern.bits_to_floats(ring_.RecentRow(batch - 1 - i), dim,
+                        refine_in_.Row(i));
   }
   // In place: an engine that can refine holds its model alone
   // (BootstrapFrom).

@@ -274,6 +274,12 @@ class PlacementEngine : public index::ValuePlacer {
   /// tests and diagnostics.
   const ReplayRing& replay_ring() const { return ring_; }
 
+  /// What a training on `addrs` reads: row i holds the decoded content
+  /// of addrs[i] (Peek's bits, through the wear-leveling map and the
+  /// scheme's decode), packed, one word copy per segment. Every full
+  /// training (TrainOn) snapshots through here.
+  ml::BitMatrix SnapshotContents(const std::vector<uint64_t>& addrs) const;
+
   /// Cluster memoized for the value last placed at `addr` (the id a
   /// later Release recycles it into without re-encoding), or -1 when
   /// none is held — exposed for the equivalence tests, which check every
@@ -329,15 +335,13 @@ class PlacementEngine : public index::ValuePlacer {
   /// Runs the auto-retrain policy after a placement, honoring the
   /// failure backoff.
   void MaybeAutoRetrain();
-  /// The word-level Peek -> float-matrix featurization of a training
-  /// snapshot (one row per addr).
-  ml::Matrix ContentsMatrix(const std::vector<uint64_t>& addrs) const;
   /// Every full training: Bootstrap, Retrain and a shadow launch.
   /// Refuses a snapshot with fewer segments than clusters, then builds
   /// the model update (BackgroundRetrainer::Train on a CloneUntrained)
-  /// from the contents of `snapshot`: inline, adopting it on the write
-  /// path, or (`background`) launched on the retrainer, counted in
-  /// background_retrains, for PumpBackgroundRetrain to adopt.
+  /// from the packed contents of `snapshot` (SnapshotContents): inline,
+  /// adopting it on the write path, or (`background`) launched on the
+  /// retrainer, counted in background_retrains, for
+  /// PumpBackgroundRetrain to adopt.
   Status TrainOn(std::vector<uint64_t> snapshot, bool background);
   /// Installs a model update, the one place a trained model starts
   /// serving: swaps it in, charges it through OnModelChanged (on the
@@ -406,7 +410,7 @@ class PlacementEngine : public index::ValuePlacer {
   nvm::WriteResult write_scratch_;
   // Incremental learning (§16): the replay ring of committed segment
   // images (capacity 0 unless configured) and the reused mini-batch
-  // staging matrix RefineStep copies ring rows into.
+  // staging matrix RefineStep expands ring rows into.
   ReplayRing ring_;
   ml::Matrix refine_in_;
   // placed_cluster_[addr - first_segment]: cluster the serving model

@@ -38,10 +38,11 @@ void Dense::Backward(const Matrix& x, const Matrix& dy, Matrix* dx,
 
 void Dense::AccumulateParamGrads(const Matrix& x, const Matrix& dy,
                                  Scratch* scratch) {
-  // dW += X^T dY ; db += colsum(dY), summed as ColSums does.
+  // dW = X^T dY straight into the gradient, which is 0 here: a GEMM sum
+  // starts at +0 and is never -0, so adding it to 0 would give its own
+  // bits. db += colsum(dY), summed as ColSums does.
   TransposeInto(x, &scratch->x_t);
-  MatMulInto(scratch->x_t, dy, &scratch->dw);
-  AddInPlace(w_.grad, scratch->dw);
+  MatMulInto(scratch->x_t, dy, &w_.grad);
   std::vector<float>& db = scratch->db;
   db.assign(dy.cols(), 0.0f);
   for (size_t i = 0; i < dy.rows(); ++i) {

@@ -48,11 +48,10 @@ class Dense {
  public:
   /// One layer's backward buffers, reshaped per call (allocation-free
   /// once sized): X^T (dW = X^T dY runs as MatMulInto(X^T, dY)), W^T
-  /// (dX = dY W^T), dW and db.
+  /// (dX = dY W^T) and db.
   struct Scratch {
     Matrix x_t;
     Matrix w_t;
-    Matrix dw;
     std::vector<float> db;
   };
 
@@ -64,10 +63,13 @@ class Dense {
   /// of the Forward this gradient belongs to.
   void Backward(const Matrix& x, const Matrix& dy, Matrix* dx,
                 Scratch* scratch);
-  /// The parameter half of Backward: dW += X^T dY, db += colsum(dY),
-  /// without the dY W^T product. For an input layer whose dL/dX nothing
-  /// reads (the VAE encoder's), that product is the costliest part of
-  /// the backward pass.
+  /// The parameter half of Backward: dW = X^T dY, written over the
+  /// weight gradient, and db += colsum(dY), without the dY W^T product.
+  /// The weight gradient must be 0 (as ZeroGrad and every Step's caller
+  /// leave it): a GEMM sum starts at +0 and is never -0, so writing it
+  /// has the bits of adding it to 0. For an input layer whose dL/dX
+  /// nothing reads (the VAE encoder's), that product is the costliest
+  /// part of the backward pass.
   void AccumulateParamGrads(const Matrix& x, const Matrix& dy,
                             Scratch* scratch);
   void Step(const AdamConfig& cfg, int t);
@@ -109,7 +111,7 @@ void ReluBackwardInPlace(const Matrix& y, Matrix* dy);
 /// for x[i] >= 0 and exp(x[i]) / (1 + exp(x[i])) otherwise, so the exp
 /// never overflows — kernels.h's sigmoid_f32, whose exp is a port of
 /// glibc's expf on a CPU with FMA (libm's elsewhere), bit-identical on
-/// every tier. `y` may not alias `x`.
+/// every tier. `y` may be `x` itself but may not partly overlap it.
 void SigmoidArray(const float* x, float* y, size_t n);
 
 }  // namespace e2nvm::ml

@@ -119,7 +119,7 @@ void UnmapBlock(void* p, size_t bytes) noexcept;
 /// blocks visible to the allocation counters that replace it.
 ///
 /// A larger block (a training workspace's activations, a layer's
-/// weights, a retrain's contents matrix) is an anonymous mapping of its
+/// weights, a 1024-row training snapshot) is an anonymous mapping of its
 /// own, populated when mapped, page-aligned and so cache-line aligned,
 /// and unmapped when freed. On the heap, glibc keeps freed large blocks
 /// in its brk heap once an earlier free has raised its mmap threshold,

@@ -121,12 +121,12 @@ double BceSum(const Matrix& probs, const Matrix& x,
   return bce.Sum();
 }
 
-/// probs = sigmoid(logits), elementwise (probs reshaped to match).
-void SigmoidAll(const Matrix& logits, Matrix* probs) {
-  probs->EnsureShape(logits.rows(), logits.cols());
-  ForRanges(logits.size(), kElemGrain, [&](size_t lo, size_t hi) {
-    SigmoidArray(logits.data().data() + lo, probs->data().data() + lo,
-                 hi - lo);
+/// logits = sigmoid(logits), elementwise and in place: the decoder's
+/// Bernoulli means overwrite the logits nothing reads again.
+void SigmoidInPlace(Matrix* logits) {
+  float* v = logits->data().data();
+  ForRanges(logits->size(), kElemGrain, [&](size_t lo, size_t hi) {
+    SigmoidArray(v + lo, v + lo, hi - lo);
   });
 }
 
@@ -205,10 +205,24 @@ const Matrix& Vae::EncodeMuInWorkspace(const Matrix& x) {
   return ws.mu;
 }
 
+void Vae::EncodeMuRows(const RowsView& x, size_t chunk, Matrix* mu) {
+  Workspace& ws = workspace();
+  const size_t n = x.rows();
+  const size_t latent = config_.latent_dim;
+  mu->EnsureShape(n, latent);
+  for (size_t start = 0; start < n; start += chunk) {
+    const size_t len = std::min(chunk, n - start);
+    ws.batch.EnsureShape(len, x.cols());
+    for (size_t i = 0; i < len; ++i) x.CopyRow(start + i, ws.batch.Row(i));
+    EncodeMuInto(ws.batch, &ws.hidden, &ws.mu);
+    std::memcpy(mu->Row(start), ws.mu.Row(0), len * latent * sizeof(float));
+  }
+}
+
 Matrix Vae::Decode(const Matrix& z) const {
-  Matrix hidden, logits, probs;
-  DecodeForward(z, &hidden, &logits);
-  SigmoidAll(logits, &probs);
+  Matrix hidden, probs;
+  DecodeForward(z, &hidden, &probs);
+  SigmoidInPlace(&probs);
   return probs;
 }
 
@@ -233,25 +247,27 @@ void Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
   }
 
   DecodeForward(ws.z, &ws.dec_hidden, &ws.logits);
-  SigmoidAll(ws.logits, &ws.probs);
+  // The Bernoulli means overwrite the logits, which nothing reads again.
+  SigmoidInPlace(&ws.logits);
+  const Matrix& probs = ws.logits;
 
   // The losses read the forward pass and feed no gradient, so a caller
   // that drops them (fine-tuning, PartialFit) skips their logs and exps.
   if (loss != nullptr) {
     *loss = BatchLoss();
     loss->recon =
-        BceSum(ws.probs, x, &ws.bce_partial) / static_cast<double>(batch);
+        BceSum(probs, x, &ws.bce_partial) / static_cast<double>(batch);
     loss->kl = config_.beta * KlSum(ws.mu, ws.logvar) /
                static_cast<double>(batch);
   }
 
   // ---- Backward ----
   // d(BCE with logits)/dlogits = (p - x), averaged over the batch, over
-  // the logits, which nothing reads again.
+  // the means, element by element.
   Matrix& dlogits = ws.logits;
-  ForRanges(ws.probs.size(), kElemGrain, [&](size_t lo, size_t hi) {
+  ForRanges(dlogits.size(), kElemGrain, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      dlogits.data()[i] = (ws.probs.data()[i] - x.data()[i]) * inv_batch;
+      dlogits.data()[i] = (dlogits.data()[i] - x.data()[i]) * inv_batch;
     }
   });
   dec_out_.Backward(ws.dec_hidden, dlogits, &ws.d_dec_hidden, &ws.dec_out);
@@ -314,15 +330,15 @@ void Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
   }
 }
 
-void Vae::TrainRows(const Matrix& x, size_t first, size_t count,
+void Vae::TrainRows(const RowsView& x, size_t first, size_t count,
                     const VaeTrainOptions& opts, BatchLoss* loss) {
-  if (first == 0 && count == x.rows()) {
-    TrainBatch(x, opts, loss);
+  if (x.floats() != nullptr && first == 0 && count == x.rows()) {
+    TrainBatch(*x.floats(), opts, loss);
     return;
   }
   Matrix& batch = workspace().batch;
   batch.EnsureShape(count, x.cols());
-  std::memcpy(batch.Row(0), x.Row(first), count * x.cols() * sizeof(float));
+  for (size_t i = 0; i < count; ++i) x.CopyRow(first + i, batch.Row(i));
   TrainBatch(batch, opts, loss);
 }
 
@@ -331,32 +347,32 @@ double Vae::EvalLoss(const Matrix& x) const {
   return EvalLossOn(x, {}, x.rows(), &ws);
 }
 
-double Vae::EvalLossOn(const Matrix& x, std::span<const size_t> rows,
+double Vae::EvalLossOn(const RowsView& x, std::span<const size_t> rows,
                        size_t chunk, Workspace* ws) const {
   const size_t n = rows.empty() ? x.rows() : rows.size();
   BceStream bce(n * x.cols(), &ws->bce_partial);
   double kl = 0.0;
   for (size_t start = 0; start < n; start += chunk) {
-    const Matrix* in = &x;
+    const Matrix* in = x.floats();
     if (!rows.empty()) {
       const size_t bs = std::min(chunk, n - start);
       ws->batch.EnsureShape(bs, x.cols());
       for (size_t i = 0; i < bs; ++i) {
-        ws->batch.CopyRowFrom(x, rows[start + i], i);
+        x.CopyRow(rows[start + i], ws->batch.Row(i));
       }
       in = &ws->batch;
     }
     EncodeForward(*in, &ws->hidden, &ws->mu, &ws->logvar);
     DecodeForward(ws->mu, &ws->dec_hidden, &ws->logits);  // eps = 0: z = mu.
-    SigmoidAll(ws->logits, &ws->probs);
-    bce.Add(ws->probs, *in, start * x.cols());
+    SigmoidInPlace(&ws->logits);
+    bce.Add(ws->logits, *in, start * x.cols());
     kl = KlSum(ws->mu, ws->logvar, kl);
   }
   const double rows_d = static_cast<double>(n);
   return bce.Sum() / rows_d + config_.beta * kl / rows_d;
 }
 
-TrainHistory Vae::Train(const Matrix& x, const VaeTrainOptions& opts) {
+TrainHistory Vae::Train(const RowsView& x, const VaeTrainOptions& opts) {
   TrainingSession session(this);
   TrainHistory history;
   const size_t n = x.rows();
@@ -387,9 +403,7 @@ TrainHistory Vae::Train(const Matrix& x, const VaeTrainOptions& opts) {
       size_t bs = std::min(opts.batch_size, train_n - start);
       Matrix& batch = workspace().batch;
       batch.EnsureShape(bs, x.cols());
-      for (size_t i = 0; i < bs; ++i) {
-        batch.CopyRowFrom(x, order[start + i], i);
-      }
+      for (size_t i = 0; i < bs; ++i) x.CopyRow(order[start + i], batch.Row(i));
       BatchLoss l;
       TrainBatch(batch, batch_opts, &l);
       epoch_loss += l.total();

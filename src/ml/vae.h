@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "ml/bit_matrix.h"
 #include "ml/layers.h"
 #include "ml/matrix.h"
 
@@ -94,6 +95,13 @@ class Vae {
   /// E2Model::PartialFit allocates nothing.
   const Matrix& EncodeMuInWorkspace(const Matrix& x);
 
+  /// The latent means of every row of `x` into `mu` (x.rows() x
+  /// latent_dim): EncodeMu's codes, bit for bit (each row's products are
+  /// its own), encoded `chunk` (> 0) rows at a time on the workspace's
+  /// batch and activations, so no float copy of `x` and no x.rows()-row
+  /// hidden layer is made. E2Model::Train's k-means passes run on it.
+  void EncodeMuRows(const RowsView& x, size_t chunk, Matrix* mu);
+
   /// Decodes latent codes to Bernoulli means (sigmoid outputs).
   Matrix Decode(const Matrix& z) const;
 
@@ -113,16 +121,17 @@ class Vae {
                   BatchLoss* loss = nullptr);
 
   /// TrainBatch on rows [first, first + count) of `x`, copied into the
-  /// workspace's batch (or `x` itself when that is all of it).
-  void TrainRows(const Matrix& x, size_t first, size_t count,
+  /// workspace's batch (or a float `x` itself when that is all of it).
+  void TrainRows(const RowsView& x, size_t first, size_t count,
                  const VaeTrainOptions& opts, BatchLoss* loss = nullptr);
 
   /// Loss of `x` without updating parameters (eps = 0, deterministic).
   double EvalLoss(const Matrix& x) const;
 
   /// Full training loop: shuffles, splits train/validation, runs epochs.
-  /// A training of its own (see TrainingSession).
-  TrainHistory Train(const Matrix& x, const VaeTrainOptions& opts);
+  /// A training of its own (see TrainingSession). Reads `x` a batch of
+  /// rows at a time, so packed rows train without a float copy.
+  TrainHistory Train(const RowsView& x, const VaeTrainOptions& opts);
 
   /// Incremental mini-batch update (the replay-ring refinement path,
   /// DESIGN.md §16): runs one pure-ELBO TrainBatch step per
@@ -191,8 +200,7 @@ class Vae {
     Matrix sigma;
     Matrix z;
     Matrix dec_hidden;  // Decoder hidden activations, after the ReLU.
-    Matrix logits;      // Decoder logits, then dL/dlogits.
-    Matrix probs;
+    Matrix logits;      // Decoder logits, their sigmoids, then dL/dlogits.
     Matrix d_dec_hidden;
     Matrix dz;          // dL/dz, then dL/dmu.
     Matrix dlogvar;
@@ -227,10 +235,10 @@ class Vae {
   void DecodeForward(const Matrix& z, Matrix* hidden, Matrix* logits) const;
   /// EvalLoss of rows `rows` of `x`, gathered `chunk` rows at a time into
   /// `ws`'s batch and evaluated on `ws`'s buffers; an empty `rows` means
-  /// all of `x` in place, in one piece (`chunk` >= x.rows()). The sums
-  /// run on across chunks in the one-piece order, so any chunking gives
-  /// the same bits.
-  double EvalLossOn(const Matrix& x, std::span<const size_t> rows,
+  /// all of a float `x` in place, in one piece (`chunk` >= x.rows()). The
+  /// sums run on across chunks in the one-piece order, so any chunking
+  /// gives the same bits.
+  double EvalLossOn(const RowsView& x, std::span<const size_t> rows,
                     size_t chunk, Workspace* ws) const;
 
   VaeConfig config_;

@@ -2,18 +2,30 @@
 
 namespace e2nvm::placement {
 
-Status RawKMeansClusterer::Train(const ml::Matrix& contents) {
-  E2_RETURN_IF_ERROR(kmeans_.Fit(contents));
-  train_flops_ = kmeans_.FitFlops(contents.rows());
+Status ContentClusterer::Train(const ml::RowsView& contents) {
+  ml::Matrix expanded;
+  return Train(contents.AsFloats(&expanded));
+}
+
+Status ContentClusterer::Train(const ml::Matrix& contents) {
+  return Train(ml::RowsView(contents));
+}
+
+Status RawKMeansClusterer::Train(const ml::RowsView& contents) {
+  ml::Matrix expanded;
+  const ml::Matrix& x = contents.AsFloats(&expanded);
+  E2_RETURN_IF_ERROR(kmeans_.Fit(x));
+  train_flops_ = kmeans_.FitFlops(x.rows());
   return Status::Ok();
 }
 
-Status PcaKMeansClusterer::Train(const ml::Matrix& contents) {
-  E2_RETURN_IF_ERROR(pca_.Fit(contents));
-  ml::Matrix projected = pca_.Transform(contents);
+Status PcaKMeansClusterer::Train(const ml::RowsView& contents) {
+  ml::Matrix expanded;
+  const ml::Matrix& x = contents.AsFloats(&expanded);
+  E2_RETURN_IF_ERROR(pca_.Fit(x));
+  ml::Matrix projected = pca_.Transform(x);
   E2_RETURN_IF_ERROR(kmeans_.Fit(projected));
-  train_flops_ =
-      pca_.FitFlops(contents.rows()) + kmeans_.FitFlops(contents.rows());
+  train_flops_ = pca_.FitFlops(x.rows()) + kmeans_.FitFlops(x.rows());
   return Status::Ok();
 }
 

@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "ml/bit_matrix.h"
 #include "ml/inference.h"
 #include "ml/kmeans.h"
 #include "ml/matrix.h"
@@ -42,8 +43,26 @@ class ContentClusterer {
   /// serves in place of a twin's trained model.
   virtual std::unique_ptr<ContentClusterer> Clone() const = 0;
 
-  /// Trains (or re-trains) on segment contents, one row per segment.
-  virtual Status Train(const ml::Matrix& contents) = 0;
+  /// Trains (or re-trains) on segment contents, one row per segment,
+  /// float or packed (ml::RowsView). A model overrides one of the two
+  /// Train forms. The library's models override this one, so a packed
+  /// snapshot trains them without a float copy; the default expands
+  /// packed rows into a float Matrix for a model that overrides only
+  /// the float form.
+  virtual Status Train(const ml::RowsView& contents);
+
+  /// Train on float rows. The default trains through the view, so a
+  /// model that reads the view takes float callers unchanged.
+  virtual Status Train(const ml::Matrix& contents);
+
+  /// Moves the cluster of every row of the last Train's contents under
+  /// the trained model (the ids AssignScratch gives those rows) into
+  /// `out`, when the training kept them; false when it did not (the
+  /// default), and the caller classifies the rows itself.
+  virtual bool TakeTrainClusters(std::vector<size_t>* out) {
+    (void)out;
+    return false;
+  }
 
   /// The one inference operation: assigns every content vector staged
   /// in scratch->in (one row per vector, 0/1 floats, width = input dim)
@@ -94,7 +113,7 @@ class SingleClusterer : public ContentClusterer {
   std::unique_ptr<ContentClusterer> Clone() const override {
     return std::make_unique<SingleClusterer>(*this);
   }
-  Status Train(const ml::Matrix& contents) override {
+  Status Train(const ml::RowsView& contents) override {
     return Status::Ok();
   }
   void AssignScratch(ml::InferenceScratch* scratch) const override {
@@ -124,7 +143,8 @@ class RawKMeansClusterer : public ContentClusterer {
   std::unique_ptr<ContentClusterer> Clone() const override {
     return std::make_unique<RawKMeansClusterer>(*this);
   }
-  Status Train(const ml::Matrix& contents) override;
+  /// K-means on the rows as floats, expanded first when packed.
+  Status Train(const ml::RowsView& contents) override;
   void AssignScratch(ml::InferenceScratch* scratch) const override {
     kmeans_.AssignFusedInto(scratch->in, &scratch->scores,
                             &scratch->clusters);
@@ -168,7 +188,7 @@ class DensityClusterer : public ContentClusterer {
   std::unique_ptr<ContentClusterer> Clone() const override {
     return std::make_unique<DensityClusterer>(*this);
   }
-  Status Train(const ml::Matrix& contents) override {
+  Status Train(const ml::RowsView& contents) override {
     return Status::Ok();
   }
   void AssignScratch(ml::InferenceScratch* scratch) const override {
@@ -211,7 +231,8 @@ class PcaKMeansClusterer : public ContentClusterer {
   std::unique_ptr<ContentClusterer> Clone() const override {
     return std::make_unique<PcaKMeansClusterer>(*this);
   }
-  Status Train(const ml::Matrix& contents) override;
+  /// PCA and k-means on the rows as floats, expanded first when packed.
+  Status Train(const ml::RowsView& contents) override;
   /// Projects the staged rows (Pca::Transform), then one fused
   /// assignment in the projected space. Allocates the projection.
   void AssignScratch(ml::InferenceScratch* scratch) const override;

@@ -66,10 +66,12 @@ workload::BitDataset ClusteredData(size_t samples, uint64_t seed = 2) {
   return workload::MakeProtoDataset(cfg);
 }
 
-ml::Matrix ContentsOf(const workload::BitDataset& ds, size_t rows) {
-  ml::Matrix m(rows, kBits);
+/// A training snapshot of `rows` rows of `ds`, packed as the engine
+/// takes one.
+ml::BitMatrix ContentsOf(const workload::BitDataset& ds, size_t rows) {
+  ml::BitMatrix m(rows, kBits);
   for (size_t i = 0; i < rows; ++i) {
-    ds.items[i % ds.items.size()].AppendFloatsTo(m.Row(i));
+    m.SetRow(i, ds.items[i % ds.items.size()].words().data());
   }
   return m;
 }
@@ -141,6 +143,47 @@ TEST(BackgroundRetrainerTest, ReportsTrainingFailure) {
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->status.ok());
   EXPECT_EQ(result->model, nullptr);
+}
+
+TEST(BackgroundRetrainerTest, UpdateGivesEachRowItsModelsCluster) {
+  // An E2Model's ids come from its training's last encode, a baseline's
+  // from AssignScratch over 64-row chunks (150 rows end in a partial
+  // one): either way each snapshot row gets the id AssignScratch gives
+  // it under the trained model, charged as one prediction per row.
+  constexpr size_t kRows = 150;
+  const auto ds = ClusteredData(kRows);
+  ml::Matrix floats(kRows, kBits);
+  for (size_t i = 0; i < kRows; ++i) ds.items[i].AppendFloatsTo(floats.Row(i));
+  E2ModelConfig mc;
+  mc.input_dim = kBits;
+  mc.k = 4;
+  mc.hidden_dim = 32;
+  mc.pretrain_epochs = 2;
+  std::vector<std::unique_ptr<placement::ContentClusterer>> protos;
+  protos.push_back(std::make_unique<placement::SingleClusterer>());
+  protos.push_back(std::make_unique<placement::DensityClusterer>(4));
+  protos.push_back(std::make_unique<placement::RawKMeansClusterer>(4, 42));
+  protos.push_back(std::make_unique<placement::PcaKMeansClusterer>(4, 8));
+  protos.push_back(std::make_unique<E2Model>(mc));
+  for (const auto& proto : protos) {
+    SCOPED_TRACE(proto->name());
+    std::vector<uint64_t> addrs(kRows);
+    for (size_t i = 0; i < kRows; ++i) addrs[i] = 1000 + i;
+    BackgroundRetrainer::Result update = BackgroundRetrainer::Train(
+        proto->CloneUntrained(), ContentsOf(ds, kRows), addrs);
+    ASSERT_TRUE(update.status.ok());
+    EXPECT_EQ(update.addrs, addrs);
+    ml::InferenceScratch scratch;
+    scratch.in = floats;
+    update.model->AssignScratch(&scratch);
+    EXPECT_EQ(update.clusters, scratch.clusters);
+    double predict_flops = 0;
+    for (size_t i = 0; i < kRows; ++i) {
+      predict_flops += update.model->PredictFlops();
+    }
+    EXPECT_EQ(update.predict_flops, predict_flops);
+    EXPECT_EQ(update.train_flops, update.model->LastTrainFlops());
+  }
 }
 
 TEST(BackgroundRetrainTest, EngineSwapsModelWithoutClientErrors) {

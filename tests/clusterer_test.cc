@@ -511,5 +511,98 @@ TEST(ContentClustererTest, PartialFitOnACloneMatchesTheOriginal) {
   }
 }
 
+/// `ds`'s first `rows` items as packed rows, as a training snapshot
+/// holds them.
+ml::BitMatrix Packed(const workload::BitDataset& ds, size_t rows) {
+  ml::BitMatrix m(rows, ds.dim);
+  for (size_t i = 0; i < rows; ++i) m.SetRow(i, ds.items[i].words().data());
+  return m;
+}
+
+/// One fresh model of each kind behind the seam, `dim` bits wide.
+std::vector<std::unique_ptr<placement::ContentClusterer>> EveryModel(
+    size_t dim) {
+  core::E2ModelConfig cfg = CloneTestModelConfig(dim);
+  cfg.hidden_dim = 32;
+  cfg.pretrain_epochs = 2;
+  std::vector<std::unique_ptr<placement::ContentClusterer>> models;
+  models.push_back(std::make_unique<placement::SingleClusterer>());
+  models.push_back(std::make_unique<placement::DensityClusterer>(4));
+  models.push_back(std::make_unique<placement::RawKMeansClusterer>(5, 3));
+  models.push_back(std::make_unique<placement::PcaKMeansClusterer>(5, 8, 3));
+  models.push_back(std::make_unique<core::E2Model>(cfg));
+  return models;
+}
+
+/// Same floats, bit for bit, in every part of every parameter block.
+::testing::AssertionResult SameParams(const ml::Vae& a, const ml::Vae& b) {
+  const auto pa = a.Params();
+  const auto pb = b.Params();
+  if (pa.size() != pb.size()) {
+    return ::testing::AssertionFailure() << "block counts differ";
+  }
+  for (size_t i = 0; i < pa.size(); ++i) {
+    if (!SameBits(pa[i]->value, pb[i]->value) ||
+        !SameBits(pa[i]->grad, pb[i]->grad) ||
+        !SameBits(pa[i]->m, pb[i]->m) || !SameBits(pa[i]->v, pb[i]->v)) {
+      return ::testing::AssertionFailure() << "parameter block " << i;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ContentClustererTest, PackedRowsTrainExactlyLikeFloats) {
+  // A training snapshot holds packed rows; every model trained on them
+  // must equal the one trained on the same rows as floats. 150 rows are
+  // two 64-row batches and encode chunks and a partial third.
+  constexpr size_t kRows = 150;
+  for (size_t bits : {size_t{512}, size_t{2048}}) {
+    SCOPED_TRACE(bits);
+    const auto ds = EasyDataset(kRows, bits);
+    const ml::Matrix floats = ds.ToMatrix();
+    const ml::BitMatrix packed = Packed(ds, kRows);
+    const ml::Matrix held_out = HeldOut(bits);
+    auto from_floats = EveryModel(bits);
+    auto from_bits = EveryModel(bits);
+    for (size_t m = 0; m < from_floats.size(); ++m) {
+      placement::ContentClusterer& a = *from_floats[m];
+      placement::ContentClusterer& b = *from_bits[m];
+      SCOPED_TRACE(a.name());
+      ASSERT_TRUE(a.Train(floats).ok());
+      ASSERT_TRUE(b.Train(packed).ok());
+      EXPECT_EQ(a.LastTrainFlops(), b.LastTrainFlops());
+      EXPECT_EQ(a.PredictFlops(), b.PredictFlops());
+      EXPECT_TRUE(SameAssignment(Classify(a, held_out),
+                                 Classify(b, held_out)));
+    }
+    const auto& a = dynamic_cast<const core::E2Model&>(*from_floats.back());
+    auto& b = dynamic_cast<core::E2Model&>(*from_bits.back());
+    EXPECT_TRUE(SameParams(a.vae(), b.vae()));
+    EXPECT_EQ(a.vae().step(), b.vae().step());
+    EXPECT_TRUE(a.vae().rng() == b.vae().rng());
+    EXPECT_TRUE(SameBits(a.kmeans().centroids(), b.kmeans().centroids()));
+    EXPECT_EQ(a.history().train_loss, b.history().train_loss);
+    EXPECT_EQ(a.history().val_loss, b.history().val_loss);
+    EXPECT_EQ(a.history().flops, b.history().flops);
+  }
+}
+
+TEST(ContentClustererTest, TrainClustersAreTheTrainedRowsAssignments) {
+  // E2Model keeps the ids its training's final codes get, which are the
+  // ids AssignScratch gives its rows; the baselines keep none.
+  const auto ds = EasyDataset(150, 512);
+  const ml::BitMatrix packed = Packed(ds, ds.size());
+  for (auto& model : EveryModel(ds.dim)) {
+    SCOPED_TRACE(model->name());
+    ASSERT_TRUE(model->Train(packed).ok());
+    std::vector<size_t> ids;
+    const bool kept = model->TakeTrainClusters(&ids);
+    EXPECT_EQ(kept, model->name() == "E2-NVM");
+    if (!kept) continue;
+    EXPECT_EQ(ids, AssignAll(*model, ds.ToMatrix()));
+    EXPECT_FALSE(model->TakeTrainClusters(&ids)) << "taken twice";
+  }
+}
+
 }  // namespace
 }  // namespace e2nvm

@@ -73,21 +73,23 @@ TEST(ReplayRingTest, AppendsWrapAndKeepRecencyOrder) {
   EXPECT_EQ(ring.dim(), 3u);
   EXPECT_EQ(ring.size(), 0u);
 
+  // Row v holds v's three low bits.
   for (int v = 0; v < 6; ++v) {
-    float* slot = ring.AppendRow();
-    for (size_t j = 0; j < 3; ++j) slot[j] = static_cast<float>(v);
+    BitVector row(3);
+    for (size_t j = 0; j < 3; ++j) row.Set(j, (v >> j) & 1);
+    ring.Append(row);
     if (v == 1) {
       // Partially full: two rows, newest first.
       EXPECT_EQ(ring.size(), 2u);
-      EXPECT_EQ(ring.RecentRow(0)[0], 1.0f);
-      EXPECT_EQ(ring.RecentRow(1)[0], 0.0f);
+      EXPECT_EQ(ring.RecentRow(0)[0], 1u);
+      EXPECT_EQ(ring.RecentRow(1)[0], 0u);
     }
   }
   // Wrapped: rows 2..5 survive; RecentRow(0) is the newest.
   EXPECT_EQ(ring.size(), 4u);
   EXPECT_EQ(ring.total_appends(), 6u);
   for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(ring.RecentRow(i)[0], static_cast<float>(5 - i)) << i;
+    EXPECT_EQ(ring.RecentRow(i)[0], 5 - i) << i;
   }
 }
 
@@ -375,7 +377,7 @@ struct Rig {
 struct DriftRun {
   std::vector<uint64_t> addrs;
   std::vector<size_t> probe_clusters;
-  std::vector<float> ring_floats;
+  std::vector<uint64_t> ring_words;
   uint64_t ring_appends = 0;
   uint64_t refine_steps = 0;
   uint64_t retrains = 0;
@@ -444,10 +446,10 @@ DriftRun RunDriftWorkload(size_t max_refine_rounds, bool background) {
   }
   const ReplayRing& ring = rig.engine->replay_ring();
   EXPECT_EQ(ring.capacity(), 64u);
-  const ml::Matrix& raw = ring.raw();
+  const ml::BitMatrix& raw = ring.raw();
   for (size_t i = 0; i < raw.rows(); ++i) {
-    out.ring_floats.insert(out.ring_floats.end(), raw.Row(i),
-                           raw.Row(i) + raw.cols());
+    out.ring_words.insert(out.ring_words.end(), raw.Row(i),
+                          raw.Row(i) + raw.row_words());
   }
   out.ring_appends = ring.total_appends();
   const EngineStats& st = rig.engine->stats();
@@ -468,10 +470,7 @@ void ExpectSameRun(const DriftRun& a, const DriftRun& b) {
   EXPECT_EQ(a.background_retrains, b.background_retrains);
   EXPECT_EQ(a.model_generation, b.model_generation);
   EXPECT_EQ(a.refine_flops, b.refine_flops);
-  ASSERT_EQ(a.ring_floats.size(), b.ring_floats.size());
-  EXPECT_EQ(std::memcmp(a.ring_floats.data(), b.ring_floats.data(),
-                        a.ring_floats.size() * sizeof(float)),
-            0);
+  EXPECT_EQ(a.ring_words, b.ring_words);
 }
 
 TEST(IncrementalEngineTest, DriftIsAbsorbedByRefinementSteps) {

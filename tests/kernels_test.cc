@@ -637,6 +637,33 @@ TEST(KernelsTest, SigmoidMatchesScalarBitwise) {
       "sigmoid", [](const KernelOps& ops) { return ops.sigmoid_f32; });
 }
 
+TEST(KernelsTest, SigmoidInPlaceMatchesScalarOnEveryTier) {
+  // The VAE decoder overwrites its logits with their sigmoids, so every
+  // tier, the scalar one included, must give the out-of-place bits when
+  // y is x, whole and on every length up to 40.
+  const std::vector<float> xs = ElementwiseInputs();
+  std::vector<float> want(xs.size());
+  OpsFor(SimdLevel::kScalar)->sigmoid_f32(xs.data(), want.data(), xs.size());
+  for (SimdLevel level : AvailableLevels()) {
+    const auto sigmoid = OpsFor(level)->sigmoid_f32;
+    const char* what = SimdLevelName(level);
+    std::vector<float> v = xs;
+    sigmoid(v.data(), v.data(), v.size());
+    for (size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(FloatBits(v[i]), FloatBits(want[i]))
+          << what << " x bits 0x" << std::hex << FloatBits(xs[i]);
+    }
+    for (size_t n = 1; n <= 40; ++n) {
+      std::vector<float> part(xs.begin(), xs.begin() + n);
+      sigmoid(part.data(), part.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(FloatBits(part[i]), FloatBits(want[i]))
+            << what << " length " << n << " element " << i;
+      }
+    }
+  }
+}
+
 TEST(KernelsTest, LogMatchesScalarBitwise) {
   ExpectElementwiseMatchesScalar(
       "log", [](const KernelOps& ops) { return ops.log_f32; });

@@ -285,5 +285,44 @@ TEST(PlacementEngineTest, WiderThanSegmentRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(PlacementEngineTest, SnapshotRowsAreThePeekedWords) {
+  // The packed rows every training reads hold the decoded content Peek
+  // returns, row i for addrs[i]: through Start-Gap's moving map (a gap
+  // move every 3 writes) and a scheme that stores some words inverted.
+  for (uint64_t psi : {uint64_t{0}, uint64_t{3}}) {
+    nvm::DeviceConfig dc;
+    dc.num_segments = psi > 0 ? kSegments + 1 : kSegments;
+    dc.segment_bits = kBits;
+    nvm::NvmDevice device(dc);
+    schemes::FlipNWrite fnw;
+    nvm::MemoryController ctrl(&device, &fnw, kSegments, psi);
+    PlacementEngine::Config ec;
+    ec.num_segments = kSegments;
+    PlacementEngine engine(&ctrl, KMeans(4), ec);
+    const auto seed = ClusteredData(kSegments);
+    for (size_t i = 0; i < kSegments; ++i) ctrl.Seed(i, seed.items[i]);
+    ASSERT_TRUE(engine.Bootstrap().ok());
+    const auto writes = ClusteredData(60, 5);
+    for (const BitVector& v : writes.items) ASSERT_TRUE(engine.Place(v).ok());
+    if (psi > 0) {
+      EXPECT_GT(ctrl.leveler()->moves(), 0u);
+    }
+
+    std::vector<uint64_t> addrs;  // Every address, in reverse.
+    for (size_t i = kSegments; i-- > 0;) addrs.push_back(i);
+    const ml::BitMatrix rows = engine.SnapshotContents(addrs);
+    ASSERT_EQ(rows.rows(), addrs.size());
+    ASSERT_EQ(rows.cols(), kBits);
+    for (size_t i = 0; i < addrs.size(); ++i) {
+      const BitVector want = ctrl.Peek(addrs[i]);
+      ASSERT_EQ(want.num_words(), rows.row_words());
+      for (size_t w = 0; w < rows.row_words(); ++w) {
+        ASSERT_EQ(rows.Row(i)[w], want.words()[w])
+            << "psi " << psi << " addr " << addrs[i] << " word " << w;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace e2nvm::core
