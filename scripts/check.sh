@@ -107,6 +107,17 @@ if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then
   python3 "$repo_root/scripts/check_bench.py" workloads \
     "$perf_dir/BENCH_workloads.json"
   echo "workload smoke OK"
+
+  echo "== perfbench smoke (self-test + short traced kv_ycsb_a run) =="
+  # The benchmark of record compiles ../src into .bench_build/ on its
+  # own, probes the serving model (AssignScratch, CloneUntrained) and
+  # checks that its runs are deterministic; a src/ change that breaks
+  # any of these fails here. run.py exits nonzero on a failed self-test,
+  # a failed or mismatched operation, or a malformed result line.
+  python3 "$repo_root/perfbench/run.py" --self-test
+  python3 "$repo_root/perfbench/run.py" --workload kv_ycsb_a --seconds 2 \
+    --trace 1
+  echo "perfbench smoke OK"
 fi
 
 echo "== slowest tests =="

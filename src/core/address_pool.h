@@ -5,8 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/bitvec.h"
-
 namespace e2nvm::core {
 
 /// Grow-only circular FIFO of segment addresses. Free lists see a
@@ -114,12 +112,12 @@ class DynamicAddressPool {
   std::optional<uint64_t> AcquireAny();
 
   /// Ablation of the paper's first-available decision: scans the cluster's
-  /// free list for the address whose current content (provided by `peek`)
-  /// minimizes Hamming distance to `data`, at O(cluster size) cost.
-  /// `peek(addr)` must return the segment's logical content.
-  template <typename PeekFn>
-  std::optional<uint64_t> AcquireBest(size_t cluster, const BitVector& data,
-                                      PeekFn&& peek) {
+  /// free list (falling back as Acquire does) for the address with the
+  /// smallest `distance(addr)`, at O(cluster size) cost; the first
+  /// minimum in list order wins. The engine's distance is the Hamming
+  /// distance of the segment's logical content to the value it places.
+  template <typename DistanceFn>
+  std::optional<uint64_t> AcquireBest(size_t cluster, DistanceFn&& distance) {
     if (lists_.empty()) return std::nullopt;
     size_t c = ClampCluster(cluster);
     if (lists_[c].empty()) {
@@ -129,7 +127,7 @@ class DynamicAddressPool {
     size_t best_i = 0;
     size_t best_d = SIZE_MAX;
     for (size_t i = 0; i < lists_[c].size(); ++i) {
-      size_t d = peek(lists_[c][i]).HammingDistance(data);
+      const size_t d = distance(lists_[c][i]);
       if (d < best_d) {
         best_d = d;
         best_i = i;

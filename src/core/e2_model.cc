@@ -44,6 +44,9 @@ Status E2Model::Train(const ml::RowsView& contents) {
   if (contents.cols() != config_.input_dim) {
     return Status::InvalidArgument("content width != model input_dim");
   }
+  if (config_.batch_size == 0) {
+    return Status::InvalidArgument("model batch_size is 0");
+  }
   // A fresh VAE, so re-training starts from scratch (the paper trains the
   // replacement model from scratch in the background). The old one goes
   // first, and one workspace serves all three phases.
@@ -138,6 +141,10 @@ Status E2Model::PartialFit(const ml::Matrix& batch) {
   if (!trained()) {
     return Status::FailedPrecondition("PartialFit before Train");
   }
+  if (serving_only()) {
+    return Status::FailedPrecondition(
+        "PartialFit on a model stripped of its training state");
+  }
   if (batch.cols() != config_.input_dim) {
     return Status::InvalidArgument("batch width != model input_dim");
   }
@@ -157,6 +164,10 @@ Status E2Model::PartialFit(const ml::Matrix& batch) {
       vae_->PredictFlops() * static_cast<double>(batch.rows()) +
       kmeans_.PartialFitFlops(z.rows());
   return Status::Ok();
+}
+
+void E2Model::DropTrainingState() {
+  if (vae_.has_value()) vae_->DropTrainingState();
 }
 
 void E2Model::AssignScratch(ml::InferenceScratch* scratch) const {

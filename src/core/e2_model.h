@@ -41,11 +41,13 @@ struct E2ModelConfig {
 ///
 /// Train builds the VAE: an untrained model (a shard before Bootstrap, a
 /// twin about to adopt another shard's model, a CloneUntrained shadow)
-/// holds only its config and an unfitted k-means.
+/// holds only its config and an unfitted k-means. DropTrainingState
+/// leaves a trained model its serving form: the encoder's input layer
+/// and mu head (values only) and the fitted k-means.
 class E2Model : public placement::ContentClusterer {
  public:
-  /// A copy is deep: the VAE and its optimizer state (when trained) and
-  /// the k-means fit; no training workspace.
+  /// A copy is deep: the VAE and its optimizer state (when trained and
+  /// not stripped) and the k-means fit; no training workspace.
   explicit E2Model(const E2ModelConfig& config);
 
   std::string_view name() const override { return "E2-NVM"; }
@@ -67,7 +69,8 @@ class E2Model : public placement::ContentClusterer {
   /// re-estimated. All three phases share one training workspace, freed
   /// on return, and read `contents` a batch of rows at a time, so packed
   /// rows train without a float copy. Ends by assigning the final latent
-  /// codes to the final centroids (TakeTrainClusters).
+  /// codes to the final centroids (TakeTrainClusters). A batch_size of 0
+  /// is an InvalidArgument.
   Status Train(const ml::RowsView& contents) override;
 
   /// The ids of the last Train's rows, from the codes the training ended
@@ -94,8 +97,9 @@ class E2Model : public placement::ContentClusterer {
   /// which rebuilds the model from scratch), then a warm-started
   /// mini-batch k-means nudge of the latent centroids toward the fresh
   /// codes. Orders of magnitude cheaper than Train; requires a prior
-  /// successful Train.
-  bool SupportsPartialFit() const override { return true; }
+  /// successful Train and the training state (FailedPrecondition once
+  /// DropTrainingState ran, when SupportsPartialFit turns false).
+  bool SupportsPartialFit() const override { return !serving_only(); }
   Status PartialFit(const ml::Matrix& batch) override;
   double LastPartialFitFlops() const override {
     return last_partial_fit_flops_;
@@ -107,6 +111,17 @@ class E2Model : public placement::ContentClusterer {
   /// SSE of the K-means fit on the latent codes of `contents` — the elbow
   /// objective of Fig 8. Requires a trained model.
   double LatentSse(const ml::Matrix& contents) const;
+
+  /// Frees the VAE's logvar head, decoder, gradients and Adam moments
+  /// (Vae::DropTrainingState); AssignScratch, LatentSse and the encoder
+  /// give the same bits as before. A no-op before Train. A later Train
+  /// builds a fresh, complete VAE.
+  void DropTrainingState() override;
+
+  /// True once DropTrainingState stripped the trained VAE.
+  bool serving_only() const {
+    return vae_.has_value() && vae_->serving_only();
+  }
 
   /// False until Train builds the VAE.
   bool has_vae() const { return vae_.has_value(); }

@@ -1,7 +1,9 @@
 #include "core/placement_engine.h"
 
+#include <bit>
 #include <cstring>
 
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "nvm/energy.h"
 
@@ -42,8 +44,9 @@ PlacementEngine::PlacementEngine(
       // shard's); cache the id so every charge routes without a divide.
       lane_(ctrl->device().LaneOfSegment(config.first_segment)),
       placed_cluster_(config.num_segments, -1) {
-  if (config_.incremental.enabled) {
-    // The ring's one allocation happens here; every append reuses it.
+  if (CanRefine()) {
+    // Only a refine step reads the ring. Its one allocation happens
+    // here; every append reuses it.
     ring_.Reset(config_.incremental.ring_capacity, ctrl_->segment_bits());
   }
 }
@@ -96,6 +99,10 @@ Status PlacementEngine::TrainOn(std::vector<uint64_t> snapshot,
 void PlacementEngine::Adopt(BackgroundRetrainer::Result& update,
                             const std::vector<uint64_t>& free_set,
                             bool on_write_path) {
+  // With retraining off nothing trains this model again (every update
+  // trains a CloneUntrained), so it serves without its training state.
+  // Stripped before it serves: twins may share it from then on.
+  if (!config_.auto_retrain) update.model->DropTrainingState();
   // Predictions only ever run on this (foreground) thread, so a plain
   // pointer swap is race-free; engines that share the old model keep it
   // alive.
@@ -171,6 +178,12 @@ Status PlacementEngine::BootstrapFrom(const PlacementEngine& source) {
   if (!(source.stats_ == source.bootstrap_stats_)) {
     return Status::FailedPrecondition(
         "source engine has run operations since its bootstrap");
+  }
+  // An engine that refines trains its copy in place, so it needs the
+  // training state a retrain-off source dropped.
+  if (CanRefine() && !source.clusterer_->SupportsPartialFit()) {
+    return Status::FailedPrecondition(
+        "source engine serves a model without its training state");
   }
   // Only a refine step changes a model in place (a retrain installs a
   // fresh one), so engines that cannot refine serve one instance, and
@@ -299,6 +312,20 @@ size_t PlacementEngine::ClassifySegment(uint64_t addr) {
   return segment_scratch_.clusters[0];
 }
 
+size_t PlacementEngine::PrefixDistance(uint64_t addr,
+                                       const BitVector& value) {
+  ctrl_->PeekInto(addr, &peek_scratch_);
+  const uint64_t* seg = peek_scratch_.words().data();
+  const uint64_t* val = value.words().data();
+  const size_t full = value.size() / 64;
+  size_t d = Ops().hamming_words(seg, val, full);
+  if (const size_t tail = value.size() % 64; tail != 0) {
+    const uint64_t mask = (uint64_t{1} << tail) - 1;
+    d += static_cast<size_t>(std::popcount((seg[full] ^ val[full]) & mask));
+  }
+  return d;
+}
+
 StatusOr<uint64_t> PlacementEngine::Place(const BitVector& value) {
   const BitVector* row = &value;
   uint64_t addr = 0;
@@ -327,9 +354,8 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
       // one is empty; either way that is a fallback, not the model's pick.
       const bool cluster_empty = pool_.FreeCount(cluster) == 0;
       if (config_.search_best_in_cluster) {
-        addr = pool_.AcquireBest(cluster, value, [&](uint64_t a) {
-          return ctrl_->Peek(a).Slice(0, value.size());
-        });
+        addr = pool_.AcquireBest(
+            cluster, [&](uint64_t a) { return PrefixDistance(a, value); });
       } else {
         addr = pool_.Acquire(cluster);
       }

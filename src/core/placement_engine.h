@@ -130,15 +130,16 @@ class PlacementEngine : public index::ValuePlacer {
     RetrainPolicy::Config retrain;
 
     /// --- Incremental online learning (DESIGN.md §16) ---
-    /// When enabled (and the clusterer supports PartialFit), the engine
-    /// keeps a fixed-capacity replay ring of recently committed segment
-    /// images, fed for pennies on the PUT path, and the retrain policy's
-    /// drift detector answers efficiency degradation with cheap inline
-    /// PartialFit refinement steps over that ring — escalating to a full
-    /// retrain only when refinement fails to recover efficiency
-    /// (retrain.max_refine_rounds) or the capacity trigger fires. Off by
-    /// default: placements, flips, and the retrain schedule are
-    /// bit-identical to the pre-incremental engine.
+    /// When enabled with auto_retrain (and the clusterer supports
+    /// PartialFit), the engine keeps a fixed-capacity replay ring of
+    /// recently committed segment images, fed for pennies on the PUT
+    /// path, and the retrain policy's drift detector answers efficiency
+    /// degradation with cheap inline PartialFit refinement steps over
+    /// that ring — escalating to a full retrain only when refinement
+    /// fails to recover efficiency (retrain.max_refine_rounds) or the
+    /// capacity trigger fires. Off by default: placements, flips, and
+    /// the retrain schedule are bit-identical to the pre-incremental
+    /// engine.
     struct Incremental {
       bool enabled = false;
       /// Replay-ring rows (recently written segment images), allocated
@@ -183,7 +184,10 @@ class PlacementEngine : public index::ValuePlacer {
   /// which refines bit for bit as the original would. Requires a
   /// bootstrapped source whose stats have not moved since its bootstrap
   /// (no placement, release, retrain, refine step or prediction), so
-  /// that its DAP is still the one its bootstrap built.
+  /// that its DAP is still the one its bootstrap built. An engine that
+  /// can refine also requires a source model that can (a retrain-off
+  /// source serves one without its training state; see Adopt):
+  /// FailedPrecondition otherwise.
   Status BootstrapFrom(const PlacementEngine& source);
 
   /// Re-trains on the contents of the currently free segments and rebuilds
@@ -269,9 +273,10 @@ class PlacementEngine : public index::ValuePlacer {
   /// value cannot be featurized (padder failure).
   StatusOr<size_t> PredictClusterFor(const BitVector& value);
 
-  /// Replay ring of recently written segment images (empty capacity
-  /// unless config.incremental.enabled) — exposed for the determinism
-  /// tests and diagnostics.
+  /// Replay ring of recently written segment images — exposed for the
+  /// determinism tests and diagnostics. Only a refine step reads it, so
+  /// its capacity is 0 unless the engine can refine (auto_retrain and
+  /// incremental learning on, with a clusterer that supports PartialFit).
   const ReplayRing& replay_ring() const { return ring_; }
 
   /// What a training on `addrs` reads: row i holds the decoded content
@@ -324,6 +329,11 @@ class PlacementEngine : public index::ValuePlacer {
   /// peek_scratch_ and segment_scratch_, so it is allocation-free once
   /// warm and leaves a batch staged in scratch_ intact.
   size_t ClassifySegment(uint64_t addr);
+  /// Hamming distance between `value` and the first value.size() bits
+  /// of segment `addr`'s logical content: AcquireBest's score. Peeks
+  /// into peek_scratch_ and counts whole words with the hamming kernel
+  /// plus a masked tail word, so it allocates nothing once warm.
+  size_t PrefixDistance(uint64_t addr, const BitVector& value);
   /// The acquire/write step of one PlaceRows row: pops addresses (of
   /// `cluster` when model_ok) until a healthy write lands, then updates
   /// stats, the placed-cluster memo, and the retrain policy.
@@ -344,12 +354,14 @@ class PlacementEngine : public index::ValuePlacer {
   /// PumpBackgroundRetrain to adopt.
   Status TrainOn(std::vector<uint64_t> snapshot, bool background);
   /// Installs a model update, the one place a trained model starts
-  /// serving: swaps it in, charges it through OnModelChanged (on the
-  /// write path its training flops, clock included; a shadow's training
-  /// and classification flops, energy only), resets the policy, and
-  /// rebuilds the DAP from `free_set`: snapshot segments keep the
-  /// update's cluster, segments released since are classified again,
-  /// and quarantined ones are dropped. Takes the model out of `update`.
+  /// serving: with retraining off, drops its training state
+  /// (ContentClusterer::DropTrainingState) first; swaps it in, charges
+  /// it through OnModelChanged (on the write path its training flops,
+  /// clock included; a shadow's training and classification flops,
+  /// energy only), resets the policy, and rebuilds the DAP from
+  /// `free_set`: snapshot segments keep the update's cluster, segments
+  /// released since are classified again, and quarantined ones are
+  /// dropped. Takes the model out of `update`.
   void Adopt(BackgroundRetrainer::Result& update,
              const std::vector<uint64_t>& free_set, bool on_write_path);
   /// The tail of every model change (Adopt, BootstrapFrom, RefineStep):
@@ -400,8 +412,9 @@ class PlacementEngine : public index::ValuePlacer {
   // warm. A DAP fill classifies through a short-lived local scratch
   // instead, so no region-sized matrix stays alive here.
   ml::InferenceScratch scratch_;
-  // ClassifySegment's one-row scratch, and the reused buffer its content
-  // peeks decode into (same single-caller contract).
+  // ClassifySegment's one-row scratch, and the reused buffer its and
+  // PrefixDistance's content peeks decode into (same single-caller
+  // contract).
   ml::InferenceScratch segment_scratch_;
   BitVector peek_scratch_;
   // Scratch write outcome for PlaceAt/WriteAt: its stored image reuses
@@ -409,8 +422,8 @@ class PlacementEngine : public index::ValuePlacer {
   // (guarded by the engine's single-caller contract above).
   nvm::WriteResult write_scratch_;
   // Incremental learning (§16): the replay ring of committed segment
-  // images (capacity 0 unless configured) and the reused mini-batch
-  // staging matrix RefineStep expands ring rows into.
+  // images (capacity 0 unless the engine can refine) and the reused
+  // mini-batch staging matrix RefineStep expands ring rows into.
   ReplayRing ring_;
   ml::Matrix refine_in_;
   // placed_cluster_[addr - first_segment]: cluster the serving model

@@ -13,17 +13,17 @@ namespace e2nvm::core {
 /// Fixed-capacity ring of recently written segment images — the training
 /// data source of the incremental learning pipeline (DESIGN.md §16).
 ///
-/// One ring per PlacementEngine (so one per shard): the PUT path appends
-/// the committed segment image of every placement, and refinement steps
-/// read the most recent rows back as mini-batches. Rows are packed bits
-/// (ml::BitMatrix), so an append copies the image's words and a refine
-/// step expands only the rows it reads. The backing matrix is
-/// allocated once by Reset, Append only copies into a slot (overwriting
-/// the oldest row once full), so the steady-state write path stays
-/// allocation-free. Rows are stored in append order and addressed
-/// newest-first via RecentRow — a deterministic function of the write
-/// stream alone, which is what makes refinement mini-batches (and
-/// therefore the refined model) seed-deterministic and pool-size
+/// One ring per PlacementEngine that can refine (so one per shard): the
+/// PUT path appends the committed segment image of every placement, and
+/// refinement steps read the most recent rows back as mini-batches.
+/// Rows are packed bits (ml::BitMatrix), so an append copies the image's
+/// words and a refine step expands only the rows it reads. The backing
+/// matrix is allocated once by Reset, Append only copies into a slot
+/// (overwriting the oldest row once full), so the steady-state write
+/// path stays allocation-free. Rows are stored in append order and
+/// addressed newest-first via RecentRow — a deterministic function of
+/// the write stream alone, which is what makes refinement mini-batches
+/// (and therefore the refined model) seed-deterministic and pool-size
 /// invariant.
 ///
 /// Single-caller like the engine that owns it: appends and reads are

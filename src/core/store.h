@@ -57,6 +57,8 @@ struct StoreConfig {
   /// full retrain, escalating to one only on persistent degradation or
   /// the capacity trigger. Off by default: placements, flips, and the
   /// retrain schedule stay bit-identical to the full-retrain-only store.
+  /// Needs auto_retrain: with it off nothing refines, so the store keeps
+  /// no ring and places exactly as with this flag off.
   bool incremental_learning = false;
   /// Replay-ring rows per engine/shard (one allocation at build time;
   /// the PUT-path append never allocates).

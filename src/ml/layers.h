@@ -31,6 +31,14 @@ class ParamBlock {
 
   void ZeroGrad() { grad.Fill(0.0f); }
 
+  /// Frees the gradient and both Adam moments, keeping the value: what a
+  /// layer that only runs Forward from here on needs.
+  void DropTrainingState() {
+    grad = Matrix();
+    m = Matrix();
+    v = Matrix();
+  }
+
   size_t size() const { return value.size(); }
 
   Matrix value;
@@ -74,6 +82,17 @@ class Dense {
                             Scratch* scratch);
   void Step(const AdamConfig& cfg, int t);
   void ZeroGrad();
+  /// Frees the gradients and Adam moments: the layer serves Forward only.
+  void DropTrainingState() {
+    w_.DropTrainingState();
+    b_.DropTrainingState();
+  }
+  /// Frees the values too: nothing reads the layer again.
+  void Free() {
+    DropTrainingState();
+    w_.value = Matrix();
+    b_.value = Matrix();
+  }
   size_t ParamCount() const { return w_.size() + b_.size(); }
   /// Appends the layer's parameter blocks to `out`.
   void AppendParams(std::vector<const ParamBlock*>* out) const {

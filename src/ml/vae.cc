@@ -162,6 +162,30 @@ Vae::TrainingSession::~TrainingSession() {
   vae_->slot_.ws.reset();
 }
 
+void Vae::CheckTrainable(const char* what) const {
+  E2_CHECK(!serving_only_, "Vae::%s on a serving-only VAE", what);
+}
+
+void Vae::DropTrainingState() {
+  E2_CHECK(!slot_.in_session, "Vae::DropTrainingState inside a training");
+  enc_in_.DropTrainingState();
+  mu_head_.DropTrainingState();
+  for (Dense* layer : {&logvar_head_, &dec_in_, &dec_out_}) layer->Free();
+  slot_.ws.reset();
+  serving_only_ = true;
+}
+
+size_t Vae::HeldFloats() const {
+  size_t floats = 0;
+  for (const Dense* layer :
+       {&enc_in_, &mu_head_, &logvar_head_, &dec_in_, &dec_out_}) {
+    for (const ParamBlock* p : {&layer->weights(), &layer->bias()}) {
+      floats += p->value.size() + p->grad.size() + p->m.size() + p->v.size();
+    }
+  }
+  return floats;
+}
+
 Vae::Workspace& Vae::workspace() {
   if (slot_.ws == nullptr) slot_.ws = std::make_unique<Workspace>();
   return *slot_.ws;
@@ -206,6 +230,7 @@ const Matrix& Vae::EncodeMuInWorkspace(const Matrix& x) {
 }
 
 void Vae::EncodeMuRows(const RowsView& x, size_t chunk, Matrix* mu) {
+  E2_CHECK(chunk > 0, "EncodeMuRows with chunk 0");
   Workspace& ws = workspace();
   const size_t n = x.rows();
   const size_t latent = config_.latent_dim;
@@ -220,6 +245,7 @@ void Vae::EncodeMuRows(const RowsView& x, size_t chunk, Matrix* mu) {
 }
 
 Matrix Vae::Decode(const Matrix& z) const {
+  CheckTrainable("Decode");
   Matrix hidden, probs;
   DecodeForward(z, &hidden, &probs);
   SigmoidInPlace(&probs);
@@ -228,6 +254,7 @@ Matrix Vae::Decode(const Matrix& z) const {
 
 void Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
                      BatchLoss* loss) {
+  CheckTrainable("TrainBatch");
   Workspace& ws = workspace();
   const size_t batch = x.rows();
   const size_t latent = config_.latent_dim;
@@ -343,6 +370,7 @@ void Vae::TrainRows(const RowsView& x, size_t first, size_t count,
 }
 
 double Vae::EvalLoss(const Matrix& x) const {
+  CheckTrainable("EvalLoss");
   Workspace ws;
   return EvalLossOn(x, {}, x.rows(), &ws);
 }
@@ -373,6 +401,8 @@ double Vae::EvalLossOn(const RowsView& x, std::span<const size_t> rows,
 }
 
 TrainHistory Vae::Train(const RowsView& x, const VaeTrainOptions& opts) {
+  // A zero step would never move past the first batch.
+  E2_CHECK(opts.batch_size > 0, "Vae::Train with batch_size 0");
   TrainingSession session(this);
   TrainHistory history;
   const size_t n = x.rows();
@@ -447,6 +477,7 @@ double Vae::TrainStepFlops(size_t batch) const {
 }
 
 std::vector<const ParamBlock*> Vae::Params() const {
+  CheckTrainable("Params");
   std::vector<const ParamBlock*> out;
   for (const Dense* layer :
        {&enc_in_, &mu_head_, &logvar_head_, &dec_in_, &dec_out_}) {

@@ -64,6 +64,10 @@ struct VaeTrainOptions {
 /// training (Train, or a TrainingSession around several calls) frees it
 /// when it ends; steps outside one (PartialFit's refinement) keep their
 /// small workspace for the next call.
+///
+/// DropTrainingState turns a trained VAE into its serving form: the
+/// encoder's input layer and mu head, values only (§3.3.1: only the
+/// encoder is needed after training).
 class Vae {
  public:
   /// Draws the layers' initial weights from an RNG seeded with
@@ -102,7 +106,8 @@ class Vae {
   /// hidden layer is made. E2Model::Train's k-means passes run on it.
   void EncodeMuRows(const RowsView& x, size_t chunk, Matrix* mu);
 
-  /// Decodes latent codes to Bernoulli means (sigmoid outputs).
+  /// Decodes latent codes to Bernoulli means (sigmoid outputs). Requires
+  /// the training state (not serving_only()).
   Matrix Decode(const Matrix& z) const;
 
   /// (reconstruction, KL, cluster) losses of one step, averaged per
@@ -116,7 +121,8 @@ class Vae {
   /// One SGD step on a mini-batch. Fills `loss` when non-null; the losses
   /// feed no gradient, so the step (weights, moments, step count, RNG) is
   /// the same either way, and a caller that does not read them skips
-  /// their cost.
+  /// their cost. Every training path (Train, TrainRows, PartialFit) steps
+  /// through here, so all of them require the training state.
   void TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
                   BatchLoss* loss = nullptr);
 
@@ -126,11 +132,13 @@ class Vae {
                  const VaeTrainOptions& opts, BatchLoss* loss = nullptr);
 
   /// Loss of `x` without updating parameters (eps = 0, deterministic).
+  /// Requires the training state.
   double EvalLoss(const Matrix& x) const;
 
   /// Full training loop: shuffles, splits train/validation, runs epochs.
   /// A training of its own (see TrainingSession). Reads `x` a batch of
   /// rows at a time, so packed rows train without a float copy.
+  /// opts.batch_size must be positive.
   TrainHistory Train(const RowsView& x, const VaeTrainOptions& opts);
 
   /// Incremental mini-batch update (the replay-ring refinement path,
@@ -161,7 +169,8 @@ class Vae {
 
   /// Every parameter block (weights, gradients, Adam moments), encoder
   /// first, the training step count and the RNG the reparameterization
-  /// draws from: the state a training step changes.
+  /// draws from: the state a training step changes. Requires the
+  /// training state.
   std::vector<const ParamBlock*> Params() const;
   int step() const { return step_; }
   const Rng& rng() const { return rng_; }
@@ -173,6 +182,20 @@ class Vae {
   /// True while a workspace is held: inside a training, and after
   /// PartialFit or a step outside one.
   bool has_workspace() const { return slot_.ws != nullptr; }
+
+  /// Frees everything EncodeMuInto does not read: the logvar head, the
+  /// decoder, every gradient and Adam moment, and the workspace. The
+  /// encoder's input layer and mu head keep their values, so every
+  /// encode gives the same bits as before. From here on the VAE serves
+  /// only: Params, Decode, EvalLoss and every training step abort. Not
+  /// inside a training.
+  void DropTrainingState();
+  /// True once DropTrainingState ran.
+  bool serving_only() const { return serving_only_; }
+  /// Floats the layers hold (values, gradients and moments): 4 x
+  /// ParamCount() while the VAE can train, the encoder input layer's and
+  /// mu head's values alone once it serves only.
+  size_t HeldFloats() const;
 
   /// One training: while the outermost session on a Vae lives, every
   /// step shares one workspace, and its end frees it. Train opens one
@@ -190,6 +213,9 @@ class Vae {
   };
 
  private:
+  /// Aborts, naming `what`, when the training state is gone.
+  void CheckTrainable(const char* what) const;
+
   /// Buffers of one training step, shaped by the step's batch.
   struct Workspace {
     Matrix batch;       // Rows TrainRows and Train copy for a step.
@@ -252,6 +278,7 @@ class Vae {
   Dense dec_in_;
   Dense dec_out_;
   int step_ = 0;
+  bool serving_only_ = false;
   WorkspaceSlot slot_;
 };
 

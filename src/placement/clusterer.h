@@ -100,6 +100,15 @@ class ContentClusterer {
   }
   /// Multiply-accumulates of the most recent successful PartialFit call.
   virtual double LastPartialFitFlops() const { return 0; }
+
+  /// Frees what only a training step or PartialFit reads, keeping what
+  /// AssignScratch, PredictFlops, LastTrainFlops and CloneUntrained read,
+  /// so every assignment keeps its bits. An engine that never trains its
+  /// serving model in place (retraining off) calls it on a fresh model
+  /// before serving it. A model that frees its PartialFit state reports
+  /// SupportsPartialFit false from then on, and PartialFit fails. The
+  /// default keeps everything.
+  virtual void DropTrainingState() {}
 };
 
 /// k = 1: every segment is in the single cluster; placement degenerates to

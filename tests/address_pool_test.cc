@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/bitvec.h"
 #include "common/rng.h"
 
 namespace e2nvm::core {
@@ -50,8 +51,8 @@ TEST(AddressPoolTest, AcquireBestPicksMinHamming) {
       BitVector::FromString("11111111"),
   };
   BitVector target = BitVector::FromString("00000011");
-  auto best = pool.AcquireBest(0, target, [&](uint64_t addr) {
-    return contents[addr];
+  auto best = pool.AcquireBest(0, [&](uint64_t addr) {
+    return contents[addr].HammingDistance(target);
   });
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, 1u);  // Hamming 1 vs 5 and 6.
@@ -103,9 +104,7 @@ TEST(AddressPoolTest, ZeroClusterPoolIsInert) {
   EXPECT_FALSE(pool.Acquire(0).has_value());
   EXPECT_FALSE(pool.AcquireAny().has_value());
   EXPECT_FALSE(
-      pool.AcquireBest(0, BitVector(8), [](uint64_t) {
-            return BitVector(8);
-          }).has_value());
+      pool.AcquireBest(0, [](uint64_t) { return size_t{0}; }).has_value());
 }
 
 TEST(AddressPoolTest, AcquireAnyPopsFromFullestCluster) {

@@ -471,6 +471,53 @@ TEST(ContentClustererTest, CloneAssignsExactlyLikeTheOriginal) {
   }
 }
 
+TEST(E2ModelTest, StrippedModelAssignsLikeAFullClone) {
+  // DropTrainingState keeps the encoder input layer's and mu head's
+  // values and the k-means: a clone taken before the strip and the
+  // stripped model give the same ids, codes and costs. Refinement fails
+  // cleanly; the other training entry points abort.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto ds = EasyDataset(150);
+  const core::E2ModelConfig cfg = CloneTestModelConfig(ds.dim);
+  core::E2Model model(cfg);
+  ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
+  const std::unique_ptr<placement::ContentClusterer> full = model.Clone();
+  const auto& f = dynamic_cast<const core::E2Model&>(*full);
+  EXPECT_TRUE(model.SupportsPartialFit());
+  model.DropTrainingState();
+  EXPECT_TRUE(model.serving_only());
+  EXPECT_FALSE(f.serving_only());
+
+  const ml::Matrix held_out = HeldOut(ds.dim);
+  EXPECT_TRUE(SameAssignment(Classify(model, held_out),
+                             Classify(*full, held_out)));
+  EXPECT_EQ(model.LatentSse(held_out), f.LatentSse(held_out));
+  EXPECT_EQ(model.PredictFlops(), full->PredictFlops());
+  EXPECT_EQ(model.LastTrainFlops(), full->LastTrainFlops());
+  const size_t serving = (cfg.input_dim + 1) * cfg.hidden_dim +
+                         (cfg.hidden_dim + 1) * cfg.latent_dim;
+  EXPECT_EQ(model.vae().HeldFloats(), serving);
+  EXPECT_EQ(f.vae().HeldFloats(), 4 * f.vae().ParamCount());
+  EXPECT_TRUE(
+      dynamic_cast<const core::E2Model&>(*model.Clone()).serving_only());
+
+  EXPECT_FALSE(model.SupportsPartialFit());
+  const ml::Matrix batch(8, ds.dim);
+  EXPECT_EQ(model.PartialFit(batch).code(), StatusCode::kFailedPrecondition);
+  EXPECT_DEATH(model.vae().Params(), "Params on a serving-only VAE");
+  EXPECT_DEATH(model.vae().Decode(ml::Matrix(1, cfg.latent_dim)),
+               "Decode on a serving-only VAE");
+  ml::Vae vae = model.vae();
+  EXPECT_DEATH(vae.TrainBatch(batch, ml::VaeTrainOptions()),
+               "TrainBatch on a serving-only VAE");
+
+  // Train builds a fresh, complete VAE: it equals the first training.
+  ASSERT_TRUE(model.Train(ds.ToMatrix()).ok());
+  EXPECT_FALSE(model.serving_only());
+  EXPECT_TRUE(SameAssignment(Classify(model, held_out),
+                             Classify(*full, held_out)));
+}
+
 TEST(ContentClustererTest, PartialFitOnACloneMatchesTheOriginal) {
   // The clone carries everything a refine step reads: weights, Adam
   // moments and step count, the VAE's RNG state and the k-means counts.

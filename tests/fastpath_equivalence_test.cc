@@ -678,11 +678,12 @@ TEST(FastPathEquivalence, SteadyStatePredictionIsAllocationFree) {
   EXPECT_GT(Allocations(), before);
 }
 
-TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
-  // The full PUT pipeline — placement inference, DAP acquire, DCW write,
-  // index update, old-address recycling, retrain-window accounting —
-  // must stay off the heap once every scratch buffer and ring has grown
-  // to its working size. auto_retrain stays off: a retrain legitimately
+void ExpectAllocationFreePuts(bool search_best_in_cluster) {
+  // The full PUT pipeline — placement inference, DAP acquire (the first
+  // free address, or the best-in-cluster scan), DCW write, index
+  // update, old-address recycling, retrain-window accounting — must stay
+  // off the heap once every scratch buffer and ring has grown to its
+  // working size. auto_retrain stays off: a retrain legitimately
   // rebuilds the model and repopulates the pool, which allocates.
   auto ds = ClusteredData(19);
   StoreConfig sc;
@@ -692,6 +693,7 @@ TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
   sc.model.pretrain_epochs = 2;
   sc.model.finetune_rounds = 1;
   sc.auto_retrain = false;
+  sc.search_best_in_cluster = search_best_in_cluster;
   auto store_or = E2KvStore::Create(sc);
   ASSERT_TRUE(store_or.ok());
   auto store = std::move(*store_or);
@@ -728,6 +730,13 @@ TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
   }
   EXPECT_EQ(Allocations() - before, 0u)
       << "steady-state MultiPut allocated on the heap";
+}
+
+TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
+  for (bool search_best : {false, true}) {
+    SCOPED_TRACE(search_best ? "best in cluster" : "first free");
+    ExpectAllocationFreePuts(search_best);
+  }
 }
 
 TEST(FastPathEquivalence, WarmTrainAndRefineStepsAreAllocationFree) {

@@ -588,6 +588,49 @@ TEST(IncrementalEngineTest, FallsBackToFullRetrainsWithoutPartialFit) {
   EXPECT_EQ(rig.engine->stats().refine_steps, 0u);
 }
 
+TEST(IncrementalEngineTest, RetrainOffKeepsNoRing) {
+  // Only a refine step reads the ring, and with auto_retrain off none
+  // runs: an engine with incremental learning on allocates and feeds no
+  // ring, and places exactly as with it off.
+  struct Run {
+    std::vector<uint64_t> addrs;
+    uint64_t flips = 0;
+    size_t ring_capacity = 0;
+  };
+  auto run = [](bool incremental) {
+    PlacementEngine::Config ec = DriftEngineConfig(/*max_refine_rounds=*/2);
+    ec.auto_retrain = false;
+    ec.incremental.enabled = incremental;
+    Rig rig(std::make_unique<placement::RawKMeansClusterer>(4, 42, 20), ec);
+    rig.SeedWith(ClusteredData(kSegments, 2));
+    EXPECT_TRUE(rig.engine->Bootstrap().ok());
+    Run out;
+    std::deque<uint64_t> live;
+    const workload::BitDataset phases[] = {ClusteredData(60, 3),
+                                           ClusteredData(120, 99)};
+    for (const workload::BitDataset& ds : phases) {
+      for (const auto& item : ds.items) {
+        auto addr = rig.engine->Place(item);
+        EXPECT_TRUE(addr.ok());
+        out.addrs.push_back(addr.ok() ? *addr : ~uint64_t{0});
+        live.push_back(out.addrs.back());
+        if (live.size() > kSegments / 2) {
+          EXPECT_TRUE(rig.engine->Release(live.front()).ok());
+          live.pop_front();
+        }
+      }
+    }
+    out.flips = rig.device->stats().total_bits_flipped();
+    out.ring_capacity = rig.engine->replay_ring().capacity();
+    return out;
+  };
+  const Run on = run(/*incremental=*/true);
+  const Run off = run(/*incremental=*/false);
+  EXPECT_EQ(on.ring_capacity, 0u);
+  EXPECT_EQ(on.addrs, off.addrs);
+  EXPECT_EQ(on.flips, off.flips);
+}
+
 // ---------------------------------------------------------------------
 // Store plumbing: StoreConfig knobs reach the engine and refinement runs
 // end-to-end with the real E2Model (VAE + k-means PartialFit).

@@ -218,6 +218,43 @@ TEST(PlacementEngineTest, RetrainRebuildsPool) {
   EXPECT_EQ(rig.engine->stats().retrains, 1u);
 }
 
+TEST(PlacementEngineTest, RetrainOffServesModelsWithoutTrainingState) {
+  // With retraining off nothing trains the serving model again: the
+  // bootstrap's model and a manual Retrain's fresh one (trained from a
+  // CloneUntrained) each serve without their training state. With
+  // retraining on the model keeps it.
+  core::E2ModelConfig mc;
+  mc.input_dim = kBits;
+  mc.k = 4;
+  mc.pretrain_epochs = 2;
+  mc.finetune_rounds = 1;
+  auto ds = ClusteredData(kSegments + 20);
+  for (bool auto_retrain : {false, true}) {
+    SCOPED_TRACE(auto_retrain ? "retraining on" : "retraining off");
+    PlacementEngine::Config ec;
+    ec.auto_retrain = auto_retrain;
+    ec.retrain.min_free_per_cluster = 0;
+    Rig rig(std::make_unique<E2Model>(mc), ec);
+    rig.SeedWith(ds);
+    auto serving = [&]() -> const E2Model& {
+      return dynamic_cast<const E2Model&>(rig.engine->clusterer());
+    };
+    ASSERT_TRUE(rig.engine->Bootstrap().ok());
+    EXPECT_EQ(serving().serving_only(), !auto_retrain);
+    for (size_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(rig.engine->Place(ds.items[kSegments + i]).ok());
+    }
+    ASSERT_TRUE(rig.engine->Retrain().ok());
+    EXPECT_EQ(rig.engine->stats().retrains, 1u);
+    EXPECT_TRUE(serving().has_vae());
+    EXPECT_EQ(serving().serving_only(), !auto_retrain);
+    for (size_t i = 10; i < 20; ++i) {
+      ASSERT_TRUE(rig.engine->Place(ds.items[kSegments + i]).ok());
+    }
+    EXPECT_EQ(rig.engine->stats().fallback_placements, 0u);
+  }
+}
+
 TEST(PlacementEngineTest, CpuEnergyCharged) {
   Rig rig(KMeans(4));
   auto ds = ClusteredData(64);

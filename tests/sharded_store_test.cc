@@ -174,26 +174,39 @@ TEST(ShardedStore, FourTwinsBootstrapOnOneVae) {
   // Only a training builds a VAE: the four shards hold none before
   // Bootstrap, which trains shard 0 alone, and the three twins serve that
   // one model. The training's workspace is gone once Bootstrap returns.
+  // With retraining off nothing trains that model again, so it holds
+  // only what serving reads: the encoder input layer's and mu head's
+  // values. With retraining on it keeps every block.
   auto ds = ClusteredData(3);
-  ShardedStoreConfig cfg;
-  cfg.num_shards = 4;
-  cfg.shard = ShardConfig();
-  auto store_or = ShardedStore::Create(cfg);
-  ASSERT_TRUE(store_or.ok());
-  auto sharded = std::move(*store_or);
-  auto model = [&](size_t s) -> const E2Model& {
-    return dynamic_cast<const E2Model&>(
-        sharded->shard(s).engine().clusterer());
-  };
-  for (size_t s = 0; s < cfg.num_shards; ++s) {
-    EXPECT_FALSE(model(s).has_vae()) << "shard " << s;
-  }
-  sharded->Seed(ds);
-  ASSERT_TRUE(sharded->Bootstrap().ok());
-  ASSERT_TRUE(model(0).has_vae());
-  EXPECT_FALSE(model(0).vae().has_workspace());
-  for (size_t s = 1; s < cfg.num_shards; ++s) {
-    EXPECT_EQ(&model(s), &model(0)) << "shard " << s;
+  for (bool auto_retrain : {true, false}) {
+    SCOPED_TRACE(auto_retrain ? "retraining on" : "retraining off");
+    ShardedStoreConfig cfg;
+    cfg.num_shards = 4;
+    cfg.shard = ShardConfig();
+    cfg.shard.auto_retrain = auto_retrain;
+    auto store_or = ShardedStore::Create(cfg);
+    ASSERT_TRUE(store_or.ok());
+    auto sharded = std::move(*store_or);
+    auto model = [&](size_t s) -> const E2Model& {
+      return dynamic_cast<const E2Model&>(
+          sharded->shard(s).engine().clusterer());
+    };
+    for (size_t s = 0; s < cfg.num_shards; ++s) {
+      EXPECT_FALSE(model(s).has_vae()) << "shard " << s;
+    }
+    sharded->Seed(ds);
+    ASSERT_TRUE(sharded->Bootstrap().ok());
+    ASSERT_TRUE(model(0).has_vae());
+    EXPECT_FALSE(model(0).vae().has_workspace());
+    for (size_t s = 1; s < cfg.num_shards; ++s) {
+      EXPECT_EQ(&model(s), &model(0)) << "shard " << s;
+    }
+    const E2ModelConfig& mc = cfg.shard.model;
+    const size_t serving =
+        (kBits + 1) * mc.hidden_dim + (mc.hidden_dim + 1) * mc.latent_dim;
+    const ml::Vae& vae = model(0).vae();
+    EXPECT_EQ(model(0).serving_only(), !auto_retrain);
+    EXPECT_EQ(vae.HeldFloats(), auto_retrain ? 4 * vae.ParamCount() : serving);
   }
 }
 
@@ -323,6 +336,32 @@ TEST(ShardedStore, BootstrapFromRefusesASourceThatHasServed) {
   EXPECT_FALSE(twin->Put(1, ds.items[3]).ok());  // Still not bootstrapped.
   ASSERT_TRUE(twin->BootstrapFrom(*fresh).ok());
   EXPECT_TRUE(twin->Put(1, ds.items[3]).ok());
+}
+
+TEST(ShardedStore, TwinThatRefinesRefusesAStrippedSource) {
+  // A retrain-off store serves its model without the training state. A
+  // twin that refines trains its own copy in place, so it cannot adopt
+  // that model; a twin that cannot refine shares it.
+  auto ds = ClusteredData(5);
+  auto make = [&](bool auto_retrain, bool incremental) {
+    StoreConfig sc = ShardConfig();
+    sc.auto_retrain = auto_retrain;
+    sc.incremental_learning = incremental;
+    auto store_or = E2KvStore::Create(sc);
+    EXPECT_TRUE(store_or.ok());
+    auto store = std::move(*store_or);
+    store->Seed(ds);
+    return store;
+  };
+  auto source = make(/*auto_retrain=*/false, /*incremental=*/false);
+  ASSERT_TRUE(source->Bootstrap().ok());
+  auto refining = make(/*auto_retrain=*/true, /*incremental=*/true);
+  EXPECT_EQ(refining->BootstrapFrom(*source).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(refining->Put(1, ds.items[3]).ok());  // Not bootstrapped.
+  auto plain = make(/*auto_retrain=*/false, /*incremental=*/true);
+  ASSERT_TRUE(plain->BootstrapFrom(*source).ok());
+  EXPECT_EQ(&plain->engine().clusterer(), &source->engine().clusterer());
 }
 
 /// How the equivalence cases below retrain: off, synchronously, in the

@@ -43,6 +43,18 @@ TEST(StoreTest, CreateRejectsEmptyGeometry) {
   EXPECT_FALSE(E2KvStore::Create(cfg).ok());
 }
 
+TEST(StoreTest, ZeroBatchSizeIsRefusedByBootstrap) {
+  // Training steps through its rows a batch at a time, so a batch of 0
+  // would never advance: the model refuses it before training.
+  StoreConfig cfg = SmallStoreConfig();
+  cfg.num_segments = 64;
+  cfg.model.batch_size = 0;
+  auto store = E2KvStore::Create(cfg);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  (*store)->Seed(SeedData());
+  EXPECT_EQ((*store)->Bootstrap().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(StoreTest, PutGetRoundTrip) {
   auto store = MakeStore();
   auto ds = SeedData(2);
