@@ -88,7 +88,7 @@ double RunAugmented(uint64_t data_seed) {
   auto model_cfg = bench::DefaultModel(kBits, 8);
   auto engine =
       bench::MakeEngine(rig, std::make_unique<core::E2Model>(model_cfg));
-  index::PlacedKvIndex idx("augmented", engine.get());
+  index::PlacedKvIndex idx("augmented", engine.get(), kBits);
   return Churn(idx, *rig.device, vals);
 }
 

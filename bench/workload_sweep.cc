@@ -212,18 +212,6 @@ std::unique_ptr<core::ShardedStore> MakeStore(const Params& p,
   return store;
 }
 
-/// Waits out any in-flight background retrain and adopts the result, so
-/// a retrain triggered by operation i is serving before operation i+1
-/// (the drain-on-trigger determinism policy in the header comment).
-void DrainRetrains(core::ShardedStore& store) {
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    while (store.shard(s).engine().RetrainInFlight()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-  store.PumpRetrains();
-}
-
 ScenarioResult RunStoreScenario(const Params& p, const Scenario& sc,
                                 const ml::Lstm* lstm, bool retrain) {
   auto store = MakeStore(p, sc, retrain);
@@ -246,7 +234,7 @@ ScenarioResult RunStoreScenario(const Params& p, const Scenario& sc,
     }
     versions[k] = 0;
   }
-  DrainRetrains(*store);
+  store->PumpRetrains();
 
   const auto snap0 = store->TakeSnapshot();
   const auto meter0 = store->meter().Snapshot();
@@ -333,7 +321,7 @@ ScenarioResult RunStoreScenario(const Params& p, const Scenario& sc,
         break;
       }
     }
-    DrainRetrains(*store);
+    store->PumpRetrains();
   }
   r.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
 

@@ -92,7 +92,7 @@ int main() {
     e2nvm::core::PlacementEngine engine(
         &ctrl, std::make_unique<e2nvm::core::E2Model>(mc), ec);
     if (!engine.Bootstrap().ok()) return 1;
-    e2nvm::index::PlacedKvIndex plugged("B+Tree+E2-NVM", &engine);
+    e2nvm::index::PlacedKvIndex plugged("B+Tree+E2-NVM", &engine, kBits);
     plugged_ratio = Churn(plugged, device, values);
     std::printf("B+Tree + E2-NVM: %.4f bit updates per written data bit\n",
                 plugged_ratio);

@@ -27,13 +27,11 @@
 // Hashes are FNV-1a over raw bytes, so a float that moves by one ulp
 // changes its line. Every kernel tier must print the same output.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -265,16 +263,6 @@ void AddStore(const std::string& tag, e2nvm::core::ShardedStore& store,
                           .Value(dev.dirty_lines));
 }
 
-/// Waits out every shard's in-flight shadow training and adopts it.
-void DrainRetrains(e2nvm::core::ShardedStore& store) {
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    while (store.shard(s).engine().RetrainInFlight()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-  store.PumpRetrains();
-}
-
 /// A store of `shards` shards seeded alike, bootstrapped, then driven.
 Items FingerprintStore(size_t shards, const char* mode,
                        size_t pool_threads = 0) {
@@ -342,7 +330,7 @@ Items FingerprintStore(size_t shards, const char* mode,
       }
     }
     // A shadow launched by this op serves from the next one on.
-    if (sc.background_retrain) DrainRetrains(*store);
+    if (sc.background_retrain) store->PumpRetrains();
   }
   AddStore(tag + " driven", *store, &items);
   return items;

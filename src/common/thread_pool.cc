@@ -51,19 +51,13 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-bool ThreadPool::InWorkerThread() const {
-  std::thread::id self = std::this_thread::get_id();
-  for (const auto& t : threads_) {
-    if (t.get_id() == self) return true;
-  }
-  return false;
-}
-
 namespace {
 
 /// Shared fork-join state for one ParallelForBlocks call. Runners and the
 /// caller claim block indices from `next`; the caller waits until every
-/// claimed block has been finished (or abandoned after an exception).
+/// claimed block has been finished (or abandoned after an exception). A
+/// runner that starts after the caller claimed the last block finds
+/// none left and returns without touching `body`.
 struct ForState {
   size_t begin, end, grain, blocks;
   const std::function<void(size_t, size_t)>* body;
@@ -106,10 +100,8 @@ void ThreadPool::ParallelForBlocks(
   grain = std::max<size_t>(grain, 1);
   const size_t blocks = (end - begin + grain - 1) / grain;
 
-  // Serial fast path: tiny range, single-thread pool, or a nested call
-  // from inside a worker (running inline avoids queue deadlock and keeps
-  // nested kernels correct, just unparallelized).
-  if (blocks <= 1 || threads_.size() <= 1 || InWorkerThread()) {
+  // Serial fast path: tiny range or single-thread pool.
+  if (blocks <= 1 || threads_.size() <= 1) {
     for (size_t b = 0; b < blocks; ++b) {
       size_t lo = begin + b * grain;
       size_t hi = std::min(lo + grain, end);
@@ -126,7 +118,9 @@ void ThreadPool::ParallelForBlocks(
   state->body = &body;
 
   // One runner per worker (capped by the block count); the caller also
-  // claims blocks, so the pool being busy never stalls the loop.
+  // claims blocks, so the pool being busy never stalls the loop: the
+  // caller's wait covers only blocks a running thread claimed. That
+  // holds on a worker too, where the runners go to the others.
   size_t runners = std::min(threads_.size(), blocks - 1);
   for (size_t i = 0; i < runners; ++i) {
     Submit([state] { state->RunBlocks(); });

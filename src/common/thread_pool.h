@@ -26,8 +26,10 @@ namespace e2nvm {
 ///    (or none) never changes a bit;
 ///  - exceptions thrown by loop bodies are captured and the *first* one
 ///    (lowest block) is rethrown on the calling thread;
-///  - a loop issued from inside a worker (nested parallelism) runs inline
-///    on that worker instead of deadlocking on the queue.
+///  - the caller claims blocks too and waits only for blocks a running
+///    thread claimed, so a loop issued from a worker (a training on a
+///    shard's lane) spreads over the workers that are idle and never
+///    waits on a queued task.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers. 0 is clamped to 1; a 1-thread pool is
@@ -53,19 +55,18 @@ class ThreadPool {
   /// across the pool. Blocks until all blocks finish (the caller runs
   /// blocks too) and rethrows the first exception thrown by any block.
   /// The blocks are a pure function of (begin, end, grain), never of
-  /// num_threads().
+  /// num_threads(). Callable from any thread, this pool's workers
+  /// included: a worker's loop runs on itself and whichever workers
+  /// are free.
   void ParallelForBlocks(size_t begin, size_t end, size_t grain,
                          const std::function<void(size_t, size_t)>& body);
-
-  /// True when the calling thread is one of this pool's workers.
-  bool InWorkerThread() const;
 
  private:
   void WorkerLoop();
 
   std::vector<std::thread> threads_;
   std::deque<std::function<void()>> queue_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   bool shutdown_ = false;
 };

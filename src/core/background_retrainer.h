@@ -41,9 +41,10 @@ namespace e2nvm::core {
 /// The handoff is a single release/acquire pair on `ready_`; the worker
 /// never touches the engine, the controller, or the live model, so
 /// foreground traffic keeps serving from the old model at full speed
-/// while training runs. ML kernels inside Train use the process compute
-/// pool (ml::SetComputePool) when one is installed — the worker is not a
-/// pool thread, so its kernels parallelize.
+/// while training runs. ML kernels inside Train run on the compute pool
+/// Start() was called under (ml::compute_pool() on the launching
+/// thread, pinned where the training runs): the pool a synchronous
+/// retrain from the same operation would use.
 class BackgroundRetrainer {
  public:
   /// One model update: a freshly trained model and the cluster it gives
@@ -77,14 +78,14 @@ class BackgroundRetrainer {
                       ml::BitMatrix contents, std::vector<uint64_t> addrs);
 
   /// With no pool, every training runs on a dedicated std::thread (one
-  /// store, one occasional trainer — the PR 2 behavior). With a pool, the
-  /// training is submitted to it instead: a ShardedStore hands every
-  /// shard's retrainer the one shared common/thread_pool, so N shards
-  /// queue trainings onto a bounded worker set rather than spawning N
-  /// threads. A training running *on* a pool worker executes its ML
-  /// kernels inline (a nested ParallelForBlocks), and a pool changes only
-  /// where a kernel runs, so the shadow has the bits of the same training
-  /// run serially or under any compute pool.
+  /// store, one occasional trainer). With a pool, the training is
+  /// submitted to it instead: a ShardedStore hands each shard's
+  /// retrainer that shard's lane, so N shards queue trainings onto a
+  /// bounded worker set rather than spawning N threads. Either way the
+  /// training's kernels run on the pool its launch was pinned to; on a
+  /// lane worker under its own lane they spread over the lane's idle
+  /// workers. A pool changes only where a kernel runs, so the shadow has
+  /// the bits of the same training run serially or under any pool.
   explicit BackgroundRetrainer(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   /// Joins (or, in pool mode, waits out) any in-flight training.
@@ -101,9 +102,10 @@ class BackgroundRetrainer {
   /// True when a Result is waiting to be claimed.
   bool ready() const { return ready_.load(std::memory_order_acquire); }
 
-  /// Launches Train(shadow, contents, addrs) off the write path. Returns
-  /// false — and takes no ownership — when a training is in flight or
-  /// an unclaimed Result is pending.
+  /// Launches Train(shadow, contents, addrs) off the write path, under
+  /// the calling thread's ml::compute_pool(). Returns false — and takes
+  /// no ownership — when a training is in flight or an unclaimed Result
+  /// is pending.
   bool Start(std::unique_ptr<placement::ContentClusterer> shadow,
              ml::BitMatrix contents, std::vector<uint64_t> addrs);
 

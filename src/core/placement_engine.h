@@ -207,8 +207,8 @@ class PlacementEngine : public index::ValuePlacer {
 
   /// Switches auto-retraining to the background path: when the policy
   /// fires, Place snapshots the free segments, trains a shadow clusterer
-  /// on a dedicated thread (kernels use ml::SetComputePool when
-  /// installed), and a later Place adopts the trained model — a
+  /// on a dedicated thread (its kernels on the compute pool the Place
+  /// ran under), and a later Place adopts the trained model — a
   /// generation-counted double buffer in which foreground traffic keeps
   /// serving from the old model during training. The shadow is the same
   /// model update a synchronous retrain trains, installed the same way;

@@ -53,11 +53,6 @@ double RetrainPolicy::CurrentRatio() const {
 }
 
 RetrainAction RetrainPolicy::Decide(const DynamicAddressPool& pool) {
-  if (!refine_enabled_) {
-    // Incremental learning off: exactly the pre-incremental schedule.
-    return ShouldRetrain(pool) ? RetrainAction::kFullRetrain
-                               : RetrainAction::kNone;
-  }
   // Capacity trigger: the pool's shape is at risk, and refinement never
   // rebuilds the DAP, so escalate straight to a full retrain.
   if (CapacityTriggered(pool)) {
@@ -66,12 +61,14 @@ RetrainAction RetrainPolicy::Decide(const DynamicAddressPool& pool) {
   if (baseline_ratio_ < 0 || WindowSize() < config_.window) {
     return RetrainAction::kNone;  // Still collecting the baseline/window.
   }
+  // A perfect (zero-flip) baseline would make any degradation infinite;
+  // floor it so the trigger compares against a meaningful reference.
   constexpr double kBaselineFloor = 0.01;
   const double ref = std::max(baseline_ratio_, kBaselineFloor);
   const double current = CurrentRatio();
   if (current > config_.degradation_factor * ref) {
-    if (refine_rounds_ >= config_.max_refine_rounds) {
-      // Refinement is not pulling efficiency back: escalate.
+    if (!refine_enabled_ || refine_rounds_ >= config_.max_refine_rounds) {
+      // Nothing refines, or refinement is not pulling efficiency back.
       return RetrainAction::kFullRetrain;
     }
     if (writes_since_refine_ >= config_.refine_interval) {
@@ -83,19 +80,6 @@ RetrainAction RetrainPolicy::Decide(const DynamicAddressPool& pool) {
     refine_rounds_ = 0;  // Recovered: the drift was handled by refining.
   }
   return RetrainAction::kNone;
-}
-
-bool RetrainPolicy::ShouldRetrain(const DynamicAddressPool& pool) const {
-  if (CapacityTriggered(pool)) return true;
-  // A perfect (zero-flip) baseline would make any degradation infinite;
-  // floor it so the trigger compares against a meaningful reference.
-  constexpr double kBaselineFloor = 0.01;
-  if (baseline_ratio_ >= 0 && WindowSize() >= config_.window &&
-      CurrentRatio() > config_.degradation_factor *
-                           std::max(baseline_ratio_, kBaselineFloor)) {
-    return true;
-  }
-  return false;
 }
 
 }  // namespace e2nvm::core

@@ -31,17 +31,16 @@ enum class RetrainAction {
 ///     (re)training, meaning the model no longer reflects memory content
 ///     (the Fig 17 scenario-3/4 situation).
 ///
-/// With refinement enabled (the constructor's `refine_enabled`),
-/// Decide() runs the two triggers through an escalation state machine:
-/// the efficiency trigger first answers with kRefine (one cheap
-/// mini-batch refinement every `refine_interval` writes), and only
-/// escalates to kFullRetrain after `max_refine_rounds` consecutive
-/// refinements fail to pull the window ratio back under
-/// kRecoveryFactor x baseline. The capacity trigger always escalates
-/// straight to a full retrain — refinement never rebuilds the DAP, so it
-/// cannot fix a starving cluster. With refinement off (the default),
-/// Decide() is exactly ShouldRetrain() mapped to kNone/kFullRetrain —
-/// bit-identical to the pre-incremental schedule.
+/// Decide() is the one decision. With refinement off (the default)
+/// either trigger answers kFullRetrain and nothing else does. With
+/// refinement enabled (the constructor's `refine_enabled`), it runs the
+/// two triggers through an escalation state machine: the efficiency
+/// trigger first answers with kRefine (one cheap mini-batch refinement
+/// every `refine_interval` writes), and only escalates to kFullRetrain
+/// after `max_refine_rounds` consecutive refinements fail to pull the
+/// window ratio back under kRecoveryFactor x baseline. The capacity
+/// trigger always escalates straight to a full retrain — refinement
+/// never rebuilds the DAP, so it cannot fix a starving cluster.
 class RetrainPolicy {
  public:
   /// Degradation counts as recovered — resetting the escalation counter
@@ -86,9 +85,6 @@ class RetrainPolicy {
   /// counter and restarts the refine interval).
   void OnRefine();
 
-  /// Combined decision over both triggers.
-  bool ShouldRetrain(const DynamicAddressPool& pool) const;
-
   /// The capacity trigger alone: some cluster's free list is below
   /// min_free_per_cluster. Whenever it holds, Decide() answers
   /// kFullRetrain.
@@ -96,9 +92,10 @@ class RetrainPolicy {
     return pool.MinClusterFree() < config_.min_free_per_cluster;
   }
 
-  /// Three-way decision of the escalating drift detector (see class
-  /// comment). Non-const: observing a recovered window resets the
-  /// escalation counter.
+  /// What to do after this write: the capacity trigger, then the
+  /// efficiency trigger through the escalating drift detector (see the
+  /// class comment); never kRefine with refinement off. Non-const:
+  /// observing a recovered window resets the escalation counter.
   RetrainAction Decide(const DynamicAddressPool& pool);
 
   /// Current moving-window flips-per-bit (diagnostics).

@@ -1,9 +1,8 @@
 #include "core/sharded_store.h"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
-
-#include "ml/matrix.h"
 
 namespace e2nvm::core {
 
@@ -93,7 +92,6 @@ Status ShardedStore::Bootstrap() {
   // Shards that trained a model of their own: one per distinct image.
   std::vector<size_t> trained;
   for (size_t s = 0; s < num_shards_; ++s) {
-    ml::ScopedComputePool kernels(shard_lane(s));
     // Every shard runs config_.shard, and training is a pure function of
     // the config and the contents, so a shard seeded like an earlier one
     // would train that shard's model bit for bit: serve that instead.
@@ -122,9 +120,6 @@ bool ShardedStore::SameImage(size_t a, size_t b) {
 Status ShardedStore::Put(uint64_t key, const BitVector& value) {
   const size_t s = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard_mu_[s]);
-  // Pin this operation's ML kernels (and any retrain it launches) to the
-  // owning shard's lane — never a pool another shard could be waiting on.
-  ml::ScopedComputePool kernels(shard_lane(s));
   if (journals_[s] == nullptr) return shards_[s]->Put(key, value);
   E2_RETURN_IF_ERROR(JournalAppend(s, ShardJournal::Op::kPut, key, value));
   size_t landed = 0;
@@ -166,7 +161,6 @@ Status ShardedStore::CheckpointShardJournal(size_t s) {
 Status ShardedStore::MultiPutShardUnchecked(
     size_t s, const std::pair<uint64_t, BitVector>* kvs, size_t n) {
   std::lock_guard<std::mutex> lock(shard_mu_[s]);
-  ml::ScopedComputePool kernels(shard_lane(s));
   ShardJournal* journal = journals_[s].get();
   if (journal == nullptr) return shards_[s]->MultiPut(kvs, n);
   // A checkpoint snapshots the shard's tree, so it must never fire
@@ -266,7 +260,6 @@ Status ShardedStore::GetInto(uint64_t key, BitVector* out) {
 Status ShardedStore::Delete(uint64_t key) {
   const size_t s = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard_mu_[s]);
-  ml::ScopedComputePool kernels(shard_lane(s));
   if (journals_[s] != nullptr) {
     // A delete the shard would refuse must not replay (nor, on a full
     // journal, force a checkpoint), so it is never journaled.
@@ -310,8 +303,6 @@ ShardedStore::Snapshot ShardedStore::TakeSnapshot() {
 
 void ShardedStore::ScrubShard(size_t s, size_t budget) {
   std::lock_guard<std::mutex> lock(shard_mu_[s]);
-  // Repairs re-place keys through the shard's engine.
-  ml::ScopedComputePool kernels(shard_lane(s));
   ScrubShardLocked(s, budget);
 }
 
@@ -421,8 +412,12 @@ void ShardedStore::InjectBitRot(size_t s, size_t seg_off, size_t bit) {
 size_t ShardedStore::PumpRetrains() {
   size_t swapped = 0;
   for (size_t s = 0; s < num_shards_; ++s) {
+    // The training may sit on lane 0 behind the scrubber, which needs
+    // this shard's lock: wait on the retrainer's flag without it.
+    while (shards_[s]->engine().RetrainInFlight()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
     std::lock_guard<std::mutex> lock(shard_mu_[s]);
-    ml::ScopedComputePool kernels(shard_lane(s));
     if (shards_[s]->engine().PumpBackgroundRetrain()) ++swapped;
   }
   return swapped;

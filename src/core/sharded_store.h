@@ -64,15 +64,17 @@ struct ShardedStoreConfig {
 ///    meter are striped into per-shard relaxed-atomic lanes
 ///    (ConfigureAccountingLanes / EnergyMeter::SetLanes) merged only at
 ///    snapshot time — no device or meter mutex exists.
-///  - Compute: each shard owns a private ThreadPool lane; every shard
-///    operation installs it as a thread-local ml::ScopedComputePool, so
-///    one shard's kernels or background retrain can never queue behind
-///    (or stall) another shard's.
+///  - Compute: each shard owns a private ThreadPool lane and hands it to
+///    its E2KvStore, which pins it (ml::ScopedComputePool) in every
+///    operation that can run a kernel, so one shard's kernels or
+///    background retrain can never queue behind (or stall) another
+///    shard's.
 ///  - DAP: each engine's pool has no lock of its own; the shard lock
 ///    serializes it, so Acquire/Release take no further mutex.
 ///  - Background retraining: each shard's engine hands training to its
-///    own lane (BackgroundRetrainer pool mode); the swap happens under
-///    that shard's mutex on its next Place.
+///    own lane (BackgroundRetrainer pool mode), where the training's
+///    kernels spread over the lane's idle workers; the swap happens
+///    under that shard's mutex on its next Place.
 ///  - Shared bootstrap model: read by several shards under their own
 ///    locks and written by none; only shards that cannot refine share
 ///    it, and a retrain installs a fresh model instead of changing it
@@ -201,9 +203,11 @@ class ShardedStore {
   /// consistent with respect to in-flight operations.
   Snapshot TakeSnapshot();
 
-  /// Adopts any finished shadow models immediately on every shard
-  /// (test/harness hook; see PlacementEngine::PumpBackgroundRetrain).
-  /// Returns the number of shards that swapped.
+  /// Waits out every shard's in-flight shadow training, then adopts each
+  /// finished one under that shard's lock (PlacementEngine::
+  /// PumpBackgroundRetrain), so a retrain launched by operation i serves
+  /// from operation i+1 on when one thread drives the store. The wait
+  /// holds no shard lock. Returns the number of shards that swapped.
   size_t PumpRetrains();
 
   // --- Integrity scrubbing (DESIGN.md §12) ---

@@ -1,5 +1,7 @@
 #include "core/store.h"
 
+#include "ml/matrix.h"
+
 namespace e2nvm::core {
 
 namespace {
@@ -33,15 +35,6 @@ void BuildModelAndEngine(const StoreConfig& config, uint64_t first_segment,
 
 E2KvStore::E2KvStore(const StoreConfig& config) : config_(config) {}
 
-E2KvStore::~E2KvStore() {
-  // The engine's background retrainer may be mid-training on the compute
-  // pool; join it before the pool (and its global registration) go away.
-  engine_.reset();
-  if (installed_pool_ && ml::compute_pool() == pool_.get()) {
-    ml::SetComputePool(nullptr);
-  }
-}
-
 StatusOr<std::unique_ptr<E2KvStore>> E2KvStore::Create(
     const StoreConfig& config) {
   if (config.num_segments == 0 || config.segment_bits == 0) {
@@ -51,10 +44,7 @@ StatusOr<std::unique_ptr<E2KvStore>> E2KvStore::Create(
 
   if (config.pool_threads > 0) {
     store->pool_ = std::make_unique<ThreadPool>(config.pool_threads);
-    if (ml::compute_pool() == nullptr) {
-      ml::SetComputePool(store->pool_.get());
-      store->installed_pool_ = true;
-    }
+    store->lane_ = store->pool_.get();
   }
 
   nvm::DeviceConfig dc;
@@ -99,6 +89,7 @@ StatusOr<std::unique_ptr<E2KvStore>> E2KvStore::CreateShard(
     return Status::OutOfRange("shard range exceeds the shared device");
   }
   std::unique_ptr<E2KvStore> store(new E2KvStore(config));
+  store->lane_ = attach.retrain_pool;
   store->dev_ = attach.device;
   store->first_segment_ = attach.first_segment;
   // The controller spans the whole shared device (identity mapping, no
@@ -121,7 +112,10 @@ void E2KvStore::Seed(const workload::BitDataset& contents) {
   }
 }
 
-Status E2KvStore::Bootstrap() { return engine_->Bootstrap(); }
+Status E2KvStore::Bootstrap() {
+  ml::ScopedComputePool kernels(lane_);
+  return engine_->Bootstrap();
+}
 
 Status E2KvStore::BootstrapFrom(const E2KvStore& source) {
   return engine_->BootstrapFrom(*source.engine_);
@@ -152,6 +146,8 @@ Status E2KvStore::MultiPut(const std::pair<uint64_t, BitVector>* kvs,
 Status E2KvStore::PutRows(const uint64_t* keys,
                           const BitVector* const* values, size_t n,
                           size_t* landed) {
+  // The placements' kernels, and a retrain they launch, run on the lane.
+  ml::ScopedComputePool kernels(lane_);
   struct Rows {
     E2KvStore* store;
     const uint64_t* keys;
@@ -197,6 +193,7 @@ Status E2KvStore::Delete(uint64_t key) {
   auto addr = tree_.Erase(key);
   if (!addr.has_value()) return Status::NotFound("key not found");
   value_bits_.erase(key);
+  ml::ScopedComputePool kernels(lane_);
   return engine_->Release(*addr);
 }
 

@@ -39,9 +39,10 @@ struct StoreConfig {
   bool background_retrain = false;
   /// Worker threads for the parallel ML kernels (0 = every kernel on
   /// the calling thread). Any value trains the same models bit for bit;
-  /// it changes only speed. The store owns the pool and installs it as
-  /// the process compute pool (ml::SetComputePool) if none is installed
-  /// yet.
+  /// it changes only speed. The store owns the pool and pins it
+  /// (ml::ScopedComputePool) in each of its operations that can run a
+  /// kernel, background retrains included; other threads and stores
+  /// never see it. Ignored by CreateShard.
   size_t pool_threads = 0;
   /// Retrain triggers (capacity + flip-efficiency) and, when
   /// `incremental_learning` is on, the drift-escalation thresholds
@@ -102,8 +103,10 @@ class E2KvStore {
     /// First logical segment of this shard's range; the shard manages
     /// [first_segment, first_segment + config.num_segments).
     uint64_t first_segment = 0;
-    /// Shared worker pool for background retraining (nullptr keeps the
-    /// dedicated-thread retrainer). Must outlive the store.
+    /// The shard's compute lane: its operations' kernels run there, and
+    /// so do its background retrains, whose own kernels spread over
+    /// the lane's idle workers. nullptr runs every kernel inline and
+    /// keeps the dedicated-thread retrainer. Must outlive the store.
     ThreadPool* retrain_pool = nullptr;
   };
 
@@ -112,16 +115,12 @@ class E2KvStore {
   /// instead of an owned device. `config.num_segments` is the *shard's*
   /// segment count; `config.psi` must be 0 (Start-Gap would migrate
   /// cells across shard ranges) and `config.pool_threads` is ignored
-  /// (the ShardedStore owns the one compute pool). With first_segment 0
+  /// (the ShardedStore owns the lanes). With first_segment 0
   /// and a device covering exactly config.num_segments, behavior is
   /// bit-identical to Create (the shards=1 determinism contract,
   /// pinned by tests/sharded_store_test.cc).
   static StatusOr<std::unique_ptr<E2KvStore>> CreateShard(
       const StoreConfig& config, const ShardAttachment& attach);
-
-  /// Joins any background retraining and uninstalls the compute pool if
-  /// this store installed it.
-  ~E2KvStore();
 
   /// Seeds device segments with initial content ("old data"), cycling
   /// through `contents` items resized to the segment width.
@@ -202,8 +201,12 @@ class E2KvStore {
 
   StoreConfig config_;
   nvm::EnergyMeter meter_;
+  // Declared before engine_, whose background retrainer may be training
+  // on it: the engine joins that training first.
   std::unique_ptr<ThreadPool> pool_;
-  bool installed_pool_ = false;
+  // The pool every operation pins: pool_ (Create) or the ShardedStore's
+  // lane for this shard (CreateShard), or nullptr.
+  ThreadPool* lane_ = nullptr;
   std::unique_ptr<nvm::NvmDevice> device_;  // Owned (standalone mode).
   nvm::NvmDevice* dev_ = nullptr;  // The device in use (owned or shared).
   uint64_t first_segment_ = 0;

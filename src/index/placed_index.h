@@ -17,17 +17,23 @@ namespace e2nvm::index {
 /// memory-aware (core::PlacementEngine).
 ///
 /// Updates follow the E2-NVM write algorithm: acquire a fresh
-/// similar-content address, then recycle the old one.
+/// similar-content address, then recycle the old one. Every value has
+/// one width, fixed at construction, so Get reads back exactly the bits
+/// Put wrote.
 class PlacedKvIndex : public NvmKvIndex {
  public:
-  /// `label` names the augmented structure in reports ("B+Tree+E2", ...).
-  PlacedKvIndex(std::string label, ValuePlacer* placer)
-      : label_(std::move(label)), placer_(placer) {}
+  /// `label` names the augmented structure in reports ("B+Tree+E2", ...);
+  /// every value is `value_bits` wide.
+  PlacedKvIndex(std::string label, ValuePlacer* placer, size_t value_bits)
+      : label_(std::move(label)), placer_(placer), value_bits_(value_bits) {}
 
   std::string_view name() const override { return label_; }
 
+  /// InvalidArgument, placing nothing, for a value of another width.
   Status Put(uint64_t key, const BitVector& value) override {
-    last_value_bits_ = value.size();
+    if (value.size() != value_bits_) {
+      return Status::InvalidArgument("value width differs from the index's");
+    }
     E2_ASSIGN_OR_RETURN(uint64_t addr, placer_->Place(value));
     auto old = map_.Get(key);
     map_.Put(key, addr);
@@ -40,9 +46,7 @@ class PlacedKvIndex : public NvmKvIndex {
   StatusOr<BitVector> Get(uint64_t key) override {
     auto addr = map_.Get(key);
     if (!addr.has_value()) return Status::NotFound("key not found");
-    return placer_->Read(*addr, value_bits_hint_ == 0
-                                    ? last_value_bits_
-                                    : value_bits_hint_);
+    return placer_->Read(*addr, value_bits_);
   }
 
   Status Delete(uint64_t key) override {
@@ -53,15 +57,11 @@ class PlacedKvIndex : public NvmKvIndex {
 
   size_t size() const override { return map_.size(); }
 
-  /// Fixes the width returned by Get (defaults to the last Put width).
-  void set_value_bits(size_t bits) { value_bits_hint_ = bits; }
-
  private:
   std::string label_;
   ValuePlacer* placer_;
+  size_t value_bits_;
   RbTree map_;
-  size_t value_bits_hint_ = 0;
-  size_t last_value_bits_ = 0;
 };
 
 }  // namespace e2nvm::index

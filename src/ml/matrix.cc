@@ -4,7 +4,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -15,13 +14,8 @@ namespace e2nvm::ml {
 
 namespace {
 
-std::atomic<ThreadPool*> g_compute_pool{nullptr};
-
-/// Thread-local override stack top (see ScopedComputePool). A separate
-/// `active` flag distinguishes "override to serial" (nullptr override)
-/// from "no override".
-thread_local ThreadPool* t_pool_override = nullptr;
-thread_local bool t_pool_override_active = false;
+/// The calling thread's innermost ScopedComputePool pin.
+thread_local ThreadPool* t_compute_pool = nullptr;
 
 /// Minimum multiply-accumulates per dispatched block; below this the
 /// fork-join overhead dwarfs the block's work. (A one-row product such
@@ -97,25 +91,14 @@ void UnmapBlock(void* p, size_t bytes) noexcept {
 
 }  // namespace detail
 
-void SetComputePool(ThreadPool* pool) {
-  g_compute_pool.store(pool, std::memory_order_release);
-}
-
-ThreadPool* compute_pool() {
-  if (t_pool_override_active) return t_pool_override;
-  return g_compute_pool.load(std::memory_order_acquire);
-}
+ThreadPool* compute_pool() { return t_compute_pool; }
 
 ScopedComputePool::ScopedComputePool(ThreadPool* pool)
-    : prev_(t_pool_override), prev_active_(t_pool_override_active) {
-  t_pool_override = pool;
-  t_pool_override_active = true;
+    : prev_(t_compute_pool) {
+  t_compute_pool = pool;
 }
 
-ScopedComputePool::~ScopedComputePool() {
-  t_pool_override = prev_;
-  t_pool_override_active = prev_active_;
-}
+ScopedComputePool::~ScopedComputePool() { t_compute_pool = prev_; }
 
 namespace detail {
 

@@ -26,30 +26,23 @@ class ThreadPool;
 
 namespace e2nvm::ml {
 
-/// Installs the process-global pool used by every parallel ML kernel
-/// (MatMul*, the K-means loops, the VAE's elementwise batch loops and
-/// cross-entropy) — the library's set-pool hook. nullptr (the default)
-/// runs every kernel on the calling thread. A pool changes only where
-/// the kernels run, never a bit of their results (ForRanges below). The
-/// pool must outlive all kernel calls; install before spawning any
-/// thread that runs kernels (the pointer itself is read atomically). A
-/// thread-local ScopedComputePool override (below) takes precedence on
-/// the installing thread.
-void SetComputePool(ThreadPool* pool);
-
-/// Currently effective pool for the calling thread: the innermost active
-/// ScopedComputePool override if any, else the global hook, else nullptr
-/// (every kernel inline). Which pool answers here, if any, changes only
-/// where the work runs.
+/// The pool the calling thread's ML kernels (MatMul*, the K-means loops,
+/// the VAE's elementwise batch loops and cross-entropy) run on: the
+/// innermost live ScopedComputePool constructed on this thread, or
+/// nullptr (every kernel inline) when there is none. This is the only
+/// way a kernel finds a pool; there is no process-wide one. A pool
+/// changes only where the kernels run, never a bit of their results
+/// (ForRanges below).
 ThreadPool* compute_pool();
 
-/// RAII thread-local pool override: while alive, kernels issued from the
-/// *constructing thread* dispatch to `pool` (nullptr runs them inline)
-/// regardless of the global hook. This is how a sharded store pins each
-/// shard's inference/retrain work to that shard's own compute lane —
-/// shard A's kernels can never queue behind shard B's retrain, and the
-/// steady-state path never touches a pool another shard waits on.
-/// Overrides nest; each restores its predecessor on destruction.
+/// RAII thread-local pin: while alive, kernels issued from the
+/// *constructing thread* dispatch to `pool` (nullptr runs them inline).
+/// The pool must outlive the pin. An E2KvStore pins its lane (its own
+/// pool, or its shard's lane in a ShardedStore) in every operation that
+/// can run a kernel, so shard A's kernels never queue on shard B's lane,
+/// and a BackgroundRetrainer pins, where the shadow trains, the pool
+/// its launch ran under. Pins nest; each restores its predecessor on
+/// destruction.
 class ScopedComputePool {
  public:
   explicit ScopedComputePool(ThreadPool* pool);
@@ -59,7 +52,6 @@ class ScopedComputePool {
 
  private:
   ThreadPool* prev_;
-  bool prev_active_;
 };
 
 namespace detail {
@@ -69,14 +61,15 @@ void RunBlocks(ThreadPool* pool, size_t n, size_t grain,
 }  // namespace detail
 
 /// The one pool-or-inline loop of the ML kernels: runs body(lo, hi) over
-/// [0, n), split into `grain`-sized blocks on the compute pool when one
-/// is installed and n spans two blocks or more, else as the single call
-/// body(0, n) on the calling thread. So the body must compute the same
-/// bits for any split of its range: per-row or per-element results,
-/// never a sum running across rows. A reduction keeps its per-row terms
-/// and sums them on the calling thread in row order afterwards, which
-/// is the one order it has with or without a pool, at any pool size and
-/// when a training runs on a pool worker (whose loops run inline).
+/// [0, n), split into `grain`-sized blocks on the calling thread's
+/// compute pool when it has one and n spans two blocks or more, else as
+/// the single call body(0, n) on the calling thread. So the body must
+/// compute the same bits for any split of its range: per-row or
+/// per-element results, never a sum running across rows. A reduction
+/// keeps its per-row terms and sums them on the calling thread in row
+/// order afterwards, which is the one order it has with or without a
+/// pool, at any pool size and when a training runs on a pool worker
+/// (whose blocks spread over that pool's idle workers).
 template <typename Body>
 void ForRanges(size_t n, size_t grain, const Body& body) {
   ThreadPool* pool = compute_pool();

@@ -18,6 +18,7 @@
 #include "core/e2_model.h"
 #include "core/placement_engine.h"
 #include "core/store.h"
+#include "ml/matrix.h"
 #include "placement/clusterer.h"
 #include "schemes/schemes.h"
 #include "workload/datasets.h"
@@ -107,6 +108,56 @@ TEST(BackgroundRetrainerTest, TrainsAndClassifiesSnapshot) {
   EXPECT_GT(result->train_flops, 0.0);
   EXPECT_GT(result->predict_flops, 0.0);
   EXPECT_FALSE(bg.ready());
+}
+
+/// One cluster, and a note of the compute pool its training ran under.
+class PoolRecordingClusterer : public placement::ContentClusterer {
+ public:
+  explicit PoolRecordingClusterer(ThreadPool** seen) : seen_(seen) {}
+  std::string_view name() const override { return "pool-recording"; }
+  std::unique_ptr<ContentClusterer> CloneUntrained() const override {
+    return std::make_unique<PoolRecordingClusterer>(seen_);
+  }
+  std::unique_ptr<ContentClusterer> Clone() const override {
+    return CloneUntrained();
+  }
+  using ContentClusterer::Train;
+  Status Train(const ml::RowsView&) override {
+    *seen_ = ml::compute_pool();
+    return Status::Ok();
+  }
+  void AssignScratch(ml::InferenceScratch* scratch) const override {
+    scratch->clusters.assign(scratch->in.rows(), 0);
+  }
+  size_t num_clusters() const override { return 1; }
+  double PredictFlops() const override { return 1; }
+  double LastTrainFlops() const override { return 0; }
+
+ private:
+  ThreadPool** seen_;
+};
+
+TEST(BackgroundRetrainerTest, ShadowTrainsUnderThePoolItWasLaunchedUnder) {
+  // A synchronous retrain from the launching operation would run its
+  // kernels on the pool pinned there, and so must the shadow, whether it
+  // trains on a dedicated thread or on a worker of that very pool (a
+  // shard's lane, whose idle workers then take its loops).
+  ThreadPool lane(2);
+  const auto ds = ClusteredData(8);
+  for (ThreadPool* submit_to : {static_cast<ThreadPool*>(nullptr), &lane}) {
+    SCOPED_TRACE(submit_to == nullptr ? "dedicated thread" : "pool mode");
+    BackgroundRetrainer bg(submit_to);
+    ThreadPool* seen = nullptr;
+    {
+      ml::ScopedComputePool kernels(&lane);
+      ASSERT_TRUE(bg.Start(std::make_unique<PoolRecordingClusterer>(&seen),
+                           ContentsOf(ds, 8), std::vector<uint64_t>(8)));
+    }
+    EXPECT_EQ(ml::compute_pool(), nullptr);
+    WaitUntilReady(bg);
+    ASSERT_TRUE(bg.TryCollect().has_value());
+    EXPECT_EQ(seen, &lane);
+  }
 }
 
 TEST(BackgroundRetrainerTest, RejectsOverlappingStarts) {

@@ -323,22 +323,25 @@ TEST(RetrainPolicyDecideTest, CapacityTriggerAlwaysEscalates) {
   EXPECT_EQ(p.Decide(pool), RetrainAction::kFullRetrain);
 }
 
-TEST(RetrainPolicyDecideTest, OffModeMatchesShouldRetrainExactly) {
+TEST(RetrainPolicyDecideTest, OffModeNeverRefines) {
   RetrainPolicy p(RefineConfig(), /*refine_enabled=*/false);
   DynamicAddressPool pool(2);
   FillHealthy(pool);
-  // Across baseline-freeze, degradation, and recovery, Decide() is the
-  // two-way ShouldRetrain() mapped to kNone/kFullRetrain — never kRefine.
-  auto check = [&] {
-    RetrainAction a = p.Decide(pool);
-    EXPECT_NE(a, RetrainAction::kRefine);
-    EXPECT_EQ(a == RetrainAction::kFullRetrain, p.ShouldRetrain(pool));
-  };
-  for (int i = 0; i < 3; ++i) { GoodWrites(p, 1); check(); }
-  for (int i = 0; i < 6; ++i) { BadWrites(p, 1); check(); }
+  // Across baseline-freeze, degradation, and recovery, the stream the
+  // refine-on tests escalate through: a degradation that would refine
+  // there goes straight to a full retrain here, and nothing refines.
+  std::vector<RetrainAction> got;
+  auto decide = [&] { got.push_back(p.Decide(pool)); };
+  for (int i = 0; i < 3; ++i) { GoodWrites(p, 1); decide(); }
+  for (int i = 0; i < 6; ++i) { BadWrites(p, 1); decide(); }
   p.OnRetrain();
-  check();
-  for (int i = 0; i < 3; ++i) { GoodWrites(p, 1); check(); }
+  decide();
+  for (int i = 0; i < 3; ++i) { GoodWrites(p, 1); decide(); }
+  // Filling the window, six degraded writes, and a fresh baseline.
+  std::vector<RetrainAction> want(3, RetrainAction::kNone);
+  want.insert(want.end(), 6, RetrainAction::kFullRetrain);
+  want.insert(want.end(), 4, RetrainAction::kNone);
+  EXPECT_EQ(got, want);
 }
 
 // ---------------------------------------------------------------------

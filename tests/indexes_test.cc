@@ -287,7 +287,7 @@ TEST(NoveLsmSpecificTest, TombstonesSurviveFlush) {
 TEST(PlacedIndexTest, DelegatesToPlacer) {
   IndexRig rig;
   ArbitraryPlacer placer(rig.ctrl.get(), 0, 256);
-  PlacedKvIndex idx("B+Tree+E2", &placer);
+  PlacedKvIndex idx("B+Tree+E2", &placer, kBits);
   for (uint64_t k = 0; k < 50; ++k) {
     ASSERT_TRUE(idx.Put(k, ValueFor(k)).ok());
   }
@@ -302,6 +302,21 @@ TEST(PlacedIndexTest, DelegatesToPlacer) {
   ASSERT_TRUE(idx.Delete(0).ok());
   EXPECT_EQ(placer.FreeCount(), 256u - 49u);
   EXPECT_EQ(idx.name(), "B+Tree+E2");
+}
+
+TEST(PlacedIndexTest, RefusesAValueOfAnotherWidth) {
+  IndexRig rig;
+  ArbitraryPlacer placer(rig.ctrl.get(), 0, 256);
+  PlacedKvIndex idx("B+Tree+E2", &placer, kBits);
+  ASSERT_TRUE(idx.Put(1, ValueFor(1)).ok());
+  // A narrower value is refused before it is placed, so the width Get
+  // reads back stays the one every stored value has.
+  const Status st = idx.Put(2, ValueFor(2).Slice(0, kBits / 2));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(placer.FreeCount(), 256u - 1u);
+  EXPECT_EQ(idx.size(), 1u);
+  EXPECT_EQ(idx.Get(1).value(), ValueFor(1));
+  EXPECT_EQ(idx.Get(2).status().code(), StatusCode::kNotFound);
 }
 
 TEST(ArbitraryPlacerTest, FirstFreeOrder) {

@@ -933,11 +933,10 @@ TEST(KernelsTest, GemmBitIdenticalToNaiveSerialAndPooled) {
 
     {
       ThreadPool pool(3);
-      ml::SetComputePool(&pool);
+      ml::ScopedComputePool kernels(&pool);
       const ml::Matrix pooled = ml::MatMul(a, b);
       const ml::Matrix pooled_tb = ml::MatMulTransB(a, bt);
       const ml::Matrix pooled_ta = ml::MatMulTransA(ta, b);
-      ml::SetComputePool(nullptr);
       EXPECT_TRUE(SameBits(pooled, want)) << "pooled MatMul " << shape;
       EXPECT_TRUE(SameBits(pooled_tb, want_tb))
           << "pooled MatMulTransB " << shape;

@@ -1,5 +1,5 @@
-// The parallel ML kernels behind ml::SetComputePool: a pool changes only
-// where a kernel runs, never a bit of its result. Row-parallel MatMul*
+// The parallel ML kernels behind ml::ScopedComputePool: a pool changes
+// only where a kernel runs, never a bit of its result. Row-parallel MatMul*
 // and the per-row k-means and elementwise VAE loops write disjoint
 // outputs, and every reduction sums in one order, so the serial path, any
 // pool size and a training run on a pool worker all agree bit for bit.
@@ -20,18 +20,17 @@
 namespace e2nvm::ml {
 namespace {
 
-/// Installs a pool of `threads` workers (none for 0) for one scope and
-/// restores serial mode on exit.
+/// Pins a pool of `threads` workers (none for 0) on this thread for one
+/// scope and restores serial mode on exit.
 class ScopedPool {
  public:
-  explicit ScopedPool(size_t threads) {
-    if (threads > 0) pool_ = std::make_unique<ThreadPool>(threads);
-    SetComputePool(pool_.get());
-  }
-  ~ScopedPool() { SetComputePool(nullptr); }
+  explicit ScopedPool(size_t threads)
+      : pool_(threads > 0 ? std::make_unique<ThreadPool>(threads) : nullptr),
+        pin_(pool_.get()) {}
 
  private:
   std::unique_ptr<ThreadPool> pool_;
+  ScopedComputePool pin_;
 };
 
 constexpr size_t kPoolSizes[] = {0, 1, 2, 4};
@@ -255,8 +254,8 @@ TEST(ParallelMlTest, E2ModelTrainIsTheSameWhereverItRuns) {
   }
   ExpectSameModel(serial, pooled);
 
-  // A background retrain runs on a pool worker, where the same pool's
-  // loops run inline.
+  // A shard's background retrain runs on a lane worker under that lane,
+  // where its loops spread over the other workers.
   core::E2Model on_worker(mc);
   std::promise<bool> trained;
   pool.Submit([&] {

@@ -12,9 +12,9 @@ TEST(RetrainPolicyTest, CapacityTrigger) {
   pool.Insert(0, 2);
   pool.Insert(1, 3);
   // Cluster 1 has only one free address: below threshold 2.
-  EXPECT_TRUE(policy.ShouldRetrain(pool));
+  EXPECT_EQ(policy.Decide(pool), RetrainAction::kFullRetrain);
   pool.Insert(1, 4);
-  EXPECT_FALSE(policy.ShouldRetrain(pool));
+  EXPECT_EQ(policy.Decide(pool), RetrainAction::kNone);
 }
 
 TEST(RetrainPolicyTest, EfficiencyTriggerAfterDegradation) {
@@ -29,13 +29,13 @@ TEST(RetrainPolicyTest, EfficiencyTriggerAfterDegradation) {
 
   // Healthy phase: 5% of bits flip.
   for (int i = 0; i < 100; ++i) policy.RecordWrite(5, 100);
-  EXPECT_FALSE(policy.ShouldRetrain(pool));
+  EXPECT_EQ(policy.Decide(pool), RetrainAction::kNone);
   EXPECT_NEAR(policy.BaselineRatio(), 0.05, 1e-9);
 
   // Distribution shift: 20% of bits flip.
   for (int i = 0; i < 60; ++i) policy.RecordWrite(20, 100);
   EXPECT_GT(policy.CurrentRatio(), 0.1);
-  EXPECT_TRUE(policy.ShouldRetrain(pool));
+  EXPECT_EQ(policy.Decide(pool), RetrainAction::kFullRetrain);
 }
 
 TEST(RetrainPolicyTest, OnRetrainResetsBaseline) {
@@ -50,7 +50,7 @@ TEST(RetrainPolicyTest, OnRetrainResetsBaseline) {
   EXPECT_GT(policy.BaselineRatio(), 0.0);
   policy.OnRetrain();
   EXPECT_LT(policy.BaselineRatio(), 0.0);  // Unfrozen again.
-  EXPECT_FALSE(policy.ShouldRetrain(pool));
+  EXPECT_EQ(policy.Decide(pool), RetrainAction::kNone);
 }
 
 TEST(RetrainPolicyTest, WindowForgetsOldWrites) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "ml/matrix.h"
 
 namespace e2nvm::core {
 namespace {
@@ -53,6 +54,26 @@ TEST(StoreTest, ZeroBatchSizeIsRefusedByBootstrap) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   (*store)->Seed(SeedData());
   EXPECT_EQ((*store)->Bootstrap().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(StoreTest, PooledStoresKeepTheirPoolsToThemselves) {
+  // A pooled store pins its pool inside its own operations only: with
+  // two alive, the caller's kernels still run inline, and neither store
+  // runs on the other's pool, before or after the other is gone.
+  StoreConfig cfg = SmallStoreConfig();
+  cfg.pool_threads = 2;
+  auto a = MakeStore(cfg);
+  auto b = MakeStore(cfg);
+  EXPECT_EQ(ml::compute_pool(), nullptr);
+  const auto ds = SeedData(2);
+  ASSERT_TRUE(a->Put(1, ds.items[1]).ok());
+  ASSERT_TRUE(b->Put(2, ds.items[2]).ok());
+  ASSERT_TRUE(a->Delete(1).ok());
+  EXPECT_EQ(ml::compute_pool(), nullptr);
+  a.reset();
+  ASSERT_TRUE(b->Put(3, ds.items[3]).ok());
+  EXPECT_EQ(b->Get(3).value(), ds.items[3]);
+  EXPECT_EQ(ml::compute_pool(), nullptr);
 }
 
 TEST(StoreTest, PutGetRoundTrip) {

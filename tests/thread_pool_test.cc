@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -82,7 +88,7 @@ TEST(ThreadPoolTest, FirstExceptionByBlockIndexWins) {
   }
 }
 
-TEST(ThreadPoolTest, NestedParallelForBlocksRunsInline) {
+TEST(ThreadPoolTest, NestedParallelForBlocksCompletes) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
   pool.ParallelForBlocks(0, 8, 1, [&](size_t, size_t) {
@@ -91,6 +97,69 @@ TEST(ThreadPoolTest, NestedParallelForBlocksRunsInline) {
                            [&](size_t, size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 8 * 16);
+}
+
+TEST(ThreadPoolTest, LoopFromAWorkerSpreadsOverIdleWorkers) {
+  // A training on a shard's lane issues its kernels' loops from a lane
+  // worker: they must reach the lane's idle workers, not run inline.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> ids;
+  std::promise<size_t> seen;
+  ThreadPool pool(4);  // Joined before the state its task uses goes.
+  pool.Submit([&] {
+    pool.ParallelForBlocks(0, 2, 1, [&](size_t, size_t) {
+      // Each block waits, with a bound, until a second thread ran one.
+      std::unique_lock<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(5),
+                  [&] { return ids.size() >= 2; });
+    });
+    std::lock_guard<std::mutex> lock(mu);
+    seen.set_value(ids.size());
+  });
+  EXPECT_EQ(seen.get_future().get(), 2u);
+}
+
+TEST(ThreadPoolTest, EveryWorkerIssuingANestedLoopAtOnceCompletes) {
+  // All four workers block in a nested loop together, so no worker is
+  // free to take the runners they queue: each caller must run its own
+  // blocks. A watchdog turns a deadlock into a failure.
+  constexpr size_t kThreads = 4;
+  constexpr size_t kBlocks = 64;
+  std::atomic<size_t> arrived{0};
+  std::atomic<size_t> total{0};
+  std::atomic<size_t> finished{0};
+  std::promise<void> all_done;
+  ThreadPool pool(kThreads);  // Joined before the state above goes.
+  for (size_t t = 0; t < kThreads; ++t) {
+    pool.Submit([&] {
+      // Start the nested loops together (bounded, so a pool that never
+      // runs four tasks at once still gets to the checks).
+      arrived.fetch_add(1);
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (arrived.load() < kThreads &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      pool.ParallelForBlocks(0, kBlocks, 1,
+                             [&](size_t lo, size_t hi) {
+                               total.fetch_add(hi - lo);
+                             });
+      if (finished.fetch_add(1) + 1 == kThreads) all_done.set_value();
+    });
+  }
+  std::future<void> done = all_done.get_future();
+  if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    // The pool cannot be joined with its workers stuck: stop here.
+    std::fprintf(stderr, "nested loops deadlocked: %zu of %zu finished\n",
+                 finished.load(), kThreads);
+    std::abort();
+  }
+  EXPECT_EQ(arrived.load(), kThreads);
+  EXPECT_EQ(total.load(), kThreads * kBlocks);
 }
 
 TEST(ThreadPoolTest, SubmittedTasksRunBeforeShutdown) {

@@ -20,10 +20,8 @@
 // efficiency trigger launches a background retrain, and after the swap
 // the flips-per-bit of steady-state updates recovers.
 
-#include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -117,17 +115,6 @@ std::unique_ptr<ShardedStore> MakeStore(size_t shards,
   return std::move(*store_or);
 }
 
-/// The sweep's drain-on-trigger policy: any retrain launched by the
-/// previous op is finished and adopted before the next op.
-void DrainRetrains(ShardedStore& store) {
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    while (store.shard(s).engine().RetrainInFlight()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-  store.PumpRetrains();
-}
-
 void ReplayScenario(const ScenarioCase& sc, size_t shards) {
   SCOPED_TRACE(sc.name + " shards=" + std::to_string(shards));
   auto store = MakeStore(shards, sc);
@@ -141,7 +128,7 @@ void ReplayScenario(const ScenarioCase& sc, size_t shards) {
     versions[k] = 0;
     oracle[k] = std::move(v);
   }
-  DrainRetrains(*store);
+  store->PumpRetrains();
 
   BitVector scratch(kBits);
   auto check_read = [&](uint64_t key) {
@@ -194,9 +181,9 @@ void ReplayScenario(const ScenarioCase& sc, size_t shards) {
         write(op.key, ++versions[op.key]);
         break;
     }
-    DrainRetrains(*store);
+    store->PumpRetrains();
   }
-  DrainRetrains(*store);
+  store->PumpRetrains();
 
   // Post-drain key-set equality, value for value.
   EXPECT_EQ(store->size(), oracle.size());
@@ -235,7 +222,7 @@ double UpdateRatio(ShardedStore& store, workload::YcsbGenerator& gen,
     const uint64_t key = static_cast<uint64_t>(i) % records;
     BitVector v = gen.MakeValue(key, ++versions[key]);
     EXPECT_TRUE(store.Put(key, v).ok());
-    DrainRetrains(store);
+    store.PumpRetrains();
   }
   const auto after = store.TakeSnapshot();
   const uint64_t flips = after.device.total_bits_flipped() -
@@ -255,7 +242,7 @@ TEST(WorkloadDriftTest, PhaseShiftTriggersRetrainAndFlipsRecover) {
     ASSERT_TRUE(store->Put(k, gen.MakeValue(k, 0)).ok());
     versions[k] = 0;
   }
-  DrainRetrains(*store);
+  store->PumpRetrains();
 
   // Steady state on the trained distribution.
   const double pre = UpdateRatio(*store, gen, versions, kRecords, 100);
