@@ -203,7 +203,7 @@ std::unique_ptr<core::ShardedStore> MakeStore(const Params& p,
     cfg.shard.retrain.refine_interval = 20;
     cfg.shard.retrain.max_refine_rounds = 64;
   }
-  cfg.pool_threads = 0;  // Serial kernels: deterministic placements.
+  cfg.pool_threads = 0;  // No lanes: shadows train on dedicated threads.
   auto store_or = core::ShardedStore::Create(cfg);
   if (!store_or.ok()) Die("create store", store_or.status());
   auto store = std::move(*store_or);

@@ -355,7 +355,7 @@ int main() {
       PrintItems(FingerprintStore(shards, mode));
     }
   }
-  // A compute pool changes only where a shadow trains, never its bits.
+  // Lanes change only where a shadow trains, never its bits.
   const Items background = FingerprintStore(2, "background");
   PrintItems(background);
   if (FingerprintStore(2, "background", /*pool_threads=*/2) != background) {

@@ -52,7 +52,7 @@ if [[ "${SKIP_SANITIZE:-0}" != "1" ]]; then
   echo "== concurrency tests under TSan =="
   build_tree "$repo_root/build-tsan" -DE2NVM_SANITIZE=thread
   run_ctest "$repo_root/build-tsan" --timeout 600 \
-    -R "thread_pool|parallel_ml|background_retrain|fastpath_equivalence|incremental_learning|sharded_stress|sharded_store|store_test|store_model|workload_model|recovery_fuzz|energy_accounting|net_server"
+    -R "thread_pool|background_retrain|fastpath_equivalence|incremental_learning|sharded_stress|sharded_store|store_test|store_model|workload_model|recovery_fuzz|energy_accounting|net_server"
 fi
 
 if [[ "${SKIP_PERF_SMOKE:-0}" != "1" ]]; then

@@ -10,7 +10,7 @@ namespace e2nvm::debug {
 /// acquisitions — the ones the contention-free steady-state contract
 /// (DESIGN.md §13) forbids on the PUT/GET/DELETE path. Instrumented at
 /// the shared lock sites a shard operation could reach:
-///   - the ThreadPool queue mutex (Submit / parallel dispatch),
+///   - the ThreadPool queue mutex (Submit),
 ///   - the FaultInjector state mutex (skipped entirely by the unarmed
 ///     write fast path — an attached injector with no stuck cells and
 ///     no tear probability stays off the steady-state audit).

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "ml/inference.h"
-#include "ml/matrix.h"
 
 namespace e2nvm::core {
 
@@ -84,10 +83,7 @@ bool BackgroundRetrainer::Start(
   };
   auto snapshot = std::make_shared<Snapshot>(
       Snapshot{std::move(shadow), std::move(contents), std::move(addrs)});
-  // The shadow's kernels run on the pool a synchronous retrain launched
-  // from here would use.
-  auto job = [this, snapshot, kernels = ml::compute_pool()] {
-    ml::ScopedComputePool pin(kernels);
+  auto job = [this, snapshot] {
     result_ = Train(std::move(snapshot->shadow),
                     std::move(snapshot->contents),
                     std::move(snapshot->addrs));

@@ -41,10 +41,8 @@ namespace e2nvm::core {
 /// The handoff is a single release/acquire pair on `ready_`; the worker
 /// never touches the engine, the controller, or the live model, so
 /// foreground traffic keeps serving from the old model at full speed
-/// while training runs. ML kernels inside Train run on the compute pool
-/// Start() was called under (ml::compute_pool() on the launching
-/// thread, pinned where the training runs): the pool a synchronous
-/// retrain from the same operation would use.
+/// while training runs. Every ML kernel inside Train runs on the thread
+/// that trains.
 class BackgroundRetrainer {
  public:
   /// One model update: a freshly trained model and the cluster it gives
@@ -71,21 +69,20 @@ class BackgroundRetrainer {
   /// row's cluster from the training (ContentClusterer::
   /// TakeTrainClusters) or, for a model that keeps none, from
   /// AssignScratch a chunk of rows at a time. The contents are freed
-  /// before it returns. Every ML reduction sums in one order (DESIGN.md
-  /// §8), so the update's bits do not depend on the thread that runs it
-  /// or on the compute pool.
+  /// before it returns. Every ML kernel runs on the calling thread
+  /// (DESIGN.md §8), so the update's bits do not depend on the thread
+  /// that runs it.
   static Result Train(std::unique_ptr<placement::ContentClusterer> untrained,
                       ml::BitMatrix contents, std::vector<uint64_t> addrs);
 
   /// With no pool, every training runs on a dedicated std::thread (one
-  /// store, one occasional trainer). With a pool, the training is
-  /// submitted to it instead: a ShardedStore hands each shard's
+  /// store, one occasional trainer). With a pool, the training is one
+  /// job submitted to it instead: a ShardedStore hands each shard's
   /// retrainer that shard's lane, so N shards queue trainings onto a
   /// bounded worker set rather than spawning N threads. Either way the
-  /// training's kernels run on the pool its launch was pinned to; on a
-  /// lane worker under its own lane they spread over the lane's idle
-  /// workers. A pool changes only where a kernel runs, so the shadow has
-  /// the bits of the same training run serially or under any pool.
+  /// whole training, every kernel included, runs on the one thread that
+  /// picked it up, so the shadow has the bits of the same training run
+  /// on the caller.
   explicit BackgroundRetrainer(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   /// Joins (or, in pool mode, waits out) any in-flight training.
@@ -102,10 +99,9 @@ class BackgroundRetrainer {
   /// True when a Result is waiting to be claimed.
   bool ready() const { return ready_.load(std::memory_order_acquire); }
 
-  /// Launches Train(shadow, contents, addrs) off the write path, under
-  /// the calling thread's ml::compute_pool(). Returns false — and takes
-  /// no ownership — when a training is in flight or an unclaimed Result
-  /// is pending.
+  /// Launches Train(shadow, contents, addrs) off the write path. Returns
+  /// false — and takes no ownership — when a training is in flight or an
+  /// unclaimed Result is pending.
   bool Start(std::unique_ptr<placement::ContentClusterer> shadow,
              ml::BitMatrix contents, std::vector<uint64_t> addrs);
 

@@ -207,16 +207,17 @@ class PlacementEngine : public index::ValuePlacer {
 
   /// Switches auto-retraining to the background path: when the policy
   /// fires, Place snapshots the free segments, trains a shadow clusterer
-  /// on a dedicated thread (its kernels on the compute pool the Place
-  /// ran under), and a later Place adopts the trained model — a
-  /// generation-counted double buffer in which foreground traffic keeps
-  /// serving from the old model during training. The shadow is the same
+  /// on a dedicated thread (every kernel on that thread), and a later
+  /// Place adopts the trained model — a generation-counted double buffer
+  /// in which foreground traffic keeps serving from the old model during
+  /// training. The shadow is the same
   /// model update a synchronous retrain trains, installed the same way;
   /// only its charges differ (energy, no clock). Requires
   /// config.auto_retrain for the policy to fire.
-  /// With `pool`, trainings are submitted to that shared ThreadPool
-  /// instead of a dedicated thread per training (the ShardedStore mode);
-  /// the pool must outlive the engine.
+  /// With `pool`, each training is one job on that ThreadPool instead of
+  /// a dedicated thread per training (the ShardedStore mode), its
+  /// kernels on the worker that runs it; the pool must outlive the
+  /// engine.
   void EnableBackgroundRetrain(ThreadPool* pool = nullptr);
   bool background_retrain_enabled() const { return bg_ != nullptr; }
 

@@ -36,8 +36,8 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::Create(
 
   if (config.pool_threads > 0) {
     // Partition the thread budget into one private lane per shard (at
-    // least one worker each): a shard's kernels and retrains only ever
-    // run on its own lane, so no shard waits on another's compute.
+    // least one worker each): a shard's retrains only ever run on its
+    // own lane, so no shard waits on another's.
     const size_t per_lane =
         std::max<size_t>(1, config.pool_threads / config.num_shards);
     store->lanes_.reserve(config.num_shards);

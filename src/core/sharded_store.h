@@ -22,18 +22,18 @@ struct ShardedStoreConfig {
 
   /// Per-shard configuration (geometry, model, retraining, fault knobs).
   /// `shard.psi` must be 0 (Start-Gap would migrate cells across shard
-  /// ranges) and `shard.pool_threads` is ignored — the sharded store owns
-  /// the one compute pool, sized by `pool_threads` below.
+  /// ranges).
   StoreConfig shard;
 
-  /// Total worker-thread budget for compute, split into one private lane
-  /// (ThreadPool) per shard — each lane gets max(1, pool_threads /
-  /// num_shards) workers, so a shard's ML kernels and background
-  /// retrains run only on its own lane and can never stall another
-  /// shard's placements. 0 = every kernel on the calling thread and,
-  /// when `shard.background_retrain` is set, dedicated retrain threads.
-  /// Any value gives the same models, placements and energy bit for bit;
-  /// it changes only speed.
+  /// Total worker-thread budget for background jobs, split into one
+  /// private lane (ThreadPool) per shard — each lane gets max(1,
+  /// pool_threads / num_shards) workers. A lane runs its shard's shadow
+  /// trainings (each one job, every kernel on the worker that runs it)
+  /// and, on lane 0, the background scrubber, so one shard's training
+  /// never queues behind another's. 0 = no lanes: dedicated retrain
+  /// threads when `shard.background_retrain` is set, and no background
+  /// scrubber. Any value gives the same models, placements and energy
+  /// bit for bit; it changes only speed.
   size_t pool_threads = 0;
 
   /// Attach a persistent redo journal (ShardJournal) to every shard:
@@ -64,17 +64,16 @@ struct ShardedStoreConfig {
 ///    meter are striped into per-shard relaxed-atomic lanes
 ///    (ConfigureAccountingLanes / EnergyMeter::SetLanes) merged only at
 ///    snapshot time — no device or meter mutex exists.
-///  - Compute: each shard owns a private ThreadPool lane and hands it to
-///    its E2KvStore, which pins it (ml::ScopedComputePool) in every
-///    operation that can run a kernel, so one shard's kernels or
-///    background retrain can never queue behind (or stall) another
-///    shard's.
+///  - Compute: every ML kernel runs on the thread that calls it — a
+///    client's for placements and synchronous retrains, a lane worker's
+///    for a shadow training. Each shard owns a private ThreadPool lane
+///    for its background jobs, so one shard's retrain can never queue
+///    behind (or stall) another shard's.
 ///  - DAP: each engine's pool has no lock of its own; the shard lock
 ///    serializes it, so Acquire/Release take no further mutex.
 ///  - Background retraining: each shard's engine hands training to its
-///    own lane (BackgroundRetrainer pool mode), where the training's
-///    kernels spread over the lane's idle workers; the swap happens
-///    under that shard's mutex on its next Place.
+///    own lane (BackgroundRetrainer pool mode) as one job; the swap
+///    happens under that shard's mutex on its next Place.
 ///  - Shared bootstrap model: read by several shards under their own
 ///    locks and written by none; only shards that cannot refine share
 ///    it, and a retrain installs a fresh model instead of changing it
@@ -104,11 +103,11 @@ class ShardedStore {
   void Seed(const workload::BitDataset& contents);
 
   /// Trains every shard's model on its seeded contents and populates its
-  /// DAP, one shard after another on its own lane. A shard whose seeded
-  /// segments are byte-identical to an earlier shard's would train that
-  /// shard's model bit for bit, so it adopts that one instead and copies
-  /// that shard's DAP (E2KvStore::BootstrapFrom): each distinct image
-  /// trains and is classified once. After Seed every shard serves one
+  /// DAP, one shard after another on the calling thread. A shard whose
+  /// seeded segments are byte-identical to an earlier shard's would train
+  /// that shard's model bit for bit, so it adopts that one instead and
+  /// copies that shard's DAP (E2KvStore::BootstrapFrom): each distinct
+  /// image trains and is classified once. After Seed every shard serves one
   /// model instance, or, when shards can refine, a copy of it each.
   /// Placements, stats and energy equal those of one training per shard.
   Status Bootstrap();
@@ -229,7 +228,7 @@ class ShardedStore {
   void ScrubTick();
 
   /// Starts the background scrubber: a low-priority self-requeueing task
-  /// on shard 0's compute lane running ScrubTick between client
+  /// on shard 0's lane running ScrubTick between client
   /// operations. Returns false when there are no lanes (pool_threads ==
   /// 0) or the scrubber is already running.
   bool StartBackgroundScrub();
@@ -248,7 +247,7 @@ class ShardedStore {
   size_t num_shards() const { return num_shards_; }
   nvm::NvmDevice& device() { return *device_; }
   nvm::EnergyMeter& meter() { return meter_; }
-  /// Shard `s`'s private compute lane, or nullptr when pool_threads == 0.
+  /// Shard `s`'s private lane, or nullptr when pool_threads == 0.
   ThreadPool* shard_lane(size_t s) {
     return lanes_.empty() ? nullptr : lanes_[s].get();
   }
@@ -293,7 +292,7 @@ class ShardedStore {
   ShardedStoreConfig config_;
   size_t num_shards_ = 1;
   nvm::EnergyMeter meter_;
-  /// One compute lane per shard (empty when pool_threads == 0). Declared
+  /// One lane per shard (empty when pool_threads == 0). Declared
   /// before shards_ so lanes outlive the engines whose retrains run on
   /// them.
   std::vector<std::unique_ptr<ThreadPool>> lanes_;
@@ -308,7 +307,7 @@ class ShardedStore {
   std::atomic<bool> scrub_stop_{false};
   std::atomic<bool> scrub_running_{false};
   // Shards destruct first (declared last): their engines may still hold
-  // background-retrain jobs on pool_ and addresses on device_.
+  // background-retrain jobs on lanes_ and addresses on device_.
   std::unique_ptr<std::mutex[]> shard_mu_;
   std::vector<std::unique_ptr<E2KvStore>> shards_;
 };

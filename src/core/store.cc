@@ -1,7 +1,5 @@
 #include "core/store.h"
 
-#include "ml/matrix.h"
-
 namespace e2nvm::core {
 
 namespace {
@@ -33,7 +31,8 @@ void BuildModelAndEngine(const StoreConfig& config, uint64_t first_segment,
 
 }  // namespace
 
-E2KvStore::E2KvStore(const StoreConfig& config) : config_(config) {}
+E2KvStore::E2KvStore(const StoreConfig& config)
+    : config_(config), value_bits_(config.num_segments, 0) {}
 
 StatusOr<std::unique_ptr<E2KvStore>> E2KvStore::Create(
     const StoreConfig& config) {
@@ -41,11 +40,6 @@ StatusOr<std::unique_ptr<E2KvStore>> E2KvStore::Create(
     return Status::InvalidArgument("empty store geometry");
   }
   std::unique_ptr<E2KvStore> store(new E2KvStore(config));
-
-  if (config.pool_threads > 0) {
-    store->pool_ = std::make_unique<ThreadPool>(config.pool_threads);
-    store->lane_ = store->pool_.get();
-  }
 
   nvm::DeviceConfig dc;
   dc.num_segments = config.num_segments + (config.psi > 0 ? 1 : 0);
@@ -89,7 +83,6 @@ StatusOr<std::unique_ptr<E2KvStore>> E2KvStore::CreateShard(
     return Status::OutOfRange("shard range exceeds the shared device");
   }
   std::unique_ptr<E2KvStore> store(new E2KvStore(config));
-  store->lane_ = attach.retrain_pool;
   store->dev_ = attach.device;
   store->first_segment_ = attach.first_segment;
   // The controller spans the whole shared device (identity mapping, no
@@ -112,10 +105,7 @@ void E2KvStore::Seed(const workload::BitDataset& contents) {
   }
 }
 
-Status E2KvStore::Bootstrap() {
-  ml::ScopedComputePool kernels(lane_);
-  return engine_->Bootstrap();
-}
+Status E2KvStore::Bootstrap() { return engine_->Bootstrap(); }
 
 Status E2KvStore::BootstrapFrom(const E2KvStore& source) {
   return engine_->BootstrapFrom(*source.engine_);
@@ -146,8 +136,6 @@ Status E2KvStore::MultiPut(const std::pair<uint64_t, BitVector>* kvs,
 Status E2KvStore::PutRows(const uint64_t* keys,
                           const BitVector* const* values, size_t n,
                           size_t* landed) {
-  // The placements' kernels, and a retrain they launch, run on the lane.
-  ml::ScopedComputePool kernels(lane_);
   struct Rows {
     E2KvStore* store;
     const uint64_t* keys;
@@ -160,7 +148,8 @@ Status E2KvStore::PutRows(const uint64_t* keys,
     Rows& r = *static_cast<Rows*>(ctx);
     auto old = r.store->tree_.Get(r.keys[i]);
     r.store->tree_.Put(r.keys[i], addr);
-    r.store->value_bits_[r.keys[i]] = r.values[i]->size();
+    r.store->value_bits_[addr - r.store->first_segment_] =
+        static_cast<uint32_t>(r.values[i]->size());
     ++r.landed;
     return old ? r.store->engine_->Release(*old) : Status::Ok();
   };
@@ -173,27 +162,25 @@ Status E2KvStore::PutRows(const uint64_t* keys,
 StatusOr<BitVector> E2KvStore::Get(uint64_t key) {
   auto addr = tree_.Get(key);
   if (!addr.has_value()) return Status::NotFound("key not found");
-  return engine_->Read(*addr, value_bits_.at(key));
+  return engine_->Read(*addr, ValueBitsAt(*addr));
 }
 
 Status E2KvStore::GetInto(uint64_t key, BitVector* out) {
   auto addr = tree_.Get(key);
   if (!addr.has_value()) return Status::NotFound("key not found");
-  engine_->ReadInto(*addr, value_bits_.at(key), out);
+  engine_->ReadInto(*addr, ValueBitsAt(*addr), out);
   return Status::Ok();
 }
 
 StatusOr<BitVector> E2KvStore::PeekValue(uint64_t key) const {
   auto addr = tree_.Get(key);
   if (!addr.has_value()) return Status::NotFound("key not found");
-  return ctrl_->Peek(*addr).Slice(0, value_bits_.at(key));
+  return ctrl_->Peek(*addr).Slice(0, ValueBitsAt(*addr));
 }
 
 Status E2KvStore::Delete(uint64_t key) {
   auto addr = tree_.Erase(key);
   if (!addr.has_value()) return Status::NotFound("key not found");
-  value_bits_.erase(key);
-  ml::ScopedComputePool kernels(lane_);
   return engine_->Release(*addr);
 }
 
@@ -201,7 +188,7 @@ std::vector<std::pair<uint64_t, BitVector>> E2KvStore::Scan(uint64_t start,
                                                             size_t count) {
   std::vector<std::pair<uint64_t, BitVector>> out;
   for (auto& [key, addr] : tree_.Scan(start, count)) {
-    out.emplace_back(key, engine_->Read(addr, value_bits_.at(key)));
+    out.emplace_back(key, engine_->Read(addr, ValueBitsAt(addr)));
   }
   return out;
 }

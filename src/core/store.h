@@ -1,8 +1,8 @@
 #ifndef E2NVM_CORE_STORE_H_
 #define E2NVM_CORE_STORE_H_
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -16,7 +16,9 @@
 
 namespace e2nvm::core {
 
-/// Configuration of a full E2-NVM key-value store instance.
+/// Configuration of a full E2-NVM key-value store instance. A store runs
+/// every ML kernel on the thread that calls it (a background retrain on
+/// the thread that trains it), so it has no thread setting of its own.
 struct StoreConfig {
   /// NVM geometry.
   size_t num_segments = 1024;
@@ -37,13 +39,6 @@ struct StoreConfig {
   /// atomically instead of stalling a PUT for the whole rebuild (implies
   /// auto_retrain; see PlacementEngine::EnableBackgroundRetrain).
   bool background_retrain = false;
-  /// Worker threads for the parallel ML kernels (0 = every kernel on
-  /// the calling thread). Any value trains the same models bit for bit;
-  /// it changes only speed. The store owns the pool and pins it
-  /// (ml::ScopedComputePool) in each of its operations that can run a
-  /// kernel, background retrains included; other threads and stores
-  /// never see it. Ignored by CreateShard.
-  size_t pool_threads = 0;
   /// Retrain triggers (capacity + flip-efficiency) and, when
   /// `incremental_learning` is on, the drift-escalation thresholds
   /// (refine_interval, max_refine_rounds). A failed auto-retrain backs
@@ -103,10 +98,9 @@ class E2KvStore {
     /// First logical segment of this shard's range; the shard manages
     /// [first_segment, first_segment + config.num_segments).
     uint64_t first_segment = 0;
-    /// The shard's compute lane: its operations' kernels run there, and
-    /// so do its background retrains, whose own kernels spread over
-    /// the lane's idle workers. nullptr runs every kernel inline and
-    /// keeps the dedicated-thread retrainer. Must outlive the store.
+    /// The shard's lane: each background retrain is one job there, its
+    /// kernels on the worker that runs it. nullptr keeps the
+    /// dedicated-thread retrainer. Must outlive the store.
     ThreadPool* retrain_pool = nullptr;
   };
 
@@ -114,8 +108,7 @@ class E2KvStore {
   /// stack as Create, but over a borrowed device and a segment range
   /// instead of an owned device. `config.num_segments` is the *shard's*
   /// segment count; `config.psi` must be 0 (Start-Gap would migrate
-  /// cells across shard ranges) and `config.pool_threads` is ignored
-  /// (the ShardedStore owns the lanes). With first_segment 0
+  /// cells across shard ranges). With first_segment 0
   /// and a device covering exactly config.num_segments, behavior is
   /// bit-identical to Create (the shards=1 determinism contract,
   /// pinned by tests/sharded_store_test.cc).
@@ -199,14 +192,13 @@ class E2KvStore {
   Status PutRows(const uint64_t* keys, const BitVector* const* values,
                  size_t n, size_t* landed);
 
+  /// The width of the value indexed at `addr`.
+  size_t ValueBitsAt(uint64_t addr) const {
+    return value_bits_[addr - first_segment_];
+  }
+
   StoreConfig config_;
   nvm::EnergyMeter meter_;
-  // Declared before engine_, whose background retrainer may be training
-  // on it: the engine joins that training first.
-  std::unique_ptr<ThreadPool> pool_;
-  // The pool every operation pins: pool_ (Create) or the ShardedStore's
-  // lane for this shard (CreateShard), or nullptr.
-  ThreadPool* lane_ = nullptr;
   std::unique_ptr<nvm::NvmDevice> device_;  // Owned (standalone mode).
   nvm::NvmDevice* dev_ = nullptr;  // The device in use (owned or shared).
   uint64_t first_segment_ = 0;
@@ -214,7 +206,10 @@ class E2KvStore {
   std::unique_ptr<nvm::MemoryController> ctrl_;
   std::unique_ptr<PlacementEngine> engine_;
   index::RbTree tree_;
-  std::unordered_map<uint64_t, size_t> value_bits_;
+  // The width of the value each segment holds, at addr - first_segment_:
+  // written when a value lands there, read by the lookups that found the
+  // address. The engine's addresses never leave the store's range.
+  std::vector<uint32_t> value_bits_;
   // MultiPut staging scratch, reused across batches so steady-state
   // batched PUTs stay off the heap (safe under the store's single-caller
   // contract; MultiPut is not reentrant).

@@ -6,20 +6,6 @@
 
 namespace e2nvm::ml {
 
-namespace {
-
-/// Rows per block when the compute pool runs a per-row loop; smaller
-/// blocks would not pay for the fork-join. The pool computes only
-/// per-row results (distances, assignments, predictions); every sum over
-/// rows runs on the calling thread in row order, so a fit has the same
-/// bits with or without a pool and at any pool size.
-constexpr size_t kRowGrain = 64;
-
-/// Row elements below which the centroid sums stay on the caller.
-constexpr size_t kMinPooledSumElems = size_t{1} << 18;
-
-}  // namespace
-
 double KMeans::DistSq(const float* a, const float* b, size_t dim) const {
   double s = 0.0;
   for (size_t i = 0; i < dim; ++i) {
@@ -56,11 +42,9 @@ void KMeans::InitPlusPlus(const Matrix& x, Rng& rng) {
   for (size_t c = 1; c < config_.k; ++c) {
     // Update distances to the nearest chosen centroid.
     const float* last = centroids_.Row(c - 1);
-    ForRanges(n, kRowGrain, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        d2[i] = std::min(d2[i], DistSq(x.Row(i), last, dim));
-      }
-    });
+    for (size_t i = 0; i < n; ++i) {
+      d2[i] = std::min(d2[i], DistSq(x.Row(i), last, dim));
+    }
     double total = 0.0;
     for (double d : d2) total += d;
     // Sample proportional to squared distance.
@@ -95,7 +79,6 @@ Status KMeans::Fit(const Matrix& x) {
   InitPlusPlus(x, rng);
 
   std::vector<size_t> assign(n, 0);
-  std::vector<double> d2(n, 0.0);  // Each row's distance to its centroid.
   Matrix sums(config_.k, dim);
   // Final-iteration cluster sizes, kept after the loop to seed
   // PartialFit's warm-start counts.
@@ -104,28 +87,21 @@ Status KMeans::Fit(const Matrix& x) {
   iters_run_ = 0;
   for (int iter = 0; iter < config_.max_iters; ++iter) {
     ++iters_run_;
-    // Assignment step: each row independent.
-    ForRanges(n, kRowGrain, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        assign[i] = Nearest(x.Row(i), dim, &d2[i]);
-      }
-    });
+    // Assignment step: each row's nearest centroid, its distance summed
+    // in row order.
     double sse = 0.0;
-    for (double d : d2) sse += d;
-    // Update step: each centroid sums its rows in row order. A pool
-    // splits the centroids; every task scans the assignments and skips
-    // the rows of the others, so each row is read whole, once.
+    for (size_t i = 0; i < n; ++i) {
+      double d2;
+      assign[i] = Nearest(x.Row(i), dim, &d2);
+      sse += d2;
+    }
+    // Update step: each centroid sums its rows in row order.
     sums.Fill(0.0f);
-    const size_t grain = n * dim < kMinPooledSumElems ? config_.k : 1;
-    ForRanges(config_.k, grain, [&](size_t lo, size_t hi) {
-      for (size_t i = 0; i < n; ++i) {
-        const size_t c = assign[i];
-        if (c < lo || c >= hi) continue;
-        float* srow = sums.Row(c);
-        const float* xrow = x.Row(i);
-        for (size_t d = 0; d < dim; ++d) srow[d] += xrow[d];
-      }
-    });
+    for (size_t i = 0; i < n; ++i) {
+      float* srow = sums.Row(assign[i]);
+      const float* xrow = x.Row(i);
+      for (size_t d = 0; d < dim; ++d) srow[d] += xrow[d];
+    }
     counts.assign(config_.k, 0);
     for (size_t i = 0; i < n; ++i) ++counts[assign[i]];
     for (size_t c = 0; c < config_.k; ++c) {
@@ -252,19 +228,17 @@ void KMeans::AssignFusedInto(const Matrix& x, Matrix* scores,
 
 std::vector<size_t> KMeans::PredictBatch(const Matrix& x) const {
   std::vector<size_t> out(x.rows());
-  ForRanges(x.rows(), kRowGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) out[i] = Predict(x.Row(i), x.cols());
-  });
+  for (size_t i = 0; i < x.rows(); ++i) out[i] = Predict(x.Row(i), x.cols());
   return out;
 }
 
 double KMeans::Sse(const Matrix& x) const {
-  std::vector<double> d2(x.rows());
-  ForRanges(x.rows(), kRowGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) Nearest(x.Row(i), x.cols(), &d2[i]);
-  });
   double sse = 0.0;
-  for (double d : d2) sse += d;
+  for (size_t i = 0; i < x.rows(); ++i) {
+    double d2;
+    Nearest(x.Row(i), x.cols(), &d2);
+    sse += d2;
+  }
   return sse;
 }
 

@@ -60,10 +60,10 @@ class KMeans {
   /// 1 / cumulative-count. Counts are seeded from the last Fit's final
   /// cluster sizes, so refinement continues from the full fit's mass
   /// instead of re-seeding (or teleporting a centroid onto the first
-  /// fresh sample). Requires a prior Fit; rows are consumed in order on
-  /// the calling thread, so the post-update centroids are a pure
-  /// function of (current centroids, counts, x) — pool-size invariant
-  /// by construction. Rebuilds the fused-assignment centroid caches.
+  /// fresh sample). Requires a prior Fit; rows are consumed in order, so
+  /// the post-update centroids are a pure function of (current
+  /// centroids, counts, x). Rebuilds the fused-assignment centroid
+  /// caches.
   Status PartialFit(const Matrix& x);
 
   /// Multiply-accumulates of one PartialFit call on `n` rows (a predict

@@ -1,6 +1,5 @@
 #include "ml/matrix.h"
 
-#include <algorithm>
 #include <sys/mman.h>
 #include <unistd.h>
 
@@ -8,50 +7,10 @@
 #include <cstring>
 
 #include "common/kernels.h"
-#include "common/thread_pool.h"
 
 namespace e2nvm::ml {
 
 namespace {
-
-/// The calling thread's innermost ScopedComputePool pin.
-thread_local ThreadPool* t_compute_pool = nullptr;
-
-/// Minimum multiply-accumulates per dispatched block; below this the
-/// fork-join overhead dwarfs the block's work. (A one-row product such
-/// as a PUT's encode is a single block and always runs on the caller.)
-constexpr double kMinParallelMacs = 64.0 * 1024.0;
-
-/// Minimum multiply-accumulates in the WHOLE kernel before it dispatches
-/// at all. Below this the kernel finishes in tens of microseconds and
-/// fork-join latency is comparable: a MultiPut encode of fewer than 16
-/// rows through a 2048 x 64 encoder layer stays on the caller, larger
-/// batches and training-sized GEMMs fan out.
-constexpr double kMinParallelTotalMacs = 2.0 * 1024.0 * 1024.0;
-
-/// Splits `rows` into at most 64 blocks (>=1 row each). Row-parallel
-/// kernels write disjoint output rows with unchanged per-row arithmetic,
-/// so any blocking — and any pool size — reproduces the serial result
-/// bit-for-bit.
-size_t RowGrain(size_t rows) { return std::max<size_t>(1, rows / 64); }
-
-/// Work-based grain for the row-parallel GEMMs: every block carries at
-/// least kMinParallelMacs of arithmetic, so a dispatched block is never
-/// dominated by fork-join overhead, and single-row inference GEMMs (and
-/// anything else below the grain) run inline on the caller without ever
-/// constructing a closure or touching the pool's queue. A product below
-/// kMinParallelTotalMacs is one block: dispatch only pays when the
-/// kernel as a whole carries enough arithmetic to amortize the
-/// fork-join.
-size_t WorkGrain(size_t rows, double macs_per_row) {
-  if (macs_per_row * static_cast<double>(rows) < kMinParallelTotalMacs) {
-    return std::max<size_t>(rows, 1);
-  }
-  size_t by_work = static_cast<size_t>(kMinParallelMacs /
-                                       std::max(macs_per_row, 1.0)) +
-                   1;
-  return std::max(RowGrain(rows), by_work);
-}
 
 thread_local uint64_t t_mapped_blocks = 0;
 
@@ -91,24 +50,6 @@ void UnmapBlock(void* p, size_t bytes) noexcept {
 
 }  // namespace detail
 
-ThreadPool* compute_pool() { return t_compute_pool; }
-
-ScopedComputePool::ScopedComputePool(ThreadPool* pool)
-    : prev_(t_compute_pool) {
-  t_compute_pool = pool;
-}
-
-ScopedComputePool::~ScopedComputePool() { t_compute_pool = prev_; }
-
-namespace detail {
-
-void RunBlocks(ThreadPool* pool, size_t n, size_t grain,
-               const std::function<void(size_t, size_t)>& body) {
-  pool->ParallelForBlocks(0, n, grain, body);
-}
-
-}  // namespace detail
-
 void Matrix::XavierInit(Rng& rng, size_t fan_in, size_t fan_out) {
   float limit = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
   for (auto& v : data_) {
@@ -125,23 +66,18 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   assert(a.cols() == b.rows());
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   c->EnsureShape(m, n);
-  // One register-blocked GEMM call per block of output rows (kernels.h
-  // gemm_f32): each c[i][j] accumulates its k products in ascending-p,
-  // mul-then-add order with zero a[i][p] skipped, and the accumulators
-  // stay in registers across the whole k-loop. The SIMD tiers find the
-  // nonzero inputs through a compare mask instead of a branch per input,
-  // which matters here: encoder inputs are featurized bit patterns
-  // (every element 0.0 or 1.0) and ReLU leaves hidden rows sparse, so
-  // such a branch is near-random. Every row's arithmetic is its own, so
-  // any row split and any pool size reproduce the serial result bit for
-  // bit — this is what lets a batched encode (Vae::EncodeMuInto,
-  // MultiPut's placement, a DAP fill) match one-row encodes and
-  // sequential Puts.
-  const KernelOps& kern = Ops();
-  ForRanges(m, WorkGrain(m, static_cast<double>(k) * n),
-            [&](size_t lo, size_t hi) {
-              kern.gemm_f32(a.Row(lo), b.Row(0), hi - lo, k, n, c->Row(lo));
-            });
+  // One register-blocked GEMM call (kernels.h gemm_f32): each c[i][j]
+  // accumulates its k products in ascending-p, mul-then-add order with
+  // zero a[i][p] skipped, and the accumulators stay in registers across
+  // the whole k-loop. The SIMD tiers find the nonzero inputs through a
+  // compare mask instead of a branch per input, which matters here:
+  // encoder inputs are featurized bit patterns (every element 0.0 or
+  // 1.0) and ReLU leaves hidden rows sparse, so such a branch is
+  // near-random. Every row's arithmetic is its own, so any row split
+  // reproduces the result bit for bit — this is what lets a batched
+  // encode (Vae::EncodeMuInto, MultiPut's placement, a DAP fill) match
+  // one-row encodes and sequential Puts.
+  Ops().gemm_f32(a.Row(0), b.Row(0), m, k, n, c->Row(0));
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {

@@ -1,10 +1,10 @@
 #ifndef E2NVM_ML_MATRIX_H_
 #define E2NVM_ML_MATRIX_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <new>
 #include <span>
 #include <vector>
@@ -20,68 +20,7 @@
 
 #include "common/rng.h"
 
-namespace e2nvm {
-class ThreadPool;
-}
-
 namespace e2nvm::ml {
-
-/// The pool the calling thread's ML kernels (MatMul*, the K-means loops,
-/// the VAE's elementwise batch loops and cross-entropy) run on: the
-/// innermost live ScopedComputePool constructed on this thread, or
-/// nullptr (every kernel inline) when there is none. This is the only
-/// way a kernel finds a pool; there is no process-wide one. A pool
-/// changes only where the kernels run, never a bit of their results
-/// (ForRanges below).
-ThreadPool* compute_pool();
-
-/// RAII thread-local pin: while alive, kernels issued from the
-/// *constructing thread* dispatch to `pool` (nullptr runs them inline).
-/// The pool must outlive the pin. An E2KvStore pins its lane (its own
-/// pool, or its shard's lane in a ShardedStore) in every operation that
-/// can run a kernel, so shard A's kernels never queue on shard B's lane,
-/// and a BackgroundRetrainer pins, where the shadow trains, the pool
-/// its launch ran under. Pins nest; each restores its predecessor on
-/// destruction.
-class ScopedComputePool {
- public:
-  explicit ScopedComputePool(ThreadPool* pool);
-  ~ScopedComputePool();
-  ScopedComputePool(const ScopedComputePool&) = delete;
-  ScopedComputePool& operator=(const ScopedComputePool&) = delete;
-
- private:
-  ThreadPool* prev_;
-};
-
-namespace detail {
-/// ThreadPool::ParallelForBlocks(0, n, grain, body) on `pool`.
-void RunBlocks(ThreadPool* pool, size_t n, size_t grain,
-               const std::function<void(size_t, size_t)>& body);
-}  // namespace detail
-
-/// The one pool-or-inline loop of the ML kernels: runs body(lo, hi) over
-/// [0, n), split into `grain`-sized blocks on the calling thread's
-/// compute pool when it has one and n spans two blocks or more, else as
-/// the single call body(0, n) on the calling thread. So the body must
-/// compute the same bits for any split of its range: per-row or
-/// per-element results, never a sum running across rows. A reduction
-/// keeps its per-row terms and sums them on the calling thread in row
-/// order afterwards, which is the one order it has with or without a
-/// pool, at any pool size and when a training runs on a pool worker
-/// (whose blocks spread over that pool's idle workers).
-template <typename Body>
-void ForRanges(size_t n, size_t grain, const Body& body) {
-  ThreadPool* pool = compute_pool();
-  if (pool != nullptr && n >= 2 * grain) {
-    // Captured by reference, so the std::function holds one pointer and
-    // allocates nothing.
-    detail::RunBlocks(pool, n, grain,
-                      [&body](size_t lo, size_t hi) { body(lo, hi); });
-  } else {
-    body(size_t{0}, n);
-  }
-}
 
 /// Blocks of this many bytes or more get a mapping of their own (see
 /// CacheLineAllocator).
@@ -177,6 +116,11 @@ struct CacheLineAllocator {
   }
 };
 
+// Every kernel below, and every ML kernel built on them (the VAE's
+// layers and loss, the K-means loops), runs once over its whole range on
+// the thread that calls it. A training's bits are then a function of its
+// inputs alone, whichever thread runs it (DESIGN.md §8).
+
 /// Dense row-major float matrix — the tensor type of the ML substrate.
 /// Sized for this library's models (inputs up to a few thousand features,
 /// batches of a few hundred), so a straightforward cache-friendly
@@ -256,10 +200,10 @@ class Matrix {
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// C = A * B into a caller-owned scratch matrix (EnsureShape'd to m x n).
-/// Each block of output rows is one gemm_f32 call, whose rows keep their
-/// own arithmetic, so MatMul (which wraps it), any batch of rows and any
-/// pool split give results bit-identical to row-at-a-time products. This
-/// is the allocation-free variant the write-path inference scratch uses.
+/// One gemm_f32 call over every row, each of which keeps its own
+/// arithmetic, so MatMul (which wraps it) and any batch of rows give
+/// results bit-identical to row-at-a-time products. This is the
+/// allocation-free variant the write-path inference scratch uses.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// A^T into a caller-owned scratch matrix (EnsureShape'd to cols x

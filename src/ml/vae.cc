@@ -13,8 +13,7 @@ namespace {
 constexpr float kLogvarMin = -8.0f;
 constexpr float kLogvarMax = 8.0f;
 
-/// Elements per block of the flat elementwise loops and of the
-/// cross-entropy's partial sums (ForRanges; BceStream).
+/// Elements per running sum of the cross-entropy (BceStream).
 constexpr size_t kElemGrain = 16 * 1024;
 
 /// Elements per log_f32 call in the cross-entropy: a fixed stack buffer,
@@ -69,9 +68,7 @@ double BceRun(const float* probs, const float* x, size_t n, double l) {
 /// kElemGrain blocks of elements the whole stream is one running sum,
 /// else each kElemGrain block is one, and the blocks' sums combine in
 /// block order. A block's sum runs on from piece to piece, so the total
-/// has the same bits whatever pieces the stream came in, and a piece's
-/// blocks run on the compute pool when one is installed, which changes
-/// only where they run.
+/// has the same bits whatever pieces the stream came in.
 class BceStream {
  public:
   /// A stream of `total` elements, its running sums kept in `partial`.
@@ -89,16 +86,12 @@ class BceStream {
     const float* t = x.data().data();
     std::vector<double>& partial = *partial_;
     const size_t end = first + probs.size();
-    const size_t b0 = first / block_;
-    ForRanges((end + block_ - 1) / block_ - b0, 1,
-              [&](size_t lo, size_t hi) {
-                for (size_t b = b0 + lo; b < b0 + hi; ++b) {
-                  const size_t from = std::max(first, b * block_);
-                  const size_t to = std::min(end, (b + 1) * block_);
-                  partial[b] = BceRun(p + (from - first), t + (from - first),
-                                      to - from, partial[b]);
-                }
-              });
+    for (size_t b = first / block_; b * block_ < end; ++b) {
+      const size_t from = std::max(first, b * block_);
+      const size_t to = std::min(end, (b + 1) * block_);
+      partial[b] = BceRun(p + (from - first), t + (from - first), to - from,
+                          partial[b]);
+    }
   }
 
   double Sum() const {
@@ -125,9 +118,7 @@ double BceSum(const Matrix& probs, const Matrix& x,
 /// Bernoulli means overwrite the logits nothing reads again.
 void SigmoidInPlace(Matrix* logits) {
   float* v = logits->data().data();
-  ForRanges(logits->size(), kElemGrain, [&](size_t lo, size_t hi) {
-    SigmoidArray(v + lo, v + lo, hi - lo);
-  });
+  SigmoidArray(v, v, logits->size());
 }
 
 /// `kl` plus KL(q(z|x) || N(0, I)) summed over a batch, before the beta
@@ -292,11 +283,9 @@ void Vae::TrainBatch(const Matrix& x, const VaeTrainOptions& opts,
   // d(BCE with logits)/dlogits = (p - x), averaged over the batch, over
   // the means, element by element.
   Matrix& dlogits = ws.logits;
-  ForRanges(dlogits.size(), kElemGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      dlogits.data()[i] = (dlogits.data()[i] - x.data()[i]) * inv_batch;
-    }
-  });
+  for (size_t i = 0; i < dlogits.size(); ++i) {
+    dlogits.data()[i] = (dlogits.data()[i] - x.data()[i]) * inv_batch;
+  }
   dec_out_.Backward(ws.dec_hidden, dlogits, &ws.d_dec_hidden, &ws.dec_out);
   ReluBackwardInPlace(ws.dec_hidden, &ws.d_dec_hidden);
   dec_in_.Backward(ws.z, ws.d_dec_hidden, &ws.dz, &ws.dec_in);

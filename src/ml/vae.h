@@ -147,8 +147,8 @@ class Vae {
   /// parameters — no re-initialization, no shuffling, no validation
   /// split, and no loss computed. Returns the multiply-accumulates
   /// spent. The update is a deterministic function of (parameters,
-  /// internal RNG state, x): chunk order is fixed and the kernels are
-  /// pool-size invariant, so refinement preserves the engine's
+  /// internal RNG state, x): chunk order is fixed and every kernel runs
+  /// on the calling thread, so refinement preserves the engine's
   /// determinism contract. Keeps its workspace for the next call.
   double PartialFit(const Matrix& x, size_t batch_size);
 

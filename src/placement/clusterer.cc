@@ -2,15 +2,6 @@
 
 namespace e2nvm::placement {
 
-Status ContentClusterer::Train(const ml::RowsView& contents) {
-  ml::Matrix expanded;
-  return Train(contents.AsFloats(&expanded));
-}
-
-Status ContentClusterer::Train(const ml::Matrix& contents) {
-  return Train(ml::RowsView(contents));
-}
-
 Status RawKMeansClusterer::Train(const ml::RowsView& contents) {
   ml::Matrix expanded;
   const ml::Matrix& x = contents.AsFloats(&expanded);

@@ -44,16 +44,11 @@ class ContentClusterer {
   virtual std::unique_ptr<ContentClusterer> Clone() const = 0;
 
   /// Trains (or re-trains) on segment contents, one row per segment,
-  /// float or packed (ml::RowsView). A model overrides one of the two
-  /// Train forms. The library's models override this one, so a packed
-  /// snapshot trains them without a float copy; the default expands
-  /// packed rows into a float Matrix for a model that overrides only
-  /// the float form.
-  virtual Status Train(const ml::RowsView& contents);
-
-  /// Train on float rows. The default trains through the view, so a
-  /// model that reads the view takes float callers unchanged.
-  virtual Status Train(const ml::Matrix& contents);
+  /// float or packed (ml::RowsView): a float Matrix converts to the view,
+  /// and a packed snapshot trains a model that reads the view without a
+  /// float copy. A model that needs floats expands the view itself
+  /// (RowsView::AsFloats).
+  virtual Status Train(const ml::RowsView& contents) = 0;
 
   /// Moves the cluster of every row of the last Train's contents under
   /// the trained model (the ids AssignScratch gives those rows) into
@@ -91,8 +86,7 @@ class ContentClusterer {
   /// replay-ring refinement steps run through it. Models that support it
   /// override all three members; engines fall back to full retrains for
   /// the rest. PartialFit must keep the determinism contract: the
-  /// post-update model is a pure function of (pre-update model, batch),
-  /// independent of the installed compute pool.
+  /// post-update model is a pure function of (pre-update model, batch).
   virtual bool SupportsPartialFit() const { return false; }
   virtual Status PartialFit(const ml::Matrix& batch) {
     (void)batch;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -110,54 +111,68 @@ TEST(BackgroundRetrainerTest, TrainsAndClassifiesSnapshot) {
   EXPECT_FALSE(bg.ready());
 }
 
-/// One cluster, and a note of the compute pool its training ran under.
-class PoolRecordingClusterer : public placement::ContentClusterer {
- public:
-  explicit PoolRecordingClusterer(ThreadPool** seen) : seen_(seen) {}
-  std::string_view name() const override { return "pool-recording"; }
-  std::unique_ptr<ContentClusterer> CloneUntrained() const override {
-    return std::make_unique<PoolRecordingClusterer>(seen_);
-  }
-  std::unique_ptr<ContentClusterer> Clone() const override {
-    return CloneUntrained();
-  }
-  using ContentClusterer::Train;
-  Status Train(const ml::RowsView&) override {
-    *seen_ = ml::compute_pool();
-    return Status::Ok();
-  }
-  void AssignScratch(ml::InferenceScratch* scratch) const override {
-    scratch->clusters.assign(scratch->in.rows(), 0);
-  }
-  size_t num_clusters() const override { return 1; }
-  double PredictFlops() const override { return 1; }
-  double LastTrainFlops() const override { return 0; }
+/// Random 0/1 rows with density 0.3.
+ml::Matrix RandomBits(size_t rows, size_t cols, uint64_t seed) {
+  Rng rng(seed);
+  ml::Matrix m(rows, cols);
+  for (auto& v : m.data()) v = rng.NextBernoulli(0.3) ? 1.0f : 0.0f;
+  return m;
+}
 
- private:
-  ThreadPool** seen_;
-};
+bool SameBits(const ml::Matrix& a, const ml::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
 
-TEST(BackgroundRetrainerTest, ShadowTrainsUnderThePoolItWasLaunchedUnder) {
-  // A synchronous retrain from the launching operation would run its
-  // kernels on the pool pinned there, and so must the shadow, whether it
-  // trains on a dedicated thread or on a worker of that very pool (a
-  // shard's lane, whose idle workers then take its loops).
-  ThreadPool lane(2);
-  const auto ds = ClusteredData(8);
-  for (ThreadPool* submit_to : {static_cast<ThreadPool*>(nullptr), &lane}) {
-    SCOPED_TRACE(submit_to == nullptr ? "dedicated thread" : "pool mode");
-    BackgroundRetrainer bg(submit_to);
-    ThreadPool* seen = nullptr;
-    {
-      ml::ScopedComputePool kernels(&lane);
-      ASSERT_TRUE(bg.Start(std::make_unique<PoolRecordingClusterer>(&seen),
-                           ContentsOf(ds, 8), std::vector<uint64_t>(8)));
-    }
-    EXPECT_EQ(ml::compute_pool(), nullptr);
-    WaitUntilReady(bg);
-    ASSERT_TRUE(bg.TryCollect().has_value());
-    EXPECT_EQ(seen, &lane);
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// E2Model::Train's whole output: every VAE parameter block (values,
+/// gradients, Adam moments) and step count, the k-means centroids, the
+/// learning curves and the flop count.
+void ExpectSameModel(const E2Model& a, const E2Model& b) {
+  const auto pa = a.vae().Params();
+  const auto pb = b.vae().Params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_TRUE(SameBits(pa[i]->value, pb[i]->value)) << "block " << i;
+    EXPECT_TRUE(SameBits(pa[i]->grad, pb[i]->grad)) << "block " << i;
+    EXPECT_TRUE(SameBits(pa[i]->m, pb[i]->m)) << "block " << i;
+    EXPECT_TRUE(SameBits(pa[i]->v, pb[i]->v)) << "block " << i;
   }
+  EXPECT_EQ(a.vae().step(), b.vae().step());
+  EXPECT_TRUE(SameBits(a.kmeans().centroids(), b.kmeans().centroids()));
+  EXPECT_TRUE(SameBits(a.history().train_loss, b.history().train_loss));
+  EXPECT_TRUE(SameBits(a.history().val_loss, b.history().val_loss));
+  EXPECT_EQ(std::memcmp(&a.history().flops, &b.history().flops,
+                        sizeof(a.history().flops)),
+            0);
+  EXPECT_EQ(a.LastTrainFlops(), b.LastTrainFlops());
+}
+
+TEST(BackgroundRetrainerTest, E2ModelTrainIsTheSameWhereverItRuns) {
+  // A shard's shadow trains as one job on a lane worker; it must equal
+  // the same training on the caller, bit for bit.
+  const ml::Matrix x = RandomBits(256, 512, 13);
+  E2ModelConfig mc;
+  mc.input_dim = 512;
+  mc.k = 6;
+  mc.hidden_dim = 32;
+  mc.pretrain_epochs = 2;
+  mc.finetune_rounds = 1;
+
+  E2Model on_caller(mc);
+  ASSERT_TRUE(on_caller.Train(x).ok());
+
+  E2Model on_worker(mc);
+  std::promise<bool> trained;
+  ThreadPool lane(1);  // Joined before the state its job uses goes.
+  lane.Submit([&] { trained.set_value(on_worker.Train(x).ok()); });
+  ASSERT_TRUE(trained.get_future().get());
+  ExpectSameModel(on_caller, on_worker);
 }
 
 TEST(BackgroundRetrainerTest, RejectsOverlappingStarts) {
@@ -527,7 +542,6 @@ TEST(BackgroundRetrainTest, StoreServesPutsDuringBackgroundRetrain) {
   sc.model.pretrain_epochs = 2;
   sc.model.finetune_rounds = 1;
   sc.background_retrain = true;
-  sc.pool_threads = 4;
   sc.retrain.min_free_per_cluster = 16;
   auto store_or = E2KvStore::Create(sc);
   ASSERT_TRUE(store_or.ok());

@@ -344,7 +344,7 @@ core::ShardedStoreConfig StoreConfig4() {
   // charges must be part of the totals being compared. (Kept low enough
   // that the test stays unit-sized under TSan.)
   cfg.shard.retrain.min_free_per_cluster = 12;
-  cfg.pool_threads = 0;  // Serial kernels: placement math is identical.
+  cfg.pool_threads = 0;  // No lanes.
   return cfg;
 }
 

@@ -137,7 +137,7 @@ class ReferenceClusterer : public placement::ContentClusterer {
     return std::make_unique<ReferenceClusterer>(
         std::make_unique<E2Model>(*model_));
   }
-  Status Train(const ml::Matrix& contents) override {
+  Status Train(const ml::RowsView& contents) override {
     return model_->Train(contents);
   }
   void AssignScratch(ml::InferenceScratch* scratch) const override {

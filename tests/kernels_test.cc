@@ -16,7 +16,6 @@
 #include "common/bitvec.h"
 #include "common/exp_log_port.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "ml/matrix.h"
 
 namespace e2nvm {
@@ -828,7 +827,7 @@ TEST(KernelsTest, BitVectorDiffStatsMatchesPerBitWalk) {
 
 // --- GEMM: the dispatched j-vectorized paths, and the transposed
 // products that run on them, must be bit-identical to a naive triple
-// loop, serial and pooled alike. ---
+// loop. ---
 
 ml::Matrix RandomMatrix(size_t r, size_t c, Rng& rng) {
   ml::Matrix m(r, c);
@@ -896,10 +895,9 @@ void PlantZeros(size_t vectors, size_t len, At at) {
   }
 }
 
-TEST(KernelsTest, GemmBitIdenticalToNaiveSerialAndPooled) {
+TEST(KernelsTest, GemmBitIdenticalToNaive) {
   Rng rng(2024);
-  // Odd sizes force the GEMV column tiles' tails. The last shape is big
-  // enough (2.2M multiply-adds) that a pool actually splits its rows.
+  // Odd sizes force the GEMV column tiles' tails.
   // B is finite, the condition under which A B^T's zero skip is exact.
   const std::vector<std::tuple<size_t, size_t, size_t>> shapes = {
       {1, 1, 1},    {3, 5, 7},    {8, 16, 24},
@@ -930,19 +928,6 @@ TEST(KernelsTest, GemmBitIdenticalToNaiveSerialAndPooled) {
         << "MatMulTransB " << shape;
     EXPECT_TRUE(SameBits(ml::MatMulTransA(ta, b), want_ta))
         << "MatMulTransA " << shape;
-
-    {
-      ThreadPool pool(3);
-      ml::ScopedComputePool kernels(&pool);
-      const ml::Matrix pooled = ml::MatMul(a, b);
-      const ml::Matrix pooled_tb = ml::MatMulTransB(a, bt);
-      const ml::Matrix pooled_ta = ml::MatMulTransA(ta, b);
-      EXPECT_TRUE(SameBits(pooled, want)) << "pooled MatMul " << shape;
-      EXPECT_TRUE(SameBits(pooled_tb, want_tb))
-          << "pooled MatMulTransB " << shape;
-      EXPECT_TRUE(SameBits(pooled_ta, want_ta))
-          << "pooled MatMulTransA " << shape;
-    }
   }
 }
 

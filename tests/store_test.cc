@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "ml/matrix.h"
 
 namespace e2nvm::core {
 namespace {
@@ -54,26 +53,6 @@ TEST(StoreTest, ZeroBatchSizeIsRefusedByBootstrap) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   (*store)->Seed(SeedData());
   EXPECT_EQ((*store)->Bootstrap().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(StoreTest, PooledStoresKeepTheirPoolsToThemselves) {
-  // A pooled store pins its pool inside its own operations only: with
-  // two alive, the caller's kernels still run inline, and neither store
-  // runs on the other's pool, before or after the other is gone.
-  StoreConfig cfg = SmallStoreConfig();
-  cfg.pool_threads = 2;
-  auto a = MakeStore(cfg);
-  auto b = MakeStore(cfg);
-  EXPECT_EQ(ml::compute_pool(), nullptr);
-  const auto ds = SeedData(2);
-  ASSERT_TRUE(a->Put(1, ds.items[1]).ok());
-  ASSERT_TRUE(b->Put(2, ds.items[2]).ok());
-  ASSERT_TRUE(a->Delete(1).ok());
-  EXPECT_EQ(ml::compute_pool(), nullptr);
-  a.reset();
-  ASSERT_TRUE(b->Put(3, ds.items[3]).ok());
-  EXPECT_EQ(b->Get(3).value(), ds.items[3]);
-  EXPECT_EQ(ml::compute_pool(), nullptr);
 }
 
 TEST(StoreTest, PutGetRoundTrip) {
@@ -139,6 +118,22 @@ TEST(StoreTest, VariableSizeValues) {
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->size(), 100u);
   EXPECT_EQ(*v, small);
+
+  // An update that narrows the key, then one that widens it: each read
+  // returns the width of the value the key holds now.
+  BitVector narrow(40);
+  narrow.Set(39, true);
+  ASSERT_TRUE(store->Put(5, narrow).ok());
+  EXPECT_EQ(store->Get(5).value(), narrow);
+  BitVector wide(200);
+  wide.Set(0, true);
+  wide.Set(199, true);
+  ASSERT_TRUE(store->Put(5, wide).ok());
+  EXPECT_EQ(store->Get(5).value(), wide);
+  EXPECT_EQ(store->PeekValue(5).value(), wide);
+  const auto scanned = store->Scan(5, 1);
+  ASSERT_EQ(scanned.size(), 1u);
+  EXPECT_EQ(scanned[0].second, wide);
 }
 
 TEST(StoreTest, WearLevelingKeepsSemantics) {

@@ -11,7 +11,6 @@
 
 #include "common/kernels.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace e2nvm::ml {
 namespace {
@@ -371,7 +370,7 @@ TEST(VaeTest, ValidationPassMapsNoBlock) {
 TEST(VaeTest, ValidationLossIsTheHeldOutRowsEvalLoss) {
   // The validation pass evaluates the held-out rows a batch at a time;
   // its loss must have the bits of EvalLoss over a copy of those rows in
-  // one piece, serial and on a pool. 16-row chunks of 2000-float rows
+  // one piece. 16-row chunks of 2000-float rows
   // end inside the cross-entropy's 16K-element blocks.
   const VaeConfig cfg = SmallConfig(2000);
   const Matrix x = TwoProtoData(200, 2000, 12);
@@ -389,18 +388,12 @@ TEST(VaeTest, ValidationLossIsTheHeldOutRowsEvalLoss) {
   for (size_t i = 0; i < val_n; ++i) {
     held_out.CopyRowFrom(x, order[x.rows() - val_n + i], i);
   }
-  for (size_t threads : {0u, 3u}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-    ScopedComputePool kernels(pool.get());
-    Vae vae(cfg);
-    const TrainHistory h = vae.Train(x, opts);
-    const double want = vae.EvalLoss(held_out);
-    ASSERT_EQ(h.val_loss.size(), 1u);
-    EXPECT_EQ(std::memcmp(&h.val_loss[0], &want, sizeof(want)), 0)
-        << "threads=" << threads << " got " << h.val_loss[0] << " want "
-        << want;
-  }
+  Vae vae(cfg);
+  const TrainHistory h = vae.Train(x, opts);
+  const double want = vae.EvalLoss(held_out);
+  ASSERT_EQ(h.val_loss.size(), 1u);
+  EXPECT_EQ(std::memcmp(&h.val_loss[0], &want, sizeof(want)), 0)
+      << "got " << h.val_loss[0] << " want " << want;
 }
 
 TEST(VaeTest, FlopsEstimatesPositiveAndOrdered) {
