@@ -1,7 +1,9 @@
 // Ablation (DESIGN.md §5): the paper takes the *first* available address
 // in the predicted cluster rather than searching the cluster for the
-// minimum-Hamming match (§3.3.1). This bench quantifies that decision:
-// flips saved by best-in-cluster search vs its added per-write latency.
+// minimum-Hamming match (§3.3.1). This bench quantifies that decision
+// over the engine's scan width: flips saved by scanning the first 8, the
+// first 16 or every free address of the cluster vs the added per-write
+// latency.
 
 #include <cstdio>
 
@@ -17,18 +19,23 @@ constexpr size_t kWrites = 300;
 
 void RunOne(size_t k) {
   auto ds = workload::MakeMnistLike(kSegments + kWrites, 3);
-  for (bool best : {false, true}) {
+  struct Width {
+    size_t scan_width;
+    const char* policy;
+  };
+  for (const Width& w : {Width{1, "first-free"}, Width{8, "best-of-8"},
+                         Width{16, "best-of-16"},
+                         Width{core::kWholeCluster, "best-match"}}) {
     schemes::Dcw dcw;
     bench::Rig rig(kSegments, kBits, 0, &dcw);
     rig.SeedFrom(ds);
     auto cfg = bench::DefaultModel(kBits, k);
-    auto engine =
-        bench::MakeEngine(rig, std::make_unique<core::E2Model>(cfg), best);
+    auto engine = bench::MakeEngine(
+        rig, std::make_unique<core::E2Model>(cfg), w.scan_width);
     std::vector<BitVector> stream(ds.items.begin() + kSegments,
                                   ds.items.end());
     auto r = bench::RunStream(*engine, *rig.device, stream, 0.95, 7);
-    std::printf("%6zu %12s %14.1f %16.4f\n", k,
-                best ? "best-match" : "first-free", r.FlipsPerWrite(),
+    std::printf("%6zu %12s %14.1f %16.4f\n", k, w.policy, r.FlipsPerWrite(),
                 r.wall_ms / static_cast<double>(r.writes));
   }
 }

@@ -122,15 +122,17 @@ inline StreamResult RunStream(index::ValuePlacer& placer,
   return r;
 }
 
-/// Builds and bootstraps a placement engine over the whole rig; the
-/// engine owns `clusterer`, and engine->clusterer() is the trained model.
+/// Builds and bootstraps a placement engine over the whole rig, scanning
+/// `scan_width` free addresses per placement (1: the paper's first
+/// free); the engine owns `clusterer`, and engine->clusterer() is the
+/// trained model.
 inline std::unique_ptr<core::PlacementEngine> MakeEngine(
     Rig& rig, std::unique_ptr<placement::ContentClusterer> clusterer,
-    bool search_best = false) {
+    size_t scan_width = 1) {
   core::PlacementEngine::Config ec;
   ec.first_segment = 0;
   ec.num_segments = rig.num_segments;
-  ec.search_best_in_cluster = search_best;
+  ec.scan_width = scan_width;
   auto engine = std::make_unique<core::PlacementEngine>(
       rig.ctrl.get(), std::move(clusterer), ec);
   Status s = engine->Bootstrap();

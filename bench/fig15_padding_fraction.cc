@@ -71,11 +71,12 @@ Result RunPct(int pct, const workload::BitDataset& train,
       engine->clusterer().AssignScratch(&scratch);
       const size_t cluster = scratch.clusters[0];
       // Hand the write to the DAP exactly as PlacementEngine would.
-      auto addr = engine->mutable_pool().Acquire(cluster);
-      if (!addr) break;
-      index::MergeWrite(*rig.ctrl, *addr, crop);
+      auto got = engine->mutable_pool().Acquire(
+          cluster, 1, [](uint64_t) { return size_t{0}; });
+      if (!got) break;
+      index::MergeWrite(*rig.ctrl, got->addr, crop);
       written_bits += crop.size();
-      live.push_back(*addr);
+      live.push_back(got->addr);
       if (rng.NextDouble() < 0.95 && !live.empty()) {
         size_t idx = rng.NextBounded(live.size());
         (void)engine->Release(live[idx]);

@@ -40,6 +40,13 @@
 // cost or saved (ungated). The net scenario runs with retraining off, so
 // there the two fields are one measurement.
 //
+// Every scenario also runs on an oracle twin: one cluster (model.k 1),
+// scan_width kWholeCluster and retraining off, so each PUT takes the free
+// segment of its shard nearest the value in Hamming distance, a greedy
+// per-PUT yardstick for the model's placement. Its flips_per_bit is
+// reported as flips_per_bit_oracle (ungated). The net scenario's oracle
+// twin runs the same stream directly on a store.
+//
 // The driver exits nonzero when any operation fails or the store's final
 // key count disagrees with the generator's live set, so CI cannot
 // greenlight a lossy run. E2NVM_WORKLOAD_SMOKE=1 shrinks the op budget.
@@ -125,8 +132,10 @@ struct ScenarioResult {
   double seconds = 0;
   bench::TailStats put, get;
   double flips_per_bit = 0, pj_per_write = 0, total_pj = 0;
-  /// flips_per_bit of the same stream with retraining off.
+  /// flips_per_bit of the same stream with retraining off, and on the
+  /// oracle twin.
   double flips_per_bit_no_retrain = 0;
+  double flips_per_bit_oracle = 0;
   uint64_t retrains = 0, background_retrains = 0, refine_steps = 0;
   uint64_t capacity_retrains = 0;
   size_t threads = 1;  // Client + server threads the scenario needs.
@@ -172,18 +181,26 @@ workload::BitDataset MakeSeedDataset(const Params& p, const Scenario& sc) {
   return ds;
 }
 
+/// The store a run places with: the scenario's own, retraining on
+/// (drain-on-trigger keeps it deterministic); the no-retrain twin, also
+/// the net scenario's store, whose worker threads would make swap points
+/// scheduling-dependent; or the oracle twin.
+enum class Placement { kRetrain, kNoRetrain, kOracle };
+
 std::unique_ptr<core::ShardedStore> MakeStore(const Params& p,
                                               const Scenario& sc,
-                                              bool retrain) {
+                                              Placement placement) {
+  const bool retrain = placement == Placement::kRetrain;
   core::ShardedStoreConfig cfg;
   cfg.num_shards = p.shards;
   cfg.shard.num_segments = p.segments_per_shard;
   cfg.shard.segment_bits = p.bits;
   cfg.shard.model = bench::DefaultModel(p.bits, p.classes);
   cfg.shard.model.pretrain_epochs = 2;
-  // Retraining on (drain-on-trigger keeps it deterministic), except in
-  // each scenario's no-retrain twin and the net scenario, whose worker
-  // threads would make swap points scheduling-dependent.
+  if (placement == Placement::kOracle) {
+    cfg.shard.model.k = 1;
+    cfg.shard.scan_width = core::kWholeCluster;
+  }
   cfg.shard.auto_retrain = retrain;
   cfg.shard.background_retrain = retrain;
   cfg.shard.retrain.window = 40;
@@ -213,8 +230,8 @@ std::unique_ptr<core::ShardedStore> MakeStore(const Params& p,
 }
 
 ScenarioResult RunStoreScenario(const Params& p, const Scenario& sc,
-                                const ml::Lstm* lstm, bool retrain) {
-  auto store = MakeStore(p, sc, retrain);
+                                const ml::Lstm* lstm, Placement placement) {
+  auto store = MakeStore(p, sc, placement);
   core::Padder padder(sc.pad, core::PadLocation::kEnd, p.bits);
   if (sc.mixed_width) {
     for (size_t s = 0; s < store->num_shards(); ++s) {
@@ -355,7 +372,7 @@ ScenarioResult RunStoreScenario(const Params& p, const Scenario& sc,
 }
 
 ScenarioResult RunNetScenario(const Params& p, const Scenario& sc) {
-  auto store = MakeStore(p, sc, /*retrain=*/false);
+  auto store = MakeStore(p, sc, Placement::kNoRetrain);
   net::ServerConfig scfg;
   scfg.num_workers = p.net_workers;
   auto server_or = net::Server::Start(store.get(), scfg);
@@ -559,18 +576,23 @@ int main() {
     std::fflush(stdout);
     ScenarioResult r =
         sc.net ? RunNetScenario(p, sc)
-               : RunStoreScenario(p, sc, lstm.get(), /*retrain=*/true);
+               : RunStoreScenario(p, sc, lstm.get(), Placement::kRetrain);
     r.flips_per_bit_no_retrain = r.flips_per_bit;
     if (!sc.net) {
       const ScenarioResult twin =
-          RunStoreScenario(p, sc, lstm.get(), /*retrain=*/false);
+          RunStoreScenario(p, sc, lstm.get(), Placement::kNoRetrain);
       r.flips_per_bit_no_retrain = twin.flips_per_bit;
       total_failed += twin.failed;
     }
-    std::printf(" %8.0f ops/s  flips/bit %.4f (%.4f without retraining)"
-                "  retrains %llu+%llubg  refines %llu  failed %llu\n",
+    const ScenarioResult oracle =
+        RunStoreScenario(p, sc, lstm.get(), Placement::kOracle);
+    r.flips_per_bit_oracle = oracle.flips_per_bit;
+    total_failed += oracle.failed;
+    std::printf(" %8.0f ops/s  flips/bit %.4f (%.4f without retraining,"
+                " oracle %.4f)  retrains %llu+%llubg  refines %llu"
+                "  failed %llu\n",
                 static_cast<double>(p.ops) / r.seconds, r.flips_per_bit,
-                r.flips_per_bit_no_retrain,
+                r.flips_per_bit_no_retrain, r.flips_per_bit_oracle,
                 static_cast<unsigned long long>(r.retrains),
                 static_cast<unsigned long long>(r.background_retrains),
                 static_cast<unsigned long long>(r.refine_steps),
@@ -627,6 +649,7 @@ int main() {
       jw.TailSection("get", r.get);
       jw.Field("flips_per_bit", r.flips_per_bit, 4);
       jw.Field("flips_per_bit_no_retrain", r.flips_per_bit_no_retrain, 4);
+      jw.Field("flips_per_bit_oracle", r.flips_per_bit_oracle, 4);
       jw.Field("pj_per_write", r.pj_per_write, 1);
       jw.Field("total_pj", r.total_pj, 1);
       jw.Field("retrains", r.retrains);

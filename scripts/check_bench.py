@@ -39,9 +39,9 @@ REQUIRED_KEYS = {
         failed_requests undersubscribed""",
     "workloads": """smoke scenarios zipf_theta churn_fraction drift_period
         pad reads updates inserts deletes scans scan_misses failed_ops
-        live_keys store_keys ops_per_s flips_per_bit pj_per_write total_pj
-        retrains background_retrains capacity_retrains refine_steps
-        incremental undersubscribed""",
+        live_keys store_keys ops_per_s flips_per_bit flips_per_bit_oracle
+        pj_per_write total_pj retrains background_retrains capacity_retrains
+        refine_steps incremental undersubscribed""",
 }
 
 SCENARIOS = """zipf_0.50 zipf_0.80 zipf_0.99 ycsb_a ycsb_b ycsb_c ycsb_d ycsb_e

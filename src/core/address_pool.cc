@@ -25,29 +25,6 @@ void DynamicAddressPool::Insert(size_t cluster, uint64_t addr) {
   ++total_free_;
 }
 
-std::optional<uint64_t> DynamicAddressPool::Acquire(size_t cluster) {
-  if (lists_.empty()) return std::nullopt;
-  size_t c = ClampCluster(cluster);
-  if (lists_[c].empty()) {
-    c = LargestCluster();
-    if (lists_[c].empty()) return std::nullopt;
-  }
-  uint64_t addr = lists_[c].front();
-  lists_[c].pop_front();
-  --total_free_;
-  return addr;
-}
-
-std::optional<uint64_t> DynamicAddressPool::AcquireAny() {
-  if (lists_.empty()) return std::nullopt;
-  size_t c = LargestCluster();
-  if (lists_[c].empty()) return std::nullopt;
-  uint64_t addr = lists_[c].front();
-  lists_[c].pop_front();
-  --total_free_;
-  return addr;
-}
-
 size_t DynamicAddressPool::LargestCluster() const {
   size_t best = 0;
   size_t best_size = 0;
@@ -58,14 +35,6 @@ size_t DynamicAddressPool::LargestCluster() const {
     }
   }
   return best;
-}
-
-size_t DynamicAddressPool::FreeCount(size_t cluster) const {
-  if (cluster >= lists_.size()) {
-    ++clamped_ids_;
-    return 0;
-  }
-  return lists_[cluster].size();
 }
 
 size_t DynamicAddressPool::TotalFree() const {

@@ -1,11 +1,15 @@
 #ifndef E2NVM_CORE_ADDRESS_POOL_H_
 #define E2NVM_CORE_ADDRESS_POOL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 namespace e2nvm::core {
+
+/// Acquire's scan width for a search of the whole free list.
+inline constexpr size_t kWholeCluster = SIZE_MAX;
 
 /// Grow-only circular FIFO of segment addresses. Free lists see a
 /// push_back/pop_front on every PUT; a deque releases and reacquires
@@ -22,7 +26,6 @@ class FreeList {
   uint64_t operator[](size_t i) const {
     return buf_[(head_ + i) & (buf_.size() - 1)];
   }
-  uint64_t front() const { return buf_[head_]; }
 
   void push_back(uint64_t addr) {
     if (count_ == buf_.size()) Grow();
@@ -30,21 +33,18 @@ class FreeList {
     ++count_;
   }
 
-  uint64_t pop_front() {
-    uint64_t addr = buf_[head_];
-    head_ = (head_ + 1) & (buf_.size() - 1);
+  /// Removes and returns the i-th element, preserving FIFO order of the
+  /// rest: the i elements before it shift one slot back and the head
+  /// advances, so it costs O(i) and erase_at(0) is a pop_front.
+  uint64_t erase_at(size_t i) {
+    const size_t mask = buf_.size() - 1;
+    const uint64_t addr = buf_[(head_ + i) & mask];
+    for (size_t j = i; j > 0; --j) {
+      buf_[(head_ + j) & mask] = buf_[(head_ + j - 1) & mask];
+    }
+    head_ = (head_ + 1) & mask;
     --count_;
     return addr;
-  }
-
-  /// Removes the i-th element, preserving FIFO order of the rest
-  /// (AcquireBest picks from the middle). O(size - i).
-  void erase_at(size_t i) {
-    const size_t mask = buf_.size() - 1;
-    for (size_t j = i + 1; j < count_; ++j) {
-      buf_[(head_ + j - 1) & mask] = buf_[(head_ + j) & mask];
-    }
-    --count_;
   }
 
   /// Empties the list but keeps the ring storage (retraining clears and
@@ -77,7 +77,7 @@ class FreeList {
 ///  - PUT pops an address from the predicted cluster (the paper takes the
 ///    *first* available address — "we just take the first available
 ///    address in the cluster knowing that it will have a very similar
-///    content"; see AcquireBest for the search-within-cluster ablation);
+///    content"; Acquire's scan width generalizes that choice);
 ///  - DELETE recycles the freed address into the cluster its content now
 ///    belongs to;
 ///  - when a cluster's free list drains below a threshold the store
@@ -101,46 +101,51 @@ class DynamicAddressPool {
   /// address or corrupting memory.
   void Insert(size_t cluster, uint64_t addr);
 
-  /// Pops the first free address of `cluster`. If the cluster is empty
-  /// (or the id is out of range), falls back to the non-empty cluster
-  /// with the most free addresses (so the pool never fails while any
-  /// address is free). Returns nullopt only when the whole pool is empty.
-  std::optional<uint64_t> Acquire(size_t cluster);
+  /// An acquired address; `fallback` when the cluster asked for was out
+  /// of range or empty, so it came from another.
+  struct Acquired {
+    uint64_t addr;
+    bool fallback;
+  };
 
-  /// Pops a free address from the fullest cluster, ignoring the model —
-  /// first-free placement for degraded mode (model/DAP unhealthy).
-  std::optional<uint64_t> AcquireAny();
-
-  /// Ablation of the paper's first-available decision: scans the cluster's
-  /// free list (falling back as Acquire does) for the address with the
-  /// smallest `distance(addr)`, at O(cluster size) cost; the first
-  /// minimum in list order wins. The engine's distance is the Hamming
-  /// distance of the segment's logical content to the value it places.
+  /// Pops the nearest of the first `width` free addresses of `cluster`:
+  /// the smallest `distance(addr)`, the earliest on a tie. Width 1 takes
+  /// the first, the paper's choice, without calling `distance`;
+  /// kWholeCluster scans the whole list. An out-of-range id clamps to
+  /// the last cluster and an empty cluster falls back to
+  /// LargestCluster(), so the pool never fails while any address is
+  /// free. Returns nullopt only when the whole pool is empty.
   template <typename DistanceFn>
-  std::optional<uint64_t> AcquireBest(size_t cluster, DistanceFn&& distance) {
+  std::optional<Acquired> Acquire(size_t cluster, size_t width,
+                                  DistanceFn&& distance) {
     if (lists_.empty()) return std::nullopt;
+    bool fallback = cluster >= lists_.size();
     size_t c = ClampCluster(cluster);
     if (lists_[c].empty()) {
+      fallback = true;
       c = LargestCluster();
       if (lists_[c].empty()) return std::nullopt;
     }
+    FreeList& list = lists_[c];
+    const size_t scan = std::min(width, list.size());
     size_t best_i = 0;
-    size_t best_d = SIZE_MAX;
-    for (size_t i = 0; i < lists_[c].size(); ++i) {
-      const size_t d = distance(lists_[c][i]);
-      if (d < best_d) {
-        best_d = d;
-        best_i = i;
+    if (scan > 1) {
+      size_t best_d = distance(list[0]);
+      for (size_t i = 1; i < scan; ++i) {
+        const size_t d = distance(list[i]);
+        if (d < best_d) {
+          best_d = d;
+          best_i = i;
+        }
       }
     }
-    uint64_t addr = lists_[c][best_i];
-    lists_[c].erase_at(best_i);
     --total_free_;
-    return addr;
+    return Acquired{list.erase_at(best_i), fallback};
   }
 
-  /// Free addresses in `cluster`; 0 for an out-of-range id.
-  size_t FreeCount(size_t cluster) const;
+  /// The cluster with the most free addresses, the first on a tie (0
+  /// when the pool is empty).
+  size_t LargestCluster() const;
   /// The free list of `cluster` (< num_clusters()), in acquire order.
   const FreeList& free_list(size_t cluster) const { return lists_[cluster]; }
   size_t TotalFree() const;
@@ -161,7 +166,6 @@ class DynamicAddressPool {
   void Clear();
 
  private:
-  size_t LargestCluster() const;
   /// Maps an out-of-range cluster id into range, counting the incident.
   size_t ClampCluster(size_t cluster) const;
 

@@ -153,6 +153,7 @@ void PlacementEngine::OnModelChanged(double flops, bool on_write_path) {
 }
 
 Status PlacementEngine::Bootstrap() {
+  E2_RETURN_IF_ERROR(CheckConfig());
   const size_t n = config_.num_segments;
   if (n == 0) return Status::InvalidArgument("engine manages no segments");
   std::vector<uint64_t> addrs(n);
@@ -167,7 +168,21 @@ bool PlacementEngine::CanRefine() const {
   return config_.auto_retrain && policy_.refine_enabled();
 }
 
+Status PlacementEngine::CheckConfig() const {
+  if (config_.scan_width == 0) {
+    return Status::InvalidArgument("scan_width must be at least 1");
+  }
+  const Config::Incremental& inc = config_.incremental;
+  if (CanRefine() &&
+      (inc.refine_batch == 0 || inc.refine_batch > inc.ring_capacity)) {
+    return Status::InvalidArgument(
+        "refine_batch must be at least 1 and at most ring_capacity");
+  }
+  return Status::Ok();
+}
+
 Status PlacementEngine::BootstrapFrom(const PlacementEngine& source) {
+  E2_RETURN_IF_ERROR(CheckConfig());
   const size_t n = config_.num_segments;
   if (!source.bootstrapped_ || source.config_.num_segments != n ||
       source.ctrl_->segment_bits() != ctrl_->segment_bits() ||
@@ -345,29 +360,25 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
   // are dropped and the value re-placed, so the loop is bounded by the
   // pool size and only fails once every address is gone.
   for (size_t attempt = 0;; ++attempt) {
-    std::optional<uint64_t> addr;
     bool first_pick = model_ok && attempt == 0;
-    if (!first_pick) {
-      addr = pool_.AcquireAny();
-    } else {
-      // Both acquires fall back to the fullest cluster when the predicted
-      // one is empty; either way that is a fallback, not the model's pick.
-      const bool cluster_empty = pool_.FreeCount(cluster) == 0;
-      if (config_.search_best_in_cluster) {
-        addr = pool_.AcquireBest(
-            cluster, [&](uint64_t a) { return PrefixDistance(a, value); });
-      } else {
-        addr = pool_.Acquire(cluster);
-      }
-      if (addr.has_value() && cluster_empty) {
-        ++stats_.fallback_acquires;
-        first_pick = false;
-      }
-    }
-    if (!addr.has_value()) {
+    // The model's pick scans its cluster; degraded placement and a
+    // re-acquire after a quarantine take the fullest cluster's first
+    // address.
+    const std::optional<DynamicAddressPool::Acquired> got = pool_.Acquire(
+        first_pick ? cluster : pool_.LargestCluster(),
+        first_pick ? config_.scan_width : 1,
+        [&](uint64_t a) { return PrefixDistance(a, value); });
+    if (!got.has_value()) {
       return Status::ResourceExhausted("address pool empty");
     }
-    if (ctrl_->IsQuarantined(*addr)) {
+    if (got->fallback) {
+      // The predicted cluster was empty (or out of range): the address
+      // is not the model's pick.
+      ++stats_.fallback_acquires;
+      first_pick = false;
+    }
+    const uint64_t addr = got->addr;
+    if (ctrl_->IsQuarantined(addr)) {
       // A quarantined address slipped into the pool (e.g. recycled before
       // the quarantine): drop it and re-acquire.
       ++stats_.quarantine_skips;
@@ -377,7 +388,7 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
     // The scratch result's stored image reuses its capacity across
     // placements, keeping the steady-state PUT path off the heap.
     nvm::WriteResult& r = write_scratch_;
-    index::MergeWriteInto(*ctrl_, *addr, value, &r);
+    index::MergeWriteInto(*ctrl_, addr, value, &r);
     stats_.write_retries += r.verify_retries;
     if (r.verify_failed) {
       // The controller quarantined this segment; its cells may hold a
@@ -397,16 +408,16 @@ StatusOr<uint64_t> PlacementEngine::PlaceAt(const BitVector& value,
     // Memoize the value's cluster for Release: valid only when the model
     // actually predicted it and the value fills the whole segment (so
     // the content Release would re-encode IS this value).
-    if (*addr >= config_.first_segment &&
-        *addr - config_.first_segment < placed_cluster_.size()) {
-      placed_cluster_[*addr - config_.first_segment] =
+    if (addr >= config_.first_segment &&
+        addr - config_.first_segment < placed_cluster_.size()) {
+      placed_cluster_[addr - config_.first_segment] =
           (model_ok && value.size() == ctrl_->segment_bits())
               ? static_cast<int32_t>(cluster)
               : -1;
     }
     policy_.RecordWrite(r.total_bits_flipped(), value.size());
     MaybeAutoRetrain();
-    return *addr;
+    return addr;
   }
 }
 
@@ -502,7 +513,7 @@ void PlacementEngine::OnRetrainFailure(const Status& s) {
 
 void PlacementEngine::RefineStep() {
   const size_t batch = config_.incremental.refine_batch;
-  if (batch == 0 || ring_.size() < batch) return;  // Ring still filling.
+  if (ring_.size() < batch) return;  // Ring still filling.
   const size_t dim = ring_.dim();
   refine_in_.EnsureShape(batch, dim);
   // Oldest-to-newest across the last `batch` writes: successive steps
@@ -630,16 +641,6 @@ BitVector PlacementEngine::Read(uint64_t addr, size_t bits) {
 void PlacementEngine::ReadInto(uint64_t addr, size_t bits, BitVector* out) {
   ctrl_->ReadInto(addr, out);
   out->Truncate(bits);
-}
-
-Status PlacementEngine::WriteAt(uint64_t addr, const BitVector& value) {
-  index::MergeWriteInto(*ctrl_, addr, value, &write_scratch_);
-  // The content changed behind the placement memo.
-  if (addr >= config_.first_segment &&
-      addr - config_.first_segment < placed_cluster_.size()) {
-    placed_cluster_[addr - config_.first_segment] = -1;
-  }
-  return Status::Ok();
 }
 
 }  // namespace e2nvm::core

@@ -95,9 +95,9 @@ struct EngineStats {
 ///
 /// ## Threading contract (external locking)
 ///
-/// The engine is **single-caller**: PlaceRows/Place/Release/WriteAt/
-/// Retrain/ExtendRegion/PumpBackgroundRetrain and the stats()/pool()
-/// accessors must be serialized by the caller — they mutate and read
+/// The engine is **single-caller**: PlaceRows/Place/Release/Retrain/
+/// ExtendRegion/PumpBackgroundRetrain and the stats()/pool() accessors
+/// must be serialized by the caller — they mutate and read
 /// unsynchronized state (`stats_` counters, the `placed_cluster_` memo,
 /// the inference scratch, the padding RNG and running 1-ratios, and the
 /// DynamicAddressPool, which has no lock of its own) that a concurrent
@@ -117,9 +117,10 @@ class PlacementEngine : public index::ValuePlacer {
     /// engine manages; all of it starts free.
     uint64_t first_segment = 0;
     size_t num_segments = 0;
-    /// Ablation: search the predicted cluster's list for the
-    /// minimum-Hamming address instead of taking the first (§3.3.1).
-    bool search_best_in_cluster = false;
+    /// Free addresses of the predicted cluster a placement scans for the
+    /// one nearest the value: 1 takes the first, as the paper does
+    /// (§3.3.1); kWholeCluster the whole list. 0 fails Bootstrap.
+    size_t scan_width = 1;
     /// Retrain inside Place when the policy fires. By default the
     /// retrain runs synchronously (stalling that Place for the whole
     /// rebuild, but keeping the simulation single-threaded and
@@ -146,7 +147,9 @@ class PlacementEngine : public index::ValuePlacer {
       /// once at construction; appends never allocate.
       size_t ring_capacity = 256;
       /// Rows per refinement step — the most recent writes, oldest
-      /// first. Steps are skipped until the ring holds this many.
+      /// first. Steps are skipped until the ring holds this many; on an
+      /// engine that can refine, 0 or more than ring_capacity fails
+      /// Bootstrap.
       size_t refine_batch = 16;
     };
     Incremental incremental;
@@ -167,6 +170,7 @@ class PlacementEngine : public index::ValuePlacer {
 
   /// Trains a model on the current contents of every managed (free)
   /// segment and populates the DAP. Must be called once before Place.
+  /// InvalidArgument for a config it cannot serve (see CheckConfig).
   Status Bootstrap();
 
   /// Bootstrap's adoption form, for an engine whose managed segments are
@@ -187,7 +191,8 @@ class PlacementEngine : public index::ValuePlacer {
   /// that its DAP is still the one its bootstrap built. An engine that
   /// can refine also requires a source model that can (a retrain-off
   /// source serves one without its training state; see Adopt):
-  /// FailedPrecondition otherwise.
+  /// FailedPrecondition otherwise. InvalidArgument for a config
+  /// Bootstrap would refuse.
   Status BootstrapFrom(const PlacementEngine& source);
 
   /// Re-trains on the contents of the currently free segments and rebuilds
@@ -264,7 +269,6 @@ class PlacementEngine : public index::ValuePlacer {
   /// reused across calls) and truncates to `bits` — the serving path of
   /// the network front-end's GET.
   void ReadInto(uint64_t addr, size_t bits, BitVector* out);
-  Status WriteAt(uint64_t addr, const BitVector& value) override;
   size_t FreeCount() const override { return pool_.TotalFree(); }
 
   /// Cluster the engine would choose for `value`: featurizes it (which
@@ -331,7 +335,7 @@ class PlacementEngine : public index::ValuePlacer {
   /// warm and leaves a batch staged in scratch_ intact.
   size_t ClassifySegment(uint64_t addr);
   /// Hamming distance between `value` and the first value.size() bits
-  /// of segment `addr`'s logical content: AcquireBest's score. Peeks
+  /// of segment `addr`'s logical content: Acquire's scan score. Peeks
   /// into peek_scratch_ and counts whole words with the hamming kernel
   /// plus a masked tail word, so it allocates nothing once warm.
   size_t PrefixDistance(uint64_t addr, const BitVector& value);
@@ -373,6 +377,11 @@ class PlacementEngine : public index::ValuePlacer {
   /// True when the policy can answer drift with a refine step, the one
   /// operation that changes the serving model in place.
   bool CanRefine() const;
+  /// Both bootstraps' first step: InvalidArgument for a scan width of 0,
+  /// or, on an engine that can refine, for a refine batch no step could
+  /// read (0, or more rows than the ring holds): the policy would ask
+  /// for a refine on every write and never escalate to a retrain.
+  Status CheckConfig() const;
   /// Starts/extends the exponential retrain-failure backoff.
   void OnRetrainFailure(const Status& s);
   /// One inline incremental refinement step (§16): copies the most
@@ -418,7 +427,7 @@ class PlacementEngine : public index::ValuePlacer {
   // contract).
   ml::InferenceScratch segment_scratch_;
   BitVector peek_scratch_;
-  // Scratch write outcome for PlaceAt/WriteAt: its stored image reuses
+  // Scratch write outcome for PlaceAt: its stored image reuses
   // its heap capacity, so steady-state placements never allocate
   // (guarded by the engine's single-caller contract above).
   nvm::WriteResult write_scratch_;
@@ -432,7 +441,7 @@ class PlacementEngine : public index::ValuePlacer {
   // when unknown. Lets Release recycle the address without re-encoding
   // the content (the content IS that value, and the model is unchanged).
   // Invalidated wholesale on any model change (OnModelChanged) and
-  // per-address on WriteAt and narrow placements.
+  // per-address on narrow placements.
   std::vector<int32_t> placed_cluster_;
   // The members below come after the write path's, so those keep their
   // offsets.

@@ -16,7 +16,7 @@ void BuildModelAndEngine(const StoreConfig& config, uint64_t first_segment,
   PlacementEngine::Config ec;
   ec.first_segment = first_segment;
   ec.num_segments = config.num_segments;
-  ec.search_best_in_cluster = config.search_best_in_cluster;
+  ec.scan_width = config.scan_width;
   ec.auto_retrain = config.auto_retrain || config.background_retrain;
   ec.retrain = config.retrain;
   ec.incremental.enabled = config.incremental_learning;

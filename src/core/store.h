@@ -32,8 +32,8 @@ struct StoreConfig {
   /// Model configuration (input_dim is forced to segment_bits).
   E2ModelConfig model;
 
-  /// Placement engine knobs.
-  bool search_best_in_cluster = false;
+  /// Placement engine knobs (see PlacementEngine::Config).
+  size_t scan_width = 1;
   bool auto_retrain = false;
   /// Train replacement models on a background thread and swap them in
   /// atomically instead of stalling a PUT for the whole rebuild (implies
@@ -59,7 +59,8 @@ struct StoreConfig {
   /// Replay-ring rows per engine/shard (one allocation at build time;
   /// the PUT-path append never allocates).
   size_t replay_ring_capacity = 256;
-  /// Rows per refinement step (the most recent writes, oldest first).
+  /// Rows per refinement step (the most recent writes, oldest first),
+  /// 1 to replay_ring_capacity.
   size_t refine_batch = 16;
 
   /// Fault tolerance: read-back verify of every segment write, with up to

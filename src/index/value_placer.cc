@@ -52,9 +52,4 @@ BitVector ArbitraryPlacer::Read(uint64_t addr, size_t bits) {
   return ctrl_->Read(addr).Slice(0, bits);
 }
 
-Status ArbitraryPlacer::WriteAt(uint64_t addr, const BitVector& value) {
-  MergeWrite(*ctrl_, addr, value);
-  return Status::Ok();
-}
-
 }  // namespace e2nvm::index

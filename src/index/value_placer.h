@@ -12,11 +12,11 @@
 namespace e2nvm::index {
 
 /// The seam through which a data structure's *value writes* reach NVM.
-/// Native structures call WriteAt on slots they own; structures that
-/// delegate placement call Place/Release and keep only the returned
-/// address. E2-NVM augmentation (Fig 12) is implemented by handing an
-/// index a placer backed by core::PlacementEngine instead of the
-/// arbitrary one.
+/// Native structures write the slots they own through MergeWrite;
+/// structures that delegate placement call Place/Release and keep only
+/// the returned address. E2-NVM augmentation (Fig 12) is implemented by
+/// handing an index a placer backed by core::PlacementEngine instead of
+/// the arbitrary one.
 class ValuePlacer {
  public:
   virtual ~ValuePlacer() = default;
@@ -33,10 +33,6 @@ class ValuePlacer {
 
   /// Reads the first `bits` bits of the value stored at `addr`.
   virtual BitVector Read(uint64_t addr, size_t bits) = 0;
-
-  /// Overwrites the first value.size() bits at `addr` in place
-  /// (differential write through the controller's scheme).
-  virtual Status WriteAt(uint64_t addr, const BitVector& value) = 0;
 
   /// Addresses still available for Place.
   virtual size_t FreeCount() const = 0;
@@ -56,7 +52,6 @@ class ArbitraryPlacer : public ValuePlacer {
   StatusOr<uint64_t> Place(const BitVector& value) override;
   Status Release(uint64_t addr) override;
   BitVector Read(uint64_t addr, size_t bits) override;
-  Status WriteAt(uint64_t addr, const BitVector& value) override;
   size_t FreeCount() const override { return free_.size(); }
 
  private:

@@ -678,9 +678,9 @@ TEST(FastPathEquivalence, SteadyStatePredictionIsAllocationFree) {
   EXPECT_GT(Allocations(), before);
 }
 
-void ExpectAllocationFreePuts(bool search_best_in_cluster) {
+void ExpectAllocationFreePuts(size_t scan_width) {
   // The full PUT pipeline — placement inference, DAP acquire (the first
-  // free address, or the best-in-cluster scan), DCW write, index
+  // free address, or the scan of scan_width of them), DCW write, index
   // update, old-address recycling, retrain-window accounting — must stay
   // off the heap once every scratch buffer and ring has grown to its
   // working size. auto_retrain stays off: a retrain legitimately
@@ -693,7 +693,7 @@ void ExpectAllocationFreePuts(bool search_best_in_cluster) {
   sc.model.pretrain_epochs = 2;
   sc.model.finetune_rounds = 1;
   sc.auto_retrain = false;
-  sc.search_best_in_cluster = search_best_in_cluster;
+  sc.scan_width = scan_width;
   auto store_or = E2KvStore::Create(sc);
   ASSERT_TRUE(store_or.ok());
   auto store = std::move(*store_or);
@@ -733,9 +733,9 @@ void ExpectAllocationFreePuts(bool search_best_in_cluster) {
 }
 
 TEST(FastPathEquivalence, SteadyStatePutsAreAllocationFree) {
-  for (bool search_best : {false, true}) {
-    SCOPED_TRACE(search_best ? "best in cluster" : "first free");
-    ExpectAllocationFreePuts(search_best);
+  for (size_t width : {size_t{1}, size_t{8}, kWholeCluster}) {
+    SCOPED_TRACE(width);
+    ExpectAllocationFreePuts(width);
   }
 }
 

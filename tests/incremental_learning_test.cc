@@ -625,6 +625,55 @@ TEST(IncrementalEngineTest, RetrainOffKeepsNoRing) {
   EXPECT_EQ(on.flips, off.flips);
 }
 
+TEST(IncrementalEngineTest, BootstrapRejectsRefineSettingsThatNeverRefine) {
+  // A refine step reads the newest refine_batch ring rows. With a batch
+  // of 0, or one larger than the ring, no step could ever run: the
+  // policy would ask for one on every degraded write, and efficiency
+  // would never escalate to a full retrain. Both bootstraps refuse such
+  // an engine.
+  auto kmeans = [] {
+    return std::make_unique<placement::RawKMeansClusterer>(4, 42, 20);
+  };
+  Rig source(kmeans(), DriftEngineConfig(/*max_refine_rounds=*/2));
+  source.SeedWith(ClusteredData(kSegments, 2));
+  ASSERT_TRUE(source.engine->Bootstrap().ok());
+  struct Case {
+    size_t ring_capacity;
+    size_t refine_batch;
+    StatusCode want;
+  };
+  for (const Case& c : {Case{64, 16, StatusCode::kOk},
+                        Case{16, 16, StatusCode::kOk},
+                        Case{8, 16, StatusCode::kInvalidArgument},
+                        Case{0, 16, StatusCode::kInvalidArgument},
+                        Case{64, 0, StatusCode::kInvalidArgument}}) {
+    SCOPED_TRACE(testing::Message() << "ring " << c.ring_capacity
+                                    << " batch " << c.refine_batch);
+    PlacementEngine::Config ec = DriftEngineConfig(2);
+    ec.incremental.ring_capacity = c.ring_capacity;
+    ec.incremental.refine_batch = c.refine_batch;
+    Rig rig(kmeans(), ec);
+    rig.SeedWith(ClusteredData(kSegments, 2));
+    EXPECT_EQ(rig.engine->Bootstrap().code(), c.want);
+    Rig twin(kmeans(), ec);
+    twin.SeedWith(ClusteredData(kSegments, 2));
+    EXPECT_EQ(twin.engine->BootstrapFrom(*source.engine).code(), c.want);
+  }
+  // An engine that cannot refine never reads the batch: retraining off,
+  // or a model without PartialFit.
+  PlacementEngine::Config off = DriftEngineConfig(2);
+  off.incremental.ring_capacity = 8;
+  off.incremental.refine_batch = 0;
+  off.auto_retrain = false;
+  Rig retrain_off(kmeans(), off);
+  retrain_off.SeedWith(ClusteredData(kSegments, 2));
+  EXPECT_TRUE(retrain_off.engine->Bootstrap().ok());
+  off.auto_retrain = true;
+  Rig no_partial_fit(std::make_unique<placement::DensityClusterer>(4), off);
+  no_partial_fit.SeedWith(ClusteredData(kSegments, 2));
+  EXPECT_TRUE(no_partial_fit.engine->Bootstrap().ok());
+}
+
 // ---------------------------------------------------------------------
 // Store plumbing: StoreConfig knobs reach the engine and refinement runs
 // end-to-end with the real E2Model (VAE + k-means PartialFit).

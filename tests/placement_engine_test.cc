@@ -147,7 +147,7 @@ TEST(PlacementEngineTest, ReleaseRecyclesByContent) {
   // The recycled address must be in the cluster its content predicts.
   auto cluster = rig.engine->PredictClusterFor(rig.ctrl->Peek(*addr));
   ASSERT_TRUE(cluster.ok());
-  EXPECT_GT(rig.engine->pool().FreeCount(*cluster), 0u);
+  EXPECT_GT(rig.engine->pool().free_list(*cluster).size(), 0u);
 }
 
 TEST(PlacementEngineTest, ExhaustionReported) {
@@ -162,46 +162,98 @@ TEST(PlacementEngineTest, ExhaustionReported) {
             StatusCode::kResourceExhausted);
 }
 
-TEST(PlacementEngineTest, SearchBestFindsCloserMatches) {
+TEST(PlacementEngineTest, WiderScansFindCloserMatches) {
+  // Scanning more of the predicted cluster can only improve (or match)
+  // the flips of the paper's first free address.
   auto ds = ClusteredData(kSegments + 100, 9);
-  PlacementEngine::Config best_cfg;
-  best_cfg.search_best_in_cluster = true;
-  Rig first_rig(KMeans(4));
-  Rig best_rig(KMeans(4), best_cfg);
-  first_rig.SeedWith(ds);
-  best_rig.SeedWith(ds);
-  ASSERT_TRUE(first_rig.engine->Bootstrap().ok());
-  ASSERT_TRUE(best_rig.engine->Bootstrap().ok());
-  for (size_t i = 0; i < 60; ++i) {
-    const BitVector& v = ds.items[kSegments + i];
-    ASSERT_TRUE(first_rig.engine->Place(v).ok());
-    ASSERT_TRUE(best_rig.engine->Place(v).ok());
+  auto flips_at = [&](size_t width) {
+    PlacementEngine::Config ec;
+    ec.scan_width = width;
+    Rig rig(KMeans(4), ec);
+    rig.SeedWith(ds);
+    EXPECT_TRUE(rig.engine->Bootstrap().ok());
+    for (size_t i = 0; i < 60; ++i) {
+      EXPECT_TRUE(rig.engine->Place(ds.items[kSegments + i]).ok());
+    }
+    return rig.device->stats().total_bits_flipped();
+  };
+  const uint64_t first_free = flips_at(1);
+  for (size_t width : {size_t{8}, kWholeCluster}) {
+    EXPECT_LE(flips_at(width), first_free) << "scan_width " << width;
   }
-  // Best-search can only improve (or match) flips.
-  EXPECT_LE(best_rig.device->stats().total_bits_flipped(),
-            first_rig.device->stats().total_bits_flipped());
 }
 
-TEST(PlacementEngineTest, EmptyClusterFallbackCountedInBothModes) {
-  // Draining the predicted cluster makes Acquire and AcquireBest alike
-  // fall back to the fullest cluster; both modes must count it.
+TEST(PlacementEngineTest, EmptyClusterFallbackCountedAtEveryWidth) {
+  // Draining the predicted cluster makes every scan width fall back to
+  // the fullest cluster; each must count it.
   auto ds = ClusteredData(64);
-  for (bool search_best : {false, true}) {
+  for (size_t width : {size_t{1}, size_t{8}, kWholeCluster}) {
+    SCOPED_TRACE(width);
     PlacementEngine::Config ec;
-    ec.search_best_in_cluster = search_best;
+    ec.scan_width = width;
     Rig rig(KMeans(4), ec);
     rig.SeedWith(ds);
     ASSERT_TRUE(rig.engine->Bootstrap().ok());
     auto cluster = rig.engine->PredictClusterFor(ds.items[0]);
     ASSERT_TRUE(cluster.ok());
     DynamicAddressPool& pool = rig.engine->mutable_pool();
-    while (pool.FreeCount(*cluster) > 0) pool.Acquire(*cluster);
+    while (!pool.free_list(*cluster).empty()) {
+      pool.Acquire(*cluster, 1, [](uint64_t) { return size_t{0}; });
+    }
     ASSERT_TRUE(rig.engine->Place(ds.items[0]).ok());
-    EXPECT_EQ(rig.engine->stats().fallback_acquires, 1u)
-        << "search_best=" << search_best;
-    EXPECT_EQ(rig.engine->stats().fallback_placements, 1u)
-        << "search_best=" << search_best;
+    EXPECT_EQ(rig.engine->stats().fallback_acquires, 1u);
+    EXPECT_EQ(rig.engine->stats().fallback_placements, 1u);
   }
+}
+
+/// One cluster, but every id it answers is out of range.
+class OutOfRangeClusterer : public placement::SingleClusterer {
+ public:
+  std::unique_ptr<ContentClusterer> CloneUntrained() const override {
+    return std::make_unique<OutOfRangeClusterer>();
+  }
+  std::unique_ptr<ContentClusterer> Clone() const override {
+    return std::make_unique<OutOfRangeClusterer>();
+  }
+  void AssignScratch(ml::InferenceScratch* scratch) const override {
+    scratch->clusters.assign(scratch->in.rows(), 7);
+  }
+};
+
+TEST(PlacementEngineTest, OutOfRangeIdIsCountedOncePerPlacement) {
+  // The pool clamps the id and falls back; a placement counts the clamp
+  // and the fallback once each.
+  auto ds = ClusteredData(64);
+  for (size_t width : {size_t{1}, size_t{8}, kWholeCluster}) {
+    SCOPED_TRACE(width);
+    PlacementEngine::Config ec;
+    ec.scan_width = width;
+    Rig rig(std::make_unique<OutOfRangeClusterer>(), ec);
+    rig.SeedWith(ds);
+    ASSERT_TRUE(rig.engine->Bootstrap().ok());
+    const uint64_t clamped = rig.engine->pool().clamped_ids();
+    for (size_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(rig.engine->Place(ds.items[i]).ok());
+    }
+    EXPECT_EQ(rig.engine->pool().clamped_ids() - clamped, 10u);
+    EXPECT_EQ(rig.engine->stats().fallback_acquires, 10u);
+    EXPECT_EQ(rig.engine->stats().fallback_placements, 10u);
+  }
+}
+
+TEST(PlacementEngineTest, ZeroScanWidthIsRejected) {
+  PlacementEngine::Config ec;
+  ec.scan_width = 0;
+  auto ds = ClusteredData(64);
+  Rig rig(KMeans(4), ec);
+  rig.SeedWith(ds);
+  EXPECT_EQ(rig.engine->Bootstrap().code(), StatusCode::kInvalidArgument);
+
+  Rig source(KMeans(4));
+  source.SeedWith(ds);
+  ASSERT_TRUE(source.engine->Bootstrap().ok());
+  EXPECT_EQ(rig.engine->BootstrapFrom(*source.engine).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PlacementEngineTest, RetrainRebuildsPool) {
